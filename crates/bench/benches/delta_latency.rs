@@ -13,7 +13,7 @@
 //!   just appended, through an engine pinned on the new generation; plus
 //!   the combined applied-and-queryable figure the acceptance bar names.
 //! * **rebuild path** — the write cycle a delta op replaces: re-read the
-//!   CSV bundle, [`Snapshot::build`], persist, reload zero-copy, swap into
+//!   CSV bundle, [`Snapshot::build`], persist, reload, swap into
 //!   the cell, answer the first query. The headline speedup divides this
 //!   by the apply p50 — rebuild-per-write versus delta-per-write.
 //! * **compaction** — folding the accumulated op log back into a clean
@@ -79,7 +79,7 @@ fn main() {
     // `rebuild_ms` is the in-memory `Snapshot::build` alone (the floor the
     // compaction figure is compared against). `rebuild_path_ms` is the full
     // write path a delta op replaces: re-read the CSV bundle, rebuild the
-    // index, persist it, reload it zero-copy into the serving cell, and
+    // index, persist it, reload it into the serving cell, and
     // answer the first query — i.e. the `er snapshot build` + reload cycle.
     let mut rebuild_ms = f64::MAX;
     for _ in 0..samples {

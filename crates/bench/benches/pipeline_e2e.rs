@@ -2,34 +2,18 @@
 //! filter → weight → prune, each stage timed *and* allocation-counted via
 //! the counting global allocator ([`mb_observe::alloc_track`]).
 //!
-//! Every stage (except prune, see below) runs in two implementations:
-//!
-//! * `legacy` — a faithful replication of the pre-CSR data layout this
-//!   repository used before the arena refactor: owned `Vec<Block>`-style
-//!   collections with one `Vec<EntityId>` pair per block, `String`-keyed
-//!   grouping through a two-table interner (hash map + reverse vector, two
-//!   `String` clones per new key), one `String` allocation per token
-//!   occurrence, per-block `Vec` collects in Block Filtering, and a per-edge
-//!   `1/‖b‖` divide in the ARCS sweep. Kept here as the *before* baseline.
-//! * `arena` — the real pipeline over the CSR arena + interned postings.
-//!
-//! Pruning operates on the weighted edge stream, not on the block layout, so
-//! it has no meaningful legacy variant; its single `arena` row exists to
-//! keep the end-to-end wall-clock picture complete.
-//!
 //! Output: `BENCH_pipeline.json` at the repository root (override with
-//! `BENCH_OUT`). One record per (stage, impl) with mean/median/min wall-ms
-//! and the allocation count of a single invocation, plus a summary with the
-//! build+weight allocation ratio — the headline number of the refactor.
+//! `BENCH_OUT`). One record per stage with mean/median/min wall-ms and the
+//! allocation count of a single invocation, plus a summary with the
+//! build+weight allocation count — what the CSR arena + interned postings
+//! layout is held to.
 //!
 //! Environment knobs: `BENCH_SAMPLE_SIZE` (timed samples per stage,
 //! default 5), `BENCH_OUT` (output path).
 
 use er_bench::clean_workload;
 use er_blocking::{BlockingMethod, TokenBlocking};
-use er_model::fxhash::FxHashMap;
-use er_model::tokenize::tokens;
-use er_model::{BlockCollection, EntityCollection, EntityId, ErKind};
+use er_model::BlockCollection;
 use mb_core::filter::block_filtering;
 use mb_core::weights::EdgeWeigher;
 use mb_core::{GraphContext, MetaBlocking, PruningScheme, WeightingScheme};
@@ -40,191 +24,6 @@ use std::time::{Duration, Instant};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator<std::alloc::System> = TrackingAllocator::new(std::alloc::System);
-
-// ---------------------------------------------------------------------------
-// The legacy layout, replicated: one heap-owned member pair per block.
-
-#[derive(Clone)]
-struct LegacyBlock {
-    left: Vec<EntityId>,
-    right: Vec<EntityId>,
-}
-
-impl LegacyBlock {
-    fn size(&self) -> usize {
-        self.left.len() + self.right.len()
-    }
-
-    fn cardinality(&self) -> u64 {
-        if self.right.is_empty() {
-            let n = self.left.len() as u64;
-            n * n.saturating_sub(1) / 2
-        } else {
-            self.left.len() as u64 * self.right.len() as u64
-        }
-    }
-}
-
-/// Pre-refactor Token Blocking: `String` tokens per profile, a two-table
-/// interner, and `Vec<Vec<EntityId>>` sides grown per key.
-fn legacy_token_blocking(collection: &EntityCollection) -> Vec<LegacyBlock> {
-    let clean = collection.kind() == ErKind::CleanClean;
-    let split = collection.split();
-    let mut ids: FxHashMap<String, u32> = FxHashMap::default();
-    let mut strings: Vec<String> = Vec::new();
-    let mut left: Vec<Vec<EntityId>> = Vec::new();
-    let mut right: Vec<Vec<EntityId>> = Vec::new();
-    for (id, profile) in collection.iter() {
-        let mut toks: Vec<String> = profile.values().flat_map(tokens).collect();
-        toks.sort_unstable();
-        toks.dedup();
-        for t in &toks {
-            let key = match ids.get(t.as_str()) {
-                Some(&k) => k,
-                None => {
-                    let k = strings.len() as u32;
-                    ids.insert(t.clone(), k);
-                    strings.push(t.clone());
-                    k
-                }
-            } as usize;
-            if key == left.len() {
-                left.push(Vec::new());
-                right.push(Vec::new());
-            }
-            let side = if clean && id.idx() >= split { &mut right[key] } else { &mut left[key] };
-            if side.last() != Some(&id) {
-                side.push(id);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (l, r) in left.into_iter().zip(right) {
-        let keep = if clean { !l.is_empty() && !r.is_empty() } else { l.len() >= 2 };
-        if keep {
-            out.push(LegacyBlock { left: l, right: r });
-        }
-    }
-    out
-}
-
-fn legacy_purge_by_size(blocks: &mut Vec<LegacyBlock>, num_entities: usize, ratio: f64) {
-    let limit = (num_entities as f64 * ratio).floor() as usize;
-    blocks.retain(|b| b.size() <= limit);
-}
-
-/// Pre-refactor Block Filtering: per-block `Vec` collects of the surviving
-/// members, one owned block pushed per kept block.
-fn legacy_block_filtering(
-    blocks: &[LegacyBlock],
-    clean: bool,
-    num_entities: usize,
-    r: f64,
-) -> Vec<LegacyBlock> {
-    let mut counts = vec![0u32; num_entities];
-    for b in blocks {
-        for e in b.left.iter().chain(&b.right) {
-            counts[e.idx()] += 1;
-        }
-    }
-    let limits: Vec<u32> = counts
-        .iter()
-        .map(|&c| if c == 0 { 0 } else { ((r * c as f64).round() as u32).max(1) })
-        .collect();
-    let mut order: Vec<u32> = (0..blocks.len() as u32).collect();
-    order.sort_by_key(|&k| blocks[k as usize].cardinality());
-    let mut used = vec![0u32; num_entities];
-    let mut kept = Vec::with_capacity(blocks.len());
-    for &k in &order {
-        let block = &blocks[k as usize];
-        let keep = |id: EntityId, used: &mut [u32]| {
-            if used[id.idx()] < limits[id.idx()] {
-                used[id.idx()] += 1;
-                true
-            } else {
-                false
-            }
-        };
-        let left: Vec<EntityId> =
-            block.left.iter().copied().filter(|&e| keep(e, &mut used)).collect();
-        let right: Vec<EntityId> =
-            block.right.iter().copied().filter(|&e| keep(e, &mut used)).collect();
-        let keep_block = if clean { !left.is_empty() && !right.is_empty() } else { left.len() > 1 };
-        if keep_block {
-            kept.push(LegacyBlock { left, right });
-        }
-    }
-    kept
-}
-
-/// Pre-refactor ARCS sweep: entity-index build over the owned blocks plus a
-/// node-centric scan with an inline `1/‖b‖` divide per common block.
-fn legacy_arcs_sweep(blocks: &[LegacyBlock], num_entities: usize, split: usize) -> f64 {
-    // Flat entity index (the pre-refactor EntityIndex was already CSR).
-    let mut counts = vec![0u32; num_entities];
-    for b in blocks {
-        for e in b.left.iter().chain(&b.right) {
-            counts[e.idx()] += 1;
-        }
-    }
-    let mut offsets = vec![0u32; num_entities + 1];
-    let mut acc = 0u32;
-    for (i, &c) in counts.iter().enumerate() {
-        offsets[i] = acc;
-        acc += c;
-    }
-    offsets[num_entities] = acc;
-    let mut lists = vec![0u32; acc as usize];
-    let mut cursor = offsets.clone();
-    for (k, b) in blocks.iter().enumerate() {
-        for e in b.left.iter().chain(&b.right) {
-            lists[cursor[e.idx()] as usize] = k as u32;
-            cursor[e.idx()] += 1;
-        }
-    }
-    let cards: Vec<f64> = blocks.iter().map(|b| b.cardinality() as f64).collect();
-
-    let dirty = split >= num_entities;
-    let mut flags = vec![0u32; num_entities];
-    let mut score = vec![0f64; num_entities];
-    let mut neighbors: Vec<u32> = Vec::new();
-    let mut tick = 0u32;
-    let (mut total, mut edges) = (0f64, 0u64);
-    for pivot in 0..split.min(num_entities) as u32 {
-        tick += 1;
-        neighbors.clear();
-        let (lo, hi) = (offsets[pivot as usize] as usize, offsets[pivot as usize + 1] as usize);
-        for &k in &lists[lo..hi] {
-            let b = &blocks[k as usize];
-            let increment = 1.0 / cards[k as usize];
-            let members = if dirty { &b.left } else { &b.right };
-            for &j in members {
-                if j.0 == pivot || (dirty && j.0 < pivot) {
-                    continue;
-                }
-                let idx = j.idx();
-                if flags[idx] != tick {
-                    flags[idx] = tick;
-                    score[idx] = 0.0;
-                    neighbors.push(j.0);
-                }
-                score[idx] += increment;
-            }
-        }
-        for &j in &neighbors {
-            total += score[j as usize];
-            edges += 1;
-        }
-    }
-    if edges == 0 {
-        0.0
-    } else {
-        total / edges as f64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Measurement plumbing.
 
 struct Measured {
     times: Vec<Duration>,
@@ -257,20 +56,19 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn record(stage: &str, imp: &str, m: &Measured) -> Json {
+fn record(stage: &str, m: &Measured) -> Json {
     let mut sorted = m.times.clone();
     sorted.sort_unstable();
     let total: Duration = sorted.iter().sum();
     let mut obj = Json::obj();
     obj.push("stage", Json::Str(stage.into()));
-    obj.push("impl", Json::Str(imp.into()));
     obj.push("mean_ms", Json::Num(ms(total / sorted.len() as u32)));
     obj.push("median_ms", Json::Num(ms(sorted[sorted.len() / 2])));
     obj.push("min_ms", Json::Num(ms(sorted[0])));
     obj.push("samples", Json::Uint(sorted.len() as u64));
     obj.push("allocs", Json::Uint(m.allocs));
     println!(
-        "{stage:>8}/{imp}: mean {:>10.3} ms  min {:>10.3} ms  allocs {:>9}",
+        "{stage:>8}: mean {:>10.3} ms  min {:>10.3} ms  allocs {:>9}",
         ms(total / sorted.len() as u32),
         ms(sorted[0]),
         m.allocs
@@ -292,80 +90,53 @@ fn main() {
     let collection = &workload.collection;
     let split = collection.split();
     let n = collection.len();
-    let clean = collection.kind() == ErKind::CleanClean;
     println!("pipeline-e2e: {n} entities, {samples} samples per stage");
 
     let mut rows: Vec<Json> = Vec::new();
-    let mut legacy_bw_allocs = 0u64;
-    let mut arena_bw_allocs = 0u64;
+    let mut build_weight_allocs = 0u64;
 
     // --- build -------------------------------------------------------------
-    let m = measure(samples, || (), |()| legacy_token_blocking(collection));
-    legacy_bw_allocs += m.allocs;
-    rows.push(record("build", "legacy", &m));
     let m = measure(samples, || (), |()| TokenBlocking.build(collection));
-    arena_bw_allocs += m.allocs;
-    rows.push(record("build", "arena", &m));
-
-    let legacy_built = legacy_token_blocking(collection);
-    let arena_built = TokenBlocking.build(collection);
+    build_weight_allocs += m.allocs;
+    rows.push(record("build", &m));
+    let built = TokenBlocking.build(collection);
 
     // --- purge -------------------------------------------------------------
     let m = measure(
         samples,
-        || legacy_built.clone(),
-        |mut b| {
-            legacy_purge_by_size(&mut b, n, 0.5);
-            b
-        },
-    );
-    rows.push(record("purge", "legacy", &m));
-    let m = measure(
-        samples,
-        || arena_built.clone(),
+        || built.clone(),
         |mut b: BlockCollection| {
             er_blocking::purging::purge_by_size(&mut b, 0.5);
             b
         },
     );
-    rows.push(record("purge", "arena", &m));
-
-    let mut legacy_purged = legacy_built.clone();
-    legacy_purge_by_size(&mut legacy_purged, n, 0.5);
-    let mut arena_purged = arena_built.clone();
-    er_blocking::purging::purge_by_size(&mut arena_purged, 0.5);
+    rows.push(record("purge", &m));
+    let mut purged = built.clone();
+    er_blocking::purging::purge_by_size(&mut purged, 0.5);
 
     // --- filter ------------------------------------------------------------
-    let m = measure(samples, || (), |()| legacy_block_filtering(&legacy_purged, clean, n, 0.8));
-    rows.push(record("filter", "legacy", &m));
     let m = measure(
         samples,
         || (),
-        |()| block_filtering(&arena_purged, 0.8).unwrap_or_else(|e| panic!("filtering: {e}")),
+        |()| block_filtering(&purged, 0.8).unwrap_or_else(|e| panic!("filtering: {e}")),
     );
-    rows.push(record("filter", "arena", &m));
-
-    let legacy_filtered = legacy_block_filtering(&legacy_purged, clean, n, 0.8);
-    let arena_filtered =
-        block_filtering(&arena_purged, 0.8).unwrap_or_else(|e| panic!("filtering: {e}"));
+    rows.push(record("filter", &m));
+    let filtered = block_filtering(&purged, 0.8).unwrap_or_else(|e| panic!("filtering: {e}"));
 
     // --- weight (full ARCS sweep incl. graph-context construction) ---------
-    let m = measure(samples, || (), |()| legacy_arcs_sweep(&legacy_filtered, n, split));
-    legacy_bw_allocs += m.allocs;
-    rows.push(record("weight", "legacy", &m));
     let m = measure(
         samples,
         || (),
         |()| {
-            let ctx = GraphContext::new(&arena_filtered, split);
+            let ctx = GraphContext::new(&filtered, split);
             let weigher = EdgeWeigher::new(WeightingScheme::Arcs, &ctx);
             mb_core::parallel::mean_edge_weight(&ctx, &weigher, 1)
         },
     );
-    arena_bw_allocs += m.allocs;
-    rows.push(record("weight", "arena", &m));
+    build_weight_allocs += m.allocs;
+    rows.push(record("weight", &m));
 
-    // --- prune (layout-independent; arena row only, as the control) --------
+    // --- prune --------------------------------------------------------------
     let pipeline = MetaBlocking::new(WeightingScheme::Js, PruningScheme::Cnp).with_threads(1);
     let m = measure(
         samples,
@@ -373,24 +144,16 @@ fn main() {
         |()| {
             let mut count = 0u64;
             pipeline
-                .run(&arena_filtered, split, &mut mb_core::Noop, |_, _| count += 1)
+                .run(&filtered, split, &mut mb_core::Noop, |_, _| count += 1)
                 .unwrap_or_else(|e| panic!("pipeline: {e}"));
             count
         },
     );
-    rows.push(record("prune", "arena", &m));
+    rows.push(record("prune", &m));
 
-    let ratio =
-        if arena_bw_allocs == 0 { 0.0 } else { legacy_bw_allocs as f64 / arena_bw_allocs as f64 };
-    println!(
-        "\nbuild+weight allocations: legacy {legacy_bw_allocs}, arena {arena_bw_allocs} \
-         ({ratio:.1}x fewer)"
-    );
-
+    println!("\nbuild+weight allocations: {build_weight_allocs}");
     let mut summary = Json::obj();
-    summary.push("build_weight_allocs_legacy", Json::Uint(legacy_bw_allocs));
-    summary.push("build_weight_allocs_arena", Json::Uint(arena_bw_allocs));
-    summary.push("build_weight_alloc_ratio", Json::Num(ratio));
+    summary.push("build_weight_allocs", Json::Uint(build_weight_allocs));
 
     let mut doc = Json::obj();
     doc.push("bench", Json::Str("pipeline_e2e".into()));

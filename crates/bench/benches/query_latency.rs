@@ -5,11 +5,9 @@
 //! snapshot (Token Blocking + Block Filtering at r = 0.8). Three
 //! measurements:
 //!
-//! * **load** — full `Snapshot::read_from` (read + checksum + structural
-//!   validation + threshold verification + deep decode), wall-ms and MB/s.
-//! * **zero-copy load** — `SnapshotView::read_from` (read + checksum +
-//!   validation, sections *borrowed* from the loaded buffer), wall-ms, MB/s,
-//!   and the speedup over the owned decode.
+//! * **load** — `SnapshotView::read_from` (read + checksum + full
+//!   structural and cross-section validation, sections *borrowed* from the
+//!   loaded buffer), wall-ms and MB/s.
 //! * **single query** — per-entity `QueryEngine::query` latency in µs,
 //!   reported as p50/p99 over every entity × `BENCH_SAMPLE_SIZE` rounds.
 //! * **batch** — `QueryEngine::batch` at 1/2/4/8 threads, wall-ms and
@@ -63,56 +61,29 @@ fn main() {
     let mut load_times: Vec<Duration> = (0..samples)
         .map(|_| {
             let start = Instant::now();
-            let s = Snapshot::read_from(&path, &mut Noop)
+            let v = SnapshotView::read_from(&path, &mut Noop)
                 .unwrap_or_else(|e| panic!("loading snapshot: {e}"));
-            black_box(s.num_entities());
+            black_box(v.num_entities());
             start.elapsed()
         })
         .collect();
     load_times.sort_unstable();
     let load_mean = load_times.iter().sum::<Duration>() / load_times.len() as u32;
-    let mb_per_s = |mean: Duration| snapshot_bytes as f64 / 1e6 / mean.as_secs_f64();
+    let mb_per_s = snapshot_bytes as f64 / 1e6 / load_mean.as_secs_f64();
     println!(
-        "    load: mean {:>8.3} ms  min {:>8.3} ms  {:>8.1} MB/s",
+        "    load: mean {:>8.3} ms  min {:>8.3} ms  {mb_per_s:>8.1} MB/s",
         ms(load_mean),
         ms(load_times[0]),
-        mb_per_s(load_mean)
     );
     let mut load = Json::obj();
     load.push("mean_ms", Json::Num(ms(load_mean)));
     load.push("min_ms", Json::Num(ms(load_times[0])));
-    load.push("mb_per_s", Json::Num(mb_per_s(load_mean)));
+    load.push("mb_per_s", Json::Num(mb_per_s));
     load.push("samples", Json::Uint(load_times.len() as u64));
 
-    // --- zero-copy snapshot load -------------------------------------------
-    let mut view_times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            let v = SnapshotView::read_from(&path, &mut Noop)
-                .unwrap_or_else(|e| panic!("view-loading snapshot: {e}"));
-            black_box(v.num_entities());
-            start.elapsed()
-        })
-        .collect();
-    view_times.sort_unstable();
-    let view_mean = view_times.iter().sum::<Duration>() / view_times.len() as u32;
-    let speedup = load_mean.as_secs_f64() / view_mean.as_secs_f64().max(1e-9);
-    println!(
-        "    zero: mean {:>8.3} ms  min {:>8.3} ms  {:>8.1} MB/s  ({speedup:.1}x vs owned)",
-        ms(view_mean),
-        ms(view_times[0]),
-        mb_per_s(view_mean)
-    );
-    let mut load_zero_copy = Json::obj();
-    load_zero_copy.push("mean_ms", Json::Num(ms(view_mean)));
-    load_zero_copy.push("min_ms", Json::Num(ms(view_times[0])));
-    load_zero_copy.push("mb_per_s", Json::Num(mb_per_s(view_mean)));
-    load_zero_copy.push("speedup_vs_owned", Json::Num(speedup));
-    load_zero_copy.push("samples", Json::Uint(view_times.len() as u64));
-
-    let snapshot =
-        Snapshot::read_from(&path, &mut Noop).unwrap_or_else(|e| panic!("reloading snapshot: {e}"));
-    let mut engine = QueryEngine::new(&snapshot);
+    let view = SnapshotView::read_from(&path, &mut Noop)
+        .unwrap_or_else(|e| panic!("reloading snapshot: {e}"));
+    let mut engine = QueryEngine::from_view(&view);
     let retention = engine.default_retention();
 
     // --- single-query latency (µs percentiles over all entities) -----------
@@ -176,7 +147,6 @@ fn main() {
     doc.push("samples", Json::Uint(samples as u64));
     doc.push("snapshot_bytes", Json::Uint(snapshot_bytes));
     doc.push("load", load);
-    doc.push("load_zero_copy", load_zero_copy);
     doc.push("single_query", single);
     doc.push("batch", Json::Arr(batch_rows));
 

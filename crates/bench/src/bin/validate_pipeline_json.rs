@@ -30,25 +30,19 @@ fn check(doc: &Json) -> Result<(), String> {
         .filter(|&n| n > 0)
         .ok_or("document: `samples_per_stage` must be a positive integer")?;
 
-    // Per-(stage, impl) rows.
+    // Per-stage rows.
     let results = field(doc, "results", "document")?;
     let rows = results.as_arr().ok_or("document: `results` must be an array")?;
     if rows.is_empty() {
         return Err("document: `results` is empty".into());
     }
     const STAGES: [&str; 5] = ["build", "purge", "filter", "weight", "prune"];
-    const IMPLS: [&str; 2] = ["legacy", "arena"];
     for (i, row) in rows.iter().enumerate() {
         let what = format!("results[{i}]");
         let stage = field(row, "stage", &what)?;
         let stage = stage.as_str().ok_or(format!("{what}: `stage` must be a string"))?;
         if !STAGES.contains(&stage) {
             return Err(format!("{what}: unknown stage `{stage}`"));
-        }
-        let imp = field(row, "impl", &what)?;
-        let imp = imp.as_str().ok_or(format!("{what}: `impl` must be a string"))?;
-        if !IMPLS.contains(&imp) {
-            return Err(format!("{what}: unknown impl `{imp}`"));
         }
         for key in ["mean_ms", "median_ms", "min_ms"] {
             field(row, key, &what)?
@@ -62,37 +56,18 @@ fn check(doc: &Json) -> Result<(), String> {
             .ok_or(format!("{what}: `samples` must be a positive integer"))?;
         field(row, "allocs", &what)?.as_u64().ok_or(format!("{what}: `allocs` must be a u64"))?;
     }
-    // Every stage present; build/filter/weight measured in both impls.
+    // Every stage present.
     for stage in STAGES {
-        let has = |imp: &str| {
-            rows.iter().any(|r| {
-                r.get("stage").and_then(Json::as_str) == Some(stage)
-                    && r.get("impl").and_then(Json::as_str) == Some(imp)
-            })
-        };
-        if !has("arena") {
-            return Err(format!("results: stage `{stage}` has no arena row"));
-        }
-        if matches!(stage, "build" | "filter" | "weight") && !has("legacy") {
-            return Err(format!("results: stage `{stage}` has no legacy row"));
+        if !rows.iter().any(|r| r.get("stage").and_then(Json::as_str) == Some(stage)) {
+            return Err(format!("results: stage `{stage}` has no row"));
         }
     }
 
-    // Summary: the headline allocation ratio must be present and coherent.
+    // Summary: the headline allocation count must be present.
     let summary = field(doc, "summary", "document")?;
-    let legacy = field(&summary, "build_weight_allocs_legacy", "summary")?
+    field(&summary, "build_weight_allocs", "summary")?
         .as_u64()
-        .ok_or("summary: `build_weight_allocs_legacy` must be a u64")?;
-    let arena = field(&summary, "build_weight_allocs_arena", "summary")?
-        .as_u64()
-        .ok_or("summary: `build_weight_allocs_arena` must be a u64")?;
-    let ratio = field(&summary, "build_weight_alloc_ratio", "summary")?
-        .as_f64()
-        .filter(|r| r.is_finite() && *r >= 0.0)
-        .ok_or("summary: `build_weight_alloc_ratio` must be a finite non-negative number")?;
-    if arena > 0 && (ratio - legacy as f64 / arena as f64).abs() > 1e-9 {
-        return Err(format!("summary: ratio {ratio} inconsistent with {legacy}/{arena}"));
-    }
+        .ok_or("summary: `build_weight_allocs` must be a u64")?;
     Ok(())
 }
 

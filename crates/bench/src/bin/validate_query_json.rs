@@ -48,15 +48,6 @@ fn check(doc: &Json) -> Result<(), String> {
     finite(doc, "load.mb_per_s")?;
     positive_uint(doc, "load.samples")?;
 
-    finite(doc, "load_zero_copy.mean_ms")?;
-    finite(doc, "load_zero_copy.min_ms")?;
-    finite(doc, "load_zero_copy.mb_per_s")?;
-    positive_uint(doc, "load_zero_copy.samples")?;
-    let speedup = finite(doc, "load_zero_copy.speedup_vs_owned")?;
-    if speedup <= 0.0 {
-        return Err(format!("load_zero_copy.speedup_vs_owned must be positive, got {speedup}"));
-    }
-
     let p50 = finite(doc, "single_query.p50_us")?;
     let p99 = finite(doc, "single_query.p99_us")?;
     if p99 < p50 {

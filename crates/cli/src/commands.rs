@@ -13,8 +13,8 @@ use mb_core::{
 use mb_observe::{Progress, RunReport, Tee};
 use mb_serve::{
     append_delta_run, CandidateRequest, CandidateResponse, Client, DeltaOp, GenerationCell,
-    OutOfCoreConfig, QueryEngine, Server, ServerConfig, Snapshot, SnapshotHeader, SnapshotStore,
-    SnapshotView, APPEND,
+    OutOfCoreConfig, QueryEngine, Server, ServerConfig, Snapshot, SnapshotHeader, SnapshotView,
+    APPEND,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -349,15 +349,15 @@ fn snapshot_inspect(args: &Args) -> Result<String, String> {
     if !args.flag("full") {
         return Ok(out);
     }
-    let snapshot = Snapshot::read_from(Path::new(path), &mut Noop)
+    let snapshot = SnapshotView::read_from(Path::new(path), &mut Noop)
         .map_err(|e| format!("loading {path}: {e}"))?;
     let _ = writeln!(out, "kind:               {:?} ER", snapshot.kind());
     let _ = writeln!(out, "entities:           {}", snapshot.num_entities());
     let _ = writeln!(out, "split:              {}", snapshot.split());
-    let _ = writeln!(out, "blocks:             {}", snapshot.blocks().size());
+    let _ = writeln!(out, "blocks:             {}", snapshot.num_blocks());
     let _ = writeln!(out, "comparisons ||B||:  {}", snapshot.total_comparisons());
     let _ = writeln!(out, "assignments:        {}", snapshot.total_assignments());
-    let _ = writeln!(out, "tokens:             {}", snapshot.tokens().len());
+    let _ = writeln!(out, "tokens:             {}", snapshot.num_tokens());
     let _ = writeln!(out, "CNP threshold k:    {}", snapshot.cnp_threshold());
     let _ = writeln!(out, "CEP threshold K:    {}", snapshot.cep_threshold());
     if !snapshot.delta_runs().is_empty() {
@@ -376,7 +376,8 @@ fn snapshot_inspect(args: &Args) -> Result<String, String> {
 fn snapshot_apply(args: &Args) -> Result<String, String> {
     check_options(args, &["snapshot", "out", "delete", "text", "uri", "entity"])?;
     let path = args.require("snapshot")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("loading {path}: {e}"))?;
+    let base = SnapshotView::read_from(Path::new(path), &mut Noop)
+        .map_err(|e| format!("loading {path}: {e}"))?;
     let op = match (args.get("delete"), args.get("text")) {
         (Some(v), None) => {
             if args.get("entity").is_some() || args.get("uri").is_some() {
@@ -393,8 +394,6 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
                 None => {
                     // Resolve the append sentinel offline: replay the
                     // persisted runs to find the effective collection size.
-                    let base =
-                        Snapshot::from_bytes(&bytes).map_err(|e| format!("loading {path}: {e}"))?;
                     let mut next = base.num_entities() as u32;
                     for run in base.delta_runs() {
                         for op in run {
@@ -411,13 +410,12 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
         _ => return Err("exactly one of --delete or --text is required".into()),
     };
     let out = args.get("out").unwrap_or(path);
-    let patched = append_delta_run(&bytes, std::slice::from_ref(&op))
+    let patched = append_delta_run(&base, std::slice::from_ref(&op))
         .map_err(|e| format!("applying to {path}: {e}"))?;
-    let runs = Snapshot::from_bytes(&patched)
-        .map_err(|e| format!("verifying {out}: {e}"))?
-        .delta_runs()
-        .len();
-    std::fs::write(out, &patched).map_err(|e| format!("writing {out}: {e}"))?;
+    // Only bytes that passed the loader are written.
+    let patched = SnapshotView::from_bytes(patched).map_err(|e| format!("verifying {out}: {e}"))?;
+    let runs = patched.delta_runs().len();
+    std::fs::write(out, patched.as_bytes()).map_err(|e| format!("writing {out}: {e}"))?;
     let (verb, id) = match &op {
         DeltaOp::Upsert { id, .. } => ("upserted entity", *id),
         DeltaOp::Delete { id } => ("tombstoned entity", *id),
@@ -486,10 +484,9 @@ fn render_candidates(out: &mut String, subject: &str, response: &CandidateRespon
 /// `er query`: load a snapshot and answer one candidate query — for an
 /// indexed entity (`--entity`) or an unseen probe profile (`--text`).
 ///
-/// `--zero-copy` loads through [`SnapshotView`] (alignment-checked borrows
-/// instead of a deep decode); `--shards N` fans entity queries over N
-/// entity-range shards on `--shard-threads` workers. Answers are
-/// bit-identical across all of these.
+/// `--shards N` fans entity queries over N entity-range shards on
+/// `--shard-threads` workers; answers are bit-identical across shard and
+/// thread counts.
 pub fn query(args: &Args) -> Result<String, String> {
     check_options(
         args,
@@ -502,7 +499,6 @@ pub fn query(args: &Args) -> Result<String, String> {
             "retention",
             "scheme",
             "report",
-            "zero-copy",
             "shards",
             "shard-threads",
         ],
@@ -516,33 +512,22 @@ pub fn query(args: &Args) -> Result<String, String> {
     let obs: &mut dyn Observer = if report_path.is_some() { &mut report } else { &mut noop };
     let (request, subject) = candidate_request(args)?;
 
-    // Both storage flavors drive the same engine; only the load differs.
     // A snapshot carrying write-ahead delta runs (`er snapshot apply`) is
     // replayed into a generation so the answers reflect every persisted op.
-    let store: SnapshotStore = if args.flag("zero-copy") {
-        SnapshotView::read_from(Path::new(path), obs)
-            .map_err(|e| format!("loading {path}: {e}"))?
-            .into()
-    } else {
-        Snapshot::read_from(Path::new(path), obs)
-            .map_err(|e| format!("loading {path}: {e}"))?
-            .into()
-    };
+    let view = SnapshotView::read_from(Path::new(path), obs)
+        .map_err(|e| format!("loading {path}: {e}"))?;
     let scheme: WeightingScheme = match args.get("scheme") {
         Some(s) => s.parse()?,
-        None => store.config().weighting,
+        None => view.config().weighting,
     };
     let plain;
     let cell;
     let generation;
-    let mut engine = if store.delta_runs().is_empty() {
-        plain = store;
-        match &plain {
-            SnapshotStore::Owned(s) => QueryEngine::with_scheme(s, scheme),
-            SnapshotStore::Mapped(v) => QueryEngine::view_with_scheme(v, scheme),
-        }
+    let mut engine = if view.delta_runs().is_empty() {
+        plain = view;
+        QueryEngine::view_with_scheme(&plain, scheme)
     } else {
-        cell = GenerationCell::new(store).map_err(|e| format!("loading {path}: {e}"))?;
+        cell = GenerationCell::new(view).map_err(|e| format!("loading {path}: {e}"))?;
         generation = cell.load();
         QueryEngine::generation_with_scheme(&generation, scheme)
     };
@@ -581,8 +566,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         ],
     )?;
     let path = args.require("snapshot")?;
-    // The initial load takes the same zero-copy path as reloads: one
-    // validation pass, sections borrowed from the loaded buffer.
     let snapshot = SnapshotView::read_from(Path::new(path), &mut Noop)
         .map_err(|e| format!("loading {path}: {e}"))?;
     let config = ServerConfig {
@@ -913,7 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_core_build_and_zero_copy_query_match_the_defaults() {
+    fn out_of_core_build_and_sharded_query_match_the_defaults() {
         let dir = temp_dir("ooc");
         let dir_s = dir.to_str().unwrap();
         generate(&argv(&["generate", "--preset", "tiny", "--out", dir_s, "--scale", "0.5"]))
@@ -955,22 +938,10 @@ mod tests {
             "out-of-core snapshot bytes diverged from the in-memory build"
         );
 
-        // Zero-copy and sharded query answers match the owned default.
+        // Sharded query answers match the flat default.
         let snap_s = in_mem.to_str().unwrap();
         let base =
             query(&argv(&["query", "--snapshot", snap_s, "--entity", "3", "--top", "5"])).unwrap();
-        let zc = query(&argv(&[
-            "query",
-            "--snapshot",
-            snap_s,
-            "--entity",
-            "3",
-            "--top",
-            "5",
-            "--zero-copy",
-        ]))
-        .unwrap();
-        assert_eq!(base, zc, "zero-copy answer diverged");
         let sharded = query(&argv(&[
             "query",
             "--snapshot",
@@ -979,7 +950,6 @@ mod tests {
             "3",
             "--top",
             "5",
-            "--zero-copy",
             "--shards",
             "4",
             "--shard-threads",
@@ -1201,8 +1171,8 @@ mod tests {
             snapshot(&argv(&["snapshot", "inspect", "--snapshot", snap_s, "--full"])).unwrap();
         assert!(full.contains("delta runs:         2 (2 ops)"), "{full}");
 
-        // Both load paths replay the runs: the appended entity is queryable,
-        // the tombstoned one answers empty.
+        // Loading replays the runs, flat or sharded: the appended entity is
+        // queryable, the tombstoned one answers empty.
         let q = query(&argv(&[
             "query",
             "--snapshot",
@@ -1214,7 +1184,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(q.contains(&format!("entity {base_entities}")), "{q}");
-        let zc = query(&argv(&[
+        let sharded = query(&argv(&[
             "query",
             "--snapshot",
             snap_s,
@@ -1222,10 +1192,11 @@ mod tests {
             &base_entities.to_string(),
             "--top",
             "5",
-            "--zero-copy",
+            "--shards",
+            "2",
         ]))
         .unwrap();
-        assert_eq!(q, zc, "zero-copy delta replay diverged");
+        assert_eq!(q, sharded, "sharded delta replay diverged");
         let gone = query(&argv(&["query", "--snapshot", snap_s, "--entity", "0"])).unwrap();
         assert!(gone.contains("candidates: 0"), "tombstoned entity still answers: {gone}");
 

@@ -37,7 +37,13 @@ impl PartialOrd for WeightedEdge {
 
 /// The global cardinality threshold of CEP: `K = ⌊Σ_{b∈B} |b| / 2⌋`.
 pub fn cep_threshold(ctx: &GraphContext<'_>) -> usize {
-    (ctx.blocks().total_assignments() / 2) as usize
+    cep_threshold_from_counts(ctx.blocks().total_assignments())
+}
+
+/// [`cep_threshold`] from the aggregate alone — for callers (the snapshot
+/// loader) that hold `Σ|b|` but no materialized block collection.
+pub fn cep_threshold_from_counts(total_assignments: u64) -> usize {
+    (total_assignments / 2) as usize
 }
 
 /// Cap on a top-`K` heap's up-front reservation. `K` is derived from the
@@ -127,8 +133,12 @@ pub fn cep(
 /// `k = max(1, ⌊Σ_{b∈B} |b| / |E|⌋ − 1)` — one less than the average number
 /// of blocks per profile.
 pub fn cnp_threshold(ctx: &GraphContext<'_>) -> usize {
-    let n = ctx.num_entities().max(1) as u64;
-    let bpe = ctx.blocks().total_assignments() / n;
+    cnp_threshold_from_counts(ctx.blocks().total_assignments(), ctx.num_entities())
+}
+
+/// [`cnp_threshold`] from the aggregates alone (`Σ|b|`, `|E|`).
+pub fn cnp_threshold_from_counts(total_assignments: u64, num_entities: usize) -> usize {
+    let bpe = total_assignments / num_entities.max(1) as u64;
     (bpe.saturating_sub(1)).max(1) as usize
 }
 

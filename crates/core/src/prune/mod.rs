@@ -26,7 +26,10 @@
 mod cardinality;
 mod weight_based;
 
-pub use cardinality::{cep, cep_threshold, cnp, cnp_threshold, reciprocal_cnp, redefined_cnp};
+pub use cardinality::{
+    cep, cep_threshold, cep_threshold_from_counts, cnp, cnp_threshold, cnp_threshold_from_counts,
+    reciprocal_cnp, redefined_cnp,
+};
 pub(crate) use cardinality::{heap_prealloc, push_top_k, top_k_neighbors, WeightedEdge};
 pub(crate) use weight_based::{neighborhood_mean, reaches};
 pub use weight_based::{reciprocal_wnp, redefined_wnp, wep, wnp};

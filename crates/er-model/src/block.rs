@@ -375,69 +375,6 @@ impl BlockCollection {
     pub fn raw_parts(&self) -> (&[EntityId], &[u32], &[u32]) {
         (&self.members, &self.offsets, &self.splits)
     }
-
-    /// Reassembles a collection from its raw CSR arrays, rejecting parts
-    /// that do not even describe valid slices. Returns the first breached
-    /// invariant instead of panicking, so deserialization of untrusted bytes
-    /// stays total.
-    ///
-    /// Only the *structural* invariants are checked here (offset monotonicity
-    /// and bounds, split placement, Dirty blocks having no right side). Deep
-    /// semantic checks — member ids in bounds, no duplicate members, no
-    /// intra-source Clean-Clean blocks — are [`BlockCollection::validate`]'s
-    /// job; run it on the result before trusting foreign data.
-    pub fn try_from_raw_parts(
-        kind: ErKind,
-        num_entities: usize,
-        members: Vec<EntityId>,
-        offsets: Vec<u32>,
-        splits: Vec<u32>,
-    ) -> Result<Self, crate::sanitize::Violation> {
-        let err = |invariant: &'static str, message: String| {
-            Err(crate::sanitize::Violation { invariant, message })
-        };
-        if offsets.len() != splits.len() + 1 {
-            return err(
-                "arena-table-lengths",
-                format!("{} offsets for {} splits (want splits + 1)", offsets.len(), splits.len()),
-            );
-        }
-        if offsets.first() != Some(&0) {
-            return err(
-                "arena-offset-origin",
-                format!("offsets[0] = {:?}, want 0", offsets.first()),
-            );
-        }
-        if let Some(w) = offsets.windows(2).position(|w| w[0] > w[1]) {
-            return err(
-                "arena-offsets-descending",
-                format!("offsets[{w}] = {} > offsets[{}] = {}", offsets[w], w + 1, offsets[w + 1]),
-            );
-        }
-        let last = *offsets.last().unwrap_or(&0) as usize;
-        if last != members.len() {
-            return err(
-                "arena-offset-coverage",
-                format!("last offset {last} does not cover the {} members", members.len()),
-            );
-        }
-        for (k, &split) in splits.iter().enumerate() {
-            let (lo, hi) = (offsets[k], offsets[k + 1]);
-            if split < lo || split > hi {
-                return err(
-                    "arena-split-out-of-block",
-                    format!("block {k}: split {split} outside member range {lo}..{hi}"),
-                );
-            }
-            if kind == ErKind::Dirty && split != hi {
-                return err(
-                    "arena-dirty-right-side",
-                    format!("block {k}: Dirty block with split {split} < end {hi}"),
-                );
-            }
-        }
-        Ok(BlockCollection { kind, num_entities, members, offsets, splits })
-    }
 }
 
 /// Streaming constructor for a [`BlockCollection`] arena: blocks are
@@ -770,102 +707,5 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.blocks_per_entity(), 0.0);
         assert_eq!(c.placed_entities(), 0);
-    }
-
-    #[test]
-    fn raw_parts_roundtrip_through_try_from() {
-        let c = BlockCollection::new(
-            ErKind::CleanClean,
-            8,
-            vec![
-                Block::clean_clean(ids(&[0, 2]), ids(&[5, 6])),
-                Block::clean_clean(ids(&[1]), ids(&[7])),
-            ],
-        );
-        let (members, offsets, splits) = c.raw_parts();
-        let rebuilt = BlockCollection::try_from_raw_parts(
-            c.kind(),
-            c.num_entities(),
-            members.to_vec(),
-            offsets.to_vec(),
-            splits.to_vec(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.size(), c.size());
-        for (a, b) in rebuilt.iter().zip(c.iter()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn try_from_raw_parts_rejects_malformed_tables() {
-        let e = |r: Result<BlockCollection, crate::sanitize::Violation>| r.unwrap_err().invariant;
-        // offsets/splits length mismatch.
-        assert_eq!(
-            e(BlockCollection::try_from_raw_parts(ErKind::Dirty, 2, vec![], vec![0], vec![0])),
-            "arena-table-lengths"
-        );
-        // offsets must start at 0.
-        assert_eq!(
-            e(BlockCollection::try_from_raw_parts(
-                ErKind::Dirty,
-                2,
-                ids(&[0, 1]),
-                vec![1, 2],
-                vec![2]
-            )),
-            "arena-offset-origin"
-        );
-        // offsets must ascend.
-        assert_eq!(
-            e(BlockCollection::try_from_raw_parts(
-                ErKind::Dirty,
-                2,
-                ids(&[0, 1]),
-                vec![0, 2, 1],
-                vec![2, 1]
-            )),
-            "arena-offsets-descending"
-        );
-        // Last offset must cover the member pool.
-        assert_eq!(
-            e(BlockCollection::try_from_raw_parts(
-                ErKind::Dirty,
-                2,
-                ids(&[0, 1]),
-                vec![0, 1],
-                vec![1]
-            )),
-            "arena-offset-coverage"
-        );
-        // Split outside the block's member range.
-        assert_eq!(
-            e(BlockCollection::try_from_raw_parts(
-                ErKind::CleanClean,
-                2,
-                ids(&[0, 1]),
-                vec![0, 2],
-                vec![3]
-            )),
-            "arena-split-out-of-block"
-        );
-        // A Dirty block must not have a right side.
-        assert_eq!(
-            e(BlockCollection::try_from_raw_parts(
-                ErKind::Dirty,
-                2,
-                ids(&[0, 1]),
-                vec![0, 2],
-                vec![1]
-            )),
-            "arena-dirty-right-side"
-        );
-    }
-
-    #[test]
-    fn try_from_raw_parts_accepts_empty_collection() {
-        let c =
-            BlockCollection::try_from_raw_parts(ErKind::Dirty, 0, vec![], vec![0], vec![]).unwrap();
-        assert!(c.is_empty());
     }
 }

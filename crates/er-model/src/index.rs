@@ -214,36 +214,6 @@ impl EntityIndex {
         (&self.lists, &self.offsets)
     }
 
-    /// Like [`EntityIndex::from_raw_parts`], but returns the first breached
-    /// structural invariant instead of panicking — the deserialization entry
-    /// point for untrusted bytes. Run [`EntityIndex::validate`] against the
-    /// owning block collection before trusting the result.
-    pub fn try_from_raw_parts(
-        lists: Vec<u32>,
-        offsets: Vec<u32>,
-    ) -> Result<Self, crate::sanitize::Violation> {
-        let err = |invariant: &'static str, message: String| {
-            Err(crate::sanitize::Violation { invariant, message })
-        };
-        if offsets.is_empty() {
-            return err("index-offsets-empty", "offsets must hold at least one entry".into());
-        }
-        if let Some(w) = offsets.windows(2).position(|w| w[0] > w[1]) {
-            return err(
-                "index-offsets-descending",
-                format!("offsets[{w}] = {} > offsets[{}] = {}", offsets[w], w + 1, offsets[w + 1]),
-            );
-        }
-        let last = *offsets.last().unwrap_or(&0) as usize;
-        if last != lists.len() {
-            return err(
-                "index-offset-coverage",
-                format!("last offset {last} does not cover the {} assignments", lists.len()),
-            );
-        }
-        Ok(EntityIndex { lists, offsets })
-    }
-
     /// The block list `B_i`: ascending ids of the blocks containing `id`.
     #[inline]
     pub fn block_list(&self, id: EntityId) -> &[u32] {
@@ -409,25 +379,6 @@ mod tests {
     #[should_panic(expected = "last offset")]
     fn raw_parts_reject_inconsistent_lengths() {
         EntityIndex::from_raw_parts(vec![0, 1], vec![0, 1]);
-    }
-
-    #[test]
-    fn try_from_raw_parts_reports_instead_of_panicking() {
-        let inv = |r: Result<EntityIndex, crate::sanitize::Violation>| r.unwrap_err().invariant;
-        assert_eq!(inv(EntityIndex::try_from_raw_parts(vec![], vec![])), "index-offsets-empty");
-        assert_eq!(
-            inv(EntityIndex::try_from_raw_parts(vec![0, 1], vec![0, 2, 1])),
-            "index-offsets-descending"
-        );
-        assert_eq!(
-            inv(EntityIndex::try_from_raw_parts(vec![0, 1], vec![0, 1])),
-            "index-offset-coverage"
-        );
-        // A well-formed pair round-trips through the borrow view.
-        let idx = EntityIndex::build(&sample());
-        let (lists, offsets) = idx.raw_parts();
-        let rebuilt = EntityIndex::try_from_raw_parts(lists.to_vec(), offsets.to_vec()).unwrap();
-        assert_eq!(rebuilt.block_list(EntityId(1)), idx.block_list(EntityId(1)));
     }
 
     #[test]

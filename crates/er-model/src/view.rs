@@ -1,6 +1,6 @@
 //! Borrowed `u32` sequences over heterogeneous backing storage.
 //!
-//! The zero-copy snapshot path serves queries straight out of one loaded
+//! The snapshot serving path answers queries straight out of one loaded
 //! byte buffer: the CSR member pool, the offset/split tables and the flat
 //! entity-index postings all stay little-endian bytes on the serving path.
 //! [`U32s`] is the common currency that lets the graph traversals consume a
@@ -18,7 +18,8 @@ use crate::ids::EntityId;
 /// A borrowed sequence of `u32` values over one of three storages.
 #[derive(Debug, Clone, Copy)]
 pub enum U32s<'a> {
-    /// A native `u32` slice (owned snapshot storage, scratch tables).
+    /// A native `u32` slice (the in-memory entity index, overlay lists,
+    /// scratch tables).
     Native(&'a [u32]),
     /// An [`EntityId`] arena slice (the in-memory block member pool).
     Ids(&'a [EntityId]),

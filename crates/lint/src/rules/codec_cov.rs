@@ -12,7 +12,7 @@
 //! * **Decode side** — any function: a `Reader::new(get(SECTION_X)?, …)`
 //!   call opens a keyed decode segment (running to the next `Reader::new`
 //!   or the function end); `.u8()`/`.u32()`/`.u64()`/`.bytes()` are
-//!   primitives and `.u32_vec()` is `seq(u32)`. Segments with no
+//!   primitives and `.u32s()` is `seq(u32)`. Segments with no
 //!   `SECTION_*` key (the outer frame reader) are framing, not section
 //!   payload, and are skipped.
 //! * **Loop compression** — ops inside a `for`/`while` body form a repeated
@@ -44,7 +44,7 @@ enum Node {
 /// A raw op before compression.
 struct RawOp {
     base: &'static str,
-    /// Already a complete `seq(u32)` (from `put_u32_slice` / `u32_vec`).
+    /// Already a complete `seq(u32)` (from `put_u32_slice` / `u32s`).
     seq: bool,
     /// Innermost enclosing loop body range, if any.
     loop_id: Option<usize>,
@@ -235,7 +235,7 @@ fn collect_decode(file: &FileModel<'_>, fi: usize, out: &mut BTreeMap<String, (u
                     "u32" => Some(("u32", false)),
                     "u64" => Some(("u64", false)),
                     "bytes" => Some(("bytes", false)),
-                    "u32_vec" => Some(("u32", true)),
+                    "u32s" => Some(("u32", true)),
                     "finish" => {
                         finished = true;
                         None

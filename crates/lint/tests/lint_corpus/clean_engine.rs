@@ -36,7 +36,7 @@ fn encode_clean(out: &mut Vec<u8>, kind: u8, slots: &[u32]) {
 fn decode_clean(buf: &[u8]) -> Result<Vec<u32>, String> {
     let mut r = Reader::new(buf, SECTION_CLEAN);
     r.u8()?;
-    let slots = r.u32_vec()?;
+    let slots = r.u32s()?;
     r.finish()?;
     Ok(slots)
 }

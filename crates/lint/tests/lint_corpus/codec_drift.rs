@@ -11,7 +11,7 @@
 //! * `SECTION_GHOST` — decoded but never encoded.
 //!
 //! `SECTION_PAIRS` (count-prefixed loop) and `SECTION_IDS`
-//! (`put_u32_slice`/`u32_vec`) are the drift-free twins exercising loop
+//! (`put_u32_slice`/`u32s`) are the drift-free twins exercising loop
 //! compression and slice ops.
 
 const SECTION_STATS: u8 = 1;
@@ -79,7 +79,7 @@ fn decode_pairs(buf: &[u8]) -> Result<Vec<(u32, u32)>, String> {
 fn decode_ids(buf: &[u8]) -> Result<Vec<u32>, String> {
     let mut r = Reader::new(section(buf, SECTION_IDS)?, 4);
     r.u8()?;
-    let ids = r.u32_vec()?;
+    let ids = r.u32s()?;
     r.finish()?;
     Ok(ids)
 }

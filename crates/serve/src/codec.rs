@@ -10,6 +10,7 @@
 //! rule keeps it that way.
 
 use crate::error::SnapshotError;
+use er_model::U32s;
 
 /// FNV-1a 64-bit — the section checksum.
 ///
@@ -152,16 +153,11 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    /// Reads a `u32`-length-prefixed vector of `u32` values.
-    pub(crate) fn u32_vec(&mut self) -> Result<Vec<u32>, SnapshotError> {
+    /// Reads a `u32`-length-prefixed vector of `u32` values, borrowed in
+    /// place as packed little-endian bytes — nothing is decoded or copied.
+    pub(crate) fn u32s(&mut self) -> Result<U32s<'a>, SnapshotError> {
         let len = self.u32()? as usize;
-        // Verify against the remaining payload before allocating.
-        self.need(len.saturating_mul(4))?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        Ok(U32s::Le(self.take(len.saturating_mul(4))?))
     }
 
     /// Reads a `u32`-length-prefixed byte string.
@@ -206,7 +202,7 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.u32_vec().unwrap(), vec![1, u32::MAX, 0]);
+        assert_eq!(r.u32s().unwrap().to_vec(), vec![1, u32::MAX, 0]);
         assert_eq!(r.bytes().unwrap(), b"tok");
         r.finish().unwrap();
     }
@@ -225,7 +221,7 @@ mod tests {
         put_u32(&mut buf, u32::MAX);
         put_u32(&mut buf, 42);
         let mut r = Reader::new(&buf, "huge");
-        assert!(matches!(r.u32_vec(), Err(SnapshotError::Truncated { .. })));
+        assert!(matches!(r.u32s(), Err(SnapshotError::Truncated { .. })));
     }
 
     #[test]

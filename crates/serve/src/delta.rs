@@ -10,7 +10,7 @@
 //! the patched blocks, so candidate generation skips them without the base
 //! member pool ever being rewritten). Everything the scoring core reads
 //! goes through [`mb_core::CandidateStore`], so the overlay plugs in at the
-//! same seam the two storage flavors already share.
+//! same seam the loaded view serves the scoring core through.
 //!
 //! # Semantics and the recall gap
 //!
@@ -36,16 +36,14 @@
 //! Ops persist as `delta` sections (id 11) appended after the ten canonical
 //! sections — see the [`crate::snapshot`] module docs. [`encode_delta_run`]
 //! / [`decode_delta_run`] speak the section payload, and
-//! [`append_delta_run`] re-frames a snapshot file with one more run under
+//! [`append_delta_run`] re-frames a loaded snapshot with one more run under
 //! the same checksum discipline.
 
 use crate::codec::{put_bytes, put_u32, put_u8, Reader};
 use crate::error::SnapshotError;
 use crate::generation::Warm;
-use crate::snapshot::{
-    frame_sections, parse_table, section_slice, verify_checksums, SECTION_DELTA,
-};
-use crate::store::SnapshotStore;
+use crate::snapshot::{frame_sections, parse_table, section_slice, SECTION_DELTA};
+use crate::view::SnapshotView;
 use er_model::fxhash::{FxHashMap, FxHashSet};
 use er_model::tokenize::{raw_tokens, KeyScratch};
 use er_model::{EntityCollection, EntityId, EntityProfile, ErKind, U32s};
@@ -175,8 +173,8 @@ pub(crate) fn decode_delta_run(payload: &[u8]) -> Result<Vec<DeltaOp>, SnapshotE
 /// `base_entities` profiles: upserts stay dense (append at the current
 /// size, never beyond), deletes name live, not-yet-tombstoned entities.
 ///
-/// Pure id arithmetic — no token or block state — so both loaders run it
-/// at load time and the overlay replay can't fail later on ids.
+/// Pure id arithmetic — no token or block state — so the loader runs it at
+/// load time and the overlay replay can't fail later on ids.
 pub(crate) fn validate_delta_runs(
     base_entities: usize,
     runs: &[Vec<DeltaOp>],
@@ -210,27 +208,20 @@ pub(crate) fn validate_delta_runs(
     Ok(())
 }
 
-/// Re-frames a whole snapshot file with one more delta run appended.
+/// Re-frames a loaded snapshot with one more delta run appended.
 ///
-/// The base file is fully parsed and checksum-verified first, and the
-/// combined op sequence (existing runs plus `ops`) is replay-validated
-/// against the base collection size, so the output is guaranteed loadable.
-pub fn append_delta_run(base: &[u8], ops: &[DeltaOp]) -> Result<Vec<u8>, SnapshotError> {
-    let table = parse_table(base, base.len())?;
-    verify_checksums(base, &table)?;
-    // lint:allow(panic-reachability) in range: parse_table always returns
-    // the ten canonical entries first, meta at index 0.
-    let meta = crate::snapshot::decode_meta(section_slice(base, &table[0]))?;
-    let mut payloads: Vec<(u32, Vec<u8>)> = Vec::with_capacity(table.len() + 1);
-    let mut runs: Vec<Vec<DeltaOp>> = Vec::new();
-    for e in &table {
-        if e.id == SECTION_DELTA {
-            runs.push(decode_delta_run(section_slice(base, e))?);
-        }
-        payloads.push((e.id, section_slice(base, e).to_vec()));
-    }
+/// `base` passed the loader, and the combined op sequence (its runs plus
+/// `ops`) is replay-validated against the base collection size, so the
+/// output is guaranteed loadable.
+pub fn append_delta_run(base: &SnapshotView, ops: &[DeltaOp]) -> Result<Vec<u8>, SnapshotError> {
+    let mut runs = base.delta_runs().to_vec();
     runs.push(ops.to_vec());
-    validate_delta_runs(meta.num_entities, &runs)?;
+    validate_delta_runs(base.num_entities(), &runs)?;
+    let bytes = base.as_bytes();
+    let mut payloads: Vec<(u32, Vec<u8>)> = parse_table(bytes, bytes.len())?
+        .iter()
+        .map(|e| (e.id, section_slice(bytes, e).to_vec()))
+        .collect();
     payloads.push((SECTION_DELTA, encode_delta_run(ops)));
     Ok(frame_sections(&payloads))
 }
@@ -328,19 +319,15 @@ pub struct DeltaOverlay {
 }
 
 impl DeltaOverlay {
-    /// An empty overlay over `store`.
-    pub(crate) fn new(store: &SnapshotStore) -> DeltaOverlay {
-        let (split, num_entities) = match store {
-            SnapshotStore::Owned(s) => (s.split(), s.num_entities()),
-            SnapshotStore::Mapped(v) => (v.split(), v.num_entities()),
-        };
+    /// An empty overlay over `view`.
+    pub(crate) fn new(view: &SnapshotView) -> DeltaOverlay {
         DeltaOverlay {
-            kind: store.kind(),
-            base_entities: num_entities,
-            base_blocks: store.num_blocks(),
-            base_tokens: store.num_tokens(),
-            num_entities,
-            split,
+            kind: view.kind(),
+            base_entities: view.num_entities(),
+            base_blocks: view.num_blocks(),
+            base_tokens: view.num_tokens(),
+            num_entities: view.num_entities(),
+            split: view.split(),
             ops: Vec::new(),
             tombstones: FxHashSet::default(),
             touched: FxHashMap::default(),
@@ -355,16 +342,16 @@ impl DeltaOverlay {
 
     /// Rebuilds an overlay by replaying persisted runs in order. Ids were
     /// validated at load ([`validate_delta_runs`]), so this only fails on a
-    /// sequence that never passed a loader.
+    /// sequence that never passed the loader.
     pub(crate) fn replay(
-        store: &SnapshotStore,
+        view: &SnapshotView,
         warm: &Warm,
         runs: &[Vec<DeltaOp>],
     ) -> Result<DeltaOverlay, SnapshotError> {
-        let mut overlay = DeltaOverlay::new(store);
+        let mut overlay = DeltaOverlay::new(view);
         for ops in runs {
             for op in ops {
-                overlay.apply(op.clone(), store, warm)?;
+                overlay.apply(op.clone(), view, warm)?;
             }
         }
         Ok(overlay)
@@ -451,52 +438,35 @@ impl DeltaOverlay {
     /// copied by an *earlier generation* is still shared through its `Arc`;
     /// [`Arc::make_mut`] re-copies just that block, so patching stays O(one
     /// block) while the overlay clone stays O(refcounts).
-    fn cow_block(&mut self, b: u32, store: &SnapshotStore) -> &mut OverlayBlock {
+    fn cow_block(&mut self, b: u32, view: &SnapshotView) -> &mut OverlayBlock {
         let arc = self.touched.entry(b).or_insert_with(|| {
-            let (left, right) = match store {
-                SnapshotStore::Owned(s) => {
-                    let block = s.blocks().block(b as usize);
-                    (
-                        block.left().iter().map(|e| e.0).collect(),
-                        block.right().iter().map(|e| e.0).collect(),
-                    )
-                }
-                SnapshotStore::Mapped(v) => {
-                    let (lo, hi) = (
-                        v.offsets().get(b as usize) as usize,
-                        v.offsets().get(b as usize + 1) as usize,
-                    );
-                    let sp = v.splits().get(b as usize) as usize;
-                    // Dirty blocks have sp == hi: whole block left, right
-                    // empty — the arena convention.
-                    (v.members().slice(lo, sp).to_vec(), v.members().slice(sp, hi).to_vec())
-                }
-            };
-            Arc::new(OverlayBlock { left, right })
+            let (lo, hi) = (
+                view.offsets().get(b as usize) as usize,
+                view.offsets().get(b as usize + 1) as usize,
+            );
+            let sp = view.splits().get(b as usize) as usize;
+            // Dirty blocks have sp == hi: whole block left, right empty —
+            // the arena convention.
+            Arc::new(OverlayBlock {
+                left: view.members().slice(lo, sp).to_vec(),
+                right: view.members().slice(sp, hi).to_vec(),
+            })
         });
         Arc::make_mut(arc)
     }
 
     /// Removes every current membership of `id` (COW-patching each block it
     /// sits in) and empties its block list. The inverse of indexing.
-    fn detach(&mut self, id: u32, store: &SnapshotStore) {
+    fn detach(&mut self, id: u32, view: &SnapshotView) {
         let right = self.is_right(id);
         let list: Vec<u32> = match self.entity_lists.get(&id) {
             Some(l) => l.as_ref().clone(),
-            None => {
-                if (id as usize) < self.base_entities {
-                    match store {
-                        SnapshotStore::Owned(s) => s.index().block_list(EntityId(id)).to_vec(),
-                        SnapshotStore::Mapped(v) => {
-                            let lo = v.idx_offsets().get(id as usize) as usize;
-                            let hi = v.idx_offsets().get(id as usize + 1) as usize;
-                            v.lists().slice(lo, hi).to_vec()
-                        }
-                    }
-                } else {
-                    Vec::new()
-                }
+            None if (id as usize) < self.base_entities => {
+                let lo = view.idx_offsets().get(id as usize) as usize;
+                let hi = view.idx_offsets().get(id as usize + 1) as usize;
+                view.lists().slice(lo, hi).to_vec()
             }
+            None => Vec::new(),
         };
         for b in list {
             if b as usize >= self.base_blocks {
@@ -505,7 +475,7 @@ impl DeltaOverlay {
                 Arc::make_mut(&mut self.new_blocks[b as usize - self.base_blocks])
                     .remove(id, right);
             } else {
-                self.cow_block(b, store).remove(id, right);
+                self.cow_block(b, view).remove(id, right);
             }
         }
         // Pending postings are not in any block list yet; sweep them too.
@@ -522,7 +492,7 @@ impl DeltaOverlay {
     pub(crate) fn apply(
         &mut self,
         op: DeltaOp,
-        store: &SnapshotStore,
+        view: &SnapshotView,
         warm: &Warm,
     ) -> Result<u32, SnapshotError> {
         match &op {
@@ -535,7 +505,7 @@ impl DeltaOverlay {
                     )));
                 }
                 if (id as usize) < self.num_entities && !self.tombstones.contains(&id) {
-                    self.detach(id, store);
+                    self.detach(id, view);
                 }
                 self.tombstones.remove(&id);
                 if id as usize == self.num_entities {
@@ -544,7 +514,7 @@ impl DeltaOverlay {
                         self.split = self.num_entities;
                     }
                 }
-                self.index_profile(id, profile, store, warm);
+                self.index_profile(id, profile, view, warm);
             }
             DeltaOp::Delete { id } => {
                 let id = *id;
@@ -554,7 +524,7 @@ impl DeltaOverlay {
                         self.num_entities
                     )));
                 }
-                self.detach(id, store);
+                self.detach(id, view);
                 self.tombstones.insert(id);
             }
         }
@@ -572,7 +542,7 @@ impl DeltaOverlay {
         &mut self,
         id: u32,
         profile: &EntityProfile,
-        store: &SnapshotStore,
+        view: &SnapshotView,
         warm: &Warm,
     ) {
         let right = self.is_right(id);
@@ -587,7 +557,7 @@ impl DeltaOverlay {
         scratch.sort_dedup();
         let mut list: Vec<u32> = Vec::new();
         for token in scratch.iter() {
-            let tid = match warm.token_id(store, token) {
+            let tid = match view.find_token(token.as_bytes()) {
                 Some(tid) => tid,
                 None => match self.new_token_ids.get(token) {
                     Some(&tid) => tid,
@@ -609,7 +579,7 @@ impl DeltaOverlay {
             let base_block =
                 if (tid as usize) < self.base_tokens { warm.block_of(tid) } else { u32::MAX };
             if base_block != u32::MAX {
-                self.cow_block(base_block, store).insert(id, right);
+                self.cow_block(base_block, view).insert(id, right);
                 list.push(base_block);
                 continue;
             }

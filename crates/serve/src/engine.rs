@@ -1,8 +1,8 @@
 //! The online candidate-query engine over a loaded snapshot.
 //!
-//! A [`QueryEngine`] is constructed once per loaded snapshot — owned
-//! ([`Snapshot`]) or zero-copy ([`SnapshotView`]) — and then answers any
-//! number of queries without touching the blocking front-end again: indexed
+//! A [`QueryEngine`] is constructed once per loaded [`SnapshotView`] (or
+//! per pinned [`Generation`] over one) and then answers any number of
+//! queries without touching the blocking front-end again: indexed
 //! entities are scored straight off the persisted index, and unseen *probe*
 //! profiles are tokenized against the snapshot's frozen vocabulary and
 //! mapped through the per-block key provenance onto the surviving blocks.
@@ -11,17 +11,15 @@
 //! pipeline (`mb_core::NeighborhoodScorer`, generic over the storage), so an
 //! online query returns exactly the neighbors batch node-centric pruning
 //! would retain for the same entity, scheme, and threshold — bit-identical
-//! across storage flavors, and across shard counts when sharded scoring
-//! ([`QueryEngine::with_shards`]) is enabled.
+//! across shard counts when sharded scoring ([`QueryEngine::with_shards`])
+//! is enabled.
 
 use crate::delta::DeltaOverlay;
 use crate::error::ServeError;
 use crate::generation::Generation;
 use crate::request::{CandidateRequest, CandidateResponse, CandidateTarget};
-use crate::snapshot::Snapshot;
-use crate::store::{EngineStore, SnapshotStore};
+use crate::store::EngineStore;
 use crate::view::SnapshotView;
-use er_model::fxhash::FxHashMap;
 use er_model::tokenize::{raw_tokens, KeyScratch};
 use er_model::{EntityId, EntityProfile, ErKind};
 use mb_core::{
@@ -30,35 +28,6 @@ use mb_core::{
 };
 use mb_observe::{Counter, Observer, Stage, StageScope};
 use std::borrow::Cow;
-
-/// Token → id lookup over either storage flavor.
-///
-/// The standalone owned path hashes borrowed vocabulary strings; the
-/// zero-copy path binary-searches the persisted byte-order permutation; the
-/// generation path binary-searches the pre-warmed permutation
-/// ([`crate::generation`]'s `Warm`), so engine construction allocates
-/// nothing per connection.
-enum TokenLookup<'s> {
-    Map(FxHashMap<&'s str, u32>),
-    View(&'s SnapshotView),
-    Sorted { tokens: &'s [String], sorted: &'s [u32] },
-}
-
-impl TokenLookup<'_> {
-    // lint:allow(panic-reachability) in range: `sorted` is a permutation of
-    // `0..tokens.len()` built by `Warm::build`, and `binary_search_by` only
-    // returns indices below `sorted.len()`.
-    fn get(&self, token: &str) -> Option<u32> {
-        match self {
-            TokenLookup::Map(m) => m.get(token).copied(),
-            TokenLookup::View(v) => v.find_token(token.as_bytes()),
-            TokenLookup::Sorted { tokens, sorted } => sorted
-                .binary_search_by(|&t| tokens[t as usize].as_bytes().cmp(token.as_bytes()))
-                .ok()
-                .map(|at| sorted[at]),
-        }
-    }
-}
 
 /// An online candidate-query engine bound to a loaded snapshot.
 ///
@@ -72,7 +41,9 @@ pub struct QueryEngine<'s> {
     /// Sharded entity-query scorer, present after
     /// [`QueryEngine::with_shards`]; probe and batch stay on the flat path.
     sharded: Option<ShardedScorer<EngineStore<'s>>>,
-    tokens: TokenLookup<'s>,
+    /// The loaded snapshot: the base vocabulary (probe tokens binary-search
+    /// its persisted byte-order permutation) and the configured defaults.
+    view: &'s SnapshotView,
     /// Token id → surviving block id, `u32::MAX` when the token's block was
     /// filtered away (or never emitted). Borrowed from the generation's
     /// pre-warmed state on the [`QueryEngine::from_generation`] path, owned
@@ -83,8 +54,6 @@ pub struct QueryEngine<'s> {
     overlay: Option<&'s DeltaOverlay>,
     scratch: KeyScratch,
     probe_blocks: Vec<u32>,
-    pruning: PruningScheme,
-    cnp_threshold: usize,
 }
 
 /// Builds the token → surviving-block routing table from the per-block key
@@ -102,134 +71,68 @@ pub(crate) fn build_token_block(num_tokens: usize, keys: er_model::U32s<'_>) -> 
 }
 
 impl<'s> QueryEngine<'s> {
-    /// Builds an engine using the weighting scheme the snapshot was
-    /// configured with.
-    pub fn new(snapshot: &'s Snapshot) -> Self {
-        Self::with_scheme(snapshot, snapshot.config().weighting)
-    }
-
-    /// Builds an engine over an owned snapshot, scoring with an explicit
-    /// `scheme` (which may differ from the snapshot's configured one).
-    ///
-    /// The persisted arrays are borrowed as-is — no copy, no re-derivation.
-    pub fn with_scheme(snapshot: &'s Snapshot, scheme: WeightingScheme) -> Self {
-        let store = EngineStore::from_snapshot(snapshot);
-        let mut token_ids = FxHashMap::default();
-        for (id, token) in snapshot.tokens().iter().enumerate() {
-            token_ids.insert(token.as_str(), id as u32);
-        }
-        let token_block =
-            build_token_block(snapshot.tokens().len(), er_model::U32s::from(snapshot.block_keys()));
-        Self::assemble(
-            store,
-            scheme,
-            TokenLookup::Map(token_ids),
-            Cow::Owned(token_block),
-            None,
-            snapshot.config().pruning,
-            snapshot.cnp_threshold(),
-        )
-    }
-
-    /// Builds an engine over a zero-copy view using the snapshot's
-    /// configured weighting scheme.
+    /// Builds an engine over a loaded view using the snapshot's configured
+    /// weighting scheme.
     pub fn from_view(view: &'s SnapshotView) -> Self {
         Self::view_with_scheme(view, view.config().weighting)
     }
 
-    /// Builds an engine over a zero-copy view, scoring with an explicit
-    /// `scheme`.
+    /// Builds an engine over a loaded view, scoring with an explicit
+    /// `scheme` (which may differ from the snapshot's configured one).
     ///
     /// Every large array stays borrowed from the view's buffer; the only
     /// derived state is the `O(vocabulary)` token-to-block routing table.
     pub fn view_with_scheme(view: &'s SnapshotView, scheme: WeightingScheme) -> Self {
-        let store = EngineStore::from_view(view);
         let token_block = build_token_block(view.num_tokens(), view.block_keys());
-        Self::assemble(
-            store,
-            scheme,
-            TokenLookup::View(view),
-            Cow::Owned(token_block),
-            None,
-            view.config().pruning,
-            view.cnp_threshold(),
-        )
-    }
-
-    /// Builds an engine over whichever storage flavor `store` holds, using
-    /// the snapshot's configured weighting scheme.
-    pub fn from_store(store: &'s SnapshotStore) -> Self {
-        match store {
-            SnapshotStore::Owned(s) => Self::new(s),
-            SnapshotStore::Mapped(v) => Self::from_view(v),
-        }
+        Self::assemble(view, scheme, Cow::Owned(token_block), None)
     }
 
     /// Builds an engine over a pinned serving generation — the server's
     /// per-connection path.
     ///
-    /// Everything heavy is *borrowed*: the token→block routing table and
-    /// the token lookup come from the generation's pre-warmed state (built
-    /// once, at publish time), and the delta overlay — when the generation
+    /// Everything heavy is *borrowed*: the token→block routing table comes
+    /// from the generation's pre-warmed state (built once, at publish
+    /// time), and the delta overlay — when the generation
     /// carries one — patches block and list reads through the store and
     /// routes probe tokens onto overlay-born blocks. Construction is O(1)
     /// allocations regardless of snapshot size, which is what removed the
     /// post-reload first-query latency spike.
     pub fn from_generation(generation: &'s Generation) -> Self {
-        Self::generation_with_scheme(generation, generation.store().config().weighting)
+        Self::generation_with_scheme(generation, generation.view().config().weighting)
     }
 
     /// Builds an engine over a pinned serving generation, scoring with an
     /// explicit `scheme` instead of the snapshot's configured weighting.
     pub fn generation_with_scheme(generation: &'s Generation, scheme: WeightingScheme) -> Self {
-        let store = match generation.store() {
-            SnapshotStore::Owned(s) => EngineStore::from_snapshot(s),
-            SnapshotStore::Mapped(v) => EngineStore::from_view(v),
-        };
-        let store = match generation.overlay() {
-            Some(o) => store.with_overlay(o),
-            None => store,
-        };
-        let tokens = match generation.store() {
-            SnapshotStore::Owned(s) => TokenLookup::Sorted {
-                tokens: s.tokens(),
-                sorted: generation.warm().tok_sorted().unwrap_or(&[]),
-            },
-            SnapshotStore::Mapped(v) => TokenLookup::View(v),
-        };
-        let config = generation.store().config();
         Self::assemble(
-            store,
+            generation.view(),
             scheme,
-            tokens,
             Cow::Borrowed(generation.warm().token_block()),
             generation.overlay(),
-            config.pruning,
-            generation.store().cnp_threshold(),
         )
     }
 
     fn assemble(
-        store: EngineStore<'s>,
+        view: &'s SnapshotView,
         scheme: WeightingScheme,
-        tokens: TokenLookup<'s>,
         token_block: Cow<'s, [u32]>,
         overlay: Option<&'s DeltaOverlay>,
-        pruning: PruningScheme,
-        cnp_threshold: usize,
     ) -> Self {
+        let store = EngineStore::from_view(view);
+        let store = match overlay {
+            Some(o) => store.with_overlay(o),
+            None => store,
+        };
         let scorer = NeighborhoodScorer::from_store(store, scheme);
         QueryEngine {
             store,
             scorer,
             sharded: None,
-            tokens,
+            view,
             token_block,
             overlay,
             scratch: KeyScratch::new(),
             probe_blocks: Vec::new(),
-            pruning,
-            cnp_threshold,
         }
     }
 
@@ -270,11 +173,11 @@ impl<'s> QueryEngine<'s> {
     /// weight-based schemes keep neighbors at or above the neighborhood
     /// mean.
     pub fn default_retention(&self) -> Retention {
-        match self.pruning {
+        match self.view.config().pruning {
             PruningScheme::Cep
             | PruningScheme::Cnp
             | PruningScheme::RedefinedCnp
-            | PruningScheme::ReciprocalCnp => Retention::TopK(self.cnp_threshold),
+            | PruningScheme::ReciprocalCnp => Retention::TopK(self.view.cnp_threshold()),
             PruningScheme::Wep
             | PruningScheme::Wnp
             | PruningScheme::RedefinedWnp
@@ -356,7 +259,7 @@ impl<'s> QueryEngine<'s> {
             tokens_probed += 1;
             // Base vocabulary first, then the overlay's extension for
             // tokens only delta profiles have introduced.
-            let id = match self.tokens.get(token) {
+            let id = match self.view.find_token(token.as_bytes()) {
                 Some(id) => Some(id),
                 None => self.overlay.and_then(|o| o.new_token_id(token)),
             };

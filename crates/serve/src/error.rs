@@ -5,7 +5,7 @@
 //! inconsistent — maps to a variant here, and the decoder's only side effect
 //! on bad input is returning one.
 
-use er_model::sanitize::Violation;
+use std::convert::Infallible;
 use std::fmt;
 
 /// Everything that can go wrong building, writing, or loading a snapshot.
@@ -56,7 +56,7 @@ pub enum SnapshotError {
         section: &'static str,
     },
     /// A section's recorded file offset breaks the format's 8-byte
-    /// alignment guarantee — the property the zero-copy loader relies on.
+    /// alignment guarantee — the property the loader borrows arrays on.
     Misaligned {
         /// The misaligned section.
         section: &'static str,
@@ -78,10 +78,8 @@ pub enum SnapshotError {
     },
     /// The persisted pipeline configuration failed to parse or validate.
     Config(String),
-    /// A decoded structure breaches a model invariant (the first breach is
-    /// reported).
-    Structural(Violation),
-    /// Sections decode individually but contradict each other.
+    /// A section breaches a structural invariant, or sections decode
+    /// individually but contradict each other.
     Inconsistent(String),
 }
 
@@ -119,9 +117,6 @@ impl fmt::Display for SnapshotError {
                 write!(f, "invalid UTF-8 in section '{section}'")
             }
             SnapshotError::Config(msg) => write!(f, "snapshot pipeline config invalid: {msg}"),
-            SnapshotError::Structural(v) => {
-                write!(f, "snapshot breaches invariant '{}': {}", v.invariant, v.message)
-            }
             SnapshotError::Inconsistent(msg) => write!(f, "snapshot inconsistent: {msg}"),
         }
     }
@@ -142,9 +137,11 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-impl From<Violation> for SnapshotError {
-    fn from(v: Violation) -> Self {
-        SnapshotError::Structural(v)
+/// Lets APIs that take `impl TryInto<SnapshotView>` accept an already
+/// loaded view (whose conversion cannot fail) beside a built `Snapshot`.
+impl From<Infallible> for SnapshotError {
+    fn from(never: Infallible) -> Self {
+        match never {}
     }
 }
 

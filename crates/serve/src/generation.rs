@@ -15,23 +15,22 @@
 //! Two things distinguish a generation from a bare snapshot:
 //!
 //! - **Warm state.** Engine construction used to re-derive the token→block
-//!   routing table (and, for owned snapshots, a token hash map) per
-//!   connection, which showed up as a ~40× first-query latency spike right
-//!   after every hot swap. [`Warm`] computes that state once, at publish
-//!   time, and every engine built via [`crate::QueryEngine::from_generation`]
-//!   borrows it.
+//!   routing table per connection, which showed up as a ~40× first-query
+//!   latency spike right after every hot swap. [`Warm`] computes that state
+//!   once, at publish time, and every engine built via
+//!   [`crate::QueryEngine::from_generation`] borrows it.
 //! - **Delta overlay.** A generation may carry a [`DeltaOverlay`] — the
 //!   copy-on-write side-table of upserts/deletes applied since the snapshot
 //!   arena was built. [`GenerationCell::apply`] derives the successor
 //!   generation *under the write lock* (the derive is µs-scale by design:
 //!   it clones the overlay, patches it, and republishes shared `Arc`s to
-//!   the store and warm state), which makes a half-applied delta
+//!   the view and warm state), which makes a half-applied delta
 //!   structurally unobservable: every `load()` returns a generation that is
 //!   either entirely before or entirely after each op.
 
 use crate::delta::{DeltaOp, DeltaOverlay};
 use crate::error::SnapshotError;
-use crate::store::SnapshotStore;
+use crate::view::SnapshotView;
 use mb_observe::{Counter, Observer, Stage, StageScope};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -42,35 +41,11 @@ pub(crate) struct Warm {
     /// Token id → surviving block id, `u32::MAX` when the token's block was
     /// filtered away (or never emitted).
     token_block: Vec<u32>,
-    /// Vocabulary permutation sorted by token bytes — owned snapshots only
-    /// (views binary-search their persisted `tok_sorted` section directly).
-    tok_sorted: Option<Vec<u32>>,
 }
 
 impl Warm {
-    pub(crate) fn build(store: &SnapshotStore) -> Warm {
-        match store {
-            SnapshotStore::Owned(s) => {
-                let tokens = s.tokens();
-                let mut sorted: Vec<u32> = (0..tokens.len() as u32).collect();
-                sorted.sort_unstable_by(|&a, &b| {
-                    // lint:allow(panic-reachability) in range: `a` and `b`
-                    // are drawn from `0..tokens.len()` one line up.
-                    tokens[a as usize].as_bytes().cmp(tokens[b as usize].as_bytes())
-                });
-                Warm {
-                    token_block: crate::engine::build_token_block(
-                        tokens.len(),
-                        er_model::U32s::from(s.block_keys()),
-                    ),
-                    tok_sorted: Some(sorted),
-                }
-            }
-            SnapshotStore::Mapped(v) => Warm {
-                token_block: crate::engine::build_token_block(v.num_tokens(), v.block_keys()),
-                tok_sorted: None,
-            },
-        }
+    pub(crate) fn build(view: &SnapshotView) -> Warm {
+        Warm { token_block: crate::engine::build_token_block(view.num_tokens(), view.block_keys()) }
     }
 
     /// The token → surviving-block routing table.
@@ -82,59 +57,36 @@ impl Warm {
     pub(crate) fn block_of(&self, tid: u32) -> u32 {
         self.token_block.get(tid as usize).copied().unwrap_or(u32::MAX)
     }
-
-    /// The byte-order vocabulary permutation (owned snapshots only).
-    pub(crate) fn tok_sorted(&self) -> Option<&[u32]> {
-        self.tok_sorted.as_deref()
-    }
-
-    /// Base-vocabulary token lookup over either storage flavor.
-    // lint:allow(panic-reachability) in range: `tok_sorted` is a permutation
-    // of `0..tokens.len()` built by `Warm::build`, and `binary_search_by`
-    // only returns indices below its length.
-    pub(crate) fn token_id(&self, store: &SnapshotStore, token: &str) -> Option<u32> {
-        match store {
-            SnapshotStore::Owned(s) => {
-                let sorted = self.tok_sorted.as_deref()?;
-                let tokens = s.tokens();
-                sorted
-                    .binary_search_by(|&t| tokens[t as usize].as_bytes().cmp(token.as_bytes()))
-                    .ok()
-                    .map(|at| sorted[at])
-            }
-            SnapshotStore::Mapped(v) => v.find_token(token.as_bytes()),
-        }
-    }
 }
 
-/// One immutable serving generation: a validated snapshot (in either
-/// storage flavor), its pre-warmed engine state, an optional delta overlay,
-/// and the ordinal that names it on the wire (responses echo it, so a
-/// client can tell which generation answered).
+/// One immutable serving generation: a loaded snapshot, its pre-warmed
+/// engine state, an optional delta overlay, and the ordinal that names it
+/// on the wire (responses echo it, so a client can tell which generation
+/// answered).
 #[derive(Debug)]
 pub struct Generation {
-    store: Arc<SnapshotStore>,
+    view: Arc<SnapshotView>,
     warm: Arc<Warm>,
     overlay: Option<DeltaOverlay>,
     ordinal: u64,
 }
 
 impl Generation {
-    /// Builds a generation over `store`: warm state is derived once, and
+    /// Builds a generation over `view`: warm state is derived once, and
     /// any delta runs persisted in the snapshot are replayed into an
     /// overlay so a reloaded file serves exactly the state it was saved in.
-    fn assemble(store: SnapshotStore, ordinal: u64) -> Result<Generation, SnapshotError> {
-        let store = Arc::new(store);
-        let warm = Arc::new(Warm::build(&store));
-        let runs = store.delta_runs();
+    fn assemble(view: SnapshotView, ordinal: u64) -> Result<Generation, SnapshotError> {
+        let view = Arc::new(view);
+        let warm = Arc::new(Warm::build(&view));
+        let runs = view.delta_runs();
         let overlay =
-            if runs.is_empty() { None } else { Some(DeltaOverlay::replay(&store, &warm, runs)?) };
-        Ok(Generation { store, warm, overlay, ordinal })
+            if runs.is_empty() { None } else { Some(DeltaOverlay::replay(&view, &warm, runs)?) };
+        Ok(Generation { view, warm, overlay, ordinal })
     }
 
-    /// The generation's snapshot storage.
-    pub fn store(&self) -> &SnapshotStore {
-        &self.store
+    /// The generation's loaded snapshot.
+    pub fn view(&self) -> &SnapshotView {
+        &self.view
     }
 
     pub(crate) fn warm(&self) -> &Warm {
@@ -150,7 +102,7 @@ impl Generation {
     pub fn num_entities(&self) -> usize {
         match &self.overlay {
             Some(o) => o.num_entities(),
-            None => self.store.num_entities(),
+            None => self.view.num_entities(),
         }
     }
 
@@ -172,9 +124,9 @@ pub struct AppliedDelta {
 
 /// The swappable cell the server publishes generations through.
 ///
-/// All constructors take an already-validated snapshot (every `Snapshot` /
-/// `SnapshotView` constructor validates), so the cell can never hold a
-/// partially-built generation.
+/// Every entry point takes a loaded [`SnapshotView`] or a built
+/// [`crate::Snapshot`] (encoded once and run through the same loader), so
+/// the cell can never hold an unvalidated or partially-built generation.
 #[derive(Debug)]
 pub struct GenerationCell {
     current: RwLock<Arc<Generation>>,
@@ -183,9 +135,13 @@ pub struct GenerationCell {
 impl GenerationCell {
     /// Publishes `snapshot` as generation 1, replaying any persisted delta
     /// runs into its overlay.
-    pub fn new(snapshot: impl Into<SnapshotStore>) -> Result<GenerationCell, SnapshotError> {
+    pub fn new<S>(snapshot: S) -> Result<GenerationCell, SnapshotError>
+    where
+        S: TryInto<SnapshotView>,
+        SnapshotError: From<S::Error>,
+    {
         Ok(GenerationCell {
-            current: RwLock::new(Arc::new(Generation::assemble(snapshot.into(), 1)?)),
+            current: RwLock::new(Arc::new(Generation::assemble(snapshot.try_into()?, 1)?)),
         })
     }
 
@@ -207,16 +163,18 @@ impl GenerationCell {
     /// Atomically replaces the serving generation with `snapshot` and
     /// returns the new generation's ordinal.
     ///
-    /// The caller is expected to have built/loaded (and thereby validated)
-    /// the snapshot *before* calling; warm-state derivation and delta-run
-    /// replay also run off the lock. Readers that loaded the previous
-    /// generation finish on it; new loads see the new one.
-    pub fn swap(&self, snapshot: impl Into<SnapshotStore>) -> Result<u64, SnapshotError> {
-        let store = snapshot.into();
+    /// Loading (for a built snapshot: encode + load), warm-state derivation
+    /// and delta-run replay all run off the lock. Readers that loaded the
+    /// previous generation finish on it; new loads see the new one.
+    pub fn swap<S>(&self, snapshot: S) -> Result<u64, SnapshotError>
+    where
+        S: TryInto<SnapshotView>,
+        SnapshotError: From<S::Error>,
+    {
         let next_ordinal = self.ordinal() + 1;
         // Assembled off the lock: the ordinal is re-read under the write
         // lock below, so a concurrent apply can't be overwritten silently.
-        let mut generation = Generation::assemble(store, next_ordinal)?;
+        let mut generation = Generation::assemble(snapshot.try_into()?, next_ordinal)?;
         let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
         generation.ordinal = slot.ordinal + 1;
         let ordinal = generation.ordinal;
@@ -229,12 +187,12 @@ impl GenerationCell {
     /// while the offline rebuild ran are never silently dropped. On an
     /// ordinal mismatch the cell is unchanged and the caller should re-pin
     /// and retry.
-    pub fn swap_if(
-        &self,
-        expected: u64,
-        snapshot: impl Into<SnapshotStore>,
-    ) -> Result<u64, SnapshotError> {
-        let generation = Generation::assemble(snapshot.into(), expected + 1)?;
+    pub fn swap_if<S>(&self, expected: u64, snapshot: S) -> Result<u64, SnapshotError>
+    where
+        S: TryInto<SnapshotView>,
+        SnapshotError: From<S::Error>,
+    {
+        let generation = Generation::assemble(snapshot.try_into()?, expected + 1)?;
         let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
         if slot.ordinal != expected {
             return Err(SnapshotError::Inconsistent(format!(
@@ -268,7 +226,7 @@ impl GenerationCell {
             let cur = Arc::clone(&slot);
             let mut overlay = match cur.overlay() {
                 Some(o) => o.clone(),
-                None => DeltaOverlay::new(&cur.store),
+                None => DeltaOverlay::new(&cur.view),
             };
             let op = match op {
                 DeltaOp::Upsert { id: crate::delta::APPEND, profile } => {
@@ -277,11 +235,11 @@ impl GenerationCell {
                 other => other,
             };
             let deleted = matches!(op, DeltaOp::Delete { .. });
-            match overlay.apply(op, &cur.store, &cur.warm) {
+            match overlay.apply(op, &cur.view, &cur.warm) {
                 Ok(id) => {
                     let ordinal = cur.ordinal + 1;
                     *slot = Arc::new(Generation {
-                        store: Arc::clone(&cur.store),
+                        view: Arc::clone(&cur.view),
                         warm: Arc::clone(&cur.warm),
                         overlay: Some(overlay),
                         ordinal,
@@ -312,7 +270,6 @@ impl GenerationCell {
 mod tests {
     use super::*;
     use crate::snapshot::Snapshot;
-    use crate::view::SnapshotView;
     use er_model::{EntityCollection, EntityProfile};
     use mb_core::PipelineConfig;
     use mb_observe::Noop;
@@ -332,15 +289,15 @@ mod tests {
         assert_eq!(cell.ordinal(), 1);
         let pinned = cell.load();
         assert_eq!(pinned.ordinal(), 1);
-        let tokens_before = pinned.store().num_tokens();
+        let tokens_before = pinned.view().num_tokens();
 
         let next = tiny_snapshot("brand new token");
         assert_eq!(cell.swap(next).unwrap(), 2);
         assert_eq!(cell.ordinal(), 2);
         // The pinned generation still serves its own snapshot…
-        assert_eq!(pinned.store().num_tokens(), tokens_before);
+        assert_eq!(pinned.view().num_tokens(), tokens_before);
         // …while fresh loads see the new one.
-        assert!(cell.load().store().num_tokens() > tokens_before);
+        assert!(cell.load().view().num_tokens() > tokens_before);
     }
 
     #[test]
@@ -358,33 +315,21 @@ mod tests {
     }
 
     #[test]
-    fn generations_mix_storage_flavors() {
-        let owned = tiny_snapshot("a");
-        let bytes = owned.to_bytes();
-        let cell = GenerationCell::new(owned).unwrap();
-        let mapped = SnapshotView::from_bytes(bytes).unwrap();
-        let tokens = mapped.num_tokens();
-        assert_eq!(cell.swap(mapped).unwrap(), 2);
-        let pinned = cell.load();
-        assert!(matches!(pinned.store(), SnapshotStore::Mapped(_)));
-        assert_eq!(pinned.store().num_tokens(), tokens);
-    }
-
-    #[test]
-    fn warm_token_lookup_matches_both_flavors() {
-        let owned = tiny_snapshot("a");
-        let bytes = owned.to_bytes();
-        let owned = SnapshotStore::from(owned);
-        let mapped = SnapshotStore::from(SnapshotView::from_bytes(bytes).unwrap());
-        let wo = Warm::build(&owned);
-        let wm = Warm::build(&mapped);
-        assert_eq!(wo.token_block(), wm.token_block());
+    fn built_snapshots_and_loaded_views_publish_the_same_generation() {
+        let built = tiny_snapshot("a");
+        let loaded = SnapshotView::from_bytes(built.to_bytes()).unwrap();
+        let tokens = loaded.num_tokens();
+        let cell = GenerationCell::new(built).unwrap();
+        let first = cell.load();
+        assert_eq!(cell.swap(loaded).unwrap(), 2);
+        let second = cell.load();
+        assert_eq!(first.view().num_tokens(), tokens);
+        assert_eq!(second.view().num_tokens(), tokens);
+        assert_eq!(first.warm().token_block(), second.warm().token_block());
         for token in ["jack", "lloyd", "erick", "miller"] {
-            assert_eq!(wo.token_id(&owned, token), wm.token_id(&mapped, token), "token {token}");
-            assert!(wo.token_id(&owned, token).is_some());
+            assert!(second.view().find_token(token.as_bytes()).is_some(), "token {token}");
         }
-        assert_eq!(wo.token_id(&owned, "absent"), None);
-        assert_eq!(wm.token_id(&mapped, "absent"), None);
+        assert_eq!(second.view().find_token(b"absent"), None);
     }
 
     #[test]
@@ -408,7 +353,7 @@ mod tests {
         let after = cell.load();
         assert_eq!(after.num_entities(), 4);
         assert_eq!(after.overlay().unwrap().applied(), 1);
-        assert!(Arc::ptr_eq(&before.store, &after.store));
+        assert!(Arc::ptr_eq(&before.view, &after.view));
         assert!(Arc::ptr_eq(&before.warm, &after.warm));
 
         let deleted = cell.apply(DeltaOp::Delete { id: 0 }, &mut Noop).unwrap();

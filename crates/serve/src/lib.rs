@@ -6,19 +6,19 @@
 //! block collection, its entity index, the blocking vocabulary, and the
 //! derived thresholds — durable and queryable:
 //!
-//! - [`Snapshot`] freezes that state into a versioned, checksummed binary
-//!   format ([`Snapshot::to_bytes`] / [`Snapshot::from_bytes`]) whose loader
-//!   validates every structural invariant and never panics on malformed
-//!   input (see [`SnapshotError`]). Builds that exceed RAM stream their
-//!   postings through bounded-memory spill files instead
+//! - [`Snapshot`] builds that state and encodes it into a versioned,
+//!   checksummed binary format ([`Snapshot::to_bytes`] /
+//!   [`Snapshot::write_to`]). Builds that exceed RAM stream their postings
+//!   through bounded-memory spill files instead
 //!   ([`Snapshot::build_out_of_core`], tuned by [`OutOfCoreConfig`]).
-//! - [`SnapshotView`] loads the same format *zero-copy*: the fixed-width
-//!   sections are 8-byte-aligned in the file, so after one checksum-gated
-//!   validation pass every array is borrowed straight out of the loaded
-//!   buffer — no per-section decode, no second allocation. [`SnapshotHeader`]
+//! - [`SnapshotView`] is the one loader: it validates every structural and
+//!   cross-section invariant, never panics on malformed input (see
+//!   [`SnapshotError`]), and — the fixed-width sections being 8-byte-aligned
+//!   in the file — borrows every array straight out of the loaded buffer,
+//!   with no per-section decode and no second allocation. [`SnapshotHeader`]
 //!   reads just the section table for O(1) inspection.
-//! - [`QueryEngine`] loads a snapshot (owned or view-backed) once and
-//!   answers typed [`CandidateRequest`]s — for indexed entities or unseen
+//! - [`QueryEngine`] is built over a loaded view once and answers typed
+//!   [`CandidateRequest`]s — for indexed entities or unseen
 //!   probe profiles — with the same weighting schemes, retention rules, and
 //!   tie ordering as batch node-centric pruning, so online answers match the
 //!   offline pipeline bit for bit. [`QueryEngine::with_shards`] partitions
@@ -32,7 +32,7 @@
 //! ```
 //! use er_model::{EntityCollection, EntityId, EntityProfile};
 //! use mb_core::PipelineConfig;
-//! use mb_serve::{CandidateRequest, QueryEngine, Snapshot};
+//! use mb_serve::{CandidateRequest, QueryEngine, Snapshot, SnapshotView};
 //!
 //! let e = EntityCollection::dirty(vec![
 //!     EntityProfile::new("p1").with("name", "jack miller"),
@@ -41,9 +41,9 @@
 //! ]);
 //! let snapshot = Snapshot::build(&e, PipelineConfig::default()).unwrap();
 //! let bytes = snapshot.to_bytes();
-//! let restored = Snapshot::from_bytes(&bytes).unwrap();
+//! let restored = SnapshotView::from_bytes(bytes).unwrap();
 //!
-//! let mut engine = QueryEngine::new(&restored);
+//! let mut engine = QueryEngine::from_view(&restored);
 //! let request = CandidateRequest::entity(EntityId(0));
 //! let response = engine.execute(&request, &mut mb_observe::Noop).unwrap();
 //! let scored = response.first().unwrap();
@@ -73,5 +73,4 @@ pub use generation::{AppliedDelta, Generation, GenerationCell};
 pub use request::{CandidateRequest, CandidateResponse, CandidateTarget};
 pub use server::{Client, Server, ServerConfig, ServerHandle};
 pub use snapshot::{OutOfCoreConfig, SectionInfo, Snapshot, SnapshotHeader, FORMAT_VERSION, MAGIC};
-pub use store::SnapshotStore;
 pub use view::SnapshotView;

@@ -31,7 +31,7 @@
 
 use crate::delta::{merge_ops, DeltaOp};
 use crate::engine::QueryEngine;
-use crate::error::ServeError;
+use crate::error::{ServeError, SnapshotError};
 use crate::generation::{AppliedDelta, GenerationCell};
 use crate::protocol::{
     compact_bytes, delete_bytes, ok_bytes, parse_compact, parse_delete, parse_ok, parse_request,
@@ -42,7 +42,6 @@ use crate::protocol::{
 };
 use crate::request::{CandidateRequest, CandidateResponse};
 use crate::snapshot::Snapshot;
-use crate::store::SnapshotStore;
 use crate::view::SnapshotView;
 use er_model::EntityProfile;
 use mb_observe::RunReport;
@@ -140,8 +139,6 @@ impl Shared {
         // a tight loop.
         let _ = std::fs::remove_file(trigger);
         let mut local = RunReport::new("serve/trigger-reload");
-        // Reloads come in through the zero-copy loader: validation is the
-        // cheap linear pass and the swap publishes a mapped generation.
         let swapped = SnapshotView::read_from(Path::new(path), &mut local)
             .and_then(|snapshot| self.cell.swap(snapshot));
         match swapped {
@@ -169,10 +166,11 @@ impl Server {
     /// Returns once the listener is bound; the handle exposes the bound
     /// address, in-process generation swaps, the aggregated telemetry, and
     /// graceful shutdown. Dropping the handle also shuts the server down.
-    pub fn start(
-        snapshot: impl Into<SnapshotStore>,
-        config: ServerConfig,
-    ) -> Result<ServerHandle, ServeError> {
+    pub fn start<S>(snapshot: S, config: ServerConfig) -> Result<ServerHandle, ServeError>
+    where
+        S: TryInto<SnapshotView>,
+        SnapshotError: From<S::Error>,
+    {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -376,10 +374,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
 
 /// Folds the serving generation's delta overlay back into a clean arena:
 /// loads the profile bundle, replays the overlay's ops onto it, rebuilds a
-/// snapshot under the same pipeline configuration, optionally persists it,
-/// and compare-and-swaps it in. If any delta landed while the rebuild ran,
-/// the swap fails and the delta-carrying generation keeps serving — a
-/// compaction never silently drops a concurrent op.
+/// snapshot under the same pipeline configuration, encodes it once (the
+/// same bytes are optionally persisted and then loaded), and
+/// compare-and-swaps the loaded view in. If any delta landed while the
+/// rebuild ran, the swap fails and the delta-carrying generation keeps
+/// serving — a compaction never silently drops a concurrent op.
 fn compact(shared: &Shared, bundle: &str, out: Option<&str>) -> Result<u64, ServeError> {
     let generation = shared.cell.load();
     let ops: Vec<DeltaOp> = generation.overlay().map(|o| o.ops()).unwrap_or_default();
@@ -387,12 +386,14 @@ fn compact(shared: &Shared, bundle: &str, out: Option<&str>) -> Result<u64, Serv
         .map_err(|e| ServeError::InvalidRequest(format!("compaction bundle: {e}")))?;
     let mut collection = loaded.collection;
     merge_ops(&mut collection, &ops).map_err(|e| ServeError::Reload(Box::new(e)))?;
-    let snapshot = Snapshot::build(&collection, generation.store().config().clone())
-        .map_err(|e| ServeError::Reload(Box::new(e)))?;
+    let reload = |e: SnapshotError| ServeError::Reload(Box::new(e));
+    let bytes =
+        Snapshot::build(&collection, *generation.view().config()).map_err(reload)?.to_bytes();
     if let Some(path) = out {
-        snapshot.write_to(Path::new(path)).map_err(|e| ServeError::Reload(Box::new(e)))?;
+        std::fs::write(path, &bytes).map_err(|e| reload(e.into()))?;
     }
-    shared.cell.swap_if(generation.ordinal(), snapshot).map_err(|e| ServeError::Reload(Box::new(e)))
+    let view = SnapshotView::from_bytes(bytes).map_err(reload)?;
+    shared.cell.swap_if(generation.ordinal(), view).map_err(reload)
 }
 
 /// A running server: the bound address, in-process control, and shutdown.
@@ -416,7 +417,11 @@ impl ServerHandle {
     /// Swaps `snapshot` in as the next generation without going over the
     /// wire; returns the new ordinal. Same semantics as a client reload: on
     /// error the old generation keeps serving.
-    pub fn swap(&self, snapshot: impl Into<SnapshotStore>) -> Result<u64, ServeError> {
+    pub fn swap<S>(&self, snapshot: S) -> Result<u64, ServeError>
+    where
+        S: TryInto<SnapshotView>,
+        SnapshotError: From<S::Error>,
+    {
         self.shared.cell.swap(snapshot).map_err(|e| ServeError::Reload(Box::new(e)))
     }
 

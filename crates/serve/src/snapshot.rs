@@ -44,28 +44,25 @@
 //!
 //! All integers little-endian; `u32` vectors carry a `u32` length prefix.
 //! The front-loaded table plus fixed-width, 8-aligned payloads are what the
-//! zero-copy loader ([`crate::view::SnapshotView`]) relies on: it verifies
-//! the table and checksums, then *borrows* the big arrays straight out of
-//! the loaded buffer instead of decoding them. The owned decoder here keeps
-//! the full deep validation (structural sanitizers, cross-section checks,
-//! threshold verification) and is the baseline the zero-copy path is
-//! benchmarked against.
+//! loader ([`crate::view::SnapshotView`]) relies on: it verifies the table,
+//! the checksums and every structural and cross-section invariant, then
+//! *borrows* the big arrays straight out of the loaded buffer instead of
+//! decoding them. This module only builds and encodes; `SnapshotView` is
+//! the one way bytes become a queryable index.
 //!
 //! Earlier-version files (magic `MBSNAP01`/`MBSNAP02`) are rejected with a
 //! typed [`SnapshotError::UnsupportedVersion`]: readers accept exactly the
 //! versions they know and never guess at another layout.
 
 use crate::codec::{fnv1a_wide, padded_len, put_bytes, put_u32, put_u32_slice, put_u64, Reader};
-use crate::delta::{decode_delta_run, encode_delta_run, validate_delta_runs, DeltaOp};
 use crate::error::SnapshotError;
 use crate::spill::{pack_posting, unpack_posting, SpillSort};
 use er_blocking::{blocks_from_sorted_postings, TokenBlocking};
 use er_model::tokenize::TokenInterner;
 use er_model::{BlockCollection, EntityCollection, EntityId, EntityIndex, ErKind};
 use mb_core::filter::block_filtering_traced;
-use mb_core::prune::{cep_threshold, cnp_threshold};
-use mb_core::{GraphContext, PipelineConfig};
-use mb_observe::{Observer, Stage, StageScope};
+use mb_core::prune::{cep_threshold_from_counts, cnp_threshold_from_counts};
+use mb_core::PipelineConfig;
 use std::path::{Path, PathBuf};
 
 /// The snapshot file magic.
@@ -118,7 +115,7 @@ fn section_name(id: u32) -> Option<&'static str> {
     SECTIONS.iter().find(|&&(sid, _)| sid == id).map(|&(_, name)| name)
 }
 
-fn label(id: u32) -> &'static str {
+pub(crate) fn label(id: u32) -> &'static str {
     section_name(id).unwrap_or("?")
 }
 
@@ -298,7 +295,7 @@ pub(crate) fn section_slice<'a>(buf: &'a [u8], e: &SectionEntry) -> &'a [u8] {
 }
 
 /// The decoded `meta` section: scalars plus the parsed, validated pipeline
-/// configuration. Shared by the owned decoder and the zero-copy view.
+/// configuration.
 #[derive(Debug, Clone)]
 pub(crate) struct Meta {
     pub(crate) kind: ErKind,
@@ -342,7 +339,7 @@ pub(crate) fn decode_meta(payload: &[u8]) -> Result<Meta, SnapshotError> {
 }
 
 /// The derived on-disk token layout: byte offsets, concatenated blob, and
-/// the byte-order permutation the zero-copy probe path binary-searches.
+/// the byte-order permutation the probe path binary-searches.
 struct TokenLayout {
     offsets: Vec<u32>,
     blob: Vec<u8>,
@@ -364,70 +361,6 @@ fn token_layout(tokens: &[String]) -> TokenLayout {
         tokens[a as usize].as_bytes().cmp(tokens[b as usize].as_bytes())
     });
     TokenLayout { offsets, blob, sorted }
-}
-
-/// Rebuilds the vocabulary from the persisted layout, validating it fully:
-/// offsets strictly ascending from 0 to the blob length (tokens are unique
-/// and non-empty, so equal adjacent offsets are corrupt) and every token
-/// valid UTF-8.
-fn tokens_from_layout(offsets: &[u32], blob: &[u8]) -> Result<Vec<String>, SnapshotError> {
-    let bad = |msg: String| SnapshotError::Inconsistent(msg);
-    if offsets.first() != Some(&0) {
-        return Err(bad("token offsets must start at 0".into()));
-    }
-    if offsets.last().copied().unwrap_or(0) as usize != blob.len() {
-        return Err(bad(format!(
-            "token offsets end at {}, blob holds {} bytes",
-            offsets.last().copied().unwrap_or(0),
-            blob.len()
-        )));
-    }
-    let mut tokens = Vec::with_capacity(offsets.len() - 1);
-    for w in offsets.windows(2) {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        if lo >= hi {
-            return Err(bad("token offsets must be strictly ascending".into()));
-        }
-        // lint:allow(panic-reachability) in range: lo < hi <= blob.len() by
-        // the strict-ascent and final-offset checks above.
-        let bytes = &blob[lo..hi];
-        tokens.push(
-            std::str::from_utf8(bytes)
-                .map_err(|_| SnapshotError::Utf8 { section: "tokblob" })?
-                .to_owned(),
-        );
-    }
-    Ok(tokens)
-}
-
-/// Validates the persisted byte-order permutation against the vocabulary:
-/// right length, in range, strictly ascending by token bytes (which also
-/// proves it is a permutation, since ties are impossible among unique
-/// tokens).
-fn validate_tok_sorted(sorted: &[u32], tokens: &[String]) -> Result<(), SnapshotError> {
-    if sorted.len() != tokens.len() {
-        return Err(SnapshotError::Inconsistent(format!(
-            "toksorted has {} entries for {} tokens",
-            sorted.len(),
-            tokens.len()
-        )));
-    }
-    if let Some(&bad) = sorted.iter().find(|&&t| t as usize >= tokens.len()) {
-        return Err(SnapshotError::Inconsistent(format!(
-            "toksorted references token {bad}, but the vocabulary has {} tokens",
-            tokens.len()
-        )));
-    }
-    for w in sorted.windows(2) {
-        // lint:allow(panic-reachability) in range: every sorted entry was
-        // bounds-checked against the vocabulary just above.
-        if tokens[w[0] as usize].as_bytes() >= tokens[w[1] as usize].as_bytes() {
-            return Err(SnapshotError::Inconsistent(
-                "toksorted is not strictly ascending by token bytes".into(),
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// A cheap, header-only description of a snapshot file.
@@ -544,13 +477,14 @@ impl OutOfCoreConfig {
     }
 }
 
-/// A frozen, validated serving index.
+/// A freshly built serving index, ready to encode.
 ///
-/// Construction goes through [`Snapshot::build`] (run the blocking front-end
-/// now), [`Snapshot::from_parts`] (adopt pre-built state), or
-/// [`Snapshot::from_bytes`] / [`Snapshot::read_from`] (load a persisted
-/// one); all of them leave the snapshot in a validated state, so queries
-/// never re-check it.
+/// Construction goes through [`Snapshot::build`] or
+/// [`Snapshot::build_out_of_core`] (run the blocking front-end now); the
+/// result is written with [`Snapshot::to_bytes`] / [`Snapshot::write_to`]
+/// and becomes queryable by loading those bytes through
+/// [`crate::view::SnapshotView`] (`SnapshotView::try_from(snapshot)` does
+/// both in one step).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     blocks: BlockCollection,
@@ -565,9 +499,6 @@ pub struct Snapshot {
     cep_threshold: usize,
     total_comparisons: u64,
     total_assignments: u64,
-    /// Write-ahead delta runs decoded from trailing [`SECTION_DELTA`]
-    /// sections; empty for freshly built snapshots.
-    delta_runs: Vec<Vec<DeltaOp>>,
 }
 
 impl Snapshot {
@@ -657,13 +588,11 @@ impl Snapshot {
         let block_keys: Vec<u32> = trace.iter().map(|&k| keys[k as usize]).collect();
         let tokens: Vec<String> = interner.into_entries().into_iter().map(|(t, _)| t).collect();
         let index = EntityIndex::build_parallel(&blocks, config.effective_threads());
-        // The thresholds come from the same mb-core formulas batch pruning
-        // uses; the context hands the index back untouched.
-        let ctx = GraphContext::from_index(&blocks, index, split);
-        let (cnp, cep) = (cnp_threshold(&ctx), cep_threshold(&ctx));
-        let index = ctx.into_index();
         let (total_comparisons, total_assignments) =
             (blocks.total_comparisons(), blocks.total_assignments());
+        // The same mb-core formulas batch pruning uses.
+        let cnp = cnp_threshold_from_counts(total_assignments, blocks.num_entities());
+        let cep = cep_threshold_from_counts(total_assignments);
         Ok(Snapshot {
             blocks,
             index,
@@ -675,42 +604,6 @@ impl Snapshot {
             cep_threshold: cep,
             total_comparisons,
             total_assignments,
-            delta_runs: Vec::new(),
-        })
-    }
-
-    /// Assembles a snapshot from pre-built state, running the same
-    /// validation as [`Snapshot::from_bytes`].
-    ///
-    /// `block_keys[k]` must name the token whose block became `blocks[k]`
-    /// (one entry per block, ids into `tokens`); thresholds and statistics
-    /// are derived here.
-    pub fn from_parts(
-        blocks: BlockCollection,
-        index: EntityIndex,
-        split: usize,
-        tokens: Vec<String>,
-        block_keys: Vec<u32>,
-        config: PipelineConfig,
-    ) -> Result<Snapshot, SnapshotError> {
-        let index = validate_parts(&blocks, index, split, &tokens, &block_keys, &config)?;
-        let ctx = GraphContext::from_index(&blocks, index, split);
-        let (cnp, cep) = (cnp_threshold(&ctx), cep_threshold(&ctx));
-        let index = ctx.into_index();
-        let (total_comparisons, total_assignments) =
-            (blocks.total_comparisons(), blocks.total_assignments());
-        Ok(Snapshot {
-            blocks,
-            index,
-            split,
-            tokens,
-            block_keys,
-            config,
-            cnp_threshold: cnp,
-            cep_threshold: cep,
-            total_comparisons,
-            total_assignments,
-            delta_runs: Vec::new(),
         })
     }
 
@@ -775,21 +668,12 @@ impl Snapshot {
         self.total_assignments
     }
 
-    /// Write-ahead delta runs riding on the snapshot, in apply order.
-    /// Empty for freshly built snapshots — compaction's output has none.
-    pub fn delta_runs(&self) -> &[Vec<DeltaOp>] {
-        &self.delta_runs
-    }
-
-    /// Encodes the snapshot into the versioned binary format, re-emitting
-    /// any delta runs it was loaded with.
+    /// Encodes the snapshot into the versioned binary format: the ten
+    /// canonical sections, no delta runs.
     pub fn to_bytes(&self) -> Vec<u8> {
         let layout = token_layout(&self.tokens);
-        let mut payloads: Vec<(u32, Vec<u8>)> =
+        let payloads: Vec<(u32, Vec<u8>)> =
             SECTIONS.iter().map(|&(id, _)| (id, self.encode_section(id, &layout))).collect();
-        for run in &self.delta_runs {
-            payloads.push((SECTION_DELTA, encode_delta_run(run)));
-        }
         frame_sections(&payloads)
     }
 
@@ -853,120 +737,9 @@ impl Snapshot {
         p
     }
 
-    /// Decodes and fully validates a snapshot from bytes.
-    ///
-    /// Never panics on malformed input: framing, checksum, structural and
-    /// cross-section failures all surface as typed [`SnapshotError`]s. This
-    /// is the deep-validation (owned) path; the zero-copy alternative is
-    /// [`crate::view::SnapshotView::from_bytes`].
-    pub fn from_bytes(buf: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let table = parse_table(buf, buf.len())?;
-        verify_checksums(buf, &table)?;
-        let get = |id: u32| -> &[u8] {
-            // lint:allow(panic-reachability) in range: parse_table returned
-            // the complete canonical table, where section id n sits at n-1.
-            section_slice(buf, &table[(id - 1) as usize])
-        };
-
-        let meta = decode_meta(get(SECTION_META))?;
-
-        let mut r = Reader::new(get(SECTION_MEMBERS), label(SECTION_MEMBERS));
-        let members: Vec<EntityId> = r.u32_vec()?.into_iter().map(EntityId).collect();
-        r.finish()?;
-        let mut r = Reader::new(get(SECTION_OFFSETS), label(SECTION_OFFSETS));
-        let offsets = r.u32_vec()?;
-        r.finish()?;
-        let mut r = Reader::new(get(SECTION_SPLITS), label(SECTION_SPLITS));
-        let splits = r.u32_vec()?;
-        r.finish()?;
-        let blocks = BlockCollection::try_from_raw_parts(
-            meta.kind,
-            meta.num_entities,
-            members,
-            offsets,
-            splits,
-        )?;
-
-        let mut r = Reader::new(get(SECTION_INDEX_LISTS), label(SECTION_INDEX_LISTS));
-        let lists = r.u32_vec()?;
-        r.finish()?;
-        let mut r = Reader::new(get(SECTION_INDEX_OFFSETS), label(SECTION_INDEX_OFFSETS));
-        let idx_offsets = r.u32_vec()?;
-        r.finish()?;
-        let index = EntityIndex::try_from_raw_parts(lists, idx_offsets)?;
-
-        let mut r = Reader::new(get(SECTION_TOK_OFFSETS), label(SECTION_TOK_OFFSETS));
-        let tok_offsets = r.u32_vec()?;
-        r.finish()?;
-        let mut r = Reader::new(get(SECTION_TOK_BLOB), label(SECTION_TOK_BLOB));
-        let blob = r.bytes()?;
-        r.finish()?;
-        let mut r = Reader::new(get(SECTION_TOK_SORTED), label(SECTION_TOK_SORTED));
-        let tok_sorted = r.u32_vec()?;
-        r.finish()?;
-        let tokens = tokens_from_layout(&tok_offsets, blob)?;
-        validate_tok_sorted(&tok_sorted, &tokens)?;
-
-        let mut r = Reader::new(get(SECTION_BLOCKKEYS), label(SECTION_BLOCKKEYS));
-        let block_keys = r.u32_vec()?;
-        r.finish()?;
-
-        let index = validate_parts(&blocks, index, meta.split, &tokens, &block_keys, &meta.config)?;
-        // Verify — not recompute — the persisted thresholds and statistics,
-        // via the same mb-core formulas that produced them.
-        let ctx = GraphContext::from_index(&blocks, index, meta.split);
-        let (cnp, cep) = (cnp_threshold(&ctx), cep_threshold(&ctx));
-        let index = ctx.into_index();
-        if meta.cnp != cnp as u64 || meta.cep != cep as u64 {
-            return Err(SnapshotError::Inconsistent(format!(
-                "persisted thresholds (cnp {}, cep {}) disagree with the \
-                 collection (cnp {cnp}, cep {cep})",
-                meta.cnp, meta.cep
-            )));
-        }
-        let (comparisons, assignments) = (blocks.total_comparisons(), blocks.total_assignments());
-        if meta.comparisons != comparisons || meta.assignments != assignments {
-            return Err(SnapshotError::Inconsistent(format!(
-                "persisted statistics (‖B‖ {}, Σ|b| {}) disagree \
-                 with the collection (‖B‖ {comparisons}, Σ|b| {assignments})",
-                meta.comparisons, meta.assignments
-            )));
-        }
-        let mut delta_runs = Vec::new();
-        // lint:allow(panic-reachability) in range: parse_table rejects
-        // tables with fewer than the canonical SECTIONS entries.
-        for e in &table[SECTIONS.len()..] {
-            delta_runs.push(decode_delta_run(section_slice(buf, e))?);
-        }
-        validate_delta_runs(meta.num_entities, &delta_runs)?;
-        Ok(Snapshot {
-            blocks,
-            index,
-            split: meta.split,
-            tokens,
-            block_keys,
-            config: meta.config,
-            cnp_threshold: cnp,
-            cep_threshold: cep,
-            total_comparisons: comparisons,
-            total_assignments: assignments,
-            delta_runs,
-        })
-    }
-
     /// Writes the encoded snapshot to `path`.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
         Ok(std::fs::write(path, self.to_bytes())?)
-    }
-
-    /// Reads and validates a snapshot file, reporting the load as a
-    /// [`Stage::SnapshotLoad`] span on `obs`.
-    pub fn read_from(path: &Path, obs: &mut dyn Observer) -> Result<Snapshot, SnapshotError> {
-        let scope = StageScope::enter(obs, Stage::SnapshotLoad);
-        let bytes = std::fs::read(path)?;
-        let snapshot = Snapshot::from_bytes(&bytes)?;
-        scope.finish();
-        Ok(snapshot)
     }
 }
 
@@ -1004,99 +777,6 @@ pub(crate) fn frame_sections(payloads: &[(u32, Vec<u8>)]) -> Vec<u8> {
     }
     debug_assert_eq!(out.len(), total);
     out
-}
-
-/// Reports the first violation of a validator sweep as a typed error.
-fn first_violation(violations: Vec<er_model::sanitize::Violation>) -> Result<(), SnapshotError> {
-    match violations.into_iter().next() {
-        Some(v) => Err(SnapshotError::Structural(v)),
-        None => Ok(()),
-    }
-}
-
-/// The shared cross-section validation of [`Snapshot::from_bytes`] and
-/// [`Snapshot::from_parts`]. Takes the index by value and hands it back so
-/// callers can continue into threshold derivation without cloning it.
-fn validate_parts(
-    blocks: &BlockCollection,
-    index: EntityIndex,
-    split: usize,
-    tokens: &[String],
-    block_keys: &[u32],
-    config: &PipelineConfig,
-) -> Result<EntityIndex, SnapshotError> {
-    config.validate().map_err(SnapshotError::Config)?;
-    first_violation(blocks.validate())?;
-    match blocks.kind() {
-        ErKind::CleanClean => {
-            if split > blocks.num_entities() {
-                return Err(SnapshotError::Inconsistent(format!(
-                    "split {split} exceeds |E| = {}",
-                    blocks.num_entities()
-                )));
-            }
-            first_violation(blocks.validate_split(split))?;
-        }
-        ErKind::Dirty => {
-            if split != blocks.num_entities() {
-                return Err(SnapshotError::Inconsistent(format!(
-                    "Dirty snapshot must have split == |E|, got {split} != {}",
-                    blocks.num_entities()
-                )));
-            }
-        }
-    }
-    if index.num_entities() != blocks.num_entities() {
-        return Err(SnapshotError::Inconsistent(format!(
-            "index covers {} entities, blocks cover {}",
-            index.num_entities(),
-            blocks.num_entities()
-        )));
-    }
-    // Range-check the index's block ids before the full validator walks
-    // them, so the walk itself cannot slice out of bounds.
-    let num_blocks = blocks.size() as u32;
-    let (lists, _) = index.raw_parts();
-    if let Some(&bad) = lists.iter().find(|&&k| k >= num_blocks) {
-        return Err(SnapshotError::Inconsistent(format!(
-            "index references block {bad}, but the collection has {num_blocks} blocks"
-        )));
-    }
-    first_violation(index.validate(blocks))?;
-    // The v2 token layout persists tokens as offset-delimited slices of one
-    // blob, which requires them non-empty; uniqueness is what makes the
-    // byte-order permutation (and hash lookups) unambiguous.
-    if let Some(i) = tokens.iter().position(|t| t.is_empty()) {
-        return Err(SnapshotError::Inconsistent(format!("token {i} is empty")));
-    }
-    {
-        let mut sorted: Vec<&str> = tokens.iter().map(|t| t.as_str()).collect();
-        sorted.sort_unstable();
-        if sorted.windows(2).any(|w| w[0] == w[1]) {
-            return Err(SnapshotError::Inconsistent("duplicate token in vocabulary".into()));
-        }
-    }
-    if block_keys.len() != blocks.size() {
-        return Err(SnapshotError::Inconsistent(format!(
-            "{} block keys for {} blocks",
-            block_keys.len(),
-            blocks.size()
-        )));
-    }
-    if let Some(&bad) = block_keys.iter().find(|&&t| t as usize >= tokens.len()) {
-        return Err(SnapshotError::Inconsistent(format!(
-            "block key references token {bad}, but the vocabulary has {} tokens",
-            tokens.len()
-        )));
-    }
-    // Token blocking produces one block per key, and filtering only drops
-    // blocks — a duplicated key means the provenance is corrupt.
-    let mut sorted = block_keys.to_vec();
-    sorted.sort_unstable();
-    if sorted.windows(2).any(|w| w[0] == w[1]) {
-        return Err(SnapshotError::Inconsistent("duplicate token id in block keys".into()));
-    }
-    Ok(index)
 }
 
 #[cfg(test)]

@@ -1,21 +1,15 @@
-//! Storage adapters between loaded snapshots and the scoring core.
+//! The storage adapter between a loaded snapshot and the scoring core.
 //!
-//! [`EngineStore`] is a flat, `Copy` [`CandidateStore`] over either an owned
-//! [`Snapshot`] or a zero-copy [`SnapshotView`]: five array views plus three
-//! scalars. The scoring core (`mb_core::NeighborhoodScorer`,
-//! `mb_core::ShardedScorer`) is generic over [`CandidateStore`], so both
-//! storage flavors run the exact same scan loops and return bit-identical
-//! candidates.
-//!
-//! [`SnapshotStore`] is the ownership-level enum the server's generation
-//! machinery holds: a hot-swap can install either flavor, and the engine is
-//! built over whichever the pinned generation carries.
+//! [`EngineStore`] is a flat, `Copy` [`CandidateStore`] over a
+//! [`SnapshotView`]: five borrowed array views plus three scalars. The
+//! scoring core (`mb_core::NeighborhoodScorer`, `mb_core::ShardedScorer`) is
+//! generic over [`CandidateStore`], so the serve path runs the exact scan
+//! loops the batch pipeline does and returns bit-identical candidates.
 
-use crate::delta::{DeltaOp, DeltaOverlay};
-use crate::snapshot::Snapshot;
+use crate::delta::DeltaOverlay;
 use crate::view::SnapshotView;
 use er_model::{EntityId, ErKind, U32s};
-use mb_core::{CandidateStore, PipelineConfig};
+use mb_core::CandidateStore;
 
 /// A flat candidate store over borrowed snapshot arrays, optionally
 /// patched by a generation's delta overlay.
@@ -48,22 +42,6 @@ pub(crate) struct EngineStore<'s> {
 }
 
 impl<'s> EngineStore<'s> {
-    pub(crate) fn from_snapshot(s: &'s Snapshot) -> EngineStore<'s> {
-        let (members, offsets, splits) = s.blocks().raw_parts();
-        let (lists, idx_offsets) = s.index().raw_parts();
-        EngineStore {
-            kind: s.kind(),
-            split: s.split(),
-            num_entities: s.num_entities(),
-            members: U32s::from(members),
-            offsets: U32s::from(offsets),
-            splits: U32s::from(splits),
-            lists: U32s::from(lists),
-            idx_offsets: U32s::from(idx_offsets),
-            overlay: None,
-        }
-    }
-
     pub(crate) fn from_view(v: &'s SnapshotView) -> EngineStore<'s> {
         EngineStore {
             kind: v.kind(),
@@ -164,7 +142,7 @@ impl CandidateStore for EngineStore<'_> {
         let c = match self.kind {
             ErKind::Dirty => {
                 let m = (hi - lo) as u64;
-                m * (m - 1) / 2
+                m * m.saturating_sub(1) / 2
             }
             ErKind::CleanClean => (sp - lo) as u64 * (hi - sp) as u64,
         };
@@ -172,102 +150,12 @@ impl CandidateStore for EngineStore<'_> {
     }
 }
 
-/// A loaded snapshot in either storage flavor, as held by a serving
-/// generation.
-///
-/// `Owned` is the deep-decoded [`Snapshot`]; `Mapped` is the zero-copy
-/// [`SnapshotView`]. Queries over either are bit-identical; the flavors
-/// differ only in load cost and memory layout.
-#[derive(Debug)]
-pub enum SnapshotStore {
-    /// A fully decoded, deeply validated snapshot.
-    Owned(Snapshot),
-    /// A zero-copy view borrowing its arrays from one loaded buffer.
-    Mapped(SnapshotView),
-}
-
-impl From<Snapshot> for SnapshotStore {
-    fn from(s: Snapshot) -> SnapshotStore {
-        SnapshotStore::Owned(s)
-    }
-}
-
-impl From<SnapshotView> for SnapshotStore {
-    fn from(v: SnapshotView) -> SnapshotStore {
-        SnapshotStore::Mapped(v)
-    }
-}
-
-impl SnapshotStore {
-    /// The ER task kind.
-    pub fn kind(&self) -> ErKind {
-        match self {
-            SnapshotStore::Owned(s) => s.kind(),
-            SnapshotStore::Mapped(v) => v.kind(),
-        }
-    }
-
-    /// `|E|`: the input collection size.
-    pub fn num_entities(&self) -> usize {
-        match self {
-            SnapshotStore::Owned(s) => s.num_entities(),
-            SnapshotStore::Mapped(v) => v.num_entities(),
-        }
-    }
-
-    /// Number of blocks in the persisted collection.
-    pub fn num_blocks(&self) -> usize {
-        match self {
-            SnapshotStore::Owned(s) => s.blocks().size(),
-            SnapshotStore::Mapped(v) => v.num_blocks(),
-        }
-    }
-
-    /// Number of tokens in the persisted vocabulary.
-    pub fn num_tokens(&self) -> usize {
-        match self {
-            SnapshotStore::Owned(s) => s.tokens().len(),
-            SnapshotStore::Mapped(v) => v.num_tokens(),
-        }
-    }
-
-    /// The pipeline configuration the snapshot was built under.
-    pub fn config(&self) -> &PipelineConfig {
-        match self {
-            SnapshotStore::Owned(s) => s.config(),
-            SnapshotStore::Mapped(v) => v.config(),
-        }
-    }
-
-    /// `‖B‖`: total comparisons in the persisted collection.
-    pub fn total_comparisons(&self) -> u64 {
-        match self {
-            SnapshotStore::Owned(s) => s.total_comparisons(),
-            SnapshotStore::Mapped(v) => v.total_comparisons(),
-        }
-    }
-
-    /// The persisted CNP per-node cardinality threshold.
-    pub fn cnp_threshold(&self) -> usize {
-        match self {
-            SnapshotStore::Owned(s) => s.cnp_threshold(),
-            SnapshotStore::Mapped(v) => v.cnp_threshold(),
-        }
-    }
-
-    /// Write-ahead delta runs the snapshot was loaded with, in apply order.
-    pub fn delta_runs(&self) -> &[Vec<DeltaOp>] {
-        match self {
-            SnapshotStore::Owned(s) => s.delta_runs(),
-            SnapshotStore::Mapped(v) => v.delta_runs(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::Snapshot;
     use er_model::{EntityCollection, EntityProfile};
+    use mb_core::PipelineConfig;
 
     fn fixture() -> Snapshot {
         let e = EntityCollection::dirty(vec![
@@ -279,26 +167,24 @@ mod tests {
     }
 
     #[test]
-    fn owned_and_mapped_stores_agree() {
+    fn view_store_reads_back_the_built_blocks_and_index() {
         let snapshot = fixture();
         let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
-        let a = EngineStore::from_snapshot(&snapshot);
-        let b = EngineStore::from_view(&view);
-        assert_eq!(a.kind(), b.kind());
-        assert_eq!(a.num_entities(), b.num_entities());
-        assert_eq!(a.num_blocks(), b.num_blocks());
-        for k in 0..a.num_blocks() {
-            assert_eq!(
-                a.members_of(k, false).to_vec(),
-                b.members_of(k, false).to_vec(),
-                "block {k} left members"
-            );
-            assert_eq!(a.recip_cardinality_of(k).to_bits(), b.recip_cardinality_of(k).to_bits());
+        let store = EngineStore::from_view(&view);
+        let (blocks, index) = (snapshot.blocks(), snapshot.index());
+        assert_eq!(store.kind(), snapshot.kind());
+        assert_eq!(store.num_entities(), snapshot.num_entities());
+        assert_eq!(store.num_blocks(), blocks.size());
+        for k in 0..store.num_blocks() {
+            let left: Vec<u32> = blocks.block(k).left().iter().map(|e| e.0).collect();
+            assert_eq!(store.members_of(k, false).to_vec(), left, "block {k} left members");
+            let recip = 1.0 / blocks.block(k).cardinality() as f64;
+            assert_eq!(store.recip_cardinality_of(k).to_bits(), recip.to_bits());
         }
-        for i in 0..a.num_entities() as u32 {
+        for i in 0..store.num_entities() as u32 {
             assert_eq!(
-                a.block_list(EntityId(i)).to_vec(),
-                b.block_list(EntityId(i)).to_vec(),
+                store.block_list(EntityId(i)).to_vec(),
+                index.block_list(EntityId(i)),
                 "entity {i} block list"
             );
         }

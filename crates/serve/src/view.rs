@@ -1,13 +1,14 @@
-//! Zero-copy snapshot loading.
+//! The snapshot loader: the one way bytes become a queryable index.
 //!
 //! [`SnapshotView`] holds one loaded byte buffer and *borrows* every large
 //! array — the CSR member pool, the block offset and split tables, the flat
 //! entity-index postings, the token offset table and blob — straight out of
 //! it as [`er_model::U32s::Le`] views. Nothing is re-encoded into `Vec`s:
 //! load cost is the file read, the section-table parse, one checksum sweep,
-//! and a linear structural pass. The deep-decoding alternative
-//! ([`crate::Snapshot::from_bytes`]) allocates and re-validates everything;
-//! this path is benchmarked against it as `load_zero_copy`.
+//! and the linear structural passes below. A freshly built
+//! [`crate::Snapshot`] takes the same route (`SnapshotView::try_from`
+//! encodes it once and loads the bytes), so a served index has exactly one
+//! in-memory representation and one set of checks behind it.
 //!
 //! Validation is staged for speed: the `meta` checksum is verified first
 //! (it gates every downstream decision), then the remaining checksums and
@@ -18,9 +19,10 @@
 //! verdict; the view just isn't constructed unless all of them accept. The
 //! CSR pools are checked by a two-count reconciliation (see
 //! [`descents_and_max`]) instead of a run-by-run compare chain, which
-//! keeps the hot loops vectorizable.
+//! keeps the hot loops vectorizable. Once all four accept, one cursor pass
+//! cross-walks the index against the blocks.
 //!
-//! # What the fast load still validates
+//! # What load validates
 //!
 //! Everything the query path relies on for memory safety and bit-identical
 //! answers:
@@ -35,25 +37,29 @@
 //! - the entity index: offsets monotone over `|E|+1` entries, postings
 //!   strictly ascending and in block range, total postings equal to total
 //!   assignments;
-//! - token offsets strictly ascending over the blob, the byte-order
+//! - the index↔blocks cross-walk: the index is the exact inversion of the
+//!   block collection — every member of block `k` lists `k`, and no entity
+//!   lists a block it is not a member of (count identities alone do not
+//!   imply this: two equal-length posting lists can be swapped under them);
+//! - token offsets strictly ascending over the blob, the blob valid UTF-8
+//!   with every token offset on a character boundary, the byte-order
 //!   permutation strictly ascending (hence a permutation), block keys in
 //!   range and duplicate-free;
 //! - the persisted CNP/CEP thresholds re-derived from the verified
-//!   aggregates.
-//!
-//! What it deliberately skips (the owned path keeps them): building
-//! `String` vocabularies, UTF-8 decoding of the token blob (probe lookups
-//! byte-compare), and the index↔blocks cross-walk — the per-element facts
-//! that walk re-checks are implied by the count identities above.
+//!   aggregates;
+//! - trailing delta runs: decoded and replay-validated against `|E|`.
 
+use crate::codec::Reader;
 use crate::delta::{decode_delta_run, validate_delta_runs, DeltaOp};
 use crate::error::SnapshotError;
 use crate::snapshot::{
-    decode_meta, parse_table, section_slice, verify_checksums, SectionEntry, SECTIONS,
-    SECTION_BLOCKKEYS, SECTION_INDEX_LISTS, SECTION_INDEX_OFFSETS, SECTION_MEMBERS, SECTION_META,
-    SECTION_OFFSETS, SECTION_SPLITS, SECTION_TOK_BLOB, SECTION_TOK_OFFSETS, SECTION_TOK_SORTED,
+    decode_meta, label, parse_table, section_slice, verify_checksums, SectionEntry, Snapshot,
+    SECTIONS, SECTION_BLOCKKEYS, SECTION_INDEX_LISTS, SECTION_INDEX_OFFSETS, SECTION_MEMBERS,
+    SECTION_META, SECTION_OFFSETS, SECTION_SPLITS, SECTION_TOK_BLOB, SECTION_TOK_OFFSETS,
+    SECTION_TOK_SORTED,
 };
 use er_model::{ErKind, U32s};
+use mb_core::prune::{cep_threshold_from_counts, cnp_threshold_from_counts};
 use mb_core::PipelineConfig;
 use mb_observe::{Observer, Stage, StageScope};
 use std::path::Path;
@@ -73,13 +79,12 @@ struct ByteRange {
     len: usize,
 }
 
-/// A zero-copy loaded snapshot: one owned byte buffer, borrowed arrays.
+/// A loaded, fully validated snapshot: one owned byte buffer, borrowed
+/// arrays.
 ///
-/// Constructed by [`SnapshotView::from_bytes`] / [`SnapshotView::read_from`].
-/// On success the view upholds the same query-path contract as an owned
-/// [`crate::Snapshot`] — the engine built over either answers bit-identically
-/// — but loading skips the decode-and-deep-validate pass (see the module
-/// docs for the exact split).
+/// Constructed by [`SnapshotView::from_bytes`] / [`SnapshotView::read_from`]
+/// (or `SnapshotView::try_from` a built [`Snapshot`]); see the module docs
+/// for what a successful load guarantees.
 #[derive(Debug)]
 pub struct SnapshotView {
     buf: Vec<u8>,
@@ -115,66 +120,6 @@ const PARALLEL_LOAD_BYTES: usize = 1 << 18;
 
 fn bad(msg: String) -> SnapshotError {
     SnapshotError::Inconsistent(msg)
-}
-
-/// Validates a `u32`-count-prefixed array section in place and returns its
-/// value range. The declared count must account for the payload exactly.
-fn u32_section(buf: &[u8], e: &SectionEntry) -> Result<U32Range, SnapshotError> {
-    let payload = section_slice(buf, e);
-    if payload.len() < 4 {
-        return Err(SnapshotError::Truncated {
-            section: e.name,
-            needed: (4 - payload.len()) as u64,
-            available: payload.len() as u64,
-        });
-    }
-    // lint:allow(panic-reachability) in range: payload.len() >= 4 just
-    // checked.
-    let count = U32s::Le(&payload[..4]).get(0) as usize;
-    let expected = 4usize.checked_add(count.saturating_mul(4)).unwrap_or(usize::MAX);
-    if expected > payload.len() {
-        return Err(SnapshotError::Truncated {
-            section: e.name,
-            needed: (expected - payload.len()) as u64,
-            available: payload.len() as u64,
-        });
-    }
-    if expected < payload.len() {
-        return Err(SnapshotError::TrailingBytes {
-            section: e.name,
-            bytes: (payload.len() - expected) as u64,
-        });
-    }
-    Ok(U32Range { start: e.offset + 4, count })
-}
-
-/// Validates a `u32`-length-prefixed byte-string section in place.
-fn bytes_section(buf: &[u8], e: &SectionEntry) -> Result<ByteRange, SnapshotError> {
-    let payload = section_slice(buf, e);
-    if payload.len() < 4 {
-        return Err(SnapshotError::Truncated {
-            section: e.name,
-            needed: (4 - payload.len()) as u64,
-            available: payload.len() as u64,
-        });
-    }
-    // lint:allow(panic-reachability) in range: payload.len() >= 4 just
-    // checked.
-    let len = U32s::Le(&payload[..4]).get(0) as usize;
-    if 4 + len > payload.len() {
-        return Err(SnapshotError::Truncated {
-            section: e.name,
-            needed: (4 + len - payload.len()) as u64,
-            available: payload.len() as u64,
-        });
-    }
-    if 4 + len < payload.len() {
-        return Err(SnapshotError::TrailingBytes {
-            section: e.name,
-            bytes: (payload.len() - 4 - len) as u64,
-        });
-    }
-    Ok(ByteRange { start: e.offset + 4, len })
 }
 
 /// The little-endian `u32` elements of a packed section payload, in order.
@@ -223,11 +168,25 @@ fn descents_and_max(b: &[u8]) -> (u32, u32) {
     (d, max.max(le4(&b[..4])))
 }
 
+/// The one way a freshly built [`Snapshot`] becomes servable: encode it
+/// once and run the one loader over the bytes.
+impl TryFrom<Snapshot> for SnapshotView {
+    type Error = SnapshotError;
+
+    fn try_from(snapshot: Snapshot) -> Result<SnapshotView, SnapshotError> {
+        let bytes = snapshot.to_bytes();
+        // The built arrays are not needed past the encode; free them before
+        // the load allocates its own scratch.
+        drop(snapshot);
+        SnapshotView::from_bytes(bytes)
+    }
+}
+
 impl SnapshotView {
-    /// Loads a snapshot zero-copy from an owned buffer.
+    /// Loads a snapshot from an owned buffer, borrowing its arrays in place.
     ///
     /// Never panics on malformed input; every failure is a typed
-    /// [`SnapshotError`], same contract as the owned decoder.
+    /// [`SnapshotError`].
     pub fn from_bytes(buf: Vec<u8>) -> Result<SnapshotView, SnapshotError> {
         let table = parse_table(&buf, buf.len())?;
         let entry = |id: u32| -> &SectionEntry {
@@ -260,19 +219,46 @@ impl SnapshotView {
             _ => {}
         }
 
-        let members = u32_section(&buf, entry(SECTION_MEMBERS))?;
-        let offsets = u32_section(&buf, entry(SECTION_OFFSETS))?;
-        let splits = u32_section(&buf, entry(SECTION_SPLITS))?;
-        let lists = u32_section(&buf, entry(SECTION_INDEX_LISTS))?;
-        let idx_offsets = u32_section(&buf, entry(SECTION_INDEX_OFFSETS))?;
-        let tok_offsets = u32_section(&buf, entry(SECTION_TOK_OFFSETS))?;
-        let tok_blob = bytes_section(&buf, entry(SECTION_TOK_BLOB))?;
-        let tok_sorted = u32_section(&buf, entry(SECTION_TOK_SORTED))?;
-        let block_keys = u32_section(&buf, entry(SECTION_BLOCKKEYS))?;
+        // Each array section is a u32 count (or byte length) prefix followed
+        // by exactly that many packed values: the reader checks the declared
+        // size against the payload, and only the in-buffer range is kept.
+        let get = |id: u32| section_slice(&buf, entry(id));
+        let u32_range = |id: u32, values: U32s<'_>| U32Range {
+            start: entry(id).offset + 4,
+            count: values.len(),
+        };
+        let mut r = Reader::new(get(SECTION_MEMBERS), label(SECTION_MEMBERS));
+        let members = u32_range(SECTION_MEMBERS, r.u32s()?);
+        r.finish()?;
+        let mut r = Reader::new(get(SECTION_OFFSETS), label(SECTION_OFFSETS));
+        let offsets = u32_range(SECTION_OFFSETS, r.u32s()?);
+        r.finish()?;
+        let mut r = Reader::new(get(SECTION_SPLITS), label(SECTION_SPLITS));
+        let splits = u32_range(SECTION_SPLITS, r.u32s()?);
+        r.finish()?;
+        let mut r = Reader::new(get(SECTION_INDEX_LISTS), label(SECTION_INDEX_LISTS));
+        let lists = u32_range(SECTION_INDEX_LISTS, r.u32s()?);
+        r.finish()?;
+        let mut r = Reader::new(get(SECTION_INDEX_OFFSETS), label(SECTION_INDEX_OFFSETS));
+        let idx_offsets = u32_range(SECTION_INDEX_OFFSETS, r.u32s()?);
+        r.finish()?;
+        let mut r = Reader::new(get(SECTION_TOK_OFFSETS), label(SECTION_TOK_OFFSETS));
+        let tok_offsets = u32_range(SECTION_TOK_OFFSETS, r.u32s()?);
+        r.finish()?;
+        let mut r = Reader::new(get(SECTION_TOK_BLOB), label(SECTION_TOK_BLOB));
+        let tok_blob =
+            ByteRange { start: entry(SECTION_TOK_BLOB).offset + 4, len: r.bytes()?.len() };
+        r.finish()?;
+        let mut r = Reader::new(get(SECTION_TOK_SORTED), label(SECTION_TOK_SORTED));
+        let tok_sorted = u32_range(SECTION_TOK_SORTED, r.u32s()?);
+        r.finish()?;
+        let mut r = Reader::new(get(SECTION_BLOCKKEYS), label(SECTION_BLOCKKEYS));
+        let block_keys = u32_range(SECTION_BLOCKKEYS, r.u32s()?);
+        r.finish()?;
 
         let raw = |r: U32Range| -> &[u8] {
-            // lint:allow(panic-reachability) in range: u32_section proved
-            // start + 4*count lies within the section payload.
+            // lint:allow(panic-reachability) in range: the section reader
+            // proved start + 4*count lies within the section payload.
             &buf[r.start..r.start + r.count * 4]
         };
         let view = |r: U32Range| -> U32s<'_> { U32s::Le(raw(r)) };
@@ -332,7 +318,7 @@ impl SnapshotView {
                             return Err(bad(format!("Dirty block {k} has split {sp} != hi {hi}")));
                         }
                         let m = (hi - lo) as u64;
-                        comparisons += m * (m - 1) / 2;
+                        comparisons += m * m.saturating_sub(1) / 2;
                         if hi > lo && lo != 0 {
                             expected += pair_desc(lo);
                         }
@@ -449,9 +435,9 @@ impl SnapshotView {
         };
 
         // Token layout: strictly ascending offsets spanning the blob, the
+        // blob UTF-8 with every token on character boundaries, the
         // byte-order permutation strictly ascending, block keys in range
-        // and duplicate-free. UTF-8 is deliberately not checked — probe
-        // lookups compare bytes.
+        // and duplicate-free.
         let check_tokens = || -> Result<(), SnapshotError> {
             if tok_offsets.count == 0 {
                 return Err(bad("token offsets section is empty".into()));
@@ -480,11 +466,16 @@ impl SnapshotView {
                 )));
             }
             let blob = {
-                // lint:allow(panic-reachability) in range: bytes_section proved
-                // start + len lies within the section payload.
+                // lint:allow(panic-reachability) in range: the section reader
+                // proved start + len lies within the section payload.
                 &buf[tok_blob.start..tok_blob.start + tok_blob.len]
             };
             let to_b = raw(tok_offsets);
+            let utf8 = || SnapshotError::Utf8 { section: "tokblob" };
+            let text = std::str::from_utf8(blob).map_err(|_| utf8())?;
+            if !le_words(to_b).all(|at| text.is_char_boundary(at as usize)) {
+                return Err(utf8());
+            }
             let mut prev_tok: Option<(usize, usize)> = None;
             for id in le_words(raw(tok_sorted)) {
                 let id = id as usize;
@@ -577,6 +568,40 @@ impl SnapshotView {
         tokens?;
         let num_tokens = tok_offsets.count - 1;
 
+        // Index↔blocks cross-walk: the index must be the exact inversion of
+        // the blocks. Blocks are visited in ascending id order and every
+        // posting list is ascending, so entity `e`'s next unconsumed posting
+        // must name the block being visited. A cursor only advances, so
+        // ending exactly on its entity's bracket end means it never left
+        // the bracket: every membership found its posting, and every
+        // posting was consumed by a membership.
+        {
+            let (offs_b, ls_b) = (raw(offsets), raw(lists));
+            let starts = || le_words(raw(idx_offsets));
+            let mut cursor: Vec<u32> = starts().take(n).collect();
+            let mut mems = le_words(raw(members));
+            let mut lo = 0u32;
+            for (k, hi) in le_words(&offs_b[4..]).enumerate() {
+                for e in mems.by_ref().take((hi - lo) as usize) {
+                    // lint:allow(panic-reachability) in range: the block walk
+                    // proved every member id below |E| = cursor.len().
+                    let next = &mut cursor[e as usize];
+                    let at = *next as usize * 4;
+                    if ls_b.get(at..at + 4).map(le4) != Some(k as u32) {
+                        return Err(bad(format!(
+                            "entity {e} is a member of block {k}, but its index postings \
+                             do not list that block next"
+                        )));
+                    }
+                    *next += 1;
+                }
+                lo = hi;
+            }
+            if !cursor.iter().copied().eq(starts().skip(1)) {
+                return Err(bad("index postings do not match the block memberships".into()));
+            }
+        }
+
         // Trailing delta runs: checksums were covered by the sweep above;
         // decode them owned (they are small) and replay-validate the ids.
         let mut delta_runs = Vec::new();
@@ -589,10 +614,9 @@ impl SnapshotView {
 
         // Thresholds: re-derive from the now-verified aggregates with the
         // same mb-core formulas that produced them.
-        let bpe = meta.assignments / (n as u64).max(1);
-        let cnp = bpe.saturating_sub(1).max(1);
-        let cep = meta.assignments / 2;
-        if meta.cnp != cnp || meta.cep != cep {
+        let cnp = cnp_threshold_from_counts(meta.assignments, n);
+        let cep = cep_threshold_from_counts(meta.assignments);
+        if meta.cnp != cnp as u64 || meta.cep != cep as u64 {
             return Err(bad(format!(
                 "persisted thresholds (cnp {}, cep {}) disagree with the collection \
                  (cnp {cnp}, cep {cep})",
@@ -607,8 +631,8 @@ impl SnapshotView {
             num_blocks,
             num_tokens,
             config: meta.config,
-            cnp_threshold: cnp as usize,
-            cep_threshold: cep as usize,
+            cnp_threshold: cnp,
+            cep_threshold: cep,
             total_comparisons: meta.comparisons,
             total_assignments: meta.assignments,
             members,
@@ -625,7 +649,7 @@ impl SnapshotView {
         })
     }
 
-    /// Reads and zero-copy-loads a snapshot file, reporting the load as a
+    /// Reads and loads a snapshot file, reporting the load as a
     /// [`Stage::SnapshotLoad`] span on `obs`.
     pub fn read_from(path: &Path, obs: &mut dyn Observer) -> Result<SnapshotView, SnapshotError> {
         let scope = StageScope::enter(obs, Stage::SnapshotLoad);
@@ -694,6 +718,11 @@ impl SnapshotView {
     /// Total size of the loaded snapshot in bytes.
     pub fn file_len(&self) -> usize {
         self.buf.len()
+    }
+
+    /// The loaded snapshot file, byte for byte.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Write-ahead delta runs riding on the snapshot, in apply order.

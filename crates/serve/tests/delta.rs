@@ -1,8 +1,7 @@
 //! Incremental-delta correctness end to end: upserts and deletes applied
 //! against a live [`GenerationCell`] must be queryable immediately, agree
 //! with a from-scratch rebuild wherever the overlay's semantics promise
-//! exact answers, persist through write-ahead delta runs in both storage
-//! flavors, and fold back into a **bit-identical** clean arena under
+//! exact answers, persist through write-ahead delta runs, and fold back into a **bit-identical** clean arena under
 //! compaction. A concurrency test pins generations from reader threads
 //! while a writer streams upserts, proving no reader ever observes a
 //! half-applied op.
@@ -127,7 +126,8 @@ fn delta_answers_match_a_from_scratch_rebuild() {
             PipelineConfig { weighting: scheme, ..PipelineConfig::default() },
         )
         .unwrap();
-        let mut fresh = QueryEngine::new(&rebuilt);
+        let rebuilt = SnapshotView::try_from(rebuilt).unwrap();
+        let mut fresh = QueryEngine::from_view(&rebuilt);
 
         for id in 0..6 {
             assert_eq!(
@@ -141,8 +141,8 @@ fn delta_answers_match_a_from_scratch_rebuild() {
 
 #[test]
 fn persisted_delta_runs_reload_to_the_same_answers() {
-    let base = base_snapshot(WeightingScheme::Cbs);
-    let base_bytes = base.to_bytes();
+    let base = SnapshotView::try_from(base_snapshot(WeightingScheme::Cbs)).unwrap();
+    let base_bytes = base.as_bytes().to_vec();
     let cell = GenerationCell::new(base).unwrap();
     cell.apply(
         DeltaOp::Upsert {
@@ -156,39 +156,30 @@ fn persisted_delta_runs_reload_to_the_same_answers() {
     let live = cell.load();
     let ops = live.overlay().unwrap().ops();
 
-    // Write-ahead the same ops as a delta run and reload in both flavors.
-    let with_deltas = append_delta_run(&base_bytes, &ops).unwrap();
-    let owned = Snapshot::from_bytes(&with_deltas).unwrap();
-    assert_eq!(owned.delta_runs().len(), 1);
-    let mapped = SnapshotView::from_bytes(with_deltas.clone()).unwrap();
-    let owned_cell = GenerationCell::new(owned).unwrap();
-    let mapped_cell = GenerationCell::new(mapped).unwrap();
-    let owned_gen = owned_cell.load();
-    let mapped_gen = mapped_cell.load();
+    // Write-ahead the same ops as a delta run and reload.
+    let base = SnapshotView::from_bytes(base_bytes).unwrap();
+    let with_deltas = append_delta_run(&base, &ops).unwrap();
+    let reloaded = SnapshotView::from_bytes(with_deltas.clone()).unwrap();
+    assert_eq!(reloaded.delta_runs().len(), 1);
+    let reloaded_cell = GenerationCell::new(reloaded).unwrap();
+    let reloaded_gen = reloaded_cell.load();
 
     let mut live_engine = QueryEngine::from_generation(&live);
-    let mut owned_engine = QueryEngine::from_generation(&owned_gen);
-    let mut mapped_engine = QueryEngine::from_generation(&mapped_gen);
-    assert_eq!(owned_gen.num_entities(), live.num_entities());
-    assert_eq!(mapped_gen.num_entities(), live.num_entities());
+    let mut reloaded_engine = QueryEngine::from_generation(&reloaded_gen);
+    assert_eq!(reloaded_gen.num_entities(), live.num_entities());
     for id in 0..live.num_entities() as u32 {
-        let want = weighted_candidates_of(&mut live_engine, id);
         assert_eq!(
-            weighted_candidates_of(&mut owned_engine, id),
-            want,
-            "entity {id}: owned reload diverged from the live overlay"
-        );
-        assert_eq!(
-            weighted_candidates_of(&mut mapped_engine, id),
-            want,
-            "entity {id}: mapped reload diverged from the live overlay"
+            weighted_candidates_of(&mut reloaded_engine, id),
+            weighted_candidates_of(&mut live_engine, id),
+            "entity {id}: reload diverged from the live overlay"
         );
     }
 
     // A second run appended over the first composes, too.
     let more = [DeltaOp::Delete { id: 3 }];
+    let with_deltas = SnapshotView::from_bytes(with_deltas).unwrap();
     let two_runs = append_delta_run(&with_deltas, &more).unwrap();
-    let reloaded = Snapshot::from_bytes(&two_runs).unwrap();
+    let reloaded = SnapshotView::from_bytes(two_runs).unwrap();
     assert_eq!(reloaded.delta_runs().len(), 2);
     let cell2 = GenerationCell::new(reloaded).unwrap();
     assert!(cell2.load().overlay().unwrap().is_tombstoned(3));
@@ -230,7 +221,7 @@ fn compaction_is_bit_identical_to_a_fresh_build() {
 
     assert_eq!(compacted, fresh, "compaction must be bit-identical to a from-scratch build");
     // And the compacted image carries no delta runs.
-    assert!(Snapshot::from_bytes(&compacted).unwrap().delta_runs().is_empty());
+    assert!(SnapshotView::from_bytes(compacted).unwrap().delta_runs().is_empty());
 }
 
 fn profile_of(op: &DeltaOp) -> &EntityProfile {

@@ -68,9 +68,14 @@ fn run_one(engine: &mut QueryEngine<'_>, request: CandidateRequest) -> Scored {
     results.remove(0)
 }
 
+fn load(snapshot: &Snapshot) -> SnapshotView {
+    SnapshotView::from_bytes(snapshot.to_bytes()).unwrap()
+}
+
 fn assert_engine_matches_batch(snapshot: &Snapshot, label: &str) {
+    let view = load(snapshot);
     for scheme in SCHEMES {
-        let mut engine = QueryEngine::with_scheme(snapshot, scheme);
+        let mut engine = QueryEngine::view_with_scheme(&view, scheme);
 
         let by_cnp = batch_retained(snapshot, scheme, |ctx, weigher, sink| {
             cnp(ctx, weigher, WeightingImpl::Optimized, &mut Noop, sink)
@@ -119,8 +124,9 @@ fn query_matches_batch_pruning_on_the_clean_clean_fixture() {
 #[test]
 fn batch_is_identical_across_thread_counts_and_to_single_queries() {
     for (label, snapshot) in [("dirty", dirty_snapshot()), ("clean-clean", cc_snapshot())] {
+        let view = load(&snapshot);
         for scheme in [WeightingScheme::Js, WeightingScheme::Ejs] {
-            let mut engine = QueryEngine::with_scheme(&snapshot, scheme);
+            let mut engine = QueryEngine::view_with_scheme(&view, scheme);
             let retention = Retention::TopK(snapshot.cnp_threshold());
             let singles: Vec<Scored> = (0..snapshot.num_entities())
                 .map(|pivot| {
@@ -159,7 +165,8 @@ fn probing_an_indexed_entitys_profile_finds_its_batch_neighbors() {
         PipelineConfig { weighting: WeightingScheme::Cbs, ..PipelineConfig::default() },
     )
     .unwrap();
-    let mut engine = QueryEngine::with_scheme(&snapshot, WeightingScheme::Cbs);
+    let view = load(&snapshot);
+    let mut engine = QueryEngine::view_with_scheme(&view, WeightingScheme::Cbs);
     let keep_all = Retention::TopK(usize::MAX);
     for (id, profile) in collection.iter() {
         let queried = run_one(&mut engine, CandidateRequest::entity(id).with_retention(keep_all));
@@ -184,21 +191,22 @@ fn default_retention_follows_the_configured_pruning_scheme() {
         PipelineConfig { pruning: mb_core::PruningScheme::Cnp, ..PipelineConfig::default() },
     )
     .unwrap();
-    let engine = QueryEngine::new(&cardinality);
+    let view = load(&cardinality);
+    let engine = QueryEngine::from_view(&view);
     assert_eq!(engine.default_retention(), Retention::TopK(cardinality.cnp_threshold()));
 
-    let weighted = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
-    let engine = QueryEngine::new(&weighted);
+    let weighted = load(&Snapshot::build(&collection, PipelineConfig::default()).unwrap());
+    let engine = QueryEngine::from_view(&weighted);
     assert_eq!(engine.default_retention(), Retention::AboveMean);
 }
 
 #[test]
-fn zero_copy_and_sharded_engines_are_bit_identical_to_the_owned_engine() {
-    // The tentpole equivalence pin: an engine over a zero-copy
-    // [`SnapshotView`], and sharded engines over either storage flavor, must
-    // reproduce the owned single-arena engine's responses *exactly* — same
-    // candidates, same score bits, same order — across schemes, retentions,
-    // shard counts, and thread counts.
+fn sharded_engines_are_bit_identical_to_the_flat_engine() {
+    // The sharding equivalence pin: sharded engines must reproduce the flat
+    // single-arena engine's responses *exactly* — same candidates, same
+    // score bits, same order — across schemes, retentions, shard counts,
+    // and thread counts. (The flat engine itself is pinned to batch CNP/WNP
+    // by `assert_engine_matches_batch` above.)
     let fixtures = [
         ("dirty", presets::build(&presets::tiny(42)).unwrap().into_dirty().collection),
         ("clean-clean", presets::build(&presets::tiny(43)).unwrap().collection),
@@ -206,11 +214,11 @@ fn zero_copy_and_sharded_engines_are_bit_identical_to_the_owned_engine() {
     for (label, collection) in fixtures {
         let config = PipelineConfig { filter_ratio: Some(0.8), ..PipelineConfig::default() };
         let snapshot = Snapshot::build(&collection, config).unwrap();
-        let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
+        let view = load(&snapshot);
         let n = snapshot.num_entities();
         for scheme in SCHEMES {
             for retention in [Retention::TopK(snapshot.cnp_threshold()), Retention::AboveMean] {
-                let mut baseline = QueryEngine::with_scheme(&snapshot, scheme);
+                let mut baseline = QueryEngine::view_with_scheme(&view, scheme);
                 let expected: Vec<Scored> = (0..n)
                     .map(|pivot| {
                         run_one(
@@ -223,55 +231,41 @@ fn zero_copy_and_sharded_engines_are_bit_identical_to_the_owned_engine() {
                 let expected_batch =
                     run(&mut baseline, CandidateRequest::batch().with_retention(retention));
 
-                let mut variants: Vec<(String, QueryEngine<'_>)> =
-                    vec![("view".into(), QueryEngine::view_with_scheme(&view, scheme))];
                 for shards in [2, 3, 8] {
                     for threads in [1, 2] {
-                        variants.push((
-                            format!("owned/shards={shards}/threads={threads}"),
-                            QueryEngine::with_scheme(&snapshot, scheme)
-                                .with_shards(shards, threads),
-                        ));
-                        variants.push((
-                            format!("view/shards={shards}/threads={threads}"),
-                            QueryEngine::view_with_scheme(&view, scheme)
-                                .with_shards(shards, threads),
-                        ));
-                    }
-                }
-                for (variant, mut engine) in variants {
-                    for (pivot, want) in expected.iter().enumerate() {
-                        let got = run_one(
-                            &mut engine,
-                            CandidateRequest::entity(EntityId(pivot as u32))
-                                .with_retention(retention),
-                        );
+                        let variant = format!("shards={shards}/threads={threads}");
+                        let mut engine = QueryEngine::view_with_scheme(&view, scheme)
+                            .with_shards(shards, threads);
+                        for (pivot, want) in expected.iter().enumerate() {
+                            let got = run_one(
+                                &mut engine,
+                                CandidateRequest::entity(EntityId(pivot as u32))
+                                    .with_retention(retention),
+                            );
+                            assert_eq!(
+                                &got, want,
+                                "{label}/{scheme:?}/{retention:?}/{variant}: entity {pivot} diverged"
+                            );
+                        }
                         assert_eq!(
-                            &got, want,
-                            "{label}/{scheme:?}/{retention:?}/{variant}: entity {pivot} diverged"
+                            run(&mut engine, CandidateRequest::batch().with_retention(retention)),
+                            expected_batch,
+                            "{label}/{scheme:?}/{retention:?}/{variant}: batch diverged"
                         );
                     }
-                    assert_eq!(
-                        run(&mut engine, CandidateRequest::batch().with_retention(retention)),
-                        expected_batch,
-                        "{label}/{scheme:?}/{retention:?}/{variant}: batch diverged"
-                    );
                 }
             }
         }
 
-        // Probe requests take the flat path on every engine; the view's
-        // byte-compare token lookup must agree with the owned hash map.
-        let mut owned = QueryEngine::new(&snapshot);
-        let mut viewed = QueryEngine::from_view(&view);
+        // Probe requests take the flat path on every engine.
+        let mut flat = QueryEngine::from_view(&view);
         let mut sharded = QueryEngine::from_view(&view).with_shards(4, 2);
         for (_, profile) in collection.iter().take(8) {
             let request = || {
                 CandidateRequest::probe(profile.clone(), true)
                     .with_retention(Retention::TopK(usize::MAX))
             };
-            let want = run_one(&mut owned, request());
-            assert_eq!(run_one(&mut viewed, request()), want, "{label}: view probe diverged");
+            let want = run_one(&mut flat, request());
             assert_eq!(run_one(&mut sharded, request()), want, "{label}: sharded probe diverged");
         }
     }
@@ -282,8 +276,8 @@ fn default_retention_matches_an_explicit_request() {
     // A request without an explicit retention must resolve to the engine
     // default — the contract the removed positional entry points used to
     // pin down.
-    let snapshot = dirty_snapshot();
-    let mut engine = QueryEngine::new(&snapshot);
+    let view = load(&dirty_snapshot());
+    let mut engine = QueryEngine::from_view(&view);
     let retention = engine.default_retention();
     let implicit = run_one(&mut engine, CandidateRequest::entity(EntityId(0)));
     let explicit =

@@ -1,18 +1,19 @@
 //! Round-trip and corruption property tests for the snapshot codec.
 //!
-//! The contract under test: encoding is deterministic and bit-stable across
-//! a decode/encode cycle, and *every* malformed input — truncations, bit
-//! flips, forged tables, misaligned sections, checksum-valid-but-
-//! inconsistent payloads, files from other format versions — fails with a
-//! typed [`SnapshotError`], never a panic and never an unbounded
-//! allocation. Both decode paths are swept: the deep-validating owned
-//! decoder ([`Snapshot::from_bytes`]) and the zero-copy loader
-//! ([`SnapshotView::from_bytes`]).
+//! The contract under test: encoding is deterministic, the loader
+//! ([`SnapshotView::from_bytes`]) reads back exactly what was built, and
+//! *every* malformed input — truncations, bit flips, forged tables,
+//! misaligned sections, checksum-valid-but-inconsistent payloads, files
+//! from other format versions — fails with a typed [`SnapshotError`], never
+//! a panic and never an unbounded allocation.
 
 use er_datagen::presets;
-use er_model::{EntityCollection, EntityProfile};
-use mb_core::{PipelineConfig, PruningScheme, WeightingScheme};
-use mb_serve::{Snapshot, SnapshotError, SnapshotHeader, SnapshotView, FORMAT_VERSION, MAGIC};
+use er_model::{EntityCollection, EntityId, EntityProfile};
+use mb_core::{Noop, PipelineConfig, PruningScheme, WeightingScheme};
+use mb_serve::{
+    CandidateRequest, DeltaOp, QueryEngine, Snapshot, SnapshotError, SnapshotHeader, SnapshotView,
+    FORMAT_VERSION, MAGIC,
+};
 
 fn config(weighting: WeightingScheme, filter_ratio: Option<f64>) -> PipelineConfig {
     PipelineConfig { weighting, filter_ratio, ..PipelineConfig::default() }
@@ -47,8 +48,10 @@ const TABLE_END: usize = HEADER_LEN + NUM_SECTIONS * TABLE_ENTRY_LEN;
 const META: u32 = 1;
 const MEMBERS: u32 = 2;
 const OFFSETS: u32 = 3;
+const SPLITS: u32 = 4;
 const LISTS: u32 = 5;
 const INDEX_OFFSETS: u32 = 6;
+const TOK_OFFSETS: u32 = 7;
 const TOK_BLOB: u32 = 8;
 const TOK_SORTED: u32 = 9;
 const BLOCKKEYS: u32 = 10;
@@ -138,31 +141,44 @@ fn build_frame(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     out
 }
 
-/// Encodes `snapshot` with one section's payload mutated, checksums fixed up
-/// so the corruption reaches the decoders instead of the checksum gate.
-fn corrupt(snapshot: &Snapshot, section: u32, mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut sections = parse_frame(&snapshot.to_bytes());
-    let slot = sections.iter_mut().find(|(id, _)| *id == section).unwrap();
-    mutate(&mut slot.1);
-    build_frame(&sections)
+/// The payload of `section` within parsed `sections`.
+fn payload(sections: &mut [(u32, Vec<u8>)], section: u32) -> &mut Vec<u8> {
+    &mut sections.iter_mut().find(|(id, _)| *id == section).unwrap().1
 }
 
-/// Decodes mutated bytes through the deep-validating owned path.
-fn decode_with(
+/// Loads `snapshot`'s encoding with section payloads mutated, checksums
+/// fixed up so the corruption reaches the loader instead of the checksum
+/// gate.
+fn view_with_sections(
     snapshot: &Snapshot,
-    section: u32,
-    mutate: impl FnOnce(&mut Vec<u8>),
-) -> Result<Snapshot, SnapshotError> {
-    Snapshot::from_bytes(&corrupt(snapshot, section, mutate))
+    mutate: impl FnOnce(&mut Vec<(u32, Vec<u8>)>),
+) -> Result<SnapshotView, SnapshotError> {
+    let mut sections = parse_frame(&snapshot.to_bytes());
+    mutate(&mut sections);
+    SnapshotView::from_bytes(build_frame(&sections))
 }
 
-/// Decodes mutated bytes through the zero-copy view path.
+/// [`view_with_sections`] for a mutation confined to one section.
 fn view_with(
     snapshot: &Snapshot,
     section: u32,
     mutate: impl FnOnce(&mut Vec<u8>),
 ) -> Result<SnapshotView, SnapshotError> {
-    SnapshotView::from_bytes(corrupt(snapshot, section, mutate))
+    view_with_sections(snapshot, |sections| mutate(payload(sections, section)))
+}
+
+/// A `u32`-count-prefixed array payload, decoded.
+fn u32s_of(payload: &[u8]) -> Vec<u32> {
+    (0..u32_at(payload, 0) as usize).map(|i| u32_at(payload, 4 + 4 * i)).collect()
+}
+
+/// The inverse of [`u32s_of`].
+fn u32_payload(values: &[u32]) -> Vec<u8> {
+    let mut out = (values.len() as u32).to_le_bytes().to_vec();
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
 }
 
 // --- round-trip stability -------------------------------------------------
@@ -188,21 +204,13 @@ fn roundtrip_is_bit_identical_across_kinds_and_configs() {
     for (collection, cfg) in cases {
         let snapshot = Snapshot::build(&collection, cfg).unwrap();
         let bytes = snapshot.to_bytes();
-        let restored = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(restored.to_bytes(), bytes, "decode/encode must be bit-identical");
-        assert_eq!(restored.kind(), snapshot.kind());
-        assert_eq!(restored.split(), snapshot.split());
-        assert_eq!(restored.cnp_threshold(), snapshot.cnp_threshold());
-        assert_eq!(restored.cep_threshold(), snapshot.cep_threshold());
-        assert_eq!(restored.total_comparisons(), snapshot.total_comparisons());
-        assert_eq!(restored.total_assignments(), snapshot.total_assignments());
-        assert_eq!(restored.tokens(), snapshot.tokens());
-        assert_eq!(restored.block_keys(), snapshot.block_keys());
-        assert_eq!(restored.config(), snapshot.config());
+        let rebuilt = Snapshot::build(&collection, cfg).unwrap();
+        assert_eq!(rebuilt.to_bytes(), bytes, "build + encode must be deterministic");
 
-        // The zero-copy loader accepts the same bytes and agrees on every
-        // scalar the query path starts from.
+        // The loader accepts the bytes and reads back every scalar and
+        // every array exactly as built.
         let view = SnapshotView::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(view.file_len(), bytes.len());
         assert_eq!(view.kind(), snapshot.kind());
         assert_eq!(view.num_entities(), snapshot.num_entities());
         assert_eq!(view.split(), snapshot.split());
@@ -217,6 +225,14 @@ fn roundtrip_is_bit_identical_across_kinds_and_configs() {
             assert_eq!(view.token_bytes(id as u32), token.as_bytes());
             assert_eq!(view.find_token(token.as_bytes()), Some(id as u32));
         }
+        assert_eq!(view.block_keys().to_vec(), snapshot.block_keys());
+        let (members, offsets, splits) = snapshot.blocks().raw_parts();
+        assert_eq!(view.members().to_vec(), members.iter().map(|e| e.0).collect::<Vec<_>>());
+        assert_eq!(view.offsets().to_vec(), offsets);
+        assert_eq!(view.splits().to_vec(), splits);
+        let (lists, idx_offsets) = snapshot.index().raw_parts();
+        assert_eq!(view.lists().to_vec(), lists);
+        assert_eq!(view.idx_offsets().to_vec(), idx_offsets);
     }
 }
 
@@ -236,10 +252,7 @@ fn empty_and_one_sided_collections_roundtrip() {
     for collection in [disjoint, one_sided] {
         let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
         assert_eq!(snapshot.blocks().size(), 0);
-        let bytes = snapshot.to_bytes();
-        let restored = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(restored.to_bytes(), bytes);
-        let view = SnapshotView::from_bytes(bytes).unwrap();
+        let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
         assert_eq!(view.num_blocks(), 0);
     }
 }
@@ -265,7 +278,7 @@ fn header_reports_the_canonical_aligned_table() {
     assert_eq!(expected, header.file_len, "sections must cover the file exactly");
 }
 
-// --- corruption: every byte matters, on both decode paths -----------------
+// --- corruption: every byte matters ---------------------------------------
 
 #[test]
 fn every_flipped_byte_fails_with_a_typed_error() {
@@ -275,14 +288,10 @@ fn every_flipped_byte_fails_with_a_typed_error() {
         bad[at] ^= 0xff;
         // Calling through — any panic fails the test; any Ok means a
         // corrupted file was silently accepted.
-        let err = Snapshot::from_bytes(&bad)
-            .err()
-            .unwrap_or_else(|| panic!("flipping byte {at} was not detected (owned)"));
-        // Every variant has a Display line; render it to exercise them all.
-        let _ = err.to_string();
         let err = SnapshotView::from_bytes(bad)
             .err()
-            .unwrap_or_else(|| panic!("flipping byte {at} was not detected (view)"));
+            .unwrap_or_else(|| panic!("flipping byte {at} was not detected"));
+        // Every variant has a Display line; render it to exercise them all.
         let _ = err.to_string();
     }
 }
@@ -292,19 +301,15 @@ fn every_truncated_prefix_fails_with_a_typed_error() {
     let bytes = small_snapshot().to_bytes();
     for len in 0..bytes.len() {
         assert!(
-            Snapshot::from_bytes(&bytes[..len]).is_err(),
-            "prefix of {len} bytes must not decode (owned)"
-        );
-        assert!(
             SnapshotView::from_bytes(bytes[..len].to_vec()).is_err(),
-            "prefix of {len} bytes must not load (view)"
+            "prefix of {len} bytes must not load"
         );
     }
 }
 
-/// Runs `tamper` over a fresh copy of `bytes` and asserts both decode paths
-/// report an error matching `check`.
-fn assert_both_reject(
+/// Runs `tamper` over a fresh copy of `bytes` and asserts the loader reports
+/// an error matching `check`.
+fn assert_rejects(
     bytes: &[u8],
     tamper: impl Fn(&mut Vec<u8>),
     check: impl Fn(&SnapshotError) -> bool,
@@ -312,28 +317,25 @@ fn assert_both_reject(
 ) {
     let mut bad = bytes.to_vec();
     tamper(&mut bad);
-    let err = Snapshot::from_bytes(&bad).unwrap_err();
-    assert!(check(&err), "{what} (owned): got {err:?}");
     let err = SnapshotView::from_bytes(bad).unwrap_err();
-    assert!(check(&err), "{what} (view): got {err:?}");
+    assert!(check(&err), "{what}: got {err:?}");
 }
 
 #[test]
 fn frame_level_errors_are_typed() {
     let bytes = small_snapshot().to_bytes();
 
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[0] = b'X',
         |e| matches!(e, SnapshotError::BadMagic),
         "foreign magic",
     );
-    assert!(matches!(Snapshot::from_bytes(b""), Err(SnapshotError::BadMagic)));
     assert!(matches!(SnapshotView::from_bytes(Vec::new()), Err(SnapshotError::BadMagic)));
 
     // A version-1 file: same MBSNAP family, older layout. Rejected from the
     // magic alone — the reader never guesses at the old framing.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[..8].copy_from_slice(b"MBSNAP01"),
         |e| {
@@ -344,7 +346,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // A future version stamped in the header's version field.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes()),
         |e| {
@@ -355,7 +357,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // A wrong section count.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[12..16].copy_from_slice(&9u32.to_le_bytes()),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
@@ -363,7 +365,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // An id the format does not define, in the first table slot.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[entry_at(0)..entry_at(0) + 4].copy_from_slice(&99u32.to_le_bytes()),
         |e| matches!(e, SnapshotError::UnknownSection { id: 99 }),
@@ -371,7 +373,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // Known sections out of canonical order.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| {
             b[entry_at(0)..entry_at(0) + 4].copy_from_slice(&MEMBERS.to_le_bytes());
@@ -382,7 +384,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // A nonzero reserved field.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[entry_at(2) + 4..entry_at(2) + 8].copy_from_slice(&1u32.to_le_bytes()),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
@@ -391,7 +393,7 @@ fn frame_level_errors_are_typed() {
 
     // A section whose declared length overruns the file reports how much is
     // missing rather than reading out of bounds.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[entry_at(3) + 16..entry_at(3) + 24].copy_from_slice(&u64::MAX.to_le_bytes()),
         |e| matches!(e, SnapshotError::Truncated { section: "splits", .. }),
@@ -399,7 +401,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // Garbage after the last section's padded payload.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b.extend_from_slice(&[0u8; 8]),
         |e| matches!(e, SnapshotError::TrailingBytes { section: "frame", bytes: 8 }),
@@ -412,8 +414,8 @@ fn misaligned_and_displaced_sections_are_rejected() {
     let bytes = small_snapshot().to_bytes();
 
     // An offset that breaks the 8-byte alignment guarantee — the exact
-    // property the zero-copy loader borrows arrays on.
-    assert_both_reject(
+    // property the loader borrows arrays on.
+    assert_rejects(
         &bytes,
         |b| {
             let at = entry_at(1) + 8;
@@ -425,7 +427,7 @@ fn misaligned_and_displaced_sections_are_rejected() {
     );
 
     // Aligned but displaced: payloads must be contiguous in table order.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| {
             let at = entry_at(1) + 8;
@@ -444,7 +446,7 @@ fn checksum_and_padding_violations_are_rejected() {
 
     // A payload byte flip behind an unpatched checksum names the section.
     let meta = &header.sections[0];
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[meta.offset as usize] ^= 0xff,
         |e| matches!(e, SnapshotError::ChecksumMismatch { section: "meta" }),
@@ -457,7 +459,7 @@ fn checksum_and_padding_violations_are_rejected() {
     let (start, len, padded_len) =
         (padded.offset as usize, padded.len as usize, padded.padded_len as usize);
     let entry = entry_at(padded.id as usize - 1);
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| {
             b[start + len] = 1;
@@ -472,52 +474,79 @@ fn checksum_and_padding_violations_are_rejected() {
 #[test]
 fn checksum_valid_payload_corruption_is_still_detected() {
     let snapshot = small_snapshot();
+    let inconsistent = |r: Result<SnapshotView, SnapshotError>, what: &str| {
+        let err = r.err().unwrap_or_else(|| panic!("{what} was accepted"));
+        assert!(matches!(err, SnapshotError::Inconsistent(_)), "{what}: got {err:?}");
+    };
+    // Byte offset of each token within the blob, plus the blob's length.
+    let tok_offsets = u32s_of(payload(&mut parse_frame(&snapshot.to_bytes()), TOK_OFFSETS));
 
     // A members-vector claiming u32::MAX entries must fail on the declared
-    // length, not attempt a 16 GiB allocation — on either path.
+    // length, not attempt a 16 GiB allocation.
     let big_count = |p: &mut Vec<u8>| p[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let err = decode_with(&snapshot, MEMBERS, big_count).unwrap_err();
-    assert!(matches!(err, SnapshotError::Truncated { section: "members", .. }));
     let err = view_with(&snapshot, MEMBERS, big_count).unwrap_err();
     assert!(matches!(err, SnapshotError::Truncated { section: "members", .. }));
 
     // Trailing garbage after a fully-decoded payload.
-    let err = decode_with(&snapshot, BLOCKKEYS, |p| p.push(0)).unwrap_err();
-    assert!(matches!(err, SnapshotError::TrailingBytes { section: "blockkeys", bytes: 1 }));
     let err = view_with(&snapshot, BLOCKKEYS, |p| p.push(0)).unwrap_err();
     assert!(matches!(err, SnapshotError::TrailingBytes { section: "blockkeys", bytes: 1 }));
 
-    // A non-UTF-8 token byte: the owned decoder builds `String`s and
-    // catches it. (The view deliberately skips UTF-8 — probe lookups
-    // byte-compare — so this is an owned-path-only guarantee.)
-    let err = decode_with(&snapshot, TOK_BLOB, |p| {
+    // A non-UTF-8 token byte: probe lookups compare bytes, but the
+    // vocabulary is text and the loader holds it to that.
+    let err = view_with(&snapshot, TOK_BLOB, |p| {
         *p.last_mut().unwrap() = 0xff;
     })
     .unwrap_err();
     assert!(matches!(err, SnapshotError::Utf8 { section: "tokblob" }));
 
+    // A blob that is valid UTF-8 as a whole, but with a token boundary
+    // splitting a two-byte character.
+    let err = view_with(&snapshot, TOK_BLOB, |p| {
+        let at = 4 + tok_offsets[1] as usize;
+        p[at - 1..at + 1].copy_from_slice("é".as_bytes());
+    })
+    .unwrap_err();
+    assert!(matches!(err, SnapshotError::Utf8 { section: "tokblob" }), "split char: {err:?}");
+
     // An undefined ER-kind tag.
-    let err = decode_with(&snapshot, META, |p| p[0] = 7).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
-    let err = view_with(&snapshot, META, |p| p[0] = 7).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
+    inconsistent(view_with(&snapshot, META, |p| p[0] = 7), "unknown ER kind");
+
+    // A Dirty snapshot must have split == |E|.
+    let short_split = |p: &mut Vec<u8>| {
+        let split = u64_at(p, 16) - 1;
+        p[16..24].copy_from_slice(&split.to_le_bytes());
+    };
+    inconsistent(view_with(&snapshot, META, short_split), "Dirty split below |E|");
 
     // Tampered persisted thresholds disagree with the collection.
     let bump_cnp = |p: &mut Vec<u8>| {
-        let cnp = u64::from_le_bytes(p[24..32].try_into().unwrap());
-        p[24..32].copy_from_slice(&(cnp + 1).to_le_bytes());
+        let cnp = u64_at(p, 24) + 1;
+        p[24..32].copy_from_slice(&cnp.to_le_bytes());
     };
-    let err = decode_with(&snapshot, META, bump_cnp).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
-    let err = view_with(&snapshot, META, bump_cnp).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
+    inconsistent(view_with(&snapshot, META, bump_cnp), "bumped CNP threshold");
 
-    // A block key pointing at a u32::MAX-adjacent token id.
+    // A persisted configuration that parses but does not validate.
+    let filtered =
+        Snapshot::build(&dirty_collection(8), config(WeightingScheme::Ejs, Some(0.5))).unwrap();
+    let err = view_with(&filtered, META, |p| {
+        let at = p.windows(3).rposition(|w| w == b"0.5").expect("filter ratio in the config JSON");
+        p[at] = b'2';
+    })
+    .unwrap_err();
+    assert!(matches!(err, SnapshotError::Config(_)), "filter ratio 2.5: {err:?}");
+
+    // Block keys: one pointing at a u32::MAX-adjacent token id, one missing,
+    // two blocks claiming the same token.
     let wild_key = |p: &mut Vec<u8>| p[4..8].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
-    let err = decode_with(&snapshot, BLOCKKEYS, wild_key).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
-    let err = view_with(&snapshot, BLOCKKEYS, wild_key).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
+    inconsistent(view_with(&snapshot, BLOCKKEYS, wild_key), "wild block key");
+    let drop_key = |p: &mut Vec<u8>| {
+        let mut keys = u32s_of(p);
+        keys.pop();
+        *p = u32_payload(&keys);
+    };
+    inconsistent(view_with(&snapshot, BLOCKKEYS, drop_key), "missing block key");
+    let twin_key = |p: &mut Vec<u8>| p.copy_within(4..8, 8);
+    inconsistent(view_with(&snapshot, BLOCKKEYS, twin_key), "duplicate block key");
 
     // A corrupted byte-order permutation: swap its first two entries.
     let swap_sorted = |p: &mut Vec<u8>| {
@@ -525,19 +554,108 @@ fn checksum_valid_payload_corruption_is_still_detected() {
         p[4..8].copy_from_slice(&b.to_le_bytes());
         p[8..12].copy_from_slice(&a.to_le_bytes());
     };
-    let err = decode_with(&snapshot, TOK_SORTED, swap_sorted).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
-    let err = view_with(&snapshot, TOK_SORTED, swap_sorted).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
+    inconsistent(view_with(&snapshot, TOK_SORTED, swap_sorted), "swapped toksorted");
 
-    // A structurally-invalid arena: the offsets table must start at 0. The
-    // owned path reports it through the model sanitizer, the view through
-    // its own structural walk.
+    // An empty token (two equal adjacent offsets) cannot survive the
+    // offset-delimited blob layout.
+    let empty_token = |p: &mut Vec<u8>| p.copy_within(4..8, 8);
+    inconsistent(view_with(&snapshot, TOK_OFFSETS, empty_token), "empty token");
+
+    // A duplicated vocabulary entry: overwrite one token with the bytes of
+    // another of the same length.
+    let tokens = snapshot.tokens();
+    let (a, b) = (0..tokens.len())
+        .flat_map(|a| (a + 1..tokens.len()).map(move |b| (a, b)))
+        .find(|&(a, b)| tokens[a].len() == tokens[b].len())
+        .expect("fixture has two tokens of equal length");
+    let twin_token = |p: &mut Vec<u8>| {
+        let (from, to, len) =
+            (4 + tok_offsets[a] as usize, 4 + tok_offsets[b] as usize, tokens[a].len());
+        p.copy_within(from..from + len, to);
+    };
+    inconsistent(view_with(&snapshot, TOK_BLOB, twin_token), "duplicate token");
+
+    // A structurally-invalid arena: the offsets table must start at 0.
     let shift_offsets = |p: &mut Vec<u8>| p[4..8].copy_from_slice(&1u32.to_le_bytes());
-    let err = decode_with(&snapshot, OFFSETS, shift_offsets).unwrap_err();
-    assert!(matches!(err, SnapshotError::Structural(_)));
-    let err = view_with(&snapshot, OFFSETS, shift_offsets).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
+    inconsistent(view_with(&snapshot, OFFSETS, shift_offsets), "shifted block offsets");
+}
+
+/// Each entity's posting list, in entity order.
+fn posting_lists(view: &SnapshotView) -> Vec<Vec<u32>> {
+    let (io, lists) = (view.idx_offsets(), view.lists());
+    (0..view.num_entities())
+        .map(|i| lists.slice(io.get(i) as usize, io.get(i + 1) as usize).to_vec())
+        .collect()
+}
+
+#[test]
+fn an_index_that_is_not_the_inversion_of_the_blocks_is_rejected() {
+    // Every count identity, range check and ordering check holds in both
+    // cases below; only walking the index against the blocks tells them
+    // from a sound file.
+    let snapshot =
+        Snapshot::build(&dirty_collection(7), config(WeightingScheme::Cbs, None)).unwrap();
+    let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
+    let postings = posting_lists(&view);
+    let n = postings.len();
+
+    // Phantom assignments: two different posting lists of equal length,
+    // swapped wholesale.
+    let (a, b) = (0..n)
+        .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+        .find(|&(a, b)| postings[a].len() == postings[b].len() && postings[a] != postings[b])
+        .expect("fixture has two distinct posting lists of equal length");
+    let mut swapped = postings.clone();
+    swapped.swap(a, b);
+    let err = view_with(&snapshot, LISTS, |p| *p = u32_payload(&swapped.concat())).unwrap_err();
+    assert!(matches!(err, SnapshotError::Inconsistent(_)), "posting-list swap: {err:?}");
+
+    // A missing assignment: entity a's last posting moves to the front of
+    // its successor's list — same total, both lists still ascending.
+    let a = (0..n - 1)
+        .find(|&a| match (postings[a].last(), postings[a + 1].first()) {
+            (Some(last), Some(first)) => last < first,
+            _ => false,
+        })
+        .expect("fixture has adjacent lists that can trade a posting");
+    let err = view_with(&snapshot, INDEX_OFFSETS, |p| {
+        let at = 4 + 4 * (a + 1);
+        let boundary = u32_at(p, at) - 1;
+        p[at..at + 4].copy_from_slice(&boundary.to_le_bytes());
+    })
+    .unwrap_err();
+    assert!(matches!(err, SnapshotError::Inconsistent(_)), "moved posting: {err:?}");
+}
+
+#[test]
+fn a_zero_member_block_never_panics() {
+    // A hostile Dirty file with one empty block appended: an extra
+    // offsets/splits/blockkeys entry under a token no block uses yet. The
+    // Dirty cardinality `m * (m - 1) / 2` must not underflow at `m == 0` —
+    // a typed error or a clean accept whose queries run, in debug and
+    // release alike.
+    let snapshot = small_snapshot();
+    let fresh = (0..snapshot.tokens().len() as u32)
+        .find(|t| !snapshot.block_keys().contains(t))
+        .expect("fixture has a token whose block was dropped");
+    let loaded = view_with_sections(&snapshot, |sections| {
+        for (section, value) in [(OFFSETS, None), (SPLITS, None), (BLOCKKEYS, Some(fresh))] {
+            let p = payload(sections, section);
+            let mut values = u32s_of(p);
+            values.push(value.unwrap_or(snapshot.total_assignments() as u32));
+            *p = u32_payload(&values);
+        }
+    });
+    if let Ok(view) = loaded {
+        assert_eq!(view.num_blocks(), snapshot.blocks().size() + 1);
+        let mut engine = QueryEngine::from_view(&view);
+        for id in 0..view.num_entities() as u32 {
+            engine.execute(&CandidateRequest::entity(EntityId(id)), &mut Noop).unwrap();
+        }
+        let probe = EntityProfile::new("probe").with("n", &snapshot.tokens()[fresh as usize]);
+        let response = engine.execute(&CandidateRequest::probe(probe, true), &mut Noop).unwrap();
+        assert!(response.first().unwrap().candidates.is_empty());
+    }
 }
 
 #[test]
@@ -553,9 +671,7 @@ fn wild_mid_table_offsets_and_swapped_run_interiors_are_typed_errors() {
     for section in [OFFSETS, INDEX_OFFSETS] {
         let vault = |p: &mut Vec<u8>| p[8..12].copy_from_slice(&wild);
         let err = view_with(&snapshot, section, vault).unwrap_err();
-        assert!(matches!(err, SnapshotError::Inconsistent(_)), "view {section}: {err:?}");
-        // The owned decoder re-sanitizes the arena and rejects it too.
-        decode_with(&snapshot, section, vault).unwrap_err();
+        assert!(matches!(err, SnapshotError::Inconsistent(_)), "section {section}: {err:?}");
     }
 
     // Swapping two members inside one block run breaks strict ascension in
@@ -571,8 +687,6 @@ fn wild_mid_table_offsets_and_swapped_run_interiors_are_typed_errors() {
         p[at..at + 4].copy_from_slice(&b.to_le_bytes());
         p[at + 4..at + 8].copy_from_slice(&a.to_le_bytes());
     };
-    // (View-path guarantee only: the owned decoder's sanitizer tolerates
-    // unsorted members, while the view's binary probes depend on order.)
     let err = view_with(&snapshot, MEMBERS, swap_pair).unwrap_err();
     assert!(matches!(err, SnapshotError::Inconsistent(_)), "members swap: {err:?}");
 
@@ -589,75 +703,6 @@ fn wild_mid_table_offsets_and_swapped_run_interiors_are_typed_errors() {
     };
     let err = view_with(&snapshot, LISTS, swap_pair).unwrap_err();
     assert!(matches!(err, SnapshotError::Inconsistent(_)), "postings swap: {err:?}");
-}
-
-// --- from_parts -----------------------------------------------------------
-
-#[test]
-fn from_parts_accepts_valid_state_and_reproduces_identical_bytes() {
-    let snapshot = small_snapshot();
-    let rebuilt = Snapshot::from_parts(
-        snapshot.blocks().clone(),
-        snapshot.index().clone(),
-        snapshot.split(),
-        snapshot.tokens().to_vec(),
-        snapshot.block_keys().to_vec(),
-        *snapshot.config(),
-    )
-    .unwrap();
-    assert_eq!(rebuilt.to_bytes(), snapshot.to_bytes());
-}
-
-#[test]
-fn from_parts_rejects_inconsistent_inputs() {
-    let s = small_snapshot();
-    let parts = || {
-        (
-            s.blocks().clone(),
-            s.index().clone(),
-            s.split(),
-            s.tokens().to_vec(),
-            s.block_keys().to_vec(),
-            *s.config(),
-        )
-    };
-
-    // Wrong number of block keys.
-    let (b, i, sp, t, mut k, c) = parts();
-    k.pop();
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Inconsistent(_))));
-
-    // A key at the edge of the id space with a tiny vocabulary.
-    let (b, i, sp, t, mut k, c) = parts();
-    k[0] = u32::MAX;
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Inconsistent(_))));
-
-    // Duplicate provenance: two blocks claiming the same token.
-    let (b, i, sp, t, mut k, c) = parts();
-    k[1] = k[0];
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Inconsistent(_))));
-
-    // A duplicated vocabulary entry.
-    let (b, i, sp, mut t, k, c) = parts();
-    t[1] = t[0].clone();
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Inconsistent(_))));
-
-    // An empty token cannot survive the offset-delimited blob layout.
-    let (b, i, sp, mut t, k, c) = parts();
-    t[0] = String::new();
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Inconsistent(_))));
-
-    // A Dirty snapshot must have split == |E|.
-    let (b, i, sp, t, k, c) = parts();
-    assert!(matches!(
-        Snapshot::from_parts(b, i, sp - 1, t, k, c),
-        Err(SnapshotError::Inconsistent(_))
-    ));
-
-    // An invalid configuration.
-    let (b, i, sp, t, k, mut c) = parts();
-    c.filter_ratio = Some(2.0);
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Config(_))));
 }
 
 // --- write-ahead delta runs: hostile input --------------------------------
@@ -708,22 +753,20 @@ fn valid_delta_run() -> Vec<u8> {
     run
 }
 
-fn both_reject_delta(bytes: Vec<u8>, check: impl Fn(&SnapshotError) -> bool, what: &str) {
-    let err = Snapshot::from_bytes(&bytes).unwrap_err();
-    assert!(check(&err), "{what} (owned): got {err:?}");
+fn reject_delta(bytes: Vec<u8>, check: impl Fn(&SnapshotError) -> bool, what: &str) {
     let err = SnapshotView::from_bytes(bytes).unwrap_err();
-    assert!(check(&err), "{what} (view): got {err:?}");
+    assert!(check(&err), "{what}: got {err:?}");
 }
 
 #[test]
-fn delta_carrying_files_decode_on_both_paths() {
-    let bytes = with_delta_payloads(&[valid_delta_run()]);
-    let owned = Snapshot::from_bytes(&bytes).unwrap();
-    assert_eq!(owned.delta_runs().len(), 1);
-    assert_eq!(owned.delta_runs()[0].len(), 2);
-    let view = SnapshotView::from_bytes(bytes).unwrap();
+fn delta_carrying_files_load_with_their_runs_decoded() {
+    let view = SnapshotView::from_bytes(with_delta_payloads(&[valid_delta_run()])).unwrap();
     assert_eq!(view.delta_runs().len(), 1);
-    assert_eq!(view.delta_runs()[0], owned.delta_runs()[0]);
+    let profile = EntityProfile::new("p5").with("name", "jack vendor");
+    assert_eq!(
+        view.delta_runs()[0],
+        [DeltaOp::Upsert { id: 4, profile }, DeltaOp::Delete { id: 0 }]
+    );
 }
 
 #[test]
@@ -732,13 +775,9 @@ fn every_flipped_byte_of_a_delta_carrying_file_fails_with_a_typed_error() {
     for at in 0..bytes.len() {
         let mut bad = bytes.clone();
         bad[at] ^= 0xff;
-        let err = Snapshot::from_bytes(&bad)
-            .err()
-            .unwrap_or_else(|| panic!("flipping byte {at} was not detected (owned)"));
-        let _ = err.to_string();
         let err = SnapshotView::from_bytes(bad)
             .err()
-            .unwrap_or_else(|| panic!("flipping byte {at} was not detected (view)"));
+            .unwrap_or_else(|| panic!("flipping byte {at} was not detected"));
         let _ = err.to_string();
     }
 }
@@ -748,12 +787,8 @@ fn every_truncated_prefix_of_a_delta_carrying_file_fails() {
     let bytes = with_delta_payloads(&[valid_delta_run()]);
     for len in 0..bytes.len() {
         assert!(
-            Snapshot::from_bytes(&bytes[..len]).is_err(),
-            "prefix of {len} bytes must not decode (owned)"
-        );
-        assert!(
             SnapshotView::from_bytes(bytes[..len].to_vec()).is_err(),
-            "prefix of {len} bytes must not load (view)"
+            "prefix of {len} bytes must not load"
         );
     }
 }
@@ -764,7 +799,7 @@ fn hostile_delta_runs_are_typed_errors() {
     let mut run = Vec::new();
     run.extend_from_slice(&1u32.to_le_bytes());
     delta_delete(&mut run, 9);
-    both_reject_delta(
+    reject_delta(
         with_delta_payloads(&[run]),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "tombstone of unknown entity",
@@ -778,7 +813,7 @@ fn hostile_delta_runs_are_typed_errors() {
     let mut second = Vec::new();
     second.extend_from_slice(&1u32.to_le_bytes());
     delta_delete(&mut second, 0);
-    both_reject_delta(
+    reject_delta(
         with_delta_payloads(&[first, second]),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "overlapping delta runs double-deleting",
@@ -788,7 +823,7 @@ fn hostile_delta_runs_are_typed_errors() {
     let mut run = Vec::new();
     run.extend_from_slice(&1u32.to_le_bytes());
     delta_upsert(&mut run, 6, "hole", &[]);
-    both_reject_delta(
+    reject_delta(
         with_delta_payloads(&[run]),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "upsert past the append point",
@@ -798,14 +833,14 @@ fn hostile_delta_runs_are_typed_errors() {
     let mut run = Vec::new();
     run.extend_from_slice(&1u32.to_le_bytes());
     delta_upsert(&mut run, u32::MAX, "sentinel", &[]);
-    both_reject_delta(
+    reject_delta(
         with_delta_payloads(&[run]),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "persisted append sentinel",
     );
 
     // An inflated op count fails before allocating.
-    both_reject_delta(
+    reject_delta(
         with_delta_payloads(&[u32::MAX.to_le_bytes().to_vec()]),
         |e| matches!(e, SnapshotError::Truncated { section: "delta", .. }),
         "inflated delta op count",
@@ -816,7 +851,7 @@ fn hostile_delta_runs_are_typed_errors() {
     run.extend_from_slice(&1u32.to_le_bytes());
     run.push(7);
     run.extend_from_slice(&0u32.to_le_bytes());
-    both_reject_delta(
+    reject_delta(
         with_delta_payloads(&[run]),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "unknown delta op tag",
@@ -825,7 +860,7 @@ fn hostile_delta_runs_are_typed_errors() {
     // Trailing garbage after the last op.
     let mut run = valid_delta_run();
     run.push(0xff);
-    both_reject_delta(
+    reject_delta(
         with_delta_payloads(&[run]),
         |e| matches!(e, SnapshotError::TrailingBytes { section: "delta", .. }),
         "trailing bytes after delta ops",
@@ -834,7 +869,7 @@ fn hostile_delta_runs_are_typed_errors() {
     // A delta section may not appear *before* the canonical ten.
     let mut sections = parse_frame(&small_snapshot().to_bytes());
     sections.insert(0, (SECTION_DELTA, valid_delta_run()));
-    both_reject_delta(
+    reject_delta(
         build_frame(&sections),
         |e| !matches!(e, SnapshotError::Io(_)),
         "delta section displacing the canonical order",
@@ -847,5 +882,5 @@ fn hostile_delta_runs_are_typed_errors() {
     delta_upsert(&mut run, 0, "revived", &[("name", "back again")]);
     delta_delete(&mut run, 0);
     let bytes = with_delta_payloads(&[run]);
-    assert_eq!(Snapshot::from_bytes(&bytes).unwrap().delta_runs()[0].len(), 3);
+    assert_eq!(SnapshotView::from_bytes(bytes).unwrap().delta_runs()[0].len(), 3);
 }

@@ -4,8 +4,8 @@
 # classic pruning + edge-weighting benches on the fixed synthetic workload.
 #
 # Also runs the end-to-end pipeline bench (build -> purge -> filter ->
-# weight -> prune, legacy layout vs CSR arena, wall-ms + allocation counts)
-# and validates the shape of the BENCH_pipeline.json it writes, plus the
+# weight -> prune over the CSR arena, wall-ms + allocation counts) and
+# validates the shape of the BENCH_pipeline.json it writes, plus the
 # serving-layer query-latency bench (snapshot load ms, single-query
 # percentiles, batch throughput at 1/2/4/8 threads) which writes and
 # validates BENCH_query.json the same way, and the online-serving bench
