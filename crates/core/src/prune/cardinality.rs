@@ -18,6 +18,25 @@ pub(crate) struct WeightedEdge {
     pub(crate) b: u32,
 }
 
+impl WeightedEdge {
+    /// The edge between `pivot` and its neighbor `j`, endpoints canonically
+    /// ordered so both directions of one edge compare equal.
+    #[inline]
+    pub(crate) fn incident(pivot: EntityId, j: u32, w: f64) -> Self {
+        WeightedEdge { w, a: pivot.0.min(j), b: pivot.0.max(j) }
+    }
+
+    /// The endpoint of an [`WeightedEdge::incident`] edge that is not `pivot`.
+    #[inline]
+    pub(crate) fn neighbor_of(&self, pivot: EntityId) -> u32 {
+        if self.a == pivot.0 {
+            self.b
+        } else {
+            self.a
+        }
+    }
+}
+
 impl Eq for WeightedEdge {}
 
 impl Ord for WeightedEdge {
@@ -57,7 +76,7 @@ pub(crate) const MAX_HEAP_PREALLOC: usize = 1 << 16;
 /// The initial capacity for a top-`K` min-heap: `K + 1` when small, capped
 /// by [`MAX_HEAP_PREALLOC`].
 pub(crate) fn heap_prealloc(k: usize) -> usize {
-    (k + 1).min(MAX_HEAP_PREALLOC)
+    k.saturating_add(1).min(MAX_HEAP_PREALLOC)
 }
 
 /// Offers `edge` to a bounded min-heap keeping the `k` largest edges under
@@ -142,20 +161,138 @@ pub fn cnp_threshold_from_counts(total_assignments: u64, num_entities: usize) ->
     (bpe.saturating_sub(1)).max(1) as usize
 }
 
-/// Selects the top-`k` neighbors of one neighborhood, deterministically.
-/// Returns them sorted by neighbor id (for the binary-search membership
-/// tests of the two-phase variants).
-pub(crate) fn top_k_neighbors(pivot: EntityId, ids: &[u32], weights: &[f64], k: usize) -> Vec<u32> {
-    let mut edges: Vec<WeightedEdge> = ids
-        .iter()
-        .zip(weights)
-        .map(|(&j, &w)| WeightedEdge { w, a: pivot.0.min(j), b: pivot.0.max(j) })
-        .collect();
+/// Bounded top-`k` selection over one weighed neighborhood — the single
+/// kernel behind every node-centric cardinality retention: [`cnp`],
+/// [`redefined_cnp`] / [`reciprocal_cnp`], their parallel twins and the serve
+/// scorer's `Retention::TopK`.
+///
+/// A min-heap of the `min(k, n)` best [`WeightedEdge`]s seen so far: an edge
+/// that does not beat the weakest survivor costs one comparison, one that
+/// does costs `O(log k)`, so a neighborhood of `n` edges is selected in
+/// `n` comparisons + `O(k log k)` instead of a full `O(n log n)` sort. The
+/// [`WeightedEdge`] order is total, so the survivor set — and both emission
+/// orders — are exactly what sort-then-truncate produces, for every `k`.
+///
+/// Capacity follows the largest `min(k, n)` seen — never `k` alone, which may
+/// come off the wire — so a scratch kept across neighborhoods allocates
+/// nothing once warm. [`top_k_neighbors`] and the scorer's `retain` build one
+/// per neighborhood all the same: their callers are the sink- and
+/// store-generic sweeps, which this kernel was slotted under without a
+/// change (DESIGN.md §9 says why).
+#[derive(Debug, Default)]
+pub struct TopK {
+    heap: BinaryHeap<Reverse<WeightedEdge>>,
+    ranked: Vec<WeightedEdge>,
+    ids: Vec<u32>,
+}
+
+impl TopK {
+    /// An empty scratch; it grows to the largest selection it serves.
+    pub fn new() -> Self {
+        TopK::default()
+    }
+
+    /// Leaves the `min(k, n)` best edges of `pivot`'s neighborhood in the
+    /// heap.
+    fn fill(&mut self, pivot: EntityId, ids: &[u32], weights: &[f64], k: usize) {
+        let k = k.min(ids.len());
+        self.heap.clear();
+        self.heap.reserve(k);
+        // Once the heap is full, an edge lighter than its weakest survivor
+        // loses under the total order too — rejected on one float compare,
+        // before the edge is even assembled. Ties and NaNs fall through to
+        // the full comparison.
+        let mut floor = f64::NEG_INFINITY;
+        for (&j, &w) in ids.iter().zip(weights) {
+            if w < floor {
+                continue;
+            }
+            push_top_k(&mut self.heap, WeightedEdge::incident(pivot, j, w), k);
+            if self.heap.len() == k {
+                floor = self.heap.peek().map_or(floor, |Reverse(min)| min.w);
+            }
+        }
+    }
+
+    /// The top-`k` neighbors of `pivot`, ascending by neighbor id — CNP's
+    /// emission order and the sorted stacks Algorithm 4 binary-searches.
+    /// Valid until the next selection.
+    pub fn select_ascending(
+        &mut self,
+        pivot: EntityId,
+        ids: &[u32],
+        weights: &[f64],
+        k: usize,
+    ) -> &[u32] {
+        self.fill(pivot, ids, weights, k);
+        self.ids.clear();
+        self.ids.extend(self.heap.drain().map(|Reverse(e)| e.neighbor_of(pivot)));
+        self.ids.sort_unstable();
+        #[cfg(feature = "sanitize")]
+        assert_eq!(
+            self.ids,
+            full_sort_top_k_ids(pivot, ids, weights, k),
+            "mb-sanitize: top-{k} of {pivot} differs from the full sort"
+        );
+        &self.ids
+    }
+
+    /// The top-`k` edges of `pivot`, descending under the [`WeightedEdge`]
+    /// order — the ranking a serve query returns. Valid until the next
+    /// selection.
+    pub(crate) fn select_descending(
+        &mut self,
+        pivot: EntityId,
+        ids: &[u32],
+        weights: &[f64],
+        k: usize,
+    ) -> &[WeightedEdge] {
+        self.fill(pivot, ids, weights, k);
+        self.ranked.clear();
+        self.ranked.extend(self.heap.drain().map(|Reverse(e)| e));
+        self.ranked.sort_unstable_by(|x, y| y.cmp(x));
+        #[cfg(feature = "sanitize")]
+        assert_eq!(
+            self.ranked,
+            full_sort_top_k(pivot, ids, weights, k),
+            "mb-sanitize: ranked top-{k} of {pivot} differs from the full sort"
+        );
+        &self.ranked
+    }
+}
+
+/// Sort-then-truncate top-`k`, descending — the implementation [`TopK`]
+/// replaced, kept as the oracle it is checked against.
+#[cfg(any(test, feature = "sanitize"))]
+pub(crate) fn full_sort_top_k(
+    pivot: EntityId,
+    ids: &[u32],
+    weights: &[f64],
+    k: usize,
+) -> Vec<WeightedEdge> {
+    let mut edges: Vec<WeightedEdge> =
+        ids.iter().zip(weights).map(|(&j, &w)| WeightedEdge::incident(pivot, j, w)).collect();
     edges.sort_unstable_by(|x, y| y.cmp(x));
     edges.truncate(k);
-    let mut kept: Vec<u32> = edges.iter().map(|e| if e.a == pivot.0 { e.b } else { e.a }).collect();
+    edges
+}
+
+/// [`full_sort_top_k`]'s survivors as neighbor ids, ascending.
+#[cfg(any(test, feature = "sanitize"))]
+fn full_sort_top_k_ids(pivot: EntityId, ids: &[u32], weights: &[f64], k: usize) -> Vec<u32> {
+    let mut kept: Vec<u32> =
+        full_sort_top_k(pivot, ids, weights, k).iter().map(|e| e.neighbor_of(pivot)).collect();
     kept.sort_unstable();
     kept
+}
+
+/// Selects the top-`k` neighbors of one neighborhood, deterministically:
+/// [`TopK::select_ascending`] as an owned, sorted stack (for the
+/// binary-search membership tests of the two-phase variants).
+pub(crate) fn top_k_neighbors(pivot: EntityId, ids: &[u32], weights: &[f64], k: usize) -> Vec<u32> {
+    let mut top = TopK::new();
+    top.select_ascending(pivot, ids, weights, k);
+    top.ids
 }
 
 /// Cardinality Node Pruning, original semantics: for every node, retain the
@@ -417,15 +554,104 @@ mod tests {
 
     #[test]
     fn top_k_selection_is_deterministic_under_ties() {
-        let ids_ = [5u32, 3, 9];
-        let ws = [1.0, 1.0, 1.0];
-        let a = top_k_neighbors(EntityId(1), &ids_, &ws, 2);
-        let b = top_k_neighbors(EntityId(1), &ids_, &ws, 2);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 2);
+        let mut top = TopK::new();
+        let a = top.select_ascending(EntityId(1), &[5, 3, 9], &[1.0, 1.0, 1.0], 2).to_vec();
         // Ties break towards larger pair ids first (total order), so the
         // selection is stable regardless of input order.
-        let shuffled = top_k_neighbors(EntityId(1), &[9, 5, 3], &[1.0, 1.0, 1.0], 2);
+        assert_eq!(a, [5, 9]);
+        let shuffled = top.select_ascending(EntityId(1), &[9, 5, 3], &[1.0, 1.0, 1.0], 2);
         assert_eq!(a, shuffled);
+    }
+
+    /// SplitMix64 — enough randomness for a differential test, no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random neighborhood of `n` distinct neighbor ids drawn from
+    /// `lo..lo + span` (shuffled, as first-co-occurrence order is), weights
+    /// from a handful of values so ties dominate.
+    fn random_neighborhood(rng: &mut Rng, n: usize, lo: u32, span: u32) -> (Vec<u32>, Vec<f64>) {
+        let mut ids: Vec<u32> = Vec::with_capacity(n);
+        while ids.len() < n {
+            let j = lo + rng.below(span as u64) as u32;
+            if !ids.contains(&j) {
+                ids.push(j);
+            }
+        }
+        let distinct = 1 + rng.below(4);
+        let weights = (0..n).map(|_| rng.below(distinct) as f64 * 0.25).collect();
+        (ids, weights)
+    }
+
+    /// Both emission orders of `top` against the full-sort oracle.
+    fn assert_matches_oracle(top: &mut TopK, pivot: EntityId, ids: &[u32], ws: &[f64], k: usize) {
+        let ranked = full_sort_top_k(pivot, ids, ws, k);
+        assert_eq!(top.select_descending(pivot, ids, ws, k), ranked, "pivot {pivot} k {k}");
+        let by_id = full_sort_top_k_ids(pivot, ids, ws, k);
+        assert_eq!(top.select_ascending(pivot, ids, ws, k), by_id, "pivot {pivot} k {k}");
+    }
+
+    /// The kernel against the sort-then-truncate implementation it replaced:
+    /// heavy ties, every interesting `k`, the pivot below / between / above
+    /// its neighbors (the probe path's virtual pivot `|E|` is the last), for
+    /// the Dirty (ids around the pivot) and Clean-Clean (ids on the far side
+    /// of the split) layouts — with one scratch reused throughout, checked
+    /// against a fresh one.
+    #[test]
+    fn kernel_matches_the_full_sort_oracle() {
+        let mut rng = Rng(20160315);
+        let mut reused = TopK::new();
+        for round in 0..10_000u32 {
+            let n = rng.below(if round % 50 == 0 { 300 } else { 24 }) as usize;
+            // Dirty: neighbors on both sides of the pivot; Clean-Clean: a
+            // left pivot sees only right-side ids and vice versa.
+            let (lo, span, pivot) = match round % 5 {
+                0 => (100, 400, 0),   // pivot below every neighbor
+                1 => (100, 400, 500), // the virtual pivot |E|
+                2 => (100, 400, 100 + rng.below(400) as u32),
+                3 => (1000, 400, rng.below(1000) as u32), // left pivot, right ids
+                _ => (0, 400, 1000 + rng.below(400) as u32), // right pivot, left ids
+            };
+            let (mut ids, mut ws) = random_neighborhood(&mut rng, n, lo, span);
+            if let Some(at) = ids.iter().position(|&j| j == pivot) {
+                ids.swap_remove(at);
+                ws.swap_remove(at);
+            }
+            let n = ids.len();
+            let pivot = EntityId(pivot);
+            for k in [1, 2, 3, n.saturating_sub(1), n, n + 7, usize::MAX] {
+                assert_matches_oracle(&mut reused, pivot, &ids, &ws, k);
+                assert_matches_oracle(&mut TopK::new(), pivot, &ids, &ws, k);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_keeps_nothing_for_k_zero_or_an_empty_neighborhood() {
+        let mut top = TopK::new();
+        assert!(top.select_ascending(EntityId(0), &[1, 2], &[1.0, 2.0], 0).is_empty());
+        assert!(top.select_descending(EntityId(0), &[], &[], usize::MAX).is_empty());
+    }
+
+    /// The caps-before-allocation rule: a hostile `k` sizes nothing.
+    #[test]
+    fn scratch_capacity_follows_the_neighborhood_not_k() {
+        let mut top = TopK::new();
+        top.select_descending(EntityId(0), &[1, 2, 3], &[1.0, 2.0, 3.0], usize::MAX);
+        assert!(top.heap.capacity() < 64, "heap reserved {}", top.heap.capacity());
+        assert_eq!(heap_prealloc(usize::MAX), MAX_HEAP_PREALLOC);
     }
 }

@@ -28,7 +28,7 @@ mod weight_based;
 
 pub use cardinality::{
     cep, cep_threshold, cep_threshold_from_counts, cnp, cnp_threshold, cnp_threshold_from_counts,
-    reciprocal_cnp, redefined_cnp,
+    reciprocal_cnp, redefined_cnp, TopK,
 };
 pub(crate) use cardinality::{heap_prealloc, push_top_k, top_k_neighbors, WeightedEdge};
 pub(crate) use weight_based::{neighborhood_mean, reaches};

@@ -11,7 +11,7 @@
 //! pruning would retain for that node, in descending weight order.
 
 use crate::context::GraphContext;
-use crate::prune::{neighborhood_mean, reaches, top_k_neighbors, WeightedEdge};
+use crate::prune::{neighborhood_mean, reaches, TopK, WeightedEdge};
 use crate::scanner::{NeighborhoodScanner, ScanScope};
 use crate::store::CandidateStore;
 use crate::weights::{edge_weight, Degrees, WeightingScheme};
@@ -309,35 +309,31 @@ pub(crate) fn retain(
     weights: &[f64],
     retention: Retention,
 ) -> Vec<Candidate> {
-    let mut out: Vec<Candidate> = match retention {
-        Retention::TopK(k) => {
-            // The exact CNP selection: same helper, same total order.
-            let kept = top_k_neighbors(pivot, ids, weights, k);
-            ids.iter()
-                .zip(weights)
-                .filter(|(j, _)| kept.binary_search(j).is_ok())
-                .map(|(&j, &w)| Candidate { id: EntityId(j), weight: w })
-                .collect()
-        }
+    match retention {
+        // The exact CNP selection: same kernel, same total order, already
+        // ranked.
+        Retention::TopK(k) => TopK::new()
+            .select_descending(pivot, ids, weights, k)
+            .iter()
+            .map(|e| Candidate { id: EntityId(e.neighbor_of(pivot)), weight: e.w })
+            .collect(),
         Retention::AboveMean => {
             if ids.is_empty() {
                 return Vec::new();
             }
             let mean = neighborhood_mean(weights);
-            ids.iter()
+            let mut out: Vec<Candidate> = ids
+                .iter()
                 .zip(weights)
                 .filter(|&(_, &w)| reaches(w, mean))
                 .map(|(&j, &w)| Candidate { id: EntityId(j), weight: w })
-                .collect()
+                .collect();
+            out.sort_unstable_by_key(|c| {
+                std::cmp::Reverse(WeightedEdge::incident(pivot, c.id.0, c.weight))
+            });
+            out
         }
-    };
-    let edge = |c: &Candidate| WeightedEdge {
-        w: c.weight,
-        a: pivot.0.min(c.id.0),
-        b: pivot.0.max(c.id.0),
-    };
-    out.sort_unstable_by(|x, y| edge(y).cmp(&edge(x)));
-    out
+    }
 }
 
 /// [`edge_weight`] for a probe pivot, with the probe-side statistics passed

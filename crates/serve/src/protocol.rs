@@ -253,7 +253,14 @@ fn parse_retention(
 ) -> Result<Option<Retention>, ServeError> {
     match r.u8()? {
         RETENTION_DEFAULT if allow_default => Ok(None),
-        RETENTION_TOP_K => Ok(Some(Retention::TopK(r.u64()? as usize))),
+        RETENTION_TOP_K => match r.u64()? {
+            0 => Err(ServeError::InvalidRequest(
+                "top-k retention needs a positive count, got 0".into(),
+            )),
+            // A count past the address space keeps everything, as any
+            // k ≥ the neighborhood does.
+            k => Ok(Some(Retention::TopK(usize::try_from(k).unwrap_or(usize::MAX)))),
+        },
         RETENTION_ABOVE_MEAN => Ok(Some(Retention::AboveMean)),
         other => Err(ServeError::InvalidRequest(format!("unknown retention tag {other}"))),
     }
@@ -446,6 +453,17 @@ mod tests {
             let bytes = request_bytes(&req);
             assert_eq!(parse_request(&bytes).unwrap(), req);
         }
+    }
+
+    #[test]
+    fn hostile_top_k_counts_are_rejected_or_saturated() {
+        let zero = CandidateRequest::entity(EntityId(1)).with_retention(Retention::TopK(0));
+        assert!(matches!(
+            parse_request(&request_bytes(&zero)),
+            Err(ServeError::InvalidRequest(msg)) if msg.contains("positive count")
+        ));
+        let all = CandidateRequest::entity(EntityId(1)).with_retention(Retention::TopK(usize::MAX));
+        assert_eq!(parse_request(&request_bytes(&all)).unwrap(), all);
     }
 
     #[test]

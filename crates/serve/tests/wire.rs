@@ -212,6 +212,46 @@ fn corrupt_and_unknown_frames_get_typed_errors() {
     handle.shutdown();
 }
 
+/// Hostile retention counts over the wire: `TopK(0)` is a typed
+/// invalid-request error on a connection that keeps serving, and
+/// `TopK(u64::MAX)` returns the whole neighborhood, ranked — nothing is
+/// sized from `k` (run under `--features sanitize` / debug overflow checks
+/// this would panic on a `k + 1`).
+#[test]
+fn hostile_top_k_counts_get_a_typed_error_or_the_whole_neighborhood() {
+    let profiles: Vec<EntityProfile> = ["alpha beta gamma", "alpha beta", "alpha delta", "beta"]
+        .iter()
+        .enumerate()
+        .map(|(i, text)| EntityProfile::new(format!("p{i}")).with("name", *text))
+        .collect();
+    let snapshot =
+        Snapshot::build(&EntityCollection::dirty(profiles), PipelineConfig::default()).unwrap();
+    let handle = Server::start(snapshot, quick_config()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+
+    let zero = CandidateRequest::entity(EntityId(0)).with_retention(Retention::TopK(0));
+    let err = client.execute(&zero).unwrap_err();
+    assert!(
+        matches!(&err, ServeError::Remote(msg)
+            if msg.contains("invalid request") && msg.contains("positive count")),
+        "{err}"
+    );
+
+    // Same connection: every k at or past the neighborhood size is the
+    // same answer, in descending weight order.
+    let query = |client: &mut Client, k: usize| {
+        let request = CandidateRequest::entity(EntityId(0)).with_retention(Retention::TopK(k));
+        client.execute(&request).unwrap().first().unwrap().clone()
+    };
+    let everything = query(&mut client, usize::MAX);
+    assert_eq!(everything.candidates.len() as u64, everything.edges_scored);
+    assert_eq!(everything.candidates.len(), 3);
+    assert!(everything.candidates.windows(2).all(|w| w[0].weight >= w[1].weight));
+    assert_eq!(query(&mut client, 3), everything);
+    assert_eq!(query(&mut client, 2).candidates, everything.candidates[..2]);
+    handle.shutdown();
+}
+
 #[test]
 fn mid_stream_disconnect_leaves_the_server_serving() {
     let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();

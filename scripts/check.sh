@@ -4,7 +4,9 @@
 # snapshot, re-load it (full checksum + invariant validation) and query it,
 # then an online-serving smoke: `er serve` on an ephemeral port, query it
 # over the wire, hot-reload a second snapshot with zero downtime, re-query,
-# and drain it with `er client shutdown`.
+# and drain it with `er client shutdown`, and last the repository
+# benchmark's smoke mode: the public calls and correctness checks of all six
+# BENCHMARK.json workloads, so what the driver runs cannot break unnoticed.
 # ROADMAP.md's tier-1 verify line is the `build` + `test` subset; this script
 # is the superset a change should pass before review.
 #
@@ -107,6 +109,9 @@ cargo run -q --release -p er-cli -- snapshot inspect --snapshot "$SMOKE_DIR/stag
   | grep -q "delta runs" || { echo "staged snapshot lost its delta run" >&2; exit 1; }
 cargo run -q --release -p er-cli -- query --snapshot "$SMOKE_DIR/staged.mbsnap" \
   --text "john smith 42 main st springfield" --top 5
+
+echo "==> benchmark smoke (benchmark/run.sh --smoke: all six workloads on the tiny preset)"
+benchmark/run.sh --smoke
 
 if [ "$BENCH_SMOKE" -eq 1 ]; then
   echo "==> cargo bench -p er-bench --no-run (bench smoke)"

@@ -108,6 +108,52 @@ fn clean_clean_matrix_is_thread_count_invariant() {
     assert_matrix(&blocks, split, "clean-clean");
 }
 
+/// Groups of four mutually co-occurring profiles, each group spread over
+/// eight blocks: `⌊Σ|b|/|E|⌋ − 1 = 5` while no node has more than three
+/// neighbors, so every CNP selection runs with `k ≥` its neighborhood — the
+/// keep-everything branch of the selection kernel — on graphs wide enough
+/// to chunk.
+fn groups_with_k_past_every_neighborhood() -> BlockCollection {
+    let groups: u32 = 300;
+    let mut blocks = Vec::new();
+    for g in 0..groups {
+        let base = g * 4;
+        for _ in 0..4 {
+            blocks.push(Block::dirty(ids(&[base, base + 1, base + 2, base + 3])));
+        }
+        for _ in 0..2 {
+            blocks.push(Block::dirty(ids(&[base, base + 1])));
+            blocks.push(Block::dirty(ids(&[base + 2, base + 3])));
+        }
+    }
+    BlockCollection::new(ErKind::Dirty, (groups * 4) as usize, blocks)
+}
+
+#[test]
+fn cnp_family_keeps_whole_neighborhoods_on_every_thread_count() {
+    let blocks = groups_with_k_past_every_neighborhood();
+    let n = blocks.num_entities();
+    let directed_edges = n * 3;
+    for (pruning, kept) in [
+        (PruningScheme::Cnp, directed_edges),
+        (PruningScheme::RedefinedCnp, directed_edges / 2),
+        (PruningScheme::ReciprocalCnp, directed_edges / 2),
+    ] {
+        for scheme in WeightingScheme::ALL {
+            let (seq_report, seq_out) = run_observed(&blocks, n, scheme, pruning, 1);
+            assert_eq!(seq_out.len(), kept, "{} + {}", scheme.name(), pruning.name());
+            for threads in [1, 2, 4, 8] {
+                let (report, out) = run_observed(&blocks, n, scheme, pruning, threads);
+                assert_eq!(out, seq_out, "{} x{threads}", pruning.name());
+                assert_eq!(
+                    report.counter_total(Counter::RetainedComparisons),
+                    seq_report.counter_total(Counter::RetainedComparisons)
+                );
+            }
+        }
+    }
+}
+
 /// `threads: 0` (auto-detect) runs and still matches the sequential output.
 #[test]
 fn auto_detected_threads_match_sequential() {
