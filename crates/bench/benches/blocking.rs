@@ -5,12 +5,16 @@
 //! hours. This bench covers the blocking methods plus Block Purging.
 
 use er_bench::clean_workload;
+use er_bench::harness::BatchSize;
 use er_bench::harness::Criterion;
 use er_bench::{criterion_group, criterion_main};
 use er_blocking::{
-    purging, AttributeClusteringBlocking, BlockingMethod, QGramsBlocking, SortedNeighborhood,
-    StandardBlocking, SuffixArraysBlocking, TokenBlocking,
+    purging, AttributeClusteringBlocking, BlockingMethod, KeyBlockBuilder, QGramsBlocking,
+    SortedNeighborhood, StandardBlocking, SuffixArraysBlocking, TokenBlocking,
 };
+use er_datagen::presets;
+use er_model::tokenize::{raw_tokens, KeyScratch, TokenInterner};
+use er_model::EntityCollection;
 use std::hint::black_box;
 
 fn bench_blocking(c: &mut Criterion) {
@@ -47,5 +51,87 @@ fn bench_blocking(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_blocking);
+/// The full `d2c` preset (50.8k profiles, the repository benchmark's
+/// `batch-d2c` collection) with each profile's sorted, distinct tokens: what
+/// Token Blocking hands the interner, one batch per profile — about 1.1 M
+/// lookups over 264k distinct keys, 4 : 1.
+fn d2c_batches() -> (EntityCollection, Vec<KeyScratch>) {
+    let collection = presets::build(&presets::d2c(13)).expect("d2c preset").collection;
+    let batches = collection
+        .iter()
+        .map(|(_, profile)| {
+            let mut keys = KeyScratch::new();
+            for v in profile.values() {
+                for raw in raw_tokens(v) {
+                    let start = keys.begin();
+                    keys.push_lowercase(raw);
+                    keys.commit(start);
+                }
+            }
+            keys.sort_dedup();
+            keys
+        })
+        .collect();
+    (collection, batches)
+}
+
+/// Interning alone, from an empty table each sample: one `intern` per key
+/// against one `intern_all` per profile. Time per lookup is the sample time
+/// over the `x` in the row name.
+fn bench_intern(c: &mut Criterion) {
+    let (_, batches) = d2c_batches();
+    let lookups: usize = batches.iter().map(KeyScratch::len).sum();
+    let mut group = c.benchmark_group("intern");
+    group.sample_size(10);
+    group.bench_function(format!("single_x{lookups}"), |b| {
+        b.iter(|| {
+            let mut interner = TokenInterner::new();
+            let mut sum = 0u64;
+            for keys in &batches {
+                for key in keys.iter() {
+                    sum += u64::from(interner.intern(key).expect("d2c fits u32 addressing"));
+                }
+            }
+            black_box((sum, interner.len()))
+        })
+    });
+    group.bench_function(format!("batched_x{lookups}"), |b| {
+        b.iter(|| {
+            let mut interner = TokenInterner::new();
+            let (mut ids, mut sum) = (Vec::new(), 0u64);
+            for keys in &batches {
+                interner.intern_all(keys, &mut ids).expect("d2c fits u32 addressing");
+                sum += ids.iter().map(|&id| u64::from(id)).sum::<u64>();
+            }
+            black_box((sum, interner.len()))
+        })
+    });
+    group.finish();
+}
+
+/// Grouping alone: `finish` on a builder already holding `d2c`'s postings —
+/// count, prefix-sum, scatter, the ascending check per group, then block
+/// emission. Filling the builder is set-up, not timed.
+fn bench_group_postings(c: &mut Criterion) {
+    let (collection, batches) = d2c_batches();
+    let postings: usize = batches.iter().map(KeyScratch::len).sum();
+    let mut group = c.benchmark_group("group_postings");
+    group.sample_size(10);
+    group.bench_function(format!("finish_x{postings}"), |b| {
+        b.iter_batched(
+            || {
+                let mut builder = KeyBlockBuilder::new(&collection);
+                for ((id, _), keys) in collection.iter().zip(&batches) {
+                    builder.assign_all(keys, id);
+                }
+                builder
+            },
+            |builder| black_box(builder.finish()),
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_blocking, bench_intern, bench_group_postings);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Attribute-Clustering Blocking (Papadakis et al., TKDE'13).
 
-use crate::builder::KeyBlockBuilder;
+use crate::builder::{assert_fits, KeyBlockBuilder};
 use crate::method::BlockingMethod;
 use er_model::fxhash::FxHashMap;
 use er_model::matching::jaccard_sorted;
@@ -70,6 +70,7 @@ impl BlockingMethod for AttributeClusteringBlocking {
         let mut attr_tokens: Vec<Vec<u32>> = Vec::new();
         let mut attr_side: Vec<bool> = Vec::new();
         let mut interner = TokenInterner::new();
+        let mut overflow = None;
         let mut low = String::new();
         let clean = collection.kind() == ErKind::CleanClean;
 
@@ -86,10 +87,14 @@ impl BlockingMethod for AttributeClusteringBlocking {
                 for raw in raw_tokens(&a.value) {
                     low.clear();
                     push_lowercase(&mut low, raw);
-                    attr_tokens[attr].push(interner.intern(&low));
+                    match interner.intern(&low) {
+                        Ok(token) => attr_tokens[attr].push(token),
+                        Err(o) => overflow = overflow.or(Some(o)),
+                    }
                 }
             }
         }
+        assert_fits(overflow);
         for set in &mut attr_tokens {
             set.sort_unstable();
             set.dedup();
@@ -142,9 +147,7 @@ impl BlockingMethod for AttributeClusteringBlocking {
                 }
             }
             scratch.sort_dedup();
-            for k in scratch.iter() {
-                builder.assign(k, id);
-            }
+            builder.assign_all(&scratch, id);
         }
         builder.finish()
     }

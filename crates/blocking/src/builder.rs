@@ -9,12 +9,13 @@
 //!
 //! Internally the builder is allocation-lean: keys are interned to dense
 //! `u32` ids through [`TokenInterner`] and every assignment is one
-//! `(key_id, entity)` posting in a single flat vector. `finish` sorts the
-//! postings, groups them by key id and streams the surviving groups straight
-//! into the CSR arena of [`BlockCollection`] — no per-key `Vec<EntityId>`
-//! pair ever exists.
+//! `(key_id, entity)` posting in a single flat vector. `finish` groups the
+//! postings by key id with a counting sort — key ids are dense, so grouping
+//! needs no comparison — and streams the surviving groups straight into the
+//! CSR arena of [`BlockCollection`]; no per-key `Vec<EntityId>` pair ever
+//! exists.
 
-use er_model::tokenize::TokenInterner;
+use er_model::tokenize::{ArenaOverflow, KeyArena, KeyScratch, TokenInterner};
 use er_model::{BlockCollection, BlockCollectionBuilder, EntityCollection, EntityId, ErKind};
 
 /// Accumulates `(key, entity)` assignments and finalizes them into a
@@ -27,6 +28,10 @@ pub struct KeyBlockBuilder {
     interner: TokenInterner,
     /// One `(key_id, entity)` pair per assignment, in arrival order.
     postings: Vec<(u32, EntityId)>,
+    /// [`KeyBlockBuilder::assign_all`]'s per-batch key ids, kept for reuse.
+    ids: Vec<u32>,
+    /// The first refusal of the interner to grow; reported when finishing.
+    overflow: Option<ArenaOverflow>,
     kind: ErKind,
     split: usize,
     num_entities: usize,
@@ -38,6 +43,8 @@ impl KeyBlockBuilder {
         KeyBlockBuilder {
             interner: TokenInterner::new(),
             postings: Vec::new(),
+            ids: Vec::new(),
+            overflow: None,
             kind: collection.kind(),
             split: collection.split(),
             num_entities: collection.len(),
@@ -48,12 +55,28 @@ impl KeyBlockBuilder {
     ///
     /// Repeated assignments of the same entity to the same key are ignored
     /// (a profile mentioning a token twice still joins that token's block
-    /// once) — the postings are sorted and deduplicated in
-    /// [`KeyBlockBuilder::finish`], so the order assignments arrive in does
-    /// not matter for correctness, only for the first-seen key order.
+    /// once), and the order assignments arrive in does not matter for
+    /// correctness, only for the first-seen key order: finishing sorts and
+    /// deduplicates whichever key's members did not arrive strictly
+    /// ascending.
+    ///
+    /// A key table outgrowing its `u32` addressing is reported when
+    /// finishing, not here.
     pub fn assign(&mut self, key: &str, entity: EntityId) {
-        let key_id = self.interner.intern(key);
-        self.postings.push((key_id, entity));
+        match self.interner.intern(key) {
+            Ok(key_id) => self.postings.push((key_id, entity)),
+            Err(overflow) => self.overflow = self.overflow.or(Some(overflow)),
+        }
+    }
+
+    /// Assigns `entity` to the block of every key in `keys`, in order —
+    /// [`KeyBlockBuilder::assign`] once per key, with the lookups batched
+    /// ([`TokenInterner::intern_all`]).
+    pub fn assign_all(&mut self, keys: &KeyScratch, entity: EntityId) {
+        if let Err(overflow) = self.interner.intern_all(keys, &mut self.ids) {
+            self.overflow = self.overflow.or(Some(overflow));
+        }
+        self.postings.extend(self.ids.iter().map(|&key_id| (key_id, entity)));
     }
 
     /// Number of distinct keys seen so far.
@@ -68,29 +91,168 @@ impl KeyBlockBuilder {
     /// Blocks are emitted in ascending key id — i.e. first-seen key order —
     /// with members ascending within each block (and within each side for
     /// Clean-Clean ER).
-    pub fn finish(self) -> BlockCollection {
-        self.finish_keyed().0
+    ///
+    /// # Panics
+    /// With the [`ArenaOverflow`] message if the keys outgrew `u32`
+    /// addressing (2³² − 1 distinct keys or 4 GiB of key text).
+    pub fn finish(mut self) -> BlockCollection {
+        assert_fits(self.overflow);
+        // Nothing below reads a key again: free the table before grouping
+        // allocates, so the two never add up.
+        let num_keys = std::mem::take(&mut self.interner).len();
+        self.group(num_keys).0
     }
 
     /// Like [`KeyBlockBuilder::finish`], but keeps the key provenance: the
     /// returned vector holds the interned key id of every emitted block (in
-    /// block order), and the interner maps those ids back to key strings.
+    /// block order), and the arena maps those ids back to key strings.
     ///
     /// A serving index persists both so an online probe can resolve its
-    /// tokens straight to block ids without re-running blocking.
-    pub fn finish_keyed(mut self) -> (BlockCollection, Vec<u32>, TokenInterner) {
-        self.postings.sort_unstable();
-        self.postings.dedup();
-        let (blocks, keys) = blocks_from_sorted_postings(
+    /// tokens straight to block ids without re-running blocking. Returns
+    /// the overflow [`KeyBlockBuilder::finish`] panics with.
+    pub fn finish_keyed(mut self) -> Result<(BlockCollection, Vec<u32>, KeyArena), ArenaOverflow> {
+        if let Some(overflow) = self.overflow {
+            return Err(overflow);
+        }
+        // As in `finish`, the lookup table goes before grouping allocates.
+        let vocabulary = std::mem::take(&mut self.interner).into_keys();
+        let (blocks, keys) = self.group(vocabulary.len());
+        Ok((blocks, keys, vocabulary))
+    }
+
+    fn group(self, num_keys: usize) -> (BlockCollection, Vec<u32>) {
+        let grouped = GroupedPostings::new(&self.postings, num_keys);
+        #[cfg(feature = "sanitize")]
+        assert!(
+            grouped.iter().eq(sorted_dedup_oracle(&self.postings)),
+            "mb-sanitize: counting-sort grouping diverged from sort + dedup"
+        );
+        drop(self.postings);
+        blocks_from_sorted_postings(
             self.kind,
             self.num_entities,
             self.split,
-            self.interner.len(),
-            self.postings.len(),
-            self.postings.iter().copied(),
-        );
-        (blocks, keys, self.interner)
+            num_keys,
+            grouped.entities.len(),
+            grouped.iter(),
+        )
     }
+}
+
+/// Panics with the overflow's message if there is one: how the infallible
+/// [`crate::BlockingMethod::build`]s report a key table past `u32`
+/// addressing.
+pub(crate) fn assert_fits(overflow: Option<ArenaOverflow>) {
+    let message = overflow.map(|o| o.to_string());
+    assert!(message.is_none(), "{}", message.unwrap_or_default());
+}
+
+/// Postings grouped by key id: key `k`'s members are
+/// `entities[starts[k]..starts[k + 1]]`, strictly ascending.
+struct GroupedPostings {
+    starts: Vec<u32>,
+    entities: Vec<EntityId>,
+}
+
+impl GroupedPostings {
+    /// Groups `postings` (any order, repeats allowed) over key ids
+    /// `0..num_keys` without comparing keys: count per key, prefix-sum,
+    /// stable scatter. A key's members then sit in arrival order, which for
+    /// a builder that walks the collection once is already strictly
+    /// ascending; a group that is not is sorted and deduplicated in place,
+    /// and the groups after it close the gap.
+    ///
+    /// # Panics
+    /// If there are 2³² postings or more.
+    fn new(postings: &[(u32, EntityId)], num_keys: usize) -> GroupedPostings {
+        assert!(
+            u32::try_from(postings.len()).is_ok(),
+            "{} postings do not fit u32 offsets",
+            postings.len()
+        );
+        // `starts[k + 1]` is key k's write cursor: it begins at k's start
+        // and the scatter advances it to k's end, which is k + 1's start —
+        // so the cursors finish as the offset table, with `starts[0] = 0`.
+        let mut starts = vec![0u32; num_keys + 1];
+        for &(key, _) in postings {
+            starts[key as usize + 1] += 1;
+        }
+        let mut sum = 0u32;
+        for cursor in &mut starts[1..] {
+            let count = *cursor;
+            *cursor = sum;
+            sum += count;
+        }
+        let mut entities = vec![EntityId(0); postings.len()];
+        for &(key, entity) in postings {
+            let cursor = &mut starts[key as usize + 1];
+            entities[*cursor as usize] = entity;
+            *cursor += 1;
+        }
+
+        // `read..end` is group k as scattered, `write` where it belongs once
+        // every earlier group has dropped its repeats.
+        let (mut read, mut write) = (0usize, 0usize);
+        for k in 0..num_keys {
+            let end = starts[k + 1] as usize;
+            starts[k] = write as u32;
+            if entities[read..end].windows(2).all(|w| w[0] < w[1]) {
+                if write != read {
+                    entities.copy_within(read..end, write);
+                }
+                write += end - read;
+            } else {
+                entities[read..end].sort_unstable();
+                let mut last = None;
+                for i in read..end {
+                    let entity = entities[i];
+                    if last != Some(entity) {
+                        entities[write] = entity;
+                        write += 1;
+                        last = Some(entity);
+                    }
+                }
+            }
+            read = end;
+        }
+        starts[num_keys] = write as u32;
+        entities.truncate(write);
+        GroupedPostings { starts, entities }
+    }
+
+    /// The postings as `(key_id, entity)`, sorted and free of repeats.
+    fn iter(&self) -> GroupedIter<'_> {
+        GroupedIter { grouped: self, key: 0, pos: 0 }
+    }
+}
+
+struct GroupedIter<'a> {
+    grouped: &'a GroupedPostings,
+    key: usize,
+    pos: usize,
+}
+
+impl Iterator for GroupedIter<'_> {
+    type Item = (u32, EntityId);
+
+    fn next(&mut self) -> Option<(u32, EntityId)> {
+        let &entity = self.grouped.entities.get(self.pos)?;
+        // `pos` is below the last offset, so a group containing it exists.
+        while self.grouped.starts[self.key + 1] as usize <= self.pos {
+            self.key += 1;
+        }
+        self.pos += 1;
+        Some((self.key as u32, entity))
+    }
+}
+
+/// What grouping must equal: the comparison sort it replaced.
+#[cfg(any(test, feature = "sanitize"))]
+fn sorted_dedup_oracle(postings: &[(u32, EntityId)]) -> Vec<(u32, EntityId)> {
+    let mut sorted = postings.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted
 }
 
 /// Groups an already-sorted, deduplicated `(key_id, entity)` posting stream
@@ -241,11 +403,10 @@ mod tests {
         b.assign("beta", EntityId(2));
         b.assign("gamma", EntityId(3)); // singleton -> dropped
         b.assign("alpha", EntityId(4));
-        let (blocks, keys, interner) = b.finish_keyed();
+        let (blocks, keys, vocabulary) = b.finish_keyed().unwrap();
         assert_eq!(blocks.size(), 2);
         assert_eq!(keys.len(), 2);
-        let names: Vec<(String, u32)> = interner.into_entries();
-        let key_name = |id: u32| names.iter().find(|&&(_, i)| i == id).unwrap().0.as_str();
+        let key_name = |id: u32| vocabulary.get(id);
         // Block order follows first-seen key order: "beta" then "alpha".
         assert_eq!(key_name(keys[0]), "beta");
         assert_eq!(key_name(keys[1]), "alpha");
@@ -267,7 +428,7 @@ mod tests {
             b
         };
         let plain = build().finish();
-        let (keyed, keys, _) = build().finish_keyed();
+        let (keyed, keys, _) = build().finish_keyed().unwrap();
         assert_eq!(plain.size(), keyed.size());
         assert_eq!(keys.len(), keyed.size());
         for k in 0..plain.size() {
@@ -288,5 +449,147 @@ mod tests {
         // "beta" was seen first, so its block precedes "alpha"'s.
         assert_eq!(blocks.block(0).left()[1], EntityId(1));
         assert_eq!(blocks.block(1).left()[1], EntityId(2));
+    }
+    /// xorshift64*, the house generator for seeded tests.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    fn assert_groups_like_the_oracle(postings: &[(u32, EntityId)], num_keys: usize, case: &str) {
+        let grouped = GroupedPostings::new(postings, num_keys);
+        assert_eq!(grouped.starts.len(), num_keys + 1, "{case}");
+        assert!(grouped.iter().eq(sorted_dedup_oracle(postings)), "{case}");
+    }
+
+    #[test]
+    fn grouping_equals_sort_and_dedup_for_any_arrival_order() {
+        let mut next = rng(0xB10C);
+        for round in 0..40 {
+            let num_keys = 1 + (next() % 300) as usize;
+            let entities = 1 + (next() % 500) as u32;
+            let n = (next() % 4000) as usize;
+            // Skewed keys (squaring a uniform draw), so some groups are long
+            // and many keys stay empty.
+            let ascending: Vec<(u32, EntityId)> = {
+                let mut p: Vec<(u32, EntityId)> = (0..n)
+                    .map(|_| {
+                        let u = next() % num_keys as u64;
+                        (
+                            (u * u / num_keys as u64) as u32,
+                            EntityId((next() % entities as u64) as u32),
+                        )
+                    })
+                    .collect();
+                p.sort_unstable_by_key(|&(_, e)| e);
+                p
+            };
+            assert_groups_like_the_oracle(
+                &ascending,
+                num_keys,
+                &format!("round {round} ascending"),
+            );
+
+            let descending: Vec<_> = ascending.iter().rev().copied().collect();
+            assert_groups_like_the_oracle(
+                &descending,
+                num_keys,
+                &format!("round {round} descending"),
+            );
+
+            let mut shuffled = ascending.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            assert_groups_like_the_oracle(&shuffled, num_keys, &format!("round {round} shuffled"));
+
+            let mut duplicated = shuffled.clone();
+            duplicated.extend_from_slice(&ascending[..ascending.len() / 2]);
+            assert_groups_like_the_oracle(
+                &duplicated,
+                num_keys,
+                &format!("round {round} duplicated"),
+            );
+        }
+        assert_groups_like_the_oracle(&[], 0, "no keys");
+        assert_groups_like_the_oracle(&[], 7, "keys without postings");
+    }
+
+    #[test]
+    fn assign_in_any_order_builds_the_blocks_of_the_sorted_postings() {
+        // Through the public surface: descending, shuffled and repeated
+        // `assign`s, then `finish_keyed` against the sort + dedup oracle fed
+        // to the same emission routine.
+        let mut next = rng(7);
+        for clean_clean in [false, true] {
+            let n = 120usize;
+            let collection = if clean_clean {
+                EntityCollection::clean_clean(
+                    vec![EntityProfile::new("l"); 50],
+                    vec![EntityProfile::new("r"); n - 50],
+                )
+            } else {
+                dirty(n)
+            };
+            let mut assignments: Vec<(String, EntityId)> = (0..1500)
+                .map(|_| (format!("k{}", next() % 90), EntityId((next() % n as u64) as u32)))
+                .collect();
+            assignments.sort_by_key(|a| std::cmp::Reverse(a.1));
+            let cut = assignments.len() / 3;
+            for i in (1..cut).rev() {
+                assignments.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut builder = KeyBlockBuilder::new(&collection);
+            let mut oracle_interner = er_model::tokenize::Interner::new();
+            let mut postings = Vec::new();
+            for (key, entity) in &assignments {
+                builder.assign(key, *entity);
+                postings.push((oracle_interner.intern(key), *entity));
+            }
+            let (blocks, keys, vocabulary) = builder.finish_keyed().unwrap();
+            let sorted = sorted_dedup_oracle(&postings);
+            let (expected, expected_keys) = blocks_from_sorted_postings(
+                collection.kind(),
+                collection.len(),
+                collection.split(),
+                oracle_interner.len(),
+                sorted.len(),
+                sorted.iter().copied(),
+            );
+            assert_eq!(blocks.raw_parts(), expected.raw_parts(), "cc={clean_clean}");
+            assert_eq!(keys, expected_keys);
+            assert!(vocabulary
+                .iter()
+                .eq((0..oracle_interner.len() as u32).map(|id| oracle_interner.resolve(id))));
+        }
+    }
+
+    #[test]
+    fn assign_all_is_assign_per_key() {
+        let c = dirty(3);
+        let mut scratch = KeyScratch::new();
+        let (mut batched, mut single) = (KeyBlockBuilder::new(&c), KeyBlockBuilder::new(&c));
+        for (entity, text) in [(0u32, "b a c"), (1, "c d"), (2, "a d e")] {
+            scratch.clear();
+            for t in text.split(' ') {
+                let start = scratch.begin();
+                scratch.push_str(t);
+                scratch.commit(start);
+            }
+            batched.assign_all(&scratch, EntityId(entity));
+            for t in scratch.iter() {
+                single.assign(t, EntityId(entity));
+            }
+        }
+        let (b, bk, bi) = batched.finish_keyed().unwrap();
+        let (s, sk, si) = single.finish_keyed().unwrap();
+        assert_eq!(b.raw_parts(), s.raw_parts());
+        assert_eq!(bk, sk);
+        assert_eq!(bi, si);
     }
 }

@@ -57,9 +57,7 @@ impl BlockingMethod for QGramsBlocking {
                 }
             }
             scratch.sort_dedup();
-            for g in scratch.iter() {
-                builder.assign(g, id);
-            }
+            builder.assign_all(&scratch, id);
         }
         builder.finish()
     }

@@ -38,9 +38,7 @@ impl BlockingMethod for StandardBlocking {
                 scratch.commit(start); // valueless keys are dropped here
             }
             scratch.sort_dedup();
-            for k in scratch.iter() {
-                builder.assign(k, id);
-            }
+            builder.assign_all(&scratch, id);
         }
         builder.finish()
     }

@@ -55,9 +55,7 @@ impl BlockingMethod for SuffixArraysBlocking {
                 }
             }
             scratch.sort_dedup();
-            for s in scratch.iter() {
-                builder.assign(s, id);
-            }
+            builder.assign_all(&scratch, id);
         }
         let mut blocks = builder.finish();
         let max = self.max_block_size;

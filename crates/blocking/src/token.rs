@@ -2,8 +2,8 @@
 
 use crate::builder::KeyBlockBuilder;
 use crate::method::BlockingMethod;
-use er_model::tokenize::{raw_tokens, KeyScratch, TokenInterner};
-use er_model::{BlockCollection, EntityCollection};
+use er_model::tokenize::{raw_tokens, ArenaOverflow, KeyArena, KeyScratch, TokenInterner};
+use er_model::{BlockCollection, EntityCollection, EntityId, EntityProfile};
 
 /// Schema-agnostic Token Blocking: "it splits the attribute values of every
 /// entity profile into tokens based on whitespace; then, it creates a
@@ -28,20 +28,22 @@ pub struct TokenBlocking;
 
 impl TokenBlocking {
     /// [`BlockingMethod::build`] with key provenance: also returns the
-    /// interned token id of every emitted block plus the interner that maps
-    /// ids back to token strings — the inputs a serving snapshot persists so
-    /// online probes can tokenize against the *same* vocabulary.
+    /// interned token id of every emitted block plus the vocabulary that
+    /// maps ids back to token strings — the inputs a serving snapshot
+    /// persists so online probes can tokenize against the *same* vocabulary.
     ///
-    /// The block collection is identical to [`BlockingMethod::build`]'s.
+    /// The block collection is identical to [`BlockingMethod::build`]'s; a
+    /// vocabulary past `u32` addressing is an error here where `build`
+    /// panics.
     pub fn build_keyed(
         &self,
         collection: &EntityCollection,
-    ) -> (BlockCollection, Vec<u32>, TokenInterner) {
+    ) -> Result<(BlockCollection, Vec<u32>, KeyArena), ArenaOverflow> {
         self.fill(collection).finish_keyed()
     }
 
     /// Streams every `(interned token id, entity)` assignment to `sink`
-    /// instead of accumulating it, and returns the interner.
+    /// instead of accumulating it, and returns the vocabulary.
     ///
     /// Tokenization, interning order and assignment order are *exactly*
     /// those of [`TokenBlocking::build_keyed`] — this is the same extraction
@@ -52,25 +54,19 @@ impl TokenBlocking {
     pub fn stream_postings(
         &self,
         collection: &EntityCollection,
-        sink: &mut dyn FnMut(u32, er_model::EntityId),
-    ) -> TokenInterner {
+        sink: &mut dyn FnMut(u32, EntityId),
+    ) -> Result<KeyArena, ArenaOverflow> {
         let mut interner = TokenInterner::new();
         let mut scratch = KeyScratch::new();
+        let mut ids = Vec::new();
         for (id, profile) in collection.iter() {
-            scratch.clear();
-            for v in profile.values() {
-                for raw in raw_tokens(v) {
-                    let start = scratch.begin();
-                    scratch.push_lowercase(raw);
-                    scratch.commit(start);
-                }
-            }
-            scratch.sort_dedup();
-            for t in scratch.iter() {
-                sink(interner.intern(t), id);
+            profile_tokens(profile, &mut scratch);
+            interner.intern_all(&scratch, &mut ids)?;
+            for &token in &ids {
+                sink(token, id);
             }
         }
-        interner
+        Ok(interner.into_keys())
     }
 
     /// The shared token-extraction pass behind both build flavors.
@@ -78,24 +74,26 @@ impl TokenBlocking {
         let mut builder = KeyBlockBuilder::new(collection);
         let mut scratch = KeyScratch::new();
         for (id, profile) in collection.iter() {
-            scratch.clear();
-            for v in profile.values() {
-                for raw in raw_tokens(v) {
-                    let start = scratch.begin();
-                    scratch.push_lowercase(raw);
-                    scratch.commit(start);
-                }
-            }
-            // Sorting the profile's tokens keeps the first-seen key order —
-            // and hence the block order — identical to the historical
-            // `Vec<String>` implementation.
-            scratch.sort_dedup();
-            for t in scratch.iter() {
-                builder.assign(t, id);
-            }
+            profile_tokens(profile, &mut scratch);
+            builder.assign_all(&scratch, id);
         }
         builder
     }
+}
+
+/// Replaces `scratch`'s contents with `profile`'s distinct lowercased
+/// tokens, sorted — which keeps the first-seen key order, and hence the
+/// block order, identical to the historical `Vec<String>` implementation.
+fn profile_tokens(profile: &EntityProfile, scratch: &mut KeyScratch) {
+    scratch.clear();
+    for v in profile.values() {
+        for raw in raw_tokens(v) {
+            let start = scratch.begin();
+            scratch.push_lowercase(raw);
+            scratch.commit(start);
+        }
+    }
+    scratch.sort_dedup();
 }
 
 impl BlockingMethod for TokenBlocking {
@@ -111,7 +109,7 @@ impl BlockingMethod for TokenBlocking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_model::{EntityId, EntityProfile, ErKind};
+    use er_model::ErKind;
 
     use crate::fixtures::figure1_profiles;
 
@@ -163,14 +161,13 @@ mod tests {
     fn keyed_build_matches_plain_build_and_names_every_block() {
         let e = EntityCollection::dirty(figure1_profiles());
         let plain = TokenBlocking.build(&e);
-        let (keyed, keys, interner) = TokenBlocking.build_keyed(&e);
+        let (keyed, keys, vocabulary) = TokenBlocking.build_keyed(&e).unwrap();
         assert_eq!(plain.size(), keyed.size());
         assert_eq!(keys.len(), keyed.size());
         for k in 0..plain.size() {
             assert_eq!(plain.block(k).left(), keyed.block(k).left());
         }
-        let entries = interner.into_entries();
-        let name = |id: u32| entries[id as usize].0.as_str();
+        let name = |id: u32| vocabulary.get(id);
         // The 4-member block is the "car" token's.
         let car = (0..keyed.size()).find(|&k| keyed.block(k).size() == 4).unwrap();
         assert_eq!(name(keys[car]), "car");

@@ -5,11 +5,14 @@
 //! and strip punctuation so that `Car-Vendor` and `car vendor` co-occur — the
 //! same normalization the reference implementation applies.
 //!
-//! Tokens are interned to dense `u32` ids through [`Interner`]; every
-//! downstream structure (blocks, token sets for Jaccard matching) works on
-//! ids, never on strings.
+//! Tokens are interned to dense `u32` ids; every downstream structure
+//! (blocks, token sets for Jaccard matching) works on ids, never on strings.
+//! [`Interner`] is the general two-table one (a `String` per key each way);
+//! [`TokenInterner`] is the blocking front-end's — keys back to back in a
+//! [`KeyArena`], one flat table of `u64` slots, lookups batched per profile.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
+use std::hash::Hasher;
 
 /// Splits a value into normalized whitespace tokens.
 ///
@@ -136,15 +139,165 @@ impl Interner {
     }
 }
 
-/// A key interner specialised for the blocking front-end: key → dense `u32`
-/// in first-seen order, holding exactly one owned copy of each key.
+/// Blocking keys stored back to back in id order: one text buffer plus the
+/// byte offset at which every key ends. No key owns an allocation, and the
+/// two vectors are exactly the `tokoffsets` / `tokblob` sections of a serving
+/// snapshot, so the vocabulary is frozen without being copied.
 ///
-/// Unlike [`Interner`] there is no reverse (`id → str`) table — the blocking
-/// builders only ever need the forward direction, so each new key costs one
-/// allocation instead of two and half the resident strings.
-#[derive(Debug, Default)]
+/// Invariant (fields are private to keep it): `offsets` starts with 0, is
+/// non-decreasing, ends at `text.len()`, and every entry is a char boundary
+/// of `text`; both the key count + 1 and the text length fit in `u32`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyArena {
+    /// Key `id` is `text[offsets[id]..offsets[id + 1]]`.
+    offsets: Vec<u32>,
+    text: String,
+}
+
+impl Default for KeyArena {
+    fn default() -> Self {
+        KeyArena { offsets: vec![0], text: String::new() }
+    }
+}
+
+/// A [`KeyArena`] (and so a [`TokenInterner`]) addresses keys and key text
+/// with `u32`s; this is the refusal to grow past that, in place of a
+/// wrapped id or offset that would alias another key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArenaOverflow {
+    /// Keys the arena would have held.
+    pub keys: u64,
+    /// Bytes of key text the arena would have held.
+    pub text_bytes: u64,
+}
+
+impl std::fmt::Display for ArenaOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "blocking key table exceeds u32 addressing: {} keys, {} bytes of key text",
+            self.keys, self.text_bytes
+        )
+    }
+}
+
+impl std::error::Error for ArenaOverflow {}
+
+/// The id and the end offset a key of `key_len` bytes gets when appended to
+/// an arena of `keys` keys and `text_len` bytes. Takes the sizes, not the
+/// arena, so the limits are testable without 4 GiB of key text.
+///
+/// The id limit is `u32::MAX - 1`, not `u32::MAX`: the interner's slots and
+/// the snapshot's `tokoffsets` length prefix both store `id + 1`.
+fn arena_slot(keys: usize, text_len: usize, key_len: usize) -> Result<(u32, u32), ArenaOverflow> {
+    let end = text_len.checked_add(key_len);
+    let id = u32::try_from(keys).ok().filter(|&id| id < u32::MAX);
+    match (id, end.and_then(|e| u32::try_from(e).ok())) {
+        (Some(id), Some(end)) => Ok((id, end)),
+        _ => Err(ArenaOverflow {
+            keys: (keys as u64).saturating_add(1),
+            text_bytes: end.map_or(u64::MAX, |e| e as u64),
+        }),
+    }
+}
+
+impl KeyArena {
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the arena holds no key.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The ids in use, `0..len`.
+    pub fn ids(&self) -> std::ops::Range<u32> {
+        // `arena_slot` admitted every key, so the count fits.
+        0..(self.len() as u32)
+    }
+
+    /// The key with the given id.
+    ///
+    /// # Panics
+    /// If `id` is not below [`KeyArena::len`].
+    pub fn get(&self, id: u32) -> &str {
+        let i = id as usize;
+        &self.text[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The keys in id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.offsets.windows(2).map(|w| &self.text[w[0] as usize..w[1] as usize])
+    }
+
+    /// `len + 1` byte offsets into [`KeyArena::text`]: key `id` spans
+    /// `offsets[id]..offsets[id + 1]`.
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every key's text, concatenated in id order.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The bytes of the key with the given id: [`KeyArena::get`] without
+    /// the char-boundary checks, for comparing and hashing.
+    ///
+    /// # Panics
+    /// If `id` is not below [`KeyArena::len`].
+    pub fn bytes(&self, id: u32) -> &[u8] {
+        let i = id as usize;
+        &self.text.as_bytes()[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    fn push(&mut self, key: &str) -> Result<u32, ArenaOverflow> {
+        let (id, end) = arena_slot(self.len(), self.text.len(), key.len())?;
+        self.text.push_str(key);
+        self.offsets.push(end);
+        Ok(id)
+    }
+}
+
+/// Hash of a key's bytes; the slot table indexes by its top bits and keeps
+/// its top half as the tag.
+fn hash_key(key: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(key.as_bytes());
+    h.finish()
+}
+
+/// Fewest slots a non-empty table has.
+const MIN_SLOTS: u64 = 64;
+
+/// Most slots a table can have: the stored 32-bit tag must still determine
+/// a slot's home. Ids stop at `u32::MAX - 1`, so a slot always stays vacant.
+const MAX_SLOTS: u64 = 1 << 32;
+
+/// A key interner specialised for the blocking front-end: key → dense `u32`
+/// in first-seen order.
+///
+/// Keys live in a [`KeyArena`]; the lookup structure is one flat
+/// open-addressing table of `u64` slots, `0` for vacant and otherwise
+/// `tag << 32 | id + 1`, where `tag` is the top half of the key's hash. A
+/// slot's home index is the top bits of the hash — and so of the slot
+/// itself — which lets the table grow by re-seating slots without reading a
+/// single key byte. Probing is linear. A lookup therefore costs one cache
+/// miss for the slot and, on a tag hit, one for the key bytes; a new key
+/// costs an append, never an allocation of its own, and there is nothing to
+/// drop per key.
+///
+/// Unlike [`Interner`] ids cannot be narrowed silently: growing past what a
+/// `u32` addresses is an [`ArenaOverflow`].
+#[derive(Debug, Clone, Default)]
 pub struct TokenInterner {
-    ids: FxHashMap<String, u32>,
+    keys: KeyArena,
+    /// Empty or a power of two long, at most three quarters full.
+    slots: Vec<u64>,
+    /// [`TokenInterner::intern_all`]'s per-batch hashes, kept for reuse.
+    hashes: Vec<u64>,
 }
 
 impl TokenInterner {
@@ -153,38 +306,138 @@ impl TokenInterner {
         Self::default()
     }
 
-    /// Returns the id for `s`, allocating one if unseen.
-    pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.ids.get(s) {
-            return id;
+    /// Returns the id for `key`, allocating one if unseen.
+    pub fn intern(&mut self, key: &str) -> Result<u32, ArenaOverflow> {
+        self.reserve_slots(1);
+        self.resolve(key, hash_key(key))
+    }
+
+    /// Interns every key of `keys` in order, writing their ids to `ids`
+    /// (cleared first) — the same ids one [`TokenInterner::intern`] call per
+    /// key would return, about twice as fast on a table that has outgrown
+    /// the cache.
+    ///
+    /// A lookup is a chain of dependent cache misses (slot, then offsets,
+    /// then key bytes), and looked up one key at a time the chains run back
+    /// to back. Here the whole batch is hashed first, then a loop that does
+    /// nothing else loads every key's home slot and, where the tag matches,
+    /// the last byte of the stored key. Those loads are independent of each
+    /// other, so the processor overlaps their misses; the sequential resolve
+    /// pass that follows finds its lines in cache. Table room for the whole
+    /// batch is reserved up front so the slots cannot move in between.
+    pub fn intern_all(
+        &mut self,
+        keys: &KeyScratch,
+        ids: &mut Vec<u32>,
+    ) -> Result<(), ArenaOverflow> {
+        ids.clear();
+        if keys.is_empty() {
+            return Ok(());
         }
-        let id = self.ids.len() as u32;
-        self.ids.insert(s.to_owned(), id);
-        id
+        self.reserve_slots(keys.len());
+        let mut hashes = std::mem::take(&mut self.hashes);
+        hashes.clear();
+        hashes.extend(keys.iter().map(hash_key));
+
+        let shift = self.home_shift();
+        let mut touched = 0u8;
+        for &hash in &hashes {
+            let slot = self.slots[(hash >> shift) as usize];
+            if slot != 0 && slot >> 32 == hash >> 32 {
+                // The slot's low half is `id + 1`, the index of the key's end.
+                let end = self.keys.offsets[slot as u32 as usize] as usize;
+                if let Some(&last) = self.keys.text.as_bytes().get(end.wrapping_sub(1)) {
+                    touched ^= last;
+                }
+            }
+        }
+        // The loads above are the point; keep them from being optimised out.
+        std::hint::black_box(touched);
+
+        let result = keys.iter().zip(&hashes).try_for_each(|(key, &hash)| {
+            ids.push(self.resolve(key, hash)?);
+            Ok(())
+        });
+        self.hashes = hashes;
+        result
     }
 
     /// Number of distinct interned keys.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.keys.len()
     }
 
     /// Whether nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.keys.is_empty()
     }
 
-    /// Consumes the interner into its `(key, id)` entries, sorted by id —
-    /// i.e. first-seen key order.
-    ///
-    /// `FxHashMap` iteration order is nondeterministic, so this is the only
-    /// reproducible way to enumerate the key table (the snapshot encoder
-    /// depends on it). Ids are dense, so entry `i` always carries id `i`.
-    /// The owned key strings are moved out, preserving the
-    /// one-allocation-per-key design.
-    pub fn into_entries(self) -> Vec<(String, u32)> {
-        let mut entries: Vec<(String, u32)> = self.ids.into_iter().collect();
-        entries.sort_unstable_by_key(|&(_, id)| id);
-        entries
+    /// The interned keys; key `id` is `keys().get(id)`.
+    pub fn keys(&self) -> &KeyArena {
+        &self.keys
+    }
+
+    /// Consumes the interner into its keys, dropping the lookup table.
+    pub fn into_keys(self) -> KeyArena {
+        self.keys
+    }
+
+    /// How far to shift a hash (or a slot) right to get its home index.
+    /// Only meaningful on a non-empty table.
+    fn home_shift(&self) -> u32 {
+        64 - self.slots.len().trailing_zeros()
+    }
+
+    /// Makes room for `extra` more keys at no more than three quarters
+    /// load, growing the table at most once.
+    fn reserve_slots(&mut self, extra: usize) {
+        let keys = (self.keys.len() as u64).saturating_add(extra as u64);
+        if keys.saturating_mul(4) <= (self.slots.len() as u64).saturating_mul(3) {
+            return;
+        }
+        let len = keys
+            .saturating_add(keys / 3 + 1)
+            .checked_next_power_of_two()
+            .map_or(MAX_SLOTS, |len| len.clamp(MIN_SLOTS, MAX_SLOTS));
+        // A length past the address space fails in the allocation below,
+        // like any other oversized `Vec`.
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        if len == self.slots.len() {
+            return;
+        }
+        let old = std::mem::replace(&mut self.slots, vec![0; len]);
+        let (shift, mask) = (self.home_shift(), len - 1);
+        for slot in old {
+            if slot != 0 {
+                let mut i = (slot >> shift) as usize;
+                while self.slots[i] != 0 {
+                    i = (i + 1) & mask;
+                }
+                self.slots[i] = slot;
+            }
+        }
+    }
+
+    /// The one lookup-or-insert routine. The caller has reserved a slot.
+    fn resolve(&mut self, key: &str, hash: u64) -> Result<u32, ArenaOverflow> {
+        let mask = self.slots.len() - 1;
+        let tag = hash >> 32;
+        let mut i = (hash >> self.home_shift()) as usize;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                let id = self.keys.push(key)?;
+                self.slots[i] = tag << 32 | (u64::from(id) + 1);
+                return Ok(id);
+            }
+            if slot >> 32 == tag {
+                let id = slot as u32 - 1;
+                if self.keys.bytes(id) == key.as_bytes() {
+                    return Ok(id);
+                }
+            }
+            i = (i + 1) & mask;
+        }
     }
 }
 
@@ -264,7 +517,7 @@ impl KeyScratch {
     /// Sorts the keys lexicographically (byte order — identical to `String`
     /// ordering) and drops duplicates.
     pub fn sort_dedup(&mut self) {
-        let buf = &self.buf;
+        let buf = self.buf.as_bytes();
         self.spans.sort_unstable_by(|&(a0, a1), &(b0, b1)| buf[a0..a1].cmp(&buf[b0..b1]));
         self.spans.dedup_by(|&mut (a0, a1), &mut (b0, b1)| buf[a0..a1] == buf[b0..b1]);
     }
@@ -385,44 +638,165 @@ mod tests {
     fn token_interner_assigns_dense_first_seen_ids() {
         let mut i = TokenInterner::new();
         assert!(i.is_empty());
-        assert_eq!(i.intern("b"), 0);
-        assert_eq!(i.intern("a"), 1);
-        assert_eq!(i.intern("b"), 0);
+        assert_eq!(i.intern("b"), Ok(0));
+        assert_eq!(i.intern("a"), Ok(1));
+        assert_eq!(i.intern("b"), Ok(0));
         assert_eq!(i.len(), 2);
     }
 
     #[test]
-    fn token_interner_entries_are_sorted_by_id() {
+    fn token_interner_keys_are_in_id_order() {
         let mut i = TokenInterner::new();
         for key in ["zeta", "alpha", "mid", "alpha", "zeta"] {
-            i.intern(key);
+            i.intern(key).unwrap();
         }
-        let entries = i.into_entries();
-        assert_eq!(
-            entries,
-            vec![("zeta".to_string(), 0), ("alpha".to_string(), 1), ("mid".to_string(), 2)]
-        );
-        // Dense ids: entry i carries id i.
-        assert!(entries.iter().enumerate().all(|(i, &(_, id))| id as usize == i));
+        let keys = i.into_keys();
+        assert_eq!(keys.iter().collect::<Vec<_>>(), ["zeta", "alpha", "mid"]);
+        assert_eq!(keys.offsets(), [0, 4, 9, 12]);
+        assert_eq!(keys.text(), "zetaalphamid");
+        assert_eq!(keys.ids(), 0..3);
+        assert_eq!(keys.get(1), "alpha");
     }
 
     #[test]
-    fn token_interner_entries_of_empty_interner() {
-        assert!(TokenInterner::new().into_entries().is_empty());
+    fn empty_interner_has_one_offset_and_no_text() {
+        let keys = TokenInterner::new().into_keys();
+        assert!(keys.is_empty());
+        assert_eq!(keys.offsets(), [0]);
+        assert_eq!(keys.text(), "");
+        let mut ids = vec![9];
+        TokenInterner::new().intern_all(&KeyScratch::new(), &mut ids).unwrap();
+        assert!(ids.is_empty());
     }
 
     #[test]
-    fn token_interner_entries_are_deterministic() {
-        // Regardless of FxHashMap iteration order, two identical insert
-        // sequences must export identical entry lists.
-        let build = || {
-            let mut i = TokenInterner::new();
-            for n in 0..512u32 {
-                i.intern(&format!("key-{}", n * 7919 % 311));
+    fn the_empty_key_is_a_key() {
+        // `KeyScratch` never commits one, `intern` may still be handed one.
+        let mut i = TokenInterner::new();
+        assert_eq!(i.intern(""), Ok(0));
+        assert_eq!(i.intern("x"), Ok(1));
+        assert_eq!(i.intern(""), Ok(0));
+        assert_eq!(i.keys().get(0), "");
+    }
+
+    #[test]
+    fn arena_limits_are_checked_not_wrapped() {
+        let max = u32::MAX as usize;
+        // Ids stop one short of u32::MAX (slots and the snapshot's offset
+        // count store id + 1); text may fill all 2^32 - 1 addressable bytes.
+        assert_eq!(arena_slot(0, 0, 0), Ok((0, 0)));
+        assert_eq!(arena_slot(max - 1, 10, 5), Ok((u32::MAX - 1, 15)));
+        assert_eq!(arena_slot(7, max - 3, 3), Ok((7, u32::MAX)));
+        let err = arena_slot(max, 10, 5).unwrap_err();
+        assert_eq!(err, ArenaOverflow { keys: max as u64 + 1, text_bytes: 15 });
+        let err = arena_slot(7, max - 3, 4).unwrap_err();
+        assert_eq!(err, ArenaOverflow { keys: 8, text_bytes: max as u64 + 1 });
+        assert!(arena_slot(7, usize::MAX, 1).is_err());
+        assert!(err.to_string().contains("exceeds u32 addressing"), "{err}");
+    }
+
+    /// xorshift64*, the house generator for seeded tests.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    /// A key drawn with Zipf-like repetition (rank = a squared uniform draw
+    /// over `universe`), shaped by its rank: 1-, 8-, 9- and 200-byte ASCII
+    /// keys sit on both sides of `FxHasher::write`'s 8-byte chunking, and
+    /// every seventh rank is multi-byte Unicode.
+    fn zipf_key(next: &mut impl FnMut() -> u64, universe: u64) -> String {
+        let u = next() % universe;
+        let rank = u * u / universe;
+        match rank % 7 {
+            0 => char::from(b'a' + (rank / 7 % 26) as u8).to_string(),
+            1 => format!("{rank:08}"),
+            2 => format!("{rank:09}"),
+            3 => format!("{rank:0200}"),
+            4 => format!("straße-{rank}-σοφός"),
+            _ => format!("tok{rank}"),
+        }
+    }
+
+    #[test]
+    fn interner_matches_the_two_table_oracle() {
+        let mut next = rng(20160315);
+        let (mut new, mut oracle) = (TokenInterner::new(), Interner::new());
+        let mut scratch = KeyScratch::new();
+        let mut ids = Vec::new();
+        let mut lookups = 0usize;
+        while lookups < 150_000 {
+            if next() & 3 == 0 {
+                // Single-key lookups interleaved with the batches.
+                let key = zipf_key(&mut next, 60_000);
+                assert_eq!(new.intern(&key), Ok(oracle.intern(&key)), "key {key:?}");
+                lookups += 1;
+                continue;
             }
-            i.into_entries()
-        };
-        assert_eq!(build(), build());
+            // Batches of 1..=64 keys, unsorted and with repeats, so the same
+            // new key does occur twice in one batch.
+            scratch.clear();
+            for _ in 0..=next() % 64 {
+                let start = scratch.begin();
+                scratch.push_str(&zipf_key(&mut next, 60_000));
+                scratch.commit(start);
+            }
+            new.intern_all(&scratch, &mut ids).unwrap();
+            let expected: Vec<u32> = scratch.iter().map(|k| oracle.intern(k)).collect();
+            assert_eq!(ids, expected);
+            lookups += ids.len();
+        }
+        assert!(oracle.len() > 20_000, "only {} distinct keys", oracle.len());
+        assert_eq!(new.len(), oracle.len());
+        assert!(new.keys().iter().eq((0..oracle.len() as u32).map(|id| oracle.resolve(id))));
+    }
+
+    #[test]
+    fn a_new_key_repeated_within_one_batch_gets_one_id() {
+        let mut scratch = KeyScratch::new();
+        for key in ["dup", "other", "dup", "dup"] {
+            let start = scratch.begin();
+            scratch.push_str(key);
+            scratch.commit(start);
+        }
+        let (mut i, mut ids) = (TokenInterner::new(), Vec::new());
+        i.intern_all(&scratch, &mut ids).unwrap();
+        assert_eq!(ids, [0, 1, 0, 0]);
+        assert_eq!(i.len(), 2);
+    }
+
+    #[test]
+    fn a_batch_may_straddle_any_number_of_table_doublings() {
+        // 5000 new keys in one batch on a table sized for 48: room for the
+        // whole batch is reserved before the first slot is touched.
+        let mut i = TokenInterner::new();
+        for n in 0..40 {
+            i.intern(&format!("seed{n}")).unwrap();
+        }
+        let small = i.slots.len();
+        let mut scratch = KeyScratch::new();
+        for n in 0..5000 {
+            let start = scratch.begin();
+            scratch.push_display(n % 4990); // the last ten repeat the first
+            scratch.commit(start);
+        }
+        let mut ids = Vec::new();
+        i.intern_all(&scratch, &mut ids).unwrap();
+        assert!(i.slots.len() > small * 16);
+        assert_eq!(ids[..4990], (40..5030).collect::<Vec<u32>>()[..]);
+        assert_eq!(ids[4990..], (40..50).collect::<Vec<u32>>()[..]);
+        // Every key is still found after the re-seat, one at a time.
+        for n in 0..40 {
+            assert_eq!(i.intern(&format!("seed{n}")), Ok(n));
+        }
+        assert_eq!(i.intern("4989"), Ok(5029));
+        assert!(i.slots.iter().filter(|&&s| s != 0).count() == i.len());
+        assert!(i.len() * 4 <= i.slots.len() * 3);
     }
 
     #[test]

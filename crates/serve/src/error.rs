@@ -5,6 +5,7 @@
 //! inconsistent — maps to a variant here, and the decoder's only side effect
 //! on bad input is returning one.
 
+use er_model::tokenize::ArenaOverflow;
 use std::convert::Infallible;
 use std::fmt;
 
@@ -78,6 +79,9 @@ pub enum SnapshotError {
     },
     /// The persisted pipeline configuration failed to parse or validate.
     Config(String),
+    /// The collection's blocking vocabulary does not fit the format's `u32`
+    /// token ids and blob offsets.
+    Vocabulary(ArenaOverflow),
     /// A section breaches a structural invariant, or sections decode
     /// individually but contradict each other.
     Inconsistent(String),
@@ -117,6 +121,9 @@ impl fmt::Display for SnapshotError {
                 write!(f, "invalid UTF-8 in section '{section}'")
             }
             SnapshotError::Config(msg) => write!(f, "snapshot pipeline config invalid: {msg}"),
+            SnapshotError::Vocabulary(overflow) => {
+                write!(f, "snapshot cannot be built: {overflow}")
+            }
             SnapshotError::Inconsistent(msg) => write!(f, "snapshot inconsistent: {msg}"),
         }
     }
@@ -128,6 +135,12 @@ impl std::error::Error for SnapshotError {
             SnapshotError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<ArenaOverflow> for SnapshotError {
+    fn from(overflow: ArenaOverflow) -> Self {
+        SnapshotError::Vocabulary(overflow)
     }
 }
 

@@ -58,7 +58,7 @@ use crate::codec::{fnv1a_wide, padded_len, put_bytes, put_u32, put_u32_slice, pu
 use crate::error::SnapshotError;
 use crate::spill::{pack_posting, unpack_posting, SpillSort};
 use er_blocking::{blocks_from_sorted_postings, TokenBlocking};
-use er_model::tokenize::TokenInterner;
+use er_model::tokenize::KeyArena;
 use er_model::{BlockCollection, EntityCollection, EntityId, EntityIndex, ErKind};
 use mb_core::filter::block_filtering_traced;
 use mb_core::prune::{cep_threshold_from_counts, cnp_threshold_from_counts};
@@ -338,29 +338,12 @@ pub(crate) fn decode_meta(payload: &[u8]) -> Result<Meta, SnapshotError> {
     Ok(Meta { kind, num_entities, split, cnp, cep, comparisons, assignments, config })
 }
 
-/// The derived on-disk token layout: byte offsets, concatenated blob, and
-/// the byte-order permutation the probe path binary-searches.
-struct TokenLayout {
-    offsets: Vec<u32>,
-    blob: Vec<u8>,
-    sorted: Vec<u32>,
-}
-
-fn token_layout(tokens: &[String]) -> TokenLayout {
-    let mut offsets = Vec::with_capacity(tokens.len() + 1);
-    let mut blob = Vec::new();
-    offsets.push(0u32);
-    for t in tokens {
-        blob.extend_from_slice(t.as_bytes());
-        offsets.push(blob.len() as u32);
-    }
-    let mut sorted: Vec<u32> = (0..tokens.len() as u32).collect();
-    sorted.sort_unstable_by(|&a, &b| {
-        // lint:allow(panic-reachability) in range: the comparator only
-        // sees the indices 0..tokens.len() collected above.
-        tokens[a as usize].as_bytes().cmp(tokens[b as usize].as_bytes())
-    });
-    TokenLayout { offsets, blob, sorted }
+/// The `toksorted` section: token ids in byte order of their text, the
+/// permutation the probe path binary-searches.
+fn tokens_by_text(tokens: &KeyArena) -> Vec<u32> {
+    let mut sorted: Vec<u32> = tokens.ids().collect();
+    sorted.sort_unstable_by(|&a, &b| tokens.bytes(a).cmp(tokens.bytes(b)));
+    sorted
 }
 
 /// A cheap, header-only description of a snapshot file.
@@ -490,8 +473,9 @@ pub struct Snapshot {
     blocks: BlockCollection,
     index: EntityIndex,
     split: usize,
-    /// The blocking vocabulary, indexed by interned token id.
-    tokens: Vec<String>,
+    /// The blocking vocabulary, indexed by interned token id: the
+    /// interner's own arena, which is the `tokoffsets` + `tokblob` sections.
+    tokens: KeyArena,
     /// `block_keys[k]` is the token id whose block became block `k`.
     block_keys: Vec<u32>,
     config: PipelineConfig,
@@ -513,8 +497,8 @@ impl Snapshot {
         config: PipelineConfig,
     ) -> Result<Snapshot, SnapshotError> {
         config.validate().map_err(SnapshotError::Config)?;
-        let (blocks, keys, interner) = TokenBlocking.build_keyed(collection);
-        Snapshot::assemble_blocking(blocks, keys, interner, collection.split(), config)
+        let (blocks, keys, tokens) = TokenBlocking.build_keyed(collection)?;
+        Snapshot::assemble_blocking(blocks, keys, tokens, collection.split(), config)
     }
 
     /// [`Snapshot::build`] with a bounded posting memory footprint: the
@@ -537,13 +521,13 @@ impl Snapshot {
         let dir = ooc.temp_dir.clone().unwrap_or_else(std::env::temp_dir);
         let mut sorter = SpillSort::new(dir, ooc.spill_budget_bytes)?;
         let mut io: Option<std::io::Error> = None;
-        let interner = TokenBlocking.stream_postings(collection, &mut |token, entity| {
+        let tokens = TokenBlocking.stream_postings(collection, &mut |token, entity| {
             if io.is_none() {
                 if let Err(e) = sorter.push(pack_posting(token, entity.0)) {
                     io = Some(e);
                 }
             }
-        });
+        })?;
         if let Some(e) = io {
             return Err(SnapshotError::Io(e));
         }
@@ -553,7 +537,7 @@ impl Snapshot {
             collection.kind(),
             collection.len(),
             collection.split(),
-            interner.len(),
+            tokens.len(),
             estimated,
             (&mut sorted).map(|packed| {
                 let (token, entity) = unpack_posting(packed);
@@ -563,7 +547,7 @@ impl Snapshot {
         if let Some(e) = sorted.take_error() {
             return Err(SnapshotError::Io(e));
         }
-        Snapshot::assemble_blocking(blocks, keys, interner, collection.split(), config)
+        Snapshot::assemble_blocking(blocks, keys, tokens, collection.split(), config)
     }
 
     /// The shared back half of both build paths: filter, resolve block
@@ -571,7 +555,7 @@ impl Snapshot {
     fn assemble_blocking(
         blocks: BlockCollection,
         keys: Vec<u32>,
-        interner: TokenInterner,
+        tokens: KeyArena,
         split: usize,
         config: PipelineConfig,
     ) -> Result<Snapshot, SnapshotError> {
@@ -586,7 +570,6 @@ impl Snapshot {
         // lint:allow(panic-reachability) in range: the filter trace indexes
         // the pre-filter blocks, and keys has one entry per pre-filter block.
         let block_keys: Vec<u32> = trace.iter().map(|&k| keys[k as usize]).collect();
-        let tokens: Vec<String> = interner.into_entries().into_iter().map(|(t, _)| t).collect();
         let index = EntityIndex::build_parallel(&blocks, config.effective_threads());
         let (total_comparisons, total_assignments) =
             (blocks.total_comparisons(), blocks.total_assignments());
@@ -633,7 +616,7 @@ impl Snapshot {
     }
 
     /// The blocking vocabulary, indexed by interned token id.
-    pub fn tokens(&self) -> &[String] {
+    pub fn tokens(&self) -> &KeyArena {
         &self.tokens
     }
 
@@ -671,13 +654,12 @@ impl Snapshot {
     /// Encodes the snapshot into the versioned binary format: the ten
     /// canonical sections, no delta runs.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let layout = token_layout(&self.tokens);
         let payloads: Vec<(u32, Vec<u8>)> =
-            SECTIONS.iter().map(|&(id, _)| (id, self.encode_section(id, &layout))).collect();
+            SECTIONS.iter().map(|&(id, _)| (id, self.encode_section(id))).collect();
         frame_sections(&payloads)
     }
 
-    fn encode_section(&self, id: u32, tok: &TokenLayout) -> Vec<u8> {
+    fn encode_section(&self, id: u32) -> Vec<u8> {
         let mut p = Vec::new();
         match id {
             SECTION_META => {
@@ -721,13 +703,13 @@ impl Snapshot {
                 put_u32_slice(&mut p, offsets);
             }
             SECTION_TOK_OFFSETS => {
-                put_u32_slice(&mut p, &tok.offsets);
+                put_u32_slice(&mut p, self.tokens.offsets());
             }
             SECTION_TOK_BLOB => {
-                put_bytes(&mut p, &tok.blob);
+                put_bytes(&mut p, self.tokens.text().as_bytes());
             }
             SECTION_TOK_SORTED => {
-                put_u32_slice(&mut p, &tok.sorted);
+                put_u32_slice(&mut p, &tokens_by_text(&self.tokens));
             }
             SECTION_BLOCKKEYS => {
                 put_u32_slice(&mut p, &self.block_keys);

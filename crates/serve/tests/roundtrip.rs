@@ -563,7 +563,7 @@ fn checksum_valid_payload_corruption_is_still_detected() {
 
     // A duplicated vocabulary entry: overwrite one token with the bytes of
     // another of the same length.
-    let tokens = snapshot.tokens();
+    let tokens: Vec<&str> = snapshot.tokens().iter().collect();
     let (a, b) = (0..tokens.len())
         .flat_map(|a| (a + 1..tokens.len()).map(move |b| (a, b)))
         .find(|&(a, b)| tokens[a].len() == tokens[b].len())
@@ -652,7 +652,7 @@ fn a_zero_member_block_never_panics() {
         for id in 0..view.num_entities() as u32 {
             engine.execute(&CandidateRequest::entity(EntityId(id)), &mut Noop).unwrap();
         }
-        let probe = EntityProfile::new("probe").with("n", &snapshot.tokens()[fresh as usize]);
+        let probe = EntityProfile::new("probe").with("n", snapshot.tokens().get(fresh));
         let response = engine.execute(&CandidateRequest::probe(probe, true), &mut Noop).unwrap();
         assert!(response.first().unwrap().candidates.is_empty());
     }

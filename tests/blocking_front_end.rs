@@ -1,0 +1,116 @@
+//! Differential tests of the blocking front-end on generated collections:
+//! the batched interner and the counting-sort grouping behind every
+//! key-based builder must reproduce what per-key `String`s, the two-table
+//! `Interner` and a comparison sort produce — blocks, block keys and
+//! vocabulary, in order.
+
+use er_blocking::{
+    blocks_from_sorted_postings, AttributeClusteringBlocking, BlockingMethod, QGramsBlocking,
+    SuffixArraysBlocking, TokenBlocking,
+};
+use er_datagen::presets;
+use er_model::tokenize::{qgrams, suffixes, tokens, Interner};
+use er_model::{BlockCollection, EntityCollection, EntityId};
+
+fn tiny_collections() -> [EntityCollection; 2] {
+    let clean = presets::build(&presets::tiny(20160315)).expect("tiny preset");
+    [clean.collection.clone(), clean.into_dirty().collection]
+}
+
+/// The reference front-end: `keys_of` yields a profile value's keys as owned
+/// `String`s, each profile's keys are sorted and deduplicated as strings,
+/// interned one by one through the two-table `Interner`, and the postings
+/// grouped by a comparison sort.
+fn string_oracle(
+    collection: &EntityCollection,
+    keys_of: impl Fn(&str) -> Vec<String>,
+) -> (BlockCollection, Vec<u32>, Interner) {
+    let mut interner = Interner::new();
+    let mut postings: Vec<(u32, EntityId)> = Vec::new();
+    for (id, profile) in collection.iter() {
+        let mut keys: Vec<String> = profile.values().flat_map(&keys_of).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        postings.extend(keys.iter().map(|k| (interner.intern(k), id)));
+    }
+    postings.sort_unstable();
+    postings.dedup();
+    let (blocks, keys) = blocks_from_sorted_postings(
+        collection.kind(),
+        collection.len(),
+        collection.split(),
+        interner.len(),
+        postings.len(),
+        postings.into_iter(),
+    );
+    (blocks, keys, interner)
+}
+
+#[test]
+fn keyed_build_equals_streamed_postings_and_the_string_oracle() {
+    for collection in tiny_collections() {
+        let (blocks, keys, vocabulary) = TokenBlocking.build_keyed(&collection).unwrap();
+        assert!(blocks.size() > 100, "fixture too small to mean anything");
+
+        // The out-of-core shape: stream, sort + dedup, regroup.
+        let mut postings: Vec<(u32, EntityId)> = Vec::new();
+        let streamed = TokenBlocking
+            .stream_postings(&collection, &mut |token, entity| postings.push((token, entity)))
+            .unwrap();
+        postings.sort_unstable();
+        postings.dedup();
+        let (regrouped, regrouped_keys) = blocks_from_sorted_postings(
+            collection.kind(),
+            collection.len(),
+            collection.split(),
+            streamed.len(),
+            postings.len(),
+            postings.into_iter(),
+        );
+        assert_eq!(blocks.raw_parts(), regrouped.raw_parts());
+        assert_eq!(keys, regrouped_keys);
+        assert_eq!(vocabulary, streamed);
+
+        let (expected, expected_keys, interner) =
+            string_oracle(&collection, |v| tokens(v).collect());
+        assert_eq!(blocks.raw_parts(), expected.raw_parts());
+        assert_eq!(keys, expected_keys);
+        assert!(vocabulary.iter().eq((0..interner.len() as u32).map(|id| interner.resolve(id))));
+        assert_eq!(TokenBlocking.build(&collection).raw_parts(), expected.raw_parts());
+    }
+}
+
+#[test]
+fn qgram_and_suffix_builders_equal_the_string_oracle() {
+    for collection in tiny_collections() {
+        let method = QGramsBlocking::default();
+        let (expected, _, _) = string_oracle(&collection, |v| qgrams(v, method.q));
+        assert!(expected.size() > 100);
+        assert_eq!(method.build(&collection).raw_parts(), expected.raw_parts());
+
+        // Short suffixes, so the size cap also has something to discard.
+        let method = SuffixArraysBlocking { min_suffix_len: 3, max_block_size: 53 };
+        let (mut expected, _, _) =
+            string_oracle(&collection, |v| suffixes(v, method.min_suffix_len));
+        let uncapped = expected.size();
+        expected.retain(|b| b.size() <= method.max_block_size);
+        assert!(expected.size() > 100 && expected.size() < uncapped);
+        assert_eq!(method.build(&collection).raw_parts(), expected.raw_parts());
+    }
+}
+
+#[test]
+fn attribute_clustering_with_no_links_is_token_blocking() {
+    // Jaccard never exceeds 1, so at this threshold every attribute lands in
+    // the glue cluster and every key is `<cluster>\u{1}<token>` with one
+    // constant prefix: same groups, same first-seen order as Token Blocking,
+    // through the prefixed-key path and the builder's own interner.
+    for collection in tiny_collections() {
+        let unlinked = AttributeClusteringBlocking { link_threshold: 1.0 }.build(&collection);
+        assert_eq!(unlinked.raw_parts(), TokenBlocking.build(&collection).raw_parts());
+        // The default (linked) configuration only refines those groups.
+        let linked = AttributeClusteringBlocking::default().build(&collection);
+        assert!(linked.validate().is_empty());
+        assert!(linked.total_comparisons() <= unlinked.total_comparisons());
+    }
+}
