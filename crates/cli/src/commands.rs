@@ -483,29 +483,12 @@ fn render_candidates(out: &mut String, subject: &str, response: &CandidateRespon
 
 /// `er query`: load a snapshot and answer one candidate query — for an
 /// indexed entity (`--entity`) or an unseen probe profile (`--text`).
-///
-/// `--shards N` fans entity queries over N entity-range shards on
-/// `--shard-threads` workers; answers are bit-identical across shard and
-/// thread counts.
 pub fn query(args: &Args) -> Result<String, String> {
     check_options(
         args,
-        &[
-            "snapshot",
-            "entity",
-            "text",
-            "side",
-            "top",
-            "retention",
-            "scheme",
-            "report",
-            "shards",
-            "shard-threads",
-        ],
+        &["snapshot", "entity", "text", "side", "top", "retention", "scheme", "report"],
     )?;
     let path = args.require("snapshot")?;
-    let shards: usize = args.get_parsed("shards", 1)?;
-    let shard_threads: usize = args.get_parsed("shard-threads", 1)?;
     let report_path = args.get("report");
     let mut report = RunReport::new("er-query");
     let mut noop = Noop;
@@ -531,9 +514,6 @@ pub fn query(args: &Args) -> Result<String, String> {
         generation = cell.load();
         QueryEngine::generation_with_scheme(&generation, scheme)
     };
-    if shards > 1 {
-        engine = engine.with_shards(shards, shard_threads.max(1));
-    }
     let (kind, entities) = (engine.kind(), engine.num_entities());
     let response = engine.execute(&request, obs).map_err(|e| e.to_string())?;
     if let Some(p) = report_path {
@@ -552,19 +532,7 @@ pub fn query(args: &Args) -> Result<String, String> {
 /// `--port-file` (for supervisors that asked for an ephemeral port) and
 /// polls `--trigger` for file-based reloads.
 pub fn serve(args: &Args) -> Result<String, String> {
-    check_options(
-        args,
-        &[
-            "snapshot",
-            "addr",
-            "port-file",
-            "trigger",
-            "report",
-            "report-every",
-            "shards",
-            "shard-threads",
-        ],
-    )?;
+    check_options(args, &["snapshot", "addr", "port-file", "trigger", "report", "report-every"])?;
     let path = args.require("snapshot")?;
     let snapshot = SnapshotView::read_from(Path::new(path), &mut Noop)
         .map_err(|e| format!("loading {path}: {e}"))?;
@@ -573,8 +541,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         trigger_path: args.get("trigger").map(PathBuf::from),
         report_path: args.get("report").map(PathBuf::from),
         report_every: args.get_parsed("report-every", 100u64)?,
-        shards: args.get_parsed("shards", 1)?,
-        shard_threads: args.get_parsed("shard-threads", 1)?,
         ..ServerConfig::default()
     };
     let handle = Server::start(snapshot, config).map_err(|e| e.to_string())?;
@@ -896,7 +862,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_core_build_and_sharded_query_match_the_defaults() {
+    fn out_of_core_build_matches_the_in_memory_build() {
         let dir = temp_dir("ooc");
         let dir_s = dir.to_str().unwrap();
         generate(&argv(&["generate", "--preset", "tiny", "--out", dir_s, "--scale", "0.5"]))
@@ -937,26 +903,6 @@ mod tests {
             std::fs::read(&ooc).unwrap(),
             "out-of-core snapshot bytes diverged from the in-memory build"
         );
-
-        // Sharded query answers match the flat default.
-        let snap_s = in_mem.to_str().unwrap();
-        let base =
-            query(&argv(&["query", "--snapshot", snap_s, "--entity", "3", "--top", "5"])).unwrap();
-        let sharded = query(&argv(&[
-            "query",
-            "--snapshot",
-            snap_s,
-            "--entity",
-            "3",
-            "--top",
-            "5",
-            "--shards",
-            "4",
-            "--shard-threads",
-            "2",
-        ]))
-        .unwrap();
-        assert_eq!(base, sharded, "sharded answer diverged");
 
         // Spill knobs without --out-of-core are a usage error.
         let err = snapshot(&argv(&[
@@ -1091,15 +1037,7 @@ mod tests {
         let port_file_s = port_file.to_str().unwrap().to_owned();
         let serve_snap = snap_s.clone();
         let server = std::thread::spawn(move || {
-            serve(&argv(&[
-                "serve",
-                "--snapshot",
-                &serve_snap,
-                "--port-file",
-                &port_file_s,
-                "--shards",
-                "2",
-            ]))
+            serve(&argv(&["serve", "--snapshot", &serve_snap, "--port-file", &port_file_s]))
         });
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while !port_file.exists() {
@@ -1171,8 +1109,8 @@ mod tests {
             snapshot(&argv(&["snapshot", "inspect", "--snapshot", snap_s, "--full"])).unwrap();
         assert!(full.contains("delta runs:         2 (2 ops)"), "{full}");
 
-        // Loading replays the runs, flat or sharded: the appended entity is
-        // queryable, the tombstoned one answers empty.
+        // Loading replays the runs: the appended entity is queryable, the
+        // tombstoned one answers empty.
         let q = query(&argv(&[
             "query",
             "--snapshot",
@@ -1184,19 +1122,6 @@ mod tests {
         ]))
         .unwrap();
         assert!(q.contains(&format!("entity {base_entities}")), "{q}");
-        let sharded = query(&argv(&[
-            "query",
-            "--snapshot",
-            snap_s,
-            "--entity",
-            &base_entities.to_string(),
-            "--top",
-            "5",
-            "--shards",
-            "2",
-        ]))
-        .unwrap();
-        assert_eq!(q, sharded, "sharded delta replay diverged");
         let gone = query(&argv(&["query", "--snapshot", snap_s, "--entity", "0"])).unwrap();
         assert!(gone.contains("candidates: 0"), "tombstoned entity still answers: {gone}");
 
@@ -1346,6 +1271,12 @@ mod tests {
         assert!(stats(&argv(&["stats", "--dataset", "x", "--bogus", "1"]))
             .unwrap_err()
             .contains("bogus"));
+        // The removed per-query sharding flags are rejected, not ignored.
+        let err = query(&argv(&["query", "--snapshot", "x", "--entity", "0", "--shards", "4"]))
+            .unwrap_err();
+        assert_eq!(err, "unknown option(s): --shards");
+        let err = serve(&argv(&["serve", "--snapshot", "x", "--shard-threads", "2"])).unwrap_err();
+        assert_eq!(err, "unknown option(s): --shard-threads");
     }
 
     #[test]

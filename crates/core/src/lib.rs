@@ -86,7 +86,6 @@ pub mod prune;
 pub mod sanitize;
 pub mod scanner;
 pub mod scorer;
-pub mod sharded;
 pub mod store;
 pub mod weighting;
 pub mod weights;
@@ -95,6 +94,5 @@ pub use context::GraphContext;
 pub use mb_observe::{Noop, Observer};
 pub use pipeline::{MetaBlocking, PipelineConfig, PruningScheme, WeightingImpl};
 pub use scorer::{Candidate, NeighborhoodScorer, Retention, Scored};
-pub use sharded::ShardedScorer;
 pub use store::CandidateStore;
 pub use weights::WeightingScheme;

@@ -317,7 +317,7 @@ where
 
 /// Parallel CEP with per-stage telemetry: each chunk keeps its own bounded
 /// top-`K` min-heap; the per-chunk candidates are merged by sorting under
-/// the [`WeightedEdge`] total order and truncating to `K` — the global
+/// the `WeightedEdge` total order and truncating to `K` — the global
 /// top-`K` is unique under that (strict) order, so the output is
 /// bit-identical to [`crate::prune::cep`] for any thread count, including
 /// the descending emission order.

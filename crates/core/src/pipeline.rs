@@ -84,7 +84,7 @@ impl PruningScheme {
     }
 
     /// The stable lowercase token used on command lines and in JSON configs
-    /// (the [`Display`]/[`FromStr`] form).
+    /// (the [`std::fmt::Display`]/[`FromStr`] form).
     pub fn token(self) -> &'static str {
         match self {
             PruningScheme::Cep => "cep",

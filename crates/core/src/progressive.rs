@@ -1,7 +1,7 @@
 //! Progressive Meta-blocking — pay-as-you-go comparison scheduling.
 //!
 //! The paper motivates efficiency-intensive applications with Pay-as-you-go
-//! ER [26] and entity-centric search [25]: resolution may be cut off at any
+//! ER \[26\] and entity-centric search \[25\]: resolution may be cut off at any
 //! moment, so the comparisons executed *first* should be the likeliest
 //! matches. Cardinality-based pruning (CEP) already ranks edges globally —
 //! this module exposes that ranking as a schedule instead of a cutoff:
@@ -44,7 +44,7 @@ impl ProgressiveSchedule {
     }
 
     /// Builds the schedule but keeps only the best `budget` comparisons,
-    /// with `O(budget)` memory via a bounded heap.
+    /// with `O(min(budget, |E_B|))` memory via a bounded heap.
     pub fn with_budget(
         blocks: &BlockCollection,
         split: usize,
@@ -70,7 +70,8 @@ impl ProgressiveSchedule {
 
         let ctx = GraphContext::new(blocks, split);
         let weigher = EdgeWeigher::new(scheme, &ctx);
-        let mut heap: BinaryHeap<Reverse<E>> = BinaryHeap::with_capacity(budget + 1);
+        let mut heap: BinaryHeap<Reverse<E>> =
+            BinaryHeap::with_capacity(crate::prune::heap_prealloc(budget));
         optimized::for_each_edge(&ctx, &weigher, |a, b, w| {
             if budget == 0 {
                 return;
@@ -155,6 +156,12 @@ mod tests {
         let all = ProgressiveSchedule::with_budget(&blocks, 4, WeightingScheme::Js, 100);
         assert_eq!(all.len(), full.len());
         assert_eq!(all.prefix(100), full.prefix(100));
+        // Nothing is sized from the budget, so one past any allocation is
+        // the whole schedule too.
+        for huge in [1usize << 40, usize::MAX] {
+            let all = ProgressiveSchedule::with_budget(&blocks, 4, WeightingScheme::Js, huge);
+            assert_eq!(all.prefix(usize::MAX), full.prefix(usize::MAX));
+        }
     }
 
     #[test]

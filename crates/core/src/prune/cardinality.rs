@@ -166,16 +166,16 @@ pub fn cnp_threshold_from_counts(total_assignments: u64, num_entities: usize) ->
 /// [`redefined_cnp`] / [`reciprocal_cnp`], their parallel twins and the serve
 /// scorer's `Retention::TopK`.
 ///
-/// A min-heap of the `min(k, n)` best [`WeightedEdge`]s seen so far: an edge
+/// A min-heap of the `min(k, n)` best `WeightedEdge`s seen so far: an edge
 /// that does not beat the weakest survivor costs one comparison, one that
 /// does costs `O(log k)`, so a neighborhood of `n` edges is selected in
 /// `n` comparisons + `O(k log k)` instead of a full `O(n log n)` sort. The
-/// [`WeightedEdge`] order is total, so the survivor set — and both emission
+/// `WeightedEdge` order is total, so the survivor set — and both emission
 /// orders — are exactly what sort-then-truncate produces, for every `k`.
 ///
 /// Capacity follows the largest `min(k, n)` seen — never `k` alone, which may
 /// come off the wire — so a scratch kept across neighborhoods allocates
-/// nothing once warm. [`top_k_neighbors`] and the scorer's `retain` build one
+/// nothing once warm. `top_k_neighbors` and the scorer's `retain` build one
 /// per neighborhood all the same: their callers are the sink- and
 /// store-generic sweeps, which this kernel was slotted under without a
 /// change (DESIGN.md §9 says why).

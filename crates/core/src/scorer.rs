@@ -58,7 +58,7 @@ impl std::fmt::Display for Retention {
 impl std::str::FromStr for Retention {
     type Err = String;
 
-    /// Parses the [`Retention::to_string`] form back, case-insensitively;
+    /// Parses the [`std::fmt::Display`] form back, case-insensitively;
     /// `_` is accepted in place of `-` (as for [`crate::PruningScheme`]).
     fn from_str(s: &str) -> Result<Retention, String> {
         let canon = s.trim().to_ascii_lowercase().replace('_', "-");
@@ -303,12 +303,7 @@ impl<S: CandidateStore + Sync> NeighborhoodScorer<S> {
 
 /// Applies a retention mode to one weighed neighborhood and returns the
 /// survivors in descending [`WeightedEdge`] order.
-pub(crate) fn retain(
-    pivot: EntityId,
-    ids: &[u32],
-    weights: &[f64],
-    retention: Retention,
-) -> Vec<Candidate> {
+fn retain(pivot: EntityId, ids: &[u32], weights: &[f64], retention: Retention) -> Vec<Candidate> {
     match retention {
         // The exact CNP selection: same kernel, same total order, already
         // ranked.

@@ -164,21 +164,6 @@ impl<'a> U32s<'a> {
         self.for_each(|x| out.push(x));
         out
     }
-
-    /// The index of the first element `>= probe`, assuming the sequence is
-    /// sorted ascending (`partition_point` over any storage variant).
-    pub fn lower_bound(&self, probe: u32) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.get(mid) < probe {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
 }
 
 /// Shared walk behind [`U32s::is_strict_run`], monomorphized per variant.
@@ -274,21 +259,6 @@ mod tests {
             let bytes = le_bytes(values);
             for view in [U32s::Native(values), U32s::Ids(&ids), U32s::Le(&bytes)] {
                 assert_eq!(view.is_strict_run(min, max), expect, "{values:?} in [{min}, {max})");
-            }
-        }
-    }
-
-    #[test]
-    fn lower_bound_is_partition_point() {
-        let sorted = [2u32, 4, 4, 9, 20];
-        let bytes = le_bytes(&sorted);
-        for view in [U32s::Native(&sorted), U32s::Le(&bytes)] {
-            for probe in 0..25u32 {
-                assert_eq!(
-                    view.lower_bound(probe),
-                    sorted.partition_point(|&x| x < probe),
-                    "probe {probe}"
-                );
             }
         }
     }

@@ -10,9 +10,7 @@
 //! Candidate scoring, retention, and ordering are shared with the batch
 //! pipeline (`mb_core::NeighborhoodScorer`, generic over the storage), so an
 //! online query returns exactly the neighbors batch node-centric pruning
-//! would retain for the same entity, scheme, and threshold — bit-identical
-//! across shard counts when sharded scoring ([`QueryEngine::with_shards`])
-//! is enabled.
+//! would retain for the same entity, scheme, and threshold.
 
 use crate::delta::DeltaOverlay;
 use crate::error::ServeError;
@@ -23,8 +21,7 @@ use crate::view::SnapshotView;
 use er_model::tokenize::{raw_tokens, KeyScratch};
 use er_model::{EntityId, EntityProfile, ErKind};
 use mb_core::{
-    CandidateStore, NeighborhoodScorer, PruningScheme, Retention, Scored, ShardedScorer,
-    WeightingScheme,
+    CandidateStore, NeighborhoodScorer, PruningScheme, Retention, Scored, WeightingScheme,
 };
 use mb_observe::{Counter, Observer, Stage, StageScope};
 use std::borrow::Cow;
@@ -38,9 +35,6 @@ use std::borrow::Cow;
 pub struct QueryEngine<'s> {
     store: EngineStore<'s>,
     scorer: NeighborhoodScorer<EngineStore<'s>>,
-    /// Sharded entity-query scorer, present after
-    /// [`QueryEngine::with_shards`]; probe and batch stay on the flat path.
-    sharded: Option<ShardedScorer<EngineStore<'s>>>,
     /// The loaded snapshot: the base vocabulary (probe tokens binary-search
     /// its persisted byte-order permutation) and the configured defaults.
     view: &'s SnapshotView,
@@ -68,6 +62,20 @@ pub(crate) fn build_token_block(num_tokens: usize, keys: er_model::U32s<'_>) -> 
         block += 1;
     });
     token_block
+}
+
+/// Worker threads this host runs at once (1 when it cannot tell).
+pub(crate) fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The worker-thread count a batch sweep runs on: `0` (auto) resolves to
+/// `ceiling`, and no request gets more than `ceiling`.
+pub(crate) fn batch_threads(requested: usize, ceiling: usize) -> usize {
+    match requested {
+        0 => ceiling,
+        n => n.min(ceiling),
+    }
 }
 
 impl<'s> QueryEngine<'s> {
@@ -127,35 +135,12 @@ impl<'s> QueryEngine<'s> {
         QueryEngine {
             store,
             scorer,
-            sharded: None,
             view,
             token_block,
             overlay,
             scratch: KeyScratch::new(),
             probe_blocks: Vec::new(),
         }
-    }
-
-    /// Enables sharded entity-query scoring: the arena and index are
-    /// partitioned into `num_shards` entity ranges that scan concurrently on
-    /// up to `threads` threads and merge deterministically.
-    ///
-    /// Results are bit-identical to the flat path for every shard and
-    /// thread count. Probe and batch queries keep using the flat scorer
-    /// (batch already fans out across entities). `num_shards <= 1` disables
-    /// sharding.
-    pub fn with_shards(mut self, num_shards: usize, threads: usize) -> Self {
-        self.sharded = if num_shards > 1 {
-            Some(ShardedScorer::new(self.store, self.scheme(), num_shards, threads))
-        } else {
-            None
-        };
-        self
-    }
-
-    /// Number of shards entity queries fan out over (1 = flat scoring).
-    pub fn num_shards(&self) -> usize {
-        self.sharded.as_ref().map_or(1, |s| s.num_shards())
     }
 
     /// The weighting scheme queries are scored with.
@@ -228,10 +213,7 @@ impl<'s> QueryEngine<'s> {
         retention: Retention,
         scope: &mut StageScope<'_>,
     ) -> Scored {
-        let scored = match &mut self.sharded {
-            Some(sharded) => sharded.query(pivot, retention),
-            None => self.scorer.query(pivot, retention),
-        };
+        let scored = self.scorer.query(pivot, retention);
         scope.add(Counter::BlocksTouched, scored.blocks_touched);
         scope.add(Counter::EdgesScored, scored.edges_scored);
         scored
@@ -291,6 +273,9 @@ impl<'s> QueryEngine<'s> {
         threads: usize,
         scope: &mut StageScope<'_>,
     ) -> Vec<Scored> {
+        // Only `0` resolves here: an in-process caller's explicit count is
+        // its own ceiling (the server clamps what arrives off the wire).
+        let threads = batch_threads(threads, host_threads().max(threads));
         let scored = self.scorer.batch(retention, threads);
         let (mut blocks_touched, mut edges_scored) = (0u64, 0u64);
         for s in &scored {
@@ -305,5 +290,18 @@ impl<'s> QueryEngine<'s> {
     /// The ER task kind of the underlying snapshot.
     pub fn kind(&self) -> ErKind {
         self.store.kind()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::batch_threads;
+
+    #[test]
+    fn batch_threads_resolve_auto_and_stop_at_the_ceiling() {
+        assert_eq!(batch_threads(0, 4), 4, "0 fans out");
+        assert_eq!(batch_threads(u32::MAX as usize, 4), 4);
+        assert_eq!(batch_threads(1, 4), 1);
+        assert_eq!(batch_threads(4, 4), 4);
     }
 }

@@ -21,13 +21,11 @@
 //!   [`CandidateRequest`]s — for indexed entities or unseen
 //!   probe profiles — with the same weighting schemes, retention rules, and
 //!   tie ordering as batch node-centric pruning, so online answers match the
-//!   offline pipeline bit for bit. [`QueryEngine::with_shards`] partitions
-//!   the per-entity work across range shards for parallel batch scoring with
-//!   deterministic, bit-identical merges.
+//!   offline pipeline bit for bit.
 //! - [`Server`] keeps an engine resident behind a TCP listener speaking a
 //!   checksummed, length-prefixed wire protocol ([`protocol`]), with
 //!   zero-downtime snapshot reloads through hot-swappable generations
-//!   ([`GenerationCell`]) and graceful draining shutdown ([`server`]).
+//!   ([`GenerationCell`]) and graceful draining shutdown ([`Server`]).
 //!
 //! ```
 //! use er_model::{EntityCollection, EntityId, EntityProfile};

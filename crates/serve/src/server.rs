@@ -30,7 +30,7 @@
 //! rewrites the JSON report every [`ServerConfig::report_every`] requests.
 
 use crate::delta::{merge_ops, DeltaOp};
-use crate::engine::QueryEngine;
+use crate::engine::{batch_threads, host_threads, QueryEngine};
 use crate::error::{ServeError, SnapshotError};
 use crate::generation::{AppliedDelta, GenerationCell};
 use crate::protocol::{
@@ -78,12 +78,6 @@ pub struct ServerConfig {
     /// Rewrite [`ServerConfig::report_path`] every this many requests
     /// (`0` disables periodic writes).
     pub report_every: u64,
-    /// Entity-range shards each connection's engine fans entity queries
-    /// over ([`QueryEngine::with_shards`]); `<= 1` keeps flat scoring.
-    pub shards: usize,
-    /// Worker threads for the sharded scorer (meaningful with `shards > 1`;
-    /// floored to 1).
-    pub shard_threads: usize,
 }
 
 impl Default for ServerConfig {
@@ -94,8 +88,6 @@ impl Default for ServerConfig {
             trigger_path: None,
             report_path: None,
             report_every: 100,
-            shards: 1,
-            shard_threads: 1,
         }
     }
 }
@@ -155,7 +147,7 @@ impl Shared {
     }
 }
 
-/// The online candidate server. See the [module docs](crate::server) for the
+/// The online candidate server. See `server.rs`' module docs for the
 /// serving model; [`Server::start`] is the only entry point.
 pub struct Server;
 
@@ -233,6 +225,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
     stream.set_nodelay(true)?;
     let mut stream = stream;
     write_hello(&mut stream, shared.cell.ordinal())?;
+    // A peer's thread count is a request, not an entitlement: every decoded
+    // request is held to what this host can run at once.
+    let thread_ceiling = host_threads();
     'generation: loop {
         // Pin the current generation and build an engine over it. The pin
         // keeps this generation's snapshot alive across swaps; the inner
@@ -240,9 +235,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
         // when a swap happened.
         let generation = shared.cell.load();
         let mut engine = QueryEngine::from_generation(&generation);
-        if shared.config.shards > 1 {
-            engine = engine.with_shards(shared.config.shards, shared.config.shard_threads.max(1));
-        }
         loop {
             if shared.stop.load(Ordering::SeqCst) {
                 return Ok(());
@@ -268,8 +260,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
             match kind {
                 MSG_REQUEST => {
                     let mut local = RunReport::new("serve/request");
-                    let outcome = parse_request(&payload)
-                        .and_then(|request| engine.execute(&request, &mut local));
+                    let outcome = parse_request(&payload).and_then(|request| {
+                        let threads = batch_threads(request.threads(), thread_ceiling);
+                        engine.execute(&request.with_threads(threads), &mut local)
+                    });
                     match outcome {
                         Ok(mut response) => {
                             response.generation = generation.ordinal();

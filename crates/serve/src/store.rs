@@ -2,9 +2,9 @@
 //!
 //! [`EngineStore`] is a flat, `Copy` [`CandidateStore`] over a
 //! [`SnapshotView`]: five borrowed array views plus three scalars. The
-//! scoring core (`mb_core::NeighborhoodScorer`, `mb_core::ShardedScorer`) is
-//! generic over [`CandidateStore`], so the serve path runs the exact scan
-//! loops the batch pipeline does and returns bit-identical candidates.
+//! scoring core (`mb_core::NeighborhoodScorer`) is generic over
+//! [`CandidateStore`], so the serve path runs the exact scan loops the batch
+//! pipeline does and returns bit-identical candidates.
 
 use crate::delta::DeltaOverlay;
 use crate::view::SnapshotView;
@@ -14,7 +14,7 @@ use mb_core::CandidateStore;
 /// A flat candidate store over borrowed snapshot arrays, optionally
 /// patched by a generation's delta overlay.
 ///
-/// `Copy`, so scorers take it by value and shard fan-out shares it across
+/// `Copy`, so scorers take it by value and batch fan-out shares it across
 /// threads without reference-counting. With an overlay attached, reads
 /// dispatch per block / per entity: overlay-owned state (patched blocks,
 /// overlay-born blocks, overridden block lists) comes from the side-table,

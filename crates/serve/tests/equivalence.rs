@@ -201,77 +201,6 @@ fn default_retention_follows_the_configured_pruning_scheme() {
 }
 
 #[test]
-fn sharded_engines_are_bit_identical_to_the_flat_engine() {
-    // The sharding equivalence pin: sharded engines must reproduce the flat
-    // single-arena engine's responses *exactly* — same candidates, same
-    // score bits, same order — across schemes, retentions, shard counts,
-    // and thread counts. (The flat engine itself is pinned to batch CNP/WNP
-    // by `assert_engine_matches_batch` above.)
-    let fixtures = [
-        ("dirty", presets::build(&presets::tiny(42)).unwrap().into_dirty().collection),
-        ("clean-clean", presets::build(&presets::tiny(43)).unwrap().collection),
-    ];
-    for (label, collection) in fixtures {
-        let config = PipelineConfig { filter_ratio: Some(0.8), ..PipelineConfig::default() };
-        let snapshot = Snapshot::build(&collection, config).unwrap();
-        let view = load(&snapshot);
-        let n = snapshot.num_entities();
-        for scheme in SCHEMES {
-            for retention in [Retention::TopK(snapshot.cnp_threshold()), Retention::AboveMean] {
-                let mut baseline = QueryEngine::view_with_scheme(&view, scheme);
-                let expected: Vec<Scored> = (0..n)
-                    .map(|pivot| {
-                        run_one(
-                            &mut baseline,
-                            CandidateRequest::entity(EntityId(pivot as u32))
-                                .with_retention(retention),
-                        )
-                    })
-                    .collect();
-                let expected_batch =
-                    run(&mut baseline, CandidateRequest::batch().with_retention(retention));
-
-                for shards in [2, 3, 8] {
-                    for threads in [1, 2] {
-                        let variant = format!("shards={shards}/threads={threads}");
-                        let mut engine = QueryEngine::view_with_scheme(&view, scheme)
-                            .with_shards(shards, threads);
-                        for (pivot, want) in expected.iter().enumerate() {
-                            let got = run_one(
-                                &mut engine,
-                                CandidateRequest::entity(EntityId(pivot as u32))
-                                    .with_retention(retention),
-                            );
-                            assert_eq!(
-                                &got, want,
-                                "{label}/{scheme:?}/{retention:?}/{variant}: entity {pivot} diverged"
-                            );
-                        }
-                        assert_eq!(
-                            run(&mut engine, CandidateRequest::batch().with_retention(retention)),
-                            expected_batch,
-                            "{label}/{scheme:?}/{retention:?}/{variant}: batch diverged"
-                        );
-                    }
-                }
-            }
-        }
-
-        // Probe requests take the flat path on every engine.
-        let mut flat = QueryEngine::from_view(&view);
-        let mut sharded = QueryEngine::from_view(&view).with_shards(4, 2);
-        for (_, profile) in collection.iter().take(8) {
-            let request = || {
-                CandidateRequest::probe(profile.clone(), true)
-                    .with_retention(Retention::TopK(usize::MAX))
-            };
-            let want = run_one(&mut flat, request());
-            assert_eq!(run_one(&mut sharded, request()), want, "{label}: sharded probe diverged");
-        }
-    }
-}
-
-#[test]
 fn default_retention_matches_an_explicit_request() {
     // A request without an explicit retention must resolve to the engine
     // default — the contract the removed positional entry points used to

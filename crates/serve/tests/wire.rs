@@ -252,6 +252,31 @@ fn hostile_top_k_counts_get_a_typed_error_or_the_whole_neighborhood() {
     handle.shutdown();
 }
 
+/// A hostile batch thread count over the wire: the server holds it to what
+/// the host can run, so `u32::MAX` is answered — bit-identically to one
+/// thread, on a collection large enough to fan out — and the connection
+/// keeps serving.
+#[test]
+fn hostile_batch_thread_count_is_clamped_not_spawned() {
+    let collection =
+        er_datagen::presets::build(&er_datagen::presets::tiny(46)).unwrap().into_dirty().collection;
+    let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
+    // The plain default config — the benchmark's only constructor call —
+    // starts a server that answers.
+    let handle = Server::start(snapshot, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+
+    let batch = |client: &mut Client, threads: usize| {
+        client.execute(&CandidateRequest::batch().with_threads(threads)).unwrap().results
+    };
+    let one = batch(&mut client, 1);
+    assert_eq!(one.len(), collection.len());
+    assert_eq!(batch(&mut client, u32::MAX as usize), one);
+    assert_eq!(batch(&mut client, 0), one);
+    assert!(client.execute(&CandidateRequest::entity(EntityId(0))).is_ok());
+    handle.shutdown();
+}
+
 #[test]
 fn mid_stream_disconnect_leaves_the_server_serving() {
     let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();

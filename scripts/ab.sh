@@ -24,7 +24,9 @@
 # slowdown medians differ by more than their run-to-run spread under the
 # same host, the change has moved the kernel, every normalised metric is off
 # by that ratio, and no timing below means what it says — visible here in
-# the first pair.
+# the first pair. The `as_measured_*` rows under them are the same run's
+# throughput and p50 before that scaling: a metric that moved while its
+# as-measured row did not is the kernel's shift, not the program's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,10 +83,12 @@ run() {
     | sed 's/"\([^"]*\)":{"value":\(.*\)/\1 \2/' \
     | while read -r name value; do echo "$w $side $pair $name $value"; done >>"$rows"
   echo "$w $side $pair failed $(echo "$result" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')" >>"$rows"
-  sed -n 's/.*host slowdown median \([0-9.]*\) over set-ups, \([0-9.]*\) (.*/\1 \2/p' "$out" \
-    | while read -r setups reps; do
+  sed -n 's/.*as measured: throughput_per_s \([0-9.]*\) latency_p50_us \([0-9.]*\); host slowdown median \([0-9.]*\) over set-ups, \([0-9.]*\) (.*/\1 \2 \3 \4/p' "$out" \
+    | while read -r throughput p50 setups reps; do
         echo "$w $side $pair host_slowdown_setups $setups"
         echo "$w $side $pair host_slowdown_repetitions $reps"
+        echo "$w $side $pair as_measured_throughput_per_s $throughput"
+        echo "$w $side $pair as_measured_latency_p50_us $p50"
       done >>"$rows"
 }
 
@@ -138,10 +142,11 @@ for w in "${workloads[@]}"; do
         pm = median("parent", name); cm = median("change", name)
         printf "%-28s %-38s %-38s %-8s %d of %d (lost %d), %s is better\n", name, summary("parent", name), summary("change", name), (pm ? sprintf("%.3f", cm / pm) : "-"), won, maxpair, lost, better
       }
-      for (k = 1; k <= 2; k++) {
-        name = k == 1 ? "host_slowdown_setups" : "host_slowdown_repetitions"
+      nn = split("host_slowdown_setups host_slowdown_repetitions as_measured_throughput_per_s as_measured_latency_p50_us", raw, " ")
+      for (k = 1; k <= nn; k++) {
+        name = raw[k]
         pm = median("parent", name); cm = median("change", name)
-        printf "%-28s %-38s %-38s %-8s %s\n", name, summary("parent", name), summary("change", name), (pm ? sprintf("%.3f", cm / pm) : "-"), "must agree: the kernel is not under test"
+        printf "%-28s %-38s %-38s %-8s %s\n", name, summary("parent", name), summary("change", name), (pm ? sprintf("%.3f", cm / pm) : "-"), (k <= 2 ? "must agree: the kernel is not under test" : "before scaling by host slowdown")
       }
       pf = 0; cf = 0
       for (i = 1; i <= maxpair; i++) { pf += val["parent", i, "failed"]; cf += val["change", i, "failed"] }

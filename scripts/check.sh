@@ -51,14 +51,12 @@ cargo run -q --release -p er-cli -- snapshot inspect --snapshot "$SMOKE_DIR/inde
 cargo run -q --release -p er-cli -- query --snapshot "$SMOKE_DIR/index.mbsnap" \
   --entity 0 --top 5
 
-echo "==> out-of-core smoke (spill build bit-identity, sharded query)"
+echo "==> out-of-core smoke (spill build bit-identity)"
 cargo run -q --release -p er-cli -- snapshot build --dataset "$SMOKE_DIR" \
   --out "$SMOKE_DIR/index-ooc.mbsnap" --scheme cbs --pruning cnp --filter 0.8 \
   --out-of-core --spill-budget-mb 1 --spill-dir "$SMOKE_DIR/spill"
 cmp "$SMOKE_DIR/index.mbsnap" "$SMOKE_DIR/index-ooc.mbsnap" \
   || { echo "out-of-core snapshot differs from the in-memory build" >&2; exit 1; }
-cargo run -q --release -p er-cli -- query --snapshot "$SMOKE_DIR/index.mbsnap" \
-  --entity 0 --top 5 --shards 4 --shard-threads 2
 
 echo "==> online-serving smoke (er serve + er client query/reload/shutdown)"
 cargo run -q --release -p er-cli -- snapshot build --dataset "$SMOKE_DIR" \
