@@ -20,6 +20,14 @@
 //!   CSR arena (merge + rebuild), wall-ms, against the from-scratch
 //!   [`Snapshot::build`] a delta-less engine would need for *every* write.
 //!   The compacted image must be bit-identical to that fresh build.
+//! * **overlay growth** — what the rows above hide by using a fresh cell per
+//!   round: on *one* cell, at 64 / 512 / 2 048 accumulated ops, the p50 of
+//!   [`GenerationCell::apply`], of dropping the generation it replaced, and
+//!   of pinning the new one with a cold engine
+//!   ([`QueryEngine::from_generation`]) and with the previous engine's
+//!   buffers ([`QueryEngine::with_scratch`]). Apply and drop grow with the
+//!   overlay (it is cloned per op); the warm pin is what a connection
+//!   handler pays per acknowledged write.
 //!
 //! Output: `BENCH_delta.json` at the repository root (override with
 //! `BENCH_OUT`); `validate_delta_json` checks its shape — including the
@@ -30,8 +38,8 @@ use mb_core::{PipelineConfig, PruningScheme, Retention, WeightingScheme};
 use mb_observe::json::Json;
 use mb_observe::Noop;
 use mb_serve::{
-    merge_ops, CandidateRequest, DeltaOp, GenerationCell, QueryEngine, Snapshot, SnapshotView,
-    APPEND,
+    merge_ops, CandidateRequest, DeltaOp, EngineScratch, GenerationCell, QueryEngine, Snapshot,
+    SnapshotView, APPEND,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -193,6 +201,80 @@ fn main() {
         ops.len()
     );
 
+    // --- overlay growth: one cell, ops accumulating ---------------------------
+    //
+    // Three appends, one in-place replace and one delete in every five ops
+    // (a refused op — a replace landing on a tombstone — is skipped, not
+    // counted). Each checkpoint's percentiles are over the last
+    // `GROWTH_WINDOW` ops before it.
+    const GROWTH_CHECKPOINTS: [usize; 3] = [64, 512, 2048];
+    const GROWTH_WINDOW: usize = 48;
+    let cell =
+        GenerationCell::new(snapshot.clone()).unwrap_or_else(|e| panic!("loading generation: {e}"));
+    let mut scratch = EngineScratch::default();
+    let (mut applied, mut attempt) = (0usize, 0usize);
+    let mut growth = Vec::with_capacity(GROWTH_CHECKPOINTS.len());
+    for checkpoint in GROWTH_CHECKPOINTS {
+        let mut us: [Vec<f64>; 4] = Default::default();
+        while applied < checkpoint {
+            let op = match attempt % 5 {
+                3 => DeltaOp::Upsert {
+                    id: ((attempt * 31 + 7) % n) as u32,
+                    profile: newcomer(samples + 1, attempt),
+                },
+                4 => DeltaOp::Delete { id: (n - 1 - attempt / 5) as u32 },
+                _ => DeltaOp::Upsert { id: APPEND, profile: newcomer(samples + 1, attempt) },
+            };
+            attempt += 1;
+            let previous = cell.load();
+            let start = Instant::now();
+            if cell.apply(op, &mut Noop).is_err() {
+                continue;
+            }
+            let apply = start.elapsed().as_secs_f64() * 1e6;
+            // `previous` is the replaced generation's last owner: dropping
+            // it frees that generation's copy of the overlay.
+            let start = Instant::now();
+            drop(previous);
+            let drop_previous = start.elapsed().as_secs_f64() * 1e6;
+            applied += 1;
+            if applied + GROWTH_WINDOW <= checkpoint {
+                continue;
+            }
+            let start = Instant::now();
+            let generation = cell.load();
+            let engine = QueryEngine::from_generation(&generation);
+            let cold_pin = start.elapsed().as_secs_f64() * 1e6;
+            black_box(&engine);
+            drop(engine);
+            let start = Instant::now();
+            let generation = cell.load();
+            let engine = QueryEngine::with_scratch(&generation, std::mem::take(&mut scratch));
+            let warm_pin = start.elapsed().as_secs_f64() * 1e6;
+            black_box(&engine);
+            scratch = engine.into_scratch();
+            for (v, x) in us.iter_mut().zip([apply, drop_previous, cold_pin, warm_pin]) {
+                v.push(x);
+            }
+        }
+        for v in &mut us {
+            v.sort_unstable_by(|a, b| a.total_cmp(b));
+        }
+        let p50: Vec<f64> = us.iter().map(|v| pct(v, 0.50)).collect();
+        println!(
+            "overlay at {applied:>4} ops: apply p50 {:>7.2} us  drop previous {:>7.2} us  \
+             pin cold {:>7.2} us  warm {:>7.2} us",
+            p50[0], p50[1], p50[2], p50[3]
+        );
+        let mut row = Json::obj();
+        row.push("ops", Json::Uint(applied as u64));
+        row.push("apply_p50_us", Json::Num(p50[0]));
+        row.push("drop_previous_p50_us", Json::Num(p50[1]));
+        row.push("cold_pin_p50_us", Json::Num(p50[2]));
+        row.push("warm_pin_p50_us", Json::Num(p50[3]));
+        growth.push(row);
+    }
+
     let mut upsert = Json::obj();
     upsert.push("apply_p50_us", Json::Num(pct(&apply_us, 0.50)));
     upsert.push("apply_p99_us", Json::Num(pct(&apply_us, 0.99)));
@@ -216,6 +298,7 @@ fn main() {
     doc.push("samples", Json::Uint(samples as u64));
     doc.push("upsert", upsert);
     doc.push("compaction", compaction);
+    doc.push("overlay_growth", Json::Arr(growth));
     doc.push("speedup_vs_rebuild", Json::Num(speedup));
 
     let out = std::env::var("BENCH_OUT").ok().filter(|p| !p.is_empty()).unwrap_or_else(|| {

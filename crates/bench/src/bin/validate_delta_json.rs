@@ -6,7 +6,10 @@
 //! from-scratch rebuild, or a single upsert failed the acceptance bar: it
 //! must be applied *and* queryable within 1 ms at p50, and at least 1000×
 //! cheaper than the full rebuild path (bundle load → build → persist →
-//! reload → first query) it replaces.
+//! reload → first query) it replaces. The `overlay_growth` rows (one cell,
+//! ops accumulating) are checked for shape, ascending op counts, and that
+//! re-pinning over the previous engine's buffers beats a cold engine; the
+//! apply and drop rows grow with the overlay and carry no floor yet.
 
 use mb_observe::json::Json;
 use std::process::ExitCode;
@@ -84,6 +87,31 @@ fn check(doc: &Json) -> Result<(), String> {
                 "compaction.bit_identical must be true, got {}",
                 other.render_pretty()
             ))
+        }
+    }
+
+    let growth = field(doc, "overlay_growth")?;
+    let rows = growth.as_arr().ok_or_else(|| "`overlay_growth` is not an array".to_string())?;
+    if rows.len() < 3 {
+        return Err(format!("`overlay_growth` has {} rows, expected at least 3", rows.len()));
+    }
+    let mut last_ops = 0;
+    for row in rows {
+        let ops = positive_uint(row, "ops")?;
+        if ops <= last_ops {
+            return Err(format!(
+                "`overlay_growth` op counts must ascend, got {ops} after {last_ops}"
+            ));
+        }
+        last_ops = ops;
+        finite(row, "apply_p50_us")?;
+        finite(row, "drop_previous_p50_us")?;
+        let (cold, warm) = (finite(row, "cold_pin_p50_us")?, finite(row, "warm_pin_p50_us")?);
+        if warm >= cold {
+            return Err(format!(
+                "overlay_growth at {ops} ops: warm_pin_p50_us ({warm}) is not below \
+                 cold_pin_p50_us ({cold})"
+            ));
         }
     }
 

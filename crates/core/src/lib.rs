@@ -93,6 +93,6 @@ pub mod weights;
 pub use context::GraphContext;
 pub use mb_observe::{Noop, Observer};
 pub use pipeline::{MetaBlocking, PipelineConfig, PruningScheme, WeightingImpl};
-pub use scorer::{Candidate, NeighborhoodScorer, Retention, Scored};
+pub use scorer::{Candidate, NeighborhoodScorer, Retention, Scored, ScorerScratch};
 pub use store::CandidateStore;
 pub use weights::WeightingScheme;

@@ -31,9 +31,13 @@ pub enum ScanScope {
 }
 
 /// Reusable scan state: `O(|E|)` once, `O(1)` amortized per scanned edge.
-#[derive(Debug)]
+///
+/// The default is a scanner over no entities, for a [`crate::ScorerScratch`]
+/// to refit to each graph it serves.
+#[derive(Debug, Default)]
 pub struct NeighborhoodScanner {
-    /// Epoch markers: `flags[j] == tick` means `score[j]` is current.
+    /// Epoch markers: `flags[j] == tick` means `score[j]` is current. A scan
+    /// never runs at tick 0, so 0 marks an entry no scan has touched.
     flags: Vec<u32>,
     score: Vec<f64>,
     neighbors: Vec<u32>,
@@ -43,12 +47,25 @@ pub struct NeighborhoodScanner {
 impl NeighborhoodScanner {
     /// Creates a scanner for graphs over `num_entities` profiles.
     pub fn new(num_entities: usize) -> Self {
-        NeighborhoodScanner {
-            flags: vec![0; num_entities],
-            score: vec![0.0; num_entities],
-            neighbors: Vec::new(),
-            tick: 0,
-        }
+        let mut scanner = NeighborhoodScanner::default();
+        scanner.resize(num_entities);
+        scanner
+    }
+
+    /// Refits the scanner to a graph over `num_entities` profiles, keeping
+    /// its buffers and its epoch: new entries arrive unmarked, surplus ones
+    /// are truncated, and everything an earlier scan marked is stale at the
+    /// next tick. This is what lets a serving connection carry one scanner
+    /// from generation to generation instead of zeroing `O(|E|)` per re-pin.
+    pub(crate) fn resize(&mut self, num_entities: usize) {
+        self.flags.resize(num_entities, 0);
+        self.score.resize(num_entities, 0.0);
+    }
+
+    /// Places the epoch counter, so a test can stand just before its wrap.
+    #[cfg(test)]
+    pub(crate) fn set_tick(&mut self, tick: u32) {
+        self.tick = tick;
     }
 
     /// Scans the neighborhood of `pivot` over any [`CandidateStore`] and
@@ -204,6 +221,43 @@ mod tests {
         // accumulator would report 3.
         assert_eq!(second.score_of(0), 1.0);
         assert_eq!(second.degree(), 2);
+    }
+
+    #[test]
+    fn a_resized_scanner_scans_like_a_new_one_across_the_epoch_wrap() {
+        let small = dirty_fixture();
+        let large = BlockCollection::new(
+            ErKind::Dirty,
+            6,
+            vec![
+                Block::dirty(ids(&[0, 1, 2])),
+                Block::dirty(ids(&[0, 1])),
+                Block::dirty(ids(&[1, 3])),
+                Block::dirty(ids(&[3, 4, 5])),
+                Block::dirty(ids(&[0, 5])),
+            ],
+        );
+        // Carried from graph to graph: grown, truncated, grown again, while
+        // its epoch counter runs through u32::MAX and wraps.
+        let mut carried = NeighborhoodScanner::default();
+        carried.set_tick(u32::MAX - 5);
+        for blocks in [&small, &large, &small, &large] {
+            let ctx = GraphContext::new_dirty(blocks);
+            let n = blocks.num_entities();
+            carried.resize(n);
+            let mut fresh = NeighborhoodScanner::new(n);
+            for i in 0..n as u32 {
+                for accumulate in [Accumulate::CommonBlocks, Accumulate::ReciprocalCardinalities] {
+                    let want: Vec<_> =
+                        fresh.scan(&ctx, EntityId(i), accumulate, ScanScope::All).iter().collect();
+                    let got: Vec<_> = carried
+                        .scan(&ctx, EntityId(i), accumulate, ScanScope::All)
+                        .iter()
+                        .collect();
+                    assert_eq!(got, want, "|E| = {n}, pivot {i}, {accumulate:?}");
+                }
+            }
+        }
     }
 
     #[test]

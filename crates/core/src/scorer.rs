@@ -88,6 +88,37 @@ pub struct Scored {
     pub edges_scored: u64,
 }
 
+/// The buffers a [`NeighborhoodScorer`] scans with, free of the store's
+/// lifetime so they can outlive the scorer: four `O(|E|)` epoch arrays
+/// (24 B per entity) plus the neighborhood buffers grown to their working
+/// size. A serving connection takes them back with
+/// [`NeighborhoodScorer::into_scratch`] when its generation is replaced and
+/// hands them to [`NeighborhoodScorer::with_scratch`] over the next one, so
+/// a re-pin costs what changed in `|E|`, not an allocation and a zeroing of
+/// all of it. The default is empty.
+#[derive(Debug, Default)]
+pub struct ScorerScratch {
+    scanner: NeighborhoodScanner,
+    ids: Vec<u32>,
+    weights: Vec<f64>,
+    // Probe-scan epoch state (the scanner's scratch is private to it, and a
+    // probe pivot has no entry in the entity index to scan from).
+    probe_flags: Vec<u32>,
+    probe_score: Vec<f64>,
+    probe_tick: u32,
+}
+
+impl ScorerScratch {
+    /// Fits the epoch arrays to `num_entities`, epochs carried over (see
+    /// [`NeighborhoodScanner::resize`]; the probe arrays follow the same
+    /// rule).
+    fn resize(&mut self, num_entities: usize) {
+        self.scanner.resize(num_entities);
+        self.probe_flags.resize(num_entities, 0);
+        self.probe_score.resize(num_entities, 0.0);
+    }
+}
+
 /// Answers per-entity candidate queries over one blocking graph.
 ///
 /// Owns everything a query needs — the graph context, the EJS degree
@@ -99,14 +130,7 @@ pub struct NeighborhoodScorer<S> {
     store: S,
     scheme: WeightingScheme,
     degrees: Option<Degrees>,
-    scanner: NeighborhoodScanner,
-    ids: Vec<u32>,
-    weights: Vec<f64>,
-    // Probe-scan epoch state (the scanner's scratch is private to it, and a
-    // probe pivot has no entry in the entity index to scan from).
-    probe_flags: Vec<u32>,
-    probe_score: Vec<f64>,
-    probe_tick: u32,
+    scratch: ScorerScratch,
 }
 
 impl<'b> NeighborhoodScorer<GraphContext<'b>> {
@@ -133,19 +157,23 @@ impl<S: CandidateStore> NeighborhoodScorer<S> {
     /// zero-copy serving stores use. Queries are bit-identical across store
     /// implementations presenting the same graph.
     pub fn from_store(store: S, scheme: WeightingScheme) -> Self {
+        Self::with_scratch(store, scheme, ScorerScratch::default())
+    }
+
+    /// [`NeighborhoodScorer::from_store`] over buffers an earlier scorer
+    /// gave back ([`NeighborhoodScorer::into_scratch`]), refitted to this
+    /// store's `|E|`. Nothing a query returns depends on where the scratch
+    /// has been; the EJS degree statistics are computed from `store` as
+    /// always.
+    pub fn with_scratch(store: S, scheme: WeightingScheme, mut scratch: ScorerScratch) -> Self {
         let degrees = scheme.needs_degrees().then(|| Degrees::compute(&store));
-        let n = store.num_entities();
-        NeighborhoodScorer {
-            store,
-            scheme,
-            degrees,
-            scanner: NeighborhoodScanner::new(n),
-            ids: Vec::new(),
-            weights: Vec::new(),
-            probe_flags: vec![0; n],
-            probe_score: vec![0.0; n],
-            probe_tick: 0,
-        }
+        scratch.resize(store.num_entities());
+        NeighborhoodScorer { store, scheme, degrees, scratch }
+    }
+
+    /// Gives the scan buffers back for the next scorer to reuse.
+    pub fn into_scratch(self) -> ScorerScratch {
+        self.scratch
     }
 
     /// The store being queried.
@@ -164,13 +192,14 @@ impl<S: CandidateStore> NeighborhoodScorer<S> {
     /// batch CNP retains for this node at threshold `k`; with
     /// [`Retention::AboveMean`] it is exactly the WNP retention.
     pub fn query(&mut self, pivot: EntityId, retention: Retention) -> Scored {
-        let hood = self.scanner.scan(&self.store, pivot, self.scheme.accumulate(), ScanScope::All);
-        self.ids.clear();
-        self.ids.extend_from_slice(hood.ids);
-        self.weights.clear();
-        for &j in &self.ids {
+        let ScorerScratch { scanner, ids, weights, .. } = &mut self.scratch;
+        let hood = scanner.scan(&self.store, pivot, self.scheme.accumulate(), ScanScope::All);
+        ids.clear();
+        ids.extend_from_slice(hood.ids);
+        weights.clear();
+        for &j in ids.iter() {
             let score = hood.score_of(j);
-            self.weights.push(edge_weight(
+            weights.push(edge_weight(
                 self.scheme,
                 &self.store,
                 self.degrees.as_ref(),
@@ -180,9 +209,9 @@ impl<S: CandidateStore> NeighborhoodScorer<S> {
             ));
         }
         Scored {
-            candidates: retain(pivot, &self.ids, &self.weights, retention),
+            candidates: retain(pivot, ids, weights, retention),
             blocks_touched: self.store.block_list(pivot).len() as u64,
-            edges_scored: self.ids.len() as u64,
+            edges_scored: ids.len() as u64,
         }
     }
 
@@ -202,16 +231,18 @@ impl<S: CandidateStore> NeighborhoodScorer<S> {
         probe_is_first: bool,
         retention: Retention,
     ) -> Scored {
-        self.probe_tick = self.probe_tick.wrapping_add(1);
-        if self.probe_tick == 0 {
-            self.probe_flags.fill(0);
-            self.probe_tick = 1;
+        let ScorerScratch {
+            ids, weights, probe_flags: flags, probe_score: score, probe_tick, ..
+        } = &mut self.scratch;
+        *probe_tick = probe_tick.wrapping_add(1);
+        if *probe_tick == 0 {
+            flags.fill(0);
+            *probe_tick = 1;
         }
-        self.ids.clear();
+        ids.clear();
         let arcs = self.scheme.accumulate() == crate::scanner::Accumulate::ReciprocalCardinalities;
         let scan_right = self.store.kind() != er_model::ErKind::Dirty && probe_is_first;
-        let tick = self.probe_tick;
-        let (flags, score, ids) = (&mut self.probe_flags, &mut self.probe_score, &mut self.ids);
+        let tick = *probe_tick;
         for &k in block_ids {
             let increment = if arcs { self.store.recip_cardinality_of(k as usize) } else { 1.0 };
             self.store.members_of(k as usize, scan_right).for_each(|j| {
@@ -225,24 +256,24 @@ impl<S: CandidateStore> NeighborhoodScorer<S> {
             });
         }
         let probe_blocks = block_ids.len() as f64;
-        let probe_degree = self.ids.len();
-        self.weights.clear();
-        for &j in &self.ids {
-            self.weights.push(probe_weight(
+        let probe_degree = ids.len();
+        weights.clear();
+        for &j in ids.iter() {
+            weights.push(probe_weight(
                 self.scheme,
                 &self.store,
                 self.degrees.as_ref(),
                 probe_blocks,
                 probe_degree,
                 EntityId(j),
-                self.probe_score[j as usize],
+                score[j as usize],
             ));
         }
         // Entity ids are dense u32s, so |E| itself always fits.
         let past_every_id = self.store.num_entities() as u32;
         let virtual_pivot = EntityId(past_every_id);
         Scored {
-            candidates: retain(virtual_pivot, &self.ids, &self.weights, retention),
+            candidates: retain(virtual_pivot, ids, weights, retention),
             blocks_touched: block_ids.len() as u64,
             edges_scored: probe_degree as u64,
         }
@@ -538,6 +569,41 @@ mod tests {
         let other = scorer.probe(&[2], true, Retention::TopK(10));
         assert_eq!(candidate_ids(&other), vec![2, 3]);
         assert!(other.candidates.iter().all(|c| c.weight == 1.0));
+    }
+
+    #[test]
+    fn carried_scratch_one_tick_short_of_the_wrap_stays_sound() {
+        for blocks in [fixture(), clean_fixture()] {
+            let split = if blocks.kind() == ErKind::Dirty { blocks.num_entities() } else { 3 };
+            let n = blocks.num_entities() as u32;
+            for scheme in [WeightingScheme::Arcs, WeightingScheme::Ejs] {
+                let mut cold = NeighborhoodScorer::new(&blocks, split, scheme);
+                let queries: Vec<Scored> =
+                    (0..n).map(|i| cold.query(EntityId(i), Retention::TopK(10))).collect();
+                let probes: Vec<Scored> =
+                    (0..4).map(|_| cold.probe(&[0, 1, 2], false, Retention::AboveMean)).collect();
+
+                // Those scans left entries marked with epochs 1, 2, …: the
+                // values the counters take again right after the wrap, so a
+                // wrap that did not reset the markers would read stale
+                // scores as current. Two entries past |E| besides, as a
+                // scratch back from a larger generation has.
+                let mut scratch = cold.into_scratch();
+                scratch.resize(n as usize + 2);
+                scratch.scanner.set_tick(u32::MAX - 1);
+                scratch.probe_tick = u32::MAX - 1;
+                let ctx = GraphContext::new(&blocks, split);
+                let mut warm = NeighborhoodScorer::with_scratch(ctx, scheme, scratch);
+                for (i, want) in queries.iter().enumerate() {
+                    let got = warm.query(EntityId(i as u32), Retention::TopK(10));
+                    assert_eq!(&got, want, "{scheme:?} pivot {i}");
+                }
+                for want in &probes {
+                    assert_eq!(&warm.probe(&[0, 1, 2], false, Retention::AboveMean), want);
+                }
+                assert!(warm.scratch.probe_tick < 8, "the probe epoch wrapped");
+            }
+        }
     }
 
     #[test]

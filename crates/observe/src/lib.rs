@@ -113,6 +113,17 @@ impl Stage {
         Stage::ALL.into_iter().find(|s| s.name() == name)
     }
 
+    /// Whether an enabled [`StageScope`] reads the process CPU clock around
+    /// this stage. The two stages entered once per served request do not:
+    /// the clock is `/proc/self/stat` (two file reads per scope, ~5 µs
+    /// each), ticks every 10 ms against spans of a few µs, and sums every
+    /// thread of the process, so under two connections it would bill one
+    /// request for the other's CPU. Their [`StageStats::cpu`] is `None`,
+    /// the shape non-Linux hosts already report.
+    pub(crate) fn samples_process_cpu(self) -> bool {
+        !matches!(self, Stage::Query | Stage::DeltaApply)
+    }
+
     /// Position in the Figure-7(a) workflow order — useful for asserting
     /// event ordering in tests.
     pub fn workflow_rank(self) -> usize {
@@ -300,7 +311,9 @@ pub struct StageStats {
     /// Wall-clock time between enter and exit.
     pub wall: Duration,
     /// Process CPU time consumed between enter and exit (all threads);
-    /// `None` where `/proc/self/stat` is unavailable.
+    /// `None` where `/proc/self/stat` is unavailable, and always for
+    /// [`Stage::Query`] and [`Stage::DeltaApply`], which are entered once
+    /// per served request and never read that clock.
     pub cpu: Option<Duration>,
     /// The stage's counters.
     pub counters: Counters,
@@ -413,7 +426,9 @@ impl<'o> StageScope<'o> {
         let (start, cpu_start) = if enabled {
             obs.on_event(&StageEvent::Enter(stage));
             alloc_track::rebase_peak();
-            (Some(Instant::now()), cpu::process_cpu_time())
+            let cpu_start =
+                if stage.samples_process_cpu() { cpu::process_cpu_time() } else { None };
+            (Some(Instant::now()), cpu_start)
         } else {
             (None, None)
         };
@@ -446,9 +461,11 @@ impl<'o> StageScope<'o> {
             return;
         }
         let wall = self.start.map(|s| s.elapsed()).unwrap_or_default();
-        let cpu = match (self.cpu_start, cpu::process_cpu_time()) {
-            (Some(a), Some(b)) => Some(b.saturating_sub(a)),
-            _ => None,
+        // No start reading (request-scale stage, or no procfs): no second
+        // read either.
+        let cpu = match self.cpu_start {
+            Some(start) => cpu::process_cpu_time().map(|now| now.saturating_sub(start)),
+            None => None,
         };
         let peak = alloc_track::peak_bytes();
         if peak != 0 {
@@ -539,6 +556,40 @@ mod tests {
             }
             other => panic!("expected Exit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn request_scale_stages_never_sample_process_cpu() {
+        let exit_cpu = |stage: Stage| {
+            let mut ring = RingLog::new(4);
+            StageScope::enter(&mut ring, stage).finish();
+            match ring.events().last() {
+                Some(StageEvent::Exit(s, stats)) if *s == stage => stats.cpu,
+                other => panic!("expected Exit({stage}), got {other:?}"),
+            }
+        };
+        assert_eq!(exit_cpu(Stage::Query), None);
+        assert_eq!(exit_cpu(Stage::DeltaApply), None);
+        // Every other stage keeps the clock wherever procfs provides it.
+        let procfs = cpu::process_cpu_time().is_some();
+        for stage in Stage::ALL {
+            let request_scale = matches!(stage, Stage::Query | Stage::DeltaApply);
+            assert_eq!(stage.samples_process_cpu(), !request_scale, "{stage}");
+            if !request_scale {
+                assert_eq!(exit_cpu(stage).is_some(), procfs, "{stage}");
+            }
+        }
+
+        // A report holding both shapes round-trips the `null`.
+        let mut report = RunReport::new("serve");
+        StageScope::enter(&mut report, Stage::Query).finish();
+        StageScope::enter(&mut report, Stage::Pruning).finish();
+        assert_eq!(report.stage(Stage::Query).map(|r| r.cpu), Some(None));
+        let text = report.to_json_string();
+        assert!(text.contains("\"cpu_ns\": null"), "{text}");
+        let back = RunReport::from_json_str(&text).expect("the report's own JSON");
+        assert_eq!(back, report);
+        assert_eq!(back.stage(Stage::Pruning).map(|r| r.cpu.is_some()), Some(procfs));
     }
 
     #[test]

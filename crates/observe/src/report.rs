@@ -91,6 +91,13 @@ impl RunReport {
         self.stages.iter().map(|r| r.wall).sum()
     }
 
+    /// Forgets every stage record, keeping the label, the metadata and the
+    /// allocation — for a report that is folded into another
+    /// ([`RunReport::absorb`]) once per request and then reused.
+    pub fn clear_stages(&mut self) {
+        self.stages.clear();
+    }
+
     fn record_mut(&mut self, stage: Stage) -> &mut StageRecord {
         if let Some(i) = self.stages.iter().position(|r| r.stage == stage) {
             return &mut self.stages[i];
@@ -332,6 +339,18 @@ mod tests {
         total.absorb(&sample_report());
         assert_eq!(total.counter_total(Counter::EdgesWeighed), 2468);
         assert_eq!(total.stage(Stage::BlockFiltering).unwrap().runs, 2);
+    }
+
+    #[test]
+    fn cleared_report_absorbs_as_nothing_and_keeps_its_label_and_meta() {
+        let mut report = sample_report();
+        report.clear_stages();
+        assert!(report.stages().is_empty());
+        assert_eq!(report.label(), "table5/demo");
+        assert_eq!(report.meta("threads"), Some("4"));
+        let mut total = RunReport::new("total");
+        total.absorb(&report);
+        assert!(total.stages().is_empty());
     }
 
     #[test]

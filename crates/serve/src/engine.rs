@@ -21,7 +21,8 @@ use crate::view::SnapshotView;
 use er_model::tokenize::{raw_tokens, KeyScratch};
 use er_model::{EntityId, EntityProfile, ErKind};
 use mb_core::{
-    CandidateStore, NeighborhoodScorer, PruningScheme, Retention, Scored, WeightingScheme,
+    CandidateStore, NeighborhoodScorer, PruningScheme, Retention, Scored, ScorerScratch,
+    WeightingScheme,
 };
 use mb_observe::{Counter, Observer, Stage, StageScope};
 use std::borrow::Cow;
@@ -46,7 +47,21 @@ pub struct QueryEngine<'s> {
     /// The generation's delta overlay, consulted for vocabulary-extension
     /// tokens and promoted block routes on the probe path.
     overlay: Option<&'s DeltaOverlay>,
-    scratch: KeyScratch,
+    keys: KeyScratch,
+    probe_blocks: Vec<u32>,
+}
+
+/// Every buffer a [`QueryEngine`] owns, detached from the generation it was
+/// pinned to: the scorer's `O(|E|)` scan arrays, the probe tokenizer's key
+/// scratch and the probe route list. A connection handler takes it back
+/// ([`QueryEngine::into_scratch`]) when its generation is replaced and
+/// builds the next engine over it ([`QueryEngine::with_scratch`]), so a
+/// re-pin after every acknowledged write allocates and zeroes nothing. The
+/// default is empty.
+#[derive(Debug, Default)]
+pub struct EngineScratch {
+    scorer: ScorerScratch,
+    keys: KeyScratch,
     probe_blocks: Vec<u32>,
 }
 
@@ -92,7 +107,7 @@ impl<'s> QueryEngine<'s> {
     /// derived state is the `O(vocabulary)` token-to-block routing table.
     pub fn view_with_scheme(view: &'s SnapshotView, scheme: WeightingScheme) -> Self {
         let token_block = build_token_block(view.num_tokens(), view.block_keys());
-        Self::assemble(view, scheme, Cow::Owned(token_block), None)
+        Self::assemble(view, scheme, Cow::Owned(token_block), None, EngineScratch::default())
     }
 
     /// Builds an engine over a pinned serving generation — the server's
@@ -102,11 +117,25 @@ impl<'s> QueryEngine<'s> {
     /// from the generation's pre-warmed state (built once, at publish
     /// time), and the delta overlay — when the generation
     /// carries one — patches block and list reads through the store and
-    /// routes probe tokens onto overlay-born blocks. Construction is O(1)
-    /// allocations regardless of snapshot size, which is what removed the
-    /// post-reload first-query latency spike.
+    /// routes probe tokens onto overlay-born blocks. What is left to
+    /// allocate is the scan scratch, 24 B per entity, zeroed — which
+    /// [`QueryEngine::with_scratch`] takes from the previous engine instead.
     pub fn from_generation(generation: &'s Generation) -> Self {
-        Self::generation_with_scheme(generation, generation.view().config().weighting)
+        Self::with_scratch(generation, EngineScratch::default())
+    }
+
+    /// [`QueryEngine::from_generation`] over the buffers of an engine that
+    /// was pinned to an earlier generation ([`QueryEngine::into_scratch`]).
+    /// Answers are bit-identical to a cold engine's; what is saved is the
+    /// allocation and zeroing of 24 B × `|E|` of scan scratch per re-pin.
+    pub fn with_scratch(generation: &'s Generation, scratch: EngineScratch) -> Self {
+        Self::assemble(
+            generation.view(),
+            generation.view().config().weighting,
+            Cow::Borrowed(generation.warm().token_block()),
+            generation.overlay(),
+            scratch,
+        )
     }
 
     /// Builds an engine over a pinned serving generation, scoring with an
@@ -117,6 +146,7 @@ impl<'s> QueryEngine<'s> {
             scheme,
             Cow::Borrowed(generation.warm().token_block()),
             generation.overlay(),
+            EngineScratch::default(),
         )
     }
 
@@ -125,21 +155,24 @@ impl<'s> QueryEngine<'s> {
         scheme: WeightingScheme,
         token_block: Cow<'s, [u32]>,
         overlay: Option<&'s DeltaOverlay>,
+        scratch: EngineScratch,
     ) -> Self {
         let store = EngineStore::from_view(view);
         let store = match overlay {
             Some(o) => store.with_overlay(o),
             None => store,
         };
-        let scorer = NeighborhoodScorer::from_store(store, scheme);
-        QueryEngine {
-            store,
-            scorer,
-            view,
-            token_block,
-            overlay,
-            scratch: KeyScratch::new(),
-            probe_blocks: Vec::new(),
+        let EngineScratch { scorer, keys, probe_blocks } = scratch;
+        let scorer = NeighborhoodScorer::with_scratch(store, scheme, scorer);
+        QueryEngine { store, scorer, view, token_block, overlay, keys, probe_blocks }
+    }
+
+    /// Gives every buffer back for the next engine to reuse.
+    pub fn into_scratch(self) -> EngineScratch {
+        EngineScratch {
+            scorer: self.scorer.into_scratch(),
+            keys: self.keys,
+            probe_blocks: self.probe_blocks,
         }
     }
 
@@ -226,18 +259,18 @@ impl<'s> QueryEngine<'s> {
         retention: Retention,
         scope: &mut StageScope<'_>,
     ) -> Scored {
-        self.scratch.clear();
+        self.keys.clear();
         for value in profile.values() {
             for raw in raw_tokens(value) {
-                let start = self.scratch.begin();
-                self.scratch.push_lowercase(raw);
-                self.scratch.commit(start);
+                let start = self.keys.begin();
+                self.keys.push_lowercase(raw);
+                self.keys.commit(start);
             }
         }
-        self.scratch.sort_dedup();
+        self.keys.sort_dedup();
         let mut tokens_probed = 0u64;
         self.probe_blocks.clear();
-        for token in self.scratch.iter() {
+        for token in self.keys.iter() {
             tokens_probed += 1;
             // Base vocabulary first, then the overlay's extension for
             // tokens only delta profiles have introduced.

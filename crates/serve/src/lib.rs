@@ -65,7 +65,7 @@ mod store;
 mod view;
 
 pub use delta::{append_delta_run, merge_ops, DeltaOp, DeltaOverlay, APPEND};
-pub use engine::QueryEngine;
+pub use engine::{EngineScratch, QueryEngine};
 pub use error::{ServeError, SnapshotError};
 pub use generation::{AppliedDelta, Generation, GenerationCell};
 pub use request::{CandidateRequest, CandidateResponse, CandidateTarget};

@@ -120,39 +120,114 @@ pub fn read_hello(r: &mut impl Read) -> Result<u64, ServeError> {
     Ok(rd.u64()?)
 }
 
+/// Bytes of a frame header: `kind u8 | payload_len u32 | fnv1a64 u64`.
+const FRAME_HEADER: usize = 13;
+
 /// Writes one checksummed frame.
+///
+/// Header and payload leave in one `write` call: on a `TCP_NODELAY` socket
+/// each call is a segment of its own, and a header sent ahead of its
+/// payload wakes the peer for 13 bytes it cannot act on.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), ServeError> {
     if payload.len() as u64 > MAX_FRAME {
         return Err(ServeError::FrameTooLarge { len: payload.len() as u64, max: MAX_FRAME });
     }
-    let mut head = Vec::with_capacity(13);
-    put_u8(&mut head, kind);
-    put_u32(&mut head, payload.len() as u32);
-    put_u64(&mut head, fnv1a(payload));
-    w.write_all(&head)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    put_u8(&mut frame, kind);
+    put_u32(&mut frame, payload.len() as u32);
+    put_u64(&mut frame, fnv1a(payload));
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
 /// Reads one frame, verifying the length cap before allocating and the
-/// checksum after reading. Returns `(kind, payload)`.
+/// checksum after reading. Returns `(kind, payload)`. This is the blocking
+/// form, for a reader without a timeout; the server's `FrameReader` is the
+/// resumable one, over the same header and checksum code.
 pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ServeError> {
-    let mut head = [0u8; 13];
+    let mut head = [0u8; FRAME_HEADER];
     r.read_exact(&mut head)?;
-    let mut rd = Reader::new(&head, "frame");
-    let kind = rd.u8()?;
-    let len = rd.u32()? as u64;
-    let checksum = rd.u64()?;
-    if len > MAX_FRAME {
-        return Err(ServeError::FrameTooLarge { len, max: MAX_FRAME });
-    }
-    let mut payload = vec![0u8; len as usize];
+    let header = FrameHeader::parse(&head)?;
+    let mut payload = vec![0u8; header.len];
     r.read_exact(&mut payload)?;
-    if fnv1a(&payload) != checksum {
-        return Err(ServeError::FrameChecksum);
+    header.verified(payload)
+}
+
+/// A decoded frame header whose declared length has passed the cap.
+struct FrameHeader {
+    kind: u8,
+    len: usize,
+    checksum: u64,
+}
+
+impl FrameHeader {
+    fn parse(head: &[u8; FRAME_HEADER]) -> Result<FrameHeader, ServeError> {
+        let mut rd = Reader::new(head, "frame");
+        let kind = rd.u8()?;
+        let len = rd.u32()? as u64;
+        let checksum = rd.u64()?;
+        if len > MAX_FRAME {
+            return Err(ServeError::FrameTooLarge { len, max: MAX_FRAME });
+        }
+        Ok(FrameHeader { kind, len: len as usize, checksum })
     }
-    Ok((kind, payload))
+
+    /// The frame, once `payload` matches the header's checksum.
+    fn verified(&self, payload: Vec<u8>) -> Result<(u8, Vec<u8>), ServeError> {
+        if fnv1a(&payload) != self.checksum {
+            return Err(ServeError::FrameChecksum);
+        }
+        Ok((self.kind, payload))
+    }
+}
+
+/// A frame read that can be resumed.
+///
+/// The server reads under a timeout (its liveness poll), and a timeout can
+/// fall in the middle of a frame. The bytes consumed so far are kept here,
+/// not on the stack of a `read_exact`, so the next [`FrameReader::read`]
+/// continues the same frame instead of parsing payload bytes as a header.
+#[derive(Debug, Default)]
+pub(crate) struct FrameReader {
+    head: [u8; FRAME_HEADER],
+    head_filled: usize,
+    /// Sized to the declared length once the header is complete and that
+    /// length has passed the cap.
+    payload: Option<Vec<u8>>,
+    payload_filled: usize,
+}
+
+impl FrameReader {
+    /// Reads until the frame in progress is complete and returns it, as
+    /// [`read_frame`] does. On an I/O error (a timeout included) the
+    /// progress made stays and the next call resumes from it. A header over
+    /// the cap stays too: the stream cannot be resynchronised past it, so
+    /// the handler closes the connection on that error.
+    pub(crate) fn read(&mut self, r: &mut impl Read) -> Result<(u8, Vec<u8>), ServeError> {
+        fill(r, &mut self.head, &mut self.head_filled)?;
+        let header = FrameHeader::parse(&self.head)?;
+        let payload = self.payload.get_or_insert_with(|| vec![0u8; header.len]);
+        fill(r, payload, &mut self.payload_filled)?;
+        let payload = std::mem::take(payload);
+        *self = FrameReader::default();
+        header.verified(payload)
+    }
+}
+
+/// `read_exact` with its progress in `filled`, so an error part-way loses
+/// nothing. End of stream before `buf` is full is [`ServeError::Disconnected`].
+fn fill(r: &mut impl Read, buf: &mut [u8], filled: &mut usize) -> Result<(), ServeError> {
+    while *filled < buf.len() {
+        match r.read(&mut buf[*filled..]) {
+            Ok(0) => return Err(ServeError::Disconnected),
+            Ok(n) => *filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
 }
 
 /// Serializes a [`CandidateRequest`] into a [`MSG_REQUEST`] payload.
@@ -529,6 +604,117 @@ mod tests {
         let mut cursor = std::io::Cursor::new(wire);
         assert_eq!(read_frame(&mut cursor).unwrap(), (MSG_REQUEST, b"payload".to_vec()));
         assert_eq!(read_frame(&mut cursor).unwrap(), (MSG_SHUTDOWN, Vec::new()));
+    }
+
+    /// Records what it is handed, and in how many calls.
+    #[derive(Default)]
+    struct Recording {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            bufs.iter().for_each(|buf| self.bytes.extend_from_slice(buf));
+            Ok(bufs.iter().map(|buf| buf.len()).sum())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write_laid_out_as_header_then_payload() {
+        for len in [0usize, 83, 64 * 1024, 1024 * 1024] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let mut wire = Recording::default();
+            write_frame(&mut wire, MSG_RESPONSE, &payload).unwrap();
+            assert_eq!(wire.calls, 1, "{len}-byte payload");
+            // kind u8 | len u32 | fnv1a64 u64 | payload
+            let mut expected = vec![MSG_RESPONSE];
+            expected.extend_from_slice(&(len as u32).to_le_bytes());
+            expected.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            expected.extend_from_slice(&payload);
+            assert!(wire.bytes == expected, "{len}-byte payload: frame bytes differ");
+            let mut cursor = std::io::Cursor::new(&wire.bytes);
+            assert_eq!(read_frame(&mut cursor).unwrap(), (MSG_RESPONSE, payload));
+        }
+    }
+
+    /// Hands out its bytes one chunk per call, with a timeout between
+    /// chunks — what a socket under a read timeout does to a slow peer.
+    struct Stuttering<'a> {
+        chunks: std::collections::VecDeque<&'a [u8]>,
+        timed_out: bool,
+    }
+
+    impl Read for Stuttering<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.timed_out = !self.timed_out;
+            if self.timed_out {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let Some(chunk) = self.chunks.pop_front() else { return Ok(0) };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                self.chunks.push_front(&chunk[n..]);
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_reader_resumes_after_a_timeout_anywhere_in_the_frame() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, MSG_REQUEST, b"resumable payload").unwrap();
+        write_frame(&mut wire, MSG_SHUTDOWN, b"").unwrap();
+        let first = FRAME_HEADER + b"resumable payload".len();
+        // Cuts inside the header, at its end, inside the payload, and
+        // inside the second frame's header.
+        for cuts in [vec![5], vec![FRAME_HEADER], vec![FRAME_HEADER + 3], vec![5, 16, first + 2]] {
+            let mut chunks = std::collections::VecDeque::new();
+            let mut rest = &wire[..];
+            let mut taken = 0;
+            for cut in cuts.iter().copied() {
+                let (chunk, tail) = rest.split_at(cut - taken);
+                chunks.push_back(chunk);
+                (rest, taken) = (tail, cut);
+            }
+            chunks.push_back(rest);
+            let mut peer = Stuttering { chunks, timed_out: false };
+            let mut frames = FrameReader::default();
+            let mut read = Vec::new();
+            let mut timeouts = 0;
+            while read.len() < 2 {
+                match frames.read(&mut peer) {
+                    Ok(frame) => read.push(frame),
+                    Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        timeouts += 1;
+                    }
+                    Err(e) => panic!("cuts {cuts:?}: {e}"),
+                }
+            }
+            assert!(timeouts > cuts.len(), "cuts {cuts:?}: every chunk follows a timeout");
+            assert_eq!(read[0], (MSG_REQUEST, b"resumable payload".to_vec()), "cuts {cuts:?}");
+            assert_eq!(read[1], (MSG_SHUTDOWN, Vec::new()), "cuts {cuts:?}");
+            // The stream ends between frames: a clean disconnect.
+            let end = loop {
+                match frames.read(&mut peer) {
+                    Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                    other => break other,
+                }
+            };
+            assert!(matches!(end, Err(ServeError::Disconnected)), "cuts {cuts:?}: {end:?}");
+        }
     }
 
     #[test]

@@ -23,22 +23,25 @@
 //! the flag between frames — an in-flight request always completes and its
 //! response is flushed before the connection closes.
 //!
-//! Telemetry: each request executes against a per-request
+//! Telemetry: each request executes against its connection's
 //! [`RunReport`], which is folded into a server-wide report
 //! ([`ServerHandle::report`]) counting `requests_served` and the aggregate
-//! `Query` / `SnapshotLoad` stage costs; [`ServerConfig::report_path`]
-//! rewrites the JSON report every [`ServerConfig::report_every`] requests.
+//! `Query` / `SnapshotLoad` stage costs, and emptied for the next request;
+//! [`ServerConfig::report_path`] rewrites the JSON report every
+//! [`ServerConfig::report_every`] requests. The report's `requests` and
+//! `generation` metadata are written when it is read or flushed, from the
+//! counters the request path bumps.
 
 use crate::delta::{merge_ops, DeltaOp};
-use crate::engine::{batch_threads, host_threads, QueryEngine};
+use crate::engine::{batch_threads, host_threads, EngineScratch, QueryEngine};
 use crate::error::{ServeError, SnapshotError};
 use crate::generation::{AppliedDelta, GenerationCell};
 use crate::protocol::{
     compact_bytes, delete_bytes, ok_bytes, parse_compact, parse_delete, parse_ok, parse_request,
     parse_response, parse_text, parse_upsert, parse_upsert_ok, read_frame, read_hello,
     request_bytes, response_bytes, text_bytes, upsert_bytes, upsert_ok_bytes, write_frame,
-    write_hello, MSG_COMPACT, MSG_DELETE, MSG_ERROR, MSG_OK, MSG_RELOAD, MSG_REQUEST, MSG_RESPONSE,
-    MSG_SHUTDOWN, MSG_UPSERT,
+    write_hello, FrameReader, MSG_COMPACT, MSG_DELETE, MSG_ERROR, MSG_OK, MSG_RELOAD, MSG_REQUEST,
+    MSG_RESPONSE, MSG_SHUTDOWN, MSG_UPSERT,
 };
 use crate::request::{CandidateRequest, CandidateResponse};
 use crate::snapshot::Snapshot;
@@ -103,20 +106,35 @@ struct Shared {
 }
 
 impl Shared {
-    /// Folds a per-request report into the server-wide one and flushes the
-    /// JSON report if the request count crossed a reporting boundary.
-    fn note_request(&self, local: &RunReport) {
-        let mut report = self.report.lock().unwrap_or_else(PoisonError::into_inner);
-        report.absorb(local);
+    /// Folds a connection's report of one request into the server-wide one,
+    /// leaves it empty for the next, and flushes the JSON report if the
+    /// request count crossed a reporting boundary.
+    fn note_request(&self, local: &mut RunReport) {
+        self.absorb(local);
         let served = self.requests.fetch_add(1, Ordering::SeqCst) + 1;
-        report.set_meta("requests", served.to_string());
-        report.set_meta("generation", self.cell.ordinal().to_string());
         if self.config.report_every > 0 && served % self.config.report_every == 0 {
             if let Some(path) = &self.config.report_path {
                 // Best-effort: a full disk must not take down serving.
-                let _ = report.write_to(path);
+                let _ = self.report().write_to(path);
             }
         }
+    }
+
+    /// Folds `local` into the server-wide report and leaves it empty.
+    fn absorb(&self, local: &mut RunReport) {
+        self.report.lock().unwrap_or_else(PoisonError::into_inner).absorb(local);
+        local.clear_stages();
+    }
+
+    /// A copy of the server-wide report with the request count and the
+    /// serving generation written into its metadata. Both live in atomics
+    /// the request path bumps; formatting them is left to whoever reads the
+    /// report or writes it out.
+    fn report(&self) -> RunReport {
+        let mut report = self.report.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        report.set_meta("requests", self.requests.load(Ordering::SeqCst).to_string());
+        report.set_meta("generation", self.cell.ordinal().to_string());
+        report
     }
 
     /// Checks the trigger file and swaps in the snapshot it names, if any.
@@ -134,11 +152,7 @@ impl Shared {
         let swapped = SnapshotView::read_from(Path::new(path), &mut local)
             .and_then(|snapshot| self.cell.swap(snapshot));
         match swapped {
-            Ok(ordinal) => {
-                let mut report = self.report.lock().unwrap_or_else(PoisonError::into_inner);
-                report.absorb(&local);
-                report.set_meta("generation", ordinal.to_string());
-            }
+            Ok(_) => self.absorb(&mut local),
             Err(e) => {
                 let mut report = self.report.lock().unwrap_or_else(PoisonError::into_inner);
                 report.set_meta("last_trigger_error", e.to_string());
@@ -207,8 +221,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
         let _ = worker.join();
     }
     if let Some(path) = &shared.config.report_path {
-        let report = shared.report.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = report.write_to(path);
+        let _ = shared.report().write_to(path);
     }
 }
 
@@ -228,27 +241,33 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
     // A peer's thread count is a request, not an entitlement: every decoded
     // request is held to what this host can run at once.
     let thread_ceiling = host_threads();
-    'generation: loop {
+    // What outlives a generation on this connection: the frame in progress,
+    // the engine's buffers, and the report each request is measured into.
+    let mut frames = FrameReader::default();
+    let mut scratch = EngineScratch::default();
+    let mut local = RunReport::new("serve/connection");
+    loop {
         // Pin the current generation and build an engine over it. The pin
         // keeps this generation's snapshot alive across swaps; the inner
-        // loop re-checks the cell's ordinal between frames and rebuilds
-        // when a swap happened.
+        // loop re-checks the cell's ordinal between frames and breaks to
+        // rebuild — over the same buffers — when a swap happened.
         let generation = shared.cell.load();
-        let mut engine = QueryEngine::from_generation(&generation);
+        let mut engine = QueryEngine::with_scratch(&generation, scratch);
         loop {
             if shared.stop.load(Ordering::SeqCst) {
                 return Ok(());
             }
             if shared.cell.ordinal() != generation.ordinal() {
-                continue 'generation;
+                break;
             }
-            let (kind, payload) = match read_frame(&mut stream) {
+            let (kind, payload) = match frames.read(&mut stream) {
                 Ok(frame) => frame,
                 Err(ServeError::Io(e))
                     if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
                 {
                     // Idle past the read timeout: loop to re-check the stop
-                    // flag and the serving generation.
+                    // flag and the serving generation. A frame the timeout
+                    // caught half-read stays in `frames`.
                     continue;
                 }
                 Err(ServeError::Disconnected) => return Ok(()),
@@ -259,7 +278,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
             };
             match kind {
                 MSG_REQUEST => {
-                    let mut local = RunReport::new("serve/request");
                     let outcome = parse_request(&payload).and_then(|request| {
                         let threads = batch_threads(request.threads(), thread_ceiling);
                         engine.execute(&request.with_threads(threads), &mut local)
@@ -273,10 +291,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
                             write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()))?;
                         }
                     }
-                    shared.note_request(&local);
+                    shared.note_request(&mut local);
                 }
                 MSG_RELOAD => {
-                    let mut local = RunReport::new("serve/reload");
                     let swapped = parse_text(&payload).and_then(|path| {
                         SnapshotView::read_from(Path::new(&path), &mut local)
                             .and_then(|snapshot| shared.cell.swap(snapshot))
@@ -284,33 +301,28 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
                     });
                     match swapped {
                         Ok(ordinal) => {
-                            {
-                                let mut report =
-                                    shared.report.lock().unwrap_or_else(PoisonError::into_inner);
-                                report.absorb(&local);
-                                report.set_meta("generation", ordinal.to_string());
-                            }
+                            shared.absorb(&mut local);
                             write_frame(&mut stream, MSG_OK, &ok_bytes(ordinal))?;
-                            continue 'generation;
+                            break;
                         }
                         Err(e) => {
+                            local.clear_stages();
                             write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()))?;
                         }
                     }
                 }
                 MSG_UPSERT => {
-                    let mut local = RunReport::new("serve/upsert");
                     let applied = parse_upsert(&payload).and_then(|(id, profile)| {
                         shared
                             .cell
                             .apply(DeltaOp::Upsert { id, profile }, &mut local)
                             .map_err(ServeError::Frame)
                     });
-                    shared.note_request(&local);
+                    shared.note_request(&mut local);
                     match applied {
                         Ok(AppliedDelta { ordinal, id }) => {
                             write_frame(&mut stream, MSG_OK, &upsert_ok_bytes(ordinal, id))?;
-                            continue 'generation;
+                            break;
                         }
                         Err(e) => {
                             write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()))?;
@@ -318,18 +330,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
                     }
                 }
                 MSG_DELETE => {
-                    let mut local = RunReport::new("serve/delete");
                     let applied = parse_delete(&payload).and_then(|id| {
                         shared
                             .cell
                             .apply(DeltaOp::Delete { id }, &mut local)
                             .map_err(ServeError::Frame)
                     });
-                    shared.note_request(&local);
+                    shared.note_request(&mut local);
                     match applied {
                         Ok(AppliedDelta { ordinal, .. }) => {
                             write_frame(&mut stream, MSG_OK, &ok_bytes(ordinal))?;
-                            continue 'generation;
+                            break;
                         }
                         Err(e) => {
                             write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()))?;
@@ -337,14 +348,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
                     }
                 }
                 MSG_COMPACT => {
-                    let local = RunReport::new("serve/compact");
                     let compacted = parse_compact(&payload)
                         .and_then(|(bundle, out)| compact(shared, &bundle, out.as_deref()));
-                    shared.note_request(&local);
+                    shared.note_request(&mut local);
                     match compacted {
                         Ok(ordinal) => {
                             write_frame(&mut stream, MSG_OK, &ok_bytes(ordinal))?;
-                            continue 'generation;
+                            break;
                         }
                         Err(e) => {
                             write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()))?;
@@ -363,6 +373,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
                 }
             }
         }
+        scratch = engine.into_scratch();
     }
 }
 
@@ -419,9 +430,10 @@ impl ServerHandle {
         self.shared.cell.swap(snapshot).map_err(|e| ServeError::Reload(Box::new(e)))
     }
 
-    /// A copy of the aggregated telemetry so far.
+    /// A copy of the aggregated telemetry so far, its `requests` and
+    /// `generation` metadata current as of this call.
     pub fn report(&self) -> RunReport {
-        self.shared.report.lock().unwrap_or_else(PoisonError::into_inner).clone()
+        self.shared.report()
     }
 
     /// Stops accepting, drains every in-flight connection, and returns the

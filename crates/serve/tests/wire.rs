@@ -8,7 +8,8 @@
 use er_model::{EntityCollection, EntityId, EntityProfile};
 use mb_core::{PipelineConfig, Retention};
 use mb_serve::protocol::{
-    read_frame, read_hello, write_frame, MSG_ERROR, MSG_REQUEST, WIRE_MAGIC, WIRE_VERSION,
+    parse_response, read_frame, read_hello, request_bytes, write_frame, MSG_ERROR, MSG_REQUEST,
+    MSG_RESPONSE, WIRE_MAGIC, WIRE_VERSION,
 };
 use mb_serve::{CandidateRequest, Client, ServeError, Server, ServerConfig, Snapshot};
 use std::io::Write;
@@ -297,6 +298,47 @@ fn mid_stream_disconnect_leaves_the_server_serving() {
     let mut client = Client::connect(handle.local_addr()).unwrap();
     assert_eq!(top1(&mut client), (1, 1));
     handle.shutdown();
+}
+
+/// A peer slower than the read timeout: the handler's liveness poll fires
+/// while a frame is half-read. What was read must be kept — at the parent
+/// of this test the handler dropped it and parsed the rest of the frame as
+/// a header (`frame payload of 3284844850 bytes exceeds the … cap`).
+#[test]
+fn a_read_timeout_inside_a_frame_does_not_desynchronise_the_connection() {
+    let pause = 4 * quick_config().read_timeout;
+    let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();
+    let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    read_hello(&mut raw).unwrap();
+    let request = CandidateRequest::entity(EntityId(0)).with_retention(Retention::TopK(1));
+    let mut frame = Vec::new();
+    write_frame(&mut frame, MSG_REQUEST, &request_bytes(&request)).unwrap();
+    assert!(frame.len() > 16);
+
+    // Inside the header, at the header's end, inside the payload — one
+    // after the other on the same connection.
+    for cut in [5, 13, 16] {
+        raw.write_all(&frame[..cut]).unwrap();
+        std::thread::sleep(pause);
+        raw.write_all(&frame[cut..]).unwrap();
+        let (kind, payload) = read_frame(&mut raw).unwrap();
+        assert_eq!(kind, MSG_RESPONSE, "cut at {cut}: {}", String::from_utf8_lossy(&payload));
+        let response = parse_response(&payload).unwrap();
+        assert_eq!(response.first().unwrap().candidates[0].id.0, 1, "cut at {cut}");
+    }
+
+    // A peer that stalls mid-frame and then vanishes is a clean close: the
+    // handler ends, so the drain below does not wait on it, and the server
+    // keeps serving others meanwhile.
+    raw.write_all(&frame[..7]).unwrap();
+    std::thread::sleep(pause);
+    drop(raw);
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    assert_eq!(top1(&mut client), (1, 1));
+    drop(client);
+    let report = handle.shutdown();
+    assert_eq!(report.meta("requests"), Some("4"));
 }
 
 #[test]

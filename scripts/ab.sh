@@ -27,6 +27,14 @@
 # the first pair. The `as_measured_*` rows under them are the same run's
 # throughput and p50 before that scaling: a metric that moved while its
 # as-measured row did not is the kernel's shift, not the program's.
+#
+# Under the slowdown rows comes each side's calibration-kernel fingerprint:
+# the sizes (`nm -S -C` on the two `erbench` binaries) of the functions the
+# kernel runs — SipHash's `write` (or "inlined"), `StepBy::spec_fold`, the
+# `calibrate` functions themselves, and every unstable `quicksort` /
+# `small_sort_network` instance — and one line, `kernel codegen: same` or
+# `DIFFERS`. The list covers the whole binary, so a change that adds a sort
+# of its own also reads DIFFERS: compare the lines to see which symbol moved.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,6 +75,42 @@ for side in parent change; do
     cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml) >&2
 done
 
+# fingerprint SIDE: the calibration kernel's codegen on one line, "symbol:
+# sizes" per group, instance sizes ascending.
+fingerprint() {
+  nm -S -C "$work/$1/benchmark/target/release/erbench" | awk '
+    NF < 4 { next }
+    { name = $0; sub(/^[0-9a-f]+ +[0-9a-f]+ +[A-Za-z] +/, "", name); group = "" }
+    name ~ /^<core::hash::sip::Hasher<.*> as core::hash::Hasher>::write$/ { group = "sip::Hasher::write" }
+    name ~ /StepByImpl<.*>>::spec_fold$/ { group = "StepBy::spec_fold" }
+    name ~ /^erbench::calibrate::/ { group = name; sub(/^erbench::/, "", group) }
+    name ~ /^core::slice::sort::unstable::quicksort::quicksort/ { group = "sort::unstable::quicksort" }
+    name ~ /^core::slice::sort::shared::smallsort::small_sort_network/ { group = "smallsort::small_sort_network" }
+    group != "" { print group "\t" $2 }' | sort | awk -F'\t' '
+    { size = $2; sub(/^0+/, "", size); sizes[$1] = sizes[$1] " 0x" size; if (!($1 in seen)) { seen[$1] = 1; order[++n] = $1 } }
+    END {
+      line = ("sip::Hasher::write" in seen) ? "" : "sip::Hasher::write: inlined; "
+      for (i = 1; i <= n; i++) line = line order[i] ":" sizes[order[i]] (i < n ? "; " : "")
+      print line
+    }'
+}
+prints="$work/fingerprints"
+if command -v nm >/dev/null 2>&1; then
+  for side in parent change; do fingerprint "$side" >"$work/$side.fingerprint"; done
+  {
+    for side in parent change; do
+      sed "s/^/kernel fingerprint, $side: /" "$work/$side.fingerprint"
+    done
+    if cmp -s "$work/parent.fingerprint" "$work/change.fingerprint"; then
+      echo "kernel codegen: same"
+    else
+      echo "kernel codegen: DIFFERS"
+    fi
+  } >"$prints"
+else
+  echo "kernel codegen: not compared (no nm on this host)" >"$prints"
+fi
+
 # run SIDE WORKLOAD PAIR: one measured run; appends "workload side pair name value" rows.
 rows="$work/rows"
 run() {
@@ -102,7 +146,7 @@ for w in "${workloads[@]}"; do
   done
   echo
   echo "== $w: $pairs pairs, seed $seed, ${seconds} s runs, parent $parent_rev vs working tree"
-  awk -v w="$w" -v metrics="$metrics" '
+  awk -v w="$w" -v metrics="$metrics" -v prints="$prints" '
     function quantile(v, n, p,    pos, lo, frac) {
       pos = (n - 1) * p; lo = int(pos); frac = pos - lo
       return lo + 1 >= n ? v[n] : v[lo + 1] + frac * (v[lo + 2] - v[lo + 1])
@@ -147,6 +191,7 @@ for w in "${workloads[@]}"; do
         name = raw[k]
         pm = median("parent", name); cm = median("change", name)
         printf "%-28s %-38s %-38s %-8s %s\n", name, summary("parent", name), summary("change", name), (pm ? sprintf("%.3f", cm / pm) : "-"), (k <= 2 ? "must agree: the kernel is not under test" : "before scaling by host slowdown")
+        if (k == 2) while ((getline line < prints) > 0) print line
       }
       pf = 0; cf = 0
       for (i = 1; i <= maxpair; i++) { pf += val["parent", i, "failed"]; cf += val["change", i, "failed"] }
