@@ -13,7 +13,7 @@ use er_blocking::{
     SortedNeighborhood, StandardBlocking, SuffixArraysBlocking, TokenBlocking,
 };
 use er_datagen::presets;
-use er_model::tokenize::{raw_tokens, KeyScratch, TokenInterner};
+use er_model::tokenize::{KeyScratch, TokenInterner};
 use er_model::EntityCollection;
 use std::hint::black_box;
 
@@ -61,14 +61,7 @@ fn d2c_batches() -> (EntityCollection, Vec<KeyScratch>) {
         .iter()
         .map(|(_, profile)| {
             let mut keys = KeyScratch::new();
-            for v in profile.values() {
-                for raw in raw_tokens(v) {
-                    let start = keys.begin();
-                    keys.push_lowercase(raw);
-                    keys.commit(start);
-                }
-            }
-            keys.sort_dedup();
+            keys.fill_tokens(profile);
             keys
         })
         .collect();

@@ -2,8 +2,8 @@
 
 use crate::builder::KeyBlockBuilder;
 use crate::method::BlockingMethod;
-use er_model::tokenize::{raw_tokens, ArenaOverflow, KeyArena, KeyScratch, TokenInterner};
-use er_model::{BlockCollection, EntityCollection, EntityId, EntityProfile};
+use er_model::tokenize::{ArenaOverflow, KeyArena, KeyScratch, TokenInterner};
+use er_model::{BlockCollection, EntityCollection, EntityId};
 
 /// Schema-agnostic Token Blocking: "it splits the attribute values of every
 /// entity profile into tokens based on whitespace; then, it creates a
@@ -60,7 +60,7 @@ impl TokenBlocking {
         let mut scratch = KeyScratch::new();
         let mut ids = Vec::new();
         for (id, profile) in collection.iter() {
-            profile_tokens(profile, &mut scratch);
+            scratch.fill_tokens(profile);
             interner.intern_all(&scratch, &mut ids)?;
             for &token in &ids {
                 sink(token, id);
@@ -74,26 +74,11 @@ impl TokenBlocking {
         let mut builder = KeyBlockBuilder::new(collection);
         let mut scratch = KeyScratch::new();
         for (id, profile) in collection.iter() {
-            profile_tokens(profile, &mut scratch);
+            scratch.fill_tokens(profile);
             builder.assign_all(&scratch, id);
         }
         builder
     }
-}
-
-/// Replaces `scratch`'s contents with `profile`'s distinct lowercased
-/// tokens, sorted — which keeps the first-seen key order, and hence the
-/// block order, identical to the historical `Vec<String>` implementation.
-fn profile_tokens(profile: &EntityProfile, scratch: &mut KeyScratch) {
-    scratch.clear();
-    for v in profile.values() {
-        for raw in raw_tokens(v) {
-            let start = scratch.begin();
-            scratch.push_lowercase(raw);
-            scratch.commit(start);
-        }
-    }
-    scratch.sort_dedup();
 }
 
 impl BlockingMethod for TokenBlocking {
@@ -109,7 +94,7 @@ impl BlockingMethod for TokenBlocking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_model::ErKind;
+    use er_model::{EntityProfile, ErKind};
 
     use crate::fixtures::figure1_profiles;
 

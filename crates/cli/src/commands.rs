@@ -12,9 +12,9 @@ use mb_core::{
 };
 use mb_observe::{Progress, RunReport, Tee};
 use mb_serve::{
-    append_delta_run, CandidateRequest, CandidateResponse, Client, DeltaOp, GenerationCell,
-    OutOfCoreConfig, QueryEngine, Server, ServerConfig, Snapshot, SnapshotHeader, SnapshotView,
-    APPEND,
+    append_delta_run, write_atomic, CandidateRequest, CandidateResponse, Client, DeltaOp,
+    GenerationCell, OutOfCoreConfig, QueryEngine, Server, ServerConfig, Snapshot, SnapshotHeader,
+    SnapshotView, APPEND,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -415,7 +415,9 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
     // Only bytes that passed the loader are written.
     let patched = SnapshotView::from_bytes(patched).map_err(|e| format!("verifying {out}: {e}"))?;
     let runs = patched.delta_runs().len();
-    std::fs::write(out, patched.as_bytes()).map_err(|e| format!("writing {out}: {e}"))?;
+    // Replaced by rename: `--out` defaults to the base file itself, and a
+    // torn write there would lose the base and the staged op together.
+    write_atomic(Path::new(out), patched.as_bytes()).map_err(|e| format!("writing {out}: {e}"))?;
     let (verb, id) = match &op {
         DeltaOp::Upsert { id, .. } => ("upserted entity", *id),
         DeltaOp::Delete { id } => ("tombstoned entity", *id),
@@ -425,15 +427,14 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
 
 /// Resolves the retention flags shared by `er query` and `er client query`:
 /// `--retention <top-k=K|above-mean>` (the typed spelling) or the shorthand
-/// `--top K`. `None` defers to the engine's snapshot-derived default.
+/// `--top K`, which is read as `--retention top-k=K` so both spellings obey
+/// the one rule (`K` a positive count). `None` defers to the engine's
+/// snapshot-derived default.
 fn retention_flags(args: &Args) -> Result<Option<Retention>, String> {
     match (args.get("retention"), args.get("top")) {
         (Some(_), Some(_)) => Err("use either --retention or --top, not both".into()),
         (Some(spec), None) => spec.parse().map(Some),
-        (None, Some(v)) => {
-            let k: usize = v.parse().map_err(|_| format!("invalid value for --top: `{v}`"))?;
-            Ok(Some(Retention::TopK(k)))
-        }
+        (None, Some(k)) => format!("top-k={k}").parse().map(Some),
         (None, None) => Ok(None),
     }
 }
@@ -1278,6 +1279,39 @@ mod tests {
         assert_eq!(err, "unknown option(s): --shards");
         let err = serve(&argv(&["serve", "--snapshot", "x", "--shard-threads", "2"])).unwrap_err();
         assert_eq!(err, "unknown option(s): --shard-threads");
+    }
+
+    #[test]
+    fn top_is_shorthand_for_the_typed_retention_and_obeys_its_rule() {
+        // Retention is resolved before anything is loaded or connected to,
+        // so neither the snapshot nor the server has to exist.
+        let query_err = |flag: &str, value: &str| {
+            query(&argv(&["query", "--snapshot", "x", "--entity", "0", flag, value])).unwrap_err()
+        };
+        let client_err = |flag: &str, value: &str| {
+            client(&argv(&[
+                "client",
+                "query",
+                "--addr",
+                "127.0.0.1:1",
+                "--entity",
+                "0",
+                flag,
+                value,
+            ]))
+            .unwrap_err()
+        };
+        let expected = "top-k retention needs a positive count, got '0'";
+        assert_eq!(query_err("--top", "0"), expected);
+        assert_eq!(query_err("--retention", "top-k=0"), expected);
+        assert_eq!(client_err("--top", "0"), expected);
+        assert_eq!(client_err("--retention", "top-k=0"), expected);
+        assert_eq!(query_err("--top", "many"), query_err("--retention", "top-k=many"));
+
+        let flags = |tokens: &[&str]| retention_flags(&argv(tokens)).unwrap();
+        assert_eq!(flags(&["query", "--top", "5"]), Some(Retention::TopK(5)));
+        assert_eq!(flags(&["query", "--top", "5"]), flags(&["query", "--retention", "top-k=5"]));
+        assert_eq!(flags(&["query"]), None);
     }
 
     #[test]

@@ -43,8 +43,6 @@
 //! unobserved run; instrumentation is a per-stage branch, never a per-edge
 //! cost). Beyond the paper:
 //!
-//! * [`incremental`] adapts the techniques to Incremental ER — the future
-//!   work its conclusion announces;
 //! * [`progressive`] turns CEP's global ranking into a pay-as-you-go
 //!   comparison schedule;
 //! * [`parallel`] runs the graph sweeps across threads with bit-identical
@@ -76,7 +74,6 @@ pub mod blast;
 pub mod context;
 pub mod filter;
 pub mod graphfree;
-pub mod incremental;
 pub mod parallel;
 pub mod pipeline;
 pub mod progressive;

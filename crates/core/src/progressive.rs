@@ -13,15 +13,30 @@
 //! advantage on generated data.
 
 use crate::context::GraphContext;
+use crate::prune::{heap_prealloc, push_top_k, WeightedEdge};
 use crate::weighting::optimized;
 use crate::weights::{EdgeWeigher, WeightingScheme};
 use er_model::{BlockCollection, EntityId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A descending-weight comparison schedule.
 #[derive(Debug)]
 pub struct ProgressiveSchedule {
     /// Retained comparisons, best first.
     edges: Vec<(EntityId, EntityId, f64)>,
+}
+
+/// Hands every edge of the blocking graph to `sink`, weighed under `scheme`.
+fn for_each_weighted_edge(
+    blocks: &BlockCollection,
+    split: usize,
+    scheme: WeightingScheme,
+    mut sink: impl FnMut(WeightedEdge),
+) {
+    let ctx = GraphContext::new(blocks, split);
+    let weigher = EdgeWeigher::new(scheme, &ctx);
+    optimized::for_each_edge(&ctx, &weigher, |a, b, w| sink(WeightedEdge { w, a: a.0, b: b.0 }));
 }
 
 impl ProgressiveSchedule {
@@ -34,60 +49,34 @@ impl ProgressiveSchedule {
     /// budget-bounded resolution, where the caller bounds the prefix via
     /// [`ProgressiveSchedule::with_budget`]).
     pub fn build(blocks: &BlockCollection, split: usize, scheme: WeightingScheme) -> Self {
-        let ctx = GraphContext::new(blocks, split);
-        let weigher = EdgeWeigher::new(scheme, &ctx);
         let mut edges = Vec::new();
-        optimized::for_each_edge(&ctx, &weigher, |a, b, w| edges.push((a, b, w)));
-        edges
-            .sort_unstable_by(|x, y| y.2.total_cmp(&x.2).then_with(|| (x.0, x.1).cmp(&(y.0, y.1))));
-        ProgressiveSchedule { edges }
+        for_each_weighted_edge(blocks, split, scheme, |e| edges.push(e));
+        Self::ranked(edges)
     }
 
     /// Builds the schedule but keeps only the best `budget` comparisons,
-    /// with `O(min(budget, |E_B|))` memory via a bounded heap.
+    /// with `O(min(budget, |E_B|))` memory via CEP's bounded heap: with
+    /// `budget` = [`crate::prune::cep_threshold`] this is exactly the
+    /// stream [`crate::prune::cep`] emits.
     pub fn with_budget(
         blocks: &BlockCollection,
         split: usize,
         scheme: WeightingScheme,
         budget: usize,
     ) -> Self {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        #[derive(PartialEq)]
-        struct E(f64, u32, u32);
-        impl Eq for E {}
-        impl Ord for E {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.total_cmp(&other.0).then_with(|| (other.1, other.2).cmp(&(self.1, self.2)))
-            }
+        if budget == 0 {
+            return ProgressiveSchedule { edges: Vec::new() };
         }
-        impl PartialOrd for E {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
+        let mut heap = BinaryHeap::with_capacity(heap_prealloc(budget));
+        for_each_weighted_edge(blocks, split, scheme, |e| push_top_k(&mut heap, e, budget));
+        Self::ranked(heap.into_iter().map(|Reverse(e)| e).collect())
+    }
 
-        let ctx = GraphContext::new(blocks, split);
-        let weigher = EdgeWeigher::new(scheme, &ctx);
-        let mut heap: BinaryHeap<Reverse<E>> =
-            BinaryHeap::with_capacity(crate::prune::heap_prealloc(budget));
-        optimized::for_each_edge(&ctx, &weigher, |a, b, w| {
-            if budget == 0 {
-                return;
-            }
-            let e = E(w, a.0, b.0);
-            if heap.len() < budget {
-                heap.push(Reverse(e));
-            } else if heap.peek().is_some_and(|Reverse(min)| *min < e) {
-                heap.pop();
-                heap.push(Reverse(e));
-            }
-        });
-        let mut edges: Vec<(EntityId, EntityId, f64)> =
-            heap.into_iter().map(|Reverse(E(w, a, b))| (EntityId(a), EntityId(b), w)).collect();
-        edges
-            .sort_unstable_by(|x, y| y.2.total_cmp(&x.2).then_with(|| (x.0, x.1).cmp(&(y.0, y.1))));
+    /// CEP's emission order: descending under the [`WeightedEdge`] total
+    /// order, so ties rank the same way in a schedule as in a cutoff.
+    fn ranked(mut edges: Vec<WeightedEdge>) -> Self {
+        edges.sort_unstable_by(|x, y| y.cmp(x));
+        let edges = edges.into_iter().map(|e| (EntityId(e.a), EntityId(e.b), e.w)).collect();
         ProgressiveSchedule { edges }
     }
 
@@ -161,6 +150,65 @@ mod tests {
         for huge in [1usize << 40, usize::MAX] {
             let all = ProgressiveSchedule::with_budget(&blocks, 4, WeightingScheme::Js, huge);
             assert_eq!(all.prefix(usize::MAX), full.prefix(usize::MAX));
+        }
+    }
+
+    /// Seeded random blocks over 14 entities (Clean-Clean: 6 | 8), small
+    /// enough that CBS and ECBS tie constantly and CEP's `K` cuts through a
+    /// tie group.
+    fn random_blocks(kind: ErKind, seed: u64) -> BlockCollection {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let blocks = (0..9)
+            .map(|_| {
+                let bits = next() & next();
+                let members = |range: std::ops::Range<u32>| -> Vec<EntityId> {
+                    range.filter(|i| bits >> i & 1 == 1).map(EntityId).collect()
+                };
+                match kind {
+                    ErKind::Dirty => Block::dirty(members(0..14)),
+                    ErKind::CleanClean => Block::clean_clean(members(0..6), members(6..14)),
+                }
+            })
+            .filter(Block::has_comparisons)
+            .collect();
+        BlockCollection::new(kind, 14, blocks)
+    }
+
+    #[test]
+    fn a_schedule_cut_at_ceps_threshold_is_ceps_output() {
+        use crate::weighting::WeightingImpl;
+        for (kind, split) in [(ErKind::Dirty, 14), (ErKind::CleanClean, 6)] {
+            for seed in [3, 20160315] {
+                let blocks = random_blocks(kind, seed);
+                for scheme in WeightingScheme::ALL {
+                    let what = format!("{kind:?} seed {seed} {scheme:?}");
+                    let ctx = GraphContext::new(&blocks, split);
+                    let weigher = EdgeWeigher::new(scheme, &ctx);
+                    let mut cep = Vec::new();
+                    let imp = WeightingImpl::Optimized;
+                    crate::prune::cep(&ctx, &weigher, imp, &mut mb_observe::Noop, |a, b| {
+                        cep.push((a, b));
+                    });
+                    let k = crate::prune::cep_threshold(&ctx);
+                    let full = ProgressiveSchedule::build(&blocks, split, scheme);
+                    assert!(0 < k && k < full.len(), "{what}: K = {k} must cut the graph");
+                    let cut = ProgressiveSchedule::with_budget(&blocks, split, scheme, k);
+                    assert!(cut.iter().map(|(a, b, _)| (a, b)).eq(cep.iter().copied()), "{what}");
+
+                    let n = full.len();
+                    for b in [0, 1, 2, n, n + 7, usize::MAX] {
+                        let bounded = ProgressiveSchedule::with_budget(&blocks, split, scheme, b);
+                        assert_eq!(bounded.len(), b.min(n), "{what}, budget {b}");
+                        assert_eq!(bounded.prefix(b), full.prefix(b), "{what}, budget {b}");
+                    }
+                }
+            }
         }
     }
 

@@ -10,8 +10,17 @@
 //! [`Interner`] is the general two-table one (a `String` per key each way);
 //! [`TokenInterner`] is the blocking front-end's — keys back to back in a
 //! [`KeyArena`], one flat table of `u64` slots, lookups batched per profile.
+//!
+//! Which tokens a *profile* has — for Token Blocking, for a served probe
+//! and for a live upsert alike — is stated once, in
+//! [`KeyScratch::fill_tokens`]. [`tokens`] and [`Interner`] remain for the
+//! callers that want owned strings or string-keyed ids: the Jaccard matcher
+//! and Canopy Clustering ([`token_id_set`]), Sorted Neighborhood, the
+//! q-gram / suffix helpers below, and the test oracles that check the
+//! allocation-free paths against them.
 
 use crate::fxhash::{FxHashMap, FxHasher};
+use crate::profile::EntityProfile;
 use std::hash::Hasher;
 
 /// Splits a value into normalized whitespace tokens.
@@ -467,6 +476,32 @@ impl KeyScratch {
         self.spans.clear();
     }
 
+    /// Replaces the contents with `profile`'s Token Blocking keys: the
+    /// distinct lowercased [`raw_tokens`] of every attribute value, sorted.
+    ///
+    /// This is the one statement of what the tokens of a profile are. The
+    /// batch build, the probe path of a served query and a live upsert all
+    /// call it, so a probe or an upsert can only route to blocks the build
+    /// made; changing it changes the vocabulary a snapshot persists. Sorted
+    /// order is what keeps first-seen key order, and hence block order,
+    /// that of the historical `Vec<String>` implementation.
+    // `#[inline]` gives each calling crate its own copy, placed beside the
+    // per-profile loop that calls it — where the copies it replaces lived.
+    // As one copy in this crate, `TokenBlocking::build` on a verbose
+    // collection measured 2.6 % slower (EXPERIMENTS.md, PR 19).
+    #[inline]
+    pub fn fill_tokens(&mut self, profile: &EntityProfile) {
+        self.clear();
+        for value in profile.values() {
+            for raw in raw_tokens(value) {
+                let start = self.begin();
+                self.push_lowercase(raw);
+                self.commit(start);
+            }
+        }
+        self.sort_dedup();
+    }
+
     /// Starts a new key at the current end of the buffer; pass the returned
     /// marker to [`KeyScratch::commit`].
     pub fn begin(&self) -> usize {
@@ -811,6 +846,36 @@ mod tests {
         let keys: Vec<&str> = s.iter().collect();
         assert_eq!(keys, ["42", "jack", "miller"]);
         assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn fill_tokens_is_the_sorted_distinct_tokens_of_every_value() {
+        // Mixed case whose lowercase is longer than one char (`İ` → `i̇`),
+        // final sigma, punctuation-only and empty values, and tokens that
+        // repeat within a value and across attributes.
+        let profiles = [
+            EntityProfile::new("awkward")
+                .with("name", "İstanbul ISTANBUL istanbul ΣΟΦΟΣ")
+                .with("noise", "--- ... !!!")
+                .with("empty", "")
+                .with("again", "Σοφός, İSTANBUL; straße/STRASSE")
+                .with("name", "42 MILLER-42 miller"),
+            EntityProfile::new("nothing").with("a", "").with("b", " \t-"),
+            EntityProfile::new("bare"),
+        ];
+        let mut scratch = KeyScratch::new();
+        for profile in &profiles {
+            let mut expected: Vec<String> = profile.values().flat_map(tokens).collect();
+            expected.sort_unstable();
+            expected.dedup();
+            // Filled over whatever the previous profile left behind.
+            scratch.fill_tokens(profile);
+            assert!(scratch.iter().eq(expected.iter().map(String::as_str)), "{profile}");
+            assert_eq!(scratch.len(), expected.len());
+        }
+        scratch.fill_tokens(&profiles[0]);
+        assert!(scratch.iter().any(|t| t == "i\u{307}stanbul"), "multi-char lowercase kept");
+        assert!(scratch.iter().any(|t| t == "σοφός"), "final sigma as to_lowercase has it");
     }
 
     #[test]

@@ -31,8 +31,8 @@ const BASELINE: [(&str, usize, &str); 12] = [
     ("crates/er-model/src/comparisons.rs", 39, "id-narrowing-cast"),
     ("crates/er-model/src/fxhash.rs", 12, "default-hasher"),
     ("crates/er-model/src/sanitize.rs", 73, "no-panic"),
-    ("crates/serve/src/codec.rs", 148, "snapshot-unversioned-read"),
-    ("crates/serve/src/codec.rs", 153, "snapshot-unversioned-read"),
+    ("crates/serve/src/codec.rs", 162, "snapshot-unversioned-read"),
+    ("crates/serve/src/codec.rs", 167, "snapshot-unversioned-read"),
 ];
 
 #[test]

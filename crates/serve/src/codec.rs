@@ -10,7 +10,7 @@
 //! rule keeps it that way.
 
 use crate::error::SnapshotError;
-use er_model::U32s;
+use er_model::{EntityProfile, U32s};
 
 /// FNV-1a 64-bit — the section checksum.
 ///
@@ -97,6 +97,20 @@ pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// Writes a profile: uri, attribute count, then name/value pairs, each
+/// string length-prefixed. Probe requests, upsert frames and persisted
+/// delta runs all carry a profile in exactly these bytes
+/// ([`Reader::profile`] reads them back), so changing the layout changes
+/// the wire format and the snapshot format together.
+pub(crate) fn put_profile(out: &mut Vec<u8>, profile: &EntityProfile) {
+    put_bytes(out, profile.uri().as_bytes());
+    put_u32(out, profile.attributes().len() as u32);
+    for attr in profile.attributes() {
+        put_bytes(out, attr.name.as_bytes());
+        put_bytes(out, attr.value.as_bytes());
+    }
+}
+
 /// A bounds-checked cursor over one section's payload.
 ///
 /// Every accessor returns [`SnapshotError::Truncated`] (tagged with the
@@ -166,6 +180,27 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
+    /// Reads a `u32`-length-prefixed UTF-8 string.
+    pub(crate) fn str(&mut self) -> Result<&'a str, SnapshotError> {
+        std::str::from_utf8(self.bytes()?)
+            .map_err(|_| SnapshotError::Utf8 { section: self.section })
+    }
+
+    /// Reads a profile written by [`put_profile`]. The declared attribute
+    /// count is held against the bytes remaining before anything is built
+    /// from it.
+    pub(crate) fn profile(&mut self) -> Result<EntityProfile, SnapshotError> {
+        let mut profile = EntityProfile::new(self.str()?);
+        let attrs = self.u32()? as usize;
+        // Each attribute carries two length prefixes at minimum.
+        self.need(attrs.saturating_mul(8))?;
+        for _ in 0..attrs {
+            let name = self.str()?;
+            profile.add(name, self.str()?);
+        }
+        Ok(profile)
+    }
+
     /// Asserts the payload was consumed exactly.
     pub(crate) fn finish(self) -> Result<(), SnapshotError> {
         if self.remaining() != 0 {
@@ -222,6 +257,67 @@ mod tests {
         put_u32(&mut buf, 42);
         let mut r = Reader::new(&buf, "huge");
         assert!(matches!(r.u32s(), Err(SnapshotError::Truncated { .. })));
+    }
+
+    #[test]
+    fn profiles_round_trip() {
+        let profiles = [
+            EntityProfile::new("dblp/123").with("FullName", "Jack Lloyd Miller").with("job", ""),
+            EntityProfile::new("").with("", "straße İstanbul"),
+            EntityProfile::new("bare"),
+        ];
+        let mut buf = Vec::new();
+        for p in &profiles {
+            put_profile(&mut buf, p);
+        }
+        let mut r = Reader::new(&buf, "test");
+        for p in &profiles {
+            assert_eq!(&r.profile().unwrap(), p);
+        }
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn hostile_profiles_are_typed_errors_naming_the_section_being_read() {
+        let mut good = Vec::new();
+        put_profile(&mut good, &EntityProfile::new("uri").with("name", "value"));
+        // uri: 4 + 3 bytes, then the attribute count.
+        let count_at = 7;
+        let mut inflated = good.clone();
+        inflated[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut not_utf8 = good.clone();
+        *not_utf8.last_mut().unwrap() = 0xff;
+        let mut bad_uri = good.clone();
+        bad_uri[4] = 0xff;
+
+        for section in ["request", "upsert", "delta"] {
+            for cut in 0..good.len() {
+                let err = Reader::new(&good[..cut], section).profile().unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Truncated { section: s, .. } if s == section),
+                    "{section}, cut at {cut}: {err:?}"
+                );
+            }
+            // u32::MAX attributes would need ~32 GiB of length prefixes:
+            // refused on the count, with the whole attribute list unread.
+            let err = Reader::new(&inflated, section).profile().unwrap_err();
+            let rest = (inflated.len() - count_at - 4) as u64;
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::Truncated { section: s, available, .. }
+                        if s == section && available == rest
+                ),
+                "{section}: {err:?}"
+            );
+            for bytes in [&not_utf8, &bad_uri] {
+                let err = Reader::new(bytes, section).profile().unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Utf8 { section: s } if s == section),
+                    "{section}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -39,13 +39,13 @@
 //! [`append_delta_run`] re-frames a loaded snapshot with one more run under
 //! the same checksum discipline.
 
-use crate::codec::{put_bytes, put_u32, put_u8, Reader};
+use crate::codec::{put_profile, put_u32, put_u8, Reader};
 use crate::error::SnapshotError;
 use crate::generation::Warm;
 use crate::snapshot::{frame_sections, parse_table, section_slice, SECTION_DELTA};
 use crate::view::SnapshotView;
 use er_model::fxhash::{FxHashMap, FxHashSet};
-use er_model::tokenize::{raw_tokens, KeyScratch};
+use er_model::tokenize::KeyScratch;
 use er_model::{EntityCollection, EntityId, EntityProfile, ErKind, U32s};
 use std::sync::Arc;
 
@@ -96,12 +96,7 @@ pub(crate) fn encode_delta_run(ops: &[DeltaOp]) -> Vec<u8> {
             DeltaOp::Upsert { id, profile } => {
                 put_u8(&mut p, OP_UPSERT);
                 put_u32(&mut p, *id);
-                put_bytes(&mut p, profile.uri().as_bytes());
-                put_u32(&mut p, profile.attributes().len() as u32);
-                for a in profile.attributes() {
-                    put_bytes(&mut p, a.name.as_bytes());
-                    put_bytes(&mut p, a.value.as_bytes());
-                }
+                put_profile(&mut p, profile);
             }
             DeltaOp::Delete { id } => {
                 put_u8(&mut p, OP_DELETE);
@@ -110,10 +105,6 @@ pub(crate) fn encode_delta_run(ops: &[DeltaOp]) -> Vec<u8> {
         }
     }
     p
-}
-
-fn utf8(bytes: &[u8]) -> Result<&str, SnapshotError> {
-    std::str::from_utf8(bytes).map_err(|_| SnapshotError::Utf8 { section: "delta" })
 }
 
 /// Decodes one `delta` section payload, enforcing the usual hostile-input
@@ -140,25 +131,7 @@ pub(crate) fn decode_delta_run(payload: &[u8]) -> Result<Vec<DeltaOp>, SnapshotE
             ));
         }
         match tag {
-            OP_UPSERT => {
-                let uri = utf8(r.bytes()?)?.to_owned();
-                let attrs = r.u32()? as usize;
-                // Each attribute carries two length prefixes at minimum.
-                if attrs.saturating_mul(8) > r.remaining() {
-                    return Err(SnapshotError::Truncated {
-                        section: "delta",
-                        needed: (attrs.saturating_mul(8) - r.remaining()) as u64,
-                        available: r.remaining() as u64,
-                    });
-                }
-                let mut profile = EntityProfile::new(uri);
-                for _ in 0..attrs {
-                    let name = utf8(r.bytes()?)?.to_owned();
-                    let value = utf8(r.bytes()?)?.to_owned();
-                    profile.add(name, value);
-                }
-                ops.push(DeltaOp::Upsert { id, profile });
-            }
+            OP_UPSERT => ops.push(DeltaOp::Upsert { id, profile: r.profile()? }),
             OP_DELETE => ops.push(DeltaOp::Delete { id }),
             other => {
                 return Err(SnapshotError::Inconsistent(format!("unknown delta op tag {other}")));
@@ -547,14 +520,7 @@ impl DeltaOverlay {
     ) {
         let right = self.is_right(id);
         let mut scratch = KeyScratch::new();
-        for value in profile.values() {
-            for raw in raw_tokens(value) {
-                let start = scratch.begin();
-                scratch.push_lowercase(raw);
-                scratch.commit(start);
-            }
-        }
-        scratch.sort_dedup();
+        scratch.fill_tokens(profile);
         let mut list: Vec<u32> = Vec::new();
         for token in scratch.iter() {
             let tid = match view.find_token(token.as_bytes()) {
@@ -642,6 +608,7 @@ pub fn merge_ops(collection: &mut EntityCollection, ops: &[DeltaOp]) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::put_bytes;
 
     fn profile(uri: &str, value: &str) -> EntityProfile {
         EntityProfile::new(uri).with("v", value)

@@ -18,7 +18,7 @@ use crate::generation::Generation;
 use crate::request::{CandidateRequest, CandidateResponse, CandidateTarget};
 use crate::store::EngineStore;
 use crate::view::SnapshotView;
-use er_model::tokenize::{raw_tokens, KeyScratch};
+use er_model::tokenize::KeyScratch;
 use er_model::{EntityId, EntityProfile, ErKind};
 use mb_core::{
     CandidateStore, NeighborhoodScorer, PruningScheme, Retention, Scored, ScorerScratch,
@@ -259,15 +259,7 @@ impl<'s> QueryEngine<'s> {
         retention: Retention,
         scope: &mut StageScope<'_>,
     ) -> Scored {
-        self.keys.clear();
-        for value in profile.values() {
-            for raw in raw_tokens(value) {
-                let start = self.keys.begin();
-                self.keys.push_lowercase(raw);
-                self.keys.commit(start);
-            }
-        }
-        self.keys.sort_dedup();
+        self.keys.fill_tokens(profile);
         let mut tokens_probed = 0u64;
         self.probe_blocks.clear();
         for token in self.keys.iter() {

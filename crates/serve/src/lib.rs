@@ -70,5 +70,7 @@ pub use error::{ServeError, SnapshotError};
 pub use generation::{AppliedDelta, Generation, GenerationCell};
 pub use request::{CandidateRequest, CandidateResponse, CandidateTarget};
 pub use server::{Client, Server, ServerConfig, ServerHandle};
-pub use snapshot::{OutOfCoreConfig, SectionInfo, Snapshot, SnapshotHeader, FORMAT_VERSION, MAGIC};
+pub use snapshot::{
+    write_atomic, OutOfCoreConfig, SectionInfo, Snapshot, SnapshotHeader, FORMAT_VERSION, MAGIC,
+};
 pub use view::SnapshotView;

@@ -43,7 +43,7 @@
 //! [`CandidateRequest`] / [`CandidateResponse`] types the in-process API
 //! executes — there is no wire-only mirror struct to drift.
 
-use crate::codec::{fnv1a, put_bytes, put_u32, put_u64, put_u8, Reader};
+use crate::codec::{fnv1a, put_bytes, put_profile, put_u32, put_u64, put_u8, Reader};
 use crate::error::{ServeError, SnapshotError};
 use crate::request::{CandidateRequest, CandidateResponse, CandidateTarget};
 use er_model::{EntityId, EntityProfile};
@@ -257,44 +257,6 @@ pub fn request_bytes(request: &CandidateRequest) -> Vec<u8> {
     out
 }
 
-fn utf8<'a>(bytes: &'a [u8], section: &'static str) -> Result<&'a str, ServeError> {
-    std::str::from_utf8(bytes).map_err(|_| ServeError::Frame(SnapshotError::Utf8 { section }))
-}
-
-/// Serializes a profile: uri, attribute count, then name/value pairs — the
-/// layout probe requests and upsert deltas share.
-fn put_profile(out: &mut Vec<u8>, profile: &EntityProfile) {
-    put_bytes(out, profile.uri().as_bytes());
-    put_u32(out, profile.attributes().len() as u32);
-    for attr in profile.attributes() {
-        put_bytes(out, attr.name.as_bytes());
-        put_bytes(out, attr.value.as_bytes());
-    }
-}
-
-/// Decodes a profile serialized by [`put_profile`], verifying the attribute
-/// count against the bytes remaining before allocating.
-fn parse_profile(r: &mut Reader<'_>, section: &'static str) -> Result<EntityProfile, ServeError> {
-    let uri = utf8(r.bytes()?, section)?.to_owned();
-    let attrs = r.u32()? as usize;
-    // Each attribute costs at least its two 4-byte length prefixes; verify
-    // before trusting the count.
-    if attrs.saturating_mul(8) > r.remaining() {
-        return Err(ServeError::Frame(SnapshotError::Truncated {
-            section,
-            needed: (attrs.saturating_mul(8) - r.remaining()) as u64,
-            available: r.remaining() as u64,
-        }));
-    }
-    let mut profile = EntityProfile::new(uri);
-    for _ in 0..attrs {
-        let name = utf8(r.bytes()?, section)?.to_owned();
-        let value = utf8(r.bytes()?, section)?.to_owned();
-        profile.add(name, value);
-    }
-    Ok(profile)
-}
-
 /// Decodes a [`MSG_REQUEST`] payload back into the typed request.
 pub fn parse_request(buf: &[u8]) -> Result<CandidateRequest, ServeError> {
     let mut r = Reader::new(buf, "request");
@@ -302,7 +264,7 @@ pub fn parse_request(buf: &[u8]) -> Result<CandidateRequest, ServeError> {
         TARGET_ENTITY => CandidateTarget::Entity(EntityId(r.u32()?)),
         TARGET_PROBE => {
             let is_first = r.u8()? != 0;
-            let profile = parse_profile(&mut r, "request")?;
+            let profile = r.profile()?;
             CandidateTarget::Probe { profile, is_first }
         }
         TARGET_BATCH => CandidateTarget::Batch,
@@ -370,8 +332,7 @@ pub fn response_bytes(response: &CandidateResponse) -> Vec<u8> {
 pub fn parse_response(buf: &[u8]) -> Result<CandidateResponse, ServeError> {
     let mut r = Reader::new(buf, "response");
     let generation = r.u64()?;
-    let scheme: WeightingScheme =
-        utf8(r.bytes()?, "response")?.parse().map_err(ServeError::InvalidRequest)?;
+    let scheme: WeightingScheme = r.str()?.parse().map_err(ServeError::InvalidRequest)?;
     let retention = match parse_retention(&mut r, false)? {
         Some(ret) => ret,
         None => return Err(ServeError::InvalidRequest("response without retention".into())),
@@ -421,7 +382,7 @@ pub fn text_bytes(text: &str) -> Vec<u8> {
 /// Decodes a UTF-8 string payload.
 pub fn parse_text(buf: &[u8]) -> Result<String, ServeError> {
     let mut r = Reader::new(buf, "text");
-    let text = utf8(r.bytes()?, "text")?.to_owned();
+    let text = r.str()?.to_owned();
     r.finish()?;
     Ok(text)
 }
@@ -454,7 +415,7 @@ pub fn upsert_bytes(id: u32, profile: &EntityProfile) -> Vec<u8> {
 pub fn parse_upsert(buf: &[u8]) -> Result<(u32, EntityProfile), ServeError> {
     let mut r = Reader::new(buf, "upsert");
     let id = r.u32()?;
-    let profile = parse_profile(&mut r, "upsert")?;
+    let profile = r.profile()?;
     r.finish()?;
     Ok((id, profile))
 }
@@ -505,8 +466,8 @@ pub fn compact_bytes(bundle: &str, out_path: Option<&str>) -> Vec<u8> {
 /// Decodes a [`MSG_COMPACT`] payload into `(bundle_dir, out_path)`.
 pub fn parse_compact(buf: &[u8]) -> Result<(String, Option<String>), ServeError> {
     let mut r = Reader::new(buf, "compact");
-    let bundle = utf8(r.bytes()?, "compact")?.to_owned();
-    let out_path = utf8(r.bytes()?, "compact")?.to_owned();
+    let bundle = r.str()?.to_owned();
+    let out_path = r.str()?.to_owned();
     r.finish()?;
     Ok((bundle, if out_path.is_empty() { None } else { Some(out_path) }))
 }

@@ -44,7 +44,7 @@ use crate::protocol::{
     MSG_RESPONSE, MSG_SHUTDOWN, MSG_UPSERT,
 };
 use crate::request::{CandidateRequest, CandidateResponse};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{write_atomic, Snapshot};
 use crate::view::SnapshotView;
 use er_model::EntityProfile;
 use mb_observe::RunReport;
@@ -395,7 +395,7 @@ fn compact(shared: &Shared, bundle: &str, out: Option<&str>) -> Result<u64, Serv
     let bytes =
         Snapshot::build(&collection, *generation.view().config()).map_err(reload)?.to_bytes();
     if let Some(path) = out {
-        std::fs::write(path, &bytes).map_err(|e| reload(e.into()))?;
+        write_atomic(Path::new(path), &bytes).map_err(|e| reload(e.into()))?;
     }
     let view = SnapshotView::from_bytes(bytes).map_err(reload)?;
     shared.cell.swap_if(generation.ordinal(), view).map_err(reload)

@@ -719,10 +719,49 @@ impl Snapshot {
         p
     }
 
-    /// Writes the encoded snapshot to `path`.
+    /// Writes the encoded snapshot to `path`, replacing whatever is there
+    /// in one step ([`write_atomic`]).
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        Ok(std::fs::write(path, self.to_bytes())?)
+        Ok(write_atomic(path, &self.to_bytes())?)
     }
+}
+
+/// Replaces the file at `path` with `bytes`, all or nothing: the bytes go to
+/// a temporary sibling in the same directory, are synced to disk, and only
+/// then renamed over `path`, and the directory is synced after that (best
+/// effort; not every filesystem lets a directory be opened for it).
+///
+/// A crash or a full disk part-way leaves the old file whole — which is
+/// what lets `er snapshot apply` rewrite its own input — and a reader that
+/// opens `path` at any moment (a `--trigger` reload) sees one complete
+/// image, old or new. On any error the temporary is removed and `path` is
+/// untouched.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    // Told apart per process and per call: concurrent writers to one
+    // destination never share a temporary.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "destination has no file name")
+    })?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    let (pid, call) = (std::process::id(), CALLS.fetch_add(1, Ordering::Relaxed));
+    let tmp = dir.join(format!(".{}.{pid}-{call}.tmp", name.to_string_lossy()));
+    let written =
+        std::fs::OpenOptions::new().write(true).create_new(true).open(&tmp).and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, path)
+        });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return written;
+    }
+    if let Ok(dir) = std::fs::File::open(dir) {
+        let _ = dir.sync_all();
+    }
+    Ok(())
 }
 
 /// Frames finished section payloads into the canonical v3 byte layout:
@@ -818,6 +857,39 @@ mod tests {
         } else {
             EntityCollection::dirty(profiles)
         }
+    }
+
+    #[test]
+    fn write_to_replaces_the_file_instead_of_truncating_it_in_place() {
+        use std::io::Read;
+        let dir = std::env::temp_dir().join(format!("er_atomic_write_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("index.mbsnap");
+        let config = PipelineConfig::default();
+        let a = Snapshot::build(&spill_collection(40, false), config).unwrap();
+        let b = Snapshot::build(&spill_collection(90, true), config).unwrap();
+        assert_ne!(a.to_bytes(), b.to_bytes());
+
+        a.write_to(&path).unwrap();
+        // A reader that opened the file before the rewrite — a `--trigger`
+        // reload in flight — keeps reading the complete old image.
+        let mut open_before = std::fs::File::open(&path).unwrap();
+        b.write_to(&path).unwrap();
+        let mut seen = Vec::new();
+        open_before.read_to_end(&mut seen).unwrap();
+        assert!(seen == a.to_bytes(), "the open handle saw a torn or truncated image");
+        assert!(std::fs::read(&path).unwrap() == b.to_bytes());
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["index.mbsnap"], "a temporary was left behind");
+
+        // A destination whose directory does not exist: the error comes
+        // back and nothing is created.
+        let missing = dir.join("no-such-dir");
+        assert!(matches!(a.write_to(&missing.join("x.mbsnap")), Err(SnapshotError::Io(_))));
+        assert!(!missing.exists());
+        assert!(write_atomic(Path::new("/"), b"").is_err(), "no file name to replace");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! half-applied op.
 
 use er_model::{EntityCollection, EntityId, EntityProfile};
-use mb_core::incremental::{IncrementalConfig, IncrementalMetaBlocking};
 use mb_core::{Noop, PipelineConfig, Retention, WeightingScheme};
 use mb_serve::{
     append_delta_run, merge_ops, CandidateRequest, DeltaOp, GenerationCell, QueryEngine, Snapshot,
@@ -229,32 +228,6 @@ fn profile_of(op: &DeltaOp) -> &EntityProfile {
         DeltaOp::Upsert { profile, .. } => profile,
         DeltaOp::Delete { .. } => panic!("not an upsert"),
     }
-}
-
-#[test]
-fn query_after_upsert_agrees_with_streaming_metablocking() {
-    // Cross-validation against the incremental pipeline: feed the same
-    // profiles to `IncrementalMetaBlocking` and to a snapshot + delta
-    // engine; the newcomer's CBS neighborhood must be the same set.
-    let profiles = base_profiles();
-    let newcomer = EntityProfile::new("p5").with("name", "jack stone lloyd");
-
-    let mut inc = IncrementalMetaBlocking::new(IncrementalConfig {
-        scheme: WeightingScheme::Cbs,
-        k: usize::MAX,
-        max_block_size: usize::MAX,
-    });
-    for p in &profiles {
-        inc.add(p);
-    }
-    let mut streamed: Vec<u32> = inc.add(&newcomer).iter().map(|(old, _)| old.0).collect();
-    streamed.sort_unstable();
-
-    let cell = GenerationCell::new(base_snapshot(WeightingScheme::Cbs)).unwrap();
-    let applied = cell.apply(DeltaOp::Upsert { id: APPEND, profile: newcomer }, &mut Noop).unwrap();
-    let generation = cell.load();
-    let mut engine = QueryEngine::from_generation(&generation);
-    assert_eq!(candidates_of(&mut engine, applied.id), streamed);
 }
 
 #[test]

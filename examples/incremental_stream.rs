@@ -1,24 +1,29 @@
 //! Incremental ER: resolving a stream of arriving profiles — the future
-//! work the paper's conclusion announces, implemented as an extension.
+//! work the paper's conclusion announces — on the same path `er serve`
+//! runs.
 //!
 //! Instead of blocking a complete collection, profiles arrive one at a
 //! time (a crawler, a message queue) and each arrival asks: which of the
-//! already-seen profiles should I be compared with *right now*? The
-//! incremental pipeline answers with the newcomer's top-k weighted
-//! co-occurring profiles, under incremental Token Blocking and an
-//! incremental Block-Purging size cap.
+//! already-seen profiles should I be compared with *right now*? The stream
+//! starts from a snapshot of nothing; every arrival is an append to the
+//! live generation, queryable the moment it is applied, and the newcomer's
+//! top-k weighted neighbors are its comparisons. Replaces, deletes, a
+//! persisted op log and compaction into the exact batch snapshot come with
+//! the path (DESIGN.md §13, "Streaming from nothing").
 //!
 //! ```text
 //! cargo run --release --example incremental_stream
 //! ```
 
 use enhanced_metablocking::datagen::presets;
-use enhanced_metablocking::metablocking::incremental::{
-    IncrementalConfig, IncrementalMetaBlocking,
+use enhanced_metablocking::metablocking::{PipelineConfig, Retention, WeightingScheme};
+use enhanced_metablocking::model::{EntityCollection, EntityId};
+use enhanced_metablocking::observe::Noop;
+use enhanced_metablocking::serve::{
+    CandidateRequest, DeltaOp, EngineScratch, GenerationCell, QueryEngine, Snapshot, APPEND,
 };
-use enhanced_metablocking::metablocking::WeightingScheme;
 
-fn main() -> enhanced_metablocking::model::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = presets::build(&presets::tiny(5))?.into_dirty();
     let total_duplicates = dataset.ground_truth.len();
     println!(
@@ -27,22 +32,28 @@ fn main() -> enhanced_metablocking::model::Result<()> {
         total_duplicates
     );
 
-    let mut inc = IncrementalMetaBlocking::new(IncrementalConfig {
-        scheme: WeightingScheme::Js,
-        k: 5,
-        max_block_size: 200,
-    });
+    let config = PipelineConfig { weighting: WeightingScheme::Js, ..PipelineConfig::default() };
+    let nothing = EntityCollection::dirty(Vec::new());
+    let cell = GenerationCell::new(Snapshot::build(&nothing, config)?)?;
+    let mut scratch = EngineScratch::default();
 
     let mut emitted = 0u64;
     let mut found = 0usize;
     let mut checkpoints = vec![];
     for (n, (_, profile)) in dataset.collection.iter().enumerate() {
-        for (a, b) in inc.add(profile) {
+        let arrival = DeltaOp::Upsert { id: APPEND, profile: profile.clone() };
+        let id = EntityId(cell.apply(arrival, &mut Noop)?.id);
+        let generation = cell.load();
+        let mut engine = QueryEngine::with_scratch(&generation, scratch);
+        let request = CandidateRequest::entity(id).with_retention(Retention::TopK(5));
+        let response = engine.execute(&request, &mut Noop)?;
+        for candidate in response.results.iter().flat_map(|scored| &scored.candidates) {
             emitted += 1;
-            if dataset.ground_truth.are_duplicates(a, b) {
+            if dataset.ground_truth.are_duplicates(candidate.id, id) {
                 found += 1;
             }
         }
+        scratch = engine.into_scratch();
         if (n + 1) % 100 == 0 || n + 1 == dataset.collection.len() {
             checkpoints.push((n + 1, emitted, found));
         }

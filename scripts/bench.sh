@@ -32,19 +32,19 @@ cd "$(dirname "$0")/.."
 
 echo "==> end-to-end pipeline bench (writes BENCH_pipeline.json)"
 BENCH_OUT="" cargo bench -p er-bench --bench pipeline_e2e
-cargo run -q -p er-bench --bin validate_pipeline_json -- BENCH_pipeline.json
+cargo run -q -p er-bench --bin validate_bench_json -- BENCH_pipeline.json
 
 echo "==> query-latency bench (writes BENCH_query.json)"
 BENCH_OUT="" cargo bench -p er-bench --bench query_latency
-cargo run -q -p er-bench --bin validate_query_json -- BENCH_query.json
+cargo run -q -p er-bench --bin validate_bench_json -- BENCH_query.json
 
 echo "==> online-serving bench (writes BENCH_serve.json)"
 BENCH_OUT="" cargo bench -p er-bench --bench serve_throughput
-cargo run -q -p er-bench --bin validate_serve_json -- BENCH_serve.json
+cargo run -q -p er-bench --bin validate_bench_json -- BENCH_serve.json
 
 echo "==> incremental-delta bench (writes BENCH_delta.json)"
 BENCH_OUT="" cargo bench -p er-bench --bench delta_latency
-cargo run -q -p er-bench --bin validate_delta_json -- BENCH_delta.json
+cargo run -q -p er-bench --bin validate_bench_json -- BENCH_delta.json
 
 echo "==> pruning-scaling bench (writes ${BENCH_OUT:-BENCH_pruning.json})"
 cargo bench -p er-bench --bench pruning_scaling

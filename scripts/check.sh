@@ -4,9 +4,11 @@
 # snapshot, re-load it (full checksum + invariant validation) and query it,
 # then an online-serving smoke: `er serve` on an ephemeral port, query it
 # over the wire, hot-reload a second snapshot with zero downtime, re-query,
-# and drain it with `er client shutdown`, and last the repository
-# benchmark's smoke mode: the public calls and correctness checks of all six
-# BENCHMARK.json workloads, so what the driver runs cannot break unnoticed.
+# and drain it with `er client shutdown`, then the streaming example (every
+# arrival an append to a live generation that started empty), and last the
+# repository benchmark's smoke mode: the public calls and correctness checks
+# of all six BENCHMARK.json workloads, so what the driver runs cannot break
+# unnoticed.
 # ROADMAP.md's tier-1 verify line is the `build` + `test` subset; this script
 # is the superset a change should pass before review.
 #
@@ -32,7 +34,10 @@ cargo build --release
 echo "==> er-lint --workspace --format json (results/lint.json)"
 mkdir -p results
 cargo run -q -p er-lint -- --workspace --format json > results/lint.json
-cargo run -q -p er-bench --bin validate_lint_json -- results/lint.json
+# One validator, every committed JSON document: the fresh lint report and
+# the bench results a change may have hand-edited or re-recorded.
+cargo run -q -p er-bench --bin validate_bench_json -- results/lint.json \
+  BENCH_pipeline.json BENCH_query.json BENCH_serve.json BENCH_delta.json
 
 echo "==> cargo test -q"
 cargo test -q
@@ -107,6 +112,13 @@ cargo run -q --release -p er-cli -- snapshot inspect --snapshot "$SMOKE_DIR/stag
   | grep -q "delta runs" || { echo "staged snapshot lost its delta run" >&2; exit 1; }
 cargo run -q --release -p er-cli -- query --snapshot "$SMOKE_DIR/staged.mbsnap" \
   --text "john smith 42 main st springfield" --top 5
+
+echo "==> streaming smoke (examples/incremental_stream: arrivals through the served overlay)"
+# The one from-nothing stream in the repository, run rather than only
+# compiled: 450 arrivals must find all but a handful of the 150 duplicates.
+cargo run -q --release --example incremental_stream | tee "$SMOKE_DIR/stream.txt"
+grep -Eq '^final: recall (0\.9[0-9]*|1\.0*) ' "$SMOKE_DIR/stream.txt" \
+  || { echo "the streamed run lost recall" >&2; exit 1; }
 
 echo "==> benchmark smoke (benchmark/run.sh --smoke: all six workloads on the tiny preset)"
 benchmark/run.sh --smoke

@@ -18,3 +18,4 @@ pub use er_model as model;
 pub use er_resolve as resolve;
 pub use mb_core as metablocking;
 pub use mb_observe as observe;
+pub use mb_serve as serve;
