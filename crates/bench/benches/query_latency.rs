@@ -1,8 +1,9 @@
-//! Serving-layer latency bench: snapshot load time, single-query latency
-//! percentiles, and batch query throughput across thread counts.
+//! Serving-layer latency bench: snapshot load time, single-query and
+//! probe-query latency percentiles, and batch query throughput across
+//! thread counts.
 //!
 //! The workload is the Dirty d1c-0.1 benchmark frozen into an `mb-serve`
-//! snapshot (Token Blocking + Block Filtering at r = 0.8). Three
+//! snapshot (Token Blocking + Block Filtering at r = 0.8). Four
 //! measurements:
 //!
 //! * **load** — `SnapshotView::read_from` (read + checksum + full
@@ -10,6 +11,9 @@
 //!   loaded buffer), wall-ms and MB/s.
 //! * **single query** — per-entity `QueryEngine::query` latency in µs,
 //!   reported as p50/p99 over every entity × `BENCH_SAMPLE_SIZE` rounds.
+//! * **probe query** — the same profiles sent as unindexed probes
+//!   (tokenize, one `find_token` per token, route, score), p50/p99 in µs
+//!   and the tokens looked up per probe as the engine counted them.
 //! * **batch** — `QueryEngine::batch` at 1/2/4/8 threads, wall-ms and
 //!   queries/second.
 //!
@@ -20,6 +24,7 @@
 use er_bench::dirty_workload;
 use mb_core::{Noop, PipelineConfig, PruningScheme, WeightingScheme};
 use mb_observe::json::Json;
+use mb_observe::{Counter, RunReport};
 use mb_serve::{CandidateRequest, QueryEngine, Snapshot, SnapshotView};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -34,6 +39,13 @@ fn sample_count() -> usize {
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// Sorts the latencies and returns their `(p50, p99)`.
+fn p50_p99(lat_us: &mut [f64]) -> (f64, f64) {
+    lat_us.sort_unstable_by(|a, b| a.total_cmp(b));
+    let pct = |p: f64| lat_us[((lat_us.len() - 1) as f64 * p) as usize];
+    (pct(0.50), pct(0.99))
 }
 
 fn main() {
@@ -100,14 +112,48 @@ fn main() {
             lat_us.push(start.elapsed().as_secs_f64() * 1e6);
         }
     }
-    lat_us.sort_unstable_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| lat_us[((lat_us.len() - 1) as f64 * p) as usize];
-    let (p50, p99) = (pct(0.50), pct(0.99));
+    let (p50, p99) = p50_p99(&mut lat_us);
     println!("  single: p50 {p50:>8.2} us  p99 {p99:>8.2} us  ({} timed queries)", lat_us.len());
     let mut single = Json::obj();
     single.push("p50_us", Json::Num(p50));
     single.push("p99_us", Json::Num(p99));
     single.push("queries", Json::Uint(lat_us.len() as u64));
+
+    // --- probe-query latency (every profile again, as an unindexed probe) ---
+    let probes: Vec<CandidateRequest> = (0..n as u32)
+        .map(|id| {
+            let profile = workload.collection.profile(er_model::EntityId(id)).clone();
+            CandidateRequest::probe(profile, true).with_retention(retention)
+        })
+        .collect();
+    let mut lat_us: Vec<f64> = Vec::with_capacity(n * samples);
+    for _ in 0..samples {
+        for request in &probes {
+            let start = Instant::now();
+            let response =
+                engine.execute(request, &mut Noop).unwrap_or_else(|e| panic!("probe: {e}"));
+            black_box(&response);
+            lat_us.push(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    let (p50, p99) = p50_p99(&mut lat_us);
+    // One more round, untimed, under an observer: the engine's own count of
+    // vocabulary lookups.
+    let mut report = RunReport::new("probe");
+    for request in &probes {
+        engine.execute(request, &mut report).unwrap_or_else(|e| panic!("probe: {e}"));
+    }
+    let tokens_per_probe = report.counter_total(Counter::TokensProbed) as f64 / n as f64;
+    println!(
+        "   probe: p50 {p50:>8.2} us  p99 {p99:>8.2} us  {tokens_per_probe:.1} tokens/probe  \
+         ({} timed queries)",
+        lat_us.len()
+    );
+    let mut probe = Json::obj();
+    probe.push("p50_us", Json::Num(p50));
+    probe.push("p99_us", Json::Num(p99));
+    probe.push("tokens_probed_per_query", Json::Num(tokens_per_probe));
+    probe.push("queries", Json::Uint(lat_us.len() as u64));
 
     // --- batch throughput across thread counts ------------------------------
     let mut batch_rows: Vec<Json> = Vec::new();
@@ -148,6 +194,7 @@ fn main() {
     doc.push("snapshot_bytes", Json::Uint(snapshot_bytes));
     doc.push("load", load);
     doc.push("single_query", single);
+    doc.push("probe_query", probe);
     doc.push("batch", Json::Arr(batch_rows));
 
     let out = std::env::var("BENCH_OUT").ok().filter(|p| !p.is_empty()).unwrap_or_else(|| {

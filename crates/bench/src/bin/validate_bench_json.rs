@@ -13,7 +13,8 @@
 //! bad file, on a missing or mistyped field and on every floor a document
 //! carries:
 //!
-//! * `query_latency`: p99 ≥ p50; batch rows at 1/2/4/8 threads.
+//! * `query_latency`: p99 ≥ p50 for entity and probe queries, a positive
+//!   token count per probe; batch rows at 1/2/4/8 threads.
 //! * `serve_throughput`: p99 ≥ p50; one reload per sample round,
 //!   `final_generation` one past them; the server's own request count
 //!   covers every timed round trip.
@@ -125,6 +126,13 @@ fn query(doc: &Json) -> Result<(), String> {
 
     ordered_pair(doc, "single_query.p50_us", "single_query.p99_us")?;
     positive_uint(doc, "single_query.queries")?;
+
+    ordered_pair(doc, "probe_query.p50_us", "probe_query.p99_us")?;
+    positive_uint(doc, "probe_query.queries")?;
+    let tokens = finite(doc, "probe_query.tokens_probed_per_query")?;
+    if tokens <= 0.0 {
+        return Err(format!("probe_query.tokens_probed_per_query must be positive, got {tokens}"));
+    }
 
     let mut threads_seen = Vec::new();
     each_row(doc, "batch", |row| {
@@ -415,6 +423,11 @@ mod tests {
         breaks(q, "`single_query.p99_us`", |d| *at(d, "single_query.p99_us") = Json::Num(0.0));
         breaks(q, "load.mb_per_s", |d| drop_key(d, "load", "mb_per_s"));
         breaks(q, "expected [1, 2, 4, 8]", |d| *at(d, "batch.3.threads") = Json::Uint(16));
+        breaks(q, "`probe_query.p99_us`", |d| *at(d, "probe_query.p99_us") = Json::Num(0.0));
+        breaks(q, "probe_query.queries", |d| *at(d, "probe_query.queries") = Json::Uint(0));
+        breaks(q, "probe_query.tokens_probed_per_query", |d| {
+            *at(d, "probe_query.tokens_probed_per_query") = Json::Num(0.0);
+        });
 
         let s = "BENCH_serve.json";
         breaks(s, "final_generation", |d| *at(d, "final_generation") = Json::Uint(1));

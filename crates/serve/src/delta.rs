@@ -33,7 +33,7 @@
 //!
 //! # Persistence
 //!
-//! Ops persist as `delta` sections (id 11) appended after the ten canonical
+//! Ops persist as `delta` sections (id 10) appended after the nine canonical
 //! sections — see the [`crate::snapshot`] module docs. [`encode_delta_run`]
 //! / [`decode_delta_run`] speak the section payload, and
 //! [`append_delta_run`] re-frames a loaded snapshot with one more run under
@@ -322,9 +322,10 @@ impl DeltaOverlay {
         runs: &[Vec<DeltaOp>],
     ) -> Result<DeltaOverlay, SnapshotError> {
         let mut overlay = DeltaOverlay::new(view);
+        let mut keys = KeyScratch::new();
         for ops in runs {
             for op in ops {
-                overlay.apply(op.clone(), view, warm)?;
+                overlay.apply(op.clone(), view, warm, &mut keys)?;
             }
         }
         Ok(overlay)
@@ -432,7 +433,13 @@ impl DeltaOverlay {
     /// sits in) and empties its block list. The inverse of indexing.
     fn detach(&mut self, id: u32, view: &SnapshotView) {
         let right = self.is_right(id);
-        let list: Vec<u32> = match self.entity_lists.get(&id) {
+        let known = self.entity_lists.get(&id);
+        // A pending posting only ever holds ids `index_profile` put there,
+        // and `index_profile` always leaves an `entity_lists` entry (which
+        // nothing removes): an id without one — a base entity touched for
+        // the first time — is in no pending posting.
+        let maybe_pending = known.is_some();
+        let list: Vec<u32> = match known {
             Some(l) => l.as_ref().clone(),
             None if (id as usize) < self.base_entities => {
                 let lo = view.idx_offsets().get(id as usize) as usize;
@@ -452,21 +459,26 @@ impl DeltaOverlay {
             }
         }
         // Pending postings are not in any block list yet; sweep them too.
-        self.pending.retain(|_, posting| {
-            posting.remove(id, right);
-            posting.len() > 0
-        });
+        if maybe_pending {
+            self.pending.retain(|_, posting| {
+                posting.remove(id, right);
+                posting.len() > 0
+            });
+        }
         self.entity_lists.insert(id, Arc::new(Vec::new()));
     }
 
     /// Applies one op, returning the id it resolved to. The overlay is a
     /// private clone while this runs — on error the caller discards it, so
-    /// published overlays are never half-applied.
+    /// published overlays are never half-applied. `keys` is the tokenizer's
+    /// scratch: contents in and out are irrelevant, only its allocations
+    /// carry over from one op to the next.
     pub(crate) fn apply(
         &mut self,
         op: DeltaOp,
         view: &SnapshotView,
         warm: &Warm,
+        keys: &mut KeyScratch,
     ) -> Result<u32, SnapshotError> {
         match &op {
             DeltaOp::Upsert { id, profile } => {
@@ -487,7 +499,7 @@ impl DeltaOverlay {
                         self.split = self.num_entities;
                     }
                 }
-                self.index_profile(id, profile, view, warm);
+                self.index_profile(id, profile, view, warm, keys);
             }
             DeltaOp::Delete { id } => {
                 let id = *id;
@@ -517,12 +529,12 @@ impl DeltaOverlay {
         profile: &EntityProfile,
         view: &SnapshotView,
         warm: &Warm,
+        keys: &mut KeyScratch,
     ) {
         let right = self.is_right(id);
-        let mut scratch = KeyScratch::new();
-        scratch.fill_tokens(profile);
+        keys.fill_tokens(profile);
         let mut list: Vec<u32> = Vec::new();
-        for token in scratch.iter() {
+        for token in keys.iter() {
             let tid = match view.find_token(token.as_bytes()) {
                 Some(tid) => tid,
                 None => match self.new_token_ids.get(token) {

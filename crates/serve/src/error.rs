@@ -16,14 +16,15 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with the snapshot magic bytes.
     BadMagic,
-    /// The header's format version is newer than this build understands.
+    /// The file is of another format version, older or newer, than the one
+    /// this build reads.
     ///
-    /// Versioning policy: readers accept exactly the versions they know;
-    /// they never guess at sections written by a future layout.
+    /// Versioning policy: readers accept exactly the version they know;
+    /// they never guess at sections written by another layout.
     UnsupportedVersion {
         /// The version stamped in the file.
         found: u32,
-        /// The newest version this build can read.
+        /// The one version this build reads.
         supported: u32,
     },
     /// The input ended (or a declared length overran it) while `section`
@@ -95,7 +96,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "snapshot format version {found} unsupported (this build reads <= {supported})"
+                    "snapshot format version {found} unsupported (this build reads version {supported} only)"
                 )
             }
             SnapshotError::Truncated { section, needed, available } => {

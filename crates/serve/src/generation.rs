@@ -31,6 +31,7 @@
 use crate::delta::{DeltaOp, DeltaOverlay};
 use crate::error::SnapshotError;
 use crate::view::SnapshotView;
+use er_model::tokenize::KeyScratch;
 use mb_observe::{Counter, Observer, Stage, StageScope};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -129,7 +130,17 @@ pub struct AppliedDelta {
 /// the cell can never hold an unvalidated or partially-built generation.
 #[derive(Debug)]
 pub struct GenerationCell {
-    current: RwLock<Arc<Generation>>,
+    current: RwLock<Serving>,
+}
+
+/// What the cell's lock guards: the published generation, and the scratch
+/// [`GenerationCell::apply`] tokenizes each upserted profile in — writes are
+/// serialized by the write lock, so one scratch serves them all and an
+/// upsert allocates no tokenizer buffers of its own.
+#[derive(Debug)]
+struct Serving {
+    generation: Arc<Generation>,
+    keys: KeyScratch,
 }
 
 impl GenerationCell {
@@ -140,9 +151,8 @@ impl GenerationCell {
         S: TryInto<SnapshotView>,
         SnapshotError: From<S::Error>,
     {
-        Ok(GenerationCell {
-            current: RwLock::new(Arc::new(Generation::assemble(snapshot.try_into()?, 1)?)),
-        })
+        let generation = Arc::new(Generation::assemble(snapshot.try_into()?, 1)?);
+        Ok(GenerationCell { current: RwLock::new(Serving { generation, keys: KeyScratch::new() }) })
     }
 
     /// The current generation, pinned: the returned `Arc` keeps this
@@ -151,13 +161,13 @@ impl GenerationCell {
     pub fn load(&self) -> Arc<Generation> {
         // A poisoned lock means a panic *while swapping a pointer* — the
         // Arc inside is still coherent, so serving continues.
-        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner).generation)
     }
 
     /// The current generation's ordinal — the cheap staleness check
     /// connection handlers poll between requests.
     pub fn ordinal(&self) -> u64 {
-        self.current.read().unwrap_or_else(PoisonError::into_inner).ordinal
+        self.current.read().unwrap_or_else(PoisonError::into_inner).generation.ordinal
     }
 
     /// Atomically replaces the serving generation with `snapshot` and
@@ -176,9 +186,9 @@ impl GenerationCell {
         // lock below, so a concurrent apply can't be overwritten silently.
         let mut generation = Generation::assemble(snapshot.try_into()?, next_ordinal)?;
         let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
-        generation.ordinal = slot.ordinal + 1;
+        generation.ordinal = slot.generation.ordinal + 1;
         let ordinal = generation.ordinal;
-        *slot = Arc::new(generation);
+        slot.generation = Arc::new(generation);
         Ok(ordinal)
     }
 
@@ -194,13 +204,13 @@ impl GenerationCell {
     {
         let generation = Generation::assemble(snapshot.try_into()?, expected + 1)?;
         let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
-        if slot.ordinal != expected {
+        if slot.generation.ordinal != expected {
             return Err(SnapshotError::Inconsistent(format!(
                 "generation moved from {expected} to {} during compaction",
-                slot.ordinal
+                slot.generation.ordinal
             )));
         }
-        *slot = Arc::new(generation);
+        slot.generation = Arc::new(generation);
         Ok(expected + 1)
     }
 
@@ -223,7 +233,7 @@ impl GenerationCell {
         let mut scope = StageScope::enter(obs, Stage::DeltaApply);
         let outcome = {
             let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
-            let cur = Arc::clone(&slot);
+            let cur = Arc::clone(&slot.generation);
             let mut overlay = match cur.overlay() {
                 Some(o) => o.clone(),
                 None => DeltaOverlay::new(&cur.view),
@@ -235,10 +245,10 @@ impl GenerationCell {
                 other => other,
             };
             let deleted = matches!(op, DeltaOp::Delete { .. });
-            match overlay.apply(op, &cur.view, &cur.warm) {
+            match overlay.apply(op, &cur.view, &cur.warm, &mut slot.keys) {
                 Ok(id) => {
                     let ordinal = cur.ordinal + 1;
-                    *slot = Arc::new(Generation {
+                    slot.generation = Arc::new(Generation {
                         view: Arc::clone(&cur.view),
                         warm: Arc::clone(&cur.warm),
                         overlay: Some(overlay),

@@ -6,10 +6,10 @@
 //! thresholds — so a serving process reconstructs the query state without
 //! re-running blocking, filtering, or index construction.
 //!
-//! # Layout (format version 3)
+//! # Layout (format version 4)
 //!
 //! ```text
-//! header:  magic "MBSNAP03" | version u32 = 3 | section_count u32
+//! header:  magic "MBSNAP04" | version u32 = 4 | section_count u32
 //! table:   section_count entries, 32 bytes each:
 //!          id u32 | reserved u32 = 0 | offset u64 | len u64 | checksum u64
 //! payloads: contiguous, in table order, each starting on an 8-byte file
@@ -17,7 +17,7 @@
 //! ```
 //!
 //! `offset` is absolute, `len` is the unpadded payload length, and
-//! `checksum` is word-wise FNV-1a 64 over the *padded* region. The ten
+//! `checksum` is word-wise FNV-1a 64 over the *padded* region. The nine
 //! canonical sections are required, unique, and appear in exactly this
 //! canonical order:
 //!
@@ -31,10 +31,14 @@
 //! | 6  | indexoffs   | flat entity-index offsets (`u32` vector)            |
 //! | 7  | tokoffsets  | V+1 byte offsets into `tokblob` (`u32` vector)      |
 //! | 8  | tokblob     | UTF-8 token bytes concatenated in id order          |
-//! | 9  | toksorted   | token ids sorted by byte order (`u32` vector)       |
-//! | 10 | blockkeys   | one interned token id per block, in block order     |
+//! | 9  | blockkeys   | one interned token id per block, in block order     |
 //!
-//! After the canonical ten, any number of **delta run** sections (id 11,
+//! Nothing about token *lookup* is persisted: the loader seats the
+//! vocabulary of sections 7–8 into a hash table of its own
+//! ([`crate::view::SnapshotView::find_token`]), so the format pins no hash
+//! function and the encoder sorts nothing.
+//!
+//! After the canonical nine, any number of **delta run** sections (id 10,
 //! name `delta`) may follow — the write-ahead log of
 //! [`crate::delta::DeltaOp`] mutations applied since the canonical arena
 //! was built. Delta runs obey the same table discipline (contiguous,
@@ -50,9 +54,10 @@
 //! decoding them. This module only builds and encodes; `SnapshotView` is
 //! the one way bytes become a queryable index.
 //!
-//! Earlier-version files (magic `MBSNAP01`/`MBSNAP02`) are rejected with a
-//! typed [`SnapshotError::UnsupportedVersion`]: readers accept exactly the
-//! versions they know and never guess at another layout.
+//! Earlier-version files (magic `MBSNAP01`–`MBSNAP03`; version 3 carried a
+//! persisted byte-order permutation of the vocabulary as its section 9) are
+//! rejected with a typed [`SnapshotError::UnsupportedVersion`]: readers
+//! accept exactly the version they know and never guess at another layout.
 
 use crate::codec::{fnv1a_wide, padded_len, put_bytes, put_u32, put_u32_slice, put_u64, Reader};
 use crate::error::SnapshotError;
@@ -66,13 +71,13 @@ use mb_core::PipelineConfig;
 use std::path::{Path, PathBuf};
 
 /// The snapshot file magic.
-pub const MAGIC: [u8; 8] = *b"MBSNAP03";
+pub const MAGIC: [u8; 8] = *b"MBSNAP04";
 
-/// The newest format version this build reads and the only one it writes.
+/// The one format version this build reads and writes.
 ///
 /// Policy: bump on any layout change, including compatible additions — a
 /// reader never guesses at bytes laid out by a version it does not know.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 pub(crate) const SECTION_META: u32 = 1;
 pub(crate) const SECTION_MEMBERS: u32 = 2;
@@ -82,14 +87,13 @@ pub(crate) const SECTION_INDEX_LISTS: u32 = 5;
 pub(crate) const SECTION_INDEX_OFFSETS: u32 = 6;
 pub(crate) const SECTION_TOK_OFFSETS: u32 = 7;
 pub(crate) const SECTION_TOK_BLOB: u32 = 8;
-pub(crate) const SECTION_TOK_SORTED: u32 = 9;
-pub(crate) const SECTION_BLOCKKEYS: u32 = 10;
+pub(crate) const SECTION_BLOCKKEYS: u32 = 9;
 /// The repeatable write-ahead delta-run section (any count, always last).
-pub(crate) const SECTION_DELTA: u32 = 11;
+pub(crate) const SECTION_DELTA: u32 = 10;
 
 /// All section ids with their display names, in canonical (and mandatory)
 /// file order.
-pub(crate) const SECTIONS: [(u32, &str); 10] = [
+pub(crate) const SECTIONS: [(u32, &str); 9] = [
     (SECTION_META, "meta"),
     (SECTION_MEMBERS, "members"),
     (SECTION_OFFSETS, "offsets"),
@@ -98,7 +102,6 @@ pub(crate) const SECTIONS: [(u32, &str); 10] = [
     (SECTION_INDEX_OFFSETS, "indexoffs"),
     (SECTION_TOK_OFFSETS, "tokoffsets"),
     (SECTION_TOK_BLOB, "tokblob"),
-    (SECTION_TOK_SORTED, "toksorted"),
     (SECTION_BLOCKKEYS, "blockkeys"),
 ];
 
@@ -152,7 +155,7 @@ fn classify_magic(magic: &[u8]) -> SnapshotError {
 ///
 /// `head` must hold at least the header and table bytes (it may be the whole
 /// file); `file_len` is the total file length the table is checked against.
-/// On success the first ten entries are canonical — ids in order, offsets
+/// On success the first nine entries are canonical — ids in order, offsets
 /// contiguous and 8-aligned starting right after the table — and every
 /// entry past them is a [`SECTION_DELTA`] run, with the padded payloads
 /// ending exactly at `file_len`. Checksums are *not* verified here — see
@@ -206,7 +209,7 @@ pub(crate) fn parse_table(
                     None => SnapshotError::UnknownSection { id: got },
                 });
             }
-            // Everything past the canonical ten must be a delta run.
+            // Everything past the canonical nine must be a delta run.
             None if got == SECTION_DELTA => "delta",
             None => {
                 return Err(match section_name(got) {
@@ -336,14 +339,6 @@ pub(crate) fn decode_meta(payload: &[u8]) -> Result<Meta, SnapshotError> {
     let config = PipelineConfig::from_json_str(config_str).map_err(SnapshotError::Config)?;
     config.validate().map_err(SnapshotError::Config)?;
     Ok(Meta { kind, num_entities, split, cnp, cep, comparisons, assignments, config })
-}
-
-/// The `toksorted` section: token ids in byte order of their text, the
-/// permutation the probe path binary-searches.
-fn tokens_by_text(tokens: &KeyArena) -> Vec<u32> {
-    let mut sorted: Vec<u32> = tokens.ids().collect();
-    sorted.sort_unstable_by(|&a, &b| tokens.bytes(a).cmp(tokens.bytes(b)));
-    sorted
 }
 
 /// A cheap, header-only description of a snapshot file.
@@ -651,7 +646,7 @@ impl Snapshot {
         self.total_assignments
     }
 
-    /// Encodes the snapshot into the versioned binary format: the ten
+    /// Encodes the snapshot into the versioned binary format: the nine
     /// canonical sections, no delta runs.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payloads: Vec<(u32, Vec<u8>)> =
@@ -708,9 +703,6 @@ impl Snapshot {
             SECTION_TOK_BLOB => {
                 put_bytes(&mut p, self.tokens.text().as_bytes());
             }
-            SECTION_TOK_SORTED => {
-                put_u32_slice(&mut p, &tokens_by_text(&self.tokens));
-            }
             SECTION_BLOCKKEYS => {
                 put_u32_slice(&mut p, &self.block_keys);
             }
@@ -764,10 +756,10 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Frames finished section payloads into the canonical v3 byte layout:
+/// Frames finished section payloads into the canonical byte layout:
 /// header, table, then payloads contiguously, each 8-aligned and
 /// zero-padded, with wide-FNV checksums over the padded regions. Callers
-/// pass the ten canonical sections in order, optionally followed by any
+/// pass the nine canonical sections in order, optionally followed by any
 /// number of [`SECTION_DELTA`] runs.
 pub(crate) fn frame_sections(payloads: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let table_end = HEADER_LEN + payloads.len() * TABLE_ENTRY_LEN;
@@ -806,10 +798,14 @@ mod tests {
 
     #[test]
     fn older_magics_report_unsupported_version() {
-        let err = classify_magic(b"MBSNAP01");
-        assert!(matches!(err, SnapshotError::UnsupportedVersion { found: 1, supported: 3 }));
-        let err = classify_magic(b"MBSNAP02");
-        assert!(matches!(err, SnapshotError::UnsupportedVersion { found: 2, supported: 3 }));
+        for (magic, version) in [(b"MBSNAP01", 1), (b"MBSNAP02", 2), (b"MBSNAP03", 3)] {
+            let err = classify_magic(magic);
+            assert!(
+                matches!(err, SnapshotError::UnsupportedVersion { found, supported: 4 }
+                    if found == version),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

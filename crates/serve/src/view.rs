@@ -42,12 +42,27 @@
 //!   lists a block it is not a member of (count identities alone do not
 //!   imply this: two equal-length posting lists can be swapped under them);
 //! - token offsets strictly ascending over the blob, the blob valid UTF-8
-//!   with every token offset on a character boundary, the byte-order
-//!   permutation strictly ascending (hence a permutation), block keys in
-//!   range and duplicate-free;
+//!   with every token offset on a character boundary, the vocabulary
+//!   duplicate-free (proved while seating it into the lookup table, see
+//!   below), block keys in range and duplicate-free;
 //! - the persisted CNP/CEP thresholds re-derived from the verified
 //!   aggregates;
 //! - trailing delta runs: decoded and replay-validated against `|E|`.
+//!
+//! # Token lookup
+//!
+//! The one thing load *builds* rather than borrows is the token → id table
+//! behind [`SnapshotView::find_token`]: a flat open-addressing array of
+//! `u32` slots (`0` vacant, else `id + 1`), at most ¾ full, sized from the
+//! token count ([`token_table_slots`], ≈ 5.3 B per token) with a
+//! multiply-shift home, so no power-of-two rounding. A lookup is one hash,
+//! a short linear probe and one byte compare. Nothing about the table is
+//! persisted, so the format pins no hash function. Seating a token walks
+//! its probe run comparing bytes, which is where a repeated token is caught;
+//! and because the hash (FxHash) is not collision-resistant, the build
+//! counts its probe steps against a budget proportional to the token count
+//! ([`PROBE_STEPS_PER_TOKEN`]): a vocabulary crafted to collide is a typed
+//! error after linear work, never a quadratic load or a slow lookup.
 
 use crate::codec::Reader;
 use crate::delta::{decode_delta_run, validate_delta_runs, DeltaOp};
@@ -56,12 +71,13 @@ use crate::snapshot::{
     decode_meta, label, parse_table, section_slice, verify_checksums, SectionEntry, Snapshot,
     SECTIONS, SECTION_BLOCKKEYS, SECTION_INDEX_LISTS, SECTION_INDEX_OFFSETS, SECTION_MEMBERS,
     SECTION_META, SECTION_OFFSETS, SECTION_SPLITS, SECTION_TOK_BLOB, SECTION_TOK_OFFSETS,
-    SECTION_TOK_SORTED,
 };
+use er_model::fxhash::FxHasher;
 use er_model::{ErKind, U32s};
 use mb_core::prune::{cep_threshold_from_counts, cnp_threshold_from_counts};
 use mb_core::PipelineConfig;
 use mb_observe::{Observer, Stage, StageScope};
+use std::hash::Hasher;
 use std::path::Path;
 
 /// A borrowed `u32` array inside the loaded buffer: absolute byte start of
@@ -105,7 +121,8 @@ pub struct SnapshotView {
     idx_offsets: U32Range,
     tok_offsets: U32Range,
     tok_blob: ByteRange,
-    tok_sorted: U32Range,
+    /// The token → id lookup table, built at load ([`seat_tokens`]).
+    tok_table: Vec<u32>,
     block_keys: U32Range,
     /// Write-ahead delta runs decoded (owned — they are small) from the
     /// trailing `delta` sections; empty for clean snapshots.
@@ -166,6 +183,102 @@ fn descents_and_max(b: &[u8]) -> (u32, u32) {
         max = max.max(v);
     }
     (d, max.max(le4(&b[..4])))
+}
+
+/// Probe steps the token-table build may spend per token before it gives
+/// up. A well-spread vocabulary at the table's ¾ ceiling spends about 1.3
+/// (the unit test measures it on generated vocabularies of both benchmark
+/// shapes); tokens that all share one home spend `tokens / 2` each.
+const PROBE_STEPS_PER_TOKEN: u64 = 16;
+
+/// Slot count of the lookup table for `tokens` tokens: at most ¾ full, and
+/// never full — there is always a vacant slot to end a probe on.
+fn token_table_slots(tokens: usize) -> usize {
+    tokens + tokens / 3 + 1
+}
+
+/// FxHash over the token bytes. Its last step is a multiply, so the high
+/// bits — the ones [`table_home`] reads — depend on every input byte.
+#[inline]
+fn token_hash(token: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(token);
+    h.finish()
+}
+
+/// The slot a hash starts probing at: multiply-shift onto `0..slots`, which
+/// needs no power-of-two table. `slots` must be nonzero.
+#[inline]
+fn table_home(hash: u64, slots: usize) -> usize {
+    ((u128::from(hash) * slots as u128) >> 64) as usize
+}
+
+/// Seats every token of a validated offset table + blob into a fresh
+/// open-addressing table of `slots` entries (`0` vacant, else `id + 1`;
+/// linear probing from [`table_home`]) and returns it with the number of
+/// occupied slots the build stepped over.
+///
+/// Each step compares the resident token with the one being seated, so two
+/// equal tokens are an [`SnapshotError::Inconsistent`] here. The table size,
+/// the step budget and the hash are arguments so a test can drive the
+/// failure paths directly; the loader passes [`token_table_slots`],
+/// [`PROBE_STEPS_PER_TOKEN`] per token and [`token_hash`]. `offsets_le`
+/// must be ascending and end at `blob.len()`, and `slots` must exceed the
+/// token count — [`SnapshotView::from_bytes`] proves the first and computes
+/// the second.
+fn seat_tokens(
+    offsets_le: &[u8],
+    blob: &[u8],
+    slots: usize,
+    budget: u64,
+    hash: impl Fn(&[u8]) -> u64,
+) -> Result<(Vec<u32>, u64), SnapshotError> {
+    let mut table = vec![0u32; slots];
+    let mut steps = 0u64;
+    let mut bounds = le_words(offsets_le).map(|at| at as usize);
+    let mut lo = bounds.next().unwrap_or(0);
+    for (id, hi) in bounds.enumerate() {
+        // lint:allow(panic-reachability) in range: the caller proved the
+        // offsets ascending and bounded by the blob length.
+        let token = &blob[lo..hi];
+        let mut at = table_home(hash(token), slots);
+        loop {
+            // lint:allow(panic-reachability) in range: `table_home` returns
+            // a slot below `slots`, and the step below wraps there.
+            let resident = table[at];
+            if resident == 0 {
+                break;
+            }
+            steps += 1;
+            if steps > budget {
+                return Err(bad(format!(
+                    "the vocabulary's tokens collide: seating {} of them took more than \
+                     {budget} probe steps",
+                    id + 1
+                )));
+            }
+            let r = (resident - 1) as usize * 4;
+            // lint:allow(panic-reachability) in range: a resident is an id
+            // seated earlier, so its two offsets exist and bracket a token.
+            let (ra, rb) = (le4(&offsets_le[r..r + 4]), le4(&offsets_le[r + 4..r + 8]));
+            // lint:allow(panic-reachability) in range: as above.
+            if blob[ra as usize..rb as usize] == *token {
+                return Err(bad(format!(
+                    "tokens {} and {id} are the same string: the vocabulary must be \
+                     duplicate-free",
+                    resident - 1
+                )));
+            }
+            at += 1;
+            if at == slots {
+                at = 0;
+            }
+        }
+        // lint:allow(panic-reachability) in range: see the probe above.
+        table[at] = id as u32 + 1;
+        lo = hi;
+    }
+    Ok((table, steps))
 }
 
 /// The one way a freshly built [`Snapshot`] becomes servable: encode it
@@ -248,9 +361,6 @@ impl SnapshotView {
         let mut r = Reader::new(get(SECTION_TOK_BLOB), label(SECTION_TOK_BLOB));
         let tok_blob =
             ByteRange { start: entry(SECTION_TOK_BLOB).offset + 4, len: r.bytes()?.len() };
-        r.finish()?;
-        let mut r = Reader::new(get(SECTION_TOK_SORTED), label(SECTION_TOK_SORTED));
-        let tok_sorted = u32_range(SECTION_TOK_SORTED, r.u32s()?);
         r.finish()?;
         let mut r = Reader::new(get(SECTION_BLOCKKEYS), label(SECTION_BLOCKKEYS));
         let block_keys = u32_range(SECTION_BLOCKKEYS, r.u32s()?);
@@ -435,10 +545,10 @@ impl SnapshotView {
         };
 
         // Token layout: strictly ascending offsets spanning the blob, the
-        // blob UTF-8 with every token on character boundaries, the
-        // byte-order permutation strictly ascending, block keys in range
-        // and duplicate-free.
-        let check_tokens = || -> Result<(), SnapshotError> {
+        // blob UTF-8 with every token on character boundaries, block keys
+        // in range and duplicate-free — and the vocabulary seated into the
+        // lookup table it hands back, which proves it duplicate-free.
+        let check_tokens = || -> Result<Vec<u32>, SnapshotError> {
             if tok_offsets.count == 0 {
                 return Err(bad("token offsets section is empty".into()));
             }
@@ -459,12 +569,6 @@ impl SnapshotView {
             if !to.is_strict_run(0, u32::MAX) {
                 return Err(bad("token offsets must be strictly ascending".into()));
             }
-            if tok_sorted.count != num_tokens {
-                return Err(bad(format!(
-                    "toksorted has {} entries for {num_tokens} tokens",
-                    tok_sorted.count
-                )));
-            }
             let blob = {
                 // lint:allow(panic-reachability) in range: the section reader
                 // proved start + len lies within the section payload.
@@ -476,36 +580,9 @@ impl SnapshotView {
             if !le_words(to_b).all(|at| text.is_char_boundary(at as usize)) {
                 return Err(utf8());
             }
-            let mut prev_tok: Option<(usize, usize)> = None;
-            for id in le_words(raw(tok_sorted)) {
-                let id = id as usize;
-                if id >= num_tokens {
-                    return Err(bad(format!(
-                    "toksorted references token {id}, but the vocabulary has {num_tokens} tokens"
-                )));
-                }
-                // One 8-byte fetch covers both adjacent offsets.
-                // lint:allow(panic-reachability) in range: id < num_tokens and
-                // the offset table holds num_tokens + 1 entries.
-                let w = &to_b[id * 4..id * 4 + 8];
-                let mut a4 = [0u8; 4];
-                let mut b4 = [0u8; 4];
-                a4.copy_from_slice(&w[..4]);
-                b4.copy_from_slice(&w[4..]);
-                // lint:allow(snapshot-unversioned-read) checksum-verified,
-                // length-validated offset table below the framing layer.
-                let (a, b) = (u32::from_le_bytes(a4) as usize, u32::from_le_bytes(b4) as usize);
-                if let Some((pa, pb)) = prev_tok {
-                    // lint:allow(panic-reachability) in range: token offsets
-                    // were proved ascending and bounded by the blob length.
-                    if blob[pa..pb] >= blob[a..b] {
-                        return Err(bad(
-                            "toksorted is not strictly ascending by token bytes".into()
-                        ));
-                    }
-                }
-                prev_tok = Some((a, b));
-            }
+            let slots = token_table_slots(num_tokens);
+            let budget = PROBE_STEPS_PER_TOKEN * num_tokens as u64;
+            let (tok_table, _) = seat_tokens(to_b, blob, slots, budget, token_hash)?;
             if block_keys.count != num_blocks {
                 return Err(bad(format!(
                     "{} block keys for {num_blocks} blocks",
@@ -537,7 +614,7 @@ impl SnapshotView {
                     ));
                 }
             }
-            Ok(())
+            Ok(tok_table)
         };
 
         // Run the four independent passes — remaining checksums plus the
@@ -565,7 +642,7 @@ impl SnapshotView {
         sums?;
         blocks?;
         index?;
-        tokens?;
+        let tok_table = tokens?;
         let num_tokens = tok_offsets.count - 1;
 
         // Index↔blocks cross-walk: the index must be the exact inversion of
@@ -642,7 +719,7 @@ impl SnapshotView {
             idx_offsets,
             tok_offsets,
             tok_blob,
-            tok_sorted,
+            tok_table,
             block_keys,
             delta_runs,
             buf,
@@ -767,11 +844,6 @@ impl SnapshotView {
         &self.buf[self.tok_blob.start..self.tok_blob.start + self.tok_blob.len]
     }
 
-    /// Token ids sorted by byte order — the probe path's search index.
-    pub fn tok_sorted(&self) -> U32s<'_> {
-        self.u32s(self.tok_sorted)
-    }
-
     /// Per-block token provenance, borrowed.
     pub fn block_keys(&self) -> U32s<'_> {
         self.u32s(self.block_keys)
@@ -787,25 +859,125 @@ impl SnapshotView {
         &blob[a..b]
     }
 
-    /// Looks a normalized token up by bytes: binary search over the
-    /// persisted byte-order permutation, no hashing, no allocation.
+    /// Looks a normalized token up by bytes: one hash, a short linear probe
+    /// of the table built at load, one byte compare — no allocation.
     pub fn find_token(&self, token: &[u8]) -> Option<u32> {
-        let sorted = self.u32s(self.tok_sorted);
-        let (mut lo, mut hi) = (0usize, sorted.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.token_bytes(sorted.get(mid)) < token {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < sorted.len() {
-            let id = sorted.get(lo);
+        let table = &self.tok_table[..];
+        let mut at = table_home(token_hash(token), table.len());
+        // The table is never full (`token_table_slots`), so the probe ends
+        // at a vacant slot; a table with no vacant slot — unreachable —
+        // would end it at `None` after one lap rather than spin.
+        for _ in 0..table.len() {
+            // lint:allow(panic-reachability) in range: `table_home` returns
+            // a slot below `table.len()`, and the step below wraps there.
+            let id = table[at].checked_sub(1)?;
             if self.token_bytes(id) == token {
                 return Some(id);
             }
+            at += 1;
+            if at == table.len() {
+                at = 0;
+            }
         }
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use er_datagen::presets;
+    use mb_core::PipelineConfig;
+    use std::cell::Cell;
+
+    /// The `tokoffsets` payload (without its count prefix) and `tokblob`
+    /// bytes of a vocabulary, as [`seat_tokens`] reads them.
+    fn sections_of<'a>(tokens: impl IntoIterator<Item = &'a str>) -> (Vec<u8>, Vec<u8>) {
+        let (mut offsets, mut blob) = (0u32.to_le_bytes().to_vec(), Vec::new());
+        for token in tokens {
+            blob.extend_from_slice(token.as_bytes());
+            offsets.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+        }
+        (offsets, blob)
+    }
+
+    #[test]
+    fn tokens_sharing_one_home_are_a_typed_error_after_linear_work() {
+        // 20 000 distinct tokens under a hash that sends them all to slot 0:
+        // seating the k-th walks over the k - 1 before it, 200 million steps
+        // for the lot. The budget stops it once the steps pass 16 per token.
+        let names: Vec<String> = (0..20_000).map(|i| format!("t{i}")).collect();
+        let (offsets, blob) = sections_of(names.iter().map(String::as_str));
+        let (slots, budget) =
+            (token_table_slots(names.len()), PROBE_STEPS_PER_TOKEN * names.len() as u64);
+        let hashed = Cell::new(0u64);
+        let err = seat_tokens(&offsets, &blob, slots, budget, |_| {
+            hashed.set(hashed.get() + 1);
+            0
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Inconsistent(msg) if msg.contains("probe steps")),
+            "{err:?}"
+        );
+        // k tokens cost k(k - 1)/2 steps, so it gave up near √(2 · budget).
+        assert!(hashed.get() < 1_000, "gave up only after {} tokens", hashed.get());
+
+        // Under the budget a colliding vocabulary is merely slow to seat:
+        // accepted, every token found, the work counted.
+        let few = ["ab", "cd", "ef", "gh", "ij", "kl", "mn", "op"];
+        let (offsets, blob) = sections_of(few);
+        let (table, steps) =
+            seat_tokens(&offsets, &blob, token_table_slots(8), 128, |_| 0).unwrap();
+        assert_eq!(steps, 28);
+        assert_eq!(table[..8], [1, 2, 3, 4, 5, 6, 7, 8]);
+        // One step short of what it needs, the same vocabulary is refused.
+        assert!(seat_tokens(&offsets, &blob, token_table_slots(8), 27, |_| 0).is_err());
+    }
+
+    #[test]
+    fn equal_tokens_are_caught_while_seating() {
+        let (offsets, blob) = sections_of(["jack", "miller", "lloyd", "miller"]);
+        for hash in [token_hash as fn(&[u8]) -> u64, |_| 7] {
+            let err = seat_tokens(&offsets, &blob, token_table_slots(4), 64, hash).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Inconsistent(msg) if msg.contains("tokens 1 and 3")),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn benchmark_shaped_vocabularies_stay_far_from_the_budget() {
+        // The two served collections of BENCHMARK.json, a twentieth of their
+        // size: same token shapes and length mix, ~10–35k tokens.
+        let shrink = |mut config: er_datagen::DatasetConfig| {
+            config.matched_pairs /= 20;
+            config.side1.size /= 20;
+            config.side2.size /= 20;
+            config.object.vocab_size /= 20;
+            config
+        };
+        for (name, config) in [("d1c", shrink(presets::d1c(13))), ("d2c", shrink(presets::d2c(13)))]
+        {
+            let collection = presets::build(&config).unwrap().collection;
+            let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
+            let tokens = snapshot.tokens();
+            assert!(tokens.len() > 5_000, "{name}: {} tokens", tokens.len());
+            let (offsets, blob) = sections_of(tokens.iter());
+            let slots = token_table_slots(tokens.len());
+            let budget = PROBE_STEPS_PER_TOKEN * tokens.len() as u64;
+            let (table, steps) = seat_tokens(&offsets, &blob, slots, budget, token_hash).unwrap();
+            assert_eq!(table.iter().filter(|&&slot| slot != 0).count(), tokens.len());
+            assert!(table.len() * 3 >= tokens.len() * 4, "{name}: more than ¾ full");
+            // Linear probing at ¾ load steps over ~1.3 residents per token
+            // seated when the hash spreads them; a quarter of the budget is
+            // already far outside that.
+            assert!(
+                steps * 4 < budget,
+                "{name}: {steps} probe steps seating {} tokens (budget {budget})",
+                tokens.len()
+            );
+        }
     }
 }

@@ -101,6 +101,40 @@ fn upserts_and_deletes_are_queryable_immediately() {
 }
 
 #[test]
+fn a_replaced_or_deleted_entity_leaves_the_pending_postings_it_waited_in() {
+    // "quartz" and "onyx" are in no base profile: a delta entity carrying
+    // one waits alone in a pending posting until a second arrives.
+    let cell = GenerationCell::new(base_snapshot(WeightingScheme::Cbs)).unwrap();
+    let upsert = |id: u32, uri: &str, text: &str| {
+        let profile = EntityProfile::new(uri).with("name", text);
+        cell.apply(DeltaOp::Upsert { id, profile }, &mut Noop).unwrap().id
+    };
+    // Base entity 0, touched for the first time, starts waiting under
+    // "quartz"; upserted again without it, it must stop waiting.
+    upsert(0, "p0", "jack miller quartz");
+    upsert(0, "p0", "jack miller");
+    assert_eq!(upsert(APPEND, "p5", "quartz"), 5);
+    {
+        let generation = cell.load();
+        let mut engine = QueryEngine::from_generation(&generation);
+        assert!(candidates_of(&mut engine, 5).is_empty(), "5 met a profile that dropped quartz");
+        assert_eq!(candidates_of(&mut engine, 0), [1, 4]);
+    }
+    // The posting itself is intact: the next carrier pairs up with 5.
+    assert_eq!(upsert(APPEND, "p6", "quartz"), 6);
+    // A delete sweeps the same way: 7 waits under "onyx", is tombstoned,
+    // and 8 must not be paired with it.
+    assert_eq!(upsert(APPEND, "p7", "onyx"), 7);
+    cell.apply(DeltaOp::Delete { id: 7 }, &mut Noop).unwrap();
+    assert_eq!(upsert(APPEND, "p8", "onyx"), 8);
+    let generation = cell.load();
+    let mut engine = QueryEngine::from_generation(&generation);
+    assert_eq!(candidates_of(&mut engine, 6), [5]);
+    assert_eq!(candidates_of(&mut engine, 5), [6]);
+    assert!(candidates_of(&mut engine, 8).is_empty(), "8 met a tombstone");
+}
+
+#[test]
 fn delta_answers_match_a_from_scratch_rebuild() {
     // Appends and an in-place replace (no deletes: a Dirty removal shifts
     // rebuild ids, while the overlay keeps ids stable via tombstones — the

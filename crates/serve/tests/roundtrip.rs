@@ -9,10 +9,10 @@
 
 use er_datagen::presets;
 use er_model::{EntityCollection, EntityId, EntityProfile};
-use mb_core::{Noop, PipelineConfig, PruningScheme, WeightingScheme};
+use mb_core::{Noop, PipelineConfig, PruningScheme, Retention, WeightingScheme};
 use mb_serve::{
-    CandidateRequest, DeltaOp, QueryEngine, Snapshot, SnapshotError, SnapshotHeader, SnapshotView,
-    FORMAT_VERSION, MAGIC,
+    CandidateRequest, DeltaOp, GenerationCell, QueryEngine, Snapshot, SnapshotError,
+    SnapshotHeader, SnapshotView, APPEND, FORMAT_VERSION, MAGIC,
 };
 
 fn config(weighting: WeightingScheme, filter_ratio: Option<f64>) -> PipelineConfig {
@@ -38,11 +38,11 @@ fn small_snapshot() -> Snapshot {
     Snapshot::build(&e, config(WeightingScheme::Cbs, None)).unwrap()
 }
 
-// --- little-endian helpers mirroring the v2 format, local to the tests ----
+// --- little-endian helpers mirroring the file format, local to the tests --
 
 const HEADER_LEN: usize = 16;
 const TABLE_ENTRY_LEN: usize = 32;
-const NUM_SECTIONS: usize = 10;
+const NUM_SECTIONS: usize = 9;
 const TABLE_END: usize = HEADER_LEN + NUM_SECTIONS * TABLE_ENTRY_LEN;
 
 const META: u32 = 1;
@@ -53,8 +53,7 @@ const LISTS: u32 = 5;
 const INDEX_OFFSETS: u32 = 6;
 const TOK_OFFSETS: u32 = 7;
 const TOK_BLOB: u32 = 8;
-const TOK_SORTED: u32 = 9;
-const BLOCKKEYS: u32 = 10;
+const BLOCKKEYS: u32 = 9;
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
@@ -68,7 +67,7 @@ fn pad8(len: usize) -> usize {
     len.div_ceil(8) * 8
 }
 
-/// Four-lane word-wise FNV-1a 64 over an 8-padded region — the v2 section
+/// Four-lane word-wise FNV-1a 64 over an 8-padded region — the section
 /// checksum. Words go round-robin into four independent FNV lanes; the
 /// digest folds the lane states together in lane order.
 fn fnv1a_wide(bytes: &[u8]) -> u64 {
@@ -115,7 +114,7 @@ fn parse_frame(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
     sections
 }
 
-/// Re-frames sections (with correct offsets and checksums) into a v2 file.
+/// Re-frames sections (with correct offsets and checksums) into a file.
 fn build_frame(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let table_end = HEADER_LEN + sections.len() * TABLE_ENTRY_LEN;
     let mut out = Vec::new();
@@ -257,6 +256,103 @@ fn empty_and_one_sided_collections_roundtrip() {
     }
 }
 
+/// xorshift64: the seeded stream the absent-string sweep draws from.
+fn next(x: &mut u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    *x
+}
+
+#[test]
+fn find_token_returns_exactly_the_vocabulary() {
+    let collection = cc_collection(12);
+    let snapshot = Snapshot::build(&collection, config(WeightingScheme::Js, Some(0.8))).unwrap();
+    let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
+    let ids: std::collections::HashMap<&str, u32> =
+        snapshot.tokens().iter().enumerate().map(|(id, token)| (token, id as u32)).collect();
+    assert_eq!(ids.len(), view.num_tokens(), "fixture vocabulary is duplicate-free");
+    assert!(ids.len() > 1_000);
+    let expect = |s: &[u8]| std::str::from_utf8(s).ok().and_then(|s| ids.get(s).copied());
+
+    assert_eq!(view.find_token(b""), None);
+    for (&token, &id) in &ids {
+        let bytes = token.as_bytes();
+        assert_eq!(view.find_token(bytes), Some(id), "token {token:?}");
+        // Every proper prefix, and the token grown by one byte, is found
+        // only if it is a token in its own right.
+        for len in 1..bytes.len() {
+            assert_eq!(
+                view.find_token(&bytes[..len]),
+                expect(&bytes[..len]),
+                "prefix of {token:?}"
+            );
+        }
+        for extra in [b'a', b'0', 0u8] {
+            let grown = [bytes, &[extra]].concat();
+            assert_eq!(view.find_token(&grown), expect(&grown), "{token:?} + {extra:#x}");
+        }
+    }
+    // Seeded strings over the vocabulary's own alphabet, 1–12 bytes.
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut absent = 0;
+    while absent < 1_000 {
+        let len = 1 + next(&mut x) % 12;
+        let s: Vec<u8> = (0..len)
+            .map(|_| b"abcdefghijklmnopqrstuvwxyz0123456789"[(next(&mut x) % 36) as usize])
+            .collect();
+        let want = expect(&s);
+        assert_eq!(view.find_token(&s), want, "{:?}", String::from_utf8_lossy(&s));
+        absent += want.is_none() as usize;
+    }
+}
+
+#[test]
+fn a_snapshot_without_tokens_loads_and_finds_nothing() {
+    // The empty collection a stream of arrivals starts from
+    // (`examples/incremental_stream.rs`): no token, no block, a lookup table
+    // of one vacant slot.
+    for collection in
+        [EntityCollection::dirty(vec![]), EntityCollection::clean_clean(vec![], vec![])]
+    {
+        let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
+        let view = SnapshotView::try_from(snapshot).unwrap();
+        assert_eq!((view.num_tokens(), view.num_blocks()), (0, 0));
+        for probe in [&b""[..], b"a", b"jack", &[0u8; 64]] {
+            assert_eq!(view.find_token(probe), None);
+        }
+    }
+}
+
+#[test]
+fn overlay_tokens_resolve_after_the_base_lookup_misses() {
+    // "quartz" is in no base profile, so `find_token` misses it for good;
+    // two appended profiles carrying it promote an overlay block, and a
+    // probe reaches that block through the overlay's vocabulary extension.
+    let cell = GenerationCell::new(small_snapshot()).unwrap();
+    for uri in ["q1", "q2"] {
+        let profile = EntityProfile::new(uri).with("n", "quartz");
+        cell.apply(DeltaOp::Upsert { id: APPEND, profile }, &mut Noop).unwrap();
+    }
+    let generation = cell.load();
+    assert_eq!(generation.view().find_token(b"quartz"), None);
+    assert!(generation.view().find_token(b"jack").is_some());
+    let mut engine = QueryEngine::from_generation(&generation);
+    let probe = |engine: &mut QueryEngine<'_>, text: &str| -> Vec<u32> {
+        let request = CandidateRequest::probe(EntityProfile::new("probe").with("n", text), true)
+            .with_retention(Retention::TopK(usize::MAX));
+        let response = engine.execute(&request, &mut Noop).unwrap();
+        let mut ids: Vec<u32> =
+            response.first().unwrap().candidates.iter().map(|c| c.id.0).collect();
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(probe(&mut engine, "quartz"), [4, 5]);
+    // Base and extension tokens in one probe: "jack" blocks {0, 1}.
+    assert_eq!(probe(&mut engine, "jack quartz"), [0, 1, 4, 5]);
+    assert_eq!(probe(&mut engine, "quart quartzz"), [] as [u32; 0]);
+}
+
 #[test]
 fn header_reports_the_canonical_aligned_table() {
     let bytes = small_snapshot().to_bytes();
@@ -345,6 +441,23 @@ fn frame_level_errors_are_typed() {
         "v1 magic",
     );
 
+    // The previous generation, told apart both ways: by its magic, and — a
+    // file that kept the current magic — by the header's version field. Its
+    // section 9 was a sorted permutation this reader has no use for; it is
+    // refused whole, not read around.
+    assert_rejects(
+        &bytes,
+        |b| b[..8].copy_from_slice(b"MBSNAP03"),
+        |e| matches!(e, SnapshotError::UnsupportedVersion { found: 3, supported: 4 }),
+        "v3 magic",
+    );
+    assert_rejects(
+        &bytes,
+        |b| b[8..12].copy_from_slice(&3u32.to_le_bytes()),
+        |e| matches!(e, SnapshotError::UnsupportedVersion { found: 3, supported: 4 }),
+        "v3 version field",
+    );
+
     // A future version stamped in the header's version field.
     assert_rejects(
         &bytes,
@@ -359,7 +472,7 @@ fn frame_level_errors_are_typed() {
     // A wrong section count.
     assert_rejects(
         &bytes,
-        |b| b[12..16].copy_from_slice(&9u32.to_le_bytes()),
+        |b| b[12..16].copy_from_slice(&(NUM_SECTIONS as u32 - 1).to_le_bytes()),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "wrong section count",
     );
@@ -548,21 +661,14 @@ fn checksum_valid_payload_corruption_is_still_detected() {
     let twin_key = |p: &mut Vec<u8>| p.copy_within(4..8, 8);
     inconsistent(view_with(&snapshot, BLOCKKEYS, twin_key), "duplicate block key");
 
-    // A corrupted byte-order permutation: swap its first two entries.
-    let swap_sorted = |p: &mut Vec<u8>| {
-        let (a, b) = (u32_at(p, 4), u32_at(p, 8));
-        p[4..8].copy_from_slice(&b.to_le_bytes());
-        p[8..12].copy_from_slice(&a.to_le_bytes());
-    };
-    inconsistent(view_with(&snapshot, TOK_SORTED, swap_sorted), "swapped toksorted");
-
     // An empty token (two equal adjacent offsets) cannot survive the
     // offset-delimited blob layout.
     let empty_token = |p: &mut Vec<u8>| p.copy_within(4..8, 8);
     inconsistent(view_with(&snapshot, TOK_OFFSETS, empty_token), "empty token");
 
     // A duplicated vocabulary entry: overwrite one token with the bytes of
-    // another of the same length.
+    // another of the same length. The loader meets the twin while seating
+    // the vocabulary into its lookup table.
     let tokens: Vec<&str> = snapshot.tokens().iter().collect();
     let (a, b) = (0..tokens.len())
         .flat_map(|a| (a + 1..tokens.len()).map(move |b| (a, b)))
@@ -707,7 +813,7 @@ fn wild_mid_table_offsets_and_swapped_run_interiors_are_typed_errors() {
 
 // --- write-ahead delta runs: hostile input --------------------------------
 
-const SECTION_DELTA: u32 = 11;
+const SECTION_DELTA: u32 = 10;
 const OP_UPSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
 
@@ -866,7 +972,7 @@ fn hostile_delta_runs_are_typed_errors() {
         "trailing bytes after delta ops",
     );
 
-    // A delta section may not appear *before* the canonical ten.
+    // A delta section may not appear *before* the canonical nine.
     let mut sections = parse_frame(&small_snapshot().to_bytes());
     sections.insert(0, (SECTION_DELTA, valid_delta_run()));
     reject_delta(

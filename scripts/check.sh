@@ -51,10 +51,28 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 cargo run -q --release -p er-cli -- generate --preset tiny --out "$SMOKE_DIR" --seed 7
 cargo run -q --release -p er-cli -- snapshot build --dataset "$SMOKE_DIR" \
   --out "$SMOKE_DIR/index.mbsnap" --scheme cbs --pruning cnp --filter 0.8
-cargo run -q --release -p er-cli -- snapshot inspect --snapshot "$SMOKE_DIR/index.mbsnap"
+cargo run -q --release -p er-cli -- snapshot inspect --snapshot "$SMOKE_DIR/index.mbsnap" \
+  | tee "$SMOKE_DIR/inspect.txt"
+grep -Eq '^format version: +4$' "$SMOKE_DIR/inspect.txt" \
+  && grep -Eq '^sections: +9$' "$SMOKE_DIR/inspect.txt" \
+  || { echo "inspect did not report format version 4 with 9 sections" >&2; exit 1; }
 cargo run -q --release -p er-cli -- snapshot inspect --snapshot "$SMOKE_DIR/index.mbsnap" --full
 cargo run -q --release -p er-cli -- query --snapshot "$SMOKE_DIR/index.mbsnap" \
   --entity 0 --top 5
+# A file of the previous format (the magic's last digit patched to 3) is
+# refused by name, by the header-only reader and by the full loader alike.
+cp "$SMOKE_DIR/index.mbsnap" "$SMOKE_DIR/v3.mbsnap"
+printf '3' | dd of="$SMOKE_DIR/v3.mbsnap" bs=1 seek=7 conv=notrunc status=none
+for refused in "snapshot inspect --snapshot $SMOKE_DIR/v3.mbsnap" \
+               "query --snapshot $SMOKE_DIR/v3.mbsnap --entity 0 --top 5"; do
+  # shellcheck disable=SC2086
+  if cargo run -q --release -p er-cli -- $refused > "$SMOKE_DIR/refused.txt" 2>&1; then
+    echo "er $refused accepted an MBSNAP03 file" >&2; exit 1
+  fi
+  grep -q "snapshot format version 3 unsupported" "$SMOKE_DIR/refused.txt" \
+    && ! grep -q "panicked" "$SMOKE_DIR/refused.txt" \
+    || { echo "er $refused: wrong refusal:" >&2; cat "$SMOKE_DIR/refused.txt" >&2; exit 1; }
+done
 
 echo "==> out-of-core smoke (spill build bit-identity)"
 cargo run -q --release -p er-cli -- snapshot build --dataset "$SMOKE_DIR" \
