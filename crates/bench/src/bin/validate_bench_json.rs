@@ -1,6 +1,7 @@
 //! The one validator for the JSON documents this repository commits:
 //! `BENCH_pipeline.json`, `BENCH_query.json`, `BENCH_serve.json`,
-//! `BENCH_delta.json` (written by the benches `scripts/bench.sh` runs) and
+//! `BENCH_delta.json`, `BENCH_pruning.json` (written by the benches
+//! `scripts/bench.sh` runs) and
 //! `results/lint.json` (written by `er-lint --workspace --format json` in
 //! `scripts/check.sh`; validated here because er-lint is dependency-free by
 //! design and cannot use `mb_observe::json`).
@@ -25,6 +26,12 @@
 //!   rebuild; `overlay_growth` op counts ascending, and re-pinning over the
 //!   previous engine's buffers beating a cold engine (the apply and drop
 //!   rows grow with the overlay and carry no floor yet).
+//! * `pruning_scaling`: per (workload, bench, scheme) the thread counts
+//!   ascend from 1; a cell at `N` threads peaks within `2 × N` times the
+//!   one-thread cell's `alloc_peak_bytes` (threads × scratch and windows —
+//!   a path that buffers its output breaks it on the dense workload); rows
+//!   with more threads than `detected_cores` are labelled `overhead`, the
+//!   rest `scaling`; edge-sweep rows carry per-worker shares summing to 1.
 //! * `er-lint/1`: `status` agrees with the budget arrays.
 
 use mb_observe::json::Json;
@@ -261,6 +268,105 @@ fn delta(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// `BENCH_pruning.json`, from the `pruning_scaling` bench.
+fn pruning(doc: &Json) -> Result<(), String> {
+    /// What `N` threads may peak at, in one-thread peaks per thread: each
+    /// thread owns its scratch and a fixed number of windows, and the
+    /// one-thread peak is at least one thread's scratch.
+    const PEAK_FACTOR: u64 = 2;
+    let cores = positive_uint(doc, "detected_cores")?;
+    positive_uint(doc, "samples_per_cell")?;
+    let mut workloads = Vec::new();
+    each_row(doc, "workloads", |w| {
+        workloads.push(text(w, "name")?.to_owned());
+        positive_uint(w, "entities")?;
+        positive_uint(w, "edges")?;
+        Ok(())
+    })?;
+    if workloads.is_empty() {
+        return Err("`workloads` is empty".into());
+    }
+    // The group being walked — its (workload, bench, scheme), last thread
+    // count and one-thread peak. Rows of one group are consecutive.
+    let mut group: Option<([String; 3], u64, u64)> = None;
+    let mut seen = Vec::new();
+    each_row(doc, "results", |row| {
+        let key = [text(row, "workload")?, text(row, "bench")?, text(row, "scheme")?];
+        if !workloads.iter().any(|w| w == key[0]) {
+            return Err(format!("`workload` `{}` is not listed in `workloads`", key[0]));
+        }
+        if key[1] != "edge_weighting" && key[1] != "pruning" {
+            return Err(format!("unknown `bench` `{}`", key[1]));
+        }
+        let threads = positive_uint(row, "threads")?;
+        for field in ["mean_ms", "median_ms", "min_ms"] {
+            finite(row, field)?;
+        }
+        positive_uint(row, "samples")?;
+        let peak = uint(row, "alloc_peak_bytes")?;
+        let label = text(row, "label")?;
+        let expected = if threads > cores { "overhead" } else { "scaling" };
+        if label != expected {
+            return Err(format!(
+                "`label` is `{label}` at {threads} threads on {cores} detected cores, \
+                 expected `{expected}`"
+            ));
+        }
+        let key = key.map(str::to_owned);
+        match &mut group {
+            Some((open, last, one_thread_peak)) if *open == key => {
+                if threads <= *last {
+                    return Err(format!("thread counts must ascend, got {threads} after {last}"));
+                }
+                *last = threads;
+                let bound = PEAK_FACTOR * threads * *one_thread_peak;
+                if peak > bound {
+                    return Err(format!(
+                        "`alloc_peak_bytes` ({peak}) at {threads} threads exceeds \
+                         {PEAK_FACTOR} x {threads} x the one-thread peak ({one_thread_peak})"
+                    ));
+                }
+            }
+            _ => {
+                if seen.contains(&key) {
+                    return Err(format!("rows of {key:?} are not consecutive"));
+                }
+                if threads != 1 {
+                    return Err(format!("thread counts must start at 1, got {threads}"));
+                }
+                seen.push(key.clone());
+                group = Some((key.clone(), threads, peak));
+            }
+        }
+        if key[1] == "edge_weighting" {
+            let shares = array(row, "worker_edge_shares")?;
+            if shares.is_empty() || shares.len() as u64 > threads {
+                return Err(format!(
+                    "`worker_edge_shares` has {} entries at {threads} threads",
+                    shares.len()
+                ));
+            }
+            let total: f64 = shares.iter().map(|s| s.as_f64().unwrap_or(f64::NAN)).sum();
+            if (total - 1.0).abs() > 1e-9 {
+                return Err(format!("`worker_edge_shares` sum to {total}, not 1"));
+            }
+        }
+        Ok(())
+    })?;
+    // Every workload has the edge sweep and every pruning scheme.
+    for w in &workloads {
+        let rows = |bench: &str| seen.iter().filter(|k| k[0] == *w && k[1] == bench).count();
+        if rows("edge_weighting") != 1 || rows("pruning") != 8 {
+            return Err(format!(
+                "workload `{w}` has {} edge-sweep and {} pruning groups, expected 1 and 8",
+                rows("edge_weighting"),
+                rows("pruning")
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// One er-lint finding record.
 fn finding(obj: &Json) -> Result<(), String> {
     if text(obj, "file")?.is_empty() {
@@ -309,11 +415,12 @@ fn lint(doc: &Json) -> Result<(), String> {
 /// kind.
 fn check(doc: &Json) -> Result<&'static str, String> {
     type Check = fn(&Json) -> Result<(), String>;
-    const BENCHES: [(&str, Check); 4] = [
+    const BENCHES: [(&str, Check); 5] = [
         ("pipeline_e2e", pipeline),
         ("query_latency", query),
         ("serve_throughput", serve),
         ("delta_latency", delta),
+        ("pruning_scaling", pruning),
     ];
     if doc.get("schema").is_some() {
         let schema = text(doc, "schema")?;
@@ -393,6 +500,7 @@ mod tests {
             ("BENCH_query.json", "query_latency"),
             ("BENCH_serve.json", "serve_throughput"),
             ("BENCH_delta.json", "delta_latency"),
+            ("BENCH_pruning.json", "pruning_scaling"),
             ("results/lint.json", "er-lint/1"),
         ] {
             assert_eq!(check(&committed(path)), Ok(kind), "{path}");
@@ -452,6 +560,38 @@ mod tests {
         });
         breaks(l, "compaction.ops_folded", |d| drop_key(d, "compaction", "ops_folded"));
 
+        // Row 0 is the sparse workload's one-thread edge sweep; the dense
+        // workload's WEP group is where a buffered output would show.
+        let s = "BENCH_pruning.json";
+        breaks(s, "results[0]: `label`", |d| {
+            *at(d, "results.0.label") = Json::Str("overhead".into())
+        });
+        breaks(s, "results[1]: thread counts must ascend", |d| {
+            *at(d, "results.1.threads") = Json::Uint(1);
+        });
+        breaks(s, "results[0]: thread counts must start at 1", |d| {
+            *at(d, "results.0.threads") = Json::Uint(2);
+        });
+        breaks(s, "results[1]: `alloc_peak_bytes`", |d| {
+            *at(d, "results.1.alloc_peak_bytes") = Json::Uint(u64::MAX / 2);
+        });
+        breaks(s, "results[2]: missing field `worker_edge_shares`", |d| {
+            drop_key(d, "results.2", "worker_edge_shares")
+        });
+        breaks(s, "results[1]: `worker_edge_shares` sum", |d| {
+            *at(d, "results.1.worker_edge_shares.0") = Json::Num(2.0);
+        });
+        breaks(s, "is not listed in `workloads`", |d| {
+            *at(d, "results.5.workload") = Json::Str("d9".into());
+        });
+        breaks(s, "expected 1 and 8", |d| match at(d, "results") {
+            Json::Arr(rows) => {
+                rows.retain(|r| r.get("scheme").and_then(Json::as_str) != Some("Reciprocal WNP"))
+            }
+            _ => unreachable!(),
+        });
+        breaks(s, "detected_cores", |d| drop_key(d, "", "detected_cores"));
+
         let lint = "results/lint.json";
         breaks(lint, "`status`", |d| *at(d, "status") = Json::Str("violations".into()));
         breaks(lint, "findings[0]: unknown severity", |d| {
@@ -463,9 +603,9 @@ mod tests {
     #[test]
     fn a_document_of_no_known_kind_is_refused() {
         let mut doc = committed("BENCH_query.json");
-        *at(&mut doc, "bench") = Json::Str("pruning_scaling".into());
+        *at(&mut doc, "bench") = Json::Str("edge_weighting".into());
         let err = check(&doc).unwrap_err();
-        assert!(err.contains("`bench` is `pruning_scaling`"), "{err}");
+        assert!(err.contains("`bench` is `edge_weighting`"), "{err}");
         drop_key(&mut doc, "", "bench");
         assert_eq!(check(&doc).unwrap_err(), "missing field `bench`");
         let mut doc = committed("results/lint.json");

@@ -2,7 +2,7 @@
 //!
 //! Every bench works on the same deterministic benchmark: a scaled-down
 //! D1C-like Clean-Clean dataset and its Dirty derivative, blocked with Token
-//! Blocking + Block Purging. Sizes are chosen so that `cargo bench`
+//! Blocking + Block Purging (the scaling bench adds a dense D3C slice). Sizes are chosen so that `cargo bench`
 //! completes in minutes while the measured ratios (optimized vs original
 //! weighting, filtered vs unfiltered graphs, per-scheme overhead) remain
 //! meaningful — they are cost-model properties, not scale properties.
@@ -61,6 +61,21 @@ pub fn clean_workload() -> Workload {
 /// collection).
 pub fn dirty_workload() -> Workload {
     let d = bench_dataset().into_dirty();
+    blocked(d.collection, d.ground_truth)
+}
+
+/// The d3c scale of [`dense_workload`].
+pub const DENSE_D3C_SCALE: f64 = 0.006;
+
+/// Builds the dense Dirty workload: a `d3c` slice (≈20k profiles) whose
+/// blocking graph carries a few hundred edges per node — the regime where a
+/// sweep's output, not its input, is what memory has to hold. `d1c` gives
+/// ~16 edges per node at any scale, so density needs its own dataset.
+pub fn dense_workload() -> Workload {
+    let d = match presets::build(&presets::d3c(13, DENSE_D3C_SCALE)) {
+        Ok(d) => d.into_dirty(),
+        Err(e) => unreachable!("bench preset rejected: {e}"),
+    };
     blocked(d.collection, d.ground_truth)
 }
 

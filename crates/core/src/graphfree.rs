@@ -3,7 +3,7 @@
 
 use crate::context::GraphContext;
 use crate::filter::block_filtering;
-use crate::propagation::comparison_propagation;
+use crate::propagation::comparison_propagation_threads;
 use er_model::{EntityId, Result};
 use mb_observe::{Counter, Observer, Stage, StageScope};
 
@@ -42,9 +42,9 @@ pub fn graph_free_meta_blocking(
 }
 
 /// [`graph_free_meta_blocking`] on up to `threads` workers (`0` =
-/// auto-detect): both the entity-index build and the propagation sweep run
-/// chunked, with output and counters bit-identical to the sequential run
-/// (see `DESIGN.md` §8).
+/// auto-detect): a sharded entity-index build and a windowed propagation
+/// sweep that streams to `sink` as it goes, with output and counters
+/// bit-identical to the sequential run (see `DESIGN.md` §8).
 pub fn graph_free_meta_blocking_threads(
     blocks: &er_model::BlockCollection,
     split: usize,
@@ -67,20 +67,16 @@ pub fn graph_free_meta_blocking_threads(
     scope.finish();
     let threads = crate::pipeline::resolve_threads(threads);
     let mut scope = StageScope::enter(obs, Stage::ComparisonPropagation);
-    let mut retained = 0u64;
-    if threads > 1 {
-        let ctx = GraphContext::new_parallel(&filtered, split, threads);
-        for (a, b) in crate::parallel::comparison_propagation(&ctx, threads) {
-            retained += 1;
-            sink(a, b);
-        }
+    let ctx = if threads > 1 {
+        GraphContext::new_parallel(&filtered, split, threads)
     } else {
-        let ctx = GraphContext::new(&filtered, split);
-        comparison_propagation(&ctx, |a, b| {
-            retained += 1;
-            sink(a, b);
-        });
-    }
+        GraphContext::new(&filtered, split)
+    };
+    let mut retained = 0u64;
+    comparison_propagation_threads(&ctx, threads, |a, b| {
+        retained += 1;
+        sink(a, b);
+    });
     scope.add(Counter::RetainedComparisons, retained);
     scope.finish();
     Ok(())
@@ -123,8 +119,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        // Large enough to split into several chunks (MIN_CHUNK = 256).
-        let n: u32 = 256 * 3 + 11;
+        // Several windows, the last one partial.
+        let n: u32 = crate::parallel::WINDOW_PIVOTS * 6 + 11;
         let mut raw = Vec::new();
         for i in (0..n - 3).step_by(2) {
             raw.push(Block::dirty(ids(&[i, i + 1, i + 3])));

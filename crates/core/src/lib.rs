@@ -45,9 +45,10 @@
 //!
 //! * [`progressive`] turns CEP's global ranking into a pay-as-you-go
 //!   comparison schedule;
-//! * [`parallel`] runs the graph sweeps across threads with bit-identical
-//!   output (the shared-memory analog of the MapReduce scale-out the paper
-//!   cites);
+//! * [`parallel`] runs every graph sweep on one ordered, windowed driver:
+//!   bit-identical output streamed in sequential order at any thread count,
+//!   `O(threads × one window)` of it in memory (the shared-memory analog of
+//!   the MapReduce scale-out the paper cites);
 //! * [`blast`] implements the χ²-weighted, max-ratio-pruned follow-on
 //!   (Simonini et al., VLDB'16) for cross-comparison.
 //!

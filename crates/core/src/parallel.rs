@@ -1,844 +1,643 @@
-//! Multi-threaded graph sweeps.
+//! Ordered, windowed graph sweeps.
 //!
 //! The paper's algorithms are single-threaded; its related work scales
 //! meta-blocking out with MapReduce (Papadakis et al., WSDM'12). This
-//! module provides the shared-memory equivalent: the node range is
-//! partitioned into contiguous chunks, each thread sweeps its chunk with a
-//! private [`NeighborhoodScanner`], and per-chunk results are combined in
-//! chunk order — so every parallel result is bit-identical to the
-//! sequential one, regardless of thread count or scheduling.
+//! module is the shared-memory equivalent, built so that the blocking
+//! graph's output is never held in memory either (§4.2): every sweep of
+//! every pruning scheme, and graph-free Comparison Propagation, runs on one
+//! driver.
+//!
+//! * **Windows.** The pivot range `0..|E|` is cut into windows of
+//!   [`WINDOW_PIVOTS`] consecutive ids. The cut depends on `|E|` alone —
+//!   not on the thread count, not on scheduling.
+//! * **Shared load.** Threads claim the next unclaimed window from one
+//!   counter, so a thread that drew light windows simply draws more of
+//!   them; each keeps one private [`NeighborhoodScanner`] for all of its
+//!   windows. `N` threads means the caller and `N − 1` spawned workers.
+//! * **Ordered drain.** A window's visitor sends what it keeps through an
+//!   [`Out`]. Off the inline path that is the window's own small buffer;
+//!   the calling thread hands the buffers to the caller's sink strictly in
+//!   window order, so the sink sees the sequential pivot-ascending stream
+//!   by construction. Whenever the next window in order is not finished
+//!   yet, the calling thread sweeps a window itself instead of sleeping.
+//! * **Back-pressure.** No window more than `threads ×` [`RUN_AHEAD`] past
+//!   the one being drained is started; a worker that would parks until the
+//!   drain catches up. What a sweep holds is therefore `O(threads × one
+//!   window's output)`, never `O(retained)`.
+//! * **Inline at one thread.** With one thread (or one window) nothing is
+//!   spawned: the windows run on the calling thread and the visitor's
+//!   [`Out`] *is* the caller's sink. Every scheme is one body for any
+//!   thread count.
+//! * **Reductions.** A float reduction over a sweep is defined as
+//!   per-window partial results combined in window order — at every thread
+//!   count, one included ([`Sweep::weight_sum`]). That, not chunk-ordered
+//!   folding, is what makes the WEP threshold the same `f64` for any `N`.
+//!
+//! A panic in a visitor (on a worker) or in the sink (on the caller)
+//! abandons the sweep: parked workers wake and exit, every thread is
+//! joined, and the panic resumes on the caller with its payload.
 
 use crate::context::GraphContext;
-use crate::pipeline::PruningScheme;
-use crate::prune::{Combine, WeightedEdge};
-use crate::scanner::{Accumulate, NeighborhoodScanner, ScanScope};
+use crate::scanner::NeighborhoodScanner;
+use crate::weighting::{optimized, original, WeightingImpl};
 use crate::weights::EdgeWeigher;
 use er_model::EntityId;
-use mb_observe::{Counter, Observer, Stage, StageScope};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::ops::Range;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Minimum nodes per chunk: below this, a thread's scanner setup outweighs
-/// its sweep, so tiny inputs must not fan out across the whole thread pool
-/// (a 2-entity collection on a 16-thread config would otherwise spawn 16
-/// scanners for one edge).
-const MIN_CHUNK: u32 = 256;
+/// Pivots per window. A window is the unit of everything the driver bounds:
+/// what a thread sweeps between two visits to the shared queue, and what is
+/// buffered for the drain. 64 keeps the buffered share small — at most
+/// `threads × RUN_AHEAD + 1` windows out of `|E| / 64`, five of 1 572 on the
+/// 100.6k-profile `batch-d3d` at two threads — and hands out the dense head
+/// of a Dirty graph (there the first quarter of the pivots owns 43 % of the
+/// edges) in pieces small enough to share evenly. It is not smaller because
+/// a window costs three short critical sections on one mutex, against the
+/// ~5 µs a window of the sparsest bench workload (11 edges per pivot) takes
+/// to sweep; on the builder's host 32, 64 and 128 were indistinguishable in
+/// time (EXPERIMENTS.md, "Windowed sweeps").
+pub const WINDOW_PIVOTS: u32 = 64;
 
-/// Splits `0..n` into at most `threads` contiguous chunks of near-equal
-/// size, never smaller than [`MIN_CHUNK`] (except the only chunk of a
-/// small input). Thin `u32` adapter over the one shared
-/// [`er_model::chunk_ranges`] implementation (DESIGN.md §8: all parallel
-/// stages must chunk identically).
-fn chunks(n: u32, threads: usize) -> Vec<std::ops::Range<u32>> {
-    er_model::chunk_ranges(n as usize, threads, MIN_CHUNK as usize)
-        .into_iter()
-        .map(|r| r.start as u32..r.end as u32)
-        .collect()
+/// Windows per thread that may be started beyond the one being drained: the
+/// one a thread is sweeping and one finished, waiting its turn — the least
+/// that lets a thread move on without waiting for the drain. Four measured
+/// no faster and buffered twice as much: the calling thread sweeps too, so a
+/// slow head window never idles it, and neighboring windows cost about the
+/// same.
+pub const RUN_AHEAD: usize = 2;
+
+/// Where a window's visitor sends what it keeps: the caller's sink itself
+/// when the sweep runs inline, the window's buffer when it runs on a worker.
+/// Either way the caller's sink receives the items in sequential order.
+pub struct Out<'a, I, S>(Dest<'a, I, S>);
+
+enum Dest<'a, I, S> {
+    Sink(&'a mut S),
+    Window(&'a mut Vec<I>),
 }
 
-/// Folds every distinct weighted edge into per-chunk accumulators, in
-/// parallel. Returns the accumulators in chunk order (ascending node
-/// ranges), so any order-insensitive merge — or an order-sensitive
-/// concatenation — is deterministic.
-pub fn fold_edges<T, I, F>(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    threads: usize,
-    init: I,
-    fold: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> T + Sync,
-    F: Fn(&mut T, EntityId, EntityId, f64) + Sync,
-{
-    let n = ctx.num_entities() as u32;
-    let ranges = chunks(n, threads);
-    let accumulate = weigher.scheme().accumulate();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let init = &init;
-                let fold = &fold;
-                scope.spawn(move || {
-                    let mut acc = init();
-                    let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
-                    for raw in range {
-                        let pivot = EntityId(raw);
-                        if !ctx.is_first(pivot) {
-                            continue;
-                        }
-                        let hood = scanner.scan(ctx, pivot, accumulate, ScanScope::GreaterOnly);
-                        for &j in hood.ids {
-                            let other = EntityId(j);
-                            fold(
-                                &mut acc,
-                                pivot,
-                                other,
-                                weigher.weight(pivot, other, hood.score_of(j)),
-                            );
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
+impl<I, S: FnMut(I)> Out<'_, I, S> {
+    /// Sends one item towards the sink.
+    #[inline]
+    pub fn emit(&mut self, item: I) {
+        match &mut self.0 {
+            Dest::Sink(sink) => sink(item),
+            Dest::Window(buffer) => buffer.push(item),
+        }
+    }
 }
 
-/// Collects the edges satisfying `predicate`, in the sequential sweep's
-/// order, using `threads` workers.
-pub fn collect_edges_where<P>(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
+/// What a sweep covered — the tallies every scheme reports as counters.
+/// The totals are the same for any thread count; only the split over
+/// threads follows the scheduling.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Swept {
+    /// Non-empty neighborhoods visited (zero for an edge sweep).
+    pub neighborhoods: u64,
+    /// Edges weighed, by the thread that swept them (one entry for an inline
+    /// sweep): distinct edges for an edge sweep, directed visits — each edge
+    /// twice — for a neighborhood sweep.
+    pub worker_edges: Vec<u64>,
+}
+
+impl Swept {
+    /// Edges weighed in total.
+    pub fn edges(&self) -> u64 {
+        self.worker_edges.iter().sum()
+    }
+}
+
+/// A worker's private state: the `O(|E|)` scan arrays, the neighborhood
+/// buffers and its share of the sweep's tallies.
+pub(crate) struct Worker {
+    pub(crate) scanner: NeighborhoodScanner,
+    ids: Vec<u32>,
+    weights: Vec<f64>,
+    neighborhoods: u64,
+    edges: u64,
+    /// Items its previous window emitted.
+    emitted: usize,
+}
+
+/// Runs `window(worker, pivots, out)` over every window of `0..num_entities`
+/// on up to `threads` workers, delivering what the windows emit to `sink` in
+/// window order (module docs). `threads` is a resolved count, not `0`.
+pub(crate) fn sweep_windows<I: Send, S: FnMut(I)>(
+    num_entities: usize,
     threads: usize,
-    predicate: P,
-) -> Vec<(EntityId, EntityId)>
-where
-    P: Fn(EntityId, EntityId, f64) -> bool + Sync,
-{
-    let parts = fold_edges(
-        ctx,
-        weigher,
-        threads,
-        Vec::new,
-        |acc: &mut Vec<(EntityId, EntityId)>, a, b, w| {
-            if predicate(a, b, w) {
-                acc.push((a, b));
+    window: impl Fn(&mut Worker, Range<u32>, &mut Out<'_, I, S>) + Sync,
+    mut sink: S,
+) -> Swept {
+    let n = num_entities as u32;
+    let windows = n.div_ceil(WINDOW_PIVOTS) as usize;
+    let pivots = |i: usize| {
+        let start = i as u32 * WINDOW_PIVOTS;
+        start..n.min(start.saturating_add(WINDOW_PIVOTS))
+    };
+    let worker = || Worker {
+        scanner: NeighborhoodScanner::new(num_entities),
+        ids: Vec::new(),
+        weights: Vec::new(),
+        neighborhoods: 0,
+        edges: 0,
+        emitted: 0,
+    };
+    let workers = if threads <= 1 || windows <= 1 {
+        let mut state = worker();
+        let mut out = Out(Dest::Sink(&mut sink));
+        for i in 0..windows {
+            window(&mut state, pivots(i), &mut out);
+        }
+        vec![state]
+    } else {
+        run_ordered(
+            windows,
+            threads.min(windows),
+            worker,
+            |state, i| {
+                // Neighboring windows emit about as much as each other, so
+                // the last one's size spares this one its regrowth.
+                let mut buffer = Vec::with_capacity(state.emitted);
+                window(state, pivots(i), &mut Out(Dest::Window(&mut buffer)));
+                state.emitted = buffer.len();
+                buffer
+            },
+            |buffer| buffer.into_iter().for_each(&mut sink),
+        )
+    };
+    Swept {
+        neighborhoods: workers.iter().map(|w| w.neighborhoods).sum(),
+        worker_edges: workers.iter().map(|w| w.edges).collect(),
+    }
+}
+
+/// The weighted blocking graph as something to sweep: which graph, which
+/// weights, which edge-weighting algorithm, how many workers. Every pruning
+/// scheme takes one and is written once against it.
+///
+/// [`WeightingImpl::Original`] enumerates edges block by block, not pivot by
+/// pivot, so it has no windows: it always runs inline, as one window, and
+/// ignores the thread count.
+#[derive(Debug, Clone, Copy)]
+pub struct Sweep<'a, 'b> {
+    ctx: &'a GraphContext<'b>,
+    weigher: &'a EdgeWeigher<'a, 'b>,
+    imp: WeightingImpl,
+    threads: usize,
+}
+
+impl<'a, 'b> Sweep<'a, 'b> {
+    /// A sweep of `ctx`'s graph under `weigher` on up to `threads` workers
+    /// (`0` = auto-detect, as in [`crate::PipelineConfig`]).
+    pub fn new(
+        ctx: &'a GraphContext<'b>,
+        weigher: &'a EdgeWeigher<'a, 'b>,
+        imp: WeightingImpl,
+        threads: usize,
+    ) -> Self {
+        Sweep { ctx, weigher, imp, threads: crate::pipeline::resolve_threads(threads) }
+    }
+
+    /// The graph being swept.
+    pub fn ctx(&self) -> &'a GraphContext<'b> {
+        self.ctx
+    }
+
+    /// Calls `visit(out, i, j, weight)` for every distinct edge (`i < j`),
+    /// and `sink` with whatever the visits emit, in the sequential sweep's
+    /// order.
+    pub fn edges<I: Send, S: FnMut(I)>(
+        &self,
+        visit: impl Fn(&mut Out<'_, I, S>, EntityId, EntityId, f64) + Sync,
+        mut sink: S,
+    ) -> Swept {
+        let (ctx, weigher) = (self.ctx, self.weigher);
+        match self.imp {
+            WeightingImpl::Original => {
+                let mut out = Out(Dest::Sink(&mut sink));
+                let mut edges = 0u64;
+                original::for_each_edge(ctx, weigher, |a, b, w| {
+                    edges += 1;
+                    visit(&mut out, a, b, w);
+                });
+                Swept { neighborhoods: 0, worker_edges: vec![edges] }
             }
-        },
-    );
-    parts.concat()
+            WeightingImpl::Optimized => sweep_windows(
+                ctx.num_entities(),
+                self.threads,
+                |worker, pivots, out| {
+                    let scanner = &mut worker.scanner;
+                    worker.edges +=
+                        optimized::edges_in(ctx, weigher, scanner, pivots, |a, b, w| {
+                            visit(out, a, b, w)
+                        });
+                },
+                sink,
+            ),
+        }
+    }
+
+    /// Calls `visit(out, pivot, neighbors, weights)` for every node with a
+    /// non-empty neighborhood, and `sink` with whatever the visits emit, in
+    /// the sequential sweep's order.
+    pub fn neighborhoods<I: Send, S: FnMut(I)>(
+        &self,
+        visit: impl Fn(&mut Out<'_, I, S>, EntityId, &[u32], &[f64]) + Sync,
+        mut sink: S,
+    ) -> Swept {
+        let (ctx, weigher) = (self.ctx, self.weigher);
+        match self.imp {
+            WeightingImpl::Original => {
+                let mut out = Out(Dest::Sink(&mut sink));
+                let (mut neighborhoods, mut edges) = (0u64, 0u64);
+                original::for_each_neighborhood(ctx, weigher, |pivot, ids, weights| {
+                    neighborhoods += 1;
+                    edges += ids.len() as u64;
+                    visit(&mut out, pivot, ids, weights);
+                });
+                Swept { neighborhoods, worker_edges: vec![edges] }
+            }
+            WeightingImpl::Optimized => sweep_windows(
+                ctx.num_entities(),
+                self.threads,
+                |worker, pivots, out| {
+                    let Worker { scanner, ids, weights, .. } = worker;
+                    let (hoods, edges) = optimized::neighborhoods_in(
+                        ctx,
+                        weigher,
+                        scanner,
+                        (ids, weights),
+                        pivots,
+                        |pivot, ids, weights| visit(out, pivot, ids, weights),
+                    );
+                    worker.neighborhoods += hoods;
+                    worker.edges += edges;
+                },
+                sink,
+            ),
+        }
+    }
+
+    /// The sum of all edge weights and the number of edges. The sum is
+    /// *defined* as each window's own sum (edges in sweep order), added in
+    /// window order: the same additions in the same order on one thread or
+    /// sixteen, hence the same `f64`.
+    pub fn weight_sum(&self) -> (f64, u64) {
+        let (ctx, weigher) = (self.ctx, self.weigher);
+        let (mut sum, mut count) = (0.0f64, 0u64);
+        let mut add = |(window_sum, edges): (f64, u64)| {
+            sum += window_sum;
+            count += edges;
+        };
+        match self.imp {
+            WeightingImpl::Original => {
+                let (mut window_sum, mut edges) = (0.0f64, 0u64);
+                original::for_each_edge(ctx, weigher, |_, _, w| {
+                    window_sum += w;
+                    edges += 1;
+                });
+                add((window_sum, edges));
+            }
+            WeightingImpl::Optimized => {
+                sweep_windows(
+                    ctx.num_entities(),
+                    self.threads,
+                    |worker, pivots, out| {
+                        let mut window_sum = 0.0f64;
+                        let scanner = &mut worker.scanner;
+                        let edges =
+                            optimized::edges_in(ctx, weigher, scanner, pivots, |_, _, w| {
+                                window_sum += w;
+                            });
+                        out.emit((window_sum, edges));
+                    },
+                    add,
+                );
+            }
+        }
+        (sum, count)
+    }
 }
 
-/// Comparison Propagation's distinct-comparison sweep on `threads` workers:
-/// the same chunked node partition as the weighted sweeps, applied to the
-/// weight-free ScanCount deduplication of
-/// [`crate::propagation::comparison_propagation`]. Chunk-ordered
-/// concatenation reproduces the sequential pivot-ascending emission order
-/// exactly.
-pub fn comparison_propagation(ctx: &GraphContext<'_>, threads: usize) -> Vec<(EntityId, EntityId)> {
-    let n = ctx.num_entities() as u32;
-    let ranges = chunks(n, threads);
-    let parts: Vec<Vec<(EntityId, EntityId)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                scope.spawn(move || {
-                    let mut acc = Vec::new();
-                    let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
-                    for raw in range {
-                        let pivot = EntityId(raw);
-                        if !ctx.is_first(pivot) {
-                            continue;
-                        }
-                        let hood = scanner.scan(
-                            ctx,
-                            pivot,
-                            Accumulate::CommonBlocks,
-                            ScanScope::GreaterOnly,
-                        );
-                        for &j in hood.ids {
-                            acc.push((pivot, EntityId(j)));
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    parts.concat()
-}
-
-/// The global mean edge weight, computed with `threads` workers — the WEP
-/// threshold.
+/// The global mean edge weight — the WEP threshold — on up to `threads`
+/// workers; bit-equal for every thread count ([`Sweep::weight_sum`]).
 pub fn mean_edge_weight(
     ctx: &GraphContext<'_>,
     weigher: &EdgeWeigher<'_, '_>,
     threads: usize,
 ) -> Option<f64> {
-    let parts = fold_edges(
-        ctx,
-        weigher,
-        threads,
-        || (0.0f64, 0u64),
-        |acc, _a, _b, w| {
-            acc.0 += w;
-            acc.1 += 1;
-        },
-    );
-    let (sum, count) = parts.into_iter().fold((0.0, 0), |(s, c), (ps, pc)| (s + ps, c + pc));
+    let (sum, count) = Sweep::new(ctx, weigher, WeightingImpl::Optimized, threads).weight_sum();
     (count > 0).then(|| sum / count as f64)
 }
 
-/// Parallel Weighted Edge Pruning: identical output to
-/// [`crate::prune::wep`], `threads`-way parallel sweeps for both the mean
-/// and the emission pass.
-pub fn wep(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    threads: usize,
-) -> Vec<(EntityId, EntityId)> {
-    match mean_edge_weight(ctx, weigher, threads) {
-        None => Vec::new(),
-        Some(mean) => {
-            collect_edges_where(ctx, weigher, threads, |_a, _b, w| crate::prune::reaches(w, mean))
-        }
+/// The windows in flight between the sweeping threads and the drain.
+struct Queue<T> {
+    /// The next window to hand out.
+    next: usize,
+    /// Windows the caller has taken; the one it wants next has this index.
+    drained: usize,
+    /// Finished windows `drained..drained + slots.len()`, window `i` in slot
+    /// `i % slots.len()`.
+    slots: Vec<Option<T>>,
+    /// Set when the sweep is over or abandoned: nothing more is handed out.
+    closed: bool,
+    /// Whether the caller sleeps on `head`, and how many workers sleep on
+    /// `room` — so that nobody pays a wake-up call for a thread that is busy.
+    caller_waits: bool,
+    workers_wait: usize,
+}
+
+impl<T> Queue<T> {
+    /// Hands out the next window, if there is one within run-ahead of the
+    /// drain.
+    fn claim(&mut self, windows: usize) -> Option<usize> {
+        (self.next < windows && self.next < self.drained + self.slots.len()).then(|| {
+            self.next += 1;
+            self.next - 1
+        })
     }
 }
 
-/// Parallel WEP with per-stage telemetry, used by
-/// [`crate::MetaBlocking::run`] when the config asks for threads.
-///
-/// Counter totals are identical to the sequential [`crate::prune::wep`] for
-/// any thread count: `edges_weighed` is the edge count in both the
-/// [`Stage::EdgeWeighting`] (mean) and [`Stage::Pruning`] (emission)
-/// records, and `retained_comparisons` matches the sink invocations —
-/// chunk-ordered combination makes the output bit-identical to sequential.
-pub fn wep_observed(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    threads: usize,
-    obs: &mut dyn Observer,
-    mut sink: impl FnMut(EntityId, EntityId),
-) {
-    let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let parts = fold_edges(
-        ctx,
-        weigher,
-        threads,
-        || (0.0f64, 0u64),
-        |acc, _a, _b, w| {
-            acc.0 += w;
-            acc.1 += 1;
-        },
-    );
-    let (sum, count) = parts.into_iter().fold((0.0, 0), |(s, c), (ps, pc)| (s + ps, c + pc));
-    scope.add(Counter::EdgesWeighed, count);
-    scope.finish();
-    if count == 0 {
-        return;
+/// What the calling thread does next.
+enum Step<T> {
+    /// Hand the next window in order to the sink.
+    Drain(T),
+    /// That window is still being swept: sweep this one meanwhile.
+    Sweep(usize),
+    /// Every window is drained, or the sweep was abandoned.
+    Done,
+}
+
+struct Shared<T> {
+    queue: Mutex<Queue<T>>,
+    /// The caller waits here for window `drained`.
+    head: Condvar,
+    /// Workers wait here for the drain to come within run-ahead.
+    room: Condvar,
+}
+
+impl<T> Shared<T> {
+    /// No thread panics while it holds the lock (visitors and the sink run
+    /// outside it), so a poisoned queue is still a consistent one.
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    let mean = sum / count as f64;
-    let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let parts = fold_edges(
-        ctx,
-        weigher,
-        threads,
-        || (Vec::new(), 0u64),
-        |acc: &mut (Vec<(EntityId, EntityId)>, u64), a, b, w| {
-            acc.1 += 1;
-            if crate::prune::reaches(w, mean) {
-                acc.0.push((a, b));
+
+    /// Worker side: the next window to sweep, once the drain is within
+    /// run-ahead of it. `None` when every window is claimed or the sweep is
+    /// closed.
+    fn claim(&self, windows: usize) -> Option<usize> {
+        let mut queue = self.lock();
+        loop {
+            if queue.closed || queue.next == windows {
+                return None;
             }
-        },
-    );
-    let (mut edges, mut retained) = (0u64, 0u64);
-    for (kept, swept) in parts {
-        edges += swept;
-        retained += kept.len() as u64;
-        for (a, b) in kept {
-            sink(a, b);
+            if let Some(window) = queue.claim(windows) {
+                return Some(window);
+            }
+            queue.workers_wait += 1;
+            queue = self.room.wait(queue).unwrap_or_else(PoisonError::into_inner);
+            queue.workers_wait -= 1;
         }
     }
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.add(Counter::RetainedComparisons, retained);
-    scope.finish();
+
+    /// Hands over a finished window.
+    fn deposit(&self, window: usize, result: T) {
+        let mut queue = self.lock();
+        let slot = window % queue.slots.len();
+        queue.slots[slot] = Some(result);
+        if window == queue.drained && queue.caller_waits {
+            self.head.notify_one();
+        }
+    }
+
+    /// Caller side: drain the head window if it is finished, else sweep one
+    /// like any worker, else — run-ahead exhausted or nothing left to claim —
+    /// wait for the head.
+    fn step(&self, windows: usize) -> Step<T> {
+        let mut queue = self.lock();
+        loop {
+            if queue.closed || queue.drained == windows {
+                return Step::Done;
+            }
+            let slot = queue.drained % queue.slots.len();
+            if let Some(result) = queue.slots[slot].take() {
+                queue.drained += 1;
+                if queue.workers_wait > 0 {
+                    self.room.notify_one();
+                }
+                return Step::Drain(result);
+            }
+            if let Some(window) = queue.claim(windows) {
+                return Step::Sweep(window);
+            }
+            queue.caller_waits = true;
+            queue = self.head.wait(queue).unwrap_or_else(PoisonError::into_inner);
+            queue.caller_waits = false;
+        }
+    }
+
+    /// Ends the sweep and wakes every parked thread to see it.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.head.notify_all();
+        self.room.notify_all();
+    }
 }
 
-/// Folds every non-empty node neighborhood into per-chunk accumulators, in
-/// parallel — the node-centric analogue of [`fold_edges`], mirroring
-/// [`crate::weighting::optimized::for_each_neighborhood`]: every pivot is
-/// scanned with [`ScanScope::All`], empty neighborhoods are skipped, and the
-/// `(ids, weights)` buffers are reused across a chunk's pivots.
-///
-/// Accumulators come back in chunk order (ascending node ranges), so a
-/// chunk-ordered concatenation reproduces the sequential pivot-ascending
-/// visit order exactly.
-pub fn fold_neighborhoods<T, I, F>(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
+/// Closes the sweep if its thread unwinds, so nobody waits on a thread that
+/// will never deposit or drain again.
+struct CloseOnPanic<'a, T>(&'a Shared<T>);
+
+impl<T> Drop for CloseOnPanic<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+        }
+    }
+}
+
+/// The driver proper: `work(state, i)` for every window `i` in `0..windows`
+/// on `threads` threads — the caller and `threads − 1` spawned workers —
+/// each with its own `worker()` state; `drain` receives the results on the
+/// calling thread in window order. The caller drains whenever the next
+/// window in order is finished and sweeps windows itself whenever it is
+/// not, so `threads` threads are busy and none sleeps per window. No window
+/// beyond the one being drained plus `threads × RUN_AHEAD` is ever started.
+/// Returns the states of the threads that swept. A panic in `work` or
+/// `drain` resumes on the caller once every thread has been joined.
+pub(crate) fn run_ordered<W: Send, T: Send>(
+    windows: usize,
     threads: usize,
-    init: I,
-    fold: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> T + Sync,
-    F: Fn(&mut T, EntityId, &[u32], &[f64]) + Sync,
-{
-    let n = ctx.num_entities() as u32;
-    let ranges = chunks(n, threads);
-    let accumulate = weigher.scheme().accumulate();
+    worker: impl Fn() -> W + Sync,
+    work: impl Fn(&mut W, usize) -> T + Sync,
+    mut drain: impl FnMut(T),
+) -> Vec<W> {
+    let shared = Shared {
+        queue: Mutex::new(Queue {
+            next: 0,
+            drained: 0,
+            slots: (0..threads * RUN_AHEAD).map(|_| None).collect(),
+            closed: false,
+            caller_waits: false,
+            workers_wait: 0,
+        }),
+        head: Condvar::new(),
+        room: Condvar::new(),
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let init = &init;
-                let fold = &fold;
-                scope.spawn(move || {
-                    let mut acc = init();
-                    let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
-                    let mut ids: Vec<u32> = Vec::new();
-                    let mut weights: Vec<f64> = Vec::new();
-                    for raw in range {
-                        let pivot = EntityId(raw);
-                        let hood = scanner.scan(ctx, pivot, accumulate, ScanScope::All);
-                        if hood.ids.is_empty() {
-                            continue;
-                        }
-                        ids.clear();
-                        weights.clear();
-                        ids.extend_from_slice(hood.ids);
-                        for &j in &ids {
-                            weights.push(weigher.weight(pivot, EntityId(j), hood.score_of(j)));
-                        }
-                        fold(&mut acc, pivot, &ids, &weights);
+        let handles: Vec<_> = (1..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let _guard = CloseOnPanic(&shared);
+                    let mut state = worker();
+                    while let Some(window) = shared.claim(windows) {
+                        let result = work(&mut state, window);
+                        shared.deposit(window, result);
                     }
-                    acc
+                    state
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
-}
-
-/// Parallel CEP with per-stage telemetry: each chunk keeps its own bounded
-/// top-`K` min-heap; the per-chunk candidates are merged by sorting under
-/// the `WeightedEdge` total order and truncating to `K` — the global
-/// top-`K` is unique under that (strict) order, so the output is
-/// bit-identical to [`crate::prune::cep`] for any thread count, including
-/// the descending emission order.
-pub fn cep_observed(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    threads: usize,
-    obs: &mut dyn Observer,
-    mut sink: impl FnMut(EntityId, EntityId),
-) {
-    let k = crate::prune::cep_threshold(ctx);
-    if k == 0 {
-        return;
-    }
-    let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let prealloc = crate::prune::heap_prealloc(k);
-    let parts = fold_edges(
-        ctx,
-        weigher,
-        threads,
-        || (BinaryHeap::with_capacity(prealloc), 0u64),
-        |acc: &mut (BinaryHeap<Reverse<WeightedEdge>>, u64), a, b, w| {
-            acc.1 += 1;
-            crate::prune::push_top_k(&mut acc.0, WeightedEdge { w, a: a.0, b: b.0 }, k);
-        },
-    );
-    let mut edges = 0u64;
-    let mut retained: Vec<WeightedEdge> = Vec::new();
-    for (heap, swept) in parts {
-        edges += swept;
-        retained.extend(heap.into_iter().map(|Reverse(e)| e));
-    }
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.finish();
-    let mut scope = StageScope::enter(obs, Stage::Pruning);
-    retained.sort_unstable_by(|x, y| y.cmp(x));
-    retained.truncate(k);
-    #[cfg(feature = "sanitize")]
-    assert!(
-        retained.windows(2).all(|w| w[0] >= w[1]),
-        "mb-sanitize: parallel CEP emission order is not descending by weight"
-    );
-    scope.add(Counter::RetainedComparisons, retained.len() as u64);
-    for e in retained {
-        sink(EntityId(e.a), EntityId(e.b));
-    }
-    scope.finish();
-}
-
-/// Parallel CNP (original directed semantics) with per-stage telemetry:
-/// every chunk selects its pivots' top-`k` neighbors independently — the
-/// selection depends only on the pivot's own neighborhood — and the
-/// chunk-ordered concatenation reproduces [`crate::prune::cnp`] bit for bit.
-pub fn cnp_observed(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    threads: usize,
-    obs: &mut dyn Observer,
-    mut sink: impl FnMut(EntityId, EntityId),
-) {
-    let k = crate::prune::cnp_threshold(ctx);
-    let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let parts = fold_neighborhoods(
-        ctx,
-        weigher,
-        threads,
-        || (Vec::new(), 0u64, 0u64),
-        |acc: &mut (Vec<(EntityId, EntityId)>, u64, u64), pivot, ids, weights| {
-            acc.1 += 1;
-            acc.2 += ids.len() as u64;
-            for j in crate::prune::top_k_neighbors(pivot, ids, weights, k) {
-                acc.0.push((pivot, EntityId(j)));
-            }
-        },
-    );
-    let (mut hoods, mut edges, mut retained) = (0u64, 0u64, 0u64);
-    for (kept, h, e) in parts {
-        hoods += h;
-        edges += e;
-        retained += kept.len() as u64;
-        for (a, b) in kept {
-            sink(a, b);
-        }
-    }
-    scope.add(Counter::NeighborhoodsScanned, hoods);
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.add(Counter::RetainedComparisons, retained);
-    scope.finish();
-}
-
-/// Parallel WNP (original directed semantics) with per-stage telemetry:
-/// the per-neighborhood mean threshold is local to each pivot, so chunks
-/// are independent and the concatenation matches [`crate::prune::wnp`].
-pub fn wnp_observed(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    threads: usize,
-    obs: &mut dyn Observer,
-    mut sink: impl FnMut(EntityId, EntityId),
-) {
-    let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let parts = fold_neighborhoods(
-        ctx,
-        weigher,
-        threads,
-        || (Vec::new(), 0u64, 0u64),
-        |acc: &mut (Vec<(EntityId, EntityId)>, u64, u64), pivot, ids, weights| {
-            acc.1 += 1;
-            acc.2 += ids.len() as u64;
-            let mean = crate::prune::neighborhood_mean(weights);
-            for (&j, &w) in ids.iter().zip(weights) {
-                if crate::prune::reaches(w, mean) {
-                    acc.0.push((pivot, EntityId(j)));
+        let mut own = None;
+        {
+            let _guard = CloseOnPanic(&shared);
+            loop {
+                match shared.step(windows) {
+                    Step::Drain(result) => drain(result),
+                    Step::Sweep(window) => {
+                        let result = work(own.get_or_insert_with(&worker), window);
+                        shared.deposit(window, result);
+                    }
+                    Step::Done => break,
                 }
             }
-        },
-    );
-    let (mut hoods, mut edges, mut retained) = (0u64, 0u64, 0u64);
-    for (kept, h, e) in parts {
-        hoods += h;
-        edges += e;
-        retained += kept.len() as u64;
-        for (a, b) in kept {
-            sink(a, b);
         }
-    }
-    scope.add(Counter::NeighborhoodsScanned, hoods);
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.add(Counter::RetainedComparisons, retained);
-    scope.finish();
-}
-
-/// Parallel two-phase CNP (Redefined with [`Combine::Either`], Reciprocal
-/// with [`Combine::Both`]): phase 1 builds every node's sorted top-`k`
-/// stack with a parallel neighborhood sweep; phase 2 intersects the stacks
-/// with a parallel edge sweep. Both phases are chunk-deterministic, so the
-/// result matches [`crate::prune::redefined_cnp`] /
-/// [`crate::prune::reciprocal_cnp`] bit for bit.
-pub(crate) fn two_phase_cnp_observed(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    threads: usize,
-    combine: Combine,
-    obs: &mut dyn Observer,
-    mut sink: impl FnMut(EntityId, EntityId),
-) {
-    let k = crate::prune::cnp_threshold(ctx);
-    let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let parts = fold_neighborhoods(
-        ctx,
-        weigher,
-        threads,
-        || (Vec::new(), 0u64, 0u64),
-        |acc: &mut (Vec<(u32, Vec<u32>)>, u64, u64), pivot, ids, weights| {
-            acc.1 += 1;
-            acc.2 += ids.len() as u64;
-            acc.0.push((pivot.0, crate::prune::top_k_neighbors(pivot, ids, weights, k)));
-        },
-    );
-    let mut stacks: Vec<Vec<u32>> = vec![Vec::new(); ctx.num_entities()];
-    let (mut hoods, mut directed_edges) = (0u64, 0u64);
-    for (chunk, h, e) in parts {
-        hoods += h;
-        directed_edges += e;
-        for (pivot, stack) in chunk {
-            stacks[pivot as usize] = stack;
-        }
-    }
-    scope.add(Counter::NeighborhoodsScanned, hoods);
-    scope.add(Counter::EdgesWeighed, directed_edges);
-    scope.finish();
-    #[cfg(feature = "sanitize")]
-    for (i, s) in stacks.iter().enumerate() {
-        assert!(
-            s.len() <= k,
-            "mb-sanitize: top-k stack of entity {i} holds {} neighbors, k = {k}",
-            s.len()
-        );
-        assert!(
-            s.windows(2).all(|w| w[0] < w[1]),
-            "mb-sanitize: top-k stack of entity {i} is not strictly ascending"
-        );
-    }
-    let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let stacks = &stacks;
-    let parts = fold_edges(
-        ctx,
-        weigher,
-        threads,
-        || (Vec::new(), 0u64),
-        |acc: &mut (Vec<(EntityId, EntityId)>, u64), a, b, _w| {
-            acc.1 += 1;
-            let in_a = stacks[a.idx()].binary_search(&b.0).is_ok();
-            let in_b = stacks[b.idx()].binary_search(&a.0).is_ok();
-            let retain = match combine {
-                Combine::Either => in_a || in_b,
-                Combine::Both => in_a && in_b,
-            };
-            if retain {
-                acc.0.push((a, b));
-            }
-        },
-    );
-    let (mut edges, mut retained) = (0u64, 0u64);
-    for (kept, swept) in parts {
-        edges += swept;
-        retained += kept.len() as u64;
-        for (a, b) in kept {
-            sink(a, b);
-        }
-    }
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.add(Counter::RetainedComparisons, retained);
-    scope.finish();
-}
-
-/// Parallel two-phase WNP (Redefined with [`Combine::Either`], Reciprocal
-/// with [`Combine::Both`]): phase 1 computes every node's local mean
-/// threshold in parallel; phase 2 applies the thresholds with a parallel
-/// edge sweep. Matches [`crate::prune::redefined_wnp`] /
-/// [`crate::prune::reciprocal_wnp`] bit for bit.
-pub(crate) fn two_phase_wnp_observed(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    threads: usize,
-    combine: Combine,
-    obs: &mut dyn Observer,
-    mut sink: impl FnMut(EntityId, EntityId),
-) {
-    let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let parts = fold_neighborhoods(
-        ctx,
-        weigher,
-        threads,
-        || (Vec::new(), 0u64, 0u64),
-        |acc: &mut (Vec<(u32, f64)>, u64, u64), pivot, ids, weights| {
-            acc.1 += 1;
-            acc.2 += ids.len() as u64;
-            acc.0.push((pivot.0, crate::prune::neighborhood_mean(weights)));
-        },
-    );
-    // Nodes with no neighborhood keep +∞ — they have no edge to retain.
-    let mut thresholds = vec![f64::INFINITY; ctx.num_entities()];
-    let (mut hoods, mut directed_edges) = (0u64, 0u64);
-    for (chunk, h, e) in parts {
-        hoods += h;
-        directed_edges += e;
-        for (pivot, mean) in chunk {
-            thresholds[pivot as usize] = mean;
-        }
-    }
-    scope.add(Counter::NeighborhoodsScanned, hoods);
-    scope.add(Counter::EdgesWeighed, directed_edges);
-    scope.finish();
-    #[cfg(feature = "sanitize")]
-    for (i, &t) in thresholds.iter().enumerate() {
-        assert!(!t.is_nan(), "mb-sanitize: WNP threshold of entity {i} is NaN");
-    }
-    let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let thresholds = &thresholds;
-    let parts = fold_edges(
-        ctx,
-        weigher,
-        threads,
-        || (Vec::new(), 0u64),
-        |acc: &mut (Vec<(EntityId, EntityId)>, u64), a, b, w| {
-            acc.1 += 1;
-            let over_a = crate::prune::reaches(w, thresholds[a.idx()]);
-            let over_b = crate::prune::reaches(w, thresholds[b.idx()]);
-            let retain = match combine {
-                Combine::Either => over_a || over_b,
-                Combine::Both => over_a && over_b,
-            };
-            if retain {
-                acc.0.push((a, b));
-            }
-        },
-    );
-    let (mut edges, mut retained) = (0u64, 0u64);
-    for (kept, swept) in parts {
-        edges += swept;
-        retained += kept.len() as u64;
-        for (a, b) in kept {
-            sink(a, b);
-        }
-    }
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.add(Counter::RetainedComparisons, retained);
-    scope.finish();
-}
-
-/// Dispatches any pruning scheme to its parallel observed implementation —
-/// the multi-threaded counterpart of the `match` in
-/// [`crate::MetaBlocking::run`]. Output and counter totals are identical to
-/// the sequential pruner for any thread count.
-pub fn run_pruning_observed(
-    scheme: PruningScheme,
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    threads: usize,
-    obs: &mut dyn Observer,
-    sink: impl FnMut(EntityId, EntityId),
-) {
-    match scheme {
-        PruningScheme::Cep => cep_observed(ctx, weigher, threads, obs, sink),
-        PruningScheme::Cnp => cnp_observed(ctx, weigher, threads, obs, sink),
-        PruningScheme::Wep => wep_observed(ctx, weigher, threads, obs, sink),
-        PruningScheme::Wnp => wnp_observed(ctx, weigher, threads, obs, sink),
-        PruningScheme::RedefinedCnp => {
-            two_phase_cnp_observed(ctx, weigher, threads, Combine::Either, obs, sink)
-        }
-        PruningScheme::ReciprocalCnp => {
-            two_phase_cnp_observed(ctx, weigher, threads, Combine::Both, obs, sink)
-        }
-        PruningScheme::RedefinedWnp => {
-            two_phase_wnp_observed(ctx, weigher, threads, Combine::Either, obs, sink)
-        }
-        PruningScheme::ReciprocalWnp => {
-            two_phase_wnp_observed(ctx, weigher, threads, Combine::Both, obs, sink)
-        }
-    }
+        shared.close();
+        let spawned =
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        own.into_iter().chain(spawned).collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weighting::optimized;
+    use crate::pipeline::PruningScheme;
     use crate::weights::WeightingScheme;
     use er_model::{Block, BlockCollection, ErKind};
+    use mb_observe::{Counter, RunReport};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     fn ids(v: &[u32]) -> Vec<EntityId> {
         v.iter().copied().map(EntityId).collect()
     }
 
-    fn fixture() -> BlockCollection {
-        BlockCollection::new(
-            ErKind::Dirty,
-            12,
-            vec![
-                Block::dirty(ids(&[0, 1, 2, 3])),
-                Block::dirty(ids(&[2, 3, 4, 5])),
-                Block::dirty(ids(&[5, 6, 7])),
-                Block::dirty(ids(&[0, 7, 8, 9])),
-                Block::dirty(ids(&[9, 10, 11])),
-                Block::dirty(ids(&[1, 4, 10])),
-            ],
-        )
-    }
-
-    /// Enough entities to exceed the [`MIN_CHUNK`] floor several times over,
-    /// so multi-chunk execution is actually exercised.
+    /// Several windows, the last one partial, with a few long-range blocks
+    /// so windows see non-local neighbors.
     fn large_fixture() -> BlockCollection {
-        let n = MIN_CHUNK * 4 + 37;
+        let n = WINDOW_PIVOTS * 6 + 37;
         let mut blocks = Vec::new();
         for i in (0..n - 4).step_by(3) {
             blocks.push(Block::dirty(ids(&[i, i + 1, i + 2, i + 4])));
         }
-        // A few long-range blocks so chunks see non-local neighbors.
         blocks.push(Block::dirty(ids(&[0, n / 2, n - 1])));
         blocks.push(Block::dirty(ids(&[3, n / 3, 2 * n / 3])));
         BlockCollection::new(ErKind::Dirty, n as usize, blocks)
     }
 
-    #[test]
-    fn chunking_covers_the_range() {
-        for n in [0u32, 1, 7, 16, 255, 256, 257, 1000, 10_000] {
-            for t in [1usize, 2, 3, 8, 100] {
-                let cs = chunks(n, t);
-                let total: u32 = cs.iter().map(|r| r.end - r.start).sum();
-                assert_eq!(total, n, "n={n} t={t}");
-                for w in cs.windows(2) {
-                    assert_eq!(w[0].end, w[1].start);
-                }
-            }
-        }
-    }
-
-    /// Regression: a 2-entity input must not fan out across a 16-thread
-    /// pool — tiny ranges collapse to a single chunk.
-    #[test]
-    fn chunking_floors_tiny_inputs_to_one_chunk() {
-        assert_eq!(chunks(2, 16).len(), 1);
-        assert_eq!(chunks(2, 16), vec![0..2]);
-        assert_eq!(chunks(MIN_CHUNK, 100).len(), 1);
-        // Just past the floor, a second chunk becomes useful — but no more.
-        assert_eq!(chunks(MIN_CHUNK + 1, 100).len(), 2);
-        // Large inputs still use every requested thread.
-        assert_eq!(chunks(MIN_CHUNK * 8, 8).len(), 8);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_for_every_thread_count() {
-        for blocks in [fixture(), large_fixture()] {
-            let ctx = GraphContext::new_dirty(&blocks);
-            for scheme in WeightingScheme::ALL {
-                let weigher = EdgeWeigher::new(scheme, &ctx);
-                let mut sequential = Vec::new();
-                optimized::for_each_edge(&ctx, &weigher, |a, b, _| sequential.push((a, b)));
-                for threads in [1, 2, 3, 4, 7] {
-                    let parallel = collect_edges_where(&ctx, &weigher, threads, |_, _, _| true);
-                    assert_eq!(parallel, sequential, "{} x{threads}", scheme.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_wep_equals_sequential_wep() {
-        for blocks in [fixture(), large_fixture()] {
-            let ctx = GraphContext::new_dirty(&blocks);
-            for scheme in WeightingScheme::ALL {
-                let weigher = EdgeWeigher::new(scheme, &ctx);
-                let mut sequential = Vec::new();
-                crate::prune::wep(
-                    &ctx,
-                    &weigher,
-                    crate::weighting::WeightingImpl::Optimized,
-                    &mut mb_observe::Noop,
-                    |a, b| sequential.push((a, b)),
-                );
-                for threads in [1, 3, 8] {
-                    assert_eq!(wep(&ctx, &weigher, threads), sequential, "{}", scheme.name());
-                }
-            }
-        }
-    }
-
-    /// The acceptance criterion: every counter total is identical between a
-    /// 1-thread and an N-thread observed run, and matches the sequential
-    /// pruner's totals.
-    #[test]
-    fn wep_observed_counters_are_thread_count_invariant() {
-        let blocks = large_fixture();
-        let ctx = GraphContext::new_dirty(&blocks);
-        let weigher = EdgeWeigher::new(WeightingScheme::Js, &ctx);
-        let run = |threads: usize| {
-            let mut report = mb_observe::RunReport::new("par");
-            let mut out = Vec::new();
-            wep_observed(&ctx, &weigher, threads, &mut report, |a, b| out.push((a, b)));
-            (report, out)
-        };
-        let (seq_report, seq_out) = {
-            let mut report = mb_observe::RunReport::new("seq");
-            let mut out = Vec::new();
-            crate::prune::wep(
-                &ctx,
-                &weigher,
-                crate::weighting::WeightingImpl::Optimized,
-                &mut report,
-                |a, b| out.push((a, b)),
-            );
-            (report, out)
-        };
-        let (one_report, one_out) = run(1);
-        assert_eq!(one_out, seq_out);
-        for threads in [2, 4, 8, 16] {
-            let (n_report, n_out) = run(threads);
-            assert_eq!(n_out, one_out, "output differs at {threads} threads");
-            for c in Counter::ALL {
-                assert_eq!(
-                    n_report.counter_total(c),
-                    one_report.counter_total(c),
-                    "counter {} differs at {threads} threads",
-                    c.name()
-                );
-                assert_eq!(
-                    n_report.counter_total(c),
-                    seq_report.counter_total(c),
-                    "counter {} differs from sequential",
-                    c.name()
-                );
-            }
-        }
-    }
-
-    fn run_sequential(
+    fn run_scheme(
         scheme: PruningScheme,
-        ctx: &GraphContext<'_>,
-        weigher: &EdgeWeigher<'_, '_>,
-    ) -> (mb_observe::RunReport, Vec<(EntityId, EntityId)>) {
-        let imp = crate::weighting::WeightingImpl::Optimized;
-        let mut report = mb_observe::RunReport::new("seq");
+        sweep: &Sweep<'_, '_>,
+    ) -> (RunReport, Vec<(EntityId, EntityId)>) {
+        let mut report = RunReport::new("sweep");
         let mut out = Vec::new();
         let sink = |a: EntityId, b: EntityId| out.push((a, b));
         match scheme {
-            PruningScheme::Cep => crate::prune::cep(ctx, weigher, imp, &mut report, sink),
-            PruningScheme::Cnp => crate::prune::cnp(ctx, weigher, imp, &mut report, sink),
-            PruningScheme::Wep => crate::prune::wep(ctx, weigher, imp, &mut report, sink),
-            PruningScheme::Wnp => crate::prune::wnp(ctx, weigher, imp, &mut report, sink),
-            PruningScheme::RedefinedCnp => {
-                crate::prune::redefined_cnp(ctx, weigher, imp, &mut report, sink)
-            }
-            PruningScheme::ReciprocalCnp => {
-                crate::prune::reciprocal_cnp(ctx, weigher, imp, &mut report, sink)
-            }
-            PruningScheme::RedefinedWnp => {
-                crate::prune::redefined_wnp(ctx, weigher, imp, &mut report, sink)
-            }
-            PruningScheme::ReciprocalWnp => {
-                crate::prune::reciprocal_wnp(ctx, weigher, imp, &mut report, sink)
-            }
+            PruningScheme::Cep => crate::prune::cep(sweep, &mut report, sink),
+            PruningScheme::Cnp => crate::prune::cnp(sweep, &mut report, sink),
+            PruningScheme::Wep => crate::prune::wep(sweep, &mut report, sink),
+            PruningScheme::Wnp => crate::prune::wnp(sweep, &mut report, sink),
+            PruningScheme::RedefinedCnp => crate::prune::redefined_cnp(sweep, &mut report, sink),
+            PruningScheme::ReciprocalCnp => crate::prune::reciprocal_cnp(sweep, &mut report, sink),
+            PruningScheme::RedefinedWnp => crate::prune::redefined_wnp(sweep, &mut report, sink),
+            PruningScheme::ReciprocalWnp => crate::prune::reciprocal_wnp(sweep, &mut report, sink),
         }
         (report, out)
     }
 
-    /// The tentpole acceptance criterion, at the unit level: every pruning
-    /// scheme's parallel output is bit-identical to its sequential output
-    /// for every tested thread count, with identical counter totals.
+    /// The windows tile `0..n` in order for every size around a window
+    /// boundary, whatever the thread count.
     #[test]
-    fn every_scheme_parallel_matches_sequential_with_invariant_counters() {
+    fn windows_tile_the_pivot_range_in_order() {
+        for n in [0usize, 1, 127, 128, 129, 1000, 128 * 40] {
+            for threads in [1, 2, 3, 8, 100] {
+                let mut seen: Vec<Range<u32>> = Vec::new();
+                sweep_windows(n, threads, |_, pivots, out| out.emit(pivots), |r| seen.push(r));
+                assert_eq!(seen.len(), n.div_ceil(WINDOW_PIVOTS as usize), "n={n} t={threads}");
+                let mut next = 0;
+                for r in seen {
+                    assert_eq!(r.start, next, "n={n} t={threads}");
+                    assert!(r.end - r.start <= WINDOW_PIVOTS && r.end > r.start);
+                    next = r.end;
+                }
+                assert_eq!(next as usize, n, "n={n} t={threads}");
+            }
+        }
+    }
+
+    /// A 2-entity collection on a 16-thread config is one window: it runs on
+    /// the calling thread, with one scanner.
+    #[test]
+    fn an_input_of_one_window_spawns_nothing() {
+        let caller = std::thread::current().id();
+        let swept = sweep_windows(
+            2,
+            16,
+            |_, _, out| out.emit(std::thread::current().id()),
+            |id| assert_eq!(id, caller),
+        );
+        assert_eq!(swept.worker_edges.len(), 1);
+    }
+
+    #[test]
+    fn edge_sweep_matches_the_sequential_sweep_for_every_thread_count() {
         let blocks = large_fixture();
         let ctx = GraphContext::new_dirty(&blocks);
+        for scheme in WeightingScheme::ALL {
+            let weigher = EdgeWeigher::new(scheme, &ctx);
+            let mut sequential = Vec::new();
+            optimized::for_each_edge(&ctx, &weigher, |a, b, w| {
+                sequential.push((a, b, w.to_bits()))
+            });
+            for threads in [1, 2, 3, 4, 7] {
+                let mut swept_edges = Vec::new();
+                let swept = Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, threads).edges(
+                    |out, a, b, w| out.emit((a, b, w.to_bits())),
+                    |edge| swept_edges.push(edge),
+                );
+                assert_eq!(swept_edges, sequential, "{} x{threads}", scheme.name());
+                assert_eq!(swept.edges(), sequential.len() as u64);
+                assert!((1..=threads).contains(&swept.worker_edges.len()));
+            }
+        }
+    }
+
+    /// Every pruning scheme's output — order included — and every counter
+    /// total is the one-thread run's, at every thread count.
+    #[test]
+    fn every_scheme_is_thread_count_invariant_with_invariant_counters() {
+        let blocks = large_fixture();
+        let ctx = GraphContext::new_dirty(&blocks);
+        let weigher = EdgeWeigher::new(WeightingScheme::Ecbs, &ctx);
         for scheme in PruningScheme::ALL {
-            let weigher = EdgeWeigher::new(WeightingScheme::Ecbs, &ctx);
-            let (seq_report, seq_out) = run_sequential(scheme, &ctx, &weigher);
-            for threads in [1, 2, 4, 8, 16] {
-                let mut report = mb_observe::RunReport::new("par");
-                let mut out = Vec::new();
-                run_pruning_observed(scheme, &ctx, &weigher, threads, &mut report, |a, b| {
-                    out.push((a, b))
-                });
+            let one = Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1);
+            let (seq_report, seq_out) = run_scheme(scheme, &one);
+            assert!(!seq_out.is_empty(), "{}", scheme.name());
+            for threads in [2, 3, 4, 8, 16] {
+                let sweep = Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, threads);
+                let (report, out) = run_scheme(scheme, &sweep);
                 assert_eq!(out, seq_out, "{} output differs at {threads} threads", scheme.name());
                 for c in Counter::ALL {
                     assert_eq!(
@@ -854,22 +653,22 @@ mod tests {
     }
 
     #[test]
-    fn every_scheme_parallel_handles_empty_graph() {
+    fn every_scheme_handles_an_empty_graph() {
         let blocks = BlockCollection::new(ErKind::Dirty, 4, vec![]);
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
+        assert_eq!(mean_edge_weight(&ctx, &weigher, 4), None);
+        let sweep = Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 4);
         for scheme in PruningScheme::ALL {
-            let mut out = Vec::new();
-            run_pruning_observed(scheme, &ctx, &weigher, 4, &mut mb_observe::Noop, |a, b| {
-                out.push((a, b))
-            });
-            assert!(out.is_empty(), "{}", scheme.name());
+            assert!(run_scheme(scheme, &sweep).1.is_empty(), "{}", scheme.name());
         }
     }
 
+    /// The mean is the same bits at every thread count, and within rounding
+    /// of the plain running sum it replaced.
     #[test]
-    fn mean_weight_agrees() {
-        let blocks = fixture();
+    fn mean_weight_is_one_value_for_every_thread_count() {
+        let blocks = large_fixture();
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Js, &ctx);
         let (mut sum, mut count) = (0.0, 0u64);
@@ -877,19 +676,170 @@ mod tests {
             sum += w;
             count += 1;
         });
-        let seq_mean = sum / count as f64;
-        for threads in [1, 2, 5] {
-            let par = mean_edge_weight(&ctx, &weigher, threads).unwrap();
-            assert!((par - seq_mean).abs() < 1e-12);
+        let one = mean_edge_weight(&ctx, &weigher, 1).unwrap();
+        assert!((one - sum / count as f64).abs() < 1e-12);
+        for threads in [2, 3, 4, 8, 16] {
+            let mean = mean_edge_weight(&ctx, &weigher, threads).unwrap();
+            assert_eq!(mean.to_bits(), one.to_bits(), "{threads} threads");
         }
     }
 
+    /// Counts the worker states alive, so a test can tell that every worker
+    /// thread ran to its end.
+    #[derive(Debug)]
+    struct Alive<'a>(&'a AtomicUsize);
+
+    impl<'a> Alive<'a> {
+        fn new(alive: &'a AtomicUsize) -> Self {
+            alive.fetch_add(1, SeqCst);
+            Alive(alive)
+        }
+    }
+
+    impl Drop for Alive<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, SeqCst);
+        }
+    }
+
+    /// A flag set per window, with a way to wait for one.
+    struct Done {
+        windows: Mutex<Vec<bool>>,
+        changed: Condvar,
+    }
+
+    impl Done {
+        fn new(windows: usize) -> Self {
+            Done { windows: Mutex::new(vec![false; windows]), changed: Condvar::new() }
+        }
+
+        fn mark(&self, window: usize) {
+            self.windows.lock().unwrap()[window] = true;
+            self.changed.notify_all();
+        }
+
+        fn wait_until(&self, ready: impl Fn(&[bool]) -> bool) {
+            let mut windows = self.windows.lock().unwrap();
+            while !ready(&windows) {
+                windows = self.changed.wait(windows).unwrap();
+            }
+        }
+    }
+
+    /// Every even window is held back until its odd successor has finished,
+    /// so windows complete as 1, 0, 3, 2, … — and are still drained as 0, 1,
+    /// 2, 3, …: drain order is window order, not completion order.
     #[test]
-    fn empty_graph() {
-        let blocks = BlockCollection::new(ErKind::Dirty, 4, vec![]);
+    fn drain_order_is_window_order_not_completion_order() {
+        let windows = 41;
+        for workers in [2, 3, 8] {
+            let done = Done::new(windows);
+            let completed = Mutex::new(Vec::new());
+            let mut drained = Vec::new();
+            run_ordered(
+                windows,
+                workers,
+                || (),
+                |(), i| {
+                    if i % 2 == 0 && i + 1 < windows {
+                        done.wait_until(|d| d[i + 1]);
+                    }
+                    completed.lock().unwrap().push(i);
+                    done.mark(i);
+                    i
+                },
+                |i| drained.push(i),
+            );
+            assert_eq!(drained, (0..windows).collect::<Vec<_>>(), "{workers} workers");
+            let completed = completed.into_inner().unwrap();
+            let position = |w: usize| completed.iter().position(|&c| c == w).unwrap();
+            for even in (0..windows - 1).step_by(2) {
+                assert!(position(even + 1) < position(even), "window {even} was not held back");
+            }
+        }
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload.downcast::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+        }
+    }
+
+    /// A panic in a scheme's per-edge visitor, on a worker and many windows
+    /// into the sweep, reaches the caller with its message; every worker has
+    /// exited by then.
+    #[test]
+    fn a_panicking_visitor_unwinds_to_the_caller() {
+        let blocks = large_fixture();
         let ctx = GraphContext::new_dirty(&blocks);
-        let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
-        assert_eq!(mean_edge_weight(&ctx, &weigher, 4), None);
-        assert!(wep(&ctx, &weigher, 4).is_empty());
+        let weigher = EdgeWeigher::new(WeightingScheme::Js, &ctx);
+        let poisoned = EntityId(WINDOW_PIVOTS * 4 + 5);
+        for threads in [2, 4] {
+            let sweep = Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, threads);
+            let mut seen = 0u64;
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                sweep.edges(
+                    |out, a, b, _| {
+                        assert!(a != poisoned, "visitor refused pivot {a}");
+                        out.emit((a, b));
+                    },
+                    |_| seen += 1,
+                )
+            }));
+            let message = panic_message(caught.expect_err("the sweep swallowed the panic"));
+            assert!(message.contains("visitor refused pivot"), "{message}");
+            // The sink saw a prefix of the stream at most.
+            let mut before = 0u64;
+            optimized::for_each_edge(&ctx, &weigher, |a, _, _| before += u64::from(a < poisoned));
+            assert!(seen <= before, "{seen} edges drained, {before} precede the panic");
+        }
+    }
+
+    /// The same at the driver's own level, with the worker states counted.
+    #[test]
+    fn a_panicking_window_leaves_no_worker_behind() {
+        let alive = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_ordered(
+                500,
+                4,
+                || Alive::new(&alive),
+                |_, i| assert!(i != 123, "window {i} failed"),
+                |()| {},
+            )
+        }));
+        assert_eq!(panic_message(caught.expect_err("panic lost")), "window 123 failed");
+        assert_eq!(alive.load(SeqCst), 0);
+    }
+
+    /// The caller's sink panics on the first window while the workers have
+    /// run as far ahead as back-pressure lets them — the window being
+    /// drained plus `workers × RUN_AHEAD` — and are parked (or about to
+    /// park) on it: the panic unwinds, the workers exit, and no window past
+    /// that bound was ever started.
+    #[test]
+    fn a_panicking_sink_releases_workers_parked_on_back_pressure() {
+        for workers in [2, 4] {
+            let (windows, ahead) = (200, 1 + workers * RUN_AHEAD);
+            let alive = AtomicUsize::new(0);
+            let done = Done::new(windows);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                run_ordered(
+                    windows,
+                    workers,
+                    || Alive::new(&alive),
+                    |_, i| done.mark(i),
+                    |()| {
+                        done.wait_until(|d| d.iter().filter(|&&d| d).count() == ahead);
+                        panic!("sink failed");
+                    },
+                )
+            }));
+            assert_eq!(panic_message(caught.expect_err("panic lost")), "sink failed");
+            assert_eq!(alive.load(SeqCst), 0, "{workers} workers");
+            let started = done.windows.lock().unwrap().clone();
+            assert!(started[..ahead].iter().all(|&d| d) && !started[ahead..].iter().any(|&d| d));
+        }
     }
 }

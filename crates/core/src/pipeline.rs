@@ -13,6 +13,7 @@
 use crate::context::GraphContext;
 use crate::filter::block_filtering;
 use crate::graphfree::graph_free_meta_blocking_threads;
+use crate::parallel::Sweep;
 use crate::prune;
 use crate::weights::{EdgeWeigher, WeightingScheme};
 use er_model::{BlockCollection, EntityId, ErKind, Result};
@@ -152,9 +153,10 @@ pub struct PipelineConfig {
     pub weighting_impl: WeightingImpl,
     /// Block Filtering ratio in `(0, 1]`, or `None` to skip filtering.
     pub filter_ratio: Option<f64>,
-    /// Worker threads for the parallel pruning paths: 1 = sequential, `n` =
+    /// Worker threads for the graph sweeps: 1 = on the calling thread, `n` =
     /// up to `n` workers, 0 = auto-detect the available parallelism. Every
-    /// pruning scheme parallelizes under Optimized weighting.
+    /// pruning scheme parallelizes under Optimized weighting; output and
+    /// counters do not depend on the value.
     pub threads: usize,
     /// Whether binaries should attach the human progress printer.
     pub progress: bool,
@@ -426,7 +428,9 @@ impl MetaBlocking {
             scope.add(Counter::ComparisonsIn, input.total_comparisons());
         }
         scope.finish();
-        let imp = self.config.weighting_impl;
+        // Every scheme runs on one ordered, windowed sweep for any thread
+        // count; Original weighting has no pivot windows and runs inline.
+        let sweep = Sweep::new(&ctx, &weigher, self.config.weighting_impl, threads);
         // Sanitize mode: validate the pruning input up front, pre-compute
         // the redefined retained-set a reciprocal scheme must stay inside,
         // and check every retained comparison as it streams out.
@@ -435,10 +439,10 @@ impl MetaBlocking {
             crate::sanitize::check_pipeline_input(&ctx);
             match self.config.pruning {
                 PruningScheme::ReciprocalCnp => {
-                    Some(crate::sanitize::redefined_retained_set(true, &ctx, &weigher, imp))
+                    Some(crate::sanitize::redefined_retained_set(true, &sweep))
                 }
                 PruningScheme::ReciprocalWnp => {
-                    Some(crate::sanitize::redefined_retained_set(false, &ctx, &weigher, imp))
+                    Some(crate::sanitize::redefined_retained_set(false, &sweep))
                 }
                 _ => None,
             }
@@ -454,37 +458,15 @@ impl MetaBlocking {
                 inner(a, b)
             }
         };
-        // The parallel path: every scheme's chunked sweeps distribute
-        // cleanly under Optimized weighting and reproduce the sequential
-        // output (and counters) bit for bit.
-        if threads > 1 && imp == WeightingImpl::Optimized {
-            crate::parallel::run_pruning_observed(
-                self.config.pruning,
-                &ctx,
-                &weigher,
-                threads,
-                obs,
-                &mut sink,
-            );
-            return Ok(());
-        }
         match self.config.pruning {
-            PruningScheme::Cep => prune::cep(&ctx, &weigher, imp, obs, &mut sink),
-            PruningScheme::Cnp => prune::cnp(&ctx, &weigher, imp, obs, &mut sink),
-            PruningScheme::Wep => prune::wep(&ctx, &weigher, imp, obs, &mut sink),
-            PruningScheme::Wnp => prune::wnp(&ctx, &weigher, imp, obs, &mut sink),
-            PruningScheme::RedefinedCnp => {
-                prune::redefined_cnp(&ctx, &weigher, imp, obs, &mut sink)
-            }
-            PruningScheme::RedefinedWnp => {
-                prune::redefined_wnp(&ctx, &weigher, imp, obs, &mut sink)
-            }
-            PruningScheme::ReciprocalCnp => {
-                prune::reciprocal_cnp(&ctx, &weigher, imp, obs, &mut sink)
-            }
-            PruningScheme::ReciprocalWnp => {
-                prune::reciprocal_wnp(&ctx, &weigher, imp, obs, &mut sink)
-            }
+            PruningScheme::Cep => prune::cep(&sweep, obs, &mut sink),
+            PruningScheme::Cnp => prune::cnp(&sweep, obs, &mut sink),
+            PruningScheme::Wep => prune::wep(&sweep, obs, &mut sink),
+            PruningScheme::Wnp => prune::wnp(&sweep, obs, &mut sink),
+            PruningScheme::RedefinedCnp => prune::redefined_cnp(&sweep, obs, &mut sink),
+            PruningScheme::RedefinedWnp => prune::redefined_wnp(&sweep, obs, &mut sink),
+            PruningScheme::ReciprocalCnp => prune::reciprocal_cnp(&sweep, obs, &mut sink),
+            PruningScheme::ReciprocalWnp => prune::reciprocal_wnp(&sweep, obs, &mut sink),
         }
         Ok(())
     }

@@ -192,7 +192,8 @@ mod tests {
                     let weigher = EdgeWeigher::new(scheme, &ctx);
                     let mut cep = Vec::new();
                     let imp = WeightingImpl::Optimized;
-                    crate::prune::cep(&ctx, &weigher, imp, &mut mb_observe::Noop, |a, b| {
+                    let sweep = crate::parallel::Sweep::new(&ctx, &weigher, imp, 1);
+                    crate::prune::cep(&sweep, &mut mb_observe::Noop, |a, b| {
                         cep.push((a, b));
                     });
                     let k = crate::prune::cep_threshold(&ctx);

@@ -7,7 +7,8 @@
 //! Meta-blocking (§4.1, Figure 7b).
 
 use crate::context::GraphContext;
-use crate::scanner::{Accumulate, NeighborhoodScanner, ScanScope};
+use crate::parallel::sweep_windows;
+use crate::scanner::{Accumulate, ScanScope};
 use er_model::EntityId;
 
 /// Emits every *distinct* comparison of the block collection exactly once.
@@ -28,19 +29,41 @@ use er_model::EntityId;
 /// checks: both yield the identical distinct-comparison set, but the sweep
 /// costs `O(‖B‖)` instead of `O(2·BPE·‖B‖)` — the same optimization that
 /// Algorithm 3 brings to edge weighting, applied to plain deduplication.
-pub fn comparison_propagation(ctx: &GraphContext<'_>, mut sink: impl FnMut(EntityId, EntityId)) {
-    let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
-    let n = ctx.num_entities() as u32;
-    for raw in 0..n {
-        let pivot = EntityId(raw);
-        if !ctx.is_first(pivot) {
-            continue; // Clean-Clean: each edge charged to its left endpoint.
-        }
-        let hood = scanner.scan(ctx, pivot, Accumulate::CommonBlocks, ScanScope::GreaterOnly);
-        for &j in hood.ids {
-            sink(pivot, EntityId(j));
-        }
-    }
+pub fn comparison_propagation(ctx: &GraphContext<'_>, sink: impl FnMut(EntityId, EntityId)) {
+    comparison_propagation_threads(ctx, 1, sink);
+}
+
+/// [`comparison_propagation`] on up to `threads` workers (a resolved count):
+/// the weight-free client of the ordered, windowed sweep driver
+/// ([`crate::parallel`]), so the comparisons reach `sink` in the same
+/// pivot-ascending order and none is buffered beyond its window.
+pub fn comparison_propagation_threads(
+    ctx: &GraphContext<'_>,
+    threads: usize,
+    mut sink: impl FnMut(EntityId, EntityId),
+) {
+    sweep_windows(
+        ctx.num_entities(),
+        threads,
+        |worker, pivots, out| {
+            for raw in pivots {
+                let pivot = EntityId(raw);
+                if !ctx.is_first(pivot) {
+                    continue; // Clean-Clean: each edge charged to its left endpoint.
+                }
+                let hood = worker.scanner.scan(
+                    ctx,
+                    pivot,
+                    Accumulate::CommonBlocks,
+                    ScanScope::GreaterOnly,
+                );
+                for &j in hood.ids {
+                    out.emit((pivot, EntityId(j)));
+                }
+            }
+        },
+        |(a, b)| sink(a, b),
+    );
 }
 
 /// Emits every distinct comparison using the literal per-comparison LeCoBI

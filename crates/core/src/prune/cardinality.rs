@@ -1,13 +1,13 @@
 //! Cardinality-based pruning: CEP, CNP and the redefined/reciprocal CNP.
 
-use super::Combine;
+use super::{counted, Combine};
 use crate::context::GraphContext;
-use crate::weighting::{self, WeightingImpl};
-use crate::weights::EdgeWeigher;
+use crate::parallel::Sweep;
 use er_model::EntityId;
 use mb_observe::{Counter, Observer, Stage, StageScope};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// A weighted edge with a total order: by weight, then by ids — which makes
 /// every top-`K` selection deterministic even under weight ties.
@@ -106,25 +106,42 @@ pub(crate) fn push_top_k(
 /// reports as [`Stage::EdgeWeighting`]; the sorted emission reports as
 /// [`Stage::Pruning`].
 pub fn cep(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
     obs: &mut dyn Observer,
     mut sink: impl FnMut(EntityId, EntityId),
 ) {
-    let k = cep_threshold(ctx);
+    let k = cep_threshold(sweep.ctx());
     if k == 0 {
         return;
     }
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    // Min-heap of the K best edges seen so far.
+    // Min-heap of the K best edges seen so far — one heap for any thread
+    // count: the top-K under a strict total order is unique, so feeding it
+    // in window order yields what the sequential sweep yields.
     let mut heap: BinaryHeap<Reverse<WeightedEdge>> = BinaryHeap::with_capacity(heap_prealloc(k));
-    let mut edges = 0u64;
-    weighting::for_each_edge(imp, ctx, weigher, |a, b, w| {
-        edges += 1;
-        push_top_k(&mut heap, WeightedEdge { w, a: a.0, b: b.0 }, k);
-    });
-    scope.add(Counter::EdgesWeighed, edges);
+    // The weight of the full heap's weakest edge, as bits (0.0 until it is
+    // full; weights are non-negative). A lighter edge can no longer enter,
+    // so a worker leaves it out of its window; the value only rises, so a
+    // stale read merely lets a few hopeless edges travel.
+    let floor = AtomicU64::new(0f64.to_bits());
+    let swept = sweep.edges(
+        |out, a, b, w| {
+            // Ties (and NaNs) go on to the full comparison, as in `TopK`.
+            if w < f64::from_bits(floor.load(Relaxed)) {
+                return;
+            }
+            out.emit(WeightedEdge { w, a: a.0, b: b.0 });
+        },
+        |edge| {
+            push_top_k(&mut heap, edge, k);
+            if heap.len() == k {
+                if let Some(Reverse(min)) = heap.peek() {
+                    floor.store(min.w.to_bits(), Relaxed);
+                }
+            }
+        },
+    );
+    scope.add(Counter::EdgesWeighed, swept.edges());
     scope.finish();
     let mut scope = StageScope::enter(obs, Stage::Pruning);
     let mut retained: Vec<WeightedEdge> = heap.into_iter().map(|Reverse(e)| e).collect();
@@ -163,7 +180,7 @@ pub fn cnp_threshold_from_counts(total_assignments: u64, num_entities: usize) ->
 
 /// Bounded top-`k` selection over one weighed neighborhood — the single
 /// kernel behind every node-centric cardinality retention: [`cnp`],
-/// [`redefined_cnp`] / [`reciprocal_cnp`], their parallel twins and the serve
+/// [`redefined_cnp`] / [`reciprocal_cnp`] at any thread count, and the serve
 /// scorer's `Retention::TopK`.
 ///
 /// A min-heap of the `min(k, n)` best `WeightedEdge`s seen so far: an edge
@@ -307,63 +324,44 @@ pub(crate) fn top_k_neighbors(pivot: EntityId, ids: &[u32], weights: &[f64], k: 
 /// (its weighting work shows up in the `neighborhoods_scanned` and
 /// `edges_weighed` counters; the directed sweep visits each edge twice).
 pub fn cnp(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
     obs: &mut dyn Observer,
     mut sink: impl FnMut(EntityId, EntityId),
 ) {
-    let k = cnp_threshold(ctx);
+    let k = cnp_threshold(sweep.ctx());
     let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let (mut hoods, mut edges, mut retained) = (0u64, 0u64, 0u64);
-    weighting::for_each_neighborhood(imp, ctx, weigher, |pivot, ids, weights| {
-        hoods += 1;
-        edges += ids.len() as u64;
-        for j in top_k_neighbors(pivot, ids, weights, k) {
-            retained += 1;
-            sink(pivot, EntityId(j));
-        }
-    });
-    scope.add(Counter::NeighborhoodsScanned, hoods);
-    scope.add(Counter::EdgesWeighed, edges);
+    let mut retained = 0u64;
+    let swept = sweep.neighborhoods(
+        |out, pivot, ids, weights| {
+            for j in top_k_neighbors(pivot, ids, weights, k) {
+                out.emit((pivot, EntityId(j)));
+            }
+        },
+        counted(&mut retained, &mut sink),
+    );
+    scope.add(Counter::NeighborhoodsScanned, swept.neighborhoods);
+    scope.add(Counter::EdgesWeighed, swept.edges());
     scope.add(Counter::RetainedComparisons, retained);
     scope.finish();
 }
 
-/// Phase 1 shared by [`redefined_cnp`] and [`reciprocal_cnp`]: the sorted
-/// top-`k` neighbor list of every node ("Sorted Stacks" in Algorithm 4),
-/// plus the sweep's (neighborhoods, directed edges) tally.
-fn per_node_top_k(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
-    k: usize,
-) -> (Vec<Vec<u32>>, u64, u64) {
-    let mut stacks: Vec<Vec<u32>> = vec![Vec::new(); ctx.num_entities()];
-    let (mut hoods, mut edges) = (0u64, 0u64);
-    weighting::for_each_neighborhood(imp, ctx, weigher, |pivot, ids, weights| {
-        hoods += 1;
-        edges += ids.len() as u64;
-        stacks[pivot.idx()] = top_k_neighbors(pivot, ids, weights, k);
-    });
-    (stacks, hoods, edges)
-}
-
 fn two_phase_cnp(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
     combine: Combine,
     obs: &mut dyn Observer,
     mut sink: impl FnMut(EntityId, EntityId),
 ) {
-    let k = cnp_threshold(ctx);
-    // Phase 1 is the weighting work of Algorithm 4 (building every node's
-    // sorted stack); phase 2 is the pruning sweep over the distinct edges.
+    let k = cnp_threshold(sweep.ctx());
+    // Phase 1 is the weighting work of Algorithm 4: every node's sorted
+    // top-`k` neighbor list ("Sorted Stacks").
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let (stacks, hoods, directed_edges) = per_node_top_k(ctx, weigher, imp, k);
-    scope.add(Counter::NeighborhoodsScanned, hoods);
-    scope.add(Counter::EdgesWeighed, directed_edges);
+    let mut stacks: Vec<Vec<u32>> = vec![Vec::new(); sweep.ctx().num_entities()];
+    let swept = sweep.neighborhoods(
+        |out, pivot, ids, weights| out.emit((pivot, top_k_neighbors(pivot, ids, weights, k))),
+        |(pivot, stack): (EntityId, Vec<u32>)| stacks[pivot.idx()] = stack,
+    );
+    scope.add(Counter::NeighborhoodsScanned, swept.neighborhoods);
+    scope.add(Counter::EdgesWeighed, swept.edges());
     scope.finish();
     // The binary searches below require sorted stacks within the per-node
     // budget — phase 1's contract.
@@ -381,21 +379,23 @@ fn two_phase_cnp(
     }
     // Phase 2 (edge-centric): every distinct edge is retained at most once.
     let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let (mut edges, mut retained) = (0u64, 0u64);
-    weighting::for_each_edge(imp, ctx, weigher, |a, b, _w| {
-        edges += 1;
-        let in_a = stacks[a.idx()].binary_search(&b.0).is_ok();
-        let in_b = stacks[b.idx()].binary_search(&a.0).is_ok();
-        let retain = match combine {
-            Combine::Either => in_a || in_b,
-            Combine::Both => in_a && in_b,
-        };
-        if retain {
-            retained += 1;
-            sink(a, b);
-        }
-    });
-    scope.add(Counter::EdgesWeighed, edges);
+    let stacks = &stacks;
+    let mut retained = 0u64;
+    let swept = sweep.edges(
+        |out, a, b, _w| {
+            let in_a = stacks[a.idx()].binary_search(&b.0).is_ok();
+            let in_b = stacks[b.idx()].binary_search(&a.0).is_ok();
+            let retain = match combine {
+                Combine::Either => in_a || in_b,
+                Combine::Both => in_a && in_b,
+            };
+            if retain {
+                out.emit((a, b));
+            }
+        },
+        counted(&mut retained, &mut sink),
+    );
+    scope.add(Counter::EdgesWeighed, swept.edges());
     scope.add(Counter::RetainedComparisons, retained);
     scope.finish();
 }
@@ -407,13 +407,11 @@ fn two_phase_cnp(
 /// distinct edges and retains those in the stack of *either* endpoint. Same
 /// recall as [`cnp`], ~18% fewer comparisons on the paper's datasets.
 pub fn redefined_cnp(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
     obs: &mut dyn Observer,
     sink: impl FnMut(EntityId, EntityId),
 ) {
-    two_phase_cnp(ctx, weigher, imp, Combine::Either, obs, sink);
+    two_phase_cnp(sweep, Combine::Either, obs, sink);
 }
 
 /// Reciprocal Cardinality Node Pruning (§5.2): retains only the edges in the
@@ -423,19 +421,19 @@ pub fn redefined_cnp(
 /// The paper's best scheme for efficiency-intensive applications: precision
 /// up to an order of magnitude above CNP at a small recall cost.
 pub fn reciprocal_cnp(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
     obs: &mut dyn Observer,
     sink: impl FnMut(EntityId, EntityId),
 ) {
-    two_phase_cnp(ctx, weigher, imp, Combine::Both, obs, sink);
+    two_phase_cnp(sweep, Combine::Both, obs, sink);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weights::WeightingScheme;
+    use crate::context::GraphContext;
+    use crate::weighting::WeightingImpl;
+    use crate::weights::{EdgeWeigher, WeightingScheme};
     use er_model::{Block, BlockCollection, ErKind};
     use mb_observe::Noop;
 
@@ -470,7 +468,8 @@ mod tests {
         // Σ|b| = 7 -> K = 3.
         assert_eq!(cep_threshold(&ctx), 3);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
-        let got = collect(|o, s| cep(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+        let got =
+            collect(|o, s| cep(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s));
         assert_eq!(got.len(), 3);
         // (0,1) has CBS 2, the strongest edge, and comes first.
         assert_eq!(got[0], (0, 1));
@@ -481,7 +480,8 @@ mod tests {
         let blocks = BlockCollection::new(ErKind::Dirty, 2, vec![]);
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
-        let got = collect(|o, s| cep(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+        let got =
+            collect(|o, s| cep(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s));
         assert!(got.is_empty());
     }
 
@@ -491,7 +491,7 @@ mod tests {
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
         let mut log = mb_observe::RingLog::new(16);
-        cep(&ctx, &weigher, WeightingImpl::Optimized, &mut log, |_, _| {});
+        cep(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), &mut log, |_, _| {});
         assert_eq!(log.exit_order(), vec![Stage::EdgeWeighting, Stage::Pruning]);
         // 4 distinct edges weighed, K = 3 retained.
         assert_eq!(log.counter_total(Counter::EdgesWeighed), 4);
@@ -505,7 +505,8 @@ mod tests {
         // Σ|b|/|E| = 7/4 = 1 -> k = max(1, 0) = 1.
         assert_eq!(cnp_threshold(&ctx), 1);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
-        let got = collect(|o, s| cnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+        let got =
+            collect(|o, s| cnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s));
         // Every node keeps its best edge: 0->1, 1->0, 2->3 (CBS ties (2,0)
         // vs (2,3) broken towards smaller pair ids -> (0,2)), 3->2.
         assert_eq!(got.len(), 4);
@@ -518,9 +519,11 @@ mod tests {
         let blocks = fixture();
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
-        let original = collect(|o, s| cnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
-        let redefined =
-            collect(|o, s| redefined_cnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+        let original =
+            collect(|o, s| cnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s));
+        let redefined = collect(|o, s| {
+            redefined_cnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s)
+        });
         // Canonicalize the original's directed output.
         let mut orig_pairs: Vec<(u32, u32)> =
             original.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
@@ -540,10 +543,12 @@ mod tests {
         let blocks = fixture();
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
-        let redefined =
-            collect(|o, s| redefined_cnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
-        let reciprocal =
-            collect(|o, s| reciprocal_cnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+        let redefined = collect(|o, s| {
+            redefined_cnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s)
+        });
+        let reciprocal = collect(|o, s| {
+            reciprocal_cnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s)
+        });
         assert!(reciprocal.len() <= redefined.len());
         for p in &reciprocal {
             assert!(redefined.contains(p));

@@ -21,16 +21,21 @@
 //!   *both* endpoints' criteria (reciprocal links).
 //!
 //! All functions stream retained comparisons to a sink; nothing is
-//! materialized beyond the per-node criteria.
+//! materialized beyond the per-node criteria. Each scheme is one body
+//! written against a [`Sweep`](crate::parallel::Sweep), which decides how
+//! many workers run it and delivers what it keeps in the sequential order
+//! either way.
 
 mod cardinality;
 mod weight_based;
+
+use er_model::EntityId;
 
 pub use cardinality::{
     cep, cep_threshold, cep_threshold_from_counts, cnp, cnp_threshold, cnp_threshold_from_counts,
     reciprocal_cnp, redefined_cnp, TopK,
 };
-pub(crate) use cardinality::{heap_prealloc, push_top_k, top_k_neighbors, WeightedEdge};
+pub(crate) use cardinality::{heap_prealloc, push_top_k, WeightedEdge};
 pub(crate) use weight_based::{neighborhood_mean, reaches};
 pub use weight_based::{reciprocal_wnp, redefined_wnp, wep, wnp};
 
@@ -42,4 +47,16 @@ pub(crate) enum Combine {
     Either,
     /// Retain only if the criterion holds for both endpoints (AND).
     Both,
+}
+
+/// The sink a pair-emitting sweep drains into: counts each retained
+/// comparison on its way to the caller's sink.
+fn counted<'s>(
+    retained: &'s mut u64,
+    sink: &'s mut impl FnMut(EntityId, EntityId),
+) -> impl FnMut((EntityId, EntityId)) + 's {
+    move |(a, b)| {
+        *retained += 1;
+        sink(a, b);
+    }
 }

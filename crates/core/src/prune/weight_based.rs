@@ -1,9 +1,7 @@
 //! Weight-based pruning: WEP, WNP and the redefined/reciprocal WNP.
 
-use super::Combine;
-use crate::context::GraphContext;
-use crate::weighting::{self, WeightingImpl};
-use crate::weights::EdgeWeigher;
+use super::{counted, Combine};
+use crate::parallel::Sweep;
 use er_model::EntityId;
 use mb_observe::{Counter, Observer, Stage, StageScope};
 
@@ -28,19 +26,12 @@ pub(crate) fn reaches(w: f64, threshold: f64) -> bool {
 /// [`Stage::EdgeWeighting`]; the emission sweep re-weighs every edge and
 /// reports as [`Stage::Pruning`] (so `edges_weighed` appears in both).
 pub fn wep(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
     obs: &mut dyn Observer,
     mut sink: impl FnMut(EntityId, EntityId),
 ) {
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let mut sum = 0.0f64;
-    let mut count = 0u64;
-    weighting::for_each_edge(imp, ctx, weigher, |_a, _b, w| {
-        sum += w;
-        count += 1;
-    });
+    let (sum, count) = sweep.weight_sum();
     scope.add(Counter::EdgesWeighed, count);
     scope.finish();
     if count == 0 {
@@ -53,15 +44,16 @@ pub fn wep(
         "mb-sanitize: WEP mean weight {mean} over {count} edges is invalid"
     );
     let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let (mut edges, mut retained) = (0u64, 0u64);
-    weighting::for_each_edge(imp, ctx, weigher, |a, b, w| {
-        edges += 1;
-        if reaches(w, mean) {
-            retained += 1;
-            sink(a, b);
-        }
-    });
-    scope.add(Counter::EdgesWeighed, edges);
+    let mut retained = 0u64;
+    let swept = sweep.edges(
+        |out, a, b, w| {
+            if reaches(w, mean) {
+                out.emit((a, b));
+            }
+        },
+        counted(&mut retained, &mut sink),
+    );
+    scope.add(Counter::EdgesWeighed, swept.edges());
     scope.add(Counter::RetainedComparisons, retained);
     scope.finish();
 }
@@ -83,88 +75,71 @@ pub(crate) fn neighborhood_mean(weights: &[f64]) -> f64 {
 /// shows in `neighborhoods_scanned` / `edges_weighed` (directed visits, so
 /// each edge counts twice).
 pub fn wnp(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
     obs: &mut dyn Observer,
     mut sink: impl FnMut(EntityId, EntityId),
 ) {
     let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let (mut hoods, mut edges, mut retained) = (0u64, 0u64, 0u64);
-    weighting::for_each_neighborhood(imp, ctx, weigher, |pivot, ids, weights| {
-        hoods += 1;
-        edges += ids.len() as u64;
-        let mean = neighborhood_mean(weights);
-        for (&j, &w) in ids.iter().zip(weights) {
-            if reaches(w, mean) {
-                retained += 1;
-                sink(pivot, EntityId(j));
+    let mut retained = 0u64;
+    let swept = sweep.neighborhoods(
+        |out, pivot, ids, weights| {
+            let mean = neighborhood_mean(weights);
+            for (&j, &w) in ids.iter().zip(weights) {
+                if reaches(w, mean) {
+                    out.emit((pivot, EntityId(j)));
+                }
             }
-        }
-    });
-    scope.add(Counter::NeighborhoodsScanned, hoods);
-    scope.add(Counter::EdgesWeighed, edges);
+        },
+        counted(&mut retained, &mut sink),
+    );
+    scope.add(Counter::NeighborhoodsScanned, swept.neighborhoods);
+    scope.add(Counter::EdgesWeighed, swept.edges());
     scope.add(Counter::RetainedComparisons, retained);
     scope.finish();
 }
 
-/// Phase 1 shared by [`redefined_wnp`] and [`reciprocal_wnp`]: every node's
-/// local weight threshold (Algorithm 5, lines 2–4), plus the sweep's
-/// (neighborhoods, directed edges) tally.
-///
-/// Nodes with no neighborhood get `+∞` so they can never retain an edge —
-/// they have none to retain.
-fn per_node_thresholds(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
-) -> (Vec<f64>, u64, u64) {
-    let mut thresholds = vec![f64::INFINITY; ctx.num_entities()];
-    let (mut hoods, mut edges) = (0u64, 0u64);
-    weighting::for_each_neighborhood(imp, ctx, weigher, |pivot, ids, weights| {
-        hoods += 1;
-        edges += ids.len() as u64;
-        thresholds[pivot.idx()] = neighborhood_mean(weights);
-    });
-    (thresholds, hoods, edges)
-}
-
 fn two_phase_wnp(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
     combine: Combine,
     obs: &mut dyn Observer,
     mut sink: impl FnMut(EntityId, EntityId),
 ) {
-    // Phase 1 (threshold computation) is the weighting work of Algorithm 5;
-    // phase 2 is the pruning sweep over the distinct edges.
+    // Phase 1 (Algorithm 5, lines 2–4) is the weighting work: every node's
+    // local mean threshold. Nodes with no neighborhood keep +∞ — they have
+    // no edge to retain.
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let (thresholds, hoods, directed_edges) = per_node_thresholds(ctx, weigher, imp);
-    scope.add(Counter::NeighborhoodsScanned, hoods);
-    scope.add(Counter::EdgesWeighed, directed_edges);
+    let mut thresholds = vec![f64::INFINITY; sweep.ctx().num_entities()];
+    let swept = sweep.neighborhoods(
+        |out, pivot, _ids, weights| out.emit((pivot, neighborhood_mean(weights))),
+        |(pivot, mean): (EntityId, f64)| thresholds[pivot.idx()] = mean,
+    );
+    scope.add(Counter::NeighborhoodsScanned, swept.neighborhoods);
+    scope.add(Counter::EdgesWeighed, swept.edges());
     scope.finish();
     // A NaN threshold would silently drop every incident edge.
     #[cfg(feature = "sanitize")]
     for (i, &t) in thresholds.iter().enumerate() {
         assert!(!t.is_nan(), "mb-sanitize: WNP threshold of entity {i} is NaN");
     }
+    // Phase 2 is the pruning sweep over the distinct edges.
     let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let (mut edges, mut retained) = (0u64, 0u64);
-    weighting::for_each_edge(imp, ctx, weigher, |a, b, w| {
-        edges += 1;
-        let over_a = reaches(w, thresholds[a.idx()]);
-        let over_b = reaches(w, thresholds[b.idx()]);
-        let retain = match combine {
-            Combine::Either => over_a || over_b,
-            Combine::Both => over_a && over_b,
-        };
-        if retain {
-            retained += 1;
-            sink(a, b);
-        }
-    });
-    scope.add(Counter::EdgesWeighed, edges);
+    let thresholds = &thresholds;
+    let mut retained = 0u64;
+    let swept = sweep.edges(
+        |out, a, b, w| {
+            let over_a = reaches(w, thresholds[a.idx()]);
+            let over_b = reaches(w, thresholds[b.idx()]);
+            let retain = match combine {
+                Combine::Either => over_a || over_b,
+                Combine::Both => over_a && over_b,
+            };
+            if retain {
+                out.emit((a, b));
+            }
+        },
+        counted(&mut retained, &mut sink),
+    );
+    scope.add(Counter::EdgesWeighed, swept.edges());
     scope.add(Counter::RetainedComparisons, retained);
     scope.finish();
 }
@@ -173,13 +148,11 @@ fn two_phase_wnp(
 /// comparisons — an edge is retained at most once, if it reaches the local
 /// threshold of *either* endpoint.
 pub fn redefined_wnp(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
     obs: &mut dyn Observer,
     sink: impl FnMut(EntityId, EntityId),
 ) {
-    two_phase_wnp(ctx, weigher, imp, Combine::Either, obs, sink);
+    two_phase_wnp(sweep, Combine::Either, obs, sink);
 }
 
 /// Reciprocal Weighted Node Pruning (§5.2): retains only the edges that
@@ -189,19 +162,19 @@ pub fn redefined_wnp(
 /// precision ~3.9× that of WNP with recall still above 0.95 in most
 /// configurations.
 pub fn reciprocal_wnp(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
     obs: &mut dyn Observer,
     sink: impl FnMut(EntityId, EntityId),
 ) {
-    two_phase_wnp(ctx, weigher, imp, Combine::Both, obs, sink);
+    two_phase_wnp(sweep, Combine::Both, obs, sink);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weights::WeightingScheme;
+    use crate::context::GraphContext;
+    use crate::weighting::WeightingImpl;
+    use crate::weights::{EdgeWeigher, WeightingScheme};
     use er_model::{Block, BlockCollection, ErKind};
     use mb_observe::Noop;
 
@@ -235,7 +208,8 @@ mod tests {
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
         // Edges: (0,1)=2, (0,2)=1, (1,2)=1, (2,3)=1 -> mean 1.25.
-        let got = collect(|o, s| wep(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+        let got =
+            collect(|o, s| wep(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s));
         assert_eq!(got, vec![(0, 1)]);
     }
 
@@ -244,7 +218,12 @@ mod tests {
         let blocks = BlockCollection::new(ErKind::Dirty, 3, vec![]);
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Js, &ctx);
-        assert!(collect(|o, s| wep(&ctx, &weigher, WeightingImpl::Optimized, o, s)).is_empty());
+        assert!(collect(|o, s| wep(
+            &Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1),
+            o,
+            s
+        ))
+        .is_empty());
     }
 
     #[test]
@@ -257,7 +236,8 @@ mod tests {
         );
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
-        let got = collect(|o, s| wep(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+        let got =
+            collect(|o, s| wep(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s));
         assert_eq!(got.len(), 2);
     }
 
@@ -267,7 +247,7 @@ mod tests {
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
         let mut log = mb_observe::RingLog::new(16);
-        wep(&ctx, &weigher, WeightingImpl::Optimized, &mut log, |_, _| {});
+        wep(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), &mut log, |_, _| {});
         assert_eq!(log.exit_order(), vec![Stage::EdgeWeighting, Stage::Pruning]);
         // 4 edges weighed per sweep, two sweeps.
         assert_eq!(log.counter_total(Counter::EdgesWeighed), 8);
@@ -279,7 +259,8 @@ mod tests {
         let blocks = fixture();
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
-        let got = collect(|o, s| wnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+        let got =
+            collect(|o, s| wnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s));
         // Node 0: weights {1:2, 2:1}, mean 1.5 -> keeps 1. Node 1: same ->
         // keeps 0. Node 2: {0:1,1:1,3:1}, mean 1 -> keeps all three. Node 3:
         // {2:1} -> keeps 2.
@@ -292,9 +273,11 @@ mod tests {
         let blocks = fixture();
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
-        let original = collect(|o, s| wnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
-        let redefined =
-            collect(|o, s| redefined_wnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+        let original =
+            collect(|o, s| wnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s));
+        let redefined = collect(|o, s| {
+            redefined_wnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s)
+        });
         let mut orig: Vec<(u32, u32)> =
             original.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
         orig.sort_unstable();
@@ -309,7 +292,9 @@ mod tests {
         let blocks = fixture();
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
-        let got = collect(|o, s| reciprocal_wnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+        let got = collect(|o, s| {
+            reciprocal_wnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s)
+        });
         // (0,1): above both means. (2,3): above 3's mean (1) and equal to
         // 2's mean (1) -> retained. (0,2)/(1,2): below 0/1's mean 1.5.
         let mut got = got;
@@ -323,10 +308,12 @@ mod tests {
         let ctx = GraphContext::new_dirty(&blocks);
         for scheme in WeightingScheme::ALL {
             let weigher = EdgeWeigher::new(scheme, &ctx);
-            let redefined =
-                collect(|o, s| redefined_wnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
-            let reciprocal =
-                collect(|o, s| reciprocal_wnp(&ctx, &weigher, WeightingImpl::Optimized, o, s));
+            let redefined = collect(|o, s| {
+                redefined_wnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s)
+            });
+            let reciprocal = collect(|o, s| {
+                reciprocal_wnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), o, s)
+            });
             for p in &reciprocal {
                 assert!(redefined.contains(p), "{}: {p:?}", scheme.name());
             }

@@ -11,8 +11,7 @@
 //! release builds and `crates/bench` pay nothing.
 
 use crate::context::GraphContext;
-use crate::weighting::WeightingImpl;
-use crate::weights::EdgeWeigher;
+use crate::parallel::Sweep;
 use er_model::{BlockCollection, ComparisonSet, EntityId, ErKind};
 
 /// Checks one weighted edge of the implicit blocking graph: the weight is
@@ -87,18 +86,16 @@ pub fn check_pipeline_input(ctx: &GraphContext<'_>) {
 /// reciprocal comparison is also retained under *either*).
 pub fn redefined_retained_set(
     node_centric_cardinality: bool,
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
+    sweep: &Sweep<'_, '_>,
 ) -> ComparisonSet {
     let mut set = ComparisonSet::new();
     let sink = |a: EntityId, b: EntityId| {
         set.insert(a, b);
     };
     if node_centric_cardinality {
-        crate::prune::redefined_cnp(ctx, weigher, imp, &mut mb_observe::Noop, sink);
+        crate::prune::redefined_cnp(sweep, &mut mb_observe::Noop, sink);
     } else {
-        crate::prune::redefined_wnp(ctx, weigher, imp, &mut mb_observe::Noop, sink);
+        crate::prune::redefined_wnp(sweep, &mut mb_observe::Noop, sink);
     }
     set
 }
@@ -134,7 +131,8 @@ pub fn check_retained(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weights::WeightingScheme;
+    use crate::weighting::WeightingImpl;
+    use crate::weights::{EdgeWeigher, WeightingScheme};
     use er_model::{Block, BlockCollection};
 
     fn ids(v: &[u32]) -> Vec<EntityId> {
@@ -159,8 +157,8 @@ mod tests {
         let ctx = GraphContext::new_dirty(&blocks);
         check_pipeline_input(&ctx);
         let weigher = EdgeWeigher::new(WeightingScheme::Js, &ctx);
-        // With the feature on, the dispatcher itself routes every emission
-        // through check_edge — this sweep runs fully checked.
+        // With the feature on, the sweep itself routes every emission
+        // through check_edge — this one runs fully checked.
         let mut n = 0;
         crate::weighting::for_each_edge(WeightingImpl::Optimized, &ctx, &weigher, |_, _, _| n += 1);
         assert_eq!(n, 4);
@@ -207,30 +205,14 @@ mod tests {
         let blocks = fixture();
         let ctx = GraphContext::new_dirty(&blocks);
         let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
+        let sweep = Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1);
         for node_centric_cardinality in [true, false] {
-            let set = redefined_retained_set(
-                node_centric_cardinality,
-                &ctx,
-                &weigher,
-                WeightingImpl::Optimized,
-            );
+            let set = redefined_retained_set(node_centric_cardinality, &sweep);
             let reciprocal = |sink: &mut dyn FnMut(EntityId, EntityId)| {
                 if node_centric_cardinality {
-                    crate::prune::reciprocal_cnp(
-                        &ctx,
-                        &weigher,
-                        WeightingImpl::Optimized,
-                        &mut mb_observe::Noop,
-                        sink,
-                    )
+                    crate::prune::reciprocal_cnp(&sweep, &mut mb_observe::Noop, sink)
                 } else {
-                    crate::prune::reciprocal_wnp(
-                        &ctx,
-                        &weigher,
-                        WeightingImpl::Optimized,
-                        &mut mb_observe::Noop,
-                        sink,
-                    )
+                    crate::prune::reciprocal_wnp(&sweep, &mut mb_observe::Noop, sink)
                 }
             };
             let mut all_in = true;

@@ -404,6 +404,7 @@ fn probe_weight<S: CandidateStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Sweep;
     use crate::prune;
     use crate::weighting::WeightingImpl;
     use crate::weights::EdgeWeigher;
@@ -448,7 +449,7 @@ mod tests {
         let ctx = GraphContext::new(blocks, split);
         let weigher = EdgeWeigher::new(scheme, &ctx);
         let mut per_node = vec![Vec::new(); blocks.num_entities()];
-        prune::cnp(&ctx, &weigher, WeightingImpl::Optimized, &mut Noop, |a, b| {
+        prune::cnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), &mut Noop, |a, b| {
             per_node[a.idx()].push(b.0);
         });
         for v in &mut per_node {
@@ -466,7 +467,7 @@ mod tests {
         let ctx = GraphContext::new(blocks, split);
         let weigher = EdgeWeigher::new(scheme, &ctx);
         let mut per_node = vec![Vec::new(); blocks.num_entities()];
-        prune::wnp(&ctx, &weigher, WeightingImpl::Optimized, &mut Noop, |a, b| {
+        prune::wnp(&Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1), &mut Noop, |a, b| {
             per_node[a.idx()].push(b.0);
         });
         for v in &mut per_node {

@@ -81,59 +81,42 @@ pub fn for_each_edge(
     weigher: &EdgeWeigher<'_, '_>,
     sink: impl FnMut(EntityId, EntityId, f64),
 ) {
-    // Under the sanitize feature every emitted edge is checked (finite
-    // non-negative weight, comparable endpoints, genuine co-occurrence)
-    // before it reaches the caller's sink.
-    #[cfg(feature = "sanitize")]
-    let sink = {
-        let mut inner = sink;
-        move |a: EntityId, b: EntityId, w: f64| {
-            crate::sanitize::check_edge(ctx, a, b, w);
-            inner(a, b, w)
-        }
-    };
     match imp {
         WeightingImpl::Original => original::for_each_edge(ctx, weigher, sink),
         WeightingImpl::Optimized => optimized::for_each_edge(ctx, weigher, sink),
     }
 }
 
-/// Dispatches a node-centric sweep to the selected implementation.
-pub fn for_each_neighborhood(
-    imp: WeightingImpl,
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    sink: impl FnMut(EntityId, &[u32], &[f64]),
-) {
-    #[cfg(feature = "sanitize")]
-    let sink = {
-        let mut inner = sink;
-        move |pivot: EntityId, ids: &[u32], weights: &[f64]| {
-            crate::sanitize::check_neighborhood(ctx, pivot, ids, weights);
-            inner(pivot, ids, weights)
-        }
-    };
-    match imp {
-        WeightingImpl::Original => original::for_each_neighborhood(ctx, weigher, sink),
-        WeightingImpl::Optimized => optimized::for_each_neighborhood(ctx, weigher, sink),
-    }
-}
-
 /// Optimized Edge Weighting (Algorithm 3).
 pub mod optimized {
     use super::*;
+    use std::ops::Range;
 
     /// Invokes `sink(i, j, weight)` for every distinct edge of the blocking
     /// graph, in deterministic order. `i < j` always holds.
     pub fn for_each_edge(
         ctx: &GraphContext<'_>,
         weigher: &EdgeWeigher<'_, '_>,
-        mut sink: impl FnMut(EntityId, EntityId, f64),
+        sink: impl FnMut(EntityId, EntityId, f64),
     ) {
         let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
+        edges_in(ctx, weigher, &mut scanner, 0..ctx.num_entities() as u32, sink);
+    }
+
+    /// The slice of [`for_each_edge`] charged to `pivots` — the distinct
+    /// edges whose smaller endpoint lies in that id range, in the same
+    /// order — and how many there were. The unit of work of a windowed
+    /// sweep ([`crate::parallel`]); the whole range is the sequential sweep.
+    pub(crate) fn edges_in(
+        ctx: &GraphContext<'_>,
+        weigher: &EdgeWeigher<'_, '_>,
+        scanner: &mut NeighborhoodScanner,
+        pivots: Range<u32>,
+        mut sink: impl FnMut(EntityId, EntityId, f64),
+    ) -> u64 {
         let accumulate = weigher.scheme().accumulate();
-        let n = ctx.num_entities() as u32;
-        for raw in 0..n {
+        let mut edges = 0u64;
+        for raw in pivots {
             let pivot = EntityId(raw);
             // For Clean-Clean ER every edge is charged to its left-side
             // endpoint (right-side ids are all larger), so right-side scans
@@ -142,12 +125,16 @@ pub mod optimized {
                 continue;
             }
             let hood = scanner.scan(ctx, pivot, accumulate, ScanScope::GreaterOnly);
+            edges += hood.ids.len() as u64;
             for &j in hood.ids {
                 let other = EntityId(j);
                 let w = weigher.weight(pivot, other, hood.score_of(j));
+                #[cfg(feature = "sanitize")]
+                crate::sanitize::check_edge(ctx, pivot, other, w);
                 sink(pivot, other, w);
             }
         }
+        edges
     }
 
     /// Invokes `sink(i, neighbors, weights)` for every node with a
@@ -158,14 +145,28 @@ pub mod optimized {
     pub fn for_each_neighborhood(
         ctx: &GraphContext<'_>,
         weigher: &EdgeWeigher<'_, '_>,
-        mut sink: impl FnMut(EntityId, &[u32], &[f64]),
+        sink: impl FnMut(EntityId, &[u32], &[f64]),
     ) {
         let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
+        let (mut ids, mut weights) = (Vec::new(), Vec::new());
+        let pivots = 0..ctx.num_entities() as u32;
+        neighborhoods_in(ctx, weigher, &mut scanner, (&mut ids, &mut weights), pivots, sink);
+    }
+
+    /// The slice of [`for_each_neighborhood`] whose pivots lie in `pivots`,
+    /// and its `(non-empty neighborhoods, directed edges)` tally. `buffers`
+    /// are the reusable `(ids, weights)` the sink borrows.
+    pub(crate) fn neighborhoods_in(
+        ctx: &GraphContext<'_>,
+        weigher: &EdgeWeigher<'_, '_>,
+        scanner: &mut NeighborhoodScanner,
+        (ids, weights): (&mut Vec<u32>, &mut Vec<f64>),
+        pivots: Range<u32>,
+        mut sink: impl FnMut(EntityId, &[u32], &[f64]),
+    ) -> (u64, u64) {
         let accumulate = weigher.scheme().accumulate();
-        let mut ids: Vec<u32> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        let n = ctx.num_entities() as u32;
-        for raw in 0..n {
+        let (mut hoods, mut edges) = (0u64, 0u64);
+        for raw in pivots {
             let pivot = EntityId(raw);
             let hood = scanner.scan(ctx, pivot, accumulate, ScanScope::All);
             if hood.ids.is_empty() {
@@ -174,11 +175,16 @@ pub mod optimized {
             ids.clear();
             weights.clear();
             ids.extend_from_slice(hood.ids);
-            for &j in &ids {
+            for &j in ids.iter() {
                 weights.push(weigher.weight(pivot, EntityId(j), hood.score_of(j)));
             }
-            sink(pivot, &ids, &weights);
+            #[cfg(feature = "sanitize")]
+            crate::sanitize::check_neighborhood(ctx, pivot, ids, weights);
+            hoods += 1;
+            edges += ids.len() as u64;
+            sink(pivot, ids, weights);
         }
+        (hoods, edges)
     }
 }
 
@@ -202,7 +208,10 @@ pub mod original {
             let k = k as u32;
             let mut handle = |a: EntityId, b: EntityId| {
                 if let Some(score) = lecobi_score(ctx, a, b, k, arcs) {
-                    sink(a, b, weigher.weight(a, b, score));
+                    let w = weigher.weight(a, b, score);
+                    #[cfg(feature = "sanitize")]
+                    crate::sanitize::check_edge(ctx, a, b, w);
+                    sink(a, b, w);
                 }
             };
             if dirty {
@@ -258,6 +267,8 @@ pub mod original {
                 let score = intersect_score(ctx, pivot, EntityId(j), arcs);
                 weights.push(weigher.weight(pivot, EntityId(j), score));
             }
+            #[cfg(feature = "sanitize")]
+            crate::sanitize::check_neighborhood(ctx, pivot, &ids, &weights);
             sink(pivot, &ids, &weights);
         }
     }

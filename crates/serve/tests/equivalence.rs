@@ -6,6 +6,7 @@
 
 use er_datagen::presets;
 use er_model::{EntityCollection, EntityId};
+use mb_core::parallel::Sweep;
 use mb_core::prune::{cnp, wnp};
 use mb_core::weights::EdgeWeigher;
 use mb_core::{
@@ -78,7 +79,7 @@ fn assert_engine_matches_batch(snapshot: &Snapshot, label: &str) {
         let mut engine = QueryEngine::view_with_scheme(&view, scheme);
 
         let by_cnp = batch_retained(snapshot, scheme, |ctx, weigher, sink| {
-            cnp(ctx, weigher, WeightingImpl::Optimized, &mut Noop, sink)
+            cnp(&Sweep::new(ctx, weigher, WeightingImpl::Optimized, 1), &mut Noop, sink)
         });
         let top_k = Retention::TopK(snapshot.cnp_threshold());
         for pivot in 0..snapshot.num_entities() {
@@ -94,7 +95,7 @@ fn assert_engine_matches_batch(snapshot: &Snapshot, label: &str) {
         }
 
         let by_wnp = batch_retained(snapshot, scheme, |ctx, weigher, sink| {
-            wnp(ctx, weigher, WeightingImpl::Optimized, &mut Noop, sink)
+            wnp(&Sweep::new(ctx, weigher, WeightingImpl::Optimized, 1), &mut Noop, sink)
         });
         for pivot in 0..snapshot.num_entities() {
             let scored = run_one(

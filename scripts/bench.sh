@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The perf-trajectory harness: runs the pruning-scaling bench (every pruning
-# scheme x 1/2/4/8 threads, plus the raw edge-weighting sweep) and the
+# scheme x 1/2/4/8 threads, plus the raw edge-weighting sweep, on the sparse
+# 6.4k workload and a dense d3c slice, with peak live bytes per cell) and the
 # classic pruning + edge-weighting benches on the fixed synthetic workload.
 #
 # Also runs the end-to-end pipeline bench (build -> purge -> filter ->
@@ -16,10 +17,11 @@
 # validates BENCH_delta.json — including the ≤1 ms applied-and-queryable
 # and ≥1000× apply-vs-rebuild-path acceptance bars.
 #
-# Writes BENCH_pruning.json at the repository root — scheme x threads x
-# wall-ms records plus the machine's detected core count — so the scaling
-# behavior is comparable commit over commit. Speedups are bounded by the
-# cores the machine actually has; the JSON records that bound.
+# Writes BENCH_pruning.json at the repository root — workload x scheme x
+# threads records of wall-ms and alloc_peak_bytes plus the machine's detected
+# core count — and validates it: thread counts ascending, peaks within 2 x N
+# of the one-thread cell, rows past the detected cores labelled `overhead`.
+# Speedups are bounded by the cores the machine actually has.
 #
 # Environment knobs:
 #   BENCH_SAMPLE_SIZE  timed samples per cell (default 5; use 2 for a quick
@@ -48,6 +50,7 @@ cargo run -q -p er-bench --bin validate_bench_json -- BENCH_delta.json
 
 echo "==> pruning-scaling bench (writes ${BENCH_OUT:-BENCH_pruning.json})"
 cargo bench -p er-bench --bench pruning_scaling
+cargo run -q -p er-bench --bin validate_bench_json -- "${BENCH_OUT:-BENCH_pruning.json}"
 
 echo "==> pruning bench"
 cargo bench -p er-bench --bench pruning

@@ -37,7 +37,7 @@ cargo run -q -p er-lint -- --workspace --format json > results/lint.json
 # One validator, every committed JSON document: the fresh lint report and
 # the bench results a change may have hand-edited or re-recorded.
 cargo run -q -p er-bench --bin validate_bench_json -- results/lint.json \
-  BENCH_pipeline.json BENCH_query.json BENCH_serve.json BENCH_delta.json
+  BENCH_pipeline.json BENCH_query.json BENCH_serve.json BENCH_delta.json BENCH_pruning.json
 
 echo "==> cargo test -q"
 cargo test -q
