@@ -496,25 +496,17 @@ pub fn query(args: &Args) -> Result<String, String> {
     let obs: &mut dyn Observer = if report_path.is_some() { &mut report } else { &mut noop };
     let (request, subject) = candidate_request(args)?;
 
-    // A snapshot carrying write-ahead delta runs (`er snapshot apply`) is
-    // replayed into a generation so the answers reflect every persisted op.
+    // Served as generation 1 of a cell, as `er serve` would: write-ahead
+    // delta runs the snapshot carries (`er snapshot apply`) are replayed, so
+    // the answers reflect every persisted op.
     let view = SnapshotView::read_from(Path::new(path), obs)
         .map_err(|e| format!("loading {path}: {e}"))?;
     let scheme: WeightingScheme = match args.get("scheme") {
         Some(s) => s.parse()?,
         None => view.config().weighting,
     };
-    let plain;
-    let cell;
-    let generation;
-    let mut engine = if view.delta_runs().is_empty() {
-        plain = view;
-        QueryEngine::view_with_scheme(&plain, scheme)
-    } else {
-        cell = GenerationCell::new(view).map_err(|e| format!("loading {path}: {e}"))?;
-        generation = cell.load();
-        QueryEngine::generation_with_scheme(&generation, scheme)
-    };
+    let generation = GenerationCell::new(view).map_err(|e| format!("loading {path}: {e}"))?.load();
+    let mut engine = QueryEngine::generation_with_scheme(&generation, scheme);
     let (kind, entities) = (engine.kind(), engine.num_entities());
     let response = engine.execute(&request, obs).map_err(|e| e.to_string())?;
     if let Some(p) = report_path {

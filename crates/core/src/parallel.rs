@@ -4,8 +4,8 @@
 //! meta-blocking out with MapReduce (Papadakis et al., WSDM'12). This
 //! module is the shared-memory equivalent, built so that the blocking
 //! graph's output is never held in memory either (§4.2): every sweep of
-//! every pruning scheme, and graph-free Comparison Propagation, runs on one
-//! driver.
+//! every pruning scheme, graph-free Comparison Propagation and the scorer's
+//! batch ([`crate::NeighborhoodScorer::batch`]) run on one driver.
 //!
 //! * **Windows.** The pivot range `0..|E|` is cut into windows of
 //!   [`WINDOW_PIVOTS`] consecutive ids. The cut depends on `|E|` alone —
@@ -107,12 +107,11 @@ impl Swept {
     }
 }
 
-/// A worker's private state: the `O(|E|)` scan arrays, the neighborhood
-/// buffers and its share of the sweep's tallies.
+/// A worker's private state: the `O(|E|)` scan arrays, the neighborhood's
+/// weight buffer and its share of the sweep's tallies.
 pub(crate) struct Worker {
     pub(crate) scanner: NeighborhoodScanner,
-    ids: Vec<u32>,
-    weights: Vec<f64>,
+    pub(crate) weights: Vec<f64>,
     neighborhoods: u64,
     edges: u64,
     /// Items its previous window emitted.
@@ -136,7 +135,6 @@ pub(crate) fn sweep_windows<I: Send, S: FnMut(I)>(
     };
     let worker = || Worker {
         scanner: NeighborhoodScanner::new(num_entities),
-        ids: Vec::new(),
         weights: Vec::new(),
         neighborhoods: 0,
         edges: 0,
@@ -261,12 +259,12 @@ impl<'a, 'b> Sweep<'a, 'b> {
                 ctx.num_entities(),
                 self.threads,
                 |worker, pivots, out| {
-                    let Worker { scanner, ids, weights, .. } = worker;
+                    let Worker { scanner, weights, .. } = worker;
                     let (hoods, edges) = optimized::neighborhoods_in(
                         ctx,
                         weigher,
                         scanner,
-                        (ids, weights),
+                        weights,
                         pivots,
                         |pivot, ids, weights| visit(out, pivot, ids, weights),
                     );

@@ -9,7 +9,7 @@
 //! nodes, which would cost `O(|E|)` per node.
 
 use crate::store::CandidateStore;
-use er_model::EntityId;
+use er_model::{EntityId, ErKind, U32s};
 
 /// What the scanner accumulates per co-occurring profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,16 +68,36 @@ impl NeighborhoodScanner {
         self.tick = tick;
     }
 
-    /// Scans the neighborhood of `pivot` over any [`CandidateStore`] and
-    /// returns the co-occurring profiles with their accumulated scores.
+    /// The epoch of the latest scan, so a test can tell the wrap happened.
+    #[cfg(test)]
+    pub(crate) fn tick(&self) -> u32 {
+        self.tick
+    }
+
+    /// Scans the neighborhood of the indexed entity `pivot` over any
+    /// [`CandidateStore`] and returns the co-occurring profiles with their
+    /// accumulated scores.
     ///
     /// The returned slices are valid until the next call. Neighbor order is
     /// first-co-occurrence order and therefore deterministic (and identical
     /// across store implementations, which present the same member order).
+    #[inline]
     pub fn scan<S: CandidateStore>(
         &mut self,
         store: &S,
         pivot: EntityId,
+        accumulate: Accumulate,
+        scope: ScanScope,
+    ) -> Neighborhood<'_> {
+        self.scan_pivot(store, Pivot::indexed(store, pivot), accumulate, scope)
+    }
+
+    /// The scan loop itself, over whatever `pivot` describes — the one walk
+    /// of `B_i` every sweep and every served query runs.
+    pub(crate) fn scan_pivot<S: CandidateStore>(
+        &mut self,
+        store: &S,
+        pivot: Pivot<'_>,
         accumulate: Accumulate,
         scope: ScanScope,
     ) -> Neighborhood<'_> {
@@ -89,21 +109,19 @@ impl NeighborhoodScanner {
         }
         self.neighbors.clear();
 
-        // For Clean-Clean ER only the opposite side co-occurs; for Dirty
-        // ER all block members do (blocks store them in `left`).
-        let scan_right = store.scan_right(pivot);
         let tick = self.tick;
         let (flags, score, neighbors) = (&mut self.flags, &mut self.score, &mut self.neighbors);
-        store.block_list(pivot).for_each(|k| {
+        pivot.blocks.for_each(|k| {
             let increment = match accumulate {
                 Accumulate::CommonBlocks => 1.0,
                 Accumulate::ReciprocalCardinalities => store.recip_cardinality_of(k as usize),
             };
-            store.members_of(k as usize, scan_right).for_each(|j| {
-                if j == pivot.0 {
+            store.members_of(k as usize, pivot.scan_right).for_each(|j| {
+                // Neither test can hold for a probe: no member has id `|E|`.
+                if j == pivot.id {
                     return;
                 }
-                if scope == ScanScope::GreaterOnly && j < pivot.0 {
+                if scope == ScanScope::GreaterOnly && j < pivot.id {
                     return;
                 }
                 let idx = j as usize;
@@ -116,6 +134,49 @@ impl NeighborhoodScanner {
             });
         });
         Neighborhood { ids: &self.neighbors, score: &self.score }
+    }
+}
+
+/// What a neighborhood scan pivots on: the blocks to walk, which side of
+/// them to read, and the pivot's place in the id order. An indexed entity
+/// reads all three from the store; a *probe* — a profile that is in no block
+/// yet — supplies them, and is thereby scanned, weighed and ranked by the
+/// code that serves indexed entities.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pivot<'a> {
+    /// `B_i`: the blocks the pivot is (or would be) placed in, ascending.
+    pub(crate) blocks: U32s<'a>,
+    /// Whether the scan compares against right-side members: only a
+    /// Clean-Clean pivot of the first collection does (Dirty blocks keep
+    /// every member on the left).
+    pub(crate) scan_right: bool,
+    /// The id a member is skipped for equalling, [`ScanScope::GreaterOnly`]
+    /// compares against, and ranking ties break on. A probe stands at `|E|`,
+    /// past every real id.
+    pub(crate) id: u32,
+}
+
+impl<'a> Pivot<'a> {
+    /// The indexed entity `id` of `store`.
+    #[inline]
+    pub(crate) fn indexed<S: CandidateStore>(store: &'a S, id: EntityId) -> Self {
+        Pivot { blocks: store.block_list(id), scan_right: store.scan_right(id), id: id.0 }
+    }
+
+    /// A profile outside the index that would occupy `block_ids` (ids into
+    /// `store`'s blocks, ascending), on the first Clean-Clean side iff
+    /// `is_first` (ignored for Dirty ER).
+    pub(crate) fn probe<S: CandidateStore>(
+        store: &S,
+        block_ids: &'a [u32],
+        is_first: bool,
+    ) -> Self {
+        Pivot {
+            blocks: U32s::Native(block_ids),
+            scan_right: store.kind() != ErKind::Dirty && is_first,
+            // Entity ids are dense u32s, so |E| itself always fits.
+            id: store.num_entities() as u32,
+        }
     }
 }
 

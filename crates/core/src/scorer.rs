@@ -11,16 +11,13 @@
 //! pruning would retain for that node, in descending weight order.
 
 use crate::context::GraphContext;
+use crate::parallel::sweep_windows;
 use crate::prune::{neighborhood_mean, reaches, TopK, WeightedEdge};
-use crate::scanner::{NeighborhoodScanner, ScanScope};
+use crate::scanner::{NeighborhoodScanner, Pivot, ScanScope};
 use crate::store::CandidateStore;
-use crate::weights::{edge_weight, Degrees, WeightingScheme};
+use crate::weighting::optimized::weigh_neighborhood;
+use crate::weights::{Degrees, WeightingScheme};
 use er_model::{BlockCollection, EntityId};
-
-/// Chunk floor for [`NeighborhoodScorer::batch`] — same rationale and value
-/// as the pipeline sweeps (DESIGN.md §8: all parallel stages chunk through
-/// [`er_model::chunk_ranges`]).
-const MIN_CHUNK: usize = 256;
 
 /// One retained candidate: a neighbor id and the weight of its edge to the
 /// query's pivot.
@@ -89,9 +86,9 @@ pub struct Scored {
 }
 
 /// The buffers a [`NeighborhoodScorer`] scans with, free of the store's
-/// lifetime so they can outlive the scorer: four `O(|E|)` epoch arrays
-/// (24 B per entity) plus the neighborhood buffers grown to their working
-/// size. A serving connection takes them back with
+/// lifetime so they can outlive the scorer: the scanner's two `O(|E|)` epoch
+/// arrays (12 B per entity) plus the neighborhood buffers grown to their
+/// working size. A serving connection takes them back with
 /// [`NeighborhoodScorer::into_scratch`] when its generation is replaced and
 /// hands them to [`NeighborhoodScorer::with_scratch`] over the next one, so
 /// a re-pin costs what changed in `|E|`, not an allocation and a zeroing of
@@ -99,24 +96,7 @@ pub struct Scored {
 #[derive(Debug, Default)]
 pub struct ScorerScratch {
     scanner: NeighborhoodScanner,
-    ids: Vec<u32>,
     weights: Vec<f64>,
-    // Probe-scan epoch state (the scanner's scratch is private to it, and a
-    // probe pivot has no entry in the entity index to scan from).
-    probe_flags: Vec<u32>,
-    probe_score: Vec<f64>,
-    probe_tick: u32,
-}
-
-impl ScorerScratch {
-    /// Fits the epoch arrays to `num_entities`, epochs carried over (see
-    /// [`NeighborhoodScanner::resize`]; the probe arrays follow the same
-    /// rule).
-    fn resize(&mut self, num_entities: usize) {
-        self.scanner.resize(num_entities);
-        self.probe_flags.resize(num_entities, 0);
-        self.probe_score.resize(num_entities, 0.0);
-    }
 }
 
 /// Answers per-entity candidate queries over one blocking graph.
@@ -137,18 +117,7 @@ impl<'b> NeighborhoodScorer<GraphContext<'b>> {
     /// Builds a scorer for `scheme`, deriving the entity index from the
     /// blocks.
     pub fn new(blocks: &'b BlockCollection, split: usize, scheme: WeightingScheme) -> Self {
-        Self::from_context(GraphContext::new(blocks, split), scheme)
-    }
-
-    /// Builds a scorer around an existing context — the snapshot-load path,
-    /// where the entity index was persisted and must not be re-derived.
-    pub fn from_context(ctx: GraphContext<'b>, scheme: WeightingScheme) -> Self {
-        Self::from_store(ctx, scheme)
-    }
-
-    /// The graph context being queried.
-    pub fn ctx(&self) -> &GraphContext<'b> {
-        &self.store
+        Self::from_store(GraphContext::new(blocks, split), scheme)
     }
 }
 
@@ -167,7 +136,7 @@ impl<S: CandidateStore> NeighborhoodScorer<S> {
     /// always.
     pub fn with_scratch(store: S, scheme: WeightingScheme, mut scratch: ScorerScratch) -> Self {
         let degrees = scheme.needs_degrees().then(|| Degrees::compute(&store));
-        scratch.resize(store.num_entities());
+        scratch.scanner.resize(store.num_entities());
         NeighborhoodScorer { store, scheme, degrees, scratch }
     }
 
@@ -192,27 +161,10 @@ impl<S: CandidateStore> NeighborhoodScorer<S> {
     /// batch CNP retains for this node at threshold `k`; with
     /// [`Retention::AboveMean`] it is exactly the WNP retention.
     pub fn query(&mut self, pivot: EntityId, retention: Retention) -> Scored {
-        let ScorerScratch { scanner, ids, weights, .. } = &mut self.scratch;
-        let hood = scanner.scan(&self.store, pivot, self.scheme.accumulate(), ScanScope::All);
-        ids.clear();
-        ids.extend_from_slice(hood.ids);
-        weights.clear();
-        for &j in ids.iter() {
-            let score = hood.score_of(j);
-            weights.push(edge_weight(
-                self.scheme,
-                &self.store,
-                self.degrees.as_ref(),
-                pivot,
-                EntityId(j),
-                score,
-            ));
-        }
-        Scored {
-            candidates: retain(pivot, ids, weights, retention),
-            blocks_touched: self.store.block_list(pivot).len() as u64,
-            edges_scored: ids.len() as u64,
-        }
+        let NeighborhoodScorer { store, scheme, degrees, scratch } = self;
+        let ScorerScratch { scanner, weights } = scratch;
+        let pivot = Pivot::indexed(store, pivot);
+        score(store, *scheme, degrees.as_ref(), scanner, weights, pivot, retention)
     }
 
     /// Scores a *probe* — a virtual entity described only by the blocks it
@@ -231,104 +183,58 @@ impl<S: CandidateStore> NeighborhoodScorer<S> {
         probe_is_first: bool,
         retention: Retention,
     ) -> Scored {
-        let ScorerScratch {
-            ids, weights, probe_flags: flags, probe_score: score, probe_tick, ..
-        } = &mut self.scratch;
-        *probe_tick = probe_tick.wrapping_add(1);
-        if *probe_tick == 0 {
-            flags.fill(0);
-            *probe_tick = 1;
-        }
-        ids.clear();
-        let arcs = self.scheme.accumulate() == crate::scanner::Accumulate::ReciprocalCardinalities;
-        let scan_right = self.store.kind() != er_model::ErKind::Dirty && probe_is_first;
-        let tick = *probe_tick;
-        for &k in block_ids {
-            let increment = if arcs { self.store.recip_cardinality_of(k as usize) } else { 1.0 };
-            self.store.members_of(k as usize, scan_right).for_each(|j| {
-                let idx = j as usize;
-                if flags[idx] != tick {
-                    flags[idx] = tick;
-                    score[idx] = 0.0;
-                    ids.push(j);
-                }
-                score[idx] += increment;
-            });
-        }
-        let probe_blocks = block_ids.len() as f64;
-        let probe_degree = ids.len();
-        weights.clear();
-        for &j in ids.iter() {
-            weights.push(probe_weight(
-                self.scheme,
-                &self.store,
-                self.degrees.as_ref(),
-                probe_blocks,
-                probe_degree,
-                EntityId(j),
-                score[j as usize],
-            ));
-        }
-        // Entity ids are dense u32s, so |E| itself always fits.
-        let past_every_id = self.store.num_entities() as u32;
-        let virtual_pivot = EntityId(past_every_id);
-        Scored {
-            candidates: retain(virtual_pivot, ids, weights, retention),
-            blocks_touched: block_ids.len() as u64,
-            edges_scored: probe_degree as u64,
-        }
+        let NeighborhoodScorer { store, scheme, degrees, scratch } = self;
+        let ScorerScratch { scanner, weights } = scratch;
+        let pivot = Pivot::probe(store, block_ids, probe_is_first);
+        score(store, *scheme, degrees.as_ref(), scanner, weights, pivot, retention)
     }
 }
 
 impl<S: CandidateStore + Sync> NeighborhoodScorer<S> {
-    /// Scores every indexed entity, fanning the id range out over up to
-    /// `threads` workers.
+    /// Scores every indexed entity on up to `threads` workers, in id order.
     ///
-    /// Chunks come from [`er_model::chunk_ranges`] and results are
-    /// concatenated in range order, so the output is bit-identical to the
-    /// sequential sweep for any thread count (each pivot's query is
-    /// independent of every other's).
+    /// One more sweep on the windowed driver ([`crate::parallel`]): inline on
+    /// the calling thread at one thread, window-ordered otherwise, so the
+    /// output is the sequential sweep's for any thread count (each pivot's
+    /// query is independent of every other's).
     pub fn batch(&self, retention: Retention, threads: usize) -> Vec<Scored> {
-        let n = self.store.num_entities();
-        let ranges = er_model::chunk_ranges(n, threads, MIN_CHUNK);
-        let store = &self.store;
-        let degrees = self.degrees.as_ref();
-        let scheme = self.scheme;
-        let run_range = move |range: std::ops::Range<usize>| {
-            let mut scanner = NeighborhoodScanner::new(n);
-            let mut ids: Vec<u32> = Vec::new();
-            let mut weights: Vec<f64> = Vec::new();
-            let mut out = Vec::with_capacity(range.len());
-            // Entity ids are dense u32s, so the range bounds always fit.
-            for raw in range.start as u32..range.end as u32 {
-                let pivot = EntityId(raw);
-                let hood = scanner.scan(store, pivot, scheme.accumulate(), ScanScope::All);
-                ids.clear();
-                ids.extend_from_slice(hood.ids);
-                weights.clear();
-                for &j in &ids {
-                    let score = hood.score_of(j);
-                    weights.push(edge_weight(scheme, store, degrees, pivot, EntityId(j), score));
+        let (store, scheme, degrees) = (&self.store, self.scheme, self.degrees.as_ref());
+        let mut scored = Vec::with_capacity(store.num_entities());
+        sweep_windows(
+            store.num_entities(),
+            threads,
+            |worker, pivots, out| {
+                let (scanner, weights) = (&mut worker.scanner, &mut worker.weights);
+                for raw in pivots {
+                    let pivot = Pivot::indexed(store, EntityId(raw));
+                    out.emit(score(store, scheme, degrees, scanner, weights, pivot, retention));
                 }
-                out.push(Scored {
-                    candidates: retain(pivot, &ids, &weights, retention),
-                    blocks_touched: store.block_list(pivot).len() as u64,
-                    edges_scored: ids.len() as u64,
-                });
-            }
-            out
-        };
-        if ranges.len() <= 1 {
-            return ranges.into_iter().flat_map(run_range).collect();
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> =
-                ranges.into_iter().map(|r| s.spawn(move || run_range(r))).collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
+            },
+            |one| scored.push(one),
+        );
+        scored
+    }
+}
+
+/// One pivot, indexed or probe, through the scan-and-weigh kernel every
+/// batch sweep runs, then through `retention`.
+fn score<S: CandidateStore>(
+    store: &S,
+    scheme: WeightingScheme,
+    degrees: Option<&Degrees>,
+    scanner: &mut NeighborhoodScanner,
+    weights: &mut Vec<f64>,
+    pivot: Pivot<'_>,
+    retention: Retention,
+) -> Scored {
+    weights.clear();
+    let ids = weigh_neighborhood(scheme, store, degrees, scanner, pivot, ScanScope::All, |_, w| {
+        weights.push(w)
+    });
+    Scored {
+        candidates: retain(EntityId(pivot.id), ids, weights, retention),
+        blocks_touched: pivot.blocks.len() as u64,
+        edges_scored: ids.len() as u64,
     }
 }
 
@@ -358,45 +264,6 @@ fn retain(pivot: EntityId, ids: &[u32], weights: &[f64], retention: Retention) -
                 std::cmp::Reverse(WeightedEdge::incident(pivot, c.id.0, c.weight))
             });
             out
-        }
-    }
-}
-
-/// [`edge_weight`] for a probe pivot, with the probe-side statistics passed
-/// explicitly instead of read from the entity index.
-fn probe_weight<S: CandidateStore>(
-    scheme: WeightingScheme,
-    store: &S,
-    degrees: Option<&Degrees>,
-    probe_blocks: f64,
-    probe_degree: usize,
-    j: EntityId,
-    score: f64,
-) -> f64 {
-    let num_blocks = store.num_blocks() as f64;
-    match scheme {
-        WeightingScheme::Arcs | WeightingScheme::Cbs => score,
-        WeightingScheme::Ecbs => {
-            let bj = store.num_blocks_of(j) as f64;
-            score * (num_blocks / probe_blocks).ln() * (num_blocks / bj).ln()
-        }
-        WeightingScheme::Js => {
-            let bj = store.num_blocks_of(j) as f64;
-            score / (probe_blocks + bj - score)
-        }
-        WeightingScheme::Ejs => {
-            let bj = store.num_blocks_of(j) as f64;
-            let js = score / (probe_blocks + bj - score);
-            let degrees = match degrees {
-                Some(d) => d,
-                // from_context computes degree statistics whenever the
-                // scheme is EJS, so this arm marks a construction bug.
-                None => unreachable!("EJS probe evaluated without degree statistics"),
-            };
-            let e = degrees.total_edges as f64;
-            let di = probe_degree.max(1) as f64;
-            let dj = degrees.per_node[j.idx()].max(1) as f64;
-            js * (e / di).ln() * (e / dj).ln()
         }
     }
 }
@@ -585,14 +452,13 @@ mod tests {
                     (0..4).map(|_| cold.probe(&[0, 1, 2], false, Retention::AboveMean)).collect();
 
                 // Those scans left entries marked with epochs 1, 2, …: the
-                // values the counters take again right after the wrap, so a
+                // values the counter takes again right after the wrap, so a
                 // wrap that did not reset the markers would read stale
                 // scores as current. Two entries past |E| besides, as a
                 // scratch back from a larger generation has.
                 let mut scratch = cold.into_scratch();
-                scratch.resize(n as usize + 2);
+                scratch.scanner.resize(n as usize + 2);
                 scratch.scanner.set_tick(u32::MAX - 1);
-                scratch.probe_tick = u32::MAX - 1;
                 let ctx = GraphContext::new(&blocks, split);
                 let mut warm = NeighborhoodScorer::with_scratch(ctx, scheme, scratch);
                 for (i, want) in queries.iter().enumerate() {
@@ -602,7 +468,41 @@ mod tests {
                 for want in &probes {
                     assert_eq!(&warm.probe(&[0, 1, 2], false, Retention::AboveMean), want);
                 }
-                assert!(warm.scratch.probe_tick < 8, "the probe epoch wrapped");
+                assert!(warm.scratch.scanner.tick() < 16, "the epoch wrapped");
+            }
+        }
+    }
+
+    /// Neighbor → weight bits of one answer with everything retained.
+    fn weight_bits(scored: &Scored) -> std::collections::BTreeMap<u32, u64> {
+        scored.candidates.iter().map(|c| (c.id.0, c.weight.to_bits())).collect()
+    }
+
+    /// A probe is a pivot: one that carries entity `e`'s own block list and
+    /// side weighs `e`'s neighbors exactly as `query(e)` does. On Dirty ER
+    /// the probe also finds `e` itself, one neighbor `e` does not have, so
+    /// its EJS degree is one higher and EJS is left out there; a Clean-Clean
+    /// probe only sees the other side, where the degrees agree too.
+    #[test]
+    fn a_probe_with_an_entitys_blocks_weighs_its_neighbors_as_the_query_does() {
+        for blocks in [fixture(), clean_fixture()] {
+            let dirty = blocks.kind() == ErKind::Dirty;
+            let split = if dirty { blocks.num_entities() } else { 3 };
+            let ctx = GraphContext::new(&blocks, split);
+            for scheme in WeightingScheme::ALL {
+                if dirty && scheme == WeightingScheme::Ejs {
+                    continue;
+                }
+                let mut scorer = NeighborhoodScorer::new(&blocks, split, scheme);
+                for e in (0..blocks.num_entities() as u32).map(EntityId) {
+                    let list = ctx.index().block_list(e).to_vec();
+                    let want = weight_bits(&scorer.query(e, Retention::TopK(usize::MAX)));
+                    let probed = scorer.probe(&list, ctx.is_first(e), Retention::TopK(usize::MAX));
+                    let mut got = weight_bits(&probed);
+                    assert_eq!(got.remove(&e.0).is_some(), dirty && !list.is_empty(), "{e}");
+                    assert_eq!(got, want, "{scheme:?} entity {e}");
+                    assert_eq!(probed.blocks_touched, list.len() as u64);
+                }
             }
         }
     }
@@ -619,20 +519,22 @@ mod tests {
 
     #[test]
     fn batch_is_identical_across_thread_counts() {
-        // Enough entities to split into several chunks past the floor.
-        let n = MIN_CHUNK * 3 + 17;
-        let mut blocks = Vec::new();
-        for b in 0..n / 2 {
-            let base = (b * 2) as u32;
-            blocks.push(Block::dirty(ids(&[base, base + 1, (base + 7) % n as u32])));
-        }
-        let coll = BlockCollection::new(ErKind::Dirty, n, blocks);
-        for scheme in [WeightingScheme::Cbs, WeightingScheme::Ejs] {
-            let scorer = NeighborhoodScorer::new(&coll, n, scheme);
-            let sequential = scorer.batch(Retention::TopK(2), 1);
-            assert_eq!(sequential.len(), n);
-            for threads in [2, 4, 8] {
-                assert_eq!(scorer.batch(Retention::TopK(2), threads), sequential);
+        // One short of, on and one past a window boundary, several windows in.
+        let windows = crate::parallel::WINDOW_PIVOTS as usize * 3;
+        for n in [windows - 1, windows, windows + 1] {
+            let mut blocks = Vec::new();
+            for b in 0..n / 2 {
+                let base = (b * 2) as u32;
+                blocks.push(Block::dirty(ids(&[base, base + 1, (base + 7) % n as u32])));
+            }
+            let coll = BlockCollection::new(ErKind::Dirty, n, blocks);
+            for scheme in [WeightingScheme::Cbs, WeightingScheme::Ejs] {
+                let scorer = NeighborhoodScorer::new(&coll, n, scheme);
+                let sequential = scorer.batch(Retention::TopK(2), 1);
+                assert_eq!(sequential.len(), n);
+                for threads in [2, 4, 8] {
+                    assert_eq!(scorer.batch(Retention::TopK(2), threads), sequential, "|E| = {n}");
+                }
             }
         }
     }

@@ -90,7 +90,45 @@ pub fn for_each_edge(
 /// Optimized Edge Weighting (Algorithm 3).
 pub mod optimized {
     use super::*;
+    use crate::scanner::Pivot;
+    use crate::store::CandidateStore;
+    use crate::weights::{edge_weight, Degrees, PivotSide, WeightingScheme};
     use std::ops::Range;
+
+    /// Algorithm 3's loop body, and the only place in the crate where a
+    /// neighborhood is scanned *and* weighed: walks `pivot`'s blocks, then
+    /// calls `visit(neighbor, weight)` for every co-occurring profile `scope`
+    /// admits, in first-co-occurrence order, and returns those neighbors'
+    /// ids in the same order (valid until `scanner` scans again).
+    ///
+    /// Every batch sweep and every served query is a caller, so "a served
+    /// query returns what batch CNP/WNP retains for that node" holds by
+    /// construction. The pivot's side of the weight is `|B_i| =
+    /// pivot.blocks.len()` and, under EJS, its degree from `degrees` — except
+    /// for a probe, which stands past the table at id `|E|`: its degree is
+    /// the number of neighbors this scan found (`|E_B|` stays the indexed
+    /// graph's, which has none of the probe's edges).
+    pub(crate) fn weigh_neighborhood<'s, S: CandidateStore>(
+        scheme: WeightingScheme,
+        store: &S,
+        degrees: Option<&Degrees>,
+        scanner: &'s mut NeighborhoodScanner,
+        pivot: Pivot<'_>,
+        scope: ScanScope,
+        mut visit: impl FnMut(EntityId, f64),
+    ) -> &'s [u32] {
+        let hood = scanner.scan_pivot(store, pivot, scheme.accumulate(), scope);
+        let degree = degrees.map_or(1, |d| match d.per_node.get(pivot.id as usize) {
+            Some(&indexed) => indexed as usize,
+            None => hood.ids.len(),
+        });
+        let side = PivotSide { blocks: pivot.blocks.len() as f64, degree: degree.max(1) as f64 };
+        for &j in hood.ids {
+            let other = EntityId(j);
+            visit(other, edge_weight(scheme, store, degrees, side, other, hood.score_of(j)));
+        }
+        hood.ids
+    }
 
     /// Invokes `sink(i, j, weight)` for every distinct edge of the blocking
     /// graph, in deterministic order. `i < j` always holds.
@@ -114,7 +152,6 @@ pub mod optimized {
         pivots: Range<u32>,
         mut sink: impl FnMut(EntityId, EntityId, f64),
     ) -> u64 {
-        let accumulate = weigher.scheme().accumulate();
         let mut edges = 0u64;
         for raw in pivots {
             let pivot = EntityId(raw);
@@ -124,15 +161,20 @@ pub mod optimized {
             if !ctx.is_first(pivot) {
                 continue;
             }
-            let hood = scanner.scan(ctx, pivot, accumulate, ScanScope::GreaterOnly);
-            edges += hood.ids.len() as u64;
-            for &j in hood.ids {
-                let other = EntityId(j);
-                let w = weigher.weight(pivot, other, hood.score_of(j));
-                #[cfg(feature = "sanitize")]
-                crate::sanitize::check_edge(ctx, pivot, other, w);
-                sink(pivot, other, w);
-            }
+            let hood = weigh_neighborhood(
+                weigher.scheme(),
+                ctx,
+                weigher.degrees(),
+                scanner,
+                Pivot::indexed(ctx, pivot),
+                ScanScope::GreaterOnly,
+                |other, w| {
+                    #[cfg(feature = "sanitize")]
+                    crate::sanitize::check_edge(ctx, pivot, other, w);
+                    sink(pivot, other, w);
+                },
+            );
+            edges += hood.len() as u64;
         }
         edges
     }
@@ -148,35 +190,38 @@ pub mod optimized {
         sink: impl FnMut(EntityId, &[u32], &[f64]),
     ) {
         let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
-        let (mut ids, mut weights) = (Vec::new(), Vec::new());
+        let mut weights = Vec::new();
         let pivots = 0..ctx.num_entities() as u32;
-        neighborhoods_in(ctx, weigher, &mut scanner, (&mut ids, &mut weights), pivots, sink);
+        neighborhoods_in(ctx, weigher, &mut scanner, &mut weights, pivots, sink);
     }
 
     /// The slice of [`for_each_neighborhood`] whose pivots lie in `pivots`,
-    /// and its `(non-empty neighborhoods, directed edges)` tally. `buffers`
-    /// are the reusable `(ids, weights)` the sink borrows.
+    /// and its `(non-empty neighborhoods, directed edges)` tally. `weights`
+    /// is the reusable buffer the sink borrows; the neighbor ids it borrows
+    /// are the scanner's own.
     pub(crate) fn neighborhoods_in(
         ctx: &GraphContext<'_>,
         weigher: &EdgeWeigher<'_, '_>,
         scanner: &mut NeighborhoodScanner,
-        (ids, weights): (&mut Vec<u32>, &mut Vec<f64>),
+        weights: &mut Vec<f64>,
         pivots: Range<u32>,
         mut sink: impl FnMut(EntityId, &[u32], &[f64]),
     ) -> (u64, u64) {
-        let accumulate = weigher.scheme().accumulate();
         let (mut hoods, mut edges) = (0u64, 0u64);
         for raw in pivots {
             let pivot = EntityId(raw);
-            let hood = scanner.scan(ctx, pivot, accumulate, ScanScope::All);
-            if hood.ids.is_empty() {
-                continue;
-            }
-            ids.clear();
             weights.clear();
-            ids.extend_from_slice(hood.ids);
-            for &j in ids.iter() {
-                weights.push(weigher.weight(pivot, EntityId(j), hood.score_of(j)));
+            let ids = weigh_neighborhood(
+                weigher.scheme(),
+                ctx,
+                weigher.degrees(),
+                scanner,
+                Pivot::indexed(ctx, pivot),
+                ScanScope::All,
+                |_, w| weights.push(w),
+            );
+            if ids.is_empty() {
+                continue;
             }
             #[cfg(feature = "sanitize")]
             crate::sanitize::check_neighborhood(ctx, pivot, ids, weights);

@@ -176,23 +176,44 @@ impl<'c, 'b> EdgeWeigher<'c, 'b> {
         self.scheme
     }
 
+    /// The per-node statistics of an EJS weigher, `None` under every other
+    /// scheme.
+    pub(crate) fn degrees(&self) -> Option<&Degrees> {
+        self.degrees.as_ref()
+    }
+
     /// The weight of the edge `(i, j)` given `score` — the value accumulated
     /// by a [`NeighborhoodScanner`] scan with [`WeightingScheme::accumulate`].
     #[inline]
     pub fn weight(&self, i: EntityId, j: EntityId, score: f64) -> f64 {
-        edge_weight(self.scheme, self.ctx, self.degrees.as_ref(), i, j, score)
+        let side = PivotSide {
+            blocks: self.ctx.num_blocks_of(i) as f64,
+            degree: self.degrees.as_ref().map_or(1.0, |d| d.per_node[i.idx()].max(1) as f64),
+        };
+        edge_weight(self.scheme, self.ctx, self.degrees.as_ref(), side, j, score)
     }
 }
 
-/// The shared formula core behind [`EdgeWeigher::weight`], taking degrees by
-/// reference so callers that own their [`Degrees`] (the query-serving scorer)
-/// can evaluate weights without cloning the per-node table.
+/// The pivot's half of an edge weight, as values: an indexed entity's come
+/// from the store and the degree table, a probe's from the probe itself
+/// ([`crate::weighting::optimized::weigh_neighborhood`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PivotSide {
+    /// `|B_i|`.
+    pub(crate) blocks: f64,
+    /// `max(|v_i|, 1)`; read under EJS only.
+    pub(crate) degree: f64,
+}
+
+/// The five formulas of Figure 4 — the only place they are written down.
+/// `score` is what the scan accumulated for `j`; the neighbor's side is read
+/// from `store` and `degrees`.
 #[inline]
 pub(crate) fn edge_weight<S: CandidateStore>(
     scheme: WeightingScheme,
     store: &S,
     degrees: Option<&Degrees>,
-    i: EntityId,
+    pivot: PivotSide,
     j: EntityId,
     score: f64,
 ) -> f64 {
@@ -201,19 +222,16 @@ pub(crate) fn edge_weight<S: CandidateStore>(
         WeightingScheme::Arcs => score,
         WeightingScheme::Cbs => score,
         WeightingScheme::Ecbs => {
-            let bi = store.num_blocks_of(i) as f64;
             let bj = store.num_blocks_of(j) as f64;
-            score * (num_blocks / bi).ln() * (num_blocks / bj).ln()
+            score * (num_blocks / pivot.blocks).ln() * (num_blocks / bj).ln()
         }
         WeightingScheme::Js => {
-            let bi = store.num_blocks_of(i) as f64;
             let bj = store.num_blocks_of(j) as f64;
-            score / (bi + bj - score)
+            score / (pivot.blocks + bj - score)
         }
         WeightingScheme::Ejs => {
-            let bi = store.num_blocks_of(i) as f64;
             let bj = store.num_blocks_of(j) as f64;
-            let js = score / (bi + bj - score);
+            let js = score / (pivot.blocks + bj - score);
             let degrees = match degrees {
                 Some(d) => d,
                 // Every caller computes degree statistics whenever the
@@ -222,9 +240,8 @@ pub(crate) fn edge_weight<S: CandidateStore>(
                 None => unreachable!("EJS weight evaluated without degree statistics"),
             };
             let e = degrees.total_edges as f64;
-            let di = degrees.per_node[i.idx()].max(1) as f64;
             let dj = degrees.per_node[j.idx()].max(1) as f64;
-            js * (e / di).ln() * (e / dj).ln()
+            js * (e / pivot.degree).ln() * (e / dj).ln()
         }
     }
 }

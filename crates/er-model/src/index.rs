@@ -41,19 +41,23 @@ fn accumulate_offsets(counts: &[u32]) -> Vec<u32> {
     offsets
 }
 
-/// Builds the inverted-index shard of one contiguous block range: the same
-/// two-pass count/fill as [`EntityIndex::build`], over `blocks[range]` only,
-/// storing global block ids.
+/// Builds the inverted-index shard of one contiguous block range, storing
+/// global block ids; the whole range is the index itself
+/// ([`EntityIndex::build`]).
 fn build_shard(blocks: &BlockCollection, range: std::ops::Range<usize>) -> EntityIndex {
     let n = blocks.num_entities();
+    // First pass: count assignments per entity.
     let mut counts = vec![0u32; n];
     for k in range.clone() {
         for e in blocks.block(k).entities() {
             counts[e.idx()] += 1;
         }
     }
+    // Prefix sums -> offsets (checked: >4B assignments fail loudly).
     let offsets = accumulate_offsets(&counts);
     let total = *offsets.last().unwrap_or(&0) as usize;
+    // Second pass: fill. Blocks are visited in ascending id order, so
+    // each entity's slice ends up sorted without an explicit sort.
     let mut cursor: Vec<u32> = offsets[..n].to_vec();
     let mut lists = vec![0u32; total];
     for k in range {
@@ -84,29 +88,7 @@ impl EntityIndex {
     /// Builds the index for a block collection. Block ids are positions in
     /// the collection's processing order.
     pub fn build(blocks: &BlockCollection) -> Self {
-        let n = blocks.num_entities();
-        // First pass: count assignments per entity.
-        let mut counts = vec![0u32; n];
-        for b in blocks.iter() {
-            for e in b.entities() {
-                counts[e.idx()] += 1;
-            }
-        }
-        // Prefix sums -> offsets (checked: >4B assignments fail loudly).
-        let offsets = accumulate_offsets(&counts);
-        let total = *offsets.last().unwrap_or(&0) as usize;
-        // Second pass: fill. Blocks are visited in ascending id order, so
-        // each entity's slice ends up sorted without an explicit sort.
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut lists = vec![0u32; total];
-        for (k, b) in blocks.iter().enumerate() {
-            for e in b.entities() {
-                let c = &mut cursor[e.idx()];
-                lists[*c as usize] = k as u32;
-                *c += 1;
-            }
-        }
-        let index = EntityIndex { lists, offsets };
+        let index = build_shard(blocks, 0..blocks.size());
         #[cfg(feature = "sanitize")]
         crate::sanitize::assert_valid(&index.validate(blocks), "EntityIndex::build");
         index

@@ -41,7 +41,6 @@
 
 use crate::codec::{put_profile, put_u32, put_u8, Reader};
 use crate::error::SnapshotError;
-use crate::generation::Warm;
 use crate::snapshot::{frame_sections, parse_table, section_slice, SECTION_DELTA};
 use crate::view::SnapshotView;
 use er_model::fxhash::{FxHashMap, FxHashSet};
@@ -318,14 +317,13 @@ impl DeltaOverlay {
     /// sequence that never passed the loader.
     pub(crate) fn replay(
         view: &SnapshotView,
-        warm: &Warm,
         runs: &[Vec<DeltaOp>],
     ) -> Result<DeltaOverlay, SnapshotError> {
         let mut overlay = DeltaOverlay::new(view);
         let mut keys = KeyScratch::new();
         for ops in runs {
             for op in ops {
-                overlay.apply(op.clone(), view, warm, &mut keys)?;
+                overlay.apply(op.clone(), view, &mut keys)?;
             }
         }
         Ok(overlay)
@@ -477,7 +475,6 @@ impl DeltaOverlay {
         &mut self,
         op: DeltaOp,
         view: &SnapshotView,
-        warm: &Warm,
         keys: &mut KeyScratch,
     ) -> Result<u32, SnapshotError> {
         match &op {
@@ -499,7 +496,7 @@ impl DeltaOverlay {
                         self.split = self.num_entities;
                     }
                 }
-                self.index_profile(id, profile, view, warm, keys);
+                self.index_profile(id, profile, view, keys);
             }
             DeltaOp::Delete { id } => {
                 let id = *id;
@@ -528,7 +525,6 @@ impl DeltaOverlay {
         id: u32,
         profile: &EntityProfile,
         view: &SnapshotView,
-        warm: &Warm,
         keys: &mut KeyScratch,
     ) {
         let right = self.is_right(id);
@@ -554,9 +550,8 @@ impl DeltaOverlay {
                 list.push(b);
                 continue;
             }
-            let base_block =
-                if (tid as usize) < self.base_tokens { warm.block_of(tid) } else { u32::MAX };
-            if base_block != u32::MAX {
+            // Extension tokens lie past the view's routes: `None` for them.
+            if let Some(base_block) = view.token_block(tid) {
                 self.cow_block(base_block, view).insert(id, right);
                 list.push(base_block);
                 continue;

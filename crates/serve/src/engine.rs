@@ -25,28 +25,22 @@ use mb_core::{
     WeightingScheme,
 };
 use mb_observe::{Counter, Observer, Stage, StageScope};
-use std::borrow::Cow;
 
 /// An online candidate-query engine bound to a loaded snapshot.
 ///
-/// Holds the per-query scratch state (scan epochs, probe buffers, the
-/// token-to-block routing table), so queries allocate nothing on the steady
-/// path. One engine serves one thread; [`CandidateTarget::Batch`] fans out
-/// internally with the deterministic chunked sweep used across the pipeline.
+/// Holds the per-query scratch state (scan epochs, probe buffers), so
+/// queries allocate nothing on the steady path. One engine serves one
+/// thread; [`CandidateTarget::Batch`] fans out internally on the windowed
+/// sweep driver the batch pipeline runs on.
 pub struct QueryEngine<'s> {
-    store: EngineStore<'s>,
+    /// The scorer, and through [`NeighborhoodScorer::store`] the store and
+    /// the generation's delta overlay (consulted for vocabulary-extension
+    /// tokens and promoted block routes on the probe path).
     scorer: NeighborhoodScorer<EngineStore<'s>>,
-    /// The loaded snapshot: the base vocabulary (probe tokens binary-search
-    /// its persisted byte-order permutation) and the configured defaults.
+    /// The loaded snapshot: the base vocabulary (probe tokens go through
+    /// its load-time hash table, then its token → block routes) and the
+    /// configured defaults.
     view: &'s SnapshotView,
-    /// Token id → surviving block id, `u32::MAX` when the token's block was
-    /// filtered away (or never emitted). Borrowed from the generation's
-    /// pre-warmed state on the [`QueryEngine::from_generation`] path, owned
-    /// on the standalone constructors.
-    token_block: Cow<'s, [u32]>,
-    /// The generation's delta overlay, consulted for vocabulary-extension
-    /// tokens and promoted block routes on the probe path.
-    overlay: Option<&'s DeltaOverlay>,
     keys: KeyScratch,
     probe_blocks: Vec<u32>,
 }
@@ -65,20 +59,6 @@ pub struct EngineScratch {
     probe_blocks: Vec<u32>,
 }
 
-/// Builds the token → surviving-block routing table from the per-block key
-/// provenance, walking `keys` in block order.
-pub(crate) fn build_token_block(num_tokens: usize, keys: er_model::U32s<'_>) -> Vec<u32> {
-    let mut token_block = vec![u32::MAX; num_tokens];
-    let mut block = 0u32;
-    keys.for_each(|token| {
-        // lint:allow(panic-reachability) in range: snapshot validation
-        // proved every block key indexes the vocabulary.
-        token_block[token as usize] = block;
-        block += 1;
-    });
-    token_block
-}
-
 /// Worker threads this host runs at once (1 when it cannot tell).
 pub(crate) fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -95,30 +75,19 @@ pub(crate) fn batch_threads(requested: usize, ceiling: usize) -> usize {
 
 impl<'s> QueryEngine<'s> {
     /// Builds an engine over a loaded view using the snapshot's configured
-    /// weighting scheme.
+    /// weighting scheme. Every array stays borrowed from the view.
     pub fn from_view(view: &'s SnapshotView) -> Self {
-        Self::view_with_scheme(view, view.config().weighting)
-    }
-
-    /// Builds an engine over a loaded view, scoring with an explicit
-    /// `scheme` (which may differ from the snapshot's configured one).
-    ///
-    /// Every large array stays borrowed from the view's buffer; the only
-    /// derived state is the `O(vocabulary)` token-to-block routing table.
-    pub fn view_with_scheme(view: &'s SnapshotView, scheme: WeightingScheme) -> Self {
-        let token_block = build_token_block(view.num_tokens(), view.block_keys());
-        Self::assemble(view, scheme, Cow::Owned(token_block), None, EngineScratch::default())
+        Self::assemble(view, view.config().weighting, None, EngineScratch::default())
     }
 
     /// Builds an engine over a pinned serving generation — the server's
     /// per-connection path.
     ///
-    /// Everything heavy is *borrowed*: the token→block routing table comes
-    /// from the generation's pre-warmed state (built once, at publish
-    /// time), and the delta overlay — when the generation
-    /// carries one — patches block and list reads through the store and
-    /// routes probe tokens onto overlay-born blocks. What is left to
-    /// allocate is the scan scratch, 24 B per entity, zeroed — which
+    /// Everything heavy is *borrowed*: the view's arrays and token routes,
+    /// and the delta overlay — when the generation carries one — which
+    /// patches block and list reads through the store and routes probe
+    /// tokens onto overlay-born blocks. What is left to allocate is the scan
+    /// scratch, 12 B per entity, zeroed — which
     /// [`QueryEngine::with_scratch`] takes from the previous engine instead.
     pub fn from_generation(generation: &'s Generation) -> Self {
         Self::with_scratch(generation, EngineScratch::default())
@@ -127,33 +96,21 @@ impl<'s> QueryEngine<'s> {
     /// [`QueryEngine::from_generation`] over the buffers of an engine that
     /// was pinned to an earlier generation ([`QueryEngine::into_scratch`]).
     /// Answers are bit-identical to a cold engine's; what is saved is the
-    /// allocation and zeroing of 24 B × `|E|` of scan scratch per re-pin.
+    /// allocation and zeroing of 12 B × `|E|` of scan scratch per re-pin.
     pub fn with_scratch(generation: &'s Generation, scratch: EngineScratch) -> Self {
-        Self::assemble(
-            generation.view(),
-            generation.view().config().weighting,
-            Cow::Borrowed(generation.warm().token_block()),
-            generation.overlay(),
-            scratch,
-        )
+        let view = generation.view();
+        Self::assemble(view, view.config().weighting, generation.overlay(), scratch)
     }
 
     /// Builds an engine over a pinned serving generation, scoring with an
     /// explicit `scheme` instead of the snapshot's configured weighting.
     pub fn generation_with_scheme(generation: &'s Generation, scheme: WeightingScheme) -> Self {
-        Self::assemble(
-            generation.view(),
-            scheme,
-            Cow::Borrowed(generation.warm().token_block()),
-            generation.overlay(),
-            EngineScratch::default(),
-        )
+        Self::assemble(generation.view(), scheme, generation.overlay(), EngineScratch::default())
     }
 
     fn assemble(
         view: &'s SnapshotView,
         scheme: WeightingScheme,
-        token_block: Cow<'s, [u32]>,
         overlay: Option<&'s DeltaOverlay>,
         scratch: EngineScratch,
     ) -> Self {
@@ -164,7 +121,7 @@ impl<'s> QueryEngine<'s> {
         };
         let EngineScratch { scorer, keys, probe_blocks } = scratch;
         let scorer = NeighborhoodScorer::with_scratch(store, scheme, scorer);
-        QueryEngine { store, scorer, view, token_block, overlay, keys, probe_blocks }
+        QueryEngine { scorer, view, keys, probe_blocks }
     }
 
     /// Gives every buffer back for the next engine to reuse.
@@ -183,7 +140,7 @@ impl<'s> QueryEngine<'s> {
 
     /// `|E|` of the underlying snapshot.
     pub fn num_entities(&self) -> usize {
-        self.store.num_entities()
+        self.scorer.store().num_entities()
     }
 
     /// The retention rule matching the snapshot's configured pruning scheme:
@@ -222,11 +179,11 @@ impl<'s> QueryEngine<'s> {
         scope.add(Counter::RequestsServed, 1);
         let results = match request.target() {
             CandidateTarget::Entity(pivot) => {
-                if (pivot.0 as usize) >= self.store.num_entities() {
+                if (pivot.0 as usize) >= self.num_entities() {
                     scope.finish();
                     return Err(ServeError::EntityOutOfRange {
                         id: pivot.0,
-                        entities: self.store.num_entities() as u64,
+                        entities: self.num_entities() as u64,
                     });
                 }
                 vec![self.run_query(*pivot, retention, &mut scope)]
@@ -259,6 +216,7 @@ impl<'s> QueryEngine<'s> {
         retention: Retention,
         scope: &mut StageScope<'_>,
     ) -> Scored {
+        let overlay = self.scorer.store().overlay();
         self.keys.fill_tokens(profile);
         let mut tokens_probed = 0u64;
         self.probe_blocks.clear();
@@ -268,17 +226,17 @@ impl<'s> QueryEngine<'s> {
             // tokens only delta profiles have introduced.
             let id = match self.view.find_token(token.as_bytes()) {
                 Some(id) => Some(id),
-                None => self.overlay.and_then(|o| o.new_token_id(token)),
+                None => overlay.and_then(|o| o.new_token_id(token)),
             };
             if let Some(id) = id {
                 // A promoted overlay block outranks the base route: the
                 // overlay only routes tokens whose base block was dropped.
-                if let Some(block) = self.overlay.and_then(|o| o.token_route(id)) {
+                let route = match overlay.and_then(|o| o.token_route(id)) {
+                    Some(block) => Some(block),
+                    None => self.view.token_block(id),
+                };
+                if let Some(block) = route {
                     self.probe_blocks.push(block);
-                } else if let Some(&block) = self.token_block.get(id as usize) {
-                    if block != u32::MAX {
-                        self.probe_blocks.push(block);
-                    }
                 }
             }
         }
@@ -314,7 +272,7 @@ impl<'s> QueryEngine<'s> {
 
     /// The ER task kind of the underlying snapshot.
     pub fn kind(&self) -> ErKind {
-        self.store.kind()
+        self.scorer.store().kind()
     }
 }
 

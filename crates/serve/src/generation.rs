@@ -1,4 +1,4 @@
-//! Hot-swappable snapshot generations, pre-warmed and delta-capable.
+//! Hot-swappable snapshot generations, delta-capable.
 //!
 //! The zero-downtime reload contract: readers always see *exactly one*
 //! complete, validated snapshot state; a swap publishes a new generation
@@ -12,21 +12,17 @@
 //! takes the write lock only for the pointer replacement. Readers never
 //! block each other.
 //!
-//! Two things distinguish a generation from a bare snapshot:
-//!
-//! - **Warm state.** Engine construction used to re-derive the token→block
-//!   routing table per connection, which showed up as a ~40× first-query
-//!   latency spike right after every hot swap. [`Warm`] computes that state
-//!   once, at publish time, and every engine built via
-//!   [`crate::QueryEngine::from_generation`] borrows it.
-//! - **Delta overlay.** A generation may carry a [`DeltaOverlay`] — the
-//!   copy-on-write side-table of upserts/deletes applied since the snapshot
-//!   arena was built. [`GenerationCell::apply`] derives the successor
-//!   generation *under the write lock* (the derive is µs-scale by design:
-//!   it clones the overlay, patches it, and republishes shared `Arc`s to
-//!   the view and warm state), which makes a half-applied delta
-//!   structurally unobservable: every `load()` returns a generation that is
-//!   either entirely before or entirely after each op.
+//! What distinguishes a generation from a bare snapshot is its **delta
+//! overlay**: a generation may carry a [`DeltaOverlay`] — the copy-on-write
+//! side-table of upserts/deletes applied since the snapshot arena was built.
+//! [`GenerationCell::apply`] derives the successor generation *under the
+//! write lock* (the derive is µs-scale by design: it clones the overlay,
+//! patches it, and republishes the shared `Arc` of the view), which makes a
+//! half-applied delta structurally unobservable: every `load()` returns a
+//! generation that is either entirely before or entirely after each op.
+//! Everything an engine needs besides is state of the loaded view itself —
+//! the token → block routes included, built once at load — so pinning a
+//! generation derives nothing.
 
 use crate::delta::{DeltaOp, DeltaOverlay};
 use crate::error::SnapshotError;
@@ -35,63 +31,30 @@ use er_model::tokenize::KeyScratch;
 use mb_observe::{Counter, Observer, Stage, StageScope};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// Pre-warmed per-snapshot engine state, computed once at publish time and
-/// shared (via `Arc`) by every engine and every delta-derived generation.
-#[derive(Debug)]
-pub(crate) struct Warm {
-    /// Token id → surviving block id, `u32::MAX` when the token's block was
-    /// filtered away (or never emitted).
-    token_block: Vec<u32>,
-}
-
-impl Warm {
-    pub(crate) fn build(view: &SnapshotView) -> Warm {
-        Warm { token_block: crate::engine::build_token_block(view.num_tokens(), view.block_keys()) }
-    }
-
-    /// The token → surviving-block routing table.
-    pub(crate) fn token_block(&self) -> &[u32] {
-        &self.token_block
-    }
-
-    /// The surviving block of `tid`, `u32::MAX` if none.
-    pub(crate) fn block_of(&self, tid: u32) -> u32 {
-        self.token_block.get(tid as usize).copied().unwrap_or(u32::MAX)
-    }
-}
-
-/// One immutable serving generation: a loaded snapshot, its pre-warmed
-/// engine state, an optional delta overlay, and the ordinal that names it
-/// on the wire (responses echo it, so a client can tell which generation
-/// answered).
+/// One immutable serving generation: a loaded snapshot, an optional delta
+/// overlay, and the ordinal that names it on the wire (responses echo it, so
+/// a client can tell which generation answered).
 #[derive(Debug)]
 pub struct Generation {
     view: Arc<SnapshotView>,
-    warm: Arc<Warm>,
     overlay: Option<DeltaOverlay>,
     ordinal: u64,
 }
 
 impl Generation {
-    /// Builds a generation over `view`: warm state is derived once, and
-    /// any delta runs persisted in the snapshot are replayed into an
-    /// overlay so a reloaded file serves exactly the state it was saved in.
+    /// Builds a generation over `view`: any delta runs persisted in the
+    /// snapshot are replayed into an overlay, so a reloaded file serves
+    /// exactly the state it was saved in.
     fn assemble(view: SnapshotView, ordinal: u64) -> Result<Generation, SnapshotError> {
         let view = Arc::new(view);
-        let warm = Arc::new(Warm::build(&view));
         let runs = view.delta_runs();
-        let overlay =
-            if runs.is_empty() { None } else { Some(DeltaOverlay::replay(&view, &warm, runs)?) };
-        Ok(Generation { view, warm, overlay, ordinal })
+        let overlay = if runs.is_empty() { None } else { Some(DeltaOverlay::replay(&view, runs)?) };
+        Ok(Generation { view, overlay, ordinal })
     }
 
     /// The generation's loaded snapshot.
     pub fn view(&self) -> &SnapshotView {
         &self.view
-    }
-
-    pub(crate) fn warm(&self) -> &Warm {
-        &self.warm
     }
 
     /// The delta overlay, when any ops have been applied over the arena.
@@ -173,8 +136,8 @@ impl GenerationCell {
     /// Atomically replaces the serving generation with `snapshot` and
     /// returns the new generation's ordinal.
     ///
-    /// Loading (for a built snapshot: encode + load), warm-state derivation
-    /// and delta-run replay all run off the lock. Readers that loaded the
+    /// Loading (for a built snapshot: encode + load) and delta-run replay
+    /// both run off the lock. Readers that loaded the
     /// previous generation finish on it; new loads see the new one.
     pub fn swap<S>(&self, snapshot: S) -> Result<u64, SnapshotError>
     where
@@ -220,8 +183,8 @@ impl GenerationCell {
     /// An upsert at [`crate::delta::APPEND`] (`u32::MAX`) resolves to the
     /// effective collection size *under the lock*, so concurrent appends
     /// never race for an id. The whole derive runs while holding the write
-    /// lock — it is µs-scale (clone overlay, patch, republish shared
-    /// `Arc`s), and it guarantees readers never observe a half-applied op:
+    /// lock — it is µs-scale (clone overlay, patch, republish the shared
+    /// `Arc`), and it guarantees readers never observe a half-applied op:
     /// every `load()` is entirely before or entirely after this delta. On
     /// error the clone is discarded and the serving generation is
     /// unchanged.
@@ -245,12 +208,11 @@ impl GenerationCell {
                 other => other,
             };
             let deleted = matches!(op, DeltaOp::Delete { .. });
-            match overlay.apply(op, &cur.view, &cur.warm, &mut slot.keys) {
+            match overlay.apply(op, &cur.view, &mut slot.keys) {
                 Ok(id) => {
                     let ordinal = cur.ordinal + 1;
                     slot.generation = Arc::new(Generation {
                         view: Arc::clone(&cur.view),
-                        warm: Arc::clone(&cur.warm),
                         overlay: Some(overlay),
                         ordinal,
                     });
@@ -335,7 +297,9 @@ mod tests {
         let second = cell.load();
         assert_eq!(first.view().num_tokens(), tokens);
         assert_eq!(second.view().num_tokens(), tokens);
-        assert_eq!(first.warm().token_block(), second.warm().token_block());
+        for token in 0..tokens as u32 {
+            assert_eq!(first.view().token_block(token), second.view().token_block(token));
+        }
         for token in ["jack", "lloyd", "erick", "miller"] {
             assert!(second.view().find_token(token.as_bytes()).is_some(), "token {token}");
         }
@@ -364,7 +328,6 @@ mod tests {
         assert_eq!(after.num_entities(), 4);
         assert_eq!(after.overlay().unwrap().applied(), 1);
         assert!(Arc::ptr_eq(&before.view, &after.view));
-        assert!(Arc::ptr_eq(&before.warm, &after.warm));
 
         let deleted = cell.apply(DeltaOp::Delete { id: 0 }, &mut Noop).unwrap();
         assert_eq!(deleted.ordinal, 3);

@@ -144,15 +144,10 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), S
 
 /// Reads one frame, verifying the length cap before allocating and the
 /// checksum after reading. Returns `(kind, payload)`. This is the blocking
-/// form, for a reader without a timeout; the server's `FrameReader` is the
-/// resumable one, over the same header and checksum code.
+/// form, for a reader without a timeout — one [`FrameReader`] that is never
+/// resumed; the server keeps its own across timeouts.
 pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ServeError> {
-    let mut head = [0u8; FRAME_HEADER];
-    r.read_exact(&mut head)?;
-    let header = FrameHeader::parse(&head)?;
-    let mut payload = vec![0u8; header.len];
-    r.read_exact(&mut payload)?;
-    header.verified(payload)
+    FrameReader::default().read(r)
 }
 
 /// A decoded frame header whose declared length has passed the cap.

@@ -66,6 +66,11 @@ impl<'s> EngineStore<'s> {
         self
     }
 
+    /// The delta side-table reads are patched through, if one is attached.
+    pub(crate) fn overlay(&self) -> Option<&'s DeltaOverlay> {
+        self.overlay
+    }
+
     /// Base (arena) collection size, regardless of overlay appends.
     fn base_entities(&self) -> usize {
         self.idx_offsets.len().saturating_sub(1)

@@ -51,7 +51,11 @@
 //!
 //! # Token lookup
 //!
-//! The one thing load *builds* rather than borrows is the token → id table
+//! Two things load *builds* rather than borrows, both for the probe path
+//! and both while proving the section they are built from duplicate-free:
+//! the token-id → surviving-block routes (the `blockkeys` section inverted,
+//! 4 B per token; every engine and every delta apply over this view reads
+//! that one table) and the token → id table
 //! behind [`SnapshotView::find_token`]: a flat open-addressing array of
 //! `u32` slots (`0` vacant, else `id + 1`), at most ¾ full, sized from the
 //! token count ([`token_table_slots`], ≈ 5.3 B per token) with a
@@ -123,6 +127,10 @@ pub struct SnapshotView {
     tok_blob: ByteRange,
     /// The token → id lookup table, built at load ([`seat_tokens`]).
     tok_table: Vec<u32>,
+    /// Token id → the surviving block keyed by it, `u32::MAX` when that
+    /// block was filtered away (or never emitted): `block_keys` inverted,
+    /// once, at load.
+    tok_block: Vec<u32>,
     block_keys: U32Range,
     /// Write-ahead delta runs decoded (owned — they are small) from the
     /// trailing `delta` sections; empty for clean snapshots.
@@ -546,9 +554,10 @@ impl SnapshotView {
 
         // Token layout: strictly ascending offsets spanning the blob, the
         // blob UTF-8 with every token on character boundaries, block keys
-        // in range and duplicate-free — and the vocabulary seated into the
-        // lookup table it hands back, which proves it duplicate-free.
-        let check_tokens = || -> Result<Vec<u32>, SnapshotError> {
+        // in range and duplicate-free — and the two tables it hands back:
+        // the vocabulary seated for lookup, which proves it duplicate-free,
+        // and the block keys inverted into token → block routes.
+        let check_tokens = || -> Result<(Vec<u32>, Vec<u32>), SnapshotError> {
             if tok_offsets.count == 0 {
                 return Err(bad("token offsets section is empty".into()));
             }
@@ -589,32 +598,20 @@ impl SnapshotView {
                     block_keys.count
                 )));
             }
-            {
-                let bk = view(block_keys);
-                let mut seen = vec![0u64; num_tokens.div_ceil(64)];
-                let mut ok = true;
-                bk.for_each(|t| {
-                    let t = t as usize;
-                    if t >= num_tokens {
-                        ok = false;
-                        return;
-                    }
-                    let (w, bit) = (t / 64, 1u64 << (t % 64));
-                    // lint:allow(panic-reachability) in range: w = t/64 <
-                    // ceil(num_tokens/64) because t < num_tokens.
-                    let slot = &mut seen[w];
-                    if *slot & bit != 0 {
-                        ok = false;
-                    }
-                    *slot |= bit;
-                });
-                if !ok {
-                    return Err(bad(
-                        "block keys are out of range or reference a token twice".into()
-                    ));
+            let mut tok_block = vec![u32::MAX; num_tokens];
+            let (mut block, mut ok) = (0u32, true);
+            view(block_keys).for_each(|t| {
+                match tok_block.get_mut(t as usize) {
+                    Some(route) if *route == u32::MAX => *route = block,
+                    // Out of the vocabulary, or a token keying two blocks.
+                    _ => ok = false,
                 }
+                block += 1;
+            });
+            if !ok {
+                return Err(bad("block keys are out of range or reference a token twice".into()));
             }
-            Ok(tok_table)
+            Ok((tok_table, tok_block))
         };
 
         // Run the four independent passes — remaining checksums plus the
@@ -642,7 +639,7 @@ impl SnapshotView {
         sums?;
         blocks?;
         index?;
-        let tok_table = tokens?;
+        let (tok_table, tok_block) = tokens?;
         let num_tokens = tok_offsets.count - 1;
 
         // Index↔blocks cross-walk: the index must be the exact inversion of
@@ -720,6 +717,7 @@ impl SnapshotView {
             tok_offsets,
             tok_blob,
             tok_table,
+            tok_block,
             block_keys,
             delta_runs,
             buf,
@@ -857,6 +855,11 @@ impl SnapshotView {
         // lint:allow(panic-reachability) in range: token offsets were
         // validated ascending and bounded by the blob length.
         &blob[a..b]
+    }
+
+    /// The surviving block keyed by token `id`, if there is one.
+    pub(crate) fn token_block(&self, id: u32) -> Option<u32> {
+        self.tok_block.get(id as usize).copied().filter(|&block| block != u32::MAX)
     }
 
     /// Looks a normalized token up by bytes: one hash, a short linear probe

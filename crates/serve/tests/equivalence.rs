@@ -5,14 +5,15 @@
 //! order — and the batch API must be bit-identical across thread counts.
 
 use er_datagen::presets;
-use er_model::{EntityCollection, EntityId};
+use er_model::{EntityId, ErKind};
 use mb_core::parallel::Sweep;
 use mb_core::prune::{cnp, wnp};
 use mb_core::weights::EdgeWeigher;
 use mb_core::{
     GraphContext, Noop, PipelineConfig, Retention, Scored, WeightingImpl, WeightingScheme,
 };
-use mb_serve::{CandidateRequest, QueryEngine, Snapshot, SnapshotView};
+use mb_serve::{CandidateRequest, GenerationCell, QueryEngine, Snapshot, SnapshotView};
+use std::collections::BTreeMap;
 
 const SCHEMES: [WeightingScheme; 5] = [
     WeightingScheme::Arcs,
@@ -73,10 +74,16 @@ fn load(snapshot: &Snapshot) -> SnapshotView {
     SnapshotView::from_bytes(snapshot.to_bytes()).unwrap()
 }
 
+/// The loaded snapshot as generation 1 of a serving cell — what
+/// [`QueryEngine::generation_with_scheme`] pins.
+fn serve(snapshot: &Snapshot) -> GenerationCell {
+    GenerationCell::new(load(snapshot)).unwrap()
+}
+
 fn assert_engine_matches_batch(snapshot: &Snapshot, label: &str) {
-    let view = load(snapshot);
+    let generation = serve(snapshot).load();
     for scheme in SCHEMES {
-        let mut engine = QueryEngine::view_with_scheme(&view, scheme);
+        let mut engine = QueryEngine::generation_with_scheme(&generation, scheme);
 
         let by_cnp = batch_retained(snapshot, scheme, |ctx, weigher, sink| {
             cnp(&Sweep::new(ctx, weigher, WeightingImpl::Optimized, 1), &mut Noop, sink)
@@ -125,9 +132,9 @@ fn query_matches_batch_pruning_on_the_clean_clean_fixture() {
 #[test]
 fn batch_is_identical_across_thread_counts_and_to_single_queries() {
     for (label, snapshot) in [("dirty", dirty_snapshot()), ("clean-clean", cc_snapshot())] {
-        let view = load(&snapshot);
+        let generation = serve(&snapshot).load();
         for scheme in [WeightingScheme::Js, WeightingScheme::Ejs] {
-            let mut engine = QueryEngine::view_with_scheme(&view, scheme);
+            let mut engine = QueryEngine::generation_with_scheme(&generation, scheme);
             let retention = Retention::TopK(snapshot.cnp_threshold());
             let singles: Vec<Scored> = (0..snapshot.num_entities())
                 .map(|pivot| {
@@ -153,34 +160,47 @@ fn batch_is_identical_across_thread_counts_and_to_single_queries() {
     }
 }
 
+/// Neighbor → weight bits of one answer.
+fn weight_bits(scored: &Scored) -> BTreeMap<u32, u64> {
+    scored.candidates.iter().map(|c| (c.id.0, c.weight.to_bits())).collect()
+}
+
 #[test]
-fn probing_an_indexed_entitys_profile_finds_its_batch_neighbors() {
-    // With CBS the score is the raw co-occurrence count, which does not
-    // depend on whether the pivot is indexed or virtual — so probing an
-    // indexed entity's own profile must reproduce query() plus the entity
-    // itself (which co-occurs with its own blocks at full strength).
-    let collection: EntityCollection =
-        presets::build(&presets::tiny(44)).unwrap().into_dirty().collection;
-    let snapshot = Snapshot::build(
-        &collection,
-        PipelineConfig { weighting: WeightingScheme::Cbs, ..PipelineConfig::default() },
-    )
-    .unwrap();
-    let view = load(&snapshot);
-    let mut engine = QueryEngine::view_with_scheme(&view, WeightingScheme::Cbs);
-    let keep_all = Retention::TopK(usize::MAX);
-    for (id, profile) in collection.iter() {
-        let queried = run_one(&mut engine, CandidateRequest::entity(id).with_retention(keep_all));
-        let probed = run_one(
-            &mut engine,
-            CandidateRequest::probe(profile.clone(), true).with_retention(keep_all),
-        );
-        let mut expected = sorted_ids(&queried);
-        if !queried.candidates.is_empty() {
-            expected.push(id.0);
-            expected.sort_unstable();
+fn probing_an_indexed_entitys_profile_weighs_its_neighbors_as_the_query_does() {
+    // Unfiltered, an entity's tokens route to exactly the blocks it sits in,
+    // so a probe carrying its profile is the same pivot but for the id: it
+    // must give every neighbor the weight query() gives it, bit for bit. On
+    // Dirty ER the probe also finds the entity itself (it co-occurs with its
+    // own blocks at full strength) — one neighbor more, so its EJS degree
+    // differs and EJS is left out there. A Clean-Clean probe only sees the
+    // other side, where the degrees agree too.
+    let clean = presets::build(&presets::tiny(44)).unwrap().collection;
+    for collection in [clean.clone().into_dirty(), clean] {
+        let dirty = collection.kind() == ErKind::Dirty;
+        let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
+        let generation = serve(&snapshot).load();
+        let keep_all = Retention::TopK(usize::MAX);
+        for scheme in SCHEMES {
+            if dirty && scheme == WeightingScheme::Ejs {
+                continue;
+            }
+            let mut engine = QueryEngine::generation_with_scheme(&generation, scheme);
+            for (id, profile) in collection.iter() {
+                let label = format!("{:?}/{scheme:?}: entity {}", collection.kind(), id.0);
+                let queried =
+                    run_one(&mut engine, CandidateRequest::entity(id).with_retention(keep_all));
+                let is_first = !collection.is_second(id);
+                let probed = run_one(
+                    &mut engine,
+                    CandidateRequest::probe(profile.clone(), is_first).with_retention(keep_all),
+                );
+                let mut got = weight_bits(&probed);
+                let found_itself = got.remove(&id.0).is_some();
+                assert_eq!(found_itself, dirty && queried.blocks_touched > 0, "{label}");
+                assert_eq!(got, weight_bits(&queried), "{label}");
+                assert_eq!(probed.blocks_touched, queried.blocks_touched, "{label}");
+            }
         }
-        assert_eq!(sorted_ids(&probed), expected, "probe mismatch at entity {}", id.0);
     }
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full local gate, in dependency order: style, compile, lint, tests,
+# The full local gate, in dependency order: style, compile, lint (with one
+# structural guard on mb-core beside it), tests,
 # then a serving-layer smoke: generate a tiny bundle, freeze it into a
 # snapshot, re-load it (full checksum + invariant validation) and query it,
 # then an online-serving smoke: `er serve` on an ephemeral port, query it
@@ -38,6 +39,18 @@ cargo run -q -p er-lint -- --workspace --format json > results/lint.json
 # the bench results a change may have hand-edited or re-recorded.
 cargo run -q -p er-bench --bin validate_bench_json -- results/lint.json \
   BENCH_pipeline.json BENCH_query.json BENCH_serve.json BENCH_delta.json BENCH_pruning.json
+
+echo "==> one fan-out, one formula table (structural guard on crates/core/src)"
+# mb-core's sweeps run on `parallel::sweep_windows` and its weights come
+# from `weights::edge_weight`: a second chunked fan-out or a second copy of
+# the formulas must not come back unnoticed. (`! grep` would be exempt from
+# `set -e`, hence the explicit exit.)
+if grep -rn 'chunk_ranges' crates/core/src; then
+  echo "mb-core chunks a sweep on its own again (use parallel::sweep_windows)" >&2; exit 1
+fi
+if grep -nE 'fn probe_weight|probe_flags' crates/core/src/scorer.rs; then
+  echo "scorer.rs carries its own probe scan or weight formulas again" >&2; exit 1
+fi
 
 echo "==> cargo test -q"
 cargo test -q
