@@ -21,17 +21,20 @@
 //!   [`Snapshot::build`] a delta-less engine would need for *every* write.
 //!   The compacted image must be bit-identical to that fresh build.
 //! * **overlay growth** — what the rows above hide by using a fresh cell per
-//!   round: on *one* cell, at 64 / 512 / 2 048 accumulated ops, the p50 of
-//!   [`GenerationCell::apply`], of dropping the generation it replaced, and
-//!   of pinning the new one with a cold engine
+//!   round: on *one* cell, at 64 / 512 / 2 048 / 16 384 accumulated ops, the
+//!   p50 of [`GenerationCell::apply`], of dropping the generation it
+//!   replaced, and of pinning the new one with a cold engine
 //!   ([`QueryEngine::from_generation`]) and with the previous engine's
-//!   buffers ([`QueryEngine::with_scratch`]). Apply and drop grow with the
-//!   overlay (it is cloned per op); the warm pin is what a connection
+//!   buffers ([`QueryEngine::with_scratch`]). Apply and drop cost what the
+//!   op touches, not what the overlay holds: the last row's may be at most
+//!   3× the first's (the blocks an op patches have grown by then, and the
+//!   overlay's tries are a level deeper). The warm pin is what a connection
 //!   handler pays per acknowledged write.
 //!
 //! Output: `BENCH_delta.json` at the repository root (override with
-//! `BENCH_OUT`); `validate_delta_json` checks its shape — including the
-//! ≥1000× apply-vs-rebuild-path bar — in `scripts/bench.sh`.
+//! `BENCH_OUT`); `validate_bench_json` checks its shape — including the
+//! ≥1000× apply-vs-rebuild-path bar and the growth bar — in
+//! `scripts/bench.sh`.
 
 use er_bench::dirty_workload;
 use mb_core::{PipelineConfig, PruningScheme, Retention, WeightingScheme};
@@ -207,7 +210,7 @@ fn main() {
     // (a refused op — a replace landing on a tombstone — is skipped, not
     // counted). Each checkpoint's percentiles are over the last
     // `GROWTH_WINDOW` ops before it.
-    const GROWTH_CHECKPOINTS: [usize; 3] = [64, 512, 2048];
+    const GROWTH_CHECKPOINTS: [usize; 4] = [64, 512, 2048, 16_384];
     const GROWTH_WINDOW: usize = 48;
     let cell =
         GenerationCell::new(snapshot.clone()).unwrap_or_else(|e| panic!("loading generation: {e}"));
@@ -262,7 +265,7 @@ fn main() {
         }
         let p50: Vec<f64> = us.iter().map(|v| pct(v, 0.50)).collect();
         println!(
-            "overlay at {applied:>4} ops: apply p50 {:>7.2} us  drop previous {:>7.2} us  \
+            "overlay at {applied:>5} ops: apply p50 {:>7.2} us  drop previous {:>7.2} us  \
              pin cold {:>7.2} us  warm {:>7.2} us",
             p50[0], p50[1], p50[2], p50[3]
         );

@@ -23,9 +23,10 @@
 //!   *and* queryable within 1 ms at p50 and at least 1000× cheaper than the
 //!   full rebuild path (bundle load → build → persist → reload → first
 //!   query) it replaces; compaction bit-identical to a from-scratch
-//!   rebuild; `overlay_growth` op counts ascending, and re-pinning over the
-//!   previous engine's buffers beating a cold engine (the apply and drop
-//!   rows grow with the overlay and carry no floor yet).
+//!   rebuild; `overlay_growth` op counts ascending, re-pinning over the
+//!   previous engine's buffers beating a cold engine, and the last row's
+//!   apply and drop p50 within 3× of the first row's (a write costs what it
+//!   touches, not what the overlay has accumulated).
 //! * `pruning_scaling`: per (workload, bench, scheme) the thread counts
 //!   ascend from 1; a cell at `N` threads peaks within `2 × N` times the
 //!   one-thread cell's `alloc_peak_bytes` (threads × scratch and windows —
@@ -257,6 +258,20 @@ fn delta(doc: &Json) -> Result<(), String> {
         }
         Ok(())
     })?;
+
+    // A write costs what it touches, not what the overlay has accumulated.
+    const GROWTH_FACTOR: f64 = 3.0;
+    if let [first, .., last] = array(doc, "overlay_growth")? {
+        for key in ["apply_p50_us", "drop_previous_p50_us"] {
+            let (small, large) = (finite(first, key)?, finite(last, key)?);
+            if large > GROWTH_FACTOR * small {
+                return Err(format!(
+                    "overlay_growth: `{key}` grows from {small} to {large} us over the rows, \
+                     more than {GROWTH_FACTOR}x"
+                ));
+            }
+        }
+    }
 
     let speedup = finite(doc, "speedup_vs_rebuild")?;
     if speedup < 1000.0 {
@@ -558,6 +573,12 @@ mod tests {
         breaks(l, "overlay_growth[0]: at", |d| {
             *at(d, "overlay_growth.0.warm_pin_p50_us") = Json::Num(1e9);
         });
+        for key in ["apply_p50_us", "drop_previous_p50_us"] {
+            breaks(l, &format!("overlay_growth: `{key}` grows"), |d| {
+                let first = at(d, &format!("overlay_growth.0.{key}")).as_f64().unwrap();
+                *at(d, &format!("overlay_growth.3.{key}")) = Json::Num(3.01 * first);
+            });
+        }
         breaks(l, "compaction.ops_folded", |d| drop_key(d, "compaction", "ops_folded"));
 
         // Row 0 is the sparse workload's one-thread edge sweep; the dense

@@ -41,9 +41,10 @@
 
 use crate::codec::{put_profile, put_u32, put_u8, Reader};
 use crate::error::SnapshotError;
+use crate::idmap::{IdMap, IdSet};
 use crate::snapshot::{frame_sections, parse_table, section_slice, SECTION_DELTA};
-use crate::view::SnapshotView;
-use er_model::fxhash::{FxHashMap, FxHashSet};
+use crate::view::{token_hash, SnapshotView};
+use er_model::fxhash::FxHashSet;
 use er_model::tokenize::KeyScratch;
 use er_model::{EntityCollection, EntityId, EntityProfile, ErKind, U32s};
 use std::sync::Arc;
@@ -248,12 +249,35 @@ impl OverlayBlock {
     }
 }
 
+/// What the overlay knows of one delta-touched entity.
+#[derive(Debug, Clone, Default)]
+struct EntityEntry {
+    /// Its overridden block list, ascending; empty while tombstoned.
+    blocks: Vec<u32>,
+    /// Token ids of the pending postings it waits in — what a detach has
+    /// to visit, so that it visits nothing else.
+    waiting: Vec<u32>,
+}
+
+/// The vocabulary-extension tokens whose hashes share one 32-bit key, with
+/// their ids: one, but for a collision.
+type TokenBucket = Vec<(Box<str>, u32)>;
+
+/// The key a vocabulary-extension token is filed under.
+fn token_key(token: &str) -> u32 {
+    (token_hash(token.as_bytes()) >> 32) as u32
+}
+
 /// The mutable side-table one serving generation layers over its immutable
 /// snapshot arena.
 ///
 /// Immutable once published: a delta apply clones the overlay, patches the
 /// clone, and publishes it in a fresh generation — readers pinned to the
-/// old generation never observe a half-applied op.
+/// old generation never observe a half-applied op. Every table is an
+/// [`IdMap`], so the clone is a refcount per table, the patch copies the
+/// trie paths the op touches, and dropping a retired generation frees those
+/// paths' previous copies: all three cost what the op touched, whatever the
+/// overlay has accumulated.
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
     kind: ErKind,
@@ -264,30 +288,30 @@ pub struct DeltaOverlay {
     num_entities: usize,
     /// Effective split: tracks `|E|` for Dirty ER, frozen for Clean-Clean.
     split: usize,
-    /// The full op log, in apply order — what compaction replays. Each op
-    /// is behind an [`Arc`] so cloning the overlay for the next generation
-    /// bumps refcounts instead of copying profiles.
-    ops: Vec<Arc<DeltaOp>>,
-    tombstones: FxHashSet<u32>,
-    /// Copy-on-write patches of base blocks, by base block id. Values are
-    /// [`Arc`]-shared across generations; a patch clones only the one
-    /// block it touches ([`Arc::make_mut`]).
-    touched: FxHashMap<u32, Arc<OverlayBlock>>,
-    /// Overlay-born blocks; block `base_blocks + i` is `new_blocks[i]`.
-    new_blocks: Vec<Arc<OverlayBlock>>,
-    /// Overridden per-entity block lists (ascending); every delta-touched
-    /// entity has an entry, tombstoned ones an empty one.
-    entity_lists: FxHashMap<u32, Arc<Vec<u32>>>,
-    /// Vocabulary extension: token text → `base_tokens + i`, insertion
-    /// order assigning `i`.
-    new_token_ids: FxHashMap<Arc<str>, u32>,
+    /// The full op log by sequence number — what compaction replays.
+    ops: IdMap<Arc<DeltaOp>>,
+    tombstones: IdMap<()>,
+    /// Every block the overlay owns, by block id: copy-on-write patches of
+    /// base blocks below `base_blocks`, overlay-born blocks from there up.
+    /// A patch re-copies only the one block it touches ([`Arc::make_mut`]).
+    blocks: IdMap<Arc<OverlayBlock>>,
+    num_new_blocks: usize,
+    /// Every delta-touched entity, tombstoned ones included.
+    entities: IdMap<Arc<EntityEntry>>,
+    /// The keys of `entities` as a bitmap, which a read asks first: a query
+    /// wants the block count of every neighbour it scores, and nearly all
+    /// of them are entities no delta has touched.
+    touched: IdSet,
+    /// Vocabulary extension by [`token_key`]; the `i`-th token to join has
+    /// id `base_tokens + i`.
+    new_tokens: IdMap<Arc<TokenBucket>>,
+    num_new_tokens: usize,
     /// Token id → overlay block id, for promoted pending postings.
-    token_routes: FxHashMap<u32, u32>,
-    /// Postings gathering delta entities under a token with no live base
-    /// block, awaiting promotion (Dirty: two members; Clean-Clean: both
-    /// sides inhabited).
-    pending: FxHashMap<u32, OverlayBlock>,
-    applied: u64,
+    token_routes: IdMap<u32>,
+    /// Postings by token id, gathering delta entities under a token with no
+    /// live base block, awaiting promotion (Dirty: two members;
+    /// Clean-Clean: both sides inhabited).
+    pending: IdMap<Arc<OverlayBlock>>,
 }
 
 impl DeltaOverlay {
@@ -300,15 +324,16 @@ impl DeltaOverlay {
             base_tokens: view.num_tokens(),
             num_entities: view.num_entities(),
             split: view.split(),
-            ops: Vec::new(),
-            tombstones: FxHashSet::default(),
-            touched: FxHashMap::default(),
-            new_blocks: Vec::new(),
-            entity_lists: FxHashMap::default(),
-            new_token_ids: FxHashMap::default(),
-            token_routes: FxHashMap::default(),
-            pending: FxHashMap::default(),
-            applied: 0,
+            ops: IdMap::default(),
+            tombstones: IdMap::default(),
+            blocks: IdMap::default(),
+            num_new_blocks: 0,
+            entities: IdMap::default(),
+            touched: IdSet::default(),
+            new_tokens: IdMap::default(),
+            num_new_tokens: 0,
+            token_routes: IdMap::default(),
+            pending: IdMap::default(),
         }
     }
 
@@ -341,7 +366,7 @@ impl DeltaOverlay {
 
     /// Number of ops applied since the overlay was created.
     pub fn applied(&self) -> u64 {
-        self.applied
+        self.ops.len() as u64
     }
 
     /// Number of currently tombstoned entities.
@@ -351,29 +376,28 @@ impl DeltaOverlay {
 
     /// Whether `id` is tombstoned.
     pub fn is_tombstoned(&self, id: u32) -> bool {
-        self.tombstones.contains(&id)
+        self.tombstones.contains(id)
     }
 
     /// The full op log, in apply order.
     pub fn ops(&self) -> Vec<DeltaOp> {
-        self.ops.iter().map(|op| DeltaOp::clone(op)).collect()
+        self.ops.iter().map(|(_, op)| DeltaOp::clone(op)).collect()
     }
 
     pub(crate) fn num_new_blocks(&self) -> usize {
-        self.new_blocks.len()
+        self.num_new_blocks
     }
 
     pub(crate) fn block_list_override(&self, id: u32) -> Option<&[u32]> {
-        self.entity_lists.get(&id).map(|l| l.as_slice())
+        if !self.touched.contains(id) {
+            return None;
+        }
+        self.entities.get(id).map(|e| e.blocks.as_slice())
     }
 
     /// The patched or overlay-born block `block`, if the overlay owns it.
     pub(crate) fn block(&self, block: usize) -> Option<&OverlayBlock> {
-        if block >= self.base_blocks {
-            self.new_blocks.get(block - self.base_blocks).map(Arc::as_ref)
-        } else {
-            self.touched.get(&(block as u32)).map(Arc::as_ref)
-        }
+        self.blocks.get(u32::try_from(block).ok()?).map(Arc::as_ref)
     }
 
     pub(crate) fn members_of<'a>(&self, block: &'a OverlayBlock, scan_right: bool) -> U32s<'a> {
@@ -392,13 +416,14 @@ impl DeltaOverlay {
 
     /// Vocabulary-extension lookup for tokens the base snapshot never saw.
     pub(crate) fn new_token_id(&self, token: &str) -> Option<u32> {
-        self.new_token_ids.get(token).copied()
+        let bucket = self.new_tokens.get(token_key(token))?;
+        bucket.iter().find(|(text, _)| **text == *token).map(|(_, id)| *id)
     }
 
     /// The overlay block a token routes to, when a pending posting under it
     /// has been promoted.
     pub(crate) fn token_route(&self, token_id: u32) -> Option<u32> {
-        self.token_routes.get(&token_id).copied()
+        self.token_routes.get(token_id).copied()
     }
 
     /// Which side of a block `id` belongs to.
@@ -406,12 +431,13 @@ impl DeltaOverlay {
         self.kind == ErKind::CleanClean && (id as usize) >= self.split
     }
 
-    /// Copies base block `b` out of the arena for patching. A block already
-    /// copied by an *earlier generation* is still shared through its `Arc`;
-    /// [`Arc::make_mut`] re-copies just that block, so patching stays O(one
-    /// block) while the overlay clone stays O(refcounts).
-    fn cow_block(&mut self, b: u32, view: &SnapshotView) -> &mut OverlayBlock {
-        let arc = self.touched.entry(b).or_insert_with(|| {
+    /// Edits block `b` in this generation's own copy of it. A base block is
+    /// copied out of the arena the first time (an overlay-born one is in
+    /// the map from birth); a block an *earlier generation* copied is still
+    /// shared with it through its `Arc`, and [`Arc::make_mut`] re-copies
+    /// just that block.
+    fn patch_block(&mut self, b: u32, view: &SnapshotView, edit: impl FnOnce(&mut OverlayBlock)) {
+        let block = self.blocks.get_or_insert_with(b, || {
             let (lo, hi) = (
                 view.offsets().get(b as usize) as usize,
                 view.offsets().get(b as usize + 1) as usize,
@@ -424,46 +450,46 @@ impl DeltaOverlay {
                 right: view.members().slice(sp, hi).to_vec(),
             })
         });
-        Arc::make_mut(arc)
+        if let Some(block) = block {
+            edit(Arc::make_mut(block));
+        }
     }
 
-    /// Removes every current membership of `id` (COW-patching each block it
-    /// sits in) and empties its block list. The inverse of indexing.
+    /// Files `entry` as what the overlay knows of `id`.
+    fn set_entity(&mut self, id: u32, entry: EntityEntry) {
+        self.touched.insert(id);
+        self.entities.insert(id, Arc::new(entry));
+    }
+
+    /// Removes every current membership of `id`: COW-patches each block it
+    /// sits in and leaves each pending posting it waits in. The inverse of
+    /// indexing; the caller files the entity's next entry.
     fn detach(&mut self, id: u32, view: &SnapshotView) {
         let right = self.is_right(id);
-        let known = self.entity_lists.get(&id);
-        // A pending posting only ever holds ids `index_profile` put there,
-        // and `index_profile` always leaves an `entity_lists` entry (which
-        // nothing removes): an id without one — a base entity touched for
-        // the first time — is in no pending posting.
-        let maybe_pending = known.is_some();
-        let list: Vec<u32> = match known {
-            Some(l) => l.as_ref().clone(),
+        let entry = match self.entities.get(id) {
+            Some(entry) => EntityEntry::clone(entry),
+            // A base entity touched for the first time: its blocks are the
+            // arena's, and it waits nowhere.
             None if (id as usize) < self.base_entities => {
                 let lo = view.idx_offsets().get(id as usize) as usize;
                 let hi = view.idx_offsets().get(id as usize + 1) as usize;
-                view.lists().slice(lo, hi).to_vec()
+                EntityEntry { blocks: view.lists().slice(lo, hi).to_vec(), waiting: Vec::new() }
             }
-            None => Vec::new(),
+            None => EntityEntry::default(),
         };
-        for b in list {
-            if b as usize >= self.base_blocks {
-                // lint:allow(panic-reachability) in range: overlay block ids
-                // in entity lists always name an existing new_blocks entry.
-                Arc::make_mut(&mut self.new_blocks[b as usize - self.base_blocks])
-                    .remove(id, right);
-            } else {
-                self.cow_block(b, view).remove(id, right);
+        for b in entry.blocks {
+            self.patch_block(b, view, |block| block.remove(id, right));
+        }
+        for token in entry.waiting {
+            let emptied = self.pending.get_mut(token).is_some_and(|posting| {
+                let posting = Arc::make_mut(posting);
+                posting.remove(id, right);
+                posting.len() == 0
+            });
+            if emptied {
+                self.pending.remove(token);
             }
         }
-        // Pending postings are not in any block list yet; sweep them too.
-        if maybe_pending {
-            self.pending.retain(|_, posting| {
-                posting.remove(id, right);
-                posting.len() > 0
-            });
-        }
-        self.entity_lists.insert(id, Arc::new(Vec::new()));
     }
 
     /// Applies one op, returning the id it resolved to. The overlay is a
@@ -477,6 +503,9 @@ impl DeltaOverlay {
         view: &SnapshotView,
         keys: &mut KeyScratch,
     ) -> Result<u32, SnapshotError> {
+        let Ok(sequence) = u32::try_from(self.ops.len()) else {
+            return Err(SnapshotError::Inconsistent("the op log is full: compact".into()));
+        };
         match &op {
             DeltaOp::Upsert { id, profile } => {
                 let id = *id;
@@ -486,10 +515,9 @@ impl DeltaOverlay {
                         self.num_entities
                     )));
                 }
-                if (id as usize) < self.num_entities && !self.tombstones.contains(&id) {
+                if (id as usize) < self.num_entities && self.tombstones.remove(id).is_none() {
                     self.detach(id, view);
                 }
-                self.tombstones.remove(&id);
                 if id as usize == self.num_entities {
                     self.num_entities += 1;
                     if self.kind == ErKind::Dirty {
@@ -500,20 +528,34 @@ impl DeltaOverlay {
             }
             DeltaOp::Delete { id } => {
                 let id = *id;
-                if id as usize >= self.num_entities || self.tombstones.contains(&id) {
+                if id as usize >= self.num_entities || self.tombstones.contains(id) {
                     return Err(SnapshotError::Inconsistent(format!(
                         "delete targets entity {id}, which is not live (|E| = {})",
                         self.num_entities
                     )));
                 }
                 self.detach(id, view);
-                self.tombstones.insert(id);
+                self.set_entity(id, EntityEntry::default());
+                self.tombstones.insert(id, ());
             }
         }
-        self.applied += 1;
         let id = op.id();
-        self.ops.push(Arc::new(op));
+        self.ops.insert(sequence, Arc::new(op));
         Ok(id)
+    }
+
+    /// The id of a token the base vocabulary lacks, joining the extension
+    /// if this is its first appearance.
+    fn extension_token(&mut self, token: &str) -> u32 {
+        if let Some(id) = self.new_token_id(token) {
+            return id;
+        }
+        let id = (self.base_tokens + self.num_new_tokens) as u32;
+        self.num_new_tokens += 1;
+        if let Some(bucket) = self.new_tokens.get_or_insert_with(token_key(token), Arc::default) {
+            Arc::make_mut(bucket).push((token.into(), id));
+        }
+        id
     }
 
     /// Tokenizes `profile` with the frozen normalization and threads the
@@ -529,62 +571,59 @@ impl DeltaOverlay {
     ) {
         let right = self.is_right(id);
         keys.fill_tokens(profile);
-        let mut list: Vec<u32> = Vec::new();
+        let mut entry = EntityEntry::default();
         for token in keys.iter() {
             let tid = match view.find_token(token.as_bytes()) {
                 Some(tid) => tid,
-                None => match self.new_token_ids.get(token) {
-                    Some(&tid) => tid,
-                    None => {
-                        let tid = (self.base_tokens + self.new_token_ids.len()) as u32;
-                        self.new_token_ids.insert(Arc::from(token), tid);
-                        tid
-                    }
-                },
+                None => self.extension_token(token),
             };
-            if let Some(b) = self.token_routes.get(&tid).copied() {
-                // lint:allow(panic-reachability) in range: token routes only
-                // ever point at existing new_blocks entries.
-                Arc::make_mut(&mut self.new_blocks[b as usize - self.base_blocks])
-                    .insert(id, right);
-                list.push(b);
-                continue;
-            }
-            // Extension tokens lie past the view's routes: `None` for them.
-            if let Some(base_block) = view.token_block(tid) {
-                self.cow_block(base_block, view).insert(id, right);
-                list.push(base_block);
+            // A promoted overlay block outranks the base route; extension
+            // tokens lie past the view's routes, which answer `None`.
+            if let Some(b) = self.token_route(tid).or_else(|| view.token_block(tid)) {
+                self.patch_block(b, view, |block| block.insert(id, right));
+                entry.blocks.push(b);
                 continue;
             }
             // No live block for this token: gather in a pending posting.
-            let posting = self.pending.entry(tid).or_default();
-            posting.insert(id, right);
-            let promote = match self.kind {
-                ErKind::Dirty => posting.left.len() >= 2,
-                ErKind::CleanClean => !posting.left.is_empty() && !posting.right.is_empty(),
-            };
-            if promote {
-                let posting = self.pending.remove(&tid).unwrap_or_default();
-                let nb = (self.base_blocks + self.new_blocks.len()) as u32;
-                // The co-members waiting in the posting gain the new block;
-                // the entity being indexed collects it with the rest of its
-                // list below.
-                for &m in posting.left.iter().chain(posting.right.iter()) {
-                    if m != id {
-                        let l = Arc::make_mut(self.entity_lists.entry(m).or_default());
-                        if let Err(at) = l.binary_search(&nb) {
-                            l.insert(at, nb);
-                        }
-                    }
+            let kind = self.kind;
+            let promote = self.pending.get_or_insert_with(tid, Arc::default).is_some_and(|p| {
+                let posting = Arc::make_mut(p);
+                posting.insert(id, right);
+                match kind {
+                    ErKind::Dirty => posting.left.len() >= 2,
+                    ErKind::CleanClean => !posting.left.is_empty() && !posting.right.is_empty(),
                 }
-                self.new_blocks.push(Arc::new(posting));
-                self.token_routes.insert(tid, nb);
-                list.push(nb);
+            });
+            if !promote {
+                entry.waiting.push(tid);
+                continue;
             }
+            let Some(posting) = self.pending.remove(tid) else { continue };
+            let nb = (self.base_blocks + self.num_new_blocks) as u32;
+            // The co-members waiting in the posting (each has an entry:
+            // indexing it is what put it there) gain the new block and stop
+            // waiting; the entity being indexed collects it with the rest of
+            // its list below.
+            for &m in posting.left.iter().chain(posting.right.iter()) {
+                if m == id {
+                    continue;
+                }
+                if let Some(co) = self.entities.get_mut(m) {
+                    let co = Arc::make_mut(co);
+                    if let Err(at) = co.blocks.binary_search(&nb) {
+                        co.blocks.insert(at, nb);
+                    }
+                    co.waiting.retain(|&t| t != tid);
+                }
+            }
+            self.blocks.insert(nb, posting);
+            self.num_new_blocks += 1;
+            self.token_routes.insert(tid, nb);
+            entry.blocks.push(nb);
         }
-        list.sort_unstable();
-        list.dedup();
-        self.entity_lists.insert(id, Arc::new(list));
+        entry.blocks.sort_unstable();
+        entry.blocks.dedup();
+        self.set_entity(id, entry);
     }
 }
 
@@ -727,5 +766,50 @@ mod tests {
         .unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.profile(EntityId(0)).values().next(), Some("reborn"));
+    }
+
+    #[test]
+    fn an_upsert_copies_what_it_writes_whatever_the_overlay_holds() {
+        use crate::idmap::node_copies;
+        use crate::snapshot::Snapshot;
+        let collection = er_datagen::presets::build(&er_datagen::presets::tiny(5))
+            .unwrap()
+            .into_dirty()
+            .collection;
+        let snapshot = Snapshot::build(&collection, mb_core::PipelineConfig::default()).unwrap();
+        let view = SnapshotView::try_from(snapshot).unwrap();
+        let recycled = |i: usize| {
+            let donor = collection.profile(EntityId((i * 31 % collection.len()) as u32));
+            let mut p = EntityProfile::new(format!("n{i}"));
+            for a in donor.attributes() {
+                p.add(a.name.clone(), a.value.clone());
+            }
+            p
+        };
+        let mut overlay = DeltaOverlay::new(&view);
+        let mut keys = KeyScratch::new();
+        // Nodes one fixed replace copies when every node is shared with the
+        // generation before — what `GenerationCell::apply` pays — measured
+        // over the overlay as it grows.
+        let mut copies = Vec::new();
+        for i in 0..=10_000usize {
+            if i == 100 || i == 10_000 {
+                let mut next = overlay.clone();
+                let before = node_copies();
+                next.apply(DeltaOp::Upsert { id: 7, profile: recycled(3) }, &view, &mut keys)
+                    .unwrap();
+                copies.push(node_copies() - before);
+            }
+            // Four appends to one replace.
+            let id = if i % 5 == 3 { i * 7 % collection.len() } else { overlay.num_entities() };
+            let id = id as u32;
+            overlay.apply(DeltaOp::Upsert { id, profile: recycled(i) }, &view, &mut keys).unwrap();
+        }
+        // A hundred times the overlay: the same paths, each at most a level
+        // longer where a sparse table has filled in under it — never a copy
+        // per accumulated op, which would be thousands.
+        let (small, large) = (copies[0], copies[1]);
+        assert!(small > 0 && large <= 2 * small, "{small} nodes at 100 ops, {large} at 10 000");
+        assert!(large < 64, "{large} nodes copied by one upsert");
     }
 }

@@ -16,10 +16,15 @@
 //! overlay**: a generation may carry a [`DeltaOverlay`] — the copy-on-write
 //! side-table of upserts/deletes applied since the snapshot arena was built.
 //! [`GenerationCell::apply`] derives the successor generation *under the
-//! write lock* (the derive is µs-scale by design: it clones the overlay,
-//! patches it, and republishes the shared `Arc` of the view), which makes a
-//! half-applied delta structurally unobservable: every `load()` returns a
-//! generation that is either entirely before or entirely after each op.
+//! write lock*: it clones the overlay, patches the clone, and republishes
+//! the shared `Arc` of the view. The overlay's tables are persistent maps
+//! (`idmap`), so the clone is a refcount per table and the patch copies only
+//! the trie paths the op writes — the lock is held for what one op touches,
+//! not for what the overlay has accumulated, and the retired generation's
+//! last reader frees just the paths its successor replaced. Deriving under
+//! the lock makes a half-applied delta structurally unobservable: every
+//! `load()` returns a generation that is either entirely before or entirely
+//! after each op.
 //! Everything an engine needs besides is state of the loaded view itself —
 //! the token → block routes included, built once at load — so pinning a
 //! generation derives nothing.
@@ -183,11 +188,11 @@ impl GenerationCell {
     /// An upsert at [`crate::delta::APPEND`] (`u32::MAX`) resolves to the
     /// effective collection size *under the lock*, so concurrent appends
     /// never race for an id. The whole derive runs while holding the write
-    /// lock — it is µs-scale (clone overlay, patch, republish the shared
-    /// `Arc`), and it guarantees readers never observe a half-applied op:
-    /// every `load()` is entirely before or entirely after this delta. On
-    /// error the clone is discarded and the serving generation is
-    /// unchanged.
+    /// lock — a refcount per overlay table, the op's own path copies, one
+    /// `Arc` republished; its cost does not grow with the overlay — and it
+    /// guarantees readers never observe a half-applied op: every `load()`
+    /// is entirely before or entirely after this delta. On error the clone
+    /// is discarded and the serving generation is unchanged.
     pub fn apply(
         &self,
         op: DeltaOp,

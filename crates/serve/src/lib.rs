@@ -56,6 +56,7 @@ mod delta;
 mod engine;
 mod error;
 mod generation;
+mod idmap;
 pub mod protocol;
 mod request;
 mod server;

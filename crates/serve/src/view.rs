@@ -208,7 +208,7 @@ fn token_table_slots(tokens: usize) -> usize {
 /// FxHash over the token bytes. Its last step is a multiply, so the high
 /// bits — the ones [`table_home`] reads — depend on every input byte.
 #[inline]
-fn token_hash(token: &[u8]) -> u64 {
+pub(crate) fn token_hash(token: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(token);
     h.finish()

@@ -4,13 +4,17 @@
 //! exact answers, persist through write-ahead delta runs, and fold back into a **bit-identical** clean arena under
 //! compaction. A concurrency test pins generations from reader threads
 //! while a writer streams upserts, proving no reader ever observes a
-//! half-applied op.
+//! half-applied op; a seeded program of 2 500 ops proves a pinned generation
+//! keeps its answers while its successors share and rewrite its tables.
 
-use er_model::{EntityCollection, EntityId, EntityProfile};
-use mb_core::{Noop, PipelineConfig, Retention, WeightingScheme};
+use er_datagen::presets;
+use er_datagen::rng::SmallRng;
+use er_model::{EntityCollection, EntityId, EntityProfile, ErKind};
+use mb_core::{Noop, PipelineConfig, PruningScheme, Retention, WeightingScheme};
+use mb_serve::protocol::response_bytes;
 use mb_serve::{
-    append_delta_run, merge_ops, CandidateRequest, DeltaOp, GenerationCell, QueryEngine, Snapshot,
-    SnapshotView, APPEND,
+    append_delta_run, merge_ops, CandidateRequest, DeltaOp, Generation, GenerationCell,
+    QueryEngine, Snapshot, SnapshotView, APPEND,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -132,6 +136,47 @@ fn a_replaced_or_deleted_entity_leaves_the_pending_postings_it_waited_in() {
     assert_eq!(candidates_of(&mut engine, 6), [5]);
     assert_eq!(candidates_of(&mut engine, 5), [6]);
     assert!(candidates_of(&mut engine, 8).is_empty(), "8 met a tombstone");
+}
+
+#[test]
+fn an_id_written_three_times_across_a_promotion_leaves_what_it_left_behind() {
+    let cell = GenerationCell::new(base_snapshot(WeightingScheme::Cbs)).unwrap();
+    let upsert = |id: u32, uri: &str, text: &str| {
+        let profile = EntityProfile::new(uri).with("name", text);
+        cell.apply(DeltaOp::Upsert { id, profile }, &mut Noop).unwrap().id
+    };
+    let neighbours = |id: u32| {
+        let generation = cell.load();
+        candidates_of(&mut QueryEngine::from_generation(&generation), id)
+    };
+    // First write: base entity 0 waits under "quartz". The append that
+    // carries it too promotes the posting into a block of {0, 5}, so 0
+    // stops waiting and holds the block in its list instead.
+    upsert(0, "p0", "jack miller quartz");
+    assert_eq!(upsert(APPEND, "p5", "quartz"), 5);
+    assert_eq!(neighbours(5), [0]);
+    assert_eq!(neighbours(0), [1, 4, 5]);
+    // Second write, without the token: 0 leaves the promoted block through
+    // its block list (it waits nowhere any more).
+    upsert(0, "p0", "jack miller");
+    assert!(neighbours(5).is_empty(), "5 met a profile that dropped quartz");
+    assert_eq!(neighbours(0), [1, 4]);
+    // Third write: back into the promoted block by its token route, and
+    // waiting again, under "onyx" — which the next append promotes.
+    upsert(0, "p0", "jack miller quartz onyx");
+    assert_eq!(neighbours(5), [0]);
+    assert_eq!(upsert(APPEND, "p6", "onyx"), 6);
+    assert_eq!(neighbours(6), [0]);
+    assert_eq!(neighbours(0), [1, 4, 5, 6]);
+    // A delete takes it out of both overlay-born blocks and the base ones.
+    cell.apply(DeltaOp::Delete { id: 0 }, &mut Noop).unwrap();
+    for id in [1, 4, 5, 6] {
+        assert!(!neighbours(id).contains(&0), "{id} met a tombstone");
+    }
+    assert!(neighbours(5).is_empty() && neighbours(6).is_empty());
+    // Both tokens route to their blocks still: later carriers pair up.
+    assert_eq!(upsert(APPEND, "p7", "quartz onyx"), 7);
+    assert_eq!(neighbours(7), [5, 6]);
 }
 
 #[test]
@@ -335,4 +380,109 @@ fn concurrent_readers_never_observe_a_half_applied_delta() {
     }
     assert!(total > 0, "readers never got to check anything");
     assert_eq!(cell.load().num_entities(), 2 + UPSERTS);
+}
+
+/// Every entity query and `probes`, answered over `generation` as wire
+/// bytes (an error as its text).
+fn answers(generation: &Generation, probes: &[CandidateRequest]) -> Vec<Vec<u8>> {
+    let mut engine = QueryEngine::from_generation(generation);
+    let entities =
+        (0..generation.num_entities() as u32).map(|id| CandidateRequest::entity(EntityId(id)));
+    let requests: Vec<CandidateRequest> = entities.chain(probes.iter().cloned()).collect();
+    requests
+        .iter()
+        .map(|request| match engine.execute(request, &mut Noop) {
+            Ok(response) => response_bytes(&response),
+            Err(e) => e.to_string().into_bytes(),
+        })
+        .collect()
+}
+
+/// Applies seeded ops — appends, in-place replaces, deletes, their profiles
+/// recycled from `donors` — until `count` have been accepted.
+fn apply_program(
+    cell: &GenerationCell,
+    rng: &mut SmallRng,
+    donors: &EntityCollection,
+    count: usize,
+) {
+    let mut applied = 0;
+    while applied < count {
+        let entities = cell.load().num_entities() as u64;
+        let donor = donors.profile(EntityId(rng.gen_below(donors.len() as u64) as u32));
+        let mut profile = EntityProfile::new(format!("w{applied}"));
+        for a in donor.attributes() {
+            profile.add(a.name.clone(), a.value.clone());
+        }
+        let op = match rng.gen_below(10) {
+            0..=3 => DeltaOp::Upsert { id: APPEND, profile },
+            4..=7 => DeltaOp::Upsert { id: rng.gen_below(entities) as u32, profile },
+            _ => DeltaOp::Delete { id: rng.gen_below(entities) as u32 },
+        };
+        // A refused op (a second delete of one id) changes nothing.
+        applied += usize::from(cell.apply(op, &mut Noop).is_ok());
+    }
+}
+
+#[test]
+fn a_pinned_generation_keeps_its_answers_and_the_live_one_equals_a_replay() {
+    for (kind, weighting, pruning) in [
+        (ErKind::Dirty, WeightingScheme::Js, PruningScheme::Cnp),
+        (ErKind::CleanClean, WeightingScheme::Arcs, PruningScheme::ReciprocalWnp),
+    ] {
+        let tiny = |seed: u64| {
+            let built = presets::build(&presets::tiny(seed)).unwrap();
+            if kind == ErKind::Dirty { built.into_dirty() } else { built }.collection
+        };
+        let collection = tiny(51);
+        let probes: Vec<CandidateRequest> = tiny(51 ^ 0x5EED_0002)
+            .profiles()
+            .iter()
+            .rev()
+            .take(32)
+            .map(|p| CandidateRequest::probe(p.clone(), false))
+            .collect();
+        let config = PipelineConfig {
+            weighting,
+            pruning,
+            filter_ratio: Some(0.8),
+            ..PipelineConfig::default()
+        };
+        let base = SnapshotView::try_from(Snapshot::build(&collection, config).unwrap()).unwrap();
+        let cell = GenerationCell::new(SnapshotView::from_bytes(base.as_bytes().to_vec()).unwrap())
+            .unwrap();
+        let mut rng = SmallRng::seed_from_u64(51);
+
+        apply_program(&cell, &mut rng, &collection, 500);
+        let pinned = cell.load();
+        let when_pinned = answers(&pinned, &probes);
+        // 2 000 generations later, each derived from the one before by
+        // rewriting the tables the pinned one still reads through…
+        apply_program(&cell, &mut rng, &collection, 2_000);
+        assert_eq!(pinned.overlay().unwrap().applied(), 500);
+        assert!(
+            answers(&pinned, &probes) == when_pinned,
+            "{kind:?}: a pinned generation's answers moved under later writes"
+        );
+
+        // …and the live overlay, built a path copy at a time, is the one
+        // the loader builds in place from the same ops.
+        let live = cell.load();
+        let ops = live.overlay().unwrap().ops();
+        assert_eq!(ops.len(), 2_500);
+        let replayed = GenerationCell::new(
+            SnapshotView::from_bytes(append_delta_run(&base, &ops).unwrap()).unwrap(),
+        )
+        .unwrap()
+        .load();
+        assert_eq!(replayed.num_entities(), live.num_entities());
+        assert_eq!(
+            replayed.overlay().unwrap().tombstone_count(),
+            live.overlay().unwrap().tombstone_count()
+        );
+        assert!(
+            answers(&live, &probes) == answers(&replayed, &probes),
+            "{kind:?}: the live overlay answers differently from a replay of its op log"
+        );
+    }
 }

@@ -15,7 +15,8 @@
 # and the incremental-delta bench (live upsert apply/query-after µs
 # percentiles vs the full rebuild path, pinned compaction) which writes and
 # validates BENCH_delta.json — including the ≤1 ms applied-and-queryable
-# and ≥1000× apply-vs-rebuild-path acceptance bars.
+# and ≥1000× apply-vs-rebuild-path acceptance bars, and the growth bar: on
+# one cell, apply and drop at 16 384 accumulated ops within 3× of 64.
 #
 # Writes BENCH_pruning.json at the repository root — workload x scheme x
 # threads records of wall-ms and alloc_peak_bytes plus the machine's detected
