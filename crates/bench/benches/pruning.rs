@@ -14,6 +14,13 @@ use mb_core::filter::block_filtering;
 use mb_core::prune::TopK;
 use mb_core::{MetaBlocking, PruningScheme, WeightingScheme};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// The threshold-selection kernel, compiled from its own source: it is
+/// private to mb-core and depends on nothing else there.
+#[allow(dead_code)]
+#[path = "../../core/src/prune/select.rs"]
+mod select;
 
 fn bench_pruning(c: &mut Criterion) {
     let workload = clean_workload();
@@ -69,5 +76,56 @@ fn bench_select_top_k(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pruning, bench_select_top_k);
+/// The threshold-selection kernel on its own: 256 slices of 4 096 weighed
+/// edges, uniform weights, a threshold that keeps 5 %, 50 % or 95 % of them.
+/// Each row is timed as the kernel (`select`) and as the per-edge `filter`
+/// it replaced, and prints its best sample as ns per edge. The kernel's cost
+/// should not depend on the keep ratio; the filter's peaks at 50 %, where
+/// its branch is a coin toss.
+fn bench_select_reaching(c: &mut Criterion) {
+    const SLICE: usize = 4_096;
+    const SLICES: usize = 256;
+    let mut state = 20160315u64;
+    let mut draw = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let ids: Vec<u32> = (0..SLICE as u32).collect();
+    let weights: Vec<Vec<f64>> =
+        (0..SLICES).map(|_| (0..SLICE).map(|_| draw()).collect()).collect();
+    let edges = (SLICE * SLICES) as f64;
+
+    let mut group = c.benchmark_group("select_reaching");
+    group.sample_size(10);
+    for percent in [5u32, 50, 95] {
+        let threshold = 1.0 - f64::from(percent) / 100.0;
+        for kernel in [true, false] {
+            let name = format!("keep{percent}_{}", if kernel { "select" } else { "filter" });
+            let mut best = Duration::MAX;
+            group.bench_function(&name, |b| {
+                b.iter(|| {
+                    let start = Instant::now();
+                    let mut acc = 0u64;
+                    for w in &weights {
+                        if kernel {
+                            select::reaching(black_box(&ids), w, threshold, |kept, _| {
+                                kept.iter().for_each(|&j| acc = acc.wrapping_add(u64::from(j)))
+                            });
+                        } else {
+                            let kept = black_box(&ids).iter().zip(w);
+                            kept.filter(|&(_, &w)| select::reaches(w, threshold))
+                                .for_each(|(&j, _)| acc = acc.wrapping_add(u64::from(j)));
+                        }
+                    }
+                    best = best.min(start.elapsed());
+                    black_box(acc)
+                })
+            });
+            println!("select_reaching/{name}: {:.2} ns/edge", best.as_secs_f64() * 1e9 / edges);
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_pruning, bench_select_top_k, bench_select_reaching);
 criterion_main!(benches);

@@ -38,7 +38,7 @@
 //! joined, and the panic resumes on the caller with its payload.
 
 use crate::context::GraphContext;
-use crate::scanner::NeighborhoodScanner;
+use crate::scanner::{NeighborhoodScanner, ScanScope};
 use crate::weighting::{optimized, original, WeightingImpl};
 use crate::weights::EdgeWeigher;
 use er_model::EntityId;
@@ -201,37 +201,34 @@ impl<'a, 'b> Sweep<'a, 'b> {
         self.ctx
     }
 
-    /// Calls `visit(out, i, j, weight)` for every distinct edge (`i < j`),
-    /// and `sink` with whatever the visits emit, in the sequential sweep's
-    /// order.
+    /// Calls `visit(out, pivot, neighbors, weights)` once per pivot with
+    /// the distinct edges charged to it — every neighbor `j > pivot`, in
+    /// first-co-occurrence order, `neighbors[k]` of weight `weights[k]` — and
+    /// `sink` with whatever the visits emit, in the sequential sweep's order.
+    /// Flattened, the groups are the stream `for_each_edge` yields, and their
+    /// shape is the one [`Sweep::neighborhoods`] passes.
+    ///
+    /// Under [`WeightingImpl::Original`] the edges come in Algorithm 2's
+    /// block order, each as a group of its own under its smaller endpoint.
     pub fn edges<I: Send, S: FnMut(I)>(
         &self,
-        visit: impl Fn(&mut Out<'_, I, S>, EntityId, EntityId, f64) + Sync,
+        visit: impl Fn(&mut Out<'_, I, S>, EntityId, &[u32], &[f64]) + Sync,
         mut sink: S,
     ) -> Swept {
-        let (ctx, weigher) = (self.ctx, self.weigher);
         match self.imp {
             WeightingImpl::Original => {
                 let mut out = Out(Dest::Sink(&mut sink));
                 let mut edges = 0u64;
-                original::for_each_edge(ctx, weigher, |a, b, w| {
+                original::for_each_edge(self.ctx, self.weigher, |a, b, w| {
                     edges += 1;
-                    visit(&mut out, a, b, w);
+                    visit(&mut out, a, &[b.0], &[w]);
                 });
                 Swept { neighborhoods: 0, worker_edges: vec![edges] }
             }
-            WeightingImpl::Optimized => sweep_windows(
-                ctx.num_entities(),
-                self.threads,
-                |worker, pivots, out| {
-                    let scanner = &mut worker.scanner;
-                    worker.edges +=
-                        optimized::edges_in(ctx, weigher, scanner, pivots, |a, b, w| {
-                            visit(out, a, b, w)
-                        });
-                },
-                sink,
-            ),
+            WeightingImpl::Optimized => Swept {
+                neighborhoods: 0,
+                ..self.pivot_windows(ScanScope::GreaterOnly, visit, sink)
+            },
         }
     }
 
@@ -243,43 +240,55 @@ impl<'a, 'b> Sweep<'a, 'b> {
         visit: impl Fn(&mut Out<'_, I, S>, EntityId, &[u32], &[f64]) + Sync,
         mut sink: S,
     ) -> Swept {
-        let (ctx, weigher) = (self.ctx, self.weigher);
         match self.imp {
             WeightingImpl::Original => {
                 let mut out = Out(Dest::Sink(&mut sink));
                 let (mut neighborhoods, mut edges) = (0u64, 0u64);
-                original::for_each_neighborhood(ctx, weigher, |pivot, ids, weights| {
+                original::for_each_neighborhood(self.ctx, self.weigher, |pivot, ids, weights| {
                     neighborhoods += 1;
                     edges += ids.len() as u64;
                     visit(&mut out, pivot, ids, weights);
                 });
                 Swept { neighborhoods, worker_edges: vec![edges] }
             }
-            WeightingImpl::Optimized => sweep_windows(
-                ctx.num_entities(),
-                self.threads,
-                |worker, pivots, out| {
-                    let Worker { scanner, weights, .. } = worker;
-                    let (hoods, edges) = optimized::neighborhoods_in(
-                        ctx,
-                        weigher,
-                        scanner,
-                        weights,
-                        pivots,
-                        |pivot, ids, weights| visit(out, pivot, ids, weights),
-                    );
-                    worker.neighborhoods += hoods;
-                    worker.edges += edges;
-                },
-                sink,
-            ),
+            WeightingImpl::Optimized => self.pivot_windows(ScanScope::All, visit, sink),
         }
     }
 
+    /// The pivot loop over the windows, `visit` on every group it delivers
+    /// under `scope` ([`optimized::groups_in`]).
+    fn pivot_windows<I: Send, S: FnMut(I)>(
+        &self,
+        scope: ScanScope,
+        visit: impl Fn(&mut Out<'_, I, S>, EntityId, &[u32], &[f64]) + Sync,
+        sink: S,
+    ) -> Swept {
+        let (ctx, weigher) = (self.ctx, self.weigher);
+        sweep_windows(
+            ctx.num_entities(),
+            self.threads,
+            |worker, pivots, out| {
+                let Worker { scanner, weights, .. } = worker;
+                let (hoods, edges) = optimized::groups_in(
+                    ctx,
+                    weigher,
+                    scanner,
+                    weights,
+                    pivots,
+                    scope,
+                    |p, ids, ws| visit(out, p, ids, ws),
+                );
+                worker.neighborhoods += hoods;
+                worker.edges += edges;
+            },
+            sink,
+        )
+    }
+
     /// The sum of all edge weights and the number of edges. The sum is
-    /// *defined* as each window's own sum (edges in sweep order), added in
-    /// window order: the same additions in the same order on one thread or
-    /// sixteen, hence the same `f64`.
+    /// *defined* as each window's own sum (its edges' weights added one by
+    /// one in sweep order), added in window order: the same additions in the
+    /// same order on one thread or sixteen, hence the same `f64`.
     pub fn weight_sum(&self) -> (f64, u64) {
         let (ctx, weigher) = (self.ctx, self.weigher);
         let (mut sum, mut count) = (0.0f64, 0u64);
@@ -302,11 +311,16 @@ impl<'a, 'b> Sweep<'a, 'b> {
                     self.threads,
                     |worker, pivots, out| {
                         let mut window_sum = 0.0f64;
-                        let scanner = &mut worker.scanner;
-                        let edges =
-                            optimized::edges_in(ctx, weigher, scanner, pivots, |_, _, w| {
-                                window_sum += w;
-                            });
+                        let (_, edges) = optimized::pivots_in(
+                            ctx,
+                            weigher,
+                            &mut worker.scanner,
+                            &mut window_sum,
+                            pivots,
+                            ScanScope::GreaterOnly,
+                            |sum, _, _, w| *sum += w,
+                            |_, _, _| {},
+                        );
                         out.emit((window_sum, edges));
                     },
                     add,
@@ -599,25 +613,77 @@ mod tests {
         assert_eq!(swept.worker_edges.len(), 1);
     }
 
+    /// The Clean-Clean counterpart: left ids `0..split`, right ids
+    /// `split..2·split`, several windows of each side.
+    fn large_clean_fixture() -> (BlockCollection, usize) {
+        let split = WINDOW_PIVOTS * 3 + 11;
+        let mut blocks = Vec::new();
+        for i in (0..split - 3).step_by(2) {
+            blocks.push(Block::clean_clean(
+                ids(&[i, i + 1, i + 3]),
+                ids(&[split + i, split + i + 2]),
+            ));
+        }
+        blocks.push(Block::clean_clean(ids(&[0, split / 2]), ids(&[2 * split - 1, split + 7])));
+        blocks.push(Block::clean_clean(ids(&[5, split - 1]), ids(&[split, 2 * split - 3])));
+        (BlockCollection::new(ErKind::CleanClean, 2 * split as usize, blocks), split as usize)
+    }
+
+    /// The edge sweep's groups, flattened, are `for_each_edge`'s per-edge
+    /// stream — order and weight bits included — for both implementations
+    /// on Dirty and Clean-Clean graphs at every thread count. Every group is
+    /// non-empty with each neighbor above its pivot; the Optimized sweep
+    /// delivers one group per pivot, ascending, the Original one group per
+    /// edge.
     #[test]
     fn edge_sweep_matches_the_sequential_sweep_for_every_thread_count() {
-        let blocks = large_fixture();
-        let ctx = GraphContext::new_dirty(&blocks);
-        for scheme in WeightingScheme::ALL {
-            let weigher = EdgeWeigher::new(scheme, &ctx);
-            let mut sequential = Vec::new();
-            optimized::for_each_edge(&ctx, &weigher, |a, b, w| {
-                sequential.push((a, b, w.to_bits()))
-            });
-            for threads in [1, 2, 3, 4, 7] {
-                let mut swept_edges = Vec::new();
-                let swept = Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, threads).edges(
-                    |out, a, b, w| out.emit((a, b, w.to_bits())),
-                    |edge| swept_edges.push(edge),
-                );
-                assert_eq!(swept_edges, sequential, "{} x{threads}", scheme.name());
-                assert_eq!(swept.edges(), sequential.len() as u64);
-                assert!((1..=threads).contains(&swept.worker_edges.len()));
+        let dirty = large_fixture();
+        let (clean, split) = large_clean_fixture();
+        for (blocks, split) in [(&dirty, dirty.num_entities()), (&clean, split)] {
+            let ctx = GraphContext::new(blocks, split);
+            for scheme in WeightingScheme::ALL {
+                let weigher = EdgeWeigher::new(scheme, &ctx);
+                for imp in [WeightingImpl::Optimized, WeightingImpl::Original] {
+                    let mut per_edge = Vec::new();
+                    crate::weighting::for_each_edge(imp, &ctx, &weigher, |a, b, w| {
+                        per_edge.push((a.0, b.0, w.to_bits()))
+                    });
+                    assert!(!per_edge.is_empty());
+                    for threads in [1, 2, 3, 8] {
+                        let what =
+                            format!("{:?} {} {imp} x{threads}", blocks.kind(), scheme.name());
+                        let mut groups = Vec::new();
+                        let swept = Sweep::new(&ctx, &weigher, imp, threads).edges(
+                            |out, pivot, ids, weights| {
+                                let edges = ids.iter().zip(weights);
+                                out.emit((pivot.0, edges.map(|(&j, w)| (j, w.to_bits())).collect()))
+                            },
+                            |group: (u32, Vec<(u32, u64)>)| groups.push(group),
+                        );
+                        let flat: Vec<_> = groups
+                            .iter()
+                            .flat_map(|(i, edges)| edges.iter().map(|&(j, w)| (*i, j, w)))
+                            .collect();
+                        assert_eq!(flat, per_edge, "{what}");
+                        assert_eq!(swept.edges(), per_edge.len() as u64, "{what}");
+                        assert_eq!(swept.neighborhoods, 0, "{what}");
+                        for (i, edges) in &groups {
+                            assert!(
+                                !edges.is_empty() && edges.iter().all(|&(j, _)| j > *i),
+                                "{what}"
+                            );
+                        }
+                        match imp {
+                            WeightingImpl::Optimized => {
+                                assert!(groups.windows(2).all(|g| g[0].0 < g[1].0), "{what}");
+                                assert!((1..=threads).contains(&swept.worker_edges.len()));
+                            }
+                            WeightingImpl::Original => {
+                                assert!(groups.iter().all(|(_, edges)| edges.len() == 1), "{what}");
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -764,7 +830,7 @@ mod tests {
         }
     }
 
-    /// A panic in a scheme's per-edge visitor, on a worker and many windows
+    /// A panic in an edge sweep's visitor, on a worker and many windows
     /// into the sweep, reaches the caller with its message; every worker has
     /// exited by then.
     #[test]
@@ -778,9 +844,9 @@ mod tests {
             let mut seen = 0u64;
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 sweep.edges(
-                    |out, a, b, _| {
-                        assert!(a != poisoned, "visitor refused pivot {a}");
-                        out.emit((a, b));
+                    |out, pivot, ids, _| {
+                        assert!(pivot != poisoned, "visitor refused pivot {pivot}");
+                        ids.iter().for_each(|&j| out.emit((pivot, j)));
                     },
                     |_| seen += 1,
                 )

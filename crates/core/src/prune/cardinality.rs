@@ -125,12 +125,17 @@ pub fn cep(
     // stale read merely lets a few hopeless edges travel.
     let floor = AtomicU64::new(0f64.to_bits());
     let swept = sweep.edges(
-        |out, a, b, w| {
-            // Ties (and NaNs) go on to the full comparison, as in `TopK`.
-            if w < f64::from_bits(floor.load(Relaxed)) {
-                return;
+        |out, pivot, ids, weights| {
+            // Read once per pivot: within its edges the floor is at most a
+            // few pushes stale.
+            let floor = f64::from_bits(floor.load(Relaxed));
+            for (&j, &w) in ids.iter().zip(weights) {
+                // Ties (and NaNs) go on to the full comparison, as in `TopK`.
+                if w < floor {
+                    continue;
+                }
+                out.emit(WeightedEdge { w, a: pivot.0, b: j });
             }
-            out.emit(WeightedEdge { w, a: a.0, b: b.0 });
         },
         |edge| {
             push_top_k(&mut heap, edge, k);
@@ -382,15 +387,18 @@ fn two_phase_cnp(
     let stacks = &stacks;
     let mut retained = 0u64;
     let swept = sweep.edges(
-        |out, a, b, _w| {
-            let in_a = stacks[a.idx()].binary_search(&b.0).is_ok();
-            let in_b = stacks[b.idx()].binary_search(&a.0).is_ok();
-            let retain = match combine {
-                Combine::Either => in_a || in_b,
-                Combine::Both => in_a && in_b,
-            };
-            if retain {
-                out.emit((a, b));
+        |out, pivot, ids, _| {
+            let own = &stacks[pivot.idx()];
+            for &j in ids {
+                let in_own = own.binary_search(&j).is_ok();
+                let in_theirs = stacks[j as usize].binary_search(&pivot.0).is_ok();
+                let retain = match combine {
+                    Combine::Either => in_own || in_theirs,
+                    Combine::Both => in_own && in_theirs,
+                };
+                if retain {
+                    out.emit((pivot, EntityId(j)));
+                }
             }
         },
         counted(&mut retained, &mut sink),

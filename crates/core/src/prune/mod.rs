@@ -24,9 +24,12 @@
 //! materialized beyond the per-node criteria. Each scheme is one body
 //! written against a [`Sweep`](crate::parallel::Sweep), which decides how
 //! many workers run it and delivers what it keeps in the sequential order
-//! either way.
+//! either way. Every weight-threshold retention keeps its edges through one
+//! branch-free selection kernel (`select.rs`), as every node-centric
+//! cardinality retention does through one top-`k` heap ([`TopK`]).
 
 mod cardinality;
+mod select;
 mod weight_based;
 
 use er_model::EntityId;
@@ -36,18 +39,9 @@ pub use cardinality::{
     reciprocal_cnp, redefined_cnp, TopK,
 };
 pub(crate) use cardinality::{heap_prealloc, push_top_k, WeightedEdge};
-pub(crate) use weight_based::{neighborhood_mean, reaches};
+pub(crate) use select::{reaching, Combine};
+pub(crate) use weight_based::neighborhood_mean;
 pub use weight_based::{reciprocal_wnp, redefined_wnp, wep, wnp};
-
-/// How a two-phase node-centric scheme combines its endpoints' criteria
-/// (Algorithms 4/5 use `Either`; the reciprocal variants use `Both`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Combine {
-    /// Retain if the criterion holds for at least one endpoint (OR).
-    Either,
-    /// Retain only if the criterion holds for both endpoints (AND).
-    Both,
-}
 
 /// The sink a pair-emitting sweep drains into: counts each retained
 /// comparison on its way to the caller's sink.

@@ -1,26 +1,18 @@
 //! Weight-based pruning: WEP, WNP and the redefined/reciprocal WNP.
 
+use super::select::{reaching, reaching_pair};
 use super::{counted, Combine};
-use crate::parallel::Sweep;
+use crate::parallel::{Out, Sweep};
 use er_model::EntityId;
 use mb_observe::{Counter, Observer, Stage, StageScope};
-
-/// Whether a weight reaches a pruning threshold, with a one-sided relative
-/// tolerance: a graph whose edges all carry the *same* weight must retain
-/// them all, but sequential summation can round the mean one ulp above the
-/// common value and would otherwise prune every edge. Weights are
-/// non-negative for all five schemes, so a relative epsilon is safe.
-#[inline]
-pub(crate) fn reaches(w: f64, threshold: f64) -> bool {
-    w >= threshold - threshold * 1e-9
-}
 
 /// Weighted Edge Pruning: retains every edge whose weight reaches the mean
 /// edge weight of the entire blocking graph.
 ///
 /// Shallow pruning for effectiveness-intensive applications: recall stays
 /// above 0.95 on all the paper's datasets. Two edge sweeps: one to compute
-/// the mean, one to emit.
+/// the mean, one to emit. One sweep would have to hold every edge until the
+/// mean is known — the graph §4.2 never materializes.
 ///
 /// Stage accounting: the mean-computation sweep reports as
 /// [`Stage::EdgeWeighting`]; the emission sweep re-weighs every edge and
@@ -46,10 +38,8 @@ pub fn wep(
     let mut scope = StageScope::enter(obs, Stage::Pruning);
     let mut retained = 0u64;
     let swept = sweep.edges(
-        |out, a, b, w| {
-            if reaches(w, mean) {
-                out.emit((a, b));
-            }
+        |out, pivot, ids, weights| {
+            reaching(ids, weights, mean, |kept, _| emit_kept(out, pivot, kept))
         },
         counted(&mut retained, &mut sink),
     );
@@ -61,6 +51,16 @@ pub fn wep(
 /// The mean weight of one node neighborhood — WNP's local threshold.
 pub(crate) fn neighborhood_mean(weights: &[f64]) -> f64 {
     weights.iter().sum::<f64>() / weights.len() as f64
+}
+
+/// Sends what a threshold kept of `pivot`'s edges on as comparisons
+/// `(pivot, j)`.
+fn emit_kept<S: FnMut((EntityId, EntityId))>(
+    out: &mut Out<'_, (EntityId, EntityId), S>,
+    pivot: EntityId,
+    kept: &[u32],
+) {
+    kept.iter().for_each(|&j| out.emit((pivot, EntityId(j))));
 }
 
 /// Weighted Node Pruning, original semantics: for every node, retain the
@@ -84,11 +84,7 @@ pub fn wnp(
     let swept = sweep.neighborhoods(
         |out, pivot, ids, weights| {
             let mean = neighborhood_mean(weights);
-            for (&j, &w) in ids.iter().zip(weights) {
-                if reaches(w, mean) {
-                    out.emit((pivot, EntityId(j)));
-                }
-            }
+            reaching(ids, weights, mean, |kept, _| emit_kept(out, pivot, kept))
         },
         counted(&mut retained, &mut sink),
     );
@@ -126,16 +122,11 @@ fn two_phase_wnp(
     let thresholds = &thresholds;
     let mut retained = 0u64;
     let swept = sweep.edges(
-        |out, a, b, w| {
-            let over_a = reaches(w, thresholds[a.idx()]);
-            let over_b = reaches(w, thresholds[b.idx()]);
-            let retain = match combine {
-                Combine::Either => over_a || over_b,
-                Combine::Both => over_a && over_b,
-            };
-            if retain {
-                out.emit((a, b));
-            }
+        |out, pivot, ids, weights| {
+            let own = thresholds[pivot.idx()];
+            reaching_pair(ids, weights, own, thresholds, combine, |kept, _| {
+                emit_kept(out, pivot, kept)
+            })
         },
         counted(&mut retained, &mut sink),
     );

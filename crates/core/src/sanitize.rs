@@ -12,6 +12,7 @@
 
 use crate::context::GraphContext;
 use crate::parallel::Sweep;
+use crate::scanner::ScanScope;
 use er_model::{BlockCollection, ComparisonSet, EntityId, ErKind};
 
 /// Checks one weighted edge of the implicit blocking graph: the weight is
@@ -49,6 +50,26 @@ pub fn check_neighborhood(ctx: &GraphContext<'_>, pivot: EntityId, ids: &[u32], 
         assert_ne!(j, pivot.0, "mb-sanitize: {pivot} listed as its own neighbor");
         check_edge(ctx, pivot, EntityId(j), w);
     }
+}
+
+/// Checks one edge a sweep's pivot loop weighs (`pivots_in`): the pivot is
+/// not its own neighbor and the edge passes [`check_edge`] — what
+/// [`check_neighborhood`] asserts of each entry — and an edge sweep's
+/// ([`ScanScope::GreaterOnly`]) keeps `for_each_edge`'s promise `i < j`:
+/// every neighbor lies above its pivot, so each edge arrives once.
+pub(crate) fn check_swept_edge(
+    ctx: &GraphContext<'_>,
+    pivot: EntityId,
+    other: EntityId,
+    w: f64,
+    scope: ScanScope,
+) {
+    assert_ne!(other, pivot, "mb-sanitize: {pivot} listed as its own neighbor");
+    check_edge(ctx, pivot, other, w);
+    assert!(
+        scope == ScanScope::All || other > pivot,
+        "mb-sanitize: edge sweep delivered {pivot}-{other} under {pivot}"
+    );
 }
 
 /// Post-condition of Block Filtering: the output is structurally valid,
@@ -170,6 +191,17 @@ mod tests {
         let blocks = fixture();
         let ctx = GraphContext::new_dirty(&blocks);
         check_edge(&ctx, EntityId(0), EntityId(1), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge sweep delivered p1-p0 under p1")]
+    fn an_edge_group_reaching_below_its_pivot_is_caught() {
+        let blocks = fixture();
+        let ctx = GraphContext::new_dirty(&blocks);
+        // A genuine edge and a genuine neighborhood, but an edge sweep
+        // charges (0, 1) to 0: delivered under 1 it would arrive twice.
+        check_swept_edge(&ctx, EntityId(1), EntityId(0), 1.0, ScanScope::All);
+        check_swept_edge(&ctx, EntityId(1), EntityId(0), 1.0, ScanScope::GreaterOnly);
     }
 
     #[test]

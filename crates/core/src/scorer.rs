@@ -12,7 +12,7 @@
 
 use crate::context::GraphContext;
 use crate::parallel::sweep_windows;
-use crate::prune::{neighborhood_mean, reaches, TopK, WeightedEdge};
+use crate::prune::{neighborhood_mean, reaching, TopK, WeightedEdge};
 use crate::scanner::{NeighborhoodScanner, Pivot, ScanScope};
 use crate::store::CandidateStore;
 use crate::weighting::optimized::weigh_neighborhood;
@@ -253,13 +253,12 @@ fn retain(pivot: EntityId, ids: &[u32], weights: &[f64], retention: Retention) -
             if ids.is_empty() {
                 return Vec::new();
             }
-            let mean = neighborhood_mean(weights);
-            let mut out: Vec<Candidate> = ids
-                .iter()
-                .zip(weights)
-                .filter(|&(_, &w)| reaches(w, mean))
-                .map(|(&j, &w)| Candidate { id: EntityId(j), weight: w })
-                .collect();
+            // The WNP selection, then the ranking.
+            let mut out = Vec::new();
+            reaching(ids, weights, neighborhood_mean(weights), |kept, kept_weights| {
+                let kept = kept.iter().zip(kept_weights);
+                out.extend(kept.map(|(&j, &w)| Candidate { id: EntityId(j), weight: w }));
+            });
             out.sort_unstable_by_key(|c| {
                 std::cmp::Reverse(WeightedEdge::incident(pivot, c.id.0, c.weight))
             });

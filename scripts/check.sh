@@ -40,7 +40,7 @@ cargo run -q -p er-lint -- --workspace --format json > results/lint.json
 cargo run -q -p er-bench --bin validate_bench_json -- results/lint.json \
   BENCH_pipeline.json BENCH_query.json BENCH_serve.json BENCH_delta.json BENCH_pruning.json
 
-echo "==> one fan-out, one formula table (structural guard on crates/core/src)"
+echo "==> one fan-out, one formula table, one pivot loop (structural guard on crates/core/src)"
 # mb-core's sweeps run on `parallel::sweep_windows` and its weights come
 # from `weights::edge_weight`: a second chunked fan-out or a second copy of
 # the formulas must not come back unnoticed. (`! grep` would be exempt from
@@ -50,6 +50,11 @@ if grep -rn 'chunk_ranges' crates/core/src; then
 fi
 if grep -nE 'fn probe_weight|probe_flags' crates/core/src/scorer.rs; then
   echo "scorer.rs carries its own probe scan or weight formulas again" >&2; exit 1
+fi
+# Every sweep runs one pivot loop (`weighting::optimized::pivots_in`); the
+# per-edge loop it replaced must not come back beside it.
+if grep -rn 'fn edges_in' crates/core/src; then
+  echo "mb-core has a second edge-sweep loop again (use optimized::pivots_in)" >&2; exit 1
 fi
 
 echo "==> cargo test -q"
