@@ -52,9 +52,10 @@ fn bench_blocking(c: &mut Criterion) {
 }
 
 /// The full `d2c` preset (50.8k profiles, the repository benchmark's
-/// `batch-d2c` collection) with each profile's sorted, distinct tokens: what
-/// Token Blocking hands the interner, one batch per profile — about 1.1 M
-/// lookups over 264k distinct keys, 4 : 1.
+/// `batch-d2c` collection) with each profile's token stream as
+/// `fill_tokens` writes it, unsorted and with repeats: what Token Blocking
+/// hands the interner, one batch per profile — about 1.1 M keys over 264k
+/// distinct ones.
 fn d2c_batches() -> (EntityCollection, Vec<KeyScratch>) {
     let collection = presets::build(&presets::d2c(13)).expect("d2c preset").collection;
     let batches = collection
@@ -68,31 +69,64 @@ fn d2c_batches() -> (EntityCollection, Vec<KeyScratch>) {
     (collection, batches)
 }
 
+/// A profile's distinct keys, sorted.
+fn sorted_distinct(keys: &KeyScratch) -> Vec<&str> {
+    let mut distinct: Vec<&str> = keys.iter().collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    distinct
+}
+
+/// Tokenizing alone: `fill_tokens` over every `d2c` profile into one reused
+/// scratch. Time per key is the sample time over the `x` in the row name.
+fn bench_tokenize(c: &mut Criterion) {
+    let (collection, batches) = d2c_batches();
+    let keys: usize = batches.iter().map(KeyScratch::len).sum();
+    drop(batches);
+    let mut group = c.benchmark_group("tokenize");
+    group.sample_size(10);
+    group.bench_function(format!("fill_tokens_x{keys}"), |b| {
+        let mut scratch = KeyScratch::new();
+        b.iter(|| {
+            let mut sum = 0usize;
+            for (_, profile) in collection.iter() {
+                scratch.fill_tokens(profile);
+                sum += scratch.len();
+            }
+            black_box(sum)
+        })
+    });
+    group.finish();
+}
+
 /// Interning alone, from an empty table each sample: one `intern` per key
-/// against one `intern_all` per profile. Time per lookup is the sample time
-/// over the `x` in the row name.
+/// of each profile's sorted, distinct tokens against one `intern_all` per
+/// raw token stream. Time per key is the sample time over the `x` in the
+/// row name.
 fn bench_intern(c: &mut Criterion) {
-    let (_, batches) = d2c_batches();
-    let lookups: usize = batches.iter().map(KeyScratch::len).sum();
+    let (_, streams) = d2c_batches();
+    let sorted: Vec<Vec<&str>> = streams.iter().map(sorted_distinct).collect();
+    let lookups: usize = sorted.iter().map(Vec::len).sum();
+    let streamed: usize = streams.iter().map(KeyScratch::len).sum();
     let mut group = c.benchmark_group("intern");
     group.sample_size(10);
     group.bench_function(format!("single_x{lookups}"), |b| {
         b.iter(|| {
             let mut interner = TokenInterner::new();
             let mut sum = 0u64;
-            for keys in &batches {
-                for key in keys.iter() {
+            for keys in &sorted {
+                for key in keys {
                     sum += u64::from(interner.intern(key).expect("d2c fits u32 addressing"));
                 }
             }
             black_box((sum, interner.len()))
         })
     });
-    group.bench_function(format!("batched_x{lookups}"), |b| {
+    group.bench_function(format!("batched_x{streamed}"), |b| {
         b.iter(|| {
             let mut interner = TokenInterner::new();
             let (mut ids, mut sum) = (Vec::new(), 0u64);
-            for keys in &batches {
+            for keys in &streams {
                 interner.intern_all(keys, &mut ids).expect("d2c fits u32 addressing");
                 sum += ids.iter().map(|&id| u64::from(id)).sum::<u64>();
             }
@@ -107,7 +141,8 @@ fn bench_intern(c: &mut Criterion) {
 /// emission. Filling the builder is set-up, not timed.
 fn bench_group_postings(c: &mut Criterion) {
     let (collection, batches) = d2c_batches();
-    let postings: usize = batches.iter().map(KeyScratch::len).sum();
+    // One posting per distinct key of a profile.
+    let postings: usize = batches.iter().map(|keys| sorted_distinct(keys).len()).sum();
     let mut group = c.benchmark_group("group_postings");
     group.sample_size(10);
     group.bench_function(format!("finish_x{postings}"), |b| {
@@ -126,5 +161,5 @@ fn bench_group_postings(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_blocking, bench_intern, bench_group_postings);
+criterion_group!(benches, bench_blocking, bench_tokenize, bench_intern, bench_group_postings);
 criterion_main!(benches);

@@ -146,7 +146,6 @@ impl BlockingMethod for AttributeClusteringBlocking {
                     scratch.commit(start);
                 }
             }
-            scratch.sort_dedup();
             builder.assign_all(&scratch, id);
         }
         builder.finish()

@@ -69,9 +69,11 @@ impl KeyBlockBuilder {
         }
     }
 
-    /// Assigns `entity` to the block of every key in `keys`, in order —
-    /// [`KeyBlockBuilder::assign`] once per key, with the lookups batched
-    /// ([`TokenInterner::intern_all`]).
+    /// Assigns `entity` to the block of every key in `keys` — in any order,
+    /// repeats allowed — with the lookups batched
+    /// ([`TokenInterner::intern_all`]): [`KeyBlockBuilder::assign`] once per
+    /// key of `keys` sorted and deduplicated, so keys new to the builder
+    /// join its key order by their bytes.
     pub fn assign_all(&mut self, keys: &KeyScratch, entity: EntityId) {
         if let Err(overflow) = self.interner.intern_all(keys, &mut self.ids) {
             self.overflow = self.overflow.or(Some(overflow));
@@ -574,7 +576,7 @@ mod tests {
         let c = dirty(3);
         let mut scratch = KeyScratch::new();
         let (mut batched, mut single) = (KeyBlockBuilder::new(&c), KeyBlockBuilder::new(&c));
-        for (entity, text) in [(0u32, "b a c"), (1, "c d"), (2, "a d e")] {
+        for (entity, text) in [(0u32, "b a c b"), (1, "c e d"), (2, "e a d e")] {
             scratch.clear();
             for t in text.split(' ') {
                 let start = scratch.begin();
@@ -582,7 +584,10 @@ mod tests {
                 scratch.commit(start);
             }
             batched.assign_all(&scratch, EntityId(entity));
-            for t in scratch.iter() {
+            let mut distinct: Vec<&str> = scratch.iter().collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            for t in distinct {
                 single.assign(t, EntityId(entity));
             }
         }

@@ -56,7 +56,6 @@ impl BlockingMethod for QGramsBlocking {
                     }
                 }
             }
-            scratch.sort_dedup();
             builder.assign_all(&scratch, id);
         }
         builder.finish()

@@ -37,7 +37,6 @@ impl BlockingMethod for StandardBlocking {
                 }
                 scratch.commit(start); // valueless keys are dropped here
             }
-            scratch.sort_dedup();
             builder.assign_all(&scratch, id);
         }
         builder.finish()

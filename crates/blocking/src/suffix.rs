@@ -54,7 +54,6 @@ impl BlockingMethod for SuffixArraysBlocking {
                     }
                 }
             }
-            scratch.sort_dedup();
             builder.assign_all(&scratch, id);
         }
         let mut blocks = builder.finish();

@@ -49,7 +49,9 @@ impl TokenBlocking {
     /// those of [`TokenBlocking::build_keyed`] — this is the same extraction
     /// pass with a different posting destination — so a caller that sorts,
     /// deduplicates and regroups the stream (e.g. through external spill
-    /// files) reproduces `build_keyed`'s block collection bit for bit. Only
+    /// files) reproduces `build_keyed`'s block collection bit for bit. Each
+    /// profile's distinct tokens arrive once, in the order
+    /// [`TokenInterner::intern_all`] writes them, which is not sorted. Only
     /// the vocabulary stays resident; the postings never accumulate here.
     pub fn stream_postings(
         &self,

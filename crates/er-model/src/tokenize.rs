@@ -17,7 +17,8 @@
 //! callers that want owned strings or string-keyed ids: the Jaccard matcher
 //! and Canopy Clustering ([`token_id_set`]), Sorted Neighborhood, the
 //! q-gram / suffix helpers below, and the test oracles that check the
-//! allocation-free paths against them.
+//! allocation-free paths against them — `fill_tokens`' stream among them,
+//! token for token against [`tokens`].
 
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::profile::EntityProfile;
@@ -307,6 +308,18 @@ pub struct TokenInterner {
     slots: Vec<u64>,
     /// [`TokenInterner::intern_all`]'s per-batch hashes, kept for reuse.
     hashes: Vec<u64>,
+    /// Per key id, the last [`TokenInterner::intern_all`] batch that wrote
+    /// it; `0` for none. Grown to the key count at the start of a batch.
+    /// Two bytes a key, not four: with `u32` stamps the heap the rest of a
+    /// batch pipeline ran on came out ~3 % larger at its peak
+    /// (EXPERIMENTS.md, "Keys looked up as they arrive").
+    stamps: Vec<u16>,
+    /// The current batch's stamp: never `0`, and the stamps are cleared
+    /// when it wraps, once every 65 535 batches.
+    batch: u16,
+    /// [`TokenInterner::intern_all`]'s per-batch misses, kept for reuse:
+    /// each key's index in the batch and the vacant slot its lookup ended on.
+    misses: Vec<(usize, usize)>,
 }
 
 impl TokenInterner {
@@ -321,19 +334,27 @@ impl TokenInterner {
         self.resolve(key, hash_key(key))
     }
 
-    /// Interns every key of `keys` in order, writing their ids to `ids`
-    /// (cleared first) — the same ids one [`TokenInterner::intern`] call per
-    /// key would return, about twice as fast on a table that has outgrown
-    /// the cache.
+    /// Interns the keys of `keys` — in any order, repeats allowed — and
+    /// writes each distinct key's id to `ids` (cleared first) once: the ids
+    /// of keys already interned in the order they first occur, then the new
+    /// ones. Keys the interner lacks are numbered in the byte order of their
+    /// text, so the ids, and the keys' order in the arena, are exactly what
+    /// one [`TokenInterner::intern`] call per key of the batch sorted and
+    /// deduplicated would give.
     ///
     /// A lookup is a chain of dependent cache misses (slot, then offsets,
     /// then key bytes), and looked up one key at a time the chains run back
     /// to back. Here the whole batch is hashed first, then a loop that does
     /// nothing else loads every key's home slot and, where the tag matches,
     /// the last byte of the stored key. Those loads are independent of each
-    /// other, so the processor overlaps their misses; the sequential resolve
-    /// pass that follows finds its lines in cache. Table room for the whole
-    /// batch is reserved up front so the slots cannot move in between.
+    /// other, so the processor overlaps their misses; the read-only lookup
+    /// pass that follows finds its lines in cache. A found key is written
+    /// unless its id already carries this batch's stamp; a missing one is
+    /// set aside. Only the misses are then sorted by bytes and deduplicated,
+    /// table room is reserved for them alone — after the lookups, so the
+    /// slots cannot move between the touch and the lookups — and they are
+    /// inserted in that order, each from the vacant slot its lookup ended
+    /// on unless the reservation moved the table.
     pub fn intern_all(
         &mut self,
         keys: &KeyScratch,
@@ -343,32 +364,103 @@ impl TokenInterner {
         if keys.is_empty() {
             return Ok(());
         }
-        self.reserve_slots(keys.len());
         let mut hashes = std::mem::take(&mut self.hashes);
         hashes.clear();
         hashes.extend(keys.iter().map(hash_key));
+        let mut misses = std::mem::take(&mut self.misses);
+        misses.clear();
 
-        let shift = self.home_shift();
-        let mut touched = 0u8;
-        for &hash in &hashes {
-            let slot = self.slots[(hash >> shift) as usize];
-            if slot != 0 && slot >> 32 == hash >> 32 {
-                // The slot's low half is `id + 1`, the index of the key's end.
-                let end = self.keys.offsets[slot as u32 as usize] as usize;
-                if let Some(&last) = self.keys.text.as_bytes().get(end.wrapping_sub(1)) {
-                    touched ^= last;
+        if self.slots.is_empty() {
+            // Every key is new; the reservation below creates the table, so
+            // the slot half goes unused.
+            misses.extend((0..keys.len()).map(|index| (index, 0)));
+        } else {
+            let shift = self.home_shift();
+            let mut touched = 0u8;
+            for &hash in &hashes {
+                let slot = self.slots[(hash >> shift) as usize];
+                if slot != 0 && slot >> 32 == hash >> 32 {
+                    // The slot's low half is `id + 1`, the index of the key's end.
+                    let end = self.keys.offsets[slot as u32 as usize] as usize;
+                    if let Some(&last) = self.keys.text.as_bytes().get(end.wrapping_sub(1)) {
+                        touched ^= last;
+                    }
+                }
+            }
+            // The loads above are the point; keep them from being optimised out.
+            std::hint::black_box(touched);
+
+            self.stamps.resize(self.keys.len(), 0);
+            self.batch = self.batch.checked_add(1).unwrap_or_else(|| {
+                self.stamps.fill(0);
+                1
+            });
+            for (index, (key, &hash)) in keys.iter().zip(&hashes).enumerate() {
+                match self.probe(key.as_bytes(), hash) {
+                    Ok(id) => {
+                        let stamp = &mut self.stamps[id as usize];
+                        if *stamp != self.batch {
+                            *stamp = self.batch;
+                            ids.push(id);
+                        }
+                    }
+                    Err(vacant) => misses.push((index, vacant)),
                 }
             }
         }
-        // The loads above are the point; keep them from being optimised out.
-        std::hint::black_box(touched);
 
-        let result = keys.iter().zip(&hashes).try_for_each(|(key, &hash)| {
-            ids.push(self.resolve(key, hash)?);
+        let bytes = |index: usize| -> &[u8] {
+            let (start, end) = keys.spans[index];
+            &keys.buf.as_bytes()[start..end]
+        };
+        misses.sort_unstable_by(|&(a, _), &(b, _)| bytes(a).cmp(bytes(b)));
+        misses.dedup_by(|a, b| bytes(a.0) == bytes(b.0));
+        let moved = self.reserve_slots(misses.len());
+        let shift = self.home_shift();
+        let key = |index: usize| -> &str {
+            let (start, end) = keys.spans[index];
+            &keys.buf[start..end]
+        };
+        #[cfg(feature = "sanitize")]
+        let (first_new, found) = (self.keys.len(), ids.len());
+        let result = misses.iter().try_for_each(|&(index, vacant)| {
+            // A miss is absent, so it needs no comparing: it goes in the
+            // first vacant slot from where its lookup ended, or from its
+            // home if the reservation moved the table.
+            let hash = hashes[index];
+            let from = if moved { (hash >> shift) as usize } else { vacant };
+            ids.push(self.insert(key(index), hash, from)?);
             Ok(())
         });
+        #[cfg(feature = "sanitize")]
+        if result.is_ok() {
+            self.sanitize_batch(ids, found, first_new);
+        }
         self.hashes = hashes;
+        self.misses = misses;
         result
+    }
+
+    /// What [`TokenInterner::intern_all`] promises of a batch it wrote in
+    /// full: no id twice, and the new ids — those from `found` on —
+    /// consecutive from `first_new` with their keys strictly ascending.
+    #[cfg(feature = "sanitize")]
+    fn sanitize_batch(&self, ids: &[u32], found: usize, first_new: usize) {
+        let mut distinct = ids.to_vec();
+        distinct.sort_unstable();
+        assert!(
+            distinct.windows(2).all(|w| w[0] < w[1]),
+            "mb-sanitize: intern_all wrote an id twice in one batch"
+        );
+        let new = &ids[found..];
+        assert!(
+            new.iter().zip(first_new..).all(|(&id, want)| id as usize == want),
+            "mb-sanitize: intern_all's new ids do not run on from the old key count"
+        );
+        assert!(
+            new.windows(2).all(|w| self.keys.bytes(w[0]) < self.keys.bytes(w[1])),
+            "mb-sanitize: intern_all numbered its new keys out of byte order"
+        );
     }
 
     /// Number of distinct interned keys.
@@ -398,11 +490,11 @@ impl TokenInterner {
     }
 
     /// Makes room for `extra` more keys at no more than three quarters
-    /// load, growing the table at most once.
-    fn reserve_slots(&mut self, extra: usize) {
+    /// load, growing the table at most once; says whether it did.
+    fn reserve_slots(&mut self, extra: usize) -> bool {
         let keys = (self.keys.len() as u64).saturating_add(extra as u64);
         if keys.saturating_mul(4) <= (self.slots.len() as u64).saturating_mul(3) {
-            return;
+            return false;
         }
         let len = keys
             .saturating_add(keys / 3 + 1)
@@ -412,7 +504,7 @@ impl TokenInterner {
         // like any other oversized `Vec`.
         let len = usize::try_from(len).unwrap_or(usize::MAX);
         if len == self.slots.len() {
-            return;
+            return false;
         }
         let old = std::mem::replace(&mut self.slots, vec![0; len]);
         let (shift, mask) = (self.home_shift(), len - 1);
@@ -425,39 +517,62 @@ impl TokenInterner {
                 self.slots[i] = slot;
             }
         }
+        true
     }
 
-    /// The one lookup-or-insert routine. The caller has reserved a slot.
-    fn resolve(&mut self, key: &str, hash: u64) -> Result<u32, ArenaOverflow> {
+    /// The one lookup routine: `Ok(id)` if `key` is interned, else
+    /// `Err(slot)`, the vacant slot its probe ended on. The table must not
+    /// be empty.
+    fn probe(&self, key: &[u8], hash: u64) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let tag = hash >> 32;
         let mut i = (hash >> self.home_shift()) as usize;
         loop {
             let slot = self.slots[i];
             if slot == 0 {
-                let id = self.keys.push(key)?;
-                self.slots[i] = tag << 32 | (u64::from(id) + 1);
-                return Ok(id);
+                return Err(i);
             }
             if slot >> 32 == tag {
                 let id = slot as u32 - 1;
-                if self.keys.bytes(id) == key.as_bytes() {
+                if self.keys.bytes(id) == key {
                     return Ok(id);
                 }
             }
             i = (i + 1) & mask;
         }
     }
+
+    /// The one lookup-or-insert routine. The caller has reserved a slot.
+    fn resolve(&mut self, key: &str, hash: u64) -> Result<u32, ArenaOverflow> {
+        self.probe(key.as_bytes(), hash).or_else(|vacant| self.insert(key, hash, vacant))
+    }
+
+    /// Appends `key`, which the table lacks, and seats it in the first
+    /// vacant slot from `from` on — a slot of its probe run with only
+    /// occupied slots between it and the key's home. The caller has
+    /// reserved a slot.
+    fn insert(&mut self, key: &str, hash: u64, mut from: usize) -> Result<u32, ArenaOverflow> {
+        let mask = self.slots.len() - 1;
+        while self.slots[from] != 0 {
+            from = (from + 1) & mask;
+        }
+        let (id, tag) = (self.keys.push(key)?, hash >> 32);
+        self.slots[from] = tag << 32 | (u64::from(id) + 1);
+        Ok(id)
+    }
 }
 
 /// Reusable per-profile scratch for assembling blocking keys without per-key
 /// allocations: one backing buffer holds the text of every key, and each key
-/// is a `(start, end)` span into it.
+/// is a `(start, end)` span into it. The buffer may also hold bytes no span
+/// covers, such as the separators of a value tokenized in place.
 ///
 /// The span representation also lets q-gram windows *alias* their token's
-/// bytes ([`KeyScratch::push_range`]) instead of copying them. Spans compare
-/// byte-wise, exactly like `String`, so [`KeyScratch::sort_dedup`] yields
-/// the same key order the old `Vec<String>` sort did.
+/// bytes ([`KeyScratch::push_range`]) instead of copying them. Keys stay in
+/// the order they were committed, repeats included:
+/// [`TokenInterner::intern_all`] takes them that way. A caller that needs
+/// them sorted and distinct calls [`KeyScratch::sort_dedup`], which compares
+/// byte-wise, exactly like `String`.
 #[derive(Debug, Default)]
 pub struct KeyScratch {
     buf: String,
@@ -477,14 +592,19 @@ impl KeyScratch {
     }
 
     /// Replaces the contents with `profile`'s Token Blocking keys: the
-    /// distinct lowercased [`raw_tokens`] of every attribute value, sorted.
+    /// lowercased [`raw_tokens`] of every attribute value, in order, repeats
+    /// kept — the stream `profile.values().flat_map(tokens)` yields.
     ///
     /// This is the one statement of what the tokens of a profile are. The
     /// batch build, the probe path of a served query and a live upsert all
     /// call it, so a probe or an upsert can only route to blocks the build
-    /// made; changing it changes the vocabulary a snapshot persists. Sorted
-    /// order is what keeps first-seen key order, and hence block order,
-    /// that of the historical `Vec<String>` implementation.
+    /// made; changing it changes the vocabulary a snapshot persists.
+    ///
+    /// An all-ASCII value is copied once and lowercased in place; its keys
+    /// are the spans of its ASCII-alphanumeric runs, which for ASCII text
+    /// are exactly the runs [`raw_tokens`] splits out, and the separators
+    /// stay behind in the buffer. Any other value goes token by token
+    /// through [`push_lowercase`].
     // `#[inline]` gives each calling crate its own copy, placed beside the
     // per-profile loop that calls it — where the copies it replaces lived.
     // As one copy in this crate, `TokenBlocking::build` on a verbose
@@ -493,13 +613,30 @@ impl KeyScratch {
     pub fn fill_tokens(&mut self, profile: &EntityProfile) {
         self.clear();
         for value in profile.values() {
-            for raw in raw_tokens(value) {
-                let start = self.begin();
-                self.push_lowercase(raw);
-                self.commit(start);
+            if !value.is_ascii() {
+                for raw in raw_tokens(value) {
+                    let start = self.begin();
+                    self.push_lowercase(raw);
+                    self.commit(start);
+                }
+                continue;
+            }
+            let base = self.buf.len();
+            self.buf.push_str(value);
+            self.buf[base..].make_ascii_lowercase();
+            let mut run = base;
+            for (at, byte) in (base..).zip(value.bytes()) {
+                if !byte.is_ascii_alphanumeric() {
+                    if at > run {
+                        self.spans.push((run, at));
+                    }
+                    run = at + 1;
+                }
+            }
+            if self.buf.len() > run {
+                self.spans.push((run, self.buf.len()));
             }
         }
-        self.sort_dedup();
     }
 
     /// Starts a new key at the current end of the buffer; pass the returned
@@ -758,6 +895,36 @@ mod tests {
         }
     }
 
+    /// A scratch holding `keys` as committed keys, in order.
+    fn batch_of<'a>(keys: impl IntoIterator<Item = &'a str>) -> KeyScratch {
+        let mut scratch = KeyScratch::new();
+        for key in keys {
+            let start = scratch.begin();
+            scratch.push_str(key);
+            scratch.commit(start);
+        }
+        scratch
+    }
+
+    /// What `intern_all` must write for `batch`, by the two-table oracle:
+    /// the ids of the keys it already holds, in first-occurrence order, then
+    /// those of the batch sorted and deduplicated, interned in that order,
+    /// that are new.
+    fn oracle_ids(oracle: &mut Interner, batch: &KeyScratch) -> Vec<u32> {
+        let mut expected: Vec<u32> = Vec::new();
+        for id in batch.iter().filter_map(|key| oracle.get(key)) {
+            if !expected.contains(&id) {
+                expected.push(id);
+            }
+        }
+        let mut sorted: Vec<&str> = batch.iter().collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let known = oracle.len() as u32;
+        expected.extend(sorted.into_iter().map(|key| oracle.intern(key)).filter(|&id| id >= known));
+        expected
+    }
+
     #[test]
     fn interner_matches_the_two_table_oracle() {
         let mut next = rng(20160315);
@@ -773,8 +940,9 @@ mod tests {
                 lookups += 1;
                 continue;
             }
-            // Batches of 1..=64 keys, unsorted and with repeats, so the same
-            // new key does occur twice in one batch.
+            // Batches of 1..=64 keys, unsorted and with repeats, so known
+            // and new keys interleave and the same new key does occur twice
+            // in one batch.
             scratch.clear();
             for _ in 0..=next() % 64 {
                 let start = scratch.begin();
@@ -782,9 +950,8 @@ mod tests {
                 scratch.commit(start);
             }
             new.intern_all(&scratch, &mut ids).unwrap();
-            let expected: Vec<u32> = scratch.iter().map(|k| oracle.intern(k)).collect();
-            assert_eq!(ids, expected);
-            lookups += ids.len();
+            assert_eq!(ids, oracle_ids(&mut oracle, &scratch));
+            lookups += scratch.len();
         }
         assert!(oracle.len() > 20_000, "only {} distinct keys", oracle.len());
         assert_eq!(new.len(), oracle.len());
@@ -793,22 +960,42 @@ mod tests {
 
     #[test]
     fn a_new_key_repeated_within_one_batch_gets_one_id() {
-        let mut scratch = KeyScratch::new();
-        for key in ["dup", "other", "dup", "dup"] {
-            let start = scratch.begin();
-            scratch.push_str(key);
-            scratch.commit(start);
-        }
+        let (mut i, mut oracle, mut ids) = (TokenInterner::new(), Interner::new(), Vec::new());
+        let first = batch_of(["dup", "other", "dup", "dup"]);
+        i.intern_all(&first, &mut ids).unwrap();
+        assert_eq!(ids, [0, 1]);
+        assert_eq!(ids, oracle_ids(&mut oracle, &first));
+        // Known and new keys interleaved, one new key three times: the known
+        // ids in the order they first occur, then the new ones by bytes.
+        let second = batch_of(["zeta", "other", "alpha", "dup", "alpha", "other", "alpha"]);
+        i.intern_all(&second, &mut ids).unwrap();
+        assert_eq!(ids, [1, 0, 2, 3]);
+        assert_eq!(ids, oracle_ids(&mut oracle, &second));
+        assert_eq!(i.keys().iter().collect::<Vec<_>>(), ["dup", "other", "alpha", "zeta"]);
+    }
+
+    #[test]
+    fn the_batch_stamp_clears_when_it_wraps() {
         let (mut i, mut ids) = (TokenInterner::new(), Vec::new());
-        i.intern_all(&scratch, &mut ids).unwrap();
-        assert_eq!(ids, [0, 1, 0, 0]);
-        assert_eq!(i.len(), 2);
+        i.intern_all(&batch_of(["a", "b"]), &mut ids).unwrap();
+        // Both keys known now: this batch stamps them both.
+        i.intern_all(&batch_of(["b", "a"]), &mut ids).unwrap();
+        assert_eq!((ids.as_slice(), i.batch), ([1, 0].as_slice(), 1));
+        i.batch = u16::MAX - 1;
+        i.intern_all(&batch_of(["a", "a"]), &mut ids).unwrap();
+        assert_eq!((ids.as_slice(), i.batch), ([0].as_slice(), u16::MAX));
+        // The counter wraps back to 1, the stamp "b" still carries from the
+        // second batch: unless the stamps were cleared, "b" would be dropped.
+        i.intern_all(&batch_of(["b", "c", "a", "b", "c"]), &mut ids).unwrap();
+        assert_eq!((ids.as_slice(), i.batch), ([1, 0, 2].as_slice(), 1));
+        i.intern_all(&batch_of(["c", "b", "c"]), &mut ids).unwrap();
+        assert_eq!((ids.as_slice(), i.batch), ([2, 1].as_slice(), 2));
     }
 
     #[test]
     fn a_batch_may_straddle_any_number_of_table_doublings() {
-        // 5000 new keys in one batch on a table sized for 48: room for the
-        // whole batch is reserved before the first slot is touched.
+        // 4990 new keys in one batch on a table sized for 48: room for the
+        // misses is reserved after the lookups, before the first insert.
         let mut i = TokenInterner::new();
         for n in 0..40 {
             i.intern(&format!("seed{n}")).unwrap();
@@ -823,13 +1010,17 @@ mod tests {
         let mut ids = Vec::new();
         i.intern_all(&scratch, &mut ids).unwrap();
         assert!(i.slots.len() > small * 16);
-        assert_eq!(ids[..4990], (40..5030).collect::<Vec<u32>>()[..]);
-        assert_eq!(ids[4990..], (40..50).collect::<Vec<u32>>()[..]);
-        // Every key is still found after the re-seat, one at a time.
+        assert_eq!(ids, (40..5030).collect::<Vec<u32>>());
+        // Every key is still found after the re-seat, one at a time, the new
+        // ones numbered in byte order.
         for n in 0..40 {
             assert_eq!(i.intern(&format!("seed{n}")), Ok(n));
         }
-        assert_eq!(i.intern("4989"), Ok(5029));
+        let mut sorted: Vec<String> = (0..4990).map(|n| n.to_string()).collect();
+        sorted.sort_unstable();
+        for (id, key) in (40..).zip(&sorted) {
+            assert_eq!(i.intern(key), Ok(id));
+        }
         assert!(i.slots.iter().filter(|&&s| s != 0).count() == i.len());
         assert!(i.len() * 4 <= i.slots.len() * 3);
     }
@@ -848,12 +1039,52 @@ mod tests {
         assert_eq!(s.len(), 3);
     }
 
+    /// A value of 0..6 words — mixed-case ASCII, digits, `İ`, final sigma,
+    /// `straße` — joined by runs of ASCII and non-ASCII separators, which
+    /// may also lead and trail; about half the values are all ASCII.
+    fn seeded_value(next: &mut impl FnMut() -> u64) -> String {
+        const ASCII_WORDS: [&str; 8] = ["Jack", "MILLER", "car", "42", "x9", "0123", "Vendor", "a"];
+        const OTHER_WORDS: [&str; 6] = ["İstanbul", "ΣΟΦΟΣ", "Σοφός", "straße", "Müller", "É"];
+        const ASCII_SEPS: [&str; 7] = [" ", "-", ", ", "...", "\t", "/", "__"];
+        const OTHER_SEPS: [&str; 2] = ["\u{a0}", " — "];
+        let ascii = next() & 1 == 0;
+        let sep = |pick: u64| {
+            let pick = pick as usize;
+            if ascii || pick & 3 != 0 {
+                ASCII_SEPS[(pick >> 2) % ASCII_SEPS.len()]
+            } else {
+                OTHER_SEPS[(pick >> 2) % OTHER_SEPS.len()]
+            }
+        };
+        let mut value = String::new();
+        if next() & 3 == 0 {
+            value.push_str(sep(next()));
+        }
+        for w in 0..next() % 7 {
+            if w > 0 {
+                for _ in 0..=next() % 2 {
+                    value.push_str(sep(next()));
+                }
+            }
+            let pick = next() as usize;
+            value.push_str(if ascii || pick & 1 == 0 {
+                ASCII_WORDS[(pick >> 1) % ASCII_WORDS.len()]
+            } else {
+                OTHER_WORDS[(pick >> 1) % OTHER_WORDS.len()]
+            });
+        }
+        if next() & 3 == 0 {
+            value.push_str(sep(next()));
+        }
+        value
+    }
+
     #[test]
-    fn fill_tokens_is_the_sorted_distinct_tokens_of_every_value() {
+    fn fill_tokens_is_the_token_stream_of_every_value() {
         // Mixed case whose lowercase is longer than one char (`İ` → `i̇`),
         // final sigma, punctuation-only and empty values, and tokens that
         // repeat within a value and across attributes.
-        let profiles = [
+        let mut profiles = vec![
             EntityProfile::new("awkward")
                 .with("name", "İstanbul ISTANBUL istanbul ΣΟΦΟΣ")
                 .with("noise", "--- ... !!!")
@@ -863,11 +1094,17 @@ mod tests {
             EntityProfile::new("nothing").with("a", "").with("b", " \t-"),
             EntityProfile::new("bare"),
         ];
+        let mut next = rng(0x70C5);
+        for n in 0..2_000 {
+            let mut profile = EntityProfile::new(format!("seeded{n}"));
+            for a in 0..next() % 5 {
+                profile = profile.with(format!("a{a}"), seeded_value(&mut next));
+            }
+            profiles.push(profile);
+        }
         let mut scratch = KeyScratch::new();
         for profile in &profiles {
-            let mut expected: Vec<String> = profile.values().flat_map(tokens).collect();
-            expected.sort_unstable();
-            expected.dedup();
+            let expected: Vec<String> = profile.values().flat_map(tokens).collect();
             // Filled over whatever the previous profile left behind.
             scratch.fill_tokens(profile);
             assert!(scratch.iter().eq(expected.iter().map(String::as_str)), "{profile}");
@@ -876,6 +1113,7 @@ mod tests {
         scratch.fill_tokens(&profiles[0]);
         assert!(scratch.iter().any(|t| t == "i\u{307}stanbul"), "multi-char lowercase kept");
         assert!(scratch.iter().any(|t| t == "σοφός"), "final sigma as to_lowercase has it");
+        assert_eq!(scratch.iter().filter(|&t| t == "istanbul").count(), 2, "repeats kept");
     }
 
     #[test]

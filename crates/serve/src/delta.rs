@@ -570,7 +570,9 @@ impl DeltaOverlay {
         keys: &mut KeyScratch,
     ) {
         let right = self.is_right(id);
+        // Sorted and distinct: extension tokens are numbered in this order.
         keys.fill_tokens(profile);
+        keys.sort_dedup();
         let mut entry = EntityEntry::default();
         for token in keys.iter() {
             let tid = match view.find_token(token.as_bytes()) {

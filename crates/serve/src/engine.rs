@@ -217,7 +217,9 @@ impl<'s> QueryEngine<'s> {
         scope: &mut StageScope<'_>,
     ) -> Scored {
         let overlay = self.scorer.store().overlay();
+        // Each distinct token once: a repeat would route its block twice.
         self.keys.fill_tokens(profile);
+        self.keys.sort_dedup();
         let mut tokens_probed = 0u64;
         self.probe_blocks.clear();
         for token in self.keys.iter() {

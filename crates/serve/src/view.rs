@@ -234,6 +234,12 @@ fn table_home(hash: u64, slots: usize) -> usize {
 /// must be ascending and end at `blob.len()`, and `slots` must exceed the
 /// token count — [`SnapshotView::from_bytes`] proves the first and computes
 /// the second.
+///
+/// Tokens go in chunks of [`SEAT_CHUNK`]: a chunk is hashed and homed, then
+/// a loop that does nothing else loads each token's home slot and, where it
+/// is occupied, the resident's end offset — the loads the seating probe
+/// would otherwise take one dependent miss at a time — and then the chunk
+/// is seated in id order.
 fn seat_tokens(
     offsets_le: &[u8],
     blob: &[u8],
@@ -245,49 +251,76 @@ fn seat_tokens(
     let mut steps = 0u64;
     let mut bounds = le_words(offsets_le).map(|at| at as usize);
     let mut lo = bounds.next().unwrap_or(0);
-    for (id, hi) in bounds.enumerate() {
-        // lint:allow(panic-reachability) in range: the caller proved the
-        // offsets ascending and bounded by the blob length.
-        let token = &blob[lo..hi];
-        let mut at = table_home(hash(token), slots);
-        loop {
-            // lint:allow(panic-reachability) in range: `table_home` returns
-            // a slot below `slots`, and the step below wraps there.
-            let resident = table[at];
-            if resident == 0 {
-                break;
-            }
-            steps += 1;
-            if steps > budget {
-                return Err(bad(format!(
-                    "the vocabulary's tokens collide: seating {} of them took more than \
-                     {budget} probe steps",
-                    id + 1
-                )));
-            }
-            let r = (resident - 1) as usize * 4;
-            // lint:allow(panic-reachability) in range: a resident is an id
-            // seated earlier, so its two offsets exist and bracket a token.
-            let (ra, rb) = (le4(&offsets_le[r..r + 4]), le4(&offsets_le[r + 4..r + 8]));
-            // lint:allow(panic-reachability) in range: as above.
-            if blob[ra as usize..rb as usize] == *token {
-                return Err(bad(format!(
-                    "tokens {} and {id} are the same string: the vocabulary must be \
-                     duplicate-free",
-                    resident - 1
-                )));
-            }
-            at += 1;
-            if at == slots {
-                at = 0;
+    // Each token of the chunk in hand, with its home slot.
+    let mut chunk: [(&[u8], usize); SEAT_CHUNK] = [(&[], 0); SEAT_CHUNK];
+    let mut first_id = 0usize;
+    loop {
+        let mut len = 0usize;
+        for (entry, hi) in chunk.iter_mut().zip(bounds.by_ref()) {
+            // lint:allow(panic-reachability) in range: the caller proved the
+            // offsets ascending and bounded by the blob length.
+            let token = &blob[lo..hi];
+            *entry = (token, table_home(hash(token), slots));
+            lo = hi;
+            len += 1;
+        }
+        if len == 0 {
+            break;
+        }
+        let mut touched = 0u8;
+        for &(_, home) in chunk.iter().take(len) {
+            if let Some(&resident) = table.get(home).filter(|&&resident| resident != 0) {
+                // A resident is `id + 1`, the index of its token's end offset.
+                touched ^= offsets_le.get(resident as usize * 4).copied().unwrap_or(0);
             }
         }
-        // lint:allow(panic-reachability) in range: see the probe above.
-        table[at] = id as u32 + 1;
-        lo = hi;
+        // The loads above are the point; keep them from being optimised out.
+        std::hint::black_box(touched);
+        for (id, &(token, mut at)) in (first_id..).zip(chunk.iter().take(len)) {
+            loop {
+                // lint:allow(panic-reachability) in range: `table_home` returns
+                // a slot below `slots`, and the step below wraps there.
+                let resident = table[at];
+                if resident == 0 {
+                    break;
+                }
+                steps += 1;
+                if steps > budget {
+                    return Err(bad(format!(
+                        "the vocabulary's tokens collide: seating {} of them took more than \
+                         {budget} probe steps",
+                        id + 1
+                    )));
+                }
+                let r = (resident - 1) as usize * 4;
+                // lint:allow(panic-reachability) in range: a resident is an id
+                // seated earlier, so its two offsets exist and bracket a token.
+                let (ra, rb) = (le4(&offsets_le[r..r + 4]), le4(&offsets_le[r + 4..r + 8]));
+                // lint:allow(panic-reachability) in range: as above.
+                if blob[ra as usize..rb as usize] == *token {
+                    return Err(bad(format!(
+                        "tokens {} and {id} are the same string: the vocabulary must be \
+                         duplicate-free",
+                        resident - 1
+                    )));
+                }
+                at += 1;
+                if at == slots {
+                    at = 0;
+                }
+            }
+            // lint:allow(panic-reachability) in range: see the probe above.
+            table[at] = id as u32 + 1;
+        }
+        first_id += len;
     }
     Ok((table, steps))
 }
+
+/// Tokens [`seat_tokens`] hashes, homes and touches together before seating
+/// any of them: enough loads in flight to overlap their misses, few enough
+/// to keep on the stack.
+const SEAT_CHUNK: usize = 64;
 
 /// The one way a freshly built [`Snapshot`] becomes servable: encode it
 /// once and run the one loader over the bytes.

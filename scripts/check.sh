@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The full local gate, in dependency order: style, compile, lint (with one
-# structural guard on mb-core beside it), tests,
+# The full local gate, in dependency order: style, compile, lint (with
+# structural guards on mb-core and er-blocking beside it), tests,
 # then a serving-layer smoke: generate a tiny bundle, freeze it into a
 # snapshot, re-load it (full checksum + invariant validation) and query it,
 # then an online-serving smoke: `er serve` on an ephemeral port, query it
@@ -55,6 +55,14 @@ fi
 # per-edge loop it replaced must not come back beside it.
 if grep -rn 'fn edges_in' crates/core/src; then
   echo "mb-core has a second edge-sweep loop again (use optimized::pivots_in)" >&2; exit 1
+fi
+
+echo "==> no per-profile key sort (structural guard on crates/blocking/src)"
+# `TokenInterner::intern_all` takes a profile's keys unsorted, with repeats,
+# and byte-sorts only the keys the vocabulary lacks: a builder that sorts
+# every key first pays for a sort that decides nothing.
+if grep -rn 'sort_dedup' crates/blocking/src; then
+  echo "a blocking builder sorts its keys again (intern_all takes them as they come)" >&2; exit 1
 fi
 
 echo "==> cargo test -q"

@@ -6,15 +6,44 @@
 
 use er_blocking::{
     blocks_from_sorted_postings, AttributeClusteringBlocking, BlockingMethod, QGramsBlocking,
-    SuffixArraysBlocking, TokenBlocking,
+    StandardBlocking, SuffixArraysBlocking, TokenBlocking,
 };
 use er_datagen::presets;
-use er_model::tokenize::{qgrams, suffixes, tokens, Interner};
+use er_model::tokenize::{qgrams, suffixes, tokens, Interner, KeyScratch};
 use er_model::{BlockCollection, EntityCollection, EntityId};
 
 fn tiny_collections() -> [EntityCollection; 2] {
     let clean = presets::build(&presets::tiny(20160315)).expect("tiny preset");
     [clean.collection.clone(), clean.into_dirty().collection]
+}
+
+#[test]
+fn fill_tokens_is_the_token_stream_on_the_benchmark_presets() {
+    // The three presets the repository benchmark runs, a tenth of their
+    // size: same attribute and token shapes, ~5–10k profiles each.
+    let shrink = |mut config: er_datagen::DatasetConfig| {
+        config.matched_pairs /= 10;
+        config.side1.size /= 10;
+        config.side2.size /= 10;
+        config.object.vocab_size /= 10;
+        config
+    };
+    let configs = [
+        ("d1c", shrink(presets::d1c(13))),
+        ("d2c", shrink(presets::d2c(13))),
+        ("d3c", presets::d3c(13, 0.003)),
+    ];
+    let mut scratch = KeyScratch::new();
+    for (name, config) in configs {
+        let collection = presets::build(&config).expect("preset").collection;
+        let mut streamed = 0usize;
+        for (_, profile) in collection.iter() {
+            scratch.fill_tokens(profile);
+            assert!(scratch.iter().eq(profile.values().flat_map(tokens)), "{name}: {profile}");
+            streamed += scratch.len();
+        }
+        assert!(streamed > 40_000, "{name}: only {streamed} tokens");
+    }
 }
 
 /// The reference front-end: `keys_of` yields a profile value's keys as owned
@@ -96,6 +125,24 @@ fn qgram_and_suffix_builders_equal_the_string_oracle() {
         expected.retain(|b| b.size() <= method.max_block_size);
         assert!(expected.size() > 100 && expected.size() < uncapped);
         assert_eq!(method.build(&collection).raw_parts(), expected.raw_parts());
+    }
+}
+
+#[test]
+fn standard_blocking_equals_the_string_oracle() {
+    // One key per value: its tokens joined by single spaces.
+    let whole_value = |v: &str| {
+        let words: Vec<String> = tokens(v).collect();
+        if words.is_empty() {
+            Vec::new()
+        } else {
+            vec![words.join(" ")]
+        }
+    };
+    for collection in tiny_collections() {
+        let (expected, _, _) = string_oracle(&collection, whole_value);
+        assert!(expected.size() > 10, "fixture too small to mean anything");
+        assert_eq!(StandardBlocking.build(&collection).raw_parts(), expected.raw_parts());
     }
 }
 
