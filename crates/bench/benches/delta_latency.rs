@@ -80,7 +80,7 @@ fn main() {
         let donor = &donors[(round * 31 + i) % donors.len()];
         let mut p = er_model::EntityProfile::new(format!("delta-{round}-{i}"));
         for a in donor.attributes() {
-            p = p.with(a.name.clone(), a.value.clone());
+            p = p.with(a.name, a.value);
         }
         p
     };

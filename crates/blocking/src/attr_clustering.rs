@@ -77,14 +77,14 @@ impl BlockingMethod for AttributeClusteringBlocking {
         for (id, profile) in collection.iter() {
             let side = clean && collection.is_second(id);
             for a in profile.attributes() {
-                let key = (side, a.name.as_str());
+                let key = (side, a.name);
                 let next_id = attr_tokens.len();
                 let attr = *attr_ids.entry(key).or_insert(next_id);
                 if attr == attr_tokens.len() {
                     attr_tokens.push(Vec::new());
                     attr_side.push(side);
                 }
-                for raw in raw_tokens(&a.value) {
+                for raw in raw_tokens(a.value) {
                     low.clear();
                     push_lowercase(&mut low, raw);
                     match interner.intern(&low) {
@@ -136,9 +136,9 @@ impl BlockingMethod for AttributeClusteringBlocking {
             let side = clean && collection.is_second(id);
             scratch.clear();
             for a in profile.attributes() {
-                let attr = attr_ids[&(side, a.name.as_str())];
+                let attr = attr_ids[&(side, a.name)];
                 let cluster = cluster_of[attr];
-                for raw in raw_tokens(&a.value) {
+                for raw in raw_tokens(a.value) {
                     let start = scratch.begin();
                     scratch.push_display(cluster);
                     scratch.push_str("\u{1}");

@@ -2,7 +2,7 @@
 
 use crate::config::{DatasetConfig, NoiseConfig, SideConfig};
 use crate::rng::SmallRng;
-use crate::words::{typo, word};
+use crate::words::{push_word, typo, word, word_len};
 use crate::zipf::Zipf;
 use er_model::error::{Error, Result};
 use er_model::{EntityCollection, EntityId, EntityProfile, GroundTruth};
@@ -33,7 +33,8 @@ impl GeneratedDataset {
 ///
 /// # Errors
 /// [`er_model::Error::InvalidConfig`] if the configuration fails
-/// [`DatasetConfig::validate`].
+/// [`DatasetConfig::validate`]; [`er_model::Error::ProfileOverflow`] if a
+/// profile's text would pass `u32::MAX` bytes.
 pub fn generate(config: &DatasetConfig) -> Result<GeneratedDataset> {
     config.validate().map_err(Error::InvalidConfig)?;
     let mut rng = SmallRng::seed_from_u64(config.seed);
@@ -59,12 +60,12 @@ pub fn generate(config: &DatasetConfig) -> Result<GeneratedDataset> {
     let mut e1 = Vec::with_capacity(config.side1.size);
     for (n, obj) in objects[..matched].iter().chain(&objects[matched..matched + extra1]).enumerate()
     {
-        e1.push(profile_from_object(&format!("A{n}"), obj, &config.side1, &zipf, &mut rng));
+        e1.push(profile_from_object(&format!("A{n}"), obj, &config.side1, &zipf, &mut rng)?);
     }
     // Side 2: the same matched objects, then its own extras.
     let mut e2 = Vec::with_capacity(config.side2.size);
     for (n, obj) in objects[..matched].iter().chain(&objects[matched + extra1..]).enumerate() {
-        e2.push(profile_from_object(&format!("B{n}"), obj, &config.side2, &zipf, &mut rng));
+        e2.push(profile_from_object(&format!("B{n}"), obj, &config.side2, &zipf, &mut rng)?);
     }
 
     let n1 = e1.len() as u32;
@@ -79,13 +80,17 @@ pub fn generate(config: &DatasetConfig) -> Result<GeneratedDataset> {
 /// Derives one side's profile from an object's token bag: apply the noise
 /// model, partition the surviving tokens into attribute values, and name the
 /// attributes from the side's pool.
+///
+/// # Errors
+/// [`Error::ProfileOverflow`] if the profile's text would pass `u32::MAX`
+/// bytes.
 fn profile_from_object(
     uri: &str,
     object: &[u64],
     side: &SideConfig,
     zipf: &Zipf,
     rng: &mut SmallRng,
-) -> EntityProfile {
+) -> Result<EntityProfile> {
     let tokens = apply_noise(object, &side.noise, zipf, rng);
 
     // Number of name-value pairs: attributes ± 1, at least 1, and no more
@@ -98,14 +103,40 @@ fn profile_from_object(
     // Attribute names: drawn from the side pool; `a` prefix for side pools
     // is unnecessary — pools are disjoint across sides because heterogeneous
     // sources rarely agree on names (and schema-agnostic methods must not
-    // care).
-    let mut profile = EntityProfile::new(uri);
+    // care). All names are drawn first, in chunk order, so the profile can
+    // be sized exactly and then written in place.
     let per_attr = tokens.len().div_ceil(attrs).max(1);
-    for chunk in tokens.chunks(per_attr) {
-        let name_id = rng.gen_below(side.attr_name_pool as u64);
-        profile.add(format!("{}_{}", word(name_id), name_id), chunk.join(" "));
+    let names: Vec<u64> =
+        tokens.chunks(per_attr).map(|_| rng.gen_below(side.attr_name_pool as u64)).collect();
+    // A value is its chunk's tokens joined by single spaces.
+    let value_len =
+        |chunk: &[String]| chunk.iter().map(String::len).sum::<usize>() + chunk.len() - 1;
+    let text =
+        names.iter().zip(tokens.chunks(per_attr)).map(|(&id, c)| name_len(id) + value_len(c));
+    let mut profile = EntityProfile::sized(uri, names.len(), text.sum())?;
+    for (&id, chunk) in names.iter().zip(tokens.chunks(per_attr)) {
+        profile.add_with(
+            |name| {
+                push_word(id, |c| name.push(c));
+                name.push('_');
+                name.push_display(id);
+            },
+            |value| {
+                for (i, token) in chunk.iter().enumerate() {
+                    if i > 0 {
+                        value.push(' ');
+                    }
+                    value.push_str(token);
+                }
+            },
+        );
     }
-    profile
+    Ok(profile)
+}
+
+/// Length of the attribute name `{word(id)}_{id}`.
+fn name_len(id: u64) -> usize {
+    word_len(id) + 1 + id.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// The noise pipeline: drop, typo, extend. Guarantees at least one token.
@@ -206,10 +237,9 @@ mod tests {
         let mut c = small_config();
         c.seed = 43;
         let d = generate(&c).unwrap();
-        assert_ne!(
-            a.collection.profiles()[0].attributes(),
-            d.collection.profiles()[0].attributes()
-        );
+        assert!(!a.collection.profiles()[0]
+            .attributes()
+            .eq(d.collection.profiles()[0].attributes()));
     }
 
     #[test]

@@ -22,24 +22,42 @@ const SYLLABLES: usize = CONSONANTS.len() * VOWELS.len(); // 70
 /// assert_ne!(er_datagen::words::word(1), er_datagen::words::word(70));
 /// ```
 pub fn word(i: u64) -> String {
-    let mut syllables = Vec::new();
+    let mut out = String::with_capacity(word_len(i));
+    push_word(i, |c| out.push(c));
+    out
+}
+
+/// Writes [`word`]`(i)` one character at a time through `push`, so a caller
+/// can build it in place.
+pub(crate) fn push_word(i: u64, mut push: impl FnMut(char)) {
+    let (digits, n) = syllables(i);
+    for &s in digits[..n].iter().rev() {
+        push(CONSONANTS[s / VOWELS.len()]);
+        push(VOWELS[s % VOWELS.len()]);
+    }
+}
+
+/// `word(i).len()`, without building the word.
+pub(crate) fn word_len(i: u64) -> usize {
+    2 * syllables(i).1
+}
+
+/// The base-70 digits of `i`, least significant first, and how many of
+/// them the word spells (at least two; the padding digits are zero).
+fn syllables(i: u64) -> ([usize; 11], usize) {
+    // 70^11 > u64::MAX, so eleven digits hold any id.
+    let mut digits = [0usize; 11];
+    let mut n = 0;
     let mut v = i;
     loop {
-        syllables.push((v % SYLLABLES as u64) as usize);
+        digits[n] = (v % SYLLABLES as u64) as usize;
+        n += 1;
         v /= SYLLABLES as u64;
         if v == 0 {
             break;
         }
     }
-    while syllables.len() < 2 {
-        syllables.push(0);
-    }
-    let mut out = String::with_capacity(syllables.len() * 2);
-    for &s in syllables.iter().rev() {
-        out.push(CONSONANTS[s / VOWELS.len()]);
-        out.push(VOWELS[s % VOWELS.len()]);
-    }
-    out
+    (digits, n.max(2))
 }
 
 /// Applies one random character-level edit (substitution, deletion or
@@ -105,6 +123,16 @@ mod tests {
             let w = word(i);
             let toks: Vec<String> = er_model::tokenize::tokens(&w).collect();
             assert_eq!(toks, std::slice::from_ref(&w));
+        }
+    }
+
+    #[test]
+    fn words_are_written_in_place_at_their_length() {
+        for i in [0u64, 1, 69, 70, 4900, 343_000, u64::MAX] {
+            let mut w = String::new();
+            push_word(i, |c| w.push(c));
+            assert_eq!(w, word(i));
+            assert_eq!(w.len(), word_len(i));
         }
     }
 

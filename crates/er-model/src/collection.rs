@@ -44,6 +44,8 @@ impl EntityCollection {
     pub fn clean_clean(e1: Vec<EntityProfile>, mut e2: Vec<EntityProfile>) -> Self {
         let split = e1.len();
         let mut profiles = e1;
+        // Exactly both sides: `append` alone may double E₁'s slots.
+        profiles.reserve_exact(e2.len());
         profiles.append(&mut e2);
         EntityCollection { profiles, kind: ErKind::CleanClean, split }
     }
@@ -186,7 +188,7 @@ impl EntityCollection {
         for (id, p) in self.iter() {
             let set = if self.is_second(id) { &mut second } else { &mut first };
             for a in p.attributes() {
-                set.insert(a.name.as_str());
+                set.insert(a.name);
             }
         }
         (first.len(), second.len())

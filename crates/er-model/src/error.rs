@@ -1,5 +1,6 @@
 //! Error type shared by the workspace crates.
 
+use crate::profile::ProfileOverflow;
 use std::fmt;
 
 /// Convenience alias used across the workspace.
@@ -37,6 +38,8 @@ pub enum Error {
     /// (`er-datagen`'s `DatasetConfig::validate`); the payload is the
     /// specific constraint that was violated.
     InvalidConfig(String),
+    /// A profile's text outgrew the `u32` offsets that delimit it.
+    ProfileOverflow(ProfileOverflow),
 }
 
 impl fmt::Display for Error {
@@ -54,11 +57,18 @@ impl fmt::Display for Error {
             }
             Error::ZeroParameter(p) => write!(f, "parameter `{p}` must be positive"),
             Error::InvalidConfig(reason) => write!(f, "invalid dataset config: {reason}"),
+            Error::ProfileOverflow(overflow) => write!(f, "{overflow}"),
         }
     }
 }
 
 impl std::error::Error for Error {}
+
+impl From<ProfileOverflow> for Error {
+    fn from(overflow: ProfileOverflow) -> Self {
+        Error::ProfileOverflow(overflow)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -22,7 +22,7 @@ pub fn read_str(input: &str) -> Result<Vec<EntityProfile>> {
     if header.is_empty() || header[0].trim().is_empty() {
         return Err(IoError::Format("header must start with the URI column".into()));
     }
-    let mut profiles = Vec::new();
+    let mut profiles = Vec::with_capacity(iter.len());
     for (n, row) in iter.enumerate() {
         if row.len() > header.len() {
             return Err(IoError::Format(format!(
@@ -32,16 +32,16 @@ pub fn read_str(input: &str) -> Result<Vec<EntityProfile>> {
                 header.len()
             )));
         }
-        let mut cells = row.into_iter();
-        let uri = cells
-            .next()
-            .filter(|u| !u.is_empty())
+        let (uri, cells) = row
+            .split_first()
+            .filter(|(uri, _)| !uri.is_empty())
             .ok_or_else(|| IoError::Format(format!("row {} has an empty URI", n + 2)))?;
-        let mut profile = EntityProfile::new(uri);
-        for (name, value) in header[1..].iter().zip(cells) {
-            if !value.is_empty() {
-                profile.add(name.clone(), value);
-            }
+        let pairs = header[1..].iter().zip(cells).filter(|(_, value)| !value.is_empty());
+        let text = pairs.clone().map(|(name, value)| name.len() + value.len()).sum();
+        let mut profile = EntityProfile::sized(uri, pairs.clone().count(), text)
+            .map_err(|overflow| IoError::Format(format!("row {}: {overflow}", n + 2)))?;
+        for (name, value) in pairs {
+            profile.add(name, value);
         }
         profiles.push(profile);
     }
@@ -61,8 +61,8 @@ pub fn write_str(profiles: &[EntityProfile]) -> String {
     let mut names: Vec<&str> = Vec::new();
     for p in profiles {
         for a in p.attributes() {
-            if !names.contains(&a.name.as_str()) {
-                names.push(&a.name);
+            if !names.contains(&a.name) {
+                names.push(a.name);
             }
         }
     }
@@ -81,10 +81,10 @@ pub fn write_str(profiles: &[EntityProfile]) -> String {
                 None => continue,
             };
             if row[col].is_empty() {
-                row[col] = a.value.clone();
+                row[col] = a.value.to_owned();
             } else {
                 row[col].push(' ');
-                row[col].push_str(&a.value);
+                row[col].push_str(a.value);
             }
         }
         rows.push(row);
@@ -109,7 +109,7 @@ mod tests {
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].uri(), "p1");
         assert_eq!(profiles[0].len(), 2);
-        assert_eq!(profiles[0].attributes()[0].name, "FullName");
+        assert_eq!(profiles[0].attributes().next().map(|a| a.name), Some("FullName"));
         // Empty cell -> no attribute.
         assert_eq!(profiles[1].len(), 1);
     }
@@ -146,7 +146,7 @@ mod tests {
         let back = read_str(&text).unwrap();
         // The joined value tokenizes identically even though structure
         // flattened from two pairs to one.
-        assert_eq!(back[0].attributes()[0].value, "a b");
+        assert_eq!(back[0].values().collect::<Vec<_>>(), ["a b"]);
     }
 
     #[test]

@@ -188,12 +188,22 @@ impl<'a> Reader<'a> {
 
     /// Reads a profile written by [`put_profile`]. The declared attribute
     /// count is held against the bytes remaining before anything is built
-    /// from it.
+    /// from it, and every pair is read and checked once before the profile
+    /// is sized from their length prefixes and filled: two allocations.
     pub(crate) fn profile(&mut self) -> Result<EntityProfile, SnapshotError> {
-        let mut profile = EntityProfile::new(self.str()?);
+        let uri = self.str()?;
         let attrs = self.u32()? as usize;
         // Each attribute carries two length prefixes at minimum.
         self.need(attrs.saturating_mul(8))?;
+        let pairs_at = self.pos;
+        let mut text = 0usize;
+        for _ in 0..attrs {
+            text += self.str()?.len() + self.str()?.len();
+        }
+        let mut profile = EntityProfile::sized(uri, attrs, text).map_err(|overflow| {
+            SnapshotError::Inconsistent(format!("{}: {overflow}", self.section))
+        })?;
+        self.pos = pairs_at;
         for _ in 0..attrs {
             let name = self.str()?;
             profile.add(name, self.str()?);

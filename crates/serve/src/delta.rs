@@ -784,7 +784,7 @@ mod tests {
             let donor = collection.profile(EntityId((i * 31 % collection.len()) as u32));
             let mut p = EntityProfile::new(format!("n{i}"));
             for a in donor.attributes() {
-                p.add(a.name.clone(), a.value.clone());
+                p.add(a.name, a.value);
             }
             p
         };

@@ -412,7 +412,7 @@ fn apply_program(
         let donor = donors.profile(EntityId(rng.gen_below(donors.len() as u64) as u32));
         let mut profile = EntityProfile::new(format!("w{applied}"));
         for a in donor.attributes() {
-            profile.add(a.name.clone(), a.value.clone());
+            profile.add(a.name, a.value);
         }
         let op = match rng.gen_below(10) {
             0..=3 => DeltaOp::Upsert { id: APPEND, profile },

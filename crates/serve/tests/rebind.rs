@@ -42,7 +42,7 @@ fn smaller(full: &EntityCollection) -> EntityCollection {
 fn recycled(donor: &EntityProfile, uri: String) -> EntityProfile {
     let mut profile = EntityProfile::new(uri);
     for a in donor.attributes() {
-        profile.add(a.name.clone(), a.value.clone());
+        profile.add(a.name, a.value);
     }
     profile
 }

@@ -39,7 +39,7 @@ fn serving_reads_no_file_per_request() {
     let recycled = |i: u32, uri: String| {
         let mut profile = EntityProfile::new(uri);
         for a in collection.profile(EntityId(i * 13 % entities)).attributes() {
-            profile.add(a.name.clone(), a.value.clone());
+            profile.add(a.name, a.value);
         }
         profile
     };

@@ -65,6 +65,14 @@ if grep -rn 'sort_dedup' crates/blocking/src; then
   echo "a blocking builder sorts its keys again (intern_all takes them as they come)" >&2; exit 1
 fi
 
+echo "==> a profile is one buffer (structural guard on crates/er-model/src/profile.rs)"
+# `EntityProfile` keeps its uri, names and values back to back in one
+# `String` behind `u32` end offsets: an owned per-pair field would bring two
+# heap `String`s per name–value pair back.
+if grep -nE 'pub (name|value): String|Vec<Attribute' crates/er-model/src/profile.rs; then
+  echo "profile.rs stores owned per-pair fields again (keep one buffer plus u32 ends)" >&2; exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
