@@ -11,9 +11,9 @@
 //! `u32` ids through [`TokenInterner`] and every assignment is one
 //! `(key_id, entity)` posting in a single flat vector. `finish` groups the
 //! postings by key id with a counting sort — key ids are dense, so grouping
-//! needs no comparison — and streams the surviving groups straight into the
-//! CSR arena of [`BlockCollection`]; no per-key `Vec<EntityId>` pair ever
-//! exists.
+//! needs no comparison — and copies each surviving group, a slice of the
+//! grouped entities, straight into the CSR arena of [`BlockCollection`]; no
+//! per-key `Vec<EntityId>` ever exists.
 
 use er_model::tokenize::{ArenaOverflow, KeyArena, KeyScratch, TokenInterner};
 use er_model::{BlockCollection, BlockCollectionBuilder, EntityCollection, EntityId, ErKind};
@@ -126,19 +126,53 @@ impl KeyBlockBuilder {
         let grouped = GroupedPostings::new(&self.postings, num_keys);
         #[cfg(feature = "sanitize")]
         assert!(
-            grouped.iter().eq(sorted_dedup_oracle(&self.postings)),
+            grouped.postings().eq(sorted_dedup_oracle(&self.postings)),
             "mb-sanitize: counting-sort grouping diverged from sort + dedup"
         );
         drop(self.postings);
-        blocks_from_sorted_postings(
-            self.kind,
-            self.num_entities,
-            self.split,
-            num_keys,
-            grouped.entities.len(),
-            grouped.iter(),
-        )
+        emit(self.kind, self.num_entities, self.split, &grouped)
     }
+}
+
+/// Writes every group that entails at least one comparison — ≥2 members
+/// for Dirty ER, ≥1 member from each collection for Clean-Clean ER — into
+/// a [`BlockCollection`] in key-id order, plus the key id of every emitted
+/// block.
+fn emit(
+    kind: ErKind,
+    num_entities: usize,
+    split: usize,
+    grouped: &GroupedPostings,
+) -> (BlockCollection, Vec<u32>) {
+    let num_keys = grouped.starts.len() - 1;
+    let mut keys = Vec::new();
+    let mut out =
+        BlockCollectionBuilder::with_capacity(kind, num_entities, num_keys, grouped.entities.len());
+    for (key, pair) in grouped.starts.windows(2).enumerate() {
+        let members = &grouped.entities[pair[0] as usize..pair[1] as usize];
+        // Members are ascending by id, so one partition point separates
+        // the E₁ (id < split) and E₂ sides; a Dirty block is all left side.
+        let (cut, keep) = match kind {
+            ErKind::Dirty => (members.len(), members.len() >= 2),
+            ErKind::CleanClean => {
+                let cut = members.partition_point(|e| e.idx() < split);
+                (cut, cut > 0 && cut < members.len())
+            }
+        };
+        if !keep {
+            continue;
+        }
+        out.begin();
+        for &e in &members[..cut] {
+            out.push_left(e);
+        }
+        for &e in &members[cut..] {
+            out.push_right(e);
+        }
+        out.commit();
+        keys.push(key as u32);
+    }
+    (out.finish(), keys)
 }
 
 /// Panics with the overflow's message if there is one: how the infallible
@@ -223,28 +257,11 @@ impl GroupedPostings {
     }
 
     /// The postings as `(key_id, entity)`, sorted and free of repeats.
-    fn iter(&self) -> GroupedIter<'_> {
-        GroupedIter { grouped: self, key: 0, pos: 0 }
-    }
-}
-
-struct GroupedIter<'a> {
-    grouped: &'a GroupedPostings,
-    key: usize,
-    pos: usize,
-}
-
-impl Iterator for GroupedIter<'_> {
-    type Item = (u32, EntityId);
-
-    fn next(&mut self) -> Option<(u32, EntityId)> {
-        let &entity = self.grouped.entities.get(self.pos)?;
-        // `pos` is below the last offset, so a group containing it exists.
-        while self.grouped.starts[self.key + 1] as usize <= self.pos {
-            self.key += 1;
-        }
-        self.pos += 1;
-        Some((self.key as u32, entity))
+    #[cfg(any(test, feature = "sanitize"))]
+    fn postings(&self) -> impl Iterator<Item = (u32, EntityId)> + '_ {
+        self.starts.windows(2).enumerate().flat_map(move |(key, pair)| {
+            self.entities[pair[0] as usize..pair[1] as usize].iter().map(move |&e| (key as u32, e))
+        })
     }
 }
 
@@ -257,85 +274,11 @@ fn sorted_dedup_oracle(postings: &[(u32, EntityId)]) -> Vec<(u32, EntityId)> {
     sorted
 }
 
-/// Groups an already-sorted, deduplicated `(key_id, entity)` posting stream
-/// into a [`BlockCollection`], keeping only blocks that entail at least one
-/// comparison (≥2 members for Dirty ER, ≥1 member from each collection for
-/// Clean-Clean ER), plus the key id of every emitted block.
-///
-/// This is the single block-emission path: [`KeyBlockBuilder::finish_keyed`]
-/// feeds it the in-memory sorted postings, and an out-of-core builder can
-/// feed it a k-way merge over spilled runs — both produce bit-identical
-/// collections because the grouping logic is shared, not mirrored.
-///
-/// The stream must be sorted by `(key_id, entity)` with no duplicate pairs;
-/// `estimated_postings` only sizes the arena's initial allocation.
-pub fn blocks_from_sorted_postings(
-    kind: ErKind,
-    num_entities: usize,
-    split: usize,
-    num_keys: usize,
-    estimated_postings: usize,
-    postings: impl Iterator<Item = (u32, EntityId)>,
-) -> (BlockCollection, Vec<u32>) {
-    let mut keys = Vec::new();
-    let mut out =
-        BlockCollectionBuilder::with_capacity(kind, num_entities, num_keys, estimated_postings);
-    // One key's members, buffered so under-threshold groups can be dropped
-    // without touching the arena. Bounded by the largest block, not the
-    // posting count.
-    let mut group: Vec<EntityId> = Vec::new();
-    let mut current: Option<u32> = None;
-    let mut flush = |key: u32, group: &mut Vec<EntityId>| {
-        match kind {
-            ErKind::Dirty => {
-                if group.len() >= 2 {
-                    out.begin();
-                    for &e in group.iter() {
-                        out.push_left(e);
-                    }
-                    out.commit();
-                    keys.push(key);
-                }
-            }
-            ErKind::CleanClean => {
-                // Members arrive sorted by id, so one partition point
-                // separates the E₁ (id < split) and E₂ sides.
-                let cut = group.partition_point(|e| e.idx() < split);
-                if cut > 0 && cut < group.len() {
-                    out.begin();
-                    for &e in &group[..cut] {
-                        out.push_left(e);
-                    }
-                    for &e in &group[cut..] {
-                        out.push_right(e);
-                    }
-                    out.commit();
-                    keys.push(key);
-                }
-            }
-        }
-        group.clear();
-    };
-    for (key, entity) in postings {
-        if current != Some(key) {
-            if let Some(prev) = current {
-                flush(prev, &mut group);
-            }
-            current = Some(key);
-        }
-        group.push(entity);
-    }
-    if let Some(prev) = current {
-        flush(prev, &mut group);
-    }
-    drop(flush);
-    (out.finish(), keys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_model::EntityProfile;
+    use er_model::{Block, EntityProfile};
+    use std::collections::BTreeMap;
 
     fn dirty(n: usize) -> EntityCollection {
         EntityCollection::dirty(vec![EntityProfile::new("x"); n])
@@ -466,7 +409,7 @@ mod tests {
     fn assert_groups_like_the_oracle(postings: &[(u32, EntityId)], num_keys: usize, case: &str) {
         let grouped = GroupedPostings::new(postings, num_keys);
         assert_eq!(grouped.starts.len(), num_keys + 1, "{case}");
-        assert!(grouped.iter().eq(sorted_dedup_oracle(postings)), "{case}");
+        assert!(grouped.postings().eq(sorted_dedup_oracle(postings)), "{case}");
     }
 
     #[test]
@@ -522,13 +465,43 @@ mod tests {
         assert_groups_like_the_oracle(&[], 7, "keys without postings");
     }
 
+    /// The blocks of sorted, repeat-free postings as owned `Block`s: each
+    /// key's members, kept if they entail a comparison (≥2 members for
+    /// Dirty ER, members on both sides for Clean-Clean ER), plus the key of
+    /// every kept block.
+    fn blocks_by_hand(
+        collection: &EntityCollection,
+        sorted: &[(u32, EntityId)],
+    ) -> (BlockCollection, Vec<u32>) {
+        let mut groups: BTreeMap<u32, Vec<EntityId>> = BTreeMap::new();
+        for &(key, entity) in sorted {
+            groups.entry(key).or_default().push(entity);
+        }
+        let (mut blocks, mut keys) = (Vec::new(), Vec::new());
+        for (key, members) in groups {
+            let (left, right): (Vec<EntityId>, Vec<EntityId>) =
+                members.iter().partition(|e| e.idx() < collection.split());
+            let block = match collection.kind() {
+                ErKind::Dirty if members.len() >= 2 => Block::dirty(members),
+                ErKind::CleanClean if !left.is_empty() && !right.is_empty() => {
+                    Block::clean_clean(left, right)
+                }
+                _ => continue,
+            };
+            blocks.push(block);
+            keys.push(key);
+        }
+        (BlockCollection::new(collection.kind(), collection.len(), blocks), keys)
+    }
+
     #[test]
     fn assign_in_any_order_builds_the_blocks_of_the_sorted_postings() {
         // Through the public surface: descending, shuffled and repeated
-        // `assign`s, then `finish_keyed` against the sort + dedup oracle fed
-        // to the same emission routine.
+        // `assign`s, then `finish_keyed` against blocks grouped by hand from
+        // the sort + dedup oracle. With as many keys as assignments, most
+        // groups are singletons or one-sided, which emission must drop.
         let mut next = rng(7);
-        for clean_clean in [false, true] {
+        for (clean_clean, key_space) in [(false, 90), (true, 90), (false, 1500), (true, 1500)] {
             let n = 120usize;
             let collection = if clean_clean {
                 EntityCollection::clean_clean(
@@ -539,7 +512,7 @@ mod tests {
                 dirty(n)
             };
             let mut assignments: Vec<(String, EntityId)> = (0..1500)
-                .map(|_| (format!("k{}", next() % 90), EntityId((next() % n as u64) as u32)))
+                .map(|_| (format!("k{}", next() % key_space), EntityId((next() % n as u64) as u32)))
                 .collect();
             assignments.sort_by_key(|a| std::cmp::Reverse(a.1));
             let cut = assignments.len() / 3;
@@ -554,17 +527,11 @@ mod tests {
                 postings.push((oracle_interner.intern(key), *entity));
             }
             let (blocks, keys, vocabulary) = builder.finish_keyed().unwrap();
-            let sorted = sorted_dedup_oracle(&postings);
-            let (expected, expected_keys) = blocks_from_sorted_postings(
-                collection.kind(),
-                collection.len(),
-                collection.split(),
-                oracle_interner.len(),
-                sorted.len(),
-                sorted.iter().copied(),
-            );
-            assert_eq!(blocks.raw_parts(), expected.raw_parts(), "cc={clean_clean}");
-            assert_eq!(keys, expected_keys);
+            let (expected, expected_keys) =
+                blocks_by_hand(&collection, &sorted_dedup_oracle(&postings));
+            let case = format!("cc={clean_clean} keys={key_space}");
+            assert_eq!(blocks.raw_parts(), expected.raw_parts(), "{case}");
+            assert_eq!(keys, expected_keys, "{case}");
             assert!(vocabulary
                 .iter()
                 .eq((0..oracle_interner.len() as u32).map(|id| oracle_interner.resolve(id))));

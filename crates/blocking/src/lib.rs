@@ -42,7 +42,7 @@ mod suffix;
 mod token;
 
 pub use attr_clustering::AttributeClusteringBlocking;
-pub use builder::{blocks_from_sorted_postings, KeyBlockBuilder};
+pub use builder::KeyBlockBuilder;
 pub use canopy::CanopyClustering;
 pub use method::BlockingMethod;
 pub use qgrams::QGramsBlocking;

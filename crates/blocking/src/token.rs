@@ -2,8 +2,8 @@
 
 use crate::builder::KeyBlockBuilder;
 use crate::method::BlockingMethod;
-use er_model::tokenize::{ArenaOverflow, KeyArena, KeyScratch, TokenInterner};
-use er_model::{BlockCollection, EntityCollection, EntityId};
+use er_model::tokenize::{ArenaOverflow, KeyArena, KeyScratch};
+use er_model::{BlockCollection, EntityCollection};
 
 /// Schema-agnostic Token Blocking: "it splits the attribute values of every
 /// entity profile into tokens based on whitespace; then, it creates a
@@ -42,36 +42,7 @@ impl TokenBlocking {
         self.fill(collection).finish_keyed()
     }
 
-    /// Streams every `(interned token id, entity)` assignment to `sink`
-    /// instead of accumulating it, and returns the vocabulary.
-    ///
-    /// Tokenization, interning order and assignment order are *exactly*
-    /// those of [`TokenBlocking::build_keyed`] — this is the same extraction
-    /// pass with a different posting destination — so a caller that sorts,
-    /// deduplicates and regroups the stream (e.g. through external spill
-    /// files) reproduces `build_keyed`'s block collection bit for bit. Each
-    /// profile's distinct tokens arrive once, in the order
-    /// [`TokenInterner::intern_all`] writes them, which is not sorted. Only
-    /// the vocabulary stays resident; the postings never accumulate here.
-    pub fn stream_postings(
-        &self,
-        collection: &EntityCollection,
-        sink: &mut dyn FnMut(u32, EntityId),
-    ) -> Result<KeyArena, ArenaOverflow> {
-        let mut interner = TokenInterner::new();
-        let mut scratch = KeyScratch::new();
-        let mut ids = Vec::new();
-        for (id, profile) in collection.iter() {
-            scratch.fill_tokens(profile);
-            interner.intern_all(&scratch, &mut ids)?;
-            for &token in &ids {
-                sink(token, id);
-            }
-        }
-        Ok(interner.into_keys())
-    }
-
-    /// The shared token-extraction pass behind both build flavors.
+    /// The token-extraction pass behind both build flavors.
     fn fill(&self, collection: &EntityCollection) -> KeyBlockBuilder {
         let mut builder = KeyBlockBuilder::new(collection);
         let mut scratch = KeyScratch::new();
@@ -96,7 +67,7 @@ impl BlockingMethod for TokenBlocking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_model::{EntityProfile, ErKind};
+    use er_model::{EntityId, EntityProfile, ErKind};
 
     use crate::fixtures::figure1_profiles;
 

@@ -2,6 +2,7 @@
 
 use crate::args::Args;
 use er_blocking::{purging, BlockingMethod, TokenBlocking};
+use er_datagen::{presets, DatasetConfig};
 use er_io::bundle::{self, Bundle};
 use er_model::measures::{self, EffectivenessAccumulator};
 use er_model::{BlockCollection, EntityId, EntityProfile};
@@ -13,8 +14,8 @@ use mb_core::{
 use mb_observe::{Progress, RunReport, Tee};
 use mb_serve::{
     append_delta_run, write_atomic, CandidateRequest, CandidateResponse, Client, DeltaOp,
-    GenerationCell, OutOfCoreConfig, QueryEngine, Server, ServerConfig, Snapshot, SnapshotHeader,
-    SnapshotView, APPEND,
+    GenerationCell, QueryEngine, Server, ServerConfig, Snapshot, SnapshotHeader, SnapshotView,
+    APPEND,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -43,6 +44,18 @@ fn input_blocks_observed(bundle: &Bundle, obs: &mut dyn Observer) -> BlockCollec
     blocks
 }
 
+/// A preset's configuration for a seed.
+type Preset = fn(u64) -> DatasetConfig;
+
+/// Every preset `er generate --preset` accepts, by name.
+const PRESETS: [(&str, Preset); 5] = [
+    ("tiny", presets::tiny),
+    ("d1c", presets::d1c),
+    ("d2c", presets::d2c),
+    ("d3c", |seed| presets::d3c(seed, 1.0)),
+    ("xl", presets::xl),
+];
+
 /// `er generate`: synthesize a benchmark bundle.
 pub fn generate(args: &Args) -> Result<String, String> {
     check_options(args, &["preset", "out", "scale", "seed", "dirty"])?;
@@ -52,14 +65,12 @@ pub fn generate(args: &Args) -> Result<String, String> {
     if !(scale > 0.0 && scale <= 1.0) {
         return Err(format!("--scale must lie in (0, 1], got {scale}"));
     }
-    let mut config = match args.require("preset")? {
-        "tiny" => er_datagen::presets::tiny(seed),
-        "d1c" => er_datagen::presets::d1c(seed),
-        "d2c" => er_datagen::presets::d2c(seed),
-        "d3c" => er_datagen::presets::d3c(seed, 1.0),
-        "xl" => er_datagen::presets::xl(seed),
-        other => return Err(format!("unknown preset `{other}`")),
-    };
+    let name = args.require("preset")?;
+    let &(_, preset) = PRESETS
+        .iter()
+        .find(|&&(known, _)| known == name)
+        .ok_or_else(|| format!("unknown preset `{name}`"))?;
+    let mut config = preset(seed);
     if scale < 1.0 {
         let s = |n: usize| ((n as f64 * scale).round() as usize).max(1);
         config.matched_pairs = s(config.matched_pairs);
@@ -269,25 +280,9 @@ pub fn snapshot(args: &Args) -> Result<String, String> {
 }
 
 /// `er snapshot build`: freeze Token Blocking (+ optional Block Filtering)
-/// over a bundle into a versioned snapshot file. With `--out-of-core` the
-/// posting sort runs through bounded-memory spill files
-/// ([`Snapshot::build_out_of_core`]) — bit-identical output, RAM bounded by
-/// `--spill-budget-mb` instead of the posting count.
+/// over a bundle into a versioned snapshot file.
 fn snapshot_build(args: &Args) -> Result<String, String> {
-    check_options(
-        args,
-        &[
-            "dataset",
-            "out",
-            "scheme",
-            "pruning",
-            "filter",
-            "threads",
-            "out-of-core",
-            "spill-budget-mb",
-            "spill-dir",
-        ],
-    )?;
+    check_options(args, &["dataset", "out", "scheme", "pruning", "filter", "threads"])?;
     let bundle = load_bundle(args)?;
     let out = args.require("out")?;
     let weighting: WeightingScheme = args.get("scheme").unwrap_or("js").parse()?;
@@ -299,16 +294,7 @@ fn snapshot_build(args: &Args) -> Result<String, String> {
     let threads: usize = args.get_parsed("threads", 1)?;
     let config =
         PipelineConfig { weighting, pruning, filter_ratio, threads, ..PipelineConfig::default() };
-    let snapshot = if args.flag("out-of-core") {
-        let mut ooc = OutOfCoreConfig::with_budget_mb(args.get_parsed("spill-budget-mb", 256)?);
-        ooc.temp_dir = args.get("spill-dir").map(PathBuf::from);
-        Snapshot::build_out_of_core(&bundle.collection, config, &ooc).map_err(|e| e.to_string())?
-    } else {
-        if args.get("spill-budget-mb").is_some() || args.get("spill-dir").is_some() {
-            return Err("--spill-budget-mb/--spill-dir require --out-of-core".into());
-        }
-        Snapshot::build(&bundle.collection, config).map_err(|e| e.to_string())?
-    };
+    let snapshot = Snapshot::build(&bundle.collection, config).map_err(|e| e.to_string())?;
     snapshot.write_to(Path::new(out)).map_err(|e| format!("writing {out}: {e}"))?;
     Ok(format!(
         "wrote {out}: {:?} ER, {} entities, {} blocks, {} comparisons, {} tokens\n",
@@ -855,65 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_core_build_matches_the_in_memory_build() {
-        let dir = temp_dir("ooc");
-        let dir_s = dir.to_str().unwrap();
-        generate(&argv(&["generate", "--preset", "tiny", "--out", dir_s, "--scale", "0.5"]))
-            .unwrap();
-        let in_mem = dir.join("in-mem.mbsnap");
-        let ooc = dir.join("ooc.mbsnap");
-        snapshot(&argv(&[
-            "snapshot",
-            "build",
-            "--dataset",
-            dir_s,
-            "--out",
-            in_mem.to_str().unwrap(),
-            "--filter",
-            "0.8",
-        ]))
-        .unwrap();
-        // A 1-MiB budget on this fixture stays under the spill floor, but
-        // the whole spill pipeline (pack, sort, merge, regroup) still runs.
-        snapshot(&argv(&[
-            "snapshot",
-            "build",
-            "--dataset",
-            dir_s,
-            "--out",
-            ooc.to_str().unwrap(),
-            "--filter",
-            "0.8",
-            "--out-of-core",
-            "--spill-budget-mb",
-            "1",
-            "--spill-dir",
-            dir.join("spill").to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&in_mem).unwrap(),
-            std::fs::read(&ooc).unwrap(),
-            "out-of-core snapshot bytes diverged from the in-memory build"
-        );
-
-        // Spill knobs without --out-of-core are a usage error.
-        let err = snapshot(&argv(&[
-            "snapshot",
-            "build",
-            "--dataset",
-            dir_s,
-            "--out",
-            ooc.to_str().unwrap(),
-            "--spill-budget-mb",
-            "1",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--out-of-core"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn snapshot_and_query_errors_are_helpful() {
         let dir = temp_dir("serve_err");
         let dir_s = dir.to_str().unwrap();
@@ -1271,6 +1198,21 @@ mod tests {
         assert_eq!(err, "unknown option(s): --shards");
         let err = serve(&argv(&["serve", "--snapshot", "x", "--shard-threads", "2"])).unwrap_err();
         assert_eq!(err, "unknown option(s): --shard-threads");
+        // So are the removed out-of-core build flags.
+        for removed in [&["--out-of-core"][..], &["--spill-budget-mb", "64"], &["--spill-dir", "d"]]
+        {
+            let mut tokens = vec!["snapshot", "build", "--dataset", "x", "--out", "y"];
+            tokens.extend_from_slice(removed);
+            let err = snapshot(&argv(&tokens)).unwrap_err();
+            assert_eq!(err, format!("unknown option(s): {}", removed[0]));
+        }
+    }
+
+    #[test]
+    fn usage_names_every_preset() {
+        let names: Vec<&str> = PRESETS.iter().map(|&(name, _)| name).collect();
+        let listed = format!("--preset <{}>", names.join("|"));
+        assert!(crate::USAGE.contains(&listed), "usage lacks `{listed}`");
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub const USAGE: &str = "\
 er — enhanced meta-blocking pipelines
 
 USAGE:
-  er generate --preset <tiny|d1c|d2c|d3c> --out <dir> [--scale F] [--seed N] [--dirty]
+  er generate --preset <tiny|d1c|d2c|d3c|xl> --out <dir> [--scale F] [--seed N] [--dirty]
   er stats --dataset <dir>
   er run --dataset <dir> [--scheme <arcs|cbs|ecbs|js|ejs>]
          [--pruning <cep|cnp|wep|wnp|redefined-cnp|redefined-wnp|reciprocal-cnp|reciprocal-wnp|graph-free>]

@@ -102,14 +102,13 @@ pub fn d3c(seed: u64, scale: f64) -> DatasetConfig {
     }
 }
 
-/// XL: the out-of-core / zero-copy stress preset — 1.05 million profiles
+/// XL: the million-profile stress preset — 1.05 million profiles
 /// (420,000 × 630,000) with 300,000 matched pairs.
 ///
-/// Tuned so a snapshot build is posting-bound rather than vocabulary-bound:
-/// short profiles (7 tokens per object, light extra-token noise) over a
-/// 600,000-token vocabulary give ≈9–10M `(token, entity)` postings but a
-/// vocabulary that still fits comfortably in memory — the regime
-/// `er snapshot build --out-of-core` exists for. Deterministic for a fixed
+/// Short profiles (7 tokens per object, light extra-token noise) over a
+/// 600,000-token vocabulary give ≈9–10M `(token, entity)` postings and a
+/// vocabulary that fits comfortably in memory, so `er snapshot build` holds
+/// the whole build in RAM (`results/xl_run.txt`). Deterministic for a fixed
 /// seed, like every preset.
 pub fn xl(seed: u64) -> DatasetConfig {
     DatasetConfig {

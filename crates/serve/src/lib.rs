@@ -8,9 +8,9 @@
 //!
 //! - [`Snapshot`] builds that state and encodes it into a versioned,
 //!   checksummed binary format ([`Snapshot::to_bytes`] /
-//!   [`Snapshot::write_to`]). Builds that exceed RAM stream their postings
-//!   through bounded-memory spill files instead
-//!   ([`Snapshot::build_out_of_core`], tuned by [`OutOfCoreConfig`]).
+//!   [`Snapshot::write_to`]). [`Snapshot::build`] is the one way a
+//!   snapshot is made; it holds the collection's postings in memory, as
+//!   the batch pipeline does.
 //! - [`SnapshotView`] is the one loader: it validates every structural and
 //!   cross-section invariant, never panics on malformed input (see
 //!   [`SnapshotError`]), and — the fixed-width sections being 8-byte-aligned
@@ -61,7 +61,6 @@ pub mod protocol;
 mod request;
 mod server;
 mod snapshot;
-mod spill;
 mod store;
 mod view;
 
@@ -71,7 +70,5 @@ pub use error::{ServeError, SnapshotError};
 pub use generation::{AppliedDelta, Generation, GenerationCell};
 pub use request::{CandidateRequest, CandidateResponse, CandidateTarget};
 pub use server::{Client, Server, ServerConfig, ServerHandle};
-pub use snapshot::{
-    write_atomic, OutOfCoreConfig, SectionInfo, Snapshot, SnapshotHeader, FORMAT_VERSION, MAGIC,
-};
+pub use snapshot::{write_atomic, SectionInfo, Snapshot, SnapshotHeader, FORMAT_VERSION, MAGIC};
 pub use view::SnapshotView;

@@ -1,10 +1,12 @@
-//! The versioned snapshot format and its builder.
+//! The versioned snapshot format and its one builder, [`Snapshot::build`].
 //!
 //! A snapshot freezes everything the online query path needs — the filtered
 //! block collection, the entity index over it, the blocking vocabulary with
 //! per-block key provenance, and the pipeline configuration plus derived
 //! thresholds — so a serving process reconstructs the query state without
-//! re-running blocking, filtering, or index construction.
+//! re-running blocking, filtering, or index construction. The build runs
+//! the batch front end in memory: Token Blocking's postings, grouped by
+//! counting (`er_blocking::KeyBlockBuilder`), then Block Filtering.
 //!
 //! # Layout (format version 4)
 //!
@@ -61,14 +63,13 @@
 
 use crate::codec::{fnv1a_wide, padded_len, put_bytes, put_u32, put_u32_slice, put_u64, Reader};
 use crate::error::SnapshotError;
-use crate::spill::{pack_posting, unpack_posting, SpillSort};
-use er_blocking::{blocks_from_sorted_postings, TokenBlocking};
+use er_blocking::TokenBlocking;
 use er_model::tokenize::KeyArena;
-use er_model::{BlockCollection, EntityCollection, EntityId, EntityIndex, ErKind};
+use er_model::{BlockCollection, EntityCollection, EntityIndex, ErKind};
 use mb_core::filter::block_filtering_traced;
 use mb_core::prune::{cep_threshold_from_counts, cnp_threshold_from_counts};
 use mb_core::PipelineConfig;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The snapshot file magic.
 pub const MAGIC: [u8; 8] = *b"MBSNAP04";
@@ -430,39 +431,13 @@ impl SnapshotHeader {
     }
 }
 
-/// Tuning for [`Snapshot::build_out_of_core`].
-#[derive(Debug, Clone)]
-pub struct OutOfCoreConfig {
-    /// In-memory posting-buffer budget in bytes (8 bytes per posting).
-    /// Once the buffer would exceed it, the sorted, deduplicated contents
-    /// spill to one run file. Floored internally to 1024 postings.
-    pub spill_budget_bytes: usize,
-    /// Directory for spill run files; the process temp dir when `None`.
-    /// Run files are deleted as soon as the build finishes (or fails).
-    pub temp_dir: Option<PathBuf>,
-}
-
-impl Default for OutOfCoreConfig {
-    fn default() -> OutOfCoreConfig {
-        OutOfCoreConfig { spill_budget_bytes: 256 << 20, temp_dir: None }
-    }
-}
-
-impl OutOfCoreConfig {
-    /// A config spilling after `mb` mebibytes of buffered postings.
-    pub fn with_budget_mb(mb: usize) -> OutOfCoreConfig {
-        OutOfCoreConfig { spill_budget_bytes: mb << 20, ..OutOfCoreConfig::default() }
-    }
-}
-
 /// A freshly built serving index, ready to encode.
 ///
-/// Construction goes through [`Snapshot::build`] or
-/// [`Snapshot::build_out_of_core`] (run the blocking front-end now); the
-/// result is written with [`Snapshot::to_bytes`] / [`Snapshot::write_to`]
-/// and becomes queryable by loading those bytes through
-/// [`crate::view::SnapshotView`] (`SnapshotView::try_from(snapshot)` does
-/// both in one step).
+/// Construction goes through [`Snapshot::build`] (run the blocking
+/// front-end now); the result is written with [`Snapshot::to_bytes`] /
+/// [`Snapshot::write_to`] and becomes queryable by loading those bytes
+/// through [`crate::view::SnapshotView`] (`SnapshotView::try_from(snapshot)`
+/// does both in one step).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     blocks: BlockCollection,
@@ -493,67 +468,6 @@ impl Snapshot {
     ) -> Result<Snapshot, SnapshotError> {
         config.validate().map_err(SnapshotError::Config)?;
         let (blocks, keys, tokens) = TokenBlocking.build_keyed(collection)?;
-        Snapshot::assemble_blocking(blocks, keys, tokens, collection.split(), config)
-    }
-
-    /// [`Snapshot::build`] with a bounded posting memory footprint: the
-    /// `(token, entity)` assignments stream through an external spill sort
-    /// ([`OutOfCoreConfig::spill_budget_bytes`] of buffer, sorted run files
-    /// on disk, k-way merge) instead of accumulating in one vector, so a
-    /// million-entity build never holds the full posting multiset in RAM.
-    ///
-    /// The result is bit-identical to [`Snapshot::build`]'s for the same
-    /// inputs: tokenization/interning ([`TokenBlocking::stream_postings`])
-    /// and block grouping ([`blocks_from_sorted_postings`]) are the *same
-    /// code* the in-memory path runs — only where the sort happens differs,
-    /// and sorted-dedup order is storage-independent.
-    pub fn build_out_of_core(
-        collection: &EntityCollection,
-        config: PipelineConfig,
-        ooc: &OutOfCoreConfig,
-    ) -> Result<Snapshot, SnapshotError> {
-        config.validate().map_err(SnapshotError::Config)?;
-        let dir = ooc.temp_dir.clone().unwrap_or_else(std::env::temp_dir);
-        let mut sorter = SpillSort::new(dir, ooc.spill_budget_bytes)?;
-        let mut io: Option<std::io::Error> = None;
-        let tokens = TokenBlocking.stream_postings(collection, &mut |token, entity| {
-            if io.is_none() {
-                if let Err(e) = sorter.push(pack_posting(token, entity.0)) {
-                    io = Some(e);
-                }
-            }
-        })?;
-        if let Some(e) = io {
-            return Err(SnapshotError::Io(e));
-        }
-        let estimated = usize::try_from(sorter.pushed()).unwrap_or(usize::MAX);
-        let mut sorted = sorter.into_sorted()?;
-        let (blocks, keys) = blocks_from_sorted_postings(
-            collection.kind(),
-            collection.len(),
-            collection.split(),
-            tokens.len(),
-            estimated,
-            (&mut sorted).map(|packed| {
-                let (token, entity) = unpack_posting(packed);
-                (token, EntityId(entity))
-            }),
-        );
-        if let Some(e) = sorted.take_error() {
-            return Err(SnapshotError::Io(e));
-        }
-        Snapshot::assemble_blocking(blocks, keys, tokens, collection.split(), config)
-    }
-
-    /// The shared back half of both build paths: filter, resolve block
-    /// provenance, index, and derive thresholds.
-    fn assemble_blocking(
-        blocks: BlockCollection,
-        keys: Vec<u32>,
-        tokens: KeyArena,
-        split: usize,
-        config: PipelineConfig,
-    ) -> Result<Snapshot, SnapshotError> {
         let (blocks, trace) = match config.filter_ratio {
             Some(r) => block_filtering_traced(&blocks, r)
                 .map_err(|e| SnapshotError::Config(e.to_string()))?,
@@ -574,7 +488,7 @@ impl Snapshot {
         Ok(Snapshot {
             blocks,
             index,
-            split,
+            split: collection.split(),
             tokens,
             block_keys,
             config,
@@ -828,10 +742,10 @@ mod tests {
 
     use er_model::EntityProfile;
 
-    /// A deterministic collection big enough to exceed small spill budgets:
-    /// `n` profiles, each with a handful of zipf-ish shared tokens so blocks
-    /// of every size (and dropped singletons) occur.
-    fn spill_collection(n: u32, clean_clean: bool) -> EntityCollection {
+    /// A deterministic collection: `n` profiles, each with a handful of
+    /// shared tokens so blocks of several sizes (and dropped singletons)
+    /// occur.
+    fn sample_collection(n: u32, clean_clean: bool) -> EntityCollection {
         let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut profiles = Vec::with_capacity(n as usize);
         for i in 0..n {
@@ -862,8 +776,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.mbsnap");
         let config = PipelineConfig::default();
-        let a = Snapshot::build(&spill_collection(40, false), config).unwrap();
-        let b = Snapshot::build(&spill_collection(90, true), config).unwrap();
+        let a = Snapshot::build(&sample_collection(40, false), config).unwrap();
+        let b = Snapshot::build(&sample_collection(90, true), config).unwrap();
         assert_ne!(a.to_bytes(), b.to_bytes());
 
         a.write_to(&path).unwrap();
@@ -886,42 +800,5 @@ mod tests {
         assert!(!missing.exists());
         assert!(write_atomic(Path::new("/"), b"").is_err(), "no file name to replace");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn out_of_core_build_is_bit_identical_to_in_memory_build() {
-        // ~700 profiles × 7 postings ≈ 4900 postings: budget 1 (cap floor
-        // 1024) forces several spill runs, budget 16 KiB forces one or two,
-        // usize::MAX/8-scale budget never spills — all three must serialize
-        // to the exact bytes of Snapshot::build.
-        for clean_clean in [false, true] {
-            let collection = spill_collection(700, clean_clean);
-            for filter_ratio in [None, Some(0.8)] {
-                let config = PipelineConfig { filter_ratio, ..PipelineConfig::default() };
-                let expected = Snapshot::build(&collection, config.clone()).unwrap().to_bytes();
-                for budget in [1usize, 16 << 10, 1 << 30] {
-                    let ooc = OutOfCoreConfig {
-                        spill_budget_bytes: budget,
-                        temp_dir: Some(std::env::temp_dir().join(format!(
-                            "er_ooc_test_{}_{clean_clean}_{budget}",
-                            std::process::id()
-                        ))),
-                    };
-                    let snapshot =
-                        Snapshot::build_out_of_core(&collection, config.clone(), &ooc).unwrap();
-                    assert_eq!(
-                        snapshot.to_bytes(),
-                        expected,
-                        "cc={clean_clean} filter={filter_ratio:?} budget={budget}: \
-                         out-of-core bytes diverged"
-                    );
-                    if let Some(dir) = &ooc.temp_dir {
-                        let leftovers = std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0);
-                        assert_eq!(leftovers, 0, "budget {budget} leaked spill runs");
-                        let _ = std::fs::remove_dir_all(dir);
-                    }
-                }
-            }
-        }
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full local gate, in dependency order: style, compile, lint (with
-# structural guards on mb-core and er-blocking beside it), tests,
+# structural guards on mb-core, er-blocking, er-model and mb-serve beside
+# it), tests,
 # then a serving-layer smoke: generate a tiny bundle, freeze it into a
 # snapshot, re-load it (full checksum + invariant validation) and query it,
 # then an online-serving smoke: `er serve` on an ephemeral port, query it
@@ -65,6 +66,14 @@ if grep -rn 'sort_dedup' crates/blocking/src; then
   echo "a blocking builder sorts its keys again (intern_all takes them as they come)" >&2; exit 1
 fi
 
+echo "==> one snapshot build (structural guard on crates/serve/src and crates/blocking/src)"
+# `Snapshot::build` is the only way a snapshot is made, and the blocking
+# front end has one block emission: a second, disk-backed build path must
+# not come back beside them.
+if grep -rnE 'SpillSort|fn build_out_of_core|fn stream_postings' crates/serve/src crates/blocking/src; then
+  echo "a second snapshot build path is back (Snapshot::build is the one build)" >&2; exit 1
+fi
+
 echo "==> a profile is one buffer (structural guard on crates/er-model/src/profile.rs)"
 # `EntityProfile` keeps its uri, names and values back to back in one
 # `String` behind `u32` end offsets: an owned per-pair field would bring two
@@ -107,13 +116,6 @@ for refused in "snapshot inspect --snapshot $SMOKE_DIR/v3.mbsnap" \
     && ! grep -q "panicked" "$SMOKE_DIR/refused.txt" \
     || { echo "er $refused: wrong refusal:" >&2; cat "$SMOKE_DIR/refused.txt" >&2; exit 1; }
 done
-
-echo "==> out-of-core smoke (spill build bit-identity)"
-cargo run -q --release -p er-cli -- snapshot build --dataset "$SMOKE_DIR" \
-  --out "$SMOKE_DIR/index-ooc.mbsnap" --scheme cbs --pruning cnp --filter 0.8 \
-  --out-of-core --spill-budget-mb 1 --spill-dir "$SMOKE_DIR/spill"
-cmp "$SMOKE_DIR/index.mbsnap" "$SMOKE_DIR/index-ooc.mbsnap" \
-  || { echo "out-of-core snapshot differs from the in-memory build" >&2; exit 1; }
 
 echo "==> online-serving smoke (er serve + er client query/reload/shutdown)"
 cargo run -q --release -p er-cli -- snapshot build --dataset "$SMOKE_DIR" \

@@ -5,12 +5,13 @@
 //! vocabulary, in order.
 
 use er_blocking::{
-    blocks_from_sorted_postings, AttributeClusteringBlocking, BlockingMethod, QGramsBlocking,
-    StandardBlocking, SuffixArraysBlocking, TokenBlocking,
+    AttributeClusteringBlocking, BlockingMethod, QGramsBlocking, StandardBlocking,
+    SuffixArraysBlocking, TokenBlocking,
 };
 use er_datagen::presets;
 use er_model::tokenize::{qgrams, suffixes, tokens, Interner, KeyScratch};
-use er_model::{BlockCollection, EntityCollection, EntityId};
+use er_model::{Block, BlockCollection, EntityCollection, EntityId, ErKind};
+use std::collections::BTreeMap;
 
 fn tiny_collections() -> [EntityCollection; 2] {
     let clean = presets::build(&presets::tiny(20160315)).expect("tiny preset");
@@ -48,8 +49,10 @@ fn fill_tokens_is_the_token_stream_on_the_benchmark_presets() {
 
 /// The reference front-end: `keys_of` yields a profile value's keys as owned
 /// `String`s, each profile's keys are sorted and deduplicated as strings,
-/// interned one by one through the two-table `Interner`, and the postings
-/// grouped by a comparison sort.
+/// interned one by one through the two-table `Interner`, the postings
+/// sorted by comparison, and each key's members made an owned `Block` if
+/// they entail a comparison: ≥2 members for Dirty ER, members on both sides
+/// for Clean-Clean ER.
 fn string_oracle(
     collection: &EntityCollection,
     keys_of: impl Fn(&str) -> Vec<String>,
@@ -64,41 +67,32 @@ fn string_oracle(
     }
     postings.sort_unstable();
     postings.dedup();
-    let (blocks, keys) = blocks_from_sorted_postings(
-        collection.kind(),
-        collection.len(),
-        collection.split(),
-        interner.len(),
-        postings.len(),
-        postings.into_iter(),
-    );
-    (blocks, keys, interner)
+    let mut groups: BTreeMap<u32, Vec<EntityId>> = BTreeMap::new();
+    for (key, entity) in postings {
+        groups.entry(key).or_default().push(entity);
+    }
+    let (mut blocks, mut keys) = (Vec::new(), Vec::new());
+    for (key, members) in groups {
+        let (left, right): (Vec<EntityId>, Vec<EntityId>) =
+            members.iter().partition(|e| e.idx() < collection.split());
+        let block = match collection.kind() {
+            ErKind::Dirty if members.len() >= 2 => Block::dirty(members),
+            ErKind::CleanClean if !left.is_empty() && !right.is_empty() => {
+                Block::clean_clean(left, right)
+            }
+            _ => continue,
+        };
+        blocks.push(block);
+        keys.push(key);
+    }
+    (BlockCollection::new(collection.kind(), collection.len(), blocks), keys, interner)
 }
 
 #[test]
-fn keyed_build_equals_streamed_postings_and_the_string_oracle() {
+fn keyed_build_equals_the_string_oracle() {
     for collection in tiny_collections() {
         let (blocks, keys, vocabulary) = TokenBlocking.build_keyed(&collection).unwrap();
         assert!(blocks.size() > 100, "fixture too small to mean anything");
-
-        // The out-of-core shape: stream, sort + dedup, regroup.
-        let mut postings: Vec<(u32, EntityId)> = Vec::new();
-        let streamed = TokenBlocking
-            .stream_postings(&collection, &mut |token, entity| postings.push((token, entity)))
-            .unwrap();
-        postings.sort_unstable();
-        postings.dedup();
-        let (regrouped, regrouped_keys) = blocks_from_sorted_postings(
-            collection.kind(),
-            collection.len(),
-            collection.split(),
-            streamed.len(),
-            postings.len(),
-            postings.into_iter(),
-        );
-        assert_eq!(blocks.raw_parts(), regrouped.raw_parts());
-        assert_eq!(keys, regrouped_keys);
-        assert_eq!(vocabulary, streamed);
 
         let (expected, expected_keys, interner) =
             string_oracle(&collection, |v| tokens(v).collect());
