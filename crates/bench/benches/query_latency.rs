@@ -12,7 +12,7 @@
 //! * **single query** — per-entity `QueryEngine::query` latency in µs,
 //!   reported as p50/p99 over every entity × `BENCH_SAMPLE_SIZE` rounds.
 //! * **probe query** — the same profiles sent as unindexed probes
-//!   (tokenize, one `find_token` per token, route, score), p50/p99 in µs
+//!   (tokenize, one batch token lookup, route, score), p50/p99 in µs
 //!   and the tokens looked up per probe as the engine counted them.
 //! * **batch** — `QueryEngine::batch` at 1/2/4/8 threads, wall-ms and
 //!   queries/second.

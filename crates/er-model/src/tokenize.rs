@@ -570,9 +570,8 @@ impl TokenInterner {
 /// The span representation also lets q-gram windows *alias* their token's
 /// bytes ([`KeyScratch::push_range`]) instead of copying them. Keys stay in
 /// the order they were committed, repeats included:
-/// [`TokenInterner::intern_all`] takes them that way. A caller that needs
-/// them sorted and distinct calls [`KeyScratch::sort_dedup`], which compares
-/// byte-wise, exactly like `String`.
+/// [`TokenInterner::intern_all`] and the serving layer's batch token lookup
+/// take them that way, and each byte-sorts only the keys it has to number.
 #[derive(Debug, Default)]
 pub struct KeyScratch {
     buf: String,
@@ -686,12 +685,10 @@ impl KeyScratch {
         &self.buf
     }
 
-    /// Sorts the keys lexicographically (byte order — identical to `String`
-    /// ordering) and drops duplicates.
-    pub fn sort_dedup(&mut self) {
-        let buf = self.buf.as_bytes();
-        self.spans.sort_unstable_by(|&(a0, a1), &(b0, b1)| buf[a0..a1].cmp(&buf[b0..b1]));
-        self.spans.dedup_by(|&mut (a0, a1), &mut (b0, b1)| buf[a0..a1] == buf[b0..b1]);
+    /// The key committed `index`-th. Panics past [`KeyScratch::len`].
+    pub fn get(&self, index: usize) -> &str {
+        let (start, end) = self.spans[index];
+        &self.buf[start..end]
     }
 
     /// Iterates the committed keys in their current order.
@@ -1025,20 +1022,6 @@ mod tests {
         assert!(i.len() * 4 <= i.slots.len() * 3);
     }
 
-    #[test]
-    fn key_scratch_sorts_and_dedups_like_strings() {
-        let mut s = KeyScratch::new();
-        for raw in ["miller", "Jack", "miller", "42"] {
-            let start = s.begin();
-            s.push_lowercase(raw);
-            s.commit(start);
-        }
-        s.sort_dedup();
-        let keys: Vec<&str> = s.iter().collect();
-        assert_eq!(keys, ["42", "jack", "miller"]);
-        assert_eq!(s.len(), 3);
-    }
-
     /// A value of 0..6 words — mixed-case ASCII, digits, `İ`, final sigma,
     /// `straße` — joined by runs of ASCII and non-ASCII separators, which
     /// may also lead and trail; about half the values are all ASCII.
@@ -1127,9 +1110,9 @@ mod tests {
         s.commit(start);
         // Alias a window of "seller" as its own key.
         s.push_range(start, start + 3);
-        s.sort_dedup();
         let keys: Vec<&str> = s.iter().collect();
-        assert_eq!(keys, ["sel", "seller"]);
+        assert_eq!(keys, ["seller", "sel"]);
+        assert_eq!(s.get(1), "sel");
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.end(), 0);

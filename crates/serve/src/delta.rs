@@ -43,9 +43,8 @@ use crate::codec::{put_profile, put_u32, put_u8, Reader};
 use crate::error::SnapshotError;
 use crate::idmap::{IdMap, IdSet};
 use crate::snapshot::{frame_sections, parse_table, section_slice, SECTION_DELTA};
-use crate::view::{token_hash, SnapshotView};
+use crate::view::{distinct_by_bytes, token_hash, SnapshotView, TokenScratch};
 use er_model::fxhash::FxHashSet;
-use er_model::tokenize::KeyScratch;
 use er_model::{EntityCollection, EntityId, EntityProfile, ErKind, U32s};
 use std::sync::Arc;
 
@@ -345,10 +344,10 @@ impl DeltaOverlay {
         runs: &[Vec<DeltaOp>],
     ) -> Result<DeltaOverlay, SnapshotError> {
         let mut overlay = DeltaOverlay::new(view);
-        let mut keys = KeyScratch::new();
+        let mut tokens = TokenScratch::default();
         for ops in runs {
             for op in ops {
-                overlay.apply(op.clone(), view, &mut keys)?;
+                overlay.apply(op.clone(), view, &mut tokens)?;
             }
         }
         Ok(overlay)
@@ -494,14 +493,14 @@ impl DeltaOverlay {
 
     /// Applies one op, returning the id it resolved to. The overlay is a
     /// private clone while this runs — on error the caller discards it, so
-    /// published overlays are never half-applied. `keys` is the tokenizer's
-    /// scratch: contents in and out are irrelevant, only its allocations
-    /// carry over from one op to the next.
+    /// published overlays are never half-applied. `tokens` is the
+    /// tokenizer's and the token lookup's scratch: contents in and out are
+    /// irrelevant, only its allocations carry over from one op to the next.
     pub(crate) fn apply(
         &mut self,
         op: DeltaOp,
         view: &SnapshotView,
-        keys: &mut KeyScratch,
+        tokens: &mut TokenScratch,
     ) -> Result<u32, SnapshotError> {
         let Ok(sequence) = u32::try_from(self.ops.len()) else {
             return Err(SnapshotError::Inconsistent("the op log is full: compact".into()));
@@ -524,7 +523,7 @@ impl DeltaOverlay {
                         self.split = self.num_entities;
                     }
                 }
-                self.index_profile(id, profile, view, keys);
+                self.index_profile(id, profile, view, tokens);
             }
             DeltaOp::Delete { id } => {
                 let id = *id;
@@ -559,29 +558,49 @@ impl DeltaOverlay {
     }
 
     /// Tokenizes `profile` with the frozen normalization and threads the
-    /// entity into blocks: live base blocks via COW patch, dropped or
-    /// unseen tokens via pending postings that promote once the block rule
-    /// (two members; both sides for Clean-Clean) is met.
+    /// entity into blocks: live blocks via COW patch, dropped or unseen
+    /// tokens via pending postings that promote once the block rule (two
+    /// members; both sides for Clean-Clean) is met.
+    ///
+    /// The keys are looked up as one batch, unsorted. A base token with a
+    /// live route only patches its block, which no order can change, so
+    /// those go first as they come. The rest — tokens the base vocabulary
+    /// lacks and tokens with no live route — hand out ids in the order they
+    /// are met (extension tokens, then promoted blocks), so only they are
+    /// byte-sorted and deduplicated, and they go in that order.
     fn index_profile(
         &mut self,
         id: u32,
         profile: &EntityProfile,
         view: &SnapshotView,
-        keys: &mut KeyScratch,
+        tokens: &mut TokenScratch,
     ) {
         let right = self.is_right(id);
-        // Sorted and distinct: extension tokens are numbered in this order.
+        let TokenScratch { keys, lookup, aside: rest } = tokens;
         keys.fill_tokens(profile);
-        keys.sort_dedup();
+        let found = view.find_tokens(keys, lookup);
         let mut entry = EntityEntry::default();
-        for token in keys.iter() {
-            let tid = match view.find_token(token.as_bytes()) {
+        rest.clear();
+        for (index, &tid) in found.iter().enumerate() {
+            // A promoted overlay block outranks the base route.
+            match tid.and_then(|tid| self.token_route(tid).or_else(|| view.token_block(tid))) {
+                Some(b) => {
+                    self.patch_block(b, view, |block| block.insert(id, right));
+                    entry.blocks.push(b);
+                }
+                None => rest.push(index),
+            }
+        }
+        distinct_by_bytes(keys, rest);
+        for &index in rest.iter() {
+            let token = keys.get(index);
+            let tid = match found.get(index).copied().flatten() {
                 Some(tid) => tid,
                 None => self.extension_token(token),
             };
-            // A promoted overlay block outranks the base route; extension
-            // tokens lie past the view's routes, which answer `None`.
-            if let Some(b) = self.token_route(tid).or_else(|| view.token_block(tid)) {
+            // Extension tokens lie past the view's routes, which answer
+            // `None`; only a promoted overlay block routes them.
+            if let Some(b) = self.token_route(tid) {
                 self.patch_block(b, view, |block| block.insert(id, right));
                 entry.blocks.push(b);
                 continue;
@@ -771,6 +790,38 @@ mod tests {
     }
 
     #[test]
+    fn an_upsert_numbers_what_it_adds_in_byte_order() {
+        use crate::snapshot::Snapshot;
+        // "erick" is in the vocabulary, but its block, a singleton, was not
+        // kept: it gathers in a pending posting like the unseen tokens.
+        let base = EntityCollection::dirty(vec![
+            profile("p0", "jack miller"),
+            profile("p1", "jack miller"),
+            profile("p2", "erick"),
+        ]);
+        let snapshot = Snapshot::build(&base, mb_core::PipelineConfig::default()).unwrap();
+        let view = SnapshotView::try_from(snapshot).unwrap();
+        let erick = view.find_token(b"erick").unwrap();
+        assert_eq!(view.token_block(erick), None);
+        let mut overlay = DeltaOverlay::new(&view);
+        let mut tokens = TokenScratch::default();
+        // Committed out of byte order, repeats and a routed token among them.
+        for text in ["zeta Erick alpha jack zeta", "alpha zeta erick alpha"] {
+            let op =
+                DeltaOp::Upsert { id: overlay.num_entities() as u32, profile: profile(text, text) };
+            overlay.apply(op, &view, &mut tokens).unwrap();
+        }
+        // Extension tokens take ids, and promoted postings take blocks, in
+        // the byte order of their tokens.
+        let (vocabulary, blocks) = (view.num_tokens() as u32, view.num_blocks() as u32);
+        let (alpha, zeta) = (overlay.new_token_id("alpha"), overlay.new_token_id("zeta"));
+        assert_eq!((alpha, zeta), (Some(vocabulary), Some(vocabulary + 1)));
+        let routes: Vec<Option<u32>> =
+            [alpha.unwrap(), erick, zeta.unwrap()].map(|t| overlay.token_route(t)).to_vec();
+        assert_eq!(routes, [Some(blocks), Some(blocks + 1), Some(blocks + 2)]);
+    }
+
+    #[test]
     fn an_upsert_copies_what_it_writes_whatever_the_overlay_holds() {
         use crate::idmap::node_copies;
         use crate::snapshot::Snapshot;
@@ -789,7 +840,7 @@ mod tests {
             p
         };
         let mut overlay = DeltaOverlay::new(&view);
-        let mut keys = KeyScratch::new();
+        let mut tokens = TokenScratch::default();
         // Nodes one fixed replace copies when every node is shared with the
         // generation before — what `GenerationCell::apply` pays — measured
         // over the overlay as it grows.
@@ -798,14 +849,16 @@ mod tests {
             if i == 100 || i == 10_000 {
                 let mut next = overlay.clone();
                 let before = node_copies();
-                next.apply(DeltaOp::Upsert { id: 7, profile: recycled(3) }, &view, &mut keys)
+                next.apply(DeltaOp::Upsert { id: 7, profile: recycled(3) }, &view, &mut tokens)
                     .unwrap();
                 copies.push(node_copies() - before);
             }
             // Four appends to one replace.
             let id = if i % 5 == 3 { i * 7 % collection.len() } else { overlay.num_entities() };
             let id = id as u32;
-            overlay.apply(DeltaOp::Upsert { id, profile: recycled(i) }, &view, &mut keys).unwrap();
+            overlay
+                .apply(DeltaOp::Upsert { id, profile: recycled(i) }, &view, &mut tokens)
+                .unwrap();
         }
         // A hundred times the overlay: the same paths, each at most a level
         // longer where a sparse table has filled in under it — never a copy

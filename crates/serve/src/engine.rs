@@ -17,8 +17,7 @@ use crate::error::ServeError;
 use crate::generation::Generation;
 use crate::request::{CandidateRequest, CandidateResponse, CandidateTarget};
 use crate::store::EngineStore;
-use crate::view::SnapshotView;
-use er_model::tokenize::KeyScratch;
+use crate::view::{distinct_by_bytes, SnapshotView, TokenScratch};
 use er_model::{EntityId, EntityProfile, ErKind};
 use mb_core::{
     CandidateStore, NeighborhoodScorer, PruningScheme, Retention, Scored, ScorerScratch,
@@ -41,21 +40,23 @@ pub struct QueryEngine<'s> {
     /// its load-time hash table, then its token → block routes) and the
     /// configured defaults.
     view: &'s SnapshotView,
-    keys: KeyScratch,
+    tokens: TokenScratch,
+    probe_ids: Vec<u32>,
     probe_blocks: Vec<u32>,
 }
 
 /// Every buffer a [`QueryEngine`] owns, detached from the generation it was
 /// pinned to: the scorer's `O(|E|)` scan arrays, the probe tokenizer's key
-/// scratch and the probe route list. A connection handler takes it back
-/// ([`QueryEngine::into_scratch`]) when its generation is replaced and
-/// builds the next engine over it ([`QueryEngine::with_scratch`]), so a
-/// re-pin after every acknowledged write allocates and zeroes nothing. The
-/// default is empty.
+/// and lookup scratch, and the probe's token ids and routes. A connection
+/// handler takes it back ([`QueryEngine::into_scratch`]) when its
+/// generation is replaced and builds the next engine over it
+/// ([`QueryEngine::with_scratch`]), so a re-pin after every acknowledged
+/// write allocates and zeroes nothing. The default is empty.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     scorer: ScorerScratch,
-    keys: KeyScratch,
+    tokens: TokenScratch,
+    probe_ids: Vec<u32>,
     probe_blocks: Vec<u32>,
 }
 
@@ -119,16 +120,17 @@ impl<'s> QueryEngine<'s> {
             Some(o) => store.with_overlay(o),
             None => store,
         };
-        let EngineScratch { scorer, keys, probe_blocks } = scratch;
+        let EngineScratch { scorer, tokens, probe_ids, probe_blocks } = scratch;
         let scorer = NeighborhoodScorer::with_scratch(store, scheme, scorer);
-        QueryEngine { scorer, view, keys, probe_blocks }
+        QueryEngine { scorer, view, tokens, probe_ids, probe_blocks }
     }
 
     /// Gives every buffer back for the next engine to reuse.
     pub fn into_scratch(self) -> EngineScratch {
         EngineScratch {
             scorer: self.scorer.into_scratch(),
-            keys: self.keys,
+            tokens: self.tokens,
+            probe_ids: self.probe_ids,
             probe_blocks: self.probe_blocks,
         }
     }
@@ -217,29 +219,40 @@ impl<'s> QueryEngine<'s> {
         scope: &mut StageScope<'_>,
     ) -> Scored {
         let overlay = self.scorer.store().overlay();
+        let TokenScratch { keys, lookup, aside: misses } = &mut self.tokens;
+        keys.fill_tokens(profile);
+        let found = self.view.find_tokens(keys, lookup);
+        self.probe_ids.clear();
+        misses.clear();
+        for (index, &id) in found.iter().enumerate() {
+            match id {
+                Some(id) => self.probe_ids.push(id),
+                None => misses.push(index),
+            }
+        }
         // Each distinct token once: a repeat would route its block twice.
-        self.keys.fill_tokens(profile);
-        self.keys.sort_dedup();
-        let mut tokens_probed = 0u64;
+        // Ids stand for tokens one to one, so base tokens dedup as ids; only
+        // the keys the base vocabulary lacks are compared as bytes.
+        self.probe_ids.sort_unstable();
+        self.probe_ids.dedup();
+        distinct_by_bytes(keys, misses);
+        let tokens_probed = (self.probe_ids.len() + misses.len()) as u64;
+        // The overlay's extension holds tokens only delta profiles have
+        // introduced; their ids lie past the base vocabulary's.
+        if let Some(o) = overlay {
+            self.probe_ids
+                .extend(misses.iter().filter_map(|&index| o.new_token_id(keys.get(index))));
+        }
         self.probe_blocks.clear();
-        for token in self.keys.iter() {
-            tokens_probed += 1;
-            // Base vocabulary first, then the overlay's extension for
-            // tokens only delta profiles have introduced.
-            let id = match self.view.find_token(token.as_bytes()) {
-                Some(id) => Some(id),
-                None => overlay.and_then(|o| o.new_token_id(token)),
+        for &id in &self.probe_ids {
+            // A promoted overlay block outranks the base route: the overlay
+            // only routes tokens whose base block was dropped.
+            let route = match overlay.and_then(|o| o.token_route(id)) {
+                Some(block) => Some(block),
+                None => self.view.token_block(id),
             };
-            if let Some(id) = id {
-                // A promoted overlay block outranks the base route: the
-                // overlay only routes tokens whose base block was dropped.
-                let route = match overlay.and_then(|o| o.token_route(id)) {
-                    Some(block) => Some(block),
-                    None => self.view.token_block(id),
-                };
-                if let Some(block) = route {
-                    self.probe_blocks.push(block);
-                }
+            if let Some(block) = route {
+                self.probe_blocks.push(block);
             }
         }
         // Block Filtering reorders survivors, so route hits back into
@@ -280,7 +293,49 @@ impl<'s> QueryEngine<'s> {
 
 #[cfg(test)]
 mod tests {
-    use super::batch_threads;
+    use super::*;
+    use crate::delta::{DeltaOp, APPEND};
+    use crate::generation::GenerationCell;
+    use crate::snapshot::Snapshot;
+    use er_model::EntityCollection;
+    use mb_core::PipelineConfig;
+    use mb_observe::RunReport;
+
+    #[test]
+    fn a_probe_counts_and_routes_each_distinct_token_once() {
+        let base = EntityCollection::dirty(vec![
+            EntityProfile::new("p0").with("name", "jack miller"),
+            EntityProfile::new("p1").with("name", "jack miller lloyd"),
+            EntityProfile::new("p2").with("name", "erick lloyd"),
+        ]);
+        let cell = GenerationCell::new(Snapshot::build(&base, PipelineConfig::default()).unwrap())
+            .unwrap();
+        // "quartz" joins the overlay's extension and is promoted to an
+        // overlay block by its second profile; "topaz" joins it and waits.
+        for text in ["quartz erick", "quartz topaz"] {
+            let profile = EntityProfile::new(text).with("v", text);
+            cell.apply(DeltaOp::Upsert { id: APPEND, profile }, &mut mb_observe::Noop).unwrap();
+        }
+        let generation = cell.load();
+        let mut engine = QueryEngine::from_generation(&generation);
+        let mut probe = |text: &str| {
+            let mut report = RunReport::new("probe");
+            let request = CandidateRequest::probe(EntityProfile::new("q").with("v", text), false)
+                .with_retention(Retention::TopK(usize::MAX));
+            let response = engine.execute(&request, &mut report).unwrap();
+            (response.results, report.counter_total(Counter::TokensProbed))
+        };
+        // Repeated base tokens, repeated unseen tokens, a routed and an
+        // unrouted extension token, in no order.
+        let (scored, tokens) =
+            probe("Quartz jack zebra MILLER jack topaz zebra quartz miller opal JACK");
+        // The rule it is held to: the distinct tokens, byte-sorted, each once.
+        let (once, distinct) = probe("jack miller opal quartz topaz zebra");
+        assert_eq!((tokens, distinct), (6, 6));
+        assert_eq!(scored, once);
+        let ids: Vec<u32> = scored[0].candidates.iter().map(|c| c.id.0).collect();
+        assert!(ids.contains(&0) && ids.contains(&3) && ids.contains(&4), "{ids:?}");
+    }
 
     #[test]
     fn batch_threads_resolve_auto_and_stop_at_the_ceiling() {

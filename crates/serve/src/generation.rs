@@ -31,8 +31,7 @@
 
 use crate::delta::{DeltaOp, DeltaOverlay};
 use crate::error::SnapshotError;
-use crate::view::SnapshotView;
-use er_model::tokenize::KeyScratch;
+use crate::view::{SnapshotView, TokenScratch};
 use mb_observe::{Counter, Observer, Stage, StageScope};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -102,13 +101,13 @@ pub struct GenerationCell {
 }
 
 /// What the cell's lock guards: the published generation, and the scratch
-/// [`GenerationCell::apply`] tokenizes each upserted profile in — writes are
-/// serialized by the write lock, so one scratch serves them all and an
-/// upsert allocates no tokenizer buffers of its own.
+/// [`GenerationCell::apply`] tokenizes and looks up each upserted profile
+/// in — writes are serialized by the write lock, so one scratch serves them
+/// all and an upsert allocates no tokenizer buffers of its own.
 #[derive(Debug)]
 struct Serving {
     generation: Arc<Generation>,
-    keys: KeyScratch,
+    tokens: TokenScratch,
 }
 
 impl GenerationCell {
@@ -120,7 +119,9 @@ impl GenerationCell {
         SnapshotError: From<S::Error>,
     {
         let generation = Arc::new(Generation::assemble(snapshot.try_into()?, 1)?);
-        Ok(GenerationCell { current: RwLock::new(Serving { generation, keys: KeyScratch::new() }) })
+        Ok(GenerationCell {
+            current: RwLock::new(Serving { generation, tokens: TokenScratch::default() }),
+        })
     }
 
     /// The current generation, pinned: the returned `Arc` keeps this
@@ -213,7 +214,7 @@ impl GenerationCell {
                 other => other,
             };
             let deleted = matches!(op, DeltaOp::Delete { .. });
-            match overlay.apply(op, &cur.view, &mut slot.keys) {
+            match overlay.apply(op, &cur.view, &mut slot.tokens) {
                 Ok(id) => {
                     let ordinal = cur.ordinal + 1;
                     slot.generation = Arc::new(Generation {

@@ -57,16 +57,29 @@
 //! 4 B per token; every engine and every delta apply over this view reads
 //! that one table) and the token → id table
 //! behind [`SnapshotView::find_token`]: a flat open-addressing array of
-//! `u32` slots (`0` vacant, else `id + 1`), at most ¾ full, sized from the
-//! token count ([`token_table_slots`], ≈ 5.3 B per token) with a
-//! multiply-shift home, so no power-of-two rounding. A lookup is one hash,
-//! a short linear probe and one byte compare. Nothing about the table is
-//! persisted, so the format pins no hash function. Seating a token walks
-//! its probe run comparing bytes, which is where a repeated token is caught;
-//! and because the hash (FxHash) is not collision-resistant, the build
-//! counts its probe steps against a budget proportional to the token count
-//! ([`PROBE_STEPS_PER_TOKEN`]): a vocabulary crafted to collide is a typed
-//! error after linear work, never a quadratic load or a slow lookup.
+//! `u64` slots, `0` vacant and otherwise `tag << 32 | id + 1`, where `tag`
+//! is the top half of the token's hash — the slot format of
+//! `er_model::tokenize::TokenInterner`. It is at most ¾ full, sized from the
+//! token count ([`token_table_slots`], ≈ 10.7 B per token) with a
+//! multiply-shift home, so no power-of-two rounding. A lookup is one hash
+//! and a short linear probe; an occupied slot costs a tag compare, and only
+//! a tag hit reads the token's offsets and bytes. Nothing about the table
+//! is persisted, so the format pins no hash function. Seating a token walks
+//! its probe run, comparing bytes where the tags agree, which is where a
+//! repeated token is caught; and because the hash (FxHash) is not
+//! collision-resistant, the build counts its probe steps against a budget
+//! proportional to the token count ([`PROBE_STEPS_PER_TOKEN`]): a
+//! vocabulary crafted to collide is a typed error after linear work, never
+//! a quadratic load or a slow lookup.
+//!
+//! A probe or an upsert looks its profile's keys up as one batch
+//! ([`SnapshotView::find_tokens`]), in three passes: hash every key; in a
+//! loop that does nothing else, load each home slot and, on a tag hit, that
+//! id's end offset and route — loads independent of each other, so their
+//! misses overlap; then resolve each key in order through the probe
+//! [`SnapshotView::find_token`] runs, which finds its lines in cache. The
+//! keys go in as the tokenizer committed them, repeats included: neither
+//! caller byte-sorts a profile's keys, only the few it has to order.
 
 use crate::codec::Reader;
 use crate::delta::{decode_delta_run, validate_delta_runs, DeltaOp};
@@ -77,6 +90,7 @@ use crate::snapshot::{
     SECTION_META, SECTION_OFFSETS, SECTION_SPLITS, SECTION_TOK_BLOB, SECTION_TOK_OFFSETS,
 };
 use er_model::fxhash::FxHasher;
+use er_model::tokenize::KeyScratch;
 use er_model::{ErKind, U32s};
 use mb_core::prune::{cep_threshold_from_counts, cnp_threshold_from_counts};
 use mb_core::PipelineConfig;
@@ -126,7 +140,7 @@ pub struct SnapshotView {
     tok_offsets: U32Range,
     tok_blob: ByteRange,
     /// The token → id lookup table, built at load ([`seat_tokens`]).
-    tok_table: Vec<u32>,
+    tok_table: Vec<u64>,
     /// Token id → the surviving block keyed by it, `u32::MAX` when that
     /// block was filtered away (or never emitted): `block_keys` inverted,
     /// once, at load.
@@ -221,38 +235,51 @@ fn table_home(hash: u64, slots: usize) -> usize {
     ((u128::from(hash) * slots as u128) >> 64) as usize
 }
 
+/// The table slot of token `id` under `hash`: the hash's top half as a tag
+/// over `id + 1`, so no occupied slot is `0`.
+#[inline]
+fn slot_of(id: u32, hash: u64) -> u64 {
+    hash >> 32 << 32 | (u64::from(id) + 1)
+}
+
+/// Whether an occupied `slot` carries the tag of `hash`.
+#[inline]
+fn same_tag(slot: u64, hash: u64) -> bool {
+    slot >> 32 == hash >> 32
+}
+
 /// Seats every token of a validated offset table + blob into a fresh
-/// open-addressing table of `slots` entries (`0` vacant, else `id + 1`;
-/// linear probing from [`table_home`]) and returns it with the number of
-/// occupied slots the build stepped over.
+/// open-addressing table of `slots` entries (`0` vacant, else
+/// [`slot_of`]; linear probing from [`table_home`]) and returns it with the
+/// number of occupied slots the build stepped over.
 ///
-/// Each step compares the resident token with the one being seated, so two
-/// equal tokens are an [`SnapshotError::Inconsistent`] here. The table size,
-/// the step budget and the hash are arguments so a test can drive the
+/// Each step over a resident with the same tag compares the two tokens, so
+/// two equal tokens are an [`SnapshotError::Inconsistent`] here. The table
+/// size, the step budget and the hash are arguments so a test can drive the
 /// failure paths directly; the loader passes [`token_table_slots`],
 /// [`PROBE_STEPS_PER_TOKEN`] per token and [`token_hash`]. `offsets_le`
 /// must be ascending and end at `blob.len()`, and `slots` must exceed the
 /// token count — [`SnapshotView::from_bytes`] proves the first and computes
 /// the second.
 ///
-/// Tokens go in chunks of [`SEAT_CHUNK`]: a chunk is hashed and homed, then
-/// a loop that does nothing else loads each token's home slot and, where it
-/// is occupied, the resident's end offset — the loads the seating probe
-/// would otherwise take one dependent miss at a time — and then the chunk
-/// is seated in id order.
+/// Tokens go in chunks of [`SEAT_CHUNK`]: a chunk is hashed, then a loop
+/// that does nothing else loads each token's home slot and, on a tag hit,
+/// the resident's end offset — the loads the seating probe would otherwise
+/// take one dependent miss at a time — and then the chunk is seated in id
+/// order.
 fn seat_tokens(
     offsets_le: &[u8],
     blob: &[u8],
     slots: usize,
     budget: u64,
     hash: impl Fn(&[u8]) -> u64,
-) -> Result<(Vec<u32>, u64), SnapshotError> {
-    let mut table = vec![0u32; slots];
+) -> Result<(Vec<u64>, u64), SnapshotError> {
+    let mut table = vec![0u64; slots];
     let mut steps = 0u64;
     let mut bounds = le_words(offsets_le).map(|at| at as usize);
     let mut lo = bounds.next().unwrap_or(0);
-    // Each token of the chunk in hand, with its home slot.
-    let mut chunk: [(&[u8], usize); SEAT_CHUNK] = [(&[], 0); SEAT_CHUNK];
+    // Each token of the chunk in hand, with its hash.
+    let mut chunk: [(&[u8], u64); SEAT_CHUNK] = [(&[], 0); SEAT_CHUNK];
     let mut first_id = 0usize;
     loop {
         let mut len = 0usize;
@@ -260,7 +287,7 @@ fn seat_tokens(
             // lint:allow(panic-reachability) in range: the caller proved the
             // offsets ascending and bounded by the blob length.
             let token = &blob[lo..hi];
-            *entry = (token, table_home(hash(token), slots));
+            *entry = (token, hash(token));
             lo = hi;
             len += 1;
         }
@@ -268,15 +295,19 @@ fn seat_tokens(
             break;
         }
         let mut touched = 0u8;
-        for &(_, home) in chunk.iter().take(len) {
-            if let Some(&resident) = table.get(home).filter(|&&resident| resident != 0) {
-                // A resident is `id + 1`, the index of its token's end offset.
-                touched ^= offsets_le.get(resident as usize * 4).copied().unwrap_or(0);
+        for &(_, h) in chunk.iter().take(len) {
+            if let Some(&resident) =
+                table.get(table_home(h, slots)).filter(|&&r| r != 0 && same_tag(r, h))
+            {
+                // A resident's low half is `id + 1`, the index of its token's
+                // end offset.
+                touched ^= offsets_le.get(resident as u32 as usize * 4).copied().unwrap_or(0);
             }
         }
         // The loads above are the point; keep them from being optimised out.
         std::hint::black_box(touched);
-        for (id, &(token, mut at)) in (first_id..).zip(chunk.iter().take(len)) {
+        for (id, &(token, h)) in (first_id..).zip(chunk.iter().take(len)) {
+            let mut at = table_home(h, slots);
             loop {
                 // lint:allow(panic-reachability) in range: `table_home` returns
                 // a slot below `slots`, and the step below wraps there.
@@ -292,17 +323,20 @@ fn seat_tokens(
                         id + 1
                     )));
                 }
-                let r = (resident - 1) as usize * 4;
-                // lint:allow(panic-reachability) in range: a resident is an id
-                // seated earlier, so its two offsets exist and bracket a token.
-                let (ra, rb) = (le4(&offsets_le[r..r + 4]), le4(&offsets_le[r + 4..r + 8]));
-                // lint:allow(panic-reachability) in range: as above.
-                if blob[ra as usize..rb as usize] == *token {
-                    return Err(bad(format!(
-                        "tokens {} and {id} are the same string: the vocabulary must be \
-                         duplicate-free",
-                        resident - 1
-                    )));
+                if same_tag(resident, h) {
+                    let r = (resident as u32 - 1) as usize * 4;
+                    // lint:allow(panic-reachability) in range: a resident is an
+                    // id seated earlier, so its two offsets exist and bracket a
+                    // token.
+                    let (ra, rb) = (le4(&offsets_le[r..r + 4]), le4(&offsets_le[r + 4..r + 8]));
+                    // lint:allow(panic-reachability) in range: as above.
+                    if blob[ra as usize..rb as usize] == *token {
+                        return Err(bad(format!(
+                            "tokens {} and {id} are the same string: the vocabulary must be \
+                             duplicate-free",
+                            resident as u32 - 1
+                        )));
+                    }
                 }
                 at += 1;
                 if at == slots {
@@ -310,7 +344,7 @@ fn seat_tokens(
                 }
             }
             // lint:allow(panic-reachability) in range: see the probe above.
-            table[at] = id as u32 + 1;
+            table[at] = slot_of(id as u32, h);
         }
         first_id += len;
     }
@@ -321,6 +355,119 @@ fn seat_tokens(
 /// any of them: enough loads in flight to overlap their misses, few enough
 /// to keep on the stack.
 const SEAT_CHUNK: usize = 64;
+
+/// The token → id table built at load, over the two sections it indexes.
+struct TokenTable<'a> {
+    /// `0` vacant, else [`slot_of`]; never full.
+    slots: &'a [u64],
+    /// The `tokoffsets` payload without its count prefix: ascending, ending
+    /// at `blob.len()`.
+    offsets_le: &'a [u8],
+    blob: &'a [u8],
+}
+
+impl TokenTable<'_> {
+    /// The bytes of a seated token id.
+    fn token(&self, id: u32) -> &[u8] {
+        let at = id as usize * 4;
+        // lint:allow(panic-reachability) in range: a seated id has two
+        // offsets, ascending and bounded by the blob length.
+        let (a, b) = (le4(&self.offsets_le[at..at + 4]), le4(&self.offsets_le[at + 4..at + 8]));
+        // lint:allow(panic-reachability) in range: as above.
+        &self.blob[a as usize..b as usize]
+    }
+
+    /// The one lookup routine: a linear probe from `hash`'s home that reads
+    /// a token's bytes only where its slot carries `hash`'s tag.
+    #[inline]
+    fn probe(&self, token: &[u8], hash: u64) -> Option<u32> {
+        let slots = self.slots;
+        let mut at = table_home(hash, slots.len());
+        // The table is never full (`token_table_slots`), so the probe ends
+        // at a vacant slot; a table with no vacant slot — unreachable —
+        // would end it at `None` after one lap rather than spin.
+        for _ in 0..slots.len() {
+            // lint:allow(panic-reachability) in range: `table_home` returns
+            // a slot below `slots.len()`, and the step below wraps there.
+            let slot = slots[at];
+            if slot == 0 {
+                return None;
+            }
+            if same_tag(slot, hash) {
+                let id = slot as u32 - 1;
+                if self.token(id) == token {
+                    return Some(id);
+                }
+            }
+            at += 1;
+            if at == slots.len() {
+                at = 0;
+            }
+        }
+        None
+    }
+
+    /// Looks every key of `keys` up, in commit order, into `lookup`, and
+    /// returns what each resolved to. `routes` is the view's token → block
+    /// table, touched beside the offsets.
+    fn find_all<'b>(
+        &self,
+        keys: &KeyScratch,
+        routes: &[u32],
+        hash: impl Fn(&[u8]) -> u64,
+        lookup: &'b mut TokenLookup,
+    ) -> &'b [Option<u32>] {
+        let TokenLookup { hashes, ids } = lookup;
+        hashes.clear();
+        hashes.extend(keys.iter().map(|key| hash(key.as_bytes())));
+        let mut touched = 0u32;
+        for &h in hashes.iter() {
+            // lint:allow(panic-reachability) in range: `table_home` returns
+            // a slot below `slots.len()`.
+            let slot = self.slots[table_home(h, self.slots.len())];
+            if slot != 0 && same_tag(slot, h) {
+                // The low half is `id + 1`, the index of the token's end offset.
+                let end = slot as u32 as usize;
+                touched ^= u32::from(self.offsets_le.get(end * 4).copied().unwrap_or(0));
+                touched ^= routes.get(end - 1).copied().unwrap_or(0);
+            }
+        }
+        // The loads above are the point; keep them from being optimised out.
+        std::hint::black_box(touched);
+        ids.clear();
+        ids.extend(keys.iter().zip(hashes.iter()).map(|(key, &h)| self.probe(key.as_bytes(), h)));
+        ids
+    }
+}
+
+/// The buffers [`SnapshotView::find_tokens`] works in — each key's hash,
+/// then what it resolved to — kept from one profile to the next.
+#[derive(Debug, Default)]
+pub(crate) struct TokenLookup {
+    hashes: Vec<u64>,
+    ids: Vec<Option<u32>>,
+}
+
+/// A profile's keys and every buffer looking them up takes: what a probe
+/// and an upsert fill, look up and sort the leftovers of, reused from one
+/// profile to the next.
+#[derive(Debug, Default)]
+pub(crate) struct TokenScratch {
+    /// The profile's keys, as [`KeyScratch::fill_tokens`] commits them.
+    pub(crate) keys: KeyScratch,
+    /// [`SnapshotView::find_tokens`]' buffers.
+    pub(crate) lookup: TokenLookup,
+    /// Indices into `keys` the caller sets aside for [`distinct_by_bytes`].
+    pub(crate) aside: Vec<usize>,
+}
+
+/// Orders key indices by their keys' bytes and keeps the first of each run
+/// of equal keys: the byte sort a caller of [`SnapshotView::find_tokens`]
+/// pays only for the keys it has to number.
+pub(crate) fn distinct_by_bytes(keys: &KeyScratch, indices: &mut Vec<usize>) {
+    indices.sort_unstable_by(|&a, &b| keys.get(a).cmp(keys.get(b)));
+    indices.dedup_by(|a, b| keys.get(*a) == keys.get(*b));
+}
 
 /// The one way a freshly built [`Snapshot`] becomes servable: encode it
 /// once and run the one loader over the bytes.
@@ -590,7 +737,7 @@ impl SnapshotView {
         // in range and duplicate-free — and the two tables it hands back:
         // the vocabulary seated for lookup, which proves it duplicate-free,
         // and the block keys inverted into token → block routes.
-        let check_tokens = || -> Result<(Vec<u32>, Vec<u32>), SnapshotError> {
+        let check_tokens = || -> Result<(Vec<u64>, Vec<u32>), SnapshotError> {
             if tok_offsets.count == 0 {
                 return Err(bad("token offsets section is empty".into()));
             }
@@ -767,10 +914,14 @@ impl SnapshotView {
         Ok(view)
     }
 
-    fn u32s(&self, r: U32Range) -> U32s<'_> {
+    fn raw(&self, r: U32Range) -> &[u8] {
         // lint:allow(panic-reachability) in range: the constructor proved
         // start + 4*count lies within the buffer for every stored range.
-        U32s::Le(&self.buf[r.start..r.start + r.count * 4])
+        &self.buf[r.start..r.start + r.count * 4]
+    }
+
+    fn u32s(&self, r: U32Range) -> U32s<'_> {
+        U32s::Le(self.raw(r))
     }
 
     /// The ER task kind.
@@ -895,27 +1046,32 @@ impl SnapshotView {
         self.tok_block.get(id as usize).copied().filter(|&block| block != u32::MAX)
     }
 
-    /// Looks a normalized token up by bytes: one hash, a short linear probe
-    /// of the table built at load, one byte compare — no allocation.
-    pub fn find_token(&self, token: &[u8]) -> Option<u32> {
-        let table = &self.tok_table[..];
-        let mut at = table_home(token_hash(token), table.len());
-        // The table is never full (`token_table_slots`), so the probe ends
-        // at a vacant slot; a table with no vacant slot — unreachable —
-        // would end it at `None` after one lap rather than spin.
-        for _ in 0..table.len() {
-            // lint:allow(panic-reachability) in range: `table_home` returns
-            // a slot below `table.len()`, and the step below wraps there.
-            let id = table[at].checked_sub(1)?;
-            if self.token_bytes(id) == token {
-                return Some(id);
-            }
-            at += 1;
-            if at == table.len() {
-                at = 0;
-            }
+    fn token_table(&self) -> TokenTable<'_> {
+        TokenTable {
+            slots: &self.tok_table,
+            offsets_le: self.raw(self.tok_offsets),
+            blob: self.tok_blob(),
         }
-        None
+    }
+
+    /// Looks a normalized token up by bytes: one hash, a short linear probe
+    /// of the table built at load comparing tags, one byte compare — no
+    /// allocation.
+    pub fn find_token(&self, token: &[u8]) -> Option<u32> {
+        self.token_table().probe(token, token_hash(token))
+    }
+
+    /// Looks every key of `keys` up at once, in commit order, repeats
+    /// included, and returns each one's id (`None` where the vocabulary
+    /// lacks it) from `lookup`'s buffers: [`SnapshotView::find_token`] per
+    /// key, with every key's home slot, and on a tag hit its offsets and
+    /// route, loaded first in a loop of their own.
+    pub(crate) fn find_tokens<'b>(
+        &self,
+        keys: &KeyScratch,
+        lookup: &'b mut TokenLookup,
+    ) -> &'b [Option<u32>] {
+        self.token_table().find_all(keys, &self.tok_block, token_hash, lookup)
     }
 }
 
@@ -1015,5 +1171,111 @@ mod tests {
                 tokens.len()
             );
         }
+    }
+
+    /// A scratch holding `keys` in order.
+    fn scratch_of<'a>(keys: impl IntoIterator<Item = &'a str>) -> KeyScratch {
+        let mut scratch = KeyScratch::new();
+        for key in keys {
+            let start = scratch.begin();
+            scratch.push_str(key);
+            scratch.commit(start);
+        }
+        scratch
+    }
+
+    /// Lookup keys over `vocabulary`: its tokens, unseen neighbours of them
+    /// (one byte more or one fewer, so their probes run over the tokens'
+    /// own slots), unseen non-ASCII keys, and a second copy of a prefix of
+    /// the lot. An empty key cannot be committed, and the attempt is part
+    /// of the batch.
+    fn keys_over(vocabulary: &[&str], seed: u64) -> KeyScratch {
+        let mut rng = er_datagen::rng::SmallRng::seed_from_u64(seed);
+        let mut keys: Vec<String> = Vec::new();
+        for _ in 0..3 * vocabulary.len() {
+            let token = vocabulary[rng.gen_below(vocabulary.len() as u64) as usize];
+            keys.push(match rng.gen_below(4) {
+                0 => format!("{token}q"),
+                1 => token.chars().skip(1).collect(),
+                _ => token.to_owned(),
+            });
+        }
+        keys.extend(["straße", "σοφός", "i\u{307}stanbul", "müller", "é"].map(String::from));
+        let repeats = keys[..keys.len() / 4].to_vec();
+        keys.extend(repeats);
+        let mut scratch = scratch_of(keys.iter().map(String::as_str));
+        let start = scratch.begin();
+        scratch.commit(start);
+        assert_eq!(scratch.len(), keys.len(), "an empty key is never committed");
+        scratch
+    }
+
+    /// Seats `vocabulary` under `hash` and looks `keys` up as one batch:
+    /// each answer must be the per-key probe's and a hash map's. Returns
+    /// the hits and the misses.
+    fn batch_agrees(
+        vocabulary: &[&str],
+        keys: &KeyScratch,
+        hash: impl Fn(&[u8]) -> u64,
+    ) -> (usize, usize) {
+        let (offsets, blob) = sections_of(vocabulary.iter().copied());
+        let slots = token_table_slots(vocabulary.len());
+        let (table, _) = seat_tokens(&offsets, &blob, slots, u64::MAX, &hash).unwrap();
+        let table = TokenTable { slots: &table, offsets_le: &offsets, blob: &blob };
+        let oracle: std::collections::HashMap<&[u8], u32> =
+            (0..).zip(vocabulary).map(|(id, token)| (token.as_bytes(), id)).collect();
+        // Any route table serves: the batch only touches it.
+        let routes: Vec<u32> = (0..vocabulary.len() as u32).rev().collect();
+        let mut lookup = TokenLookup::default();
+        let found = table.find_all(keys, &routes, &hash, &mut lookup);
+        assert_eq!(found.len(), keys.len());
+        for (key, &id) in keys.iter().zip(found) {
+            let key = key.as_bytes();
+            assert_eq!(id, table.probe(key, hash(key)), "{:?}", String::from_utf8_lossy(key));
+            assert_eq!(id, oracle.get(key).copied(), "{:?}", String::from_utf8_lossy(key));
+        }
+        assert_eq!(table.probe(b"", hash(b"")), None);
+        let hits = found.iter().flatten().count();
+        (hits, found.len() - hits)
+    }
+
+    #[test]
+    fn the_batch_lookup_is_find_token_per_key_under_any_hash() {
+        // A d2c-shaped vocabulary: the served Clean-Clean collection at a
+        // fortieth of its size.
+        let mut config = presets::d2c(29);
+        config.matched_pairs /= 40;
+        config.side1.size /= 40;
+        config.side2.size /= 40;
+        config.object.vocab_size /= 40;
+        let collection = presets::build(&config).unwrap().collection;
+        let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
+        let vocabulary: Vec<&str> = snapshot.tokens().iter().collect();
+        assert!(vocabulary.len() > 2_000, "{} tokens", vocabulary.len());
+        let keys = keys_over(&vocabulary, 0xBA7C);
+        let (hits, misses) = batch_agrees(&vocabulary, &keys, token_hash);
+        assert!(hits > keys.len() / 2 && misses > keys.len() / 8, "{hits} hits, {misses} misses");
+
+        // Under a hash with one value every slot carries the one tag and
+        // every token the one home, so the table is a single probe run that
+        // only the byte compares can resolve. A smaller vocabulary keeps
+        // the quadratic walk short.
+        let few = &vocabulary[..600];
+        let keys = keys_over(few, 0xC0115);
+        let (hits, misses) = batch_agrees(few, &keys, |_| 0x9E37_79B9_7F4A_7C15);
+        assert!(hits > 0 && misses > 0);
+
+        // Equal top halves are equal tags, while the low halves still move
+        // the home: with `top` just below a home boundary, about half the
+        // tokens home one slot further along.
+        let slots = token_table_slots(few.len()) as u64;
+        let k = (slots / 2..slots).find(|k| (k << 32) % slots * 4 / slots == 2).unwrap();
+        let top = (k << 32) / slots;
+        let same_top = |t: &[u8]| top << 32 | (token_hash(t) & 0xFFFF_FFFF);
+        let homes: std::collections::BTreeSet<usize> =
+            few.iter().map(|t| table_home(same_top(t.as_bytes()), slots as usize)).collect();
+        assert_eq!(homes.len(), 2, "{homes:?}");
+        let (hits, misses) = batch_agrees(few, &keys, same_top);
+        assert!(hits > 0 && misses > 0);
     }
 }

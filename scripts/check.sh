@@ -58,12 +58,13 @@ if grep -rn 'fn edges_in' crates/core/src; then
   echo "mb-core has a second edge-sweep loop again (use optimized::pivots_in)" >&2; exit 1
 fi
 
-echo "==> no per-profile key sort (structural guard on crates/blocking/src)"
-# `TokenInterner::intern_all` takes a profile's keys unsorted, with repeats,
-# and byte-sorts only the keys the vocabulary lacks: a builder that sorts
-# every key first pays for a sort that decides nothing.
-if grep -rn 'sort_dedup' crates/blocking/src; then
-  echo "a blocking builder sorts its keys again (intern_all takes them as they come)" >&2; exit 1
+echo "==> no per-profile key sort (structural guard on crates/blocking/src, crates/serve/src and crates/er-model/src)"
+# `TokenInterner::intern_all` and `SnapshotView::find_tokens` take a
+# profile's keys unsorted, with repeats, and their callers byte-sort only the
+# keys they have to number: a builder, a probe or an upsert that sorts every
+# key first pays for a sort that decides nothing.
+if grep -rn 'sort_dedup' crates/blocking/src crates/serve/src crates/er-model/src; then
+  echo "a profile's keys are sorted again (intern_all and find_tokens take them as they come)" >&2; exit 1
 fi
 
 echo "==> one snapshot build (structural guard on crates/serve/src and crates/blocking/src)"
