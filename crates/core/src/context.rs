@@ -22,6 +22,11 @@ pub struct GraphContext<'b> {
     /// the exact IEEE result of `1.0 / cardinalities[k]`, so summing the
     /// reciprocals is bit-identical to dividing inline.
     recip_cardinalities: Vec<f64>,
+    /// Dirty ER only (empty for Clean-Clean): parallel to the entity index's
+    /// flat block lists, each assignment's position in its block's member
+    /// list, so an edge sweep can start a block's walk right past its pivot
+    /// ([`GraphContext::slots_of`]). 4 B per assignment.
+    slots: Vec<u32>,
     split: usize,
 }
 
@@ -48,7 +53,8 @@ impl<'b> GraphContext<'b> {
     fn with_index(blocks: &'b BlockCollection, index: EntityIndex, split: usize) -> Self {
         let cardinalities: Vec<f64> = blocks.iter().map(|b| b.cardinality() as f64).collect();
         let recip_cardinalities = cardinalities.iter().map(|&c| 1.0 / c).collect();
-        GraphContext { blocks, index, cardinalities, recip_cardinalities, split }
+        let slots = if blocks.kind() == ErKind::Dirty { slots(blocks, &index) } else { Vec::new() };
+        GraphContext { blocks, index, cardinalities, recip_cardinalities, slots, split }
     }
 
     /// Builds the context around an index that already exists — the snapshot
@@ -134,6 +140,45 @@ impl<'b> GraphContext<'b> {
     pub fn num_blocks_of(&self, id: EntityId) -> usize {
         self.index.num_blocks_of(id)
     }
+
+    /// Dirty ER: `id`'s position in the member list of each of its blocks,
+    /// parallel to [`EntityIndex::block_list`]. `None` for Clean-Clean ER.
+    #[inline]
+    pub fn slots_of(&self, id: EntityId) -> Option<&[u32]> {
+        if self.kind() != ErKind::Dirty {
+            return None;
+        }
+        let (_, offsets) = self.index.raw_parts();
+        Some(&self.slots[offsets[id.idx()] as usize..offsets[id.idx() + 1] as usize])
+    }
+}
+
+/// The slot pass: one walk of the Dirty blocks in id order, which is the
+/// order each entity's block list is in, so a cursor per entity fills its
+/// slots front to back.
+fn slots(blocks: &BlockCollection, index: &EntityIndex) -> Vec<u32> {
+    let (lists, offsets) = index.raw_parts();
+    let mut cursor = offsets[..blocks.num_entities()].to_vec();
+    let mut slots = vec![0u32; lists.len()];
+    for block in blocks.iter() {
+        for (p, e) in block.left().iter().enumerate() {
+            let c = &mut cursor[e.idx()];
+            slots[*c as usize] = p as u32;
+            *c += 1;
+        }
+    }
+    #[cfg(feature = "sanitize")]
+    for (i, window) in offsets.windows(2).enumerate() {
+        let (start, end) = (window[0] as usize, window[1] as usize);
+        for (&k, &slot) in lists[start..end].iter().zip(&slots[start..end]) {
+            assert_eq!(
+                blocks.block(k as usize).left().get(slot as usize).map(|e| e.idx()),
+                Some(i),
+                "mb-sanitize: slot {slot} of entity {i} in block {k} does not hold it"
+            );
+        }
+    }
+    slots
 }
 
 #[cfg(test)]
@@ -161,6 +206,34 @@ mod tests {
         assert!(ctx.comparable(EntityId(0), EntityId(3)));
         assert!(!ctx.comparable(EntityId(1), EntityId(1)));
         assert_eq!(ctx.num_blocks_of(EntityId(2)), 2);
+    }
+
+    #[test]
+    fn a_slot_is_the_entitys_place_in_its_block() {
+        let blocks = BlockCollection::new(
+            ErKind::Dirty,
+            5,
+            vec![
+                Block::dirty(ids(&[0, 2, 4])),
+                Block::dirty(ids(&[2])),
+                Block::dirty(ids(&[1, 3, 4])),
+            ],
+        );
+        let ctx = GraphContext::new_dirty(&blocks);
+        assert_eq!(ctx.slots_of(EntityId(4)), Some(&[2, 2][..]));
+        assert_eq!(ctx.slots_of(EntityId(2)), Some(&[1, 0][..]));
+        assert_eq!(ctx.slots_of(EntityId(0)), Some(&[0][..]));
+        assert_eq!(ctx.slots_of(EntityId(1)), Some(&[0][..]));
+        let parallel = GraphContext::new_parallel(&blocks, 5, 4);
+        for e in (0..5).map(EntityId) {
+            assert_eq!(parallel.slots_of(e), ctx.slots_of(e));
+        }
+        let clean = BlockCollection::new(
+            ErKind::CleanClean,
+            2,
+            vec![Block::clean_clean(ids(&[0]), ids(&[1]))],
+        );
+        assert_eq!(GraphContext::new(&clean, 1).slots_of(EntityId(0)), None);
     }
 
     #[test]

@@ -4,9 +4,14 @@
 //! For a profile `p_i`, the scanner walks the members of every block in
 //! `B_i` and accumulates, per co-occurring profile `p_j`, either the number
 //! of shared blocks (`commonBlocks[j]` in the paper's pseudo-code) or — for
-//! the ARCS scheme — the sum `Σ 1/‖b‖` over the shared blocks. An epoch
-//! array (`flags` in the paper) avoids clearing the accumulators between
-//! nodes, which would cost `O(|E|)` per node.
+//! the ARCS scheme — the sum `Σ 1/‖b‖` over the shared blocks.
+//!
+//! Neither accumulator is cleared in `O(|E|)` per node. A count is its own
+//! mark: zero means "not in this neighborhood", and the next scan zeroes
+//! exactly the neighbors the last one found. The ARCS sum keeps the paper's
+//! `flags` epoch array beside its `f64` scores. A counting edge sweep over a
+//! store that keeps slots ([`CandidateStore::slots`]) starts each Dirty
+//! block's walk right past the pivot, where every member is a greater id.
 
 use crate::store::CandidateStore;
 use er_model::{EntityId, ErKind, U32s};
@@ -32,16 +37,27 @@ pub enum ScanScope {
 
 /// Reusable scan state: `O(|E|)` once, `O(1)` amortized per scanned edge.
 ///
-/// The default is a scanner over no entities, for a [`crate::ScorerScratch`]
-/// to refit to each graph it serves.
+/// Each accumulator's array is sized to `|E|` by the first scan that uses
+/// it, so a scanner that only counts holds 4 B per entity and one that only
+/// sums ARCS holds 12. The default is a scanner over no entities, for a
+/// [`crate::ScorerScratch`] to refit to each graph it serves.
 #[derive(Debug, Default)]
 pub struct NeighborhoodScanner {
-    /// Epoch markers: `flags[j] == tick` means `score[j]` is current. A scan
-    /// never runs at tick 0, so 0 marks an entry no scan has touched.
+    /// [`Accumulate::CommonBlocks`]: `counts[j]` is the number of the
+    /// pivot's blocks holding `j`. Only the latest count scan's neighbors
+    /// are non-zero.
+    counts: Vec<u32>,
+    /// Whether `neighbors` are the latest count scan's, still to be zeroed.
+    counted: bool,
+    /// [`Accumulate::ReciprocalCardinalities`] epoch markers: `flags[j] ==
+    /// tick` means `score[j]` is current. A scan never runs at tick 0, so 0
+    /// marks an entry no scan has touched.
     flags: Vec<u32>,
     score: Vec<f64>,
     neighbors: Vec<u32>,
     tick: u32,
+    /// `|E|`, which the arrays are grown to on use.
+    num_entities: usize,
 }
 
 impl NeighborhoodScanner {
@@ -53,13 +69,27 @@ impl NeighborhoodScanner {
     }
 
     /// Refits the scanner to a graph over `num_entities` profiles, keeping
-    /// its buffers and its epoch: new entries arrive unmarked, surplus ones
-    /// are truncated, and everything an earlier scan marked is stale at the
-    /// next tick. This is what lets a serving connection carry one scanner
-    /// from generation to generation instead of zeroing `O(|E|)` per re-pin.
+    /// its buffers and its epoch: the last scan's counts are zeroed, surplus
+    /// entries are truncated, new ones arrive unmarked at the next scan, and
+    /// everything an earlier ARCS scan marked is stale at the next tick.
+    /// This is what lets a serving connection carry one scanner from
+    /// generation to generation instead of zeroing `O(|E|)` per re-pin.
     pub(crate) fn resize(&mut self, num_entities: usize) {
-        self.flags.resize(num_entities, 0);
-        self.score.resize(num_entities, 0.0);
+        self.unmark();
+        self.num_entities = num_entities;
+        self.counts.truncate(num_entities);
+        self.flags.truncate(num_entities);
+        self.score.truncate(num_entities);
+    }
+
+    /// Zeroes the counts the latest scan left and forgets its neighbors.
+    fn unmark(&mut self) {
+        if std::mem::take(&mut self.counted) {
+            for &j in &self.neighbors {
+                self.counts[j as usize] = 0;
+            }
+        }
+        self.neighbors.clear();
     }
 
     /// Places the epoch counter, so a test can stand just before its wrap.
@@ -68,7 +98,8 @@ impl NeighborhoodScanner {
         self.tick = tick;
     }
 
-    /// The epoch of the latest scan, so a test can tell the wrap happened.
+    /// The epoch of the latest ARCS scan, so a test can tell the wrap
+    /// happened.
     #[cfg(test)]
     pub(crate) fn tick(&self) -> u32 {
         self.tick
@@ -101,46 +132,104 @@ impl NeighborhoodScanner {
         accumulate: Accumulate,
         scope: ScanScope,
     ) -> Neighborhood<'_> {
-        self.tick = self.tick.wrapping_add(1);
-        if self.tick == 0 {
-            // Extremely unlikely wrap-around: reset markers to stay sound.
-            self.flags.fill(0);
-            self.tick = 1;
-        }
-        self.neighbors.clear();
-
-        let tick = self.tick;
-        let (flags, score, neighbors) = (&mut self.flags, &mut self.score, &mut self.neighbors);
-        pivot.blocks.for_each(|k| {
-            let increment = match accumulate {
-                Accumulate::CommonBlocks => 1.0,
-                Accumulate::ReciprocalCardinalities => store.recip_cardinality_of(k as usize),
-            };
-            store.members_of(k as usize, pivot.scan_right).for_each(|j| {
-                // Neither test can hold for a probe: no member has id `|E|`.
-                if j == pivot.id {
-                    return;
+        self.unmark();
+        let n = self.num_entities;
+        let scores = match accumulate {
+            Accumulate::CommonBlocks => {
+                if self.counts.len() < n {
+                    self.counts.resize(n, 0);
                 }
-                if scope == ScanScope::GreaterOnly && j < pivot.id {
-                    return;
+                self.counted = true;
+                let (counts, neighbors) = (&mut self.counts, &mut self.neighbors);
+                let mut count = |j: u32| {
+                    let c = &mut counts[j as usize];
+                    if *c == 0 {
+                        neighbors.push(j);
+                    }
+                    *c += 1;
+                };
+                match pivot.slots {
+                    // An edge sweep over Dirty blocks, whose members ascend:
+                    // everything past the pivot's slot is a greater id.
+                    Some(slots) if scope == ScanScope::GreaterOnly => {
+                        let mut i = 0;
+                        pivot.blocks.for_each(|k| {
+                            let members = store.members_of(k as usize, false);
+                            let start = slots[i] as usize + 1;
+                            i += 1;
+                            #[cfg(feature = "sanitize")]
+                            assert!(
+                                start <= members.len() && members.get(start - 1) == pivot.id,
+                                "mb-sanitize: slot {} of entity {} in block {k} of {} members",
+                                start - 1,
+                                pivot.id,
+                                members.len()
+                            );
+                            members.slice(start, members.len()).for_each(&mut count);
+                        });
+                    }
+                    _ => pivot.blocks.for_each(|k| {
+                        store.members_of(k as usize, pivot.scan_right).for_each(|j| {
+                            // Neither test can hold for a probe: no member
+                            // has id `|E|`.
+                            if j == pivot.id {
+                                return;
+                            }
+                            if scope == ScanScope::GreaterOnly && j < pivot.id {
+                                return;
+                            }
+                            count(j);
+                        });
+                    }),
                 }
-                let idx = j as usize;
-                if flags[idx] != tick {
-                    flags[idx] = tick;
-                    score[idx] = 0.0;
-                    neighbors.push(j);
+                Scores::Counts(&self.counts)
+            }
+            // ARCS keeps the epoch-marked walk of whole blocks, slots or
+            // not: routed through the count path's two-branch walk it ran
+            // ~30 % slower.
+            Accumulate::ReciprocalCardinalities => {
+                if self.flags.len() < n {
+                    self.flags.resize(n, 0);
+                    self.score.resize(n, 0.0);
                 }
-                score[idx] += increment;
-            });
-        });
-        Neighborhood { ids: &self.neighbors, score: &self.score }
+                self.tick = self.tick.wrapping_add(1);
+                if self.tick == 0 {
+                    // Extremely unlikely wrap-around: reset markers to stay sound.
+                    self.flags.fill(0);
+                    self.tick = 1;
+                }
+                let tick = self.tick;
+                let (flags, score, neighbors) =
+                    (&mut self.flags, &mut self.score, &mut self.neighbors);
+                pivot.blocks.for_each(|k| {
+                    let increment = store.recip_cardinality_of(k as usize);
+                    store.members_of(k as usize, pivot.scan_right).for_each(|j| {
+                        if j == pivot.id {
+                            return;
+                        }
+                        if scope == ScanScope::GreaterOnly && j < pivot.id {
+                            return;
+                        }
+                        let idx = j as usize;
+                        if flags[idx] != tick {
+                            flags[idx] = tick;
+                            score[idx] = 0.0;
+                            neighbors.push(j);
+                        }
+                        score[idx] += increment;
+                    });
+                });
+                Scores::Sums(&self.score)
+            }
+        };
+        Neighborhood { ids: &self.neighbors, scores }
     }
 }
 
 /// What a neighborhood scan pivots on: the blocks to walk, which side of
 /// them to read, and the pivot's place in the id order. An indexed entity
-/// reads all three from the store; a *probe* — a profile that is in no block
-/// yet — supplies them, and is thereby scanned, weighed and ranked by the
+/// reads all of it from the store; a *probe* — a profile that is in no block
+/// yet — supplies it, and is thereby scanned, weighed and ranked by the
 /// code that serves indexed entities.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pivot<'a> {
@@ -154,13 +243,22 @@ pub(crate) struct Pivot<'a> {
     /// compares against, and ranking ties break on. A probe stands at `|E|`,
     /// past every real id.
     pub(crate) id: u32,
+    /// Dirty ER, when the store keeps them: the pivot's position in each of
+    /// `blocks`' member lists ([`CandidateStore::slots`]), where a counting
+    /// edge sweep starts each block's walk. A probe has none.
+    pub(crate) slots: Option<&'a [u32]>,
 }
 
 impl<'a> Pivot<'a> {
     /// The indexed entity `id` of `store`.
     #[inline]
     pub(crate) fn indexed<S: CandidateStore>(store: &'a S, id: EntityId) -> Self {
-        Pivot { blocks: store.block_list(id), scan_right: store.scan_right(id), id: id.0 }
+        Pivot {
+            blocks: store.block_list(id),
+            scan_right: store.scan_right(id),
+            id: id.0,
+            slots: store.slots(id),
+        }
     }
 
     /// A profile outside the index that would occupy `block_ids` (ids into
@@ -176,6 +274,7 @@ impl<'a> Pivot<'a> {
             scan_right: store.kind() != ErKind::Dirty && is_first,
             // Entity ids are dense u32s, so |E| itself always fits.
             id: store.num_entities() as u32,
+            slots: None,
         }
     }
 }
@@ -185,16 +284,28 @@ impl<'a> Pivot<'a> {
 pub struct Neighborhood<'a> {
     /// Co-occurring profile ids, in first-co-occurrence order.
     pub ids: &'a [u32],
-    score: &'a [f64],
+    scores: Scores<'a>,
+}
+
+/// The array a scan accumulated into, indexed by entity id.
+#[derive(Debug, Clone, Copy)]
+enum Scores<'a> {
+    /// Common-block counts ([`Accumulate::CommonBlocks`]).
+    Counts(&'a [u32]),
+    /// ARCS sums ([`Accumulate::ReciprocalCardinalities`]).
+    Sums(&'a [f64]),
 }
 
 impl Neighborhood<'_> {
-    /// The accumulated score of neighbor `j`.
+    /// The accumulated score of neighbor `j` (a count converts exactly).
     ///
     /// Only meaningful for ids in [`Neighborhood::ids`].
     #[inline]
     pub fn score_of(&self, j: u32) -> f64 {
-        self.score[j as usize]
+        match self.scores {
+            Scores::Counts(counts) => f64::from(counts[j as usize]),
+            Scores::Sums(sums) => sums[j as usize],
+        }
     }
 
     /// Number of distinct neighbors — the node degree `|v_i|`.
@@ -204,7 +315,7 @@ impl Neighborhood<'_> {
 
     /// Iterator over `(neighbor, score)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (EntityId, f64)> + '_ {
-        self.ids.iter().map(move |&j| (EntityId(j), self.score[j as usize]))
+        self.ids.iter().map(move |&j| (EntityId(j), self.score_of(j)))
     }
 }
 
@@ -285,38 +396,178 @@ mod tests {
     }
 
     #[test]
-    fn a_resized_scanner_scans_like_a_new_one_across_the_epoch_wrap() {
-        let small = dirty_fixture();
-        let large = BlockCollection::new(
-            ErKind::Dirty,
-            6,
-            vec![
-                Block::dirty(ids(&[0, 1, 2])),
-                Block::dirty(ids(&[0, 1])),
-                Block::dirty(ids(&[1, 3])),
-                Block::dirty(ids(&[3, 4, 5])),
-                Block::dirty(ids(&[0, 5])),
-            ],
-        );
-        // Carried from graph to graph: grown, truncated, grown again, while
-        // its epoch counter runs through u32::MAX and wraps.
-        let mut carried = NeighborhoodScanner::default();
+    fn an_arcs_scanner_carried_across_the_epoch_wrap_scans_like_a_new_one() {
+        let blocks = dirty_fixture();
+        let ctx = GraphContext::new_dirty(&blocks);
+        let mut carried = NeighborhoodScanner::new(4);
         carried.set_tick(u32::MAX - 5);
-        for blocks in [&small, &large, &small, &large] {
-            let ctx = GraphContext::new_dirty(blocks);
-            let n = blocks.num_entities();
-            carried.resize(n);
-            let mut fresh = NeighborhoodScanner::new(n);
-            for i in 0..n as u32 {
-                for accumulate in [Accumulate::CommonBlocks, Accumulate::ReciprocalCardinalities] {
-                    let want: Vec<_> =
-                        fresh.scan(&ctx, EntityId(i), accumulate, ScanScope::All).iter().collect();
-                    let got: Vec<_> = carried
-                        .scan(&ctx, EntityId(i), accumulate, ScanScope::All)
-                        .iter()
-                        .collect();
-                    assert_eq!(got, want, "|E| = {n}, pivot {i}, {accumulate:?}");
+        let mut fresh = NeighborhoodScanner::new(4);
+        for round in 0..3 {
+            for i in 0..4 {
+                let accumulate = Accumulate::ReciprocalCardinalities;
+                let want: Vec<_> =
+                    fresh.scan(&ctx, EntityId(i), accumulate, ScanScope::All).iter().collect();
+                let got: Vec<_> =
+                    carried.scan(&ctx, EntityId(i), accumulate, ScanScope::All).iter().collect();
+                assert_eq!(got, want, "round {round}, pivot {i}");
+            }
+        }
+        assert!(carried.tick() < 16, "the epoch wrapped");
+    }
+
+    /// xorshift64* — enough randomness for a differential test, no
+    /// dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        }
+
+        /// `len` distinct ids of `lo..hi`, ascending.
+        fn members(&mut self, lo: u32, hi: u32, len: usize) -> Vec<EntityId> {
+            let mut picked = std::collections::BTreeSet::new();
+            while picked.len() < len.min((hi - lo) as usize) {
+                picked.insert(lo + self.below(u64::from(hi - lo)) as u32);
+            }
+            picked.into_iter().map(EntityId).collect()
+        }
+    }
+
+    /// A seeded collection over `n` profiles (split at `n / 3` when
+    /// Clean-Clean): blocks of 2–200 members, some singletons, some
+    /// profiles in no block.
+    fn random_collection(rng: &mut Rng, kind: ErKind, n: u32) -> BlockCollection {
+        let split = n / 3;
+        let blocks = (0..10 + rng.below(40))
+            .map(|_| {
+                let len = match rng.below(4) {
+                    0 => 1,
+                    1 => 2 + rng.below(199) as usize,
+                    _ => 2 + rng.below(20) as usize,
+                };
+                match kind {
+                    ErKind::Dirty => Block::dirty(rng.members(0, n, len)),
+                    ErKind::CleanClean if len == 1 => {
+                        Block::clean_clean(rng.members(0, split, 1), Vec::new())
+                    }
+                    ErKind::CleanClean => Block::clean_clean(
+                        rng.members(0, split, len / 2),
+                        rng.members(split, n, len - len / 2),
+                    ),
                 }
+            })
+            .collect();
+        BlockCollection::new(kind, n as usize, blocks)
+    }
+
+    /// Everything a [`GraphContext`] presents except its slots.
+    struct NoSlots<'c, 'b>(&'c GraphContext<'b>);
+
+    impl CandidateStore for NoSlots<'_, '_> {
+        fn kind(&self) -> ErKind {
+            self.0.kind()
+        }
+        fn split(&self) -> usize {
+            self.0.split()
+        }
+        fn num_entities(&self) -> usize {
+            self.0.num_entities()
+        }
+        fn num_blocks(&self) -> usize {
+            CandidateStore::num_blocks(self.0)
+        }
+        fn block_list(&self, id: EntityId) -> U32s<'_> {
+            CandidateStore::block_list(self.0, id)
+        }
+        fn members_of(&self, block: usize, scan_right: bool) -> U32s<'_> {
+            CandidateStore::members_of(self.0, block, scan_right)
+        }
+        fn recip_cardinality_of(&self, block: usize) -> f64 {
+            self.0.recip_cardinality_of(block)
+        }
+    }
+
+    /// The scan by definition: every member of every block of `B_i` on the
+    /// compared side, in order, skipping the pivot and (in an edge sweep)
+    /// lesser ids; neighbors in order of first co-occurrence, scores as
+    /// `(neighbor, score bits)`.
+    fn oracle(
+        ctx: &GraphContext<'_>,
+        pivot: EntityId,
+        accumulate: Accumulate,
+        scope: ScanScope,
+    ) -> Vec<(u32, u64)> {
+        let mut hood: Vec<(u32, f64)> = Vec::new();
+        for &k in ctx.index().block_list(pivot) {
+            let block = ctx.blocks().block(k as usize);
+            let side =
+                if CandidateStore::scan_right(ctx, pivot) { block.right() } else { block.left() };
+            for &j in side {
+                if j == pivot || (scope == ScanScope::GreaterOnly && j < pivot) {
+                    continue;
+                }
+                let increment = match accumulate {
+                    Accumulate::CommonBlocks => 1.0,
+                    Accumulate::ReciprocalCardinalities => ctx.recip_cardinality_of(k as usize),
+                };
+                match hood.iter_mut().find(|(id, _)| *id == j.0) {
+                    Some((_, score)) => *score += increment,
+                    None => hood.push((j.0, increment)),
+                }
+            }
+        }
+        hood.into_iter().map(|(j, score)| (j, score.to_bits())).collect()
+    }
+
+    /// One carried scanner — resized up and down from collection to
+    /// collection, switching accumulator every scan, over a store with slots
+    /// and one without — scans every pivot of seeded Dirty and Clean-Clean
+    /// collections under both scopes exactly as the definition does:
+    /// neighbor order and score bits.
+    #[test]
+    fn a_carried_scanner_equals_the_first_co_occurrence_oracle() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut carried = NeighborhoodScanner::default();
+        let mut turn = 0usize;
+        for (round, n) in [300u32, 40, 420, 3, 250, 90].into_iter().enumerate() {
+            let kind = if round % 2 == 0 { ErKind::Dirty } else { ErKind::CleanClean };
+            for kind in
+                [kind, if kind == ErKind::Dirty { ErKind::CleanClean } else { ErKind::Dirty }]
+            {
+                let blocks = random_collection(&mut rng, kind, n);
+                let split = if kind == ErKind::Dirty { n as usize } else { (n / 3) as usize };
+                let ctx = GraphContext::new(&blocks, split);
+                assert_eq!(ctx.slots_of(EntityId(0)).is_some(), kind == ErKind::Dirty);
+                carried.resize(n as usize);
+                for i in (0..n).map(EntityId) {
+                    for scope in [ScanScope::All, ScanScope::GreaterOnly] {
+                        for _ in 0..2 {
+                            turn += 1;
+                            let accumulate = if turn % 3 == 0 {
+                                Accumulate::ReciprocalCardinalities
+                            } else {
+                                Accumulate::CommonBlocks
+                            };
+                            let want = oracle(&ctx, i, accumulate, scope);
+                            let bits = |n: Neighborhood<'_>| -> Vec<(u32, u64)> {
+                                n.iter().map(|(j, s)| (j.0, s.to_bits())).collect()
+                            };
+                            let with = bits(carried.scan(&ctx, i, accumulate, scope));
+                            assert_eq!(
+                                with, want,
+                                "{kind:?} |E| {n}, {i} {accumulate:?} {scope:?}"
+                            );
+                            let without = bits(carried.scan(&NoSlots(&ctx), i, accumulate, scope));
+                            assert_eq!(without, want, "{kind:?} |E| {n}, {i}, no slots");
+                        }
+                    }
+                }
+                // Leave counts behind for the next resize to clear.
+                carried.scan(&ctx, EntityId(0), Accumulate::CommonBlocks, ScanScope::All);
             }
         }
     }

@@ -70,6 +70,16 @@ pub trait CandidateStore {
     fn scan_right(&self, pivot: EntityId) -> bool {
         self.kind() != ErKind::Dirty && self.is_first(pivot)
     }
+
+    /// Dirty ER: `id`'s position in the member list of each of its blocks,
+    /// parallel to [`CandidateStore::block_list`], so an edge sweep that
+    /// counts common blocks can start each block's walk right past its
+    /// pivot. A store that keeps no slots returns `None` (the default) and
+    /// its scans walk whole blocks; the result is the same either way.
+    #[inline]
+    fn slots(&self, _id: EntityId) -> Option<&[u32]> {
+        None
+    }
 }
 
 impl CandidateStore for GraphContext<'_> {
@@ -113,6 +123,11 @@ impl CandidateStore for GraphContext<'_> {
     #[inline]
     fn is_first(&self, id: EntityId) -> bool {
         GraphContext::is_first(self, id)
+    }
+
+    #[inline]
+    fn slots(&self, id: EntityId) -> Option<&[u32]> {
+        GraphContext::slots_of(self, id)
     }
 }
 

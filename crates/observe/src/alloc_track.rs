@@ -22,11 +22,21 @@
                        // place in the workspace that implements it.
 
 use std::alloc::{GlobalAlloc, Layout};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's tally: allocation events, and bytes allocated minus
+    /// bytes freed here (wrapping, so only differences mean anything). Const
+    /// cells with no destructor, so the allocator may touch them at any
+    /// point of a thread's life without allocating.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_NET: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A [`GlobalAlloc`] wrapper that maintains live-byte and peak counters.
 pub struct TrackingAllocator<A> {
@@ -44,12 +54,15 @@ fn on_alloc(bytes: usize) {
     let now = CURRENT.fetch_add(bytes as u64, Relaxed) + bytes as u64;
     PEAK.fetch_max(now, Relaxed);
     ALLOCS.fetch_add(1, Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_NET.try_with(|c| c.set(c.get().wrapping_add(bytes as u64)));
 }
 
 fn on_dealloc(bytes: usize) {
     // Saturating: a dealloc of memory allocated before the tracker saw it
     // (e.g. pre-main) must not wrap the counter.
     let _ = CURRENT.fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(bytes as u64)));
+    let _ = THREAD_NET.try_with(|c| c.set(c.get().wrapping_sub(bytes as u64)));
 }
 
 // SAFETY: every method delegates to the wrapped allocator with the exact
@@ -110,6 +123,19 @@ pub fn alloc_count() -> u64 {
     ALLOCS.load(Relaxed)
 }
 
+/// Allocation events on the calling thread since it started — what
+/// [`alloc_count`] counts, without other threads' events.
+pub fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
+/// Bytes the calling thread allocated minus bytes it freed, wrapping: read
+/// it before and after a region and `wrapping_sub` to get the bytes the
+/// region left live, without other threads' allocations.
+pub fn thread_net_bytes() -> u64 {
+    THREAD_NET.with(Cell::get)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,5 +173,20 @@ mod tests {
         on_dealloc(live as usize + 4096);
         assert_eq!(current_bytes(), 0);
         rebase_peak();
+
+        // The thread tally sees this thread's events only.
+        let (allocs, net) = (thread_alloc_count(), thread_net_bytes());
+        on_alloc(1000);
+        std::thread::spawn(|| {
+            on_alloc(64);
+            on_dealloc(64);
+        })
+        .join()
+        .unwrap();
+        on_dealloc(200);
+        assert_eq!(thread_alloc_count() - allocs, 1);
+        assert_eq!(thread_net_bytes().wrapping_sub(net), 800);
+        on_dealloc(800);
+        assert_eq!(thread_net_bytes(), net);
     }
 }

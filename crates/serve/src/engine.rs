@@ -27,7 +27,7 @@ use mb_observe::{Counter, Observer, Stage, StageScope};
 
 /// An online candidate-query engine bound to a loaded snapshot.
 ///
-/// Holds the per-query scratch state (scan epochs, probe buffers), so
+/// Holds the per-query scratch state (scan arrays, probe buffers), so
 /// queries allocate nothing on the steady path. One engine serves one
 /// thread; [`CandidateTarget::Batch`] fans out internally on the windowed
 /// sweep driver the batch pipeline runs on.
@@ -46,7 +46,8 @@ pub struct QueryEngine<'s> {
 }
 
 /// Every buffer a [`QueryEngine`] owns, detached from the generation it was
-/// pinned to: the scorer's `O(|E|)` scan arrays, the probe tokenizer's key
+/// pinned to: the scorer's `O(|E|)` scan arrays (4 B per entity of counts,
+/// 12 B under ARCS; [`ScorerScratch`]), the probe tokenizer's key
 /// and lookup scratch, and the probe's token ids and routes. A connection
 /// handler takes it back ([`QueryEngine::into_scratch`]) when its
 /// generation is replaced and builds the next engine over it
@@ -88,8 +89,9 @@ impl<'s> QueryEngine<'s> {
     /// and the delta overlay — when the generation carries one — which
     /// patches block and list reads through the store and routes probe
     /// tokens onto overlay-born blocks. What is left to allocate is the scan
-    /// scratch, 12 B per entity, zeroed — which
-    /// [`QueryEngine::with_scratch`] takes from the previous engine instead.
+    /// scratch, zeroed on the first query: 4 B per entity under CBS, ECBS,
+    /// JS and EJS, 12 B under ARCS — which [`QueryEngine::with_scratch`]
+    /// takes from the previous engine instead.
     pub fn from_generation(generation: &'s Generation) -> Self {
         Self::with_scratch(generation, EngineScratch::default())
     }
@@ -97,7 +99,8 @@ impl<'s> QueryEngine<'s> {
     /// [`QueryEngine::from_generation`] over the buffers of an engine that
     /// was pinned to an earlier generation ([`QueryEngine::into_scratch`]).
     /// Answers are bit-identical to a cold engine's; what is saved is the
-    /// allocation and zeroing of 12 B × `|E|` of scan scratch per re-pin.
+    /// allocation and zeroing of 4 B × `|E|` of scan scratch per re-pin
+    /// (12 B under ARCS).
     pub fn with_scratch(generation: &'s Generation, scratch: EngineScratch) -> Self {
         let view = generation.view();
         Self::assemble(view, view.config().weighting, generation.overlay(), scratch)

@@ -1,9 +1,10 @@
 //! A profile costs its text: one buffer and one offset vector, never two
 //! `String`s per name–value pair.
 //!
-//! The tracking allocator's counters are process-wide, which is why this
-//! test is a binary of its own with a single `#[test]`: nothing else
-//! allocates while a profile is being built or a collection measured.
+//! The test is a binary of its own, since it installs the tracking
+//! allocator, and it reads that allocator's tally of the measuring thread
+//! only: the test harness's own thread allocates while a test runs, and a
+//! process-wide count would charge those bytes to the collection.
 
 use er_datagen::presets;
 use er_model::EntityProfile;
@@ -15,9 +16,9 @@ static ALLOC: TrackingAllocator<std::alloc::System> = TrackingAllocator::new(std
 
 /// Allocation events `run` makes, and what it returns.
 fn allocations<T>(run: impl FnOnce() -> T) -> (u64, T) {
-    let before = alloc_track::alloc_count();
+    let before = alloc_track::thread_alloc_count();
     let out = run();
-    (alloc_track::alloc_count() - before, out)
+    (alloc_track::thread_alloc_count() - before, out)
 }
 
 /// What a profile's slot in a collection's `Vec` costs beside its buffers.
@@ -46,10 +47,10 @@ fn a_profile_costs_its_text_plus_its_offsets() {
     // A whole generated collection: live bytes are its text, 4 B per
     // offset (the uri's end, then a name end and a value end per pair), and
     // the profile's slot in the collection's vector.
-    let before = alloc_track::current_bytes();
+    let before = alloc_track::thread_net_bytes();
     let dataset = presets::build(&presets::d3c(13, 0.005)).unwrap();
     drop(dataset.ground_truth);
-    let live = alloc_track::current_bytes() - before;
+    let live = alloc_track::thread_net_bytes().wrapping_sub(before);
     let collection = dataset.collection;
     let profiles = collection.len() as u64;
     let (mut text, mut offsets, mut pairs) = (0u64, 0u64, 0u64);
