@@ -1,6 +1,6 @@
 //! The one validator for the JSON documents this repository commits:
-//! `BENCH_pipeline.json`, `BENCH_query.json`, `BENCH_serve.json`,
-//! `BENCH_delta.json`, `BENCH_pruning.json` (written by the benches
+//! `BENCH_pipeline.json`, `BENCH_query.json`, `BENCH_delta.json`,
+//! `BENCH_pruning.json` (written by the benches
 //! `scripts/bench.sh` runs) and
 //! `results/lint.json` (written by `er-lint --workspace --format json` in
 //! `scripts/check.sh`; validated here because er-lint is dependency-free by
@@ -16,9 +16,6 @@
 //!
 //! * `query_latency`: p99 ≥ p50 for entity and probe queries, a positive
 //!   token count per probe; batch rows at 1/2/4/8 threads.
-//! * `serve_throughput`: p99 ≥ p50; one reload per sample round,
-//!   `final_generation` one past them; the server's own request count
-//!   covers every timed round trip.
 //! * `delta_latency`: percentile pairs ordered; a single upsert applied
 //!   *and* queryable within 1 ms at p50 and at least 1000× cheaper than the
 //!   full rebuild path (bundle load → build → persist → reload → first
@@ -156,44 +153,6 @@ fn query(doc: &Json) -> Result<(), String> {
     })?;
     if threads_seen != [1, 2, 4, 8] {
         return Err(format!("batch thread counts are {threads_seen:?}, expected [1, 2, 4, 8]"));
-    }
-    Ok(())
-}
-
-/// `BENCH_serve.json`, from the `serve_throughput` bench.
-fn serve(doc: &Json) -> Result<(), String> {
-    let samples = positive_uint(doc, "samples")?;
-
-    ordered_pair(doc, "round_trip.p50_us", "round_trip.p99_us")?;
-    let qps = finite(doc, "round_trip.throughput_qps")?;
-    if qps <= 0.0 {
-        return Err(format!("round_trip.throughput_qps must be positive, got {qps}"));
-    }
-    let queries = positive_uint(doc, "round_trip.queries")?;
-
-    finite(doc, "reload.mean_ms")?;
-    finite(doc, "reload.min_ms")?;
-    let reloads = positive_uint(doc, "reload.samples")?;
-    finite(doc, "reload.post_reload_query_us")?;
-
-    // One reload per sample round, generation 1 is the boot snapshot.
-    let final_generation = positive_uint(doc, "final_generation")?;
-    if final_generation != reloads + 1 {
-        return Err(format!(
-            "final_generation is {final_generation}, expected {} (one reload per round)",
-            reloads + 1
-        ));
-    }
-    if reloads != samples {
-        return Err(format!("reload.samples is {reloads}, expected {samples}"));
-    }
-    // The server must have accounted for at least every timed query (the
-    // warmup and post-reload probes add a few more).
-    let served = positive_uint(doc, "requests_served")?;
-    if served < queries {
-        return Err(format!(
-            "requests_served ({served}) is below the {queries} timed round-trip queries"
-        ));
     }
     Ok(())
 }
@@ -430,10 +389,9 @@ fn lint(doc: &Json) -> Result<(), String> {
 /// kind.
 fn check(doc: &Json) -> Result<&'static str, String> {
     type Check = fn(&Json) -> Result<(), String>;
-    const BENCHES: [(&str, Check); 5] = [
+    const BENCHES: [(&str, Check); 4] = [
         ("pipeline_e2e", pipeline),
         ("query_latency", query),
-        ("serve_throughput", serve),
         ("delta_latency", delta),
         ("pruning_scaling", pruning),
     ];
@@ -513,7 +471,6 @@ mod tests {
         for (path, kind) in [
             ("BENCH_pipeline.json", "pipeline_e2e"),
             ("BENCH_query.json", "query_latency"),
-            ("BENCH_serve.json", "serve_throughput"),
             ("BENCH_delta.json", "delta_latency"),
             ("BENCH_pruning.json", "pruning_scaling"),
             ("results/lint.json", "er-lint/1"),
@@ -551,12 +508,6 @@ mod tests {
         breaks(q, "probe_query.tokens_probed_per_query", |d| {
             *at(d, "probe_query.tokens_probed_per_query") = Json::Num(0.0);
         });
-
-        let s = "BENCH_serve.json";
-        breaks(s, "final_generation", |d| *at(d, "final_generation") = Json::Uint(1));
-        breaks(s, "requests_served", |d| *at(d, "requests_served") = Json::Uint(1));
-        breaks(s, "`round_trip.p99_us`", |d| *at(d, "round_trip.p99_us") = Json::Num(0.0));
-        breaks(s, "reload.min_ms", |d| drop_key(d, "reload", "min_ms"));
 
         let l = "BENCH_delta.json";
         breaks(l, "upsert.applied_queryable_p50_us", |d| {

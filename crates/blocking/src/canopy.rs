@@ -2,8 +2,7 @@
 
 use crate::method::BlockingMethod;
 use er_model::fxhash::FxHashMap;
-use er_model::matching::jaccard_sorted;
-use er_model::tokenize::{token_id_set, Interner};
+use er_model::matching::TokenSets;
 use er_model::{Block, BlockCollection, EntityCollection, EntityId, ErKind};
 
 /// Canopy Clustering — the paper's example of a redundancy-*negative*
@@ -42,16 +41,14 @@ impl BlockingMethod for CanopyClustering {
             self.removal_threshold >= self.inclusion_threshold,
             "removal_threshold must be at least inclusion_threshold"
         );
-        let mut interner = Interner::new();
-        let sets: Vec<Vec<u32>> =
-            collection.profiles().iter().map(|p| token_id_set(p.values(), &mut interner)).collect();
+        let sets = TokenSets::build(collection);
 
         // Inverted index token -> profiles, to find canopy candidates
         // without the quadratic scan.
         let mut postings: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        for (i, set) in sets.iter().enumerate() {
-            for &t in set {
-                postings.entry(t).or_default().push(i as u32);
+        for (id, _) in collection.iter() {
+            for &t in sets.get(id) {
+                postings.entry(t).or_default().push(id.0);
             }
         }
 
@@ -65,8 +62,10 @@ impl BlockingMethod for CanopyClustering {
             in_pool[seed] = false;
             let seed_id = EntityId::from_index(seed);
             let mut members = vec![seed_id];
-            // Candidates: profiles sharing at least one token with the seed.
-            let mut candidates: Vec<u32> = sets[seed]
+            // Candidates: profiles sharing at least one token with the seed,
+            // in id order, so how token ids are assigned cannot matter.
+            let seed_set = sets.get(seed_id);
+            let mut candidates: Vec<u32> = seed_set
                 .iter()
                 .flat_map(|t| postings.get(t).into_iter().flatten().copied())
                 .collect();
@@ -77,7 +76,7 @@ impl BlockingMethod for CanopyClustering {
                 if c == seed || !in_pool[c] {
                     continue;
                 }
-                let sim = jaccard_sorted(&sets[seed], &sets[c]);
+                let sim = sets.jaccard(seed_id, EntityId(cand));
                 if sim >= self.inclusion_threshold {
                     members.push(EntityId(cand));
                     if sim >= self.removal_threshold {

@@ -65,7 +65,7 @@ impl BlockingMethod for QGramsBlocking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_model::EntityProfile;
+    use er_model::{EntityId, EntityProfile};
 
     #[test]
     fn typos_still_co_occur() {
@@ -79,6 +79,41 @@ mod tests {
         // They co-occur in the "mil" and "ler" blocks.
         assert!(blocks.iter().all(|b| b.size() == 2));
         assert!(blocks.size() >= 2);
+    }
+
+    fn profiles(values: &[&str]) -> EntityCollection {
+        EntityCollection::dirty(
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| EntityProfile::new(format!("p{i}")).with("v", *v))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_long_token_is_its_windows() {
+        // "seller" is sel, ell, lle, ler; each token of the second profile
+        // is exactly q chars long, so it is its own single window.
+        let blocks = QGramsBlocking { q: 3 }.build(&profiles(&["seller", "ler lle ell sel"]));
+        assert_eq!(blocks.size(), 4);
+        assert!(blocks.iter().all(|b| b.left() == [EntityId(0), EntityId(1)]));
+    }
+
+    #[test]
+    fn a_short_token_is_emitted_whole() {
+        // At q = 4 "car" and "scar" are both shorter than or as long as q:
+        // whole tokens, which differ. At q = 3 "scar" has the window "car".
+        let e = profiles(&["car", "scar"]);
+        assert!(QGramsBlocking { q: 4 }.build(&e).is_empty());
+        assert_eq!(QGramsBlocking { q: 3 }.build(&e).size(), 1);
+        assert_eq!(QGramsBlocking { q: 4 }.build(&profiles(&["car", "Car"])).size(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "q must be positive")]
+    fn q0_panics() {
+        QGramsBlocking { q: 0 }.build(&profiles(&["x"]));
     }
 
     #[test]

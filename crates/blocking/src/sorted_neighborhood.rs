@@ -1,7 +1,7 @@
 //! Single-pass Sorted Neighborhood (Hernández & Stolfo, SIGMOD'95).
 
 use crate::method::BlockingMethod;
-use er_model::tokenize::tokens;
+use er_model::tokenize::KeyScratch;
 use er_model::{Block, BlockCollection, EntityCollection, EntityId, ErKind};
 
 /// The single-pass Sorted Neighborhood method: profiles are sorted by a
@@ -26,12 +26,13 @@ impl Default for SortedNeighborhood {
 }
 
 impl SortedNeighborhood {
-    /// The sort key of a profile: its lexicographically smallest normalized
-    /// token. A content-derived key keeps the method schema-agnostic —
-    /// classic implementations use a domain-specific key, which heterogeneous
-    /// Web data does not offer.
-    fn sort_key(collection: &EntityCollection, id: EntityId) -> String {
-        collection.profile(id).values().flat_map(tokens).min().unwrap_or_default()
+    /// The sort key of a profile: the byte-wise smallest of its Token
+    /// Blocking tokens, `""` if it has none. A content-derived key keeps the
+    /// method schema-agnostic — classic implementations use a
+    /// domain-specific key, which heterogeneous Web data does not offer.
+    fn sort_key(scratch: &mut KeyScratch, collection: &EntityCollection, id: EntityId) -> String {
+        scratch.fill_tokens(collection.profile(id));
+        scratch.iter().min().unwrap_or_default().to_owned()
     }
 }
 
@@ -43,8 +44,9 @@ impl BlockingMethod for SortedNeighborhood {
     fn build(&self, collection: &EntityCollection) -> BlockCollection {
         assert!(self.window >= 2, "window must span at least two profiles");
         let mut order: Vec<EntityId> = collection.iter().map(|(id, _)| id).collect();
+        let mut scratch = KeyScratch::new();
         let mut keys: Vec<String> =
-            order.iter().map(|&id| Self::sort_key(collection, id)).collect();
+            order.iter().map(|&id| Self::sort_key(&mut scratch, collection, id)).collect();
         let mut perm: Vec<usize> = (0..order.len()).collect();
         perm.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(order[a].cmp(&order[b])));
         order = perm.iter().map(|&i| order[i]).collect();

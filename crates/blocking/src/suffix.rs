@@ -66,7 +66,7 @@ impl BlockingMethod for SuffixArraysBlocking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_model::EntityProfile;
+    use er_model::{EntityId, EntityProfile};
 
     fn profiles(values: &[&str]) -> EntityCollection {
         EntityCollection::dirty(
@@ -85,6 +85,19 @@ mod tests {
         let blocks = SuffixArraysBlocking { min_suffix_len: 5, max_block_size: 50 }.build(&e);
         assert!(!blocks.is_empty());
         assert!(blocks.iter().all(|b| b.size() == 2));
+    }
+
+    #[test]
+    fn suffixes_respect_min_len() {
+        // "trader" gives trader, rader and ader at min 4; "der" is too short
+        // to be a suffix of "trader" or a key of its own.
+        let e = profiles(&["trader", "ader", "der", "rader der"]);
+        let blocks = SuffixArraysBlocking { min_suffix_len: 4, max_block_size: 50 }.build(&e);
+        let members: Vec<Vec<EntityId>> = blocks.iter().map(|b| b.left().to_vec()).collect();
+        let (p0, p1, p3) = (EntityId(0), EntityId(1), EntityId(3));
+        assert_eq!(blocks.size(), 2, "{members:?}");
+        assert!(members.contains(&vec![p0, p1, p3]), "ader: {members:?}");
+        assert!(members.contains(&vec![p0, p3]), "rader: {members:?}");
     }
 
     #[test]

@@ -119,10 +119,11 @@ mod tests {
 
     #[test]
     fn words_survive_tokenization_unchanged() {
+        let mut scratch = er_model::tokenize::KeyScratch::new();
         for i in [0u64, 1, 69, 70, 4900, 343_000] {
             let w = word(i);
-            let toks: Vec<String> = er_model::tokenize::tokens(&w).collect();
-            assert_eq!(toks, std::slice::from_ref(&w));
+            scratch.fill_tokens(&er_model::EntityProfile::new("p").with("v", w.as_str()));
+            assert!(scratch.iter().eq([w.as_str()]), "{w}");
         }
     }
 

@@ -6,42 +6,70 @@
 //! matching") and Iterative Blocking, whose propagation depends on match
 //! decisions. Both are served here, plus a ground-truth oracle used for the
 //! idealized baseline accounting.
+//!
+//! "All tokens" are Token Blocking's: [`TokenSets`] takes each profile's
+//! tokens from [`KeyScratch::fill_tokens`] and numbers them with
+//! [`TokenInterner`], so the matcher and the blocks cannot disagree on what
+//! a token is. A Jaccard value depends only on which ids two sets share,
+//! never on how the ids were assigned.
 
 use crate::collection::EntityCollection;
 use crate::groundtruth::GroundTruth;
 use crate::ids::EntityId;
-use crate::tokenize::{token_id_set, Interner};
+use crate::tokenize::{KeyScratch, TokenInterner};
 
 /// Pre-computed token-id sets (sorted, deduplicated) for every profile of a
-/// collection. Building this once turns each Jaccard evaluation into a
-/// linear merge of two sorted `u32` slices.
+/// collection, back to back in one pool. Building this once turns each
+/// Jaccard evaluation into a linear merge of two sorted `u32` slices.
 #[derive(Debug, Clone)]
 pub struct TokenSets {
-    sets: Vec<Vec<u32>>,
+    /// Every profile's set, in profile order.
+    ids: Vec<u32>,
+    /// Profile `i`'s set is `ids[offsets[i]..offsets[i + 1]]`; one entry per
+    /// profile plus a leading 0.
+    offsets: Vec<u32>,
 }
 
 impl TokenSets {
     /// Tokenizes every profile of `collection`.
+    ///
+    /// # Panics
+    /// If the distinct tokens, or the ids of all sets together, are past
+    /// `u32` addressing.
     pub fn build(collection: &EntityCollection) -> Self {
-        let mut interner = Interner::new();
-        let sets =
-            collection.profiles().iter().map(|p| token_id_set(p.values(), &mut interner)).collect();
-        TokenSets { sets }
+        let (mut interner, mut scratch) = (TokenInterner::new(), KeyScratch::new());
+        let mut set = Vec::new();
+        let mut ids = Vec::new();
+        let mut offsets = Vec::with_capacity(collection.len() + 1);
+        offsets.push(0);
+        for profile in collection.profiles() {
+            scratch.fill_tokens(profile);
+            let overflow = interner.intern_all(&scratch, &mut set).err().map(|o| o.to_string());
+            assert!(overflow.is_none(), "{}", overflow.unwrap_or_default());
+            // `intern_all` writes each distinct token's id once.
+            set.sort_unstable();
+            ids.extend_from_slice(&set);
+            let end = u32::try_from(ids.len());
+            assert!(end.is_ok(), "token sets exceed u32 addressing: {} ids", ids.len());
+            offsets.push(end.unwrap_or(u32::MAX));
+        }
+        TokenSets { ids, offsets }
     }
 
     /// The token-id set of a profile.
     pub fn get(&self, id: EntityId) -> &[u32] {
-        &self.sets[id.idx()]
+        let i = id.idx();
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Number of profiles covered.
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.offsets.len() - 1
     }
 
     /// Whether no profile is covered.
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.len() == 0
     }
 
     /// Jaccard similarity of the token sets of two profiles.
@@ -167,6 +195,26 @@ mod tests {
         // Empty-value profile has an empty token set.
         assert!(sets.get(EntityId(3)).is_empty());
         assert_eq!(sets.jaccard(EntityId(2), EntityId(3)), 0.0);
+    }
+
+    #[test]
+    fn token_sets_are_sorted_distinct_ids_in_one_pool() {
+        let sets = TokenSets::build(&EntityCollection::dirty(vec![
+            EntityProfile::new("0").with("a", "miller jack").with("b", "car Miller jack"),
+            EntityProfile::new("1"),
+            EntityProfile::new("2").with("a", "jack jack"),
+        ]));
+        // "miller jack car": three ids, each once, ascending.
+        let first = sets.get(EntityId(0));
+        assert_eq!(first.len(), 3);
+        assert!(first.windows(2).all(|w| w[0] < w[1]), "{first:?}");
+        assert!(sets.get(EntityId(1)).is_empty());
+        assert_eq!(sets.get(EntityId(2)).len(), 1);
+        assert!(first.contains(&sets.get(EntityId(2))[0]));
+        assert_eq!(sets.offsets, [0, 3, 3, 4]);
+        assert_eq!(sets.ids.len(), 4);
+        assert_eq!((sets.len(), sets.is_empty()), (3, false));
+        assert!(TokenSets::build(&EntityCollection::dirty(Vec::new())).is_empty());
     }
 
     #[test]

@@ -5,42 +5,32 @@
 //! and strip punctuation so that `Car-Vendor` and `car vendor` co-occur — the
 //! same normalization the reference implementation applies.
 //!
-//! Tokens are interned to dense `u32` ids; every downstream structure
-//! (blocks, token sets for Jaccard matching) works on ids, never on strings.
-//! [`Interner`] is the general two-table one (a `String` per key each way);
-//! [`TokenInterner`] is the blocking front-end's — keys back to back in a
-//! [`KeyArena`], one flat table of `u64` slots, lookups batched per profile.
+//! There is one tokenizer. [`raw_tokens`] splits a value into its
+//! alphanumeric runs and [`push_lowercase`] lowercases one into a buffer;
+//! [`KeyScratch::fill_tokens`] commits a whole profile's tokens that way, and
+//! is the one statement of which tokens a profile has — for Token Blocking,
+//! for a served probe, for a live upsert and for the Jaccard token sets of
+//! [`crate::matching`] alike. The q-gram and suffix builders split and
+//! lowercase tokens through the same two functions.
 //!
-//! Which tokens a *profile* has — for Token Blocking, for a served probe
-//! and for a live upsert alike — is stated once, in
-//! [`KeyScratch::fill_tokens`]. [`tokens`] and [`Interner`] remain for the
-//! callers that want owned strings or string-keyed ids: the Jaccard matcher
-//! and Canopy Clustering ([`token_id_set`]), Sorted Neighborhood, the
-//! q-gram / suffix helpers below, and the test oracles that check the
-//! allocation-free paths against them — `fill_tokens`' stream among them,
-//! token for token against [`tokens`].
+//! Tokens are interned to dense `u32` ids by [`TokenInterner`] — keys back
+//! to back in a [`KeyArena`], one flat table of `u64` slots, lookups batched
+//! per profile — and every downstream structure (blocks, token sets for
+//! Jaccard matching) works on ids, never on strings.
 
-use crate::fxhash::{FxHashMap, FxHasher};
+use crate::fxhash::FxHasher;
 use crate::profile::EntityProfile;
 use std::hash::Hasher;
 
-/// Splits a value into normalized whitespace tokens.
-///
-/// Normalization: Unicode-aware lowercasing; any non-alphanumeric character
-/// is treated as whitespace. Empty tokens are dropped.
+/// The raw (not yet lowercased) token slices of a value: its runs of
+/// alphanumeric chars, any other char treated as whitespace, empty runs
+/// dropped. The blocking front-ends iterate these and lowercase into a
+/// reusable [`KeyScratch`] buffer instead of allocating a `String` per token.
 ///
 /// ```
-/// let toks: Vec<String> = er_model::tokenize::tokens("Jack Lloyd-Miller, Jr.").collect();
-/// assert_eq!(toks, ["jack", "lloyd", "miller", "jr"]);
+/// let raw: Vec<&str> = er_model::tokenize::raw_tokens("Jack Lloyd-Miller, Jr.").collect();
+/// assert_eq!(raw, ["Jack", "Lloyd", "Miller", "Jr"]);
 /// ```
-pub fn tokens(value: &str) -> impl Iterator<Item = String> + '_ {
-    raw_tokens(value).map(|t| t.to_lowercase())
-}
-
-/// The raw (not yet lowercased) token slices of a value — the zero-copy
-/// front half of [`tokens`]. The blocking front-ends iterate these and
-/// lowercase into a reusable [`KeyScratch`] buffer instead of allocating a
-/// `String` per token.
 pub fn raw_tokens(value: &str) -> impl Iterator<Item = &str> {
     value.split(|c: char| !c.is_alphanumeric()).filter(|t| !t.is_empty())
 }
@@ -59,93 +49,6 @@ pub fn push_lowercase(dst: &mut String, raw: &str) {
         }
     } else {
         dst.push_str(&raw.to_lowercase());
-    }
-}
-
-/// Character q-grams of a normalized token stream, for Q-grams Blocking.
-///
-/// Tokens shorter than `q` are emitted whole (the standard convention, so
-/// that short tokens are not lost).
-pub fn qgrams(value: &str, q: usize) -> Vec<String> {
-    assert!(q > 0, "q must be positive");
-    let mut out = Vec::new();
-    for tok in tokens(value) {
-        let chars: Vec<char> = tok.chars().collect();
-        if chars.len() <= q {
-            out.push(tok);
-        } else {
-            for w in chars.windows(q) {
-                out.push(w.iter().collect());
-            }
-        }
-    }
-    out
-}
-
-/// Suffixes of each token with minimum length `min_len`, for Suffix-Arrays
-/// Blocking (Aizawa & Oyama, 2005).
-pub fn suffixes(value: &str, min_len: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    for tok in tokens(value) {
-        let chars: Vec<char> = tok.chars().collect();
-        if chars.len() < min_len {
-            continue;
-        }
-        for start in 0..=(chars.len() - min_len) {
-            out.push(chars[start..].iter().collect());
-        }
-    }
-    out
-}
-
-/// A string-to-dense-id interner.
-///
-/// Ids are assigned in first-seen order, so interning is deterministic for a
-/// fixed input order — a requirement for reproducible experiments.
-#[derive(Debug, Default, Clone)]
-pub struct Interner {
-    ids: FxHashMap<String, u32>,
-    strings: Vec<String>,
-}
-
-impl Interner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the id for `s`, allocating one if unseen.
-    pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.ids.get(s) {
-            return id;
-        }
-        let id = self.strings.len() as u32;
-        self.ids.insert(s.to_owned(), id);
-        self.strings.push(s.to_owned());
-        id
-    }
-
-    /// Returns the id for `s` if it has been interned.
-    pub fn get(&self, s: &str) -> Option<u32> {
-        self.ids.get(s).copied()
-    }
-
-    /// The string for an id.
-    ///
-    /// # Panics
-    /// If `id` was not produced by this interner.
-    pub fn resolve(&self, id: u32) -> &str {
-        &self.strings[id as usize]
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Whether nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
     }
 }
 
@@ -299,8 +202,8 @@ const MAX_SLOTS: u64 = 1 << 32;
 /// costs an append, never an allocation of its own, and there is nothing to
 /// drop per key.
 ///
-/// Unlike [`Interner`] ids cannot be narrowed silently: growing past what a
-/// `u32` addresses is an [`ArenaOverflow`].
+/// Ids cannot be narrowed silently: growing past what a `u32` addresses is
+/// an [`ArenaOverflow`].
 #[derive(Debug, Clone, Default)]
 pub struct TokenInterner {
     keys: KeyArena,
@@ -591,8 +494,8 @@ impl KeyScratch {
     }
 
     /// Replaces the contents with `profile`'s Token Blocking keys: the
-    /// lowercased [`raw_tokens`] of every attribute value, in order, repeats
-    /// kept — the stream `profile.values().flat_map(tokens)` yields.
+    /// [`raw_tokens`] of every attribute value lowercased as
+    /// `str::to_lowercase` does, in order, repeats kept.
     ///
     /// This is the one statement of what the tokens of a profile are. The
     /// batch build, the probe path of a served query and a live upsert all
@@ -707,91 +610,74 @@ impl KeyScratch {
     }
 }
 
-/// The deduplicated, sorted token-id set of a profile's values — the
-/// representation used by the Jaccard entity matcher.
-pub fn token_id_set(
-    values: impl Iterator<Item = impl AsRef<str>>,
-    interner: &mut Interner,
-) -> Vec<u32> {
-    let mut ids: Vec<u32> = Vec::new();
-    for v in values {
-        for t in tokens(v.as_ref()) {
-            ids.push(interner.intern(&t));
-        }
-    }
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fxhash::FxHashMap;
 
-    #[test]
-    fn tokens_normalize_case_and_punctuation() {
-        let toks: Vec<String> = tokens("Car-Vendor/Seller  (used)").collect();
-        assert_eq!(toks, ["car", "vendor", "seller", "used"]);
+    /// The reference tokenizer [`KeyScratch::fill_tokens`] is held to: a
+    /// value split on every non-alphanumeric char, empty pieces dropped,
+    /// each token lowercased into an owned `String`.
+    fn tokens(value: &str) -> impl Iterator<Item = String> + '_ {
+        value.split(|c: char| !c.is_alphanumeric()).filter(|t| !t.is_empty()).map(str::to_lowercase)
+    }
+
+    /// The reference interner [`TokenInterner`] is held to: two tables, a
+    /// `String` per key each way, ids in first-seen order.
+    #[derive(Default)]
+    struct StringInterner {
+        ids: FxHashMap<String, u32>,
+        strings: Vec<String>,
+    }
+
+    impl StringInterner {
+        fn intern(&mut self, s: &str) -> u32 {
+            if let Some(&id) = self.ids.get(s) {
+                return id;
+            }
+            let id = self.strings.len() as u32;
+            self.ids.insert(s.to_owned(), id);
+            self.strings.push(s.to_owned());
+            id
+        }
+
+        fn get(&self, s: &str) -> Option<u32> {
+            self.ids.get(s).copied()
+        }
+
+        fn len(&self) -> usize {
+            self.strings.len()
+        }
+    }
+
+    /// The tokens `fill_tokens` commits for a profile of `values`.
+    fn filled(values: &[&str]) -> Vec<String> {
+        let profile =
+            values.iter().fold(EntityProfile::new("p"), |profile, &value| profile.with("v", value));
+        let mut scratch = KeyScratch::new();
+        scratch.fill_tokens(&profile);
+        scratch.iter().map(str::to_owned).collect()
     }
 
     #[test]
-    fn tokens_keep_digits() {
-        let toks: Vec<String> = tokens("IMDB id 0123").collect();
-        assert_eq!(toks, ["imdb", "id", "0123"]);
+    fn fill_tokens_normalize_case_and_punctuation() {
+        assert_eq!(filled(&["Car-Vendor/Seller  (used)"]), ["car", "vendor", "seller", "used"]);
     }
 
     #[test]
-    fn empty_value_yields_no_tokens() {
-        assert_eq!(tokens("  --- ").count(), 0);
+    fn fill_tokens_keep_digits() {
+        assert_eq!(filled(&["IMDB id 0123"]), ["imdb", "id", "0123"]);
     }
 
     #[test]
-    fn qgrams_of_long_token() {
-        assert_eq!(qgrams("seller", 3), ["sel", "ell", "lle", "ler"]);
+    fn an_empty_value_fills_no_tokens() {
+        assert!(filled(&["  --- ", ""]).is_empty());
+        assert_eq!(filled(&["  --- ", "x"]), ["x"]);
     }
 
     #[test]
-    fn qgrams_short_token_emitted_whole() {
-        assert_eq!(qgrams("car", 4), ["car"]);
-        assert_eq!(qgrams("car", 3), ["car"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "q must be positive")]
-    fn qgrams_zero_panics() {
-        qgrams("x", 0);
-    }
-
-    #[test]
-    fn suffixes_respect_min_len() {
-        assert_eq!(suffixes("trader", 4), ["trader", "rader", "ader"]);
-        assert!(suffixes("car", 4).is_empty());
-    }
-
-    #[test]
-    fn interner_assigns_dense_ids() {
-        let mut i = Interner::new();
-        assert_eq!(i.intern("a"), 0);
-        assert_eq!(i.intern("b"), 1);
-        assert_eq!(i.intern("a"), 0);
-        assert_eq!(i.len(), 2);
-        assert_eq!(i.resolve(1), "b");
-        assert_eq!(i.get("b"), Some(1));
-        assert_eq!(i.get("c"), None);
-    }
-
-    #[test]
-    fn token_id_set_is_sorted_dedup() {
-        let mut i = Interner::new();
-        let set = token_id_set(["jack miller", "miller car"].iter(), &mut i);
-        assert_eq!(set.len(), 3);
-        assert!(set.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn unicode_tokens() {
-        let toks: Vec<String> = tokens("Müller Straße").collect();
-        assert_eq!(toks, ["müller", "straße"]);
+    fn fill_tokens_lowercase_unicode() {
+        assert_eq!(filled(&["Müller Straße"]), ["müller", "straße"]);
     }
 
     #[test]
@@ -907,7 +793,7 @@ mod tests {
     /// the ids of the keys it already holds, in first-occurrence order, then
     /// those of the batch sorted and deduplicated, interned in that order,
     /// that are new.
-    fn oracle_ids(oracle: &mut Interner, batch: &KeyScratch) -> Vec<u32> {
+    fn oracle_ids(oracle: &mut StringInterner, batch: &KeyScratch) -> Vec<u32> {
         let mut expected: Vec<u32> = Vec::new();
         for id in batch.iter().filter_map(|key| oracle.get(key)) {
             if !expected.contains(&id) {
@@ -925,7 +811,7 @@ mod tests {
     #[test]
     fn interner_matches_the_two_table_oracle() {
         let mut next = rng(20160315);
-        let (mut new, mut oracle) = (TokenInterner::new(), Interner::new());
+        let (mut new, mut oracle) = (TokenInterner::new(), StringInterner::default());
         let mut scratch = KeyScratch::new();
         let mut ids = Vec::new();
         let mut lookups = 0usize;
@@ -952,12 +838,13 @@ mod tests {
         }
         assert!(oracle.len() > 20_000, "only {} distinct keys", oracle.len());
         assert_eq!(new.len(), oracle.len());
-        assert!(new.keys().iter().eq((0..oracle.len() as u32).map(|id| oracle.resolve(id))));
+        assert!(new.keys().iter().eq(oracle.strings.iter().map(String::as_str)));
     }
 
     #[test]
     fn a_new_key_repeated_within_one_batch_gets_one_id() {
-        let (mut i, mut oracle, mut ids) = (TokenInterner::new(), Interner::new(), Vec::new());
+        let (mut i, mut oracle, mut ids) =
+            (TokenInterner::new(), StringInterner::default(), Vec::new());
         let first = batch_of(["dup", "other", "dup", "dup"]);
         i.intern_all(&first, &mut ids).unwrap();
         assert_eq!(ids, [0, 1]);

@@ -164,18 +164,18 @@ mod tests {
     /// cycle): a tiny reimplementation sufficient for the invariant.
     mod er_blocking_shim {
         use er_model::fxhash::FxHashMap;
-        use er_model::tokenize::tokens;
+        use er_model::tokenize::KeyScratch;
         use er_model::{EntityCollection, GroundTruth};
 
         pub fn token_stats(c: &EntityCollection, gt: &GroundTruth) -> (usize, usize) {
             let mut blocks: FxHashMap<String, Vec<u32>> = FxHashMap::default();
+            let mut scratch = KeyScratch::new();
             for (id, p) in c.iter() {
-                for v in p.values() {
-                    for t in tokens(v) {
-                        let b = blocks.entry(t).or_default();
-                        if b.last() != Some(&id.0) {
-                            b.push(id.0);
-                        }
+                scratch.fill_tokens(p);
+                for t in scratch.iter() {
+                    let b = blocks.entry(t.to_owned()).or_default();
+                    if b.last() != Some(&id.0) {
+                        b.push(id.0);
                     }
                 }
             }

@@ -9,12 +9,9 @@
 # validates the shape of the BENCH_pipeline.json it writes, plus the
 # serving-layer query-latency bench (snapshot load ms, single-query
 # percentiles, batch throughput at 1/2/4/8 threads) which writes and
-# validates BENCH_query.json the same way, and the online-serving bench
-# (wire round-trip p50/p99 + q/s against a live `er serve` instance,
-# client-visible reload pause) which writes and validates BENCH_serve.json,
-# and the incremental-delta bench (live upsert apply/query-after µs
-# percentiles vs the full rebuild path, pinned compaction) which writes and
-# validates BENCH_delta.json — including the ≤1 ms applied-and-queryable
+# validates BENCH_query.json the same way, and the incremental-delta bench
+# (live upsert apply/query-after µs percentiles vs the full rebuild path,
+# pinned compaction) which writes and validates BENCH_delta.json — including the ≤1 ms applied-and-queryable
 # and ≥1000× apply-vs-rebuild-path acceptance bars, and the growth bar: on
 # one cell, apply and drop at 16 384 accumulated ops within 3× of 64.
 #
@@ -40,10 +37,6 @@ cargo run -q -p er-bench --bin validate_bench_json -- BENCH_pipeline.json
 echo "==> query-latency bench (writes BENCH_query.json)"
 BENCH_OUT="" cargo bench -p er-bench --bench query_latency
 cargo run -q -p er-bench --bin validate_bench_json -- BENCH_query.json
-
-echo "==> online-serving bench (writes BENCH_serve.json)"
-BENCH_OUT="" cargo bench -p er-bench --bench serve_throughput
-cargo run -q -p er-bench --bin validate_bench_json -- BENCH_serve.json
 
 echo "==> incremental-delta bench (writes BENCH_delta.json)"
 BENCH_OUT="" cargo bench -p er-bench --bench delta_latency

@@ -39,7 +39,7 @@ cargo run -q -p er-lint -- --workspace --format json > results/lint.json
 # One validator, every committed JSON document: the fresh lint report and
 # the bench results a change may have hand-edited or re-recorded.
 cargo run -q -p er-bench --bin validate_bench_json -- results/lint.json \
-  BENCH_pipeline.json BENCH_query.json BENCH_serve.json BENCH_delta.json BENCH_pruning.json
+  BENCH_pipeline.json BENCH_query.json BENCH_delta.json BENCH_pruning.json
 
 echo "==> one fan-out, one formula table, one pivot loop (structural guard on crates/core/src)"
 # mb-core's sweeps run on `parallel::sweep_windows` and its weights come
@@ -65,6 +65,17 @@ echo "==> no per-profile key sort (structural guard on crates/blocking/src, crat
 # key first pays for a sort that decides nothing.
 if grep -rn 'sort_dedup' crates/blocking/src crates/serve/src crates/er-model/src; then
   echo "a profile's keys are sorted again (intern_all and find_tokens take them as they come)" >&2; exit 1
+fi
+
+echo "==> one tokenizer (structural guard on crates/*/src)"
+# `KeyScratch::fill_tokens` states which tokens a profile has and
+# `TokenInterner` numbers them, for blocking, serving and Jaccard matching
+# alike: a `String` tokenizer, a two-table interner or a q-gram / suffix
+# helper beside them must not come back. The second pattern is narrower on
+# purpose: `Snapshot::tokens()` in mb-serve is a different thing.
+if grep -rnE 'pub struct Interner\b|fn token_id_set\b|pub fn (qgrams|suffixes)\b' crates/*/src \
+  || grep -rnE 'pub fn tokens\b' crates/er-model/src; then
+  echo "a second tokenizer is back (use KeyScratch::fill_tokens + TokenInterner)" >&2; exit 1
 fi
 
 echo "==> one snapshot build (structural guard on crates/serve/src and crates/blocking/src)"

@@ -15,7 +15,6 @@ pub use er_datagen as datagen;
 pub use er_eval as eval;
 pub use er_io as io;
 pub use er_model as model;
-pub use er_resolve as resolve;
 pub use mb_core as metablocking;
 pub use mb_observe as observe;
 pub use mb_serve as serve;
