@@ -14,6 +14,8 @@
 //! bad file, on a missing or mistyped field and on every floor a document
 //! carries:
 //!
+//! * `pipeline_e2e`: a row per stage; the `prune` row (one JS + CNP run)
+//!   allocates at most 64 times, a run's scratch and not a node's.
 //! * `query_latency`: p99 ≥ p50 for entity and probe queries, a positive
 //!   token count per probe; batch rows at 1/2/4/8 threads.
 //! * `delta_latency`: percentile pairs ordered; a single upsert applied
@@ -90,6 +92,11 @@ fn each_row(
         .try_for_each(|(i, row)| check(row).map_err(|e| format!("{path}[{i}]: {e}")))
 }
 
+/// What one JS + CNP run of the `prune` stage may allocate, whatever `|E|`:
+/// the graph context and a sweep's per-thread scratch. Node-centric
+/// selection allocating per node put the row at 12 115 on 6 386 entities.
+const PRUNE_ALLOCS: u64 = 64;
+
 /// `BENCH_pipeline.json`, from the `pipeline_e2e` bench.
 fn pipeline(doc: &Json) -> Result<(), String> {
     const STAGES: [&str; 5] = ["build", "purge", "filter", "weight", "prune"];
@@ -108,7 +115,13 @@ fn pipeline(doc: &Json) -> Result<(), String> {
             finite(row, key)?;
         }
         positive_uint(row, "samples")?;
-        uint(row, "allocs")?;
+        let allocs = uint(row, "allocs")?;
+        if stage == "prune" && allocs > PRUNE_ALLOCS {
+            return Err(format!(
+                "`allocs` of stage `prune` is {allocs}, above {PRUNE_ALLOCS}: top-k selection \
+                 allocates per node"
+            ));
+        }
         Ok(())
     })?;
     if let Some(stage) = STAGES.iter().find(|s| !seen.iter().any(|seen| seen == *s)) {
@@ -498,6 +511,9 @@ mod tests {
             _ => unreachable!(),
         });
         breaks(p, "results[0]: `median_ms`", |d| *at(d, "results.0.median_ms") = Json::Num(-1.0));
+        breaks(p, "results[4]: `allocs` of stage `prune` is 12115", |d| {
+            *at(d, "results.4.allocs") = Json::Uint(12_115)
+        });
 
         let q = "BENCH_query.json";
         breaks(q, "`single_query.p99_us`", |d| *at(d, "single_query.p99_us") = Json::Num(0.0));

@@ -12,8 +12,9 @@
 //!   not on the thread count, not on scheduling.
 //! * **Shared load.** Threads claim the next unclaimed window from one
 //!   counter, so a thread that drew light windows simply draws more of
-//!   them; each keeps one private [`NeighborhoodScanner`] for all of its
-//!   windows. `N` threads means the caller and `N − 1` spawned workers.
+//!   them; each keeps one private [`NeighborhoodScanner`] and one
+//!   [`TopK`] for all of its windows. `N` threads means the caller and
+//!   `N − 1` spawned workers.
 //! * **Ordered drain.** A window's visitor sends what it keeps through an
 //!   [`Out`]. Off the inline path that is the window's own small buffer;
 //!   the calling thread hands the buffers to the caller's sink strictly in
@@ -38,6 +39,7 @@
 //! joined, and the panic resumes on the caller with its payload.
 
 use crate::context::GraphContext;
+use crate::prune::TopK;
 use crate::scanner::{NeighborhoodScanner, ScanScope};
 use crate::weighting::{optimized, original, WeightingImpl};
 use crate::weights::EdgeWeigher;
@@ -108,10 +110,12 @@ impl Swept {
 }
 
 /// A worker's private state: the `O(|E|)` scan arrays, the neighborhood's
-/// weight buffer and its share of the sweep's tallies.
+/// weight buffer, the top-`k` selection scratch and its share of the
+/// sweep's tallies.
 pub(crate) struct Worker {
     pub(crate) scanner: NeighborhoodScanner,
     pub(crate) weights: Vec<f64>,
+    pub(crate) top: TopK,
     neighborhoods: u64,
     edges: u64,
     /// Items its previous window emitted.
@@ -136,6 +140,7 @@ pub(crate) fn sweep_windows<I: Send, S: FnMut(I)>(
     let worker = || Worker {
         scanner: NeighborhoodScanner::new(num_entities),
         weights: Vec::new(),
+        top: TopK::new(),
         neighborhoods: 0,
         edges: 0,
         emitted: 0,
@@ -227,7 +232,11 @@ impl<'a, 'b> Sweep<'a, 'b> {
             }
             WeightingImpl::Optimized => Swept {
                 neighborhoods: 0,
-                ..self.pivot_windows(ScanScope::GreaterOnly, visit, sink)
+                ..self.pivot_windows(
+                    ScanScope::GreaterOnly,
+                    |out, _, pivot, ids, weights| visit(out, pivot, ids, weights),
+                    sink,
+                )
             },
         }
     }
@@ -238,29 +247,73 @@ impl<'a, 'b> Sweep<'a, 'b> {
     pub fn neighborhoods<I: Send, S: FnMut(I)>(
         &self,
         visit: impl Fn(&mut Out<'_, I, S>, EntityId, &[u32], &[f64]) + Sync,
-        mut sink: S,
+        sink: S,
     ) -> Swept {
         match self.imp {
-            WeightingImpl::Original => {
-                let mut out = Out(Dest::Sink(&mut sink));
-                let (mut neighborhoods, mut edges) = (0u64, 0u64);
-                original::for_each_neighborhood(self.ctx, self.weigher, |pivot, ids, weights| {
-                    neighborhoods += 1;
-                    edges += ids.len() as u64;
-                    visit(&mut out, pivot, ids, weights);
-                });
-                Swept { neighborhoods, worker_edges: vec![edges] }
-            }
-            WeightingImpl::Optimized => self.pivot_windows(ScanScope::All, visit, sink),
+            WeightingImpl::Original => self.original_neighborhoods(visit, sink),
+            WeightingImpl::Optimized => self.pivot_windows(
+                ScanScope::All,
+                |out, _, pivot, ids, weights| visit(out, pivot, ids, weights),
+                sink,
+            ),
         }
     }
 
+    /// [`Sweep::neighborhoods`] through a top-`k` selection: calls
+    /// `visit(out, pivot, kept)` for every node with a non-empty
+    /// neighborhood, `kept` its `k` best neighbors ascending by id
+    /// ([`TopK::select_ascending`]), and `sink` with whatever the visits
+    /// emit, in the sequential sweep's order. The selection runs in the
+    /// sweeping thread's own [`TopK`] — under [`WeightingImpl::Original`] one
+    /// for the whole sweep — so a warm sweep allocates nothing per node.
+    pub fn top_k<I: Send, S: FnMut(I)>(
+        &self,
+        k: usize,
+        visit: impl Fn(&mut Out<'_, I, S>, EntityId, &[u32]) + Sync,
+        sink: S,
+    ) -> Swept {
+        match self.imp {
+            WeightingImpl::Original => {
+                let mut top = TopK::new();
+                self.original_neighborhoods(
+                    |out, pivot, ids, weights| {
+                        visit(out, pivot, top.select_ascending(pivot, ids, weights, k))
+                    },
+                    sink,
+                )
+            }
+            WeightingImpl::Optimized => self.pivot_windows(
+                ScanScope::All,
+                |out, top, pivot, ids, weights| {
+                    visit(out, pivot, top.select_ascending(pivot, ids, weights, k))
+                },
+                sink,
+            ),
+        }
+    }
+
+    /// Algorithm 2's neighborhoods, inline as one window.
+    fn original_neighborhoods<I, S: FnMut(I)>(
+        &self,
+        mut visit: impl FnMut(&mut Out<'_, I, S>, EntityId, &[u32], &[f64]),
+        mut sink: S,
+    ) -> Swept {
+        let mut out = Out(Dest::Sink(&mut sink));
+        let (mut neighborhoods, mut edges) = (0u64, 0u64);
+        original::for_each_neighborhood(self.ctx, self.weigher, |pivot, ids, weights| {
+            neighborhoods += 1;
+            edges += ids.len() as u64;
+            visit(&mut out, pivot, ids, weights);
+        });
+        Swept { neighborhoods, worker_edges: vec![edges] }
+    }
+
     /// The pivot loop over the windows, `visit` on every group it delivers
-    /// under `scope` ([`optimized::groups_in`]).
+    /// under `scope` ([`optimized::groups_in`]), with the worker's [`TopK`].
     fn pivot_windows<I: Send, S: FnMut(I)>(
         &self,
         scope: ScanScope,
-        visit: impl Fn(&mut Out<'_, I, S>, EntityId, &[u32], &[f64]) + Sync,
+        visit: impl Fn(&mut Out<'_, I, S>, &mut TopK, EntityId, &[u32], &[f64]) + Sync,
         sink: S,
     ) -> Swept {
         let (ctx, weigher) = (self.ctx, self.weigher);
@@ -268,7 +321,7 @@ impl<'a, 'b> Sweep<'a, 'b> {
             ctx.num_entities(),
             self.threads,
             |worker, pivots, out| {
-                let Worker { scanner, weights, .. } = worker;
+                let Worker { scanner, weights, top, .. } = worker;
                 let (hoods, edges) = optimized::groups_in(
                     ctx,
                     weigher,
@@ -276,7 +329,7 @@ impl<'a, 'b> Sweep<'a, 'b> {
                     weights,
                     pivots,
                     scope,
-                    |p, ids, ws| visit(out, p, ids, ws),
+                    |p, ids, ws| visit(out, top, p, ids, ws),
                 );
                 worker.neighborhoods += hoods;
                 worker.edges += edges;

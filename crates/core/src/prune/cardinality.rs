@@ -188,24 +188,46 @@ pub fn cnp_threshold_from_counts(total_assignments: u64, num_entities: usize) ->
 /// [`redefined_cnp`] / [`reciprocal_cnp`] at any thread count, and the serve
 /// scorer's `Retention::TopK`.
 ///
-/// A min-heap of the `min(k, n)` best `WeightedEdge`s seen so far: an edge
-/// that does not beat the weakest survivor costs one comparison, one that
-/// does costs `O(log k)`, so a neighborhood of `n` edges is selected in
-/// `n` comparisons + `O(k log k)` instead of a full `O(n log n)` sort. The
-/// `WeightedEdge` order is total, so the survivor set — and both emission
-/// orders — are exactly what sort-then-truncate produces, for every `k`.
+/// Within one pivot's neighborhood the [`WeightedEdge`] order is the order
+/// of `(weight, neighbor id)`: `incident` orders the pair `(min(p, j),
+/// max(p, j))`, and for `j₁ < j₂` that pair order follows `j` whether both
+/// lie below the pivot, both above, or the pivot between them. So the heap
+/// holds bare `(weight, neighbor)` keys — a min-heap of the `min(k, n)`
+/// best, in a plain `Vec` sifted by hand — and a `WeightedEdge` is built
+/// only for [`TopK::select_descending`]'s output. The first `min(k, n)`
+/// edges fill it; every later one is tested against the weakest survivor's
+/// key, kept in a local and re-read only after an edge is accepted, so a
+/// rejected edge costs one float compare (ties and NaNs go on to the full
+/// key compare) and an accepted one `O(log k)`: `n` comparisons +
+/// `O(k log k)` per neighborhood instead of an `O(n log n)` sort.
 ///
-/// Capacity follows the largest `min(k, n)` seen — never `k` alone, which may
-/// come off the wire — so a scratch kept across neighborhoods allocates
-/// nothing once warm. `top_k_neighbors` and the scorer's `retain` build one
-/// per neighborhood all the same: their callers are the sink- and
-/// store-generic sweeps, which this kernel was slotted under without a
-/// change (DESIGN.md §9 says why).
+/// The walk runs backwards. First-co-occurrence order ascends within a
+/// block, so tied weights then arrive larger id first, and a later tie of a
+/// smaller id loses on the floor test. The order is total, so the survivor
+/// set — and both emission orders — are exactly what sort-then-truncate
+/// produces, for every `k` and any walk order.
+///
+/// Capacity follows the largest `min(k, n)` seen — never `k` alone, which
+/// may come off the wire — so a scratch kept across neighborhoods, as every
+/// sweep worker and every [`crate::ScorerScratch`] keeps one, allocates
+/// nothing once warm.
 #[derive(Debug, Default)]
 pub struct TopK {
-    heap: BinaryHeap<Reverse<WeightedEdge>>,
+    /// Min-heap of `(weight, neighbor)` keys: the weakest survivor at 0.
+    heap: Vec<(f64, u32)>,
     ranked: Vec<WeightedEdge>,
     ids: Vec<u32>,
+}
+
+/// Whether key `a` ranks below key `b` in one pivot's edge order: weight by
+/// `total_cmp`, then neighbor id.
+#[inline(always)]
+fn ranks_below(a: (f64, u32), b: (f64, u32)) -> bool {
+    match a.0.total_cmp(&b.0) {
+        std::cmp::Ordering::Less => true,
+        std::cmp::Ordering::Equal => a.1 < b.1,
+        std::cmp::Ordering::Greater => false,
+    }
 }
 
 impl TopK {
@@ -217,22 +239,26 @@ impl TopK {
     /// Leaves the `min(k, n)` best edges of `pivot`'s neighborhood in the
     /// heap.
     fn fill(&mut self, pivot: EntityId, ids: &[u32], weights: &[f64], k: usize) {
+        // The key order above presumes the pivot is not its own neighbor.
+        debug_assert!(!ids.contains(&pivot.0), "{pivot} is in its own neighborhood");
         let k = k.min(ids.len());
-        self.heap.clear();
-        self.heap.reserve(k);
-        // Once the heap is full, an edge lighter than its weakest survivor
-        // loses under the total order too — rejected on one float compare,
-        // before the edge is even assembled. Ties and NaNs fall through to
-        // the full comparison.
-        let mut floor = f64::NEG_INFINITY;
-        for (&j, &w) in ids.iter().zip(weights) {
-            if w < floor {
+        let heap = &mut self.heap;
+        heap.clear();
+        heap.reserve(k);
+        let mut edges = ids.iter().zip(weights).rev().map(|(&j, &w)| (w, j));
+        for edge in edges.by_ref().take(k) {
+            heap.push(edge);
+            sift_up(heap);
+        }
+        let Some(&first) = heap.first() else { return };
+        let mut floor = first;
+        for edge in edges {
+            if edge.0 < floor.0 || !ranks_below(floor, edge) {
                 continue;
             }
-            push_top_k(&mut self.heap, WeightedEdge::incident(pivot, j, w), k);
-            if self.heap.len() == k {
-                floor = self.heap.peek().map_or(floor, |Reverse(min)| min.w);
-            }
+            heap[0] = edge;
+            sift_down(heap);
+            floor = heap[0];
         }
     }
 
@@ -248,7 +274,7 @@ impl TopK {
     ) -> &[u32] {
         self.fill(pivot, ids, weights, k);
         self.ids.clear();
-        self.ids.extend(self.heap.drain().map(|Reverse(e)| e.neighbor_of(pivot)));
+        self.ids.extend(self.heap.iter().map(|&(_, j)| j));
         self.ids.sort_unstable();
         #[cfg(feature = "sanitize")]
         assert_eq!(
@@ -271,7 +297,7 @@ impl TopK {
     ) -> &[WeightedEdge] {
         self.fill(pivot, ids, weights, k);
         self.ranked.clear();
-        self.ranked.extend(self.heap.drain().map(|Reverse(e)| e));
+        self.ranked.extend(self.heap.iter().map(|&(w, j)| WeightedEdge::incident(pivot, j, w)));
         self.ranked.sort_unstable_by(|x, y| y.cmp(x));
         #[cfg(feature = "sanitize")]
         assert_eq!(
@@ -281,6 +307,42 @@ impl TopK {
         );
         &self.ranked
     }
+}
+
+/// Restores the min-heap order after a push at the end.
+fn sift_up(heap: &mut [(f64, u32)]) {
+    let Some(mut i) = heap.len().checked_sub(1) else { return };
+    let key = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if !ranks_below(key, heap[parent]) {
+            break;
+        }
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = key;
+}
+
+/// Restores the min-heap order after the root was replaced.
+fn sift_down(heap: &mut [(f64, u32)]) {
+    let Some(&key) = heap.first() else { return };
+    let mut i = 0;
+    loop {
+        let mut child = 2 * i + 1;
+        if child >= heap.len() {
+            break;
+        }
+        if child + 1 < heap.len() && ranks_below(heap[child + 1], heap[child]) {
+            child += 1;
+        }
+        if !ranks_below(heap[child], key) {
+            break;
+        }
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = key;
 }
 
 /// Sort-then-truncate top-`k`, descending — the implementation [`TopK`]
@@ -308,15 +370,6 @@ fn full_sort_top_k_ids(pivot: EntityId, ids: &[u32], weights: &[f64], k: usize) 
     kept
 }
 
-/// Selects the top-`k` neighbors of one neighborhood, deterministically:
-/// [`TopK::select_ascending`] as an owned, sorted stack (for the
-/// binary-search membership tests of the two-phase variants).
-pub(crate) fn top_k_neighbors(pivot: EntityId, ids: &[u32], weights: &[f64], k: usize) -> Vec<u32> {
-    let mut top = TopK::new();
-    top.select_ascending(pivot, ids, weights, k);
-    top.ids
-}
-
 /// Cardinality Node Pruning, original semantics: for every node, retain the
 /// top-`k` weighted edges of its neighborhood and emit each as a comparison.
 ///
@@ -336,12 +389,9 @@ pub fn cnp(
     let k = cnp_threshold(sweep.ctx());
     let mut scope = StageScope::enter(obs, Stage::Pruning);
     let mut retained = 0u64;
-    let swept = sweep.neighborhoods(
-        |out, pivot, ids, weights| {
-            for j in top_k_neighbors(pivot, ids, weights, k) {
-                out.emit((pivot, EntityId(j)));
-            }
-        },
+    let swept = sweep.top_k(
+        k,
+        |out, pivot, kept| kept.iter().for_each(|&j| out.emit((pivot, EntityId(j)))),
         counted(&mut retained, &mut sink),
     );
     scope.add(Counter::NeighborhoodsScanned, swept.neighborhoods);
@@ -358,20 +408,35 @@ fn two_phase_cnp(
 ) {
     let k = cnp_threshold(sweep.ctx());
     // Phase 1 is the weighting work of Algorithm 4: every node's sorted
-    // top-`k` neighbor list ("Sorted Stacks").
+    // top-`k` neighbor list ("Sorted Stacks"), back to back in one pool —
+    // node `i`'s stack is `pool[offsets[i]..offsets[i + 1]]`. A stack holds
+    // at most `k` ids, and `k = 1` or `k < Σ|b| / |E|`, so the pool — sized
+    // once for `|E| · k` — holds at most `max(|E|, Σ|b|)`, a count the block
+    // arena's `u32` offsets bound.
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let mut stacks: Vec<Vec<u32>> = vec![Vec::new(); sweep.ctx().num_entities()];
-    let swept = sweep.neighborhoods(
-        |out, pivot, ids, weights| out.emit((pivot, top_k_neighbors(pivot, ids, weights, k))),
-        |(pivot, stack): (EntityId, Vec<u32>)| stacks[pivot.idx()] = stack,
+    let n = sweep.ctx().num_entities();
+    let mut offsets: Vec<u32> = vec![0; n + 1];
+    let mut pool: Vec<u32> = Vec::with_capacity(n.saturating_mul(k));
+    let swept = sweep.top_k(
+        k,
+        |out, pivot, kept| kept.iter().for_each(|&j| out.emit((pivot, j))),
+        |(pivot, j): (EntityId, u32)| {
+            offsets[pivot.idx() + 1] += 1;
+            pool.push(j);
+        },
     );
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
     scope.add(Counter::NeighborhoodsScanned, swept.neighborhoods);
     scope.add(Counter::EdgesWeighed, swept.edges());
     scope.finish();
+    let stack = |i: usize| &pool[offsets[i] as usize..offsets[i + 1] as usize];
     // The binary searches below require sorted stacks within the per-node
     // budget — phase 1's contract.
     #[cfg(feature = "sanitize")]
-    for (i, s) in stacks.iter().enumerate() {
+    for i in 0..n {
+        let s = stack(i);
         assert!(
             s.len() <= k,
             "mb-sanitize: top-k stack of entity {i} holds {} neighbors, k = {k}",
@@ -384,14 +449,13 @@ fn two_phase_cnp(
     }
     // Phase 2 (edge-centric): every distinct edge is retained at most once.
     let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let stacks = &stacks;
     let mut retained = 0u64;
     let swept = sweep.edges(
         |out, pivot, ids, _| {
-            let own = &stacks[pivot.idx()];
+            let own = stack(pivot.idx());
             for &j in ids {
                 let in_own = own.binary_search(&j).is_ok();
-                let in_theirs = stacks[j as usize].binary_search(&pivot.0).is_ok();
+                let in_theirs = stack(j as usize).binary_search(&pivot.0).is_ok();
                 let retain = match combine {
                     Combine::Either => in_own || in_theirs,
                     Combine::Both => in_own && in_theirs,
@@ -609,6 +673,26 @@ mod tests {
         (ids, weights)
     }
 
+    /// A neighborhood shaped like a scan's: runs of ids ascending within a
+    /// run, as a Dirty block's new members arrive, each run on one weight
+    /// or two, so long ascending runs of ties are the rule.
+    fn block_shaped_neighborhood(rng: &mut Rng, pivot: u32) -> (Vec<u32>, Vec<f64>) {
+        let (mut ids, mut ws) = (Vec::new(), Vec::new());
+        for _ in 0..1 + rng.below(6) {
+            let mut run: Vec<u32> = (0..1 + rng.below(40)).map(|_| rng.below(300) as u32).collect();
+            run.sort_unstable();
+            run.dedup();
+            let weights = [rng.below(3) as f64 * 0.5, rng.below(3) as f64 * 0.5];
+            for j in run {
+                if j != pivot && !ids.contains(&j) {
+                    ids.push(j);
+                    ws.push(weights[usize::from(rng.below(5) == 0)]);
+                }
+            }
+        }
+        (ids, ws)
+    }
+
     /// Both emission orders of `top` against the full-sort oracle.
     fn assert_matches_oracle(top: &mut TopK, pivot: EntityId, ids: &[u32], ws: &[f64], k: usize) {
         let ranked = full_sort_top_k(pivot, ids, ws, k);
@@ -622,7 +706,9 @@ mod tests {
     /// its neighbors (the probe path's virtual pivot `|E|` is the last), for
     /// the Dirty (ids around the pivot) and Clean-Clean (ids on the far side
     /// of the split) layouts — with one scratch reused throughout, checked
-    /// against a fresh one.
+    /// against a fresh one. Then scan-shaped neighborhoods, the ascending
+    /// runs of ties the backward walk is there for, each selected by one
+    /// scratch while `k` shrinks from `usize::MAX` to 1.
     #[test]
     fn kernel_matches_the_full_sort_oracle() {
         let mut rng = Rng(20160315);
@@ -648,6 +734,47 @@ mod tests {
             for k in [1, 2, 3, n.saturating_sub(1), n, n + 7, usize::MAX] {
                 assert_matches_oracle(&mut reused, pivot, &ids, &ws, k);
                 assert_matches_oracle(&mut TopK::new(), pivot, &ids, &ws, k);
+            }
+        }
+        for round in 0..500u32 {
+            let pivot = match round % 3 {
+                0 => 0,
+                1 => 300, // past every neighbor, as a probe stands
+                _ => rng.below(300) as u32,
+            };
+            let (ids, ws) = block_shaped_neighborhood(&mut rng, pivot);
+            let pivot = EntityId(pivot);
+            let n = ids.len();
+            let shrinking = [usize::MAX, n + 1, n].into_iter().chain((1..n).rev());
+            for k in shrinking {
+                assert_matches_oracle(&mut reused, pivot, &ids, &ws, k);
+            }
+        }
+    }
+
+    /// Within one pivot's neighborhood, `WeightedEdge::incident`'s total
+    /// order is the order of `(weight, neighbor)` — the key the kernel's
+    /// heap holds. Exhaustive over small ids with the pivot below, between
+    /// and above its neighbors, over weights with ties, signed zeros,
+    /// infinities and NaN.
+    #[test]
+    fn a_pivots_edge_order_is_weight_then_neighbor() {
+        let weights = [0.0, -0.0, 0.5, 1.0, f64::INFINITY, f64::NAN, -f64::NAN];
+        for p in 0..8u32 {
+            for (j1, j2) in (0..8u32).flat_map(|a| (0..8u32).map(move |b| (a, b))) {
+                if j1 == p || j2 == p {
+                    continue;
+                }
+                for (&w1, &w2) in weights.iter().flat_map(|a| weights.iter().map(move |b| (a, b))) {
+                    let edges = (
+                        WeightedEdge::incident(EntityId(p), j1, w1),
+                        WeightedEdge::incident(EntityId(p), j2, w2),
+                    );
+                    let keys = ((w1, j1), (w2, j2));
+                    let what = format!("pivot {p}: ({w1}, {j1}) vs ({w2}, {j2})");
+                    assert_eq!(ranks_below(keys.0, keys.1), edges.0 < edges.1, "{what}");
+                    assert_eq!(ranks_below(keys.1, keys.0), edges.1 < edges.0, "{what}");
+                }
             }
         }
     }

@@ -26,7 +26,10 @@
 //! many workers run it and delivers what it keeps in the sequential order
 //! either way. Every weight-threshold retention keeps its edges through one
 //! branch-free selection kernel (`select.rs`), as every node-centric
-//! cardinality retention does through one top-`k` heap ([`TopK`]).
+//! cardinality retention does through one top-`k` kernel ([`TopK`]): a flat
+//! min-heap of `(weight, neighbor)` keys that each sweeping thread keeps for
+//! the whole sweep ([`Sweep::top_k`](crate::parallel::Sweep::top_k)), so CNP
+//! and both two-phase CNPs allocate per sweep, not per node.
 
 mod cardinality;
 mod select;

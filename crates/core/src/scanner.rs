@@ -9,9 +9,14 @@
 //! Neither accumulator is cleared in `O(|E|)` per node. A count is its own
 //! mark: zero means "not in this neighborhood", and the next scan zeroes
 //! exactly the neighbors the last one found. The ARCS sum keeps the paper's
-//! `flags` epoch array beside its `f64` scores. A counting edge sweep over a
-//! store that keeps slots ([`CandidateStore::slots`]) starts each Dirty
-//! block's walk right past the pivot, where every member is a greater id.
+//! `flags` epoch array beside its `f64` scores. A counting scan over a store
+//! that keeps slots ([`CandidateStore::slots`]) uses the pivot's position in
+//! each Dirty block, whose members ascend: an edge sweep starts the block's
+//! walk right past the pivot, where every member is a greater id, and a
+//! neighborhood ([`ScanScope::All`]) walks `members[..slot]`, then
+//! `members[slot + 1..]` — the whole-block visit order without the pivot,
+//! and no test of any member against the pivot or the scope. ARCS keeps its
+//! whole-block walk with both tests.
 
 use crate::store::CandidateStore;
 use er_model::{EntityId, ErKind, U32s};
@@ -149,26 +154,31 @@ impl NeighborhoodScanner {
                     *c += 1;
                 };
                 match pivot.slots {
-                    // An edge sweep over Dirty blocks, whose members ascend:
-                    // everything past the pivot's slot is a greater id.
-                    Some(slots) if scope == ScanScope::GreaterOnly => {
+                    // Dirty blocks, whose members ascend: everything before
+                    // the pivot's slot is a lesser id, everything past it a
+                    // greater one. An edge sweep walks the part past it; a
+                    // neighborhood walks both parts, in block order, and
+                    // tests no member.
+                    Some(slots) => {
                         let mut i = 0;
                         pivot.blocks.for_each(|k| {
                             let members = store.members_of(k as usize, false);
-                            let start = slots[i] as usize + 1;
+                            let slot = slots[i] as usize;
                             i += 1;
                             #[cfg(feature = "sanitize")]
                             assert!(
-                                start <= members.len() && members.get(start - 1) == pivot.id,
-                                "mb-sanitize: slot {} of entity {} in block {k} of {} members",
-                                start - 1,
+                                slot < members.len() && members.get(slot) == pivot.id,
+                                "mb-sanitize: slot {slot} of entity {} in block {k} of {} members",
                                 pivot.id,
                                 members.len()
                             );
-                            members.slice(start, members.len()).for_each(&mut count);
+                            if scope == ScanScope::All {
+                                members.slice(0, slot).for_each(&mut count);
+                            }
+                            members.slice(slot + 1, members.len()).for_each(&mut count);
                         });
                     }
-                    _ => pivot.blocks.for_each(|k| {
+                    None => pivot.blocks.for_each(|k| {
                         store.members_of(k as usize, pivot.scan_right).for_each(|j| {
                             // Neither test can hold for a probe: no member
                             // has id `|E|`.
@@ -245,7 +255,7 @@ pub(crate) struct Pivot<'a> {
     pub(crate) id: u32,
     /// Dirty ER, when the store keeps them: the pivot's position in each of
     /// `blocks`' member lists ([`CandidateStore::slots`]), where a counting
-    /// edge sweep starts each block's walk. A probe has none.
+    /// scan splits each block's walk. A probe has none.
     pub(crate) slots: Option<&'a [u32]>,
 }
 

@@ -11,7 +11,7 @@
 //! pruning would retain for that node, in descending weight order.
 
 use crate::context::GraphContext;
-use crate::parallel::sweep_windows;
+use crate::parallel::{sweep_windows, Worker};
 use crate::prune::{neighborhood_mean, reaching, TopK, WeightedEdge};
 use crate::scanner::{NeighborhoodScanner, Pivot, ScanScope};
 use crate::store::CandidateStore;
@@ -88,24 +88,26 @@ pub struct Scored {
 /// The buffers a [`NeighborhoodScorer`] scans with, free of the store's
 /// lifetime so they can outlive the scorer: the scanner's `O(|E|)` arrays —
 /// 4 B per entity of common-block counts under CBS, ECBS, JS and EJS, 12 B
-/// of epochs and sums under ARCS — plus the neighborhood buffers grown to
-/// their working size. A serving connection takes them back with
-/// [`NeighborhoodScorer::into_scratch`] when its generation is replaced and
-/// hands them to [`NeighborhoodScorer::with_scratch`] over the next one, so
-/// a re-pin costs what changed in `|E|`, not an allocation and a zeroing of
-/// all of it. The default is empty.
+/// of epochs and sums under ARCS — plus the neighborhood buffers and the
+/// top-`k` selection scratch grown to their working size. A serving
+/// connection takes them back with [`NeighborhoodScorer::into_scratch`] when
+/// its generation is replaced and hands them to
+/// [`NeighborhoodScorer::with_scratch`] over the next one, so a re-pin costs
+/// what changed in `|E|`, not an allocation and a zeroing of all of it. The
+/// default is empty.
 #[derive(Debug, Default)]
 pub struct ScorerScratch {
     scanner: NeighborhoodScanner,
     weights: Vec<f64>,
+    top: TopK,
 }
 
 /// Answers per-entity candidate queries over one blocking graph.
 ///
 /// Owns everything a query needs — the graph context, the EJS degree
-/// statistics, the ScanCount scanner and its scratch — so consecutive
-/// queries are allocation-free once the neighborhood buffers have grown to
-/// their working size.
+/// statistics, the ScanCount scanner and its scratch — so once the
+/// neighborhood buffers have grown to their working size a query allocates
+/// only the candidate list it returns.
 #[derive(Debug)]
 pub struct NeighborhoodScorer<S> {
     store: S,
@@ -163,9 +165,9 @@ impl<S: CandidateStore> NeighborhoodScorer<S> {
     /// [`Retention::AboveMean`] it is exactly the WNP retention.
     pub fn query(&mut self, pivot: EntityId, retention: Retention) -> Scored {
         let NeighborhoodScorer { store, scheme, degrees, scratch } = self;
-        let ScorerScratch { scanner, weights } = scratch;
+        let ScorerScratch { scanner, weights, top } = scratch;
         let pivot = Pivot::indexed(store, pivot);
-        score(store, *scheme, degrees.as_ref(), scanner, weights, pivot, retention)
+        score(store, *scheme, degrees.as_ref(), scanner, weights, top, pivot, retention)
     }
 
     /// Scores a *probe* — a virtual entity described only by the blocks it
@@ -185,9 +187,9 @@ impl<S: CandidateStore> NeighborhoodScorer<S> {
         retention: Retention,
     ) -> Scored {
         let NeighborhoodScorer { store, scheme, degrees, scratch } = self;
-        let ScorerScratch { scanner, weights } = scratch;
+        let ScorerScratch { scanner, weights, top } = scratch;
         let pivot = Pivot::probe(store, block_ids, probe_is_first);
-        score(store, *scheme, degrees.as_ref(), scanner, weights, pivot, retention)
+        score(store, *scheme, degrees.as_ref(), scanner, weights, top, pivot, retention)
     }
 }
 
@@ -205,10 +207,12 @@ impl<S: CandidateStore + Sync> NeighborhoodScorer<S> {
             store.num_entities(),
             threads,
             |worker, pivots, out| {
-                let (scanner, weights) = (&mut worker.scanner, &mut worker.weights);
+                let Worker { scanner, weights, top, .. } = worker;
                 for raw in pivots {
                     let pivot = Pivot::indexed(store, EntityId(raw));
-                    out.emit(score(store, scheme, degrees, scanner, weights, pivot, retention));
+                    let one =
+                        score(store, scheme, degrees, scanner, weights, top, pivot, retention);
+                    out.emit(one);
                 }
             },
             |one| scored.push(one),
@@ -219,12 +223,14 @@ impl<S: CandidateStore + Sync> NeighborhoodScorer<S> {
 
 /// One pivot, indexed or probe, through the scan-and-weigh kernel every
 /// batch sweep runs, then through `retention`.
+#[allow(clippy::too_many_arguments)]
 fn score<S: CandidateStore>(
     store: &S,
     scheme: WeightingScheme,
     degrees: Option<&Degrees>,
     scanner: &mut NeighborhoodScanner,
     weights: &mut Vec<f64>,
+    top: &mut TopK,
     pivot: Pivot<'_>,
     retention: Retention,
 ) -> Scored {
@@ -233,7 +239,7 @@ fn score<S: CandidateStore>(
         weights.push(w)
     });
     Scored {
-        candidates: retain(EntityId(pivot.id), ids, weights, retention),
+        candidates: retain(top, EntityId(pivot.id), ids, weights, retention),
         blocks_touched: pivot.blocks.len() as u64,
         edges_scored: ids.len() as u64,
     }
@@ -241,11 +247,17 @@ fn score<S: CandidateStore>(
 
 /// Applies a retention mode to one weighed neighborhood and returns the
 /// survivors in descending [`WeightedEdge`] order.
-fn retain(pivot: EntityId, ids: &[u32], weights: &[f64], retention: Retention) -> Vec<Candidate> {
+fn retain(
+    top: &mut TopK,
+    pivot: EntityId,
+    ids: &[u32],
+    weights: &[f64],
+    retention: Retention,
+) -> Vec<Candidate> {
     match retention {
         // The exact CNP selection: same kernel, same total order, already
         // ranked.
-        Retention::TopK(k) => TopK::new()
+        Retention::TopK(k) => top
             .select_descending(pivot, ids, weights, k)
             .iter()
             .map(|e| Candidate { id: EntityId(e.neighbor_of(pivot)), weight: e.w })

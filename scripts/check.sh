@@ -67,6 +67,15 @@ if grep -rn 'sort_dedup' crates/blocking/src crates/serve/src crates/er-model/sr
   echo "a profile's keys are sorted again (intern_all and find_tokens take them as they come)" >&2; exit 1
 fi
 
+echo "==> one reused top-k scratch (structural guard on crates/core/src/prune)"
+# Node-centric top-k selection runs in the sweeping thread's `TopK` and
+# two-phase CNP keeps its stacks in one pool plus offsets: a selection that
+# builds its own kernel per node, or a vector of per-node stacks, allocates
+# per node again (BENCH_pipeline.json's `prune` row).
+if grep -rnE 'fn top_k_neighbors|Vec<Vec<u32>>' crates/core/src/prune; then
+  echo "node-centric top-k allocates per node again (select through Sweep::top_k)" >&2; exit 1
+fi
+
 echo "==> one tokenizer (structural guard on crates/*/src)"
 # `KeyScratch::fill_tokens` states which tokens a profile has and
 # `TokenInterner` numbers them, for blocking, serving and Jaccard matching
