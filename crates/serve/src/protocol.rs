@@ -25,6 +25,14 @@
 //! allocation, so a corrupt length prefix errors out instead of reserving
 //! gigabytes; the checksum catches torn or bit-flipped frames.
 //!
+//! Both ends of a connection frame through one `FrameReader` and one
+//! `FrameWriter`, each over a buffer the connection keeps. A frame is
+//! encoded in place behind its header slot and leaves in one `send`; a
+//! frame that arrived whole is parsed out of one `recv`, and a frame that
+//! arrived behind it costs none. A peer may therefore pipeline: frames are
+//! answered in the order they were sent. [`write_frame`] and [`read_frame`]
+//! are the same format for a caller that holds a payload of its own.
+//!
 //! # Messages
 //!
 //! | kind | direction | payload |
@@ -123,11 +131,20 @@ pub fn read_hello(r: &mut impl Read) -> Result<u64, ServeError> {
 /// Bytes of a frame header: `kind u8 | payload_len u32 | fnv1a64 u64`.
 const FRAME_HEADER: usize = 13;
 
+/// What a connection's [`FrameReader`] and [`FrameWriter`] each keep between
+/// frames — std's `BufReader` default. Probe and entity frames fit many
+/// times over; a larger frame grows a buffer for as long as it takes and is
+/// handed back after it, so no connection keeps a large frame's memory.
+const FRAME_BUFFER: usize = 8 * 1024;
+
 /// Writes one checksummed frame.
 ///
 /// Header and payload leave in one `write` call: on a `TCP_NODELAY` socket
 /// each call is a segment of its own, and a header sent ahead of its
-/// payload wakes the peer for 13 bytes it cannot act on.
+/// payload wakes the peer for 13 bytes it cannot act on. This is the form
+/// for a writer that sends a payload it already holds (tests, the
+/// benchmark's codec probe); a connection sends through its `FrameWriter`,
+/// which builds the payload in place and allocates nothing per frame.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), ServeError> {
     if payload.len() as u64 > MAX_FRAME {
         return Err(ServeError::FrameTooLarge { len: payload.len() as u64, max: MAX_FRAME });
@@ -143,11 +160,12 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), S
 }
 
 /// Reads one frame, verifying the length cap before allocating and the
-/// checksum after reading. Returns `(kind, payload)`. This is the blocking
-/// form, for a reader without a timeout — one [`FrameReader`] that is never
-/// resumed; the server keeps its own across timeouts.
+/// checksum after reading. Returns `(kind, payload)`. It reads exactly the
+/// frame's bytes — the header, then the payload — and never past them, so a
+/// caller may go on reading the stream itself; a connection reads through
+/// its `FrameReader` instead.
 pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ServeError> {
-    FrameReader::default().read(r)
+    ExactFrame::default().read(r)
 }
 
 /// A decoded frame header whose declared length has passed the cap.
@@ -158,7 +176,9 @@ struct FrameHeader {
 }
 
 impl FrameHeader {
-    fn parse(head: &[u8; FRAME_HEADER]) -> Result<FrameHeader, ServeError> {
+    /// Decodes the header at the front of `head`, which holds at least
+    /// [`FRAME_HEADER`] bytes.
+    fn parse(head: &[u8]) -> Result<FrameHeader, ServeError> {
         let mut rd = Reader::new(head, "frame");
         let kind = rd.u8()?;
         let len = rd.u32()? as u64;
@@ -169,50 +189,52 @@ impl FrameHeader {
         Ok(FrameHeader { kind, len: len as usize, checksum })
     }
 
-    /// The frame, once `payload` matches the header's checksum.
-    fn verified(&self, payload: Vec<u8>) -> Result<(u8, Vec<u8>), ServeError> {
-        if fnv1a(&payload) != self.checksum {
+    /// Whether `payload` matches the header's checksum.
+    fn verify(&self, payload: &[u8]) -> Result<(), ServeError> {
+        if fnv1a(payload) != self.checksum {
             return Err(ServeError::FrameChecksum);
         }
+        Ok(())
+    }
+
+    /// The frame, once `payload` matches the header's checksum.
+    fn verified(&self, payload: Vec<u8>) -> Result<(u8, Vec<u8>), ServeError> {
+        self.verify(&payload)?;
         Ok((self.kind, payload))
     }
 }
 
-/// A frame read that can be resumed.
+/// [`read_frame`]'s reader: the header's bytes, then a payload allocated to
+/// the declared length once it has passed the cap.
 ///
-/// The server reads under a timeout (its liveness poll), and a timeout can
-/// fall in the middle of a frame. The bytes consumed so far are kept here,
-/// not on the stack of a `read_exact`, so the next [`FrameReader::read`]
-/// continues the same frame instead of parsing payload bytes as a header.
+/// `read_frame` makes a fresh one per frame, so its progress fields never
+/// outlive a call. The shape stays because a crate downstream instantiates
+/// `read_frame`, and through it this reader and [`fill`], and a shorter
+/// body there moved that crate's code partitioning: in the repository
+/// benchmark it inlined `HashMap::insert` into the CPU calibration kernel
+/// (DESIGN.md §9's generic-body caveat, §11).
 #[derive(Debug, Default)]
-pub(crate) struct FrameReader {
+struct ExactFrame {
     head: [u8; FRAME_HEADER],
     head_filled: usize,
-    /// Sized to the declared length once the header is complete and that
-    /// length has passed the cap.
     payload: Option<Vec<u8>>,
     payload_filled: usize,
 }
 
-impl FrameReader {
-    /// Reads until the frame in progress is complete and returns it, as
-    /// [`read_frame`] does. On an I/O error (a timeout included) the
-    /// progress made stays and the next call resumes from it. A header over
-    /// the cap stays too: the stream cannot be resynchronised past it, so
-    /// the handler closes the connection on that error.
-    pub(crate) fn read(&mut self, r: &mut impl Read) -> Result<(u8, Vec<u8>), ServeError> {
+impl ExactFrame {
+    fn read(&mut self, r: &mut impl Read) -> Result<(u8, Vec<u8>), ServeError> {
         fill(r, &mut self.head, &mut self.head_filled)?;
         let header = FrameHeader::parse(&self.head)?;
         let payload = self.payload.get_or_insert_with(|| vec![0u8; header.len]);
         fill(r, payload, &mut self.payload_filled)?;
         let payload = std::mem::take(payload);
-        *self = FrameReader::default();
+        *self = ExactFrame::default();
         header.verified(payload)
     }
 }
 
-/// `read_exact` with its progress in `filled`, so an error part-way loses
-/// nothing. End of stream before `buf` is full is [`ServeError::Disconnected`].
+/// `read_exact` with its progress in `filled`. End of stream before `buf`
+/// is full is [`ServeError::Disconnected`].
 fn fill(r: &mut impl Read, buf: &mut [u8], filled: &mut usize) -> Result<(), ServeError> {
     while *filled < buf.len() {
         match r.read(&mut buf[*filled..]) {
@@ -225,31 +247,188 @@ fn fill(r: &mut impl Read, buf: &mut [u8], filled: &mut usize) -> Result<(), Ser
     Ok(())
 }
 
+/// One connection's incoming frames, read through one buffer.
+///
+/// Each `read` takes whatever the stream holds, so a frame that arrived
+/// whole costs one system call, and a frame that followed it in the same
+/// segment is parsed out of the buffer by the next [`FrameReader::read`]
+/// without any. The payload is borrowed from the buffer until that next
+/// call. A read timeout (the server's liveness poll) or a short read can
+/// fall anywhere in a frame: the bytes read so far stay buffered and the
+/// next call continues the same frame.
+///
+/// The stream is a `dyn Read` so that there is one body, compiled here for
+/// the server and the client alike, and nothing for a crate downstream to
+/// instantiate (DESIGN.md §9's generic-body caveat).
+#[derive(Debug, Default)]
+pub(crate) struct FrameReader {
+    /// Initialised throughout, so a read goes straight into `buf[end..]`;
+    /// `buf[start..end]` is read and not yet handed out.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    /// Returns the next frame as `(kind, payload)`, reading from `r` only
+    /// while the buffer holds less than a whole frame. The length cap is
+    /// checked before the buffer grows for a frame, and the checksum before
+    /// its payload is handed out. On an I/O error (a timeout included) the
+    /// bytes read so far stay and the next call resumes from them. A header
+    /// over the cap stays too: the stream cannot be resynchronised past it,
+    /// so the handler closes the connection on that error.
+    pub(crate) fn read(&mut self, r: &mut dyn Read) -> Result<(u8, &[u8]), ServeError> {
+        self.settle();
+        debug_assert!(self.start <= self.end && self.end <= self.buf.len());
+        let (header, at) = loop {
+            let buffered = self.end - self.start;
+            let need = if buffered < FRAME_HEADER {
+                FRAME_HEADER
+            } else {
+                let header = FrameHeader::parse(&self.buf[self.start..self.end])?;
+                let need = FRAME_HEADER + header.len;
+                if buffered >= need {
+                    let at = self.start + FRAME_HEADER;
+                    self.start += need;
+                    break (header, at);
+                }
+                need
+            };
+            self.fill(r, need)?;
+        };
+        let payload = &self.buf[at..at + header.len];
+        header.verify(payload)?;
+        Ok((header.kind, payload))
+    }
+
+    /// Starts the buffer over once everything in it was handed out, and
+    /// gives back what a large frame grew it by once that frame is gone.
+    fn settle(&mut self) {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        if self.buf.len() > FRAME_BUFFER && self.end - self.start <= FRAME_BUFFER {
+            self.slide();
+            self.buf.truncate(FRAME_BUFFER);
+            self.buf.shrink_to_fit();
+        }
+    }
+
+    /// One read into the free tail of the buffer, after making room there
+    /// for a frame of `need` bytes from `start`.
+    fn fill(&mut self, r: &mut dyn Read, need: usize) -> Result<(), ServeError> {
+        if self.start + need > self.buf.len() {
+            self.slide();
+            if need > self.buf.len() {
+                self.buf.resize(need.max(FRAME_BUFFER), 0);
+            }
+        }
+        debug_assert!(self.end - self.start < need && self.start + need <= self.buf.len());
+        loop {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(ServeError::Disconnected),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// Moves the bytes not yet handed out to the front of the buffer.
+    fn slide(&mut self) {
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, self.end - self.start);
+    }
+}
+
+/// One connection's outgoing frames, each built in place and sent in one
+/// `write_all`.
+///
+/// [`FrameWriter::send`] leaves a header slot, has the payload encoded
+/// after it, then patches in the length and checksum — the bytes
+/// [`write_frame`] sends for the same payload, with no payload `Vec` of
+/// their own. A frame larger than [`FRAME_BUFFER`] is sent and its memory
+/// handed back. The stream is a `dyn Write` for the reason
+/// [`FrameReader`]'s is a `dyn Read`.
+#[derive(Debug, Default)]
+pub(crate) struct FrameWriter {
+    buf: Vec<u8>,
+}
+
+impl FrameWriter {
+    /// Sends one frame of `kind` whose payload `put` appends to the buffer
+    /// it is given.
+    pub(crate) fn send(
+        &mut self,
+        w: &mut dyn Write,
+        kind: u8,
+        put: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), ServeError> {
+        self.buf.clear();
+        self.buf.reserve(FRAME_BUFFER);
+        self.buf.resize(FRAME_HEADER, 0);
+        put(&mut self.buf);
+        let len = (self.buf.len() - FRAME_HEADER) as u64;
+        let sent = if len > MAX_FRAME {
+            Err(ServeError::FrameTooLarge { len, max: MAX_FRAME })
+        } else {
+            let checksum = fnv1a(&self.buf[FRAME_HEADER..]);
+            self.buf[0] = kind;
+            self.buf[1..5].copy_from_slice(&(len as u32).to_le_bytes());
+            self.buf[5..FRAME_HEADER].copy_from_slice(&checksum.to_le_bytes());
+            w.write_all(&self.buf).and_then(|()| w.flush()).map_err(ServeError::from)
+        };
+        if self.buf.capacity() > FRAME_BUFFER {
+            self.buf.clear();
+            self.buf.shrink_to(FRAME_BUFFER);
+        }
+        sent
+    }
+
+    /// Sends `e` as a [`MSG_ERROR`] frame.
+    pub(crate) fn error(&mut self, w: &mut dyn Write, e: &ServeError) -> Result<(), ServeError> {
+        self.send(w, MSG_ERROR, |out| put_text(out, &e.to_string()))
+    }
+}
+
+/// What one of the `put_*` encoders appends, in a `Vec` of its own.
+fn encoded(put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    put(&mut out);
+    out
+}
+
 /// Serializes a [`CandidateRequest`] into a [`MSG_REQUEST`] payload.
 pub fn request_bytes(request: &CandidateRequest) -> Vec<u8> {
-    let mut out = Vec::new();
+    encoded(|out| put_request(out, request))
+}
+
+/// Appends a [`request_bytes`] payload to `out`.
+pub(crate) fn put_request(out: &mut Vec<u8>, request: &CandidateRequest) {
     match request.target() {
         CandidateTarget::Entity(id) => {
-            put_u8(&mut out, TARGET_ENTITY);
-            put_u32(&mut out, id.0);
+            put_u8(out, TARGET_ENTITY);
+            put_u32(out, id.0);
         }
         CandidateTarget::Probe { profile, is_first } => {
-            put_u8(&mut out, TARGET_PROBE);
-            put_u8(&mut out, u8::from(*is_first));
-            put_profile(&mut out, profile);
+            put_u8(out, TARGET_PROBE);
+            put_u8(out, u8::from(*is_first));
+            put_profile(out, profile);
         }
-        CandidateTarget::Batch => put_u8(&mut out, TARGET_BATCH),
+        CandidateTarget::Batch => put_u8(out, TARGET_BATCH),
     }
     match request.retention() {
-        None => put_u8(&mut out, RETENTION_DEFAULT),
+        None => put_u8(out, RETENTION_DEFAULT),
         Some(Retention::TopK(k)) => {
-            put_u8(&mut out, RETENTION_TOP_K);
-            put_u64(&mut out, k as u64);
+            put_u8(out, RETENTION_TOP_K);
+            put_u64(out, k as u64);
         }
-        Some(Retention::AboveMean) => put_u8(&mut out, RETENTION_ABOVE_MEAN),
+        Some(Retention::AboveMean) => put_u8(out, RETENTION_ABOVE_MEAN),
     }
-    put_u32(&mut out, request.threads() as u32);
-    out
+    put_u32(out, request.threads() as u32);
 }
 
 /// Decodes a [`MSG_REQUEST`] payload back into the typed request.
@@ -300,27 +479,30 @@ fn parse_retention(
 
 /// Serializes a [`CandidateResponse`] into a [`MSG_RESPONSE`] payload.
 pub fn response_bytes(response: &CandidateResponse) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, response.generation);
-    put_bytes(&mut out, response.scheme.token().as_bytes());
+    encoded(|out| put_response(out, response))
+}
+
+/// Appends a [`response_bytes`] payload to `out`.
+pub(crate) fn put_response(out: &mut Vec<u8>, response: &CandidateResponse) {
+    put_u64(out, response.generation);
+    put_bytes(out, response.scheme.token().as_bytes());
     match response.retention {
         Retention::TopK(k) => {
-            put_u8(&mut out, RETENTION_TOP_K);
-            put_u64(&mut out, k as u64);
+            put_u8(out, RETENTION_TOP_K);
+            put_u64(out, k as u64);
         }
-        Retention::AboveMean => put_u8(&mut out, RETENTION_ABOVE_MEAN),
+        Retention::AboveMean => put_u8(out, RETENTION_ABOVE_MEAN),
     }
-    put_u32(&mut out, response.results.len() as u32);
+    put_u32(out, response.results.len() as u32);
     for scored in &response.results {
-        put_u32(&mut out, scored.candidates.len() as u32);
+        put_u32(out, scored.candidates.len() as u32);
         for c in &scored.candidates {
-            put_u32(&mut out, c.id.0);
-            put_u64(&mut out, c.weight.to_bits());
+            put_u32(out, c.id.0);
+            put_u64(out, c.weight.to_bits());
         }
-        put_u64(&mut out, scored.blocks_touched);
-        put_u64(&mut out, scored.edges_scored);
+        put_u64(out, scored.blocks_touched);
+        put_u64(out, scored.edges_scored);
     }
-    out
 }
 
 /// Decodes a [`MSG_RESPONSE`] payload back into the typed response.
@@ -369,9 +551,12 @@ pub fn parse_response(buf: &[u8]) -> Result<CandidateResponse, ServeError> {
 /// Serializes a UTF-8 string payload ([`MSG_RELOAD`] paths, [`MSG_ERROR`]
 /// messages).
 pub fn text_bytes(text: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_bytes(&mut out, text.as_bytes());
-    out
+    encoded(|out| put_text(out, text))
+}
+
+/// Appends a [`text_bytes`] payload to `out`.
+pub(crate) fn put_text(out: &mut Vec<u8>, text: &str) {
+    put_bytes(out, text.as_bytes());
 }
 
 /// Decodes a UTF-8 string payload.
@@ -384,9 +569,12 @@ pub fn parse_text(buf: &[u8]) -> Result<String, ServeError> {
 
 /// Serializes a [`MSG_OK`] payload (the acknowledged generation).
 pub fn ok_bytes(generation: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, generation);
-    out
+    encoded(|out| put_ok(out, generation))
+}
+
+/// Appends a [`ok_bytes`] payload to `out`.
+pub(crate) fn put_ok(out: &mut Vec<u8>, generation: u64) {
+    put_u64(out, generation);
 }
 
 /// Decodes a [`MSG_OK`] payload.
@@ -400,10 +588,13 @@ pub fn parse_ok(buf: &[u8]) -> Result<u64, ServeError> {
 /// Serializes a [`MSG_UPSERT`] payload: the target id (or
 /// [`crate::delta::APPEND`]) followed by the profile.
 pub fn upsert_bytes(id: u32, profile: &EntityProfile) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, id);
-    put_profile(&mut out, profile);
-    out
+    encoded(|out| put_upsert(out, id, profile))
+}
+
+/// Appends a [`upsert_bytes`] payload to `out`.
+pub(crate) fn put_upsert(out: &mut Vec<u8>, id: u32, profile: &EntityProfile) {
+    put_u32(out, id);
+    put_profile(out, profile);
 }
 
 /// Decodes a [`MSG_UPSERT`] payload into `(id, profile)`.
@@ -418,10 +609,13 @@ pub fn parse_upsert(buf: &[u8]) -> Result<(u32, EntityProfile), ServeError> {
 /// Serializes the [`MSG_OK`] reply to an upsert: the new generation's
 /// ordinal followed by the entity id the op resolved to.
 pub fn upsert_ok_bytes(generation: u64, id: u32) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, generation);
-    put_u32(&mut out, id);
-    out
+    encoded(|out| put_upsert_ok(out, generation, id))
+}
+
+/// Appends a [`upsert_ok_bytes`] payload to `out`.
+pub(crate) fn put_upsert_ok(out: &mut Vec<u8>, generation: u64, id: u32) {
+    put_u64(out, generation);
+    put_u32(out, id);
 }
 
 /// Decodes an upsert acknowledgment into `(generation, id)`.
@@ -435,9 +629,12 @@ pub fn parse_upsert_ok(buf: &[u8]) -> Result<(u64, u32), ServeError> {
 
 /// Serializes a [`MSG_DELETE`] payload (the entity id to tombstone).
 pub fn delete_bytes(id: u32) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, id);
-    out
+    encoded(|out| put_delete(out, id))
+}
+
+/// Appends a [`delete_bytes`] payload to `out`.
+pub(crate) fn put_delete(out: &mut Vec<u8>, id: u32) {
+    put_u32(out, id);
 }
 
 /// Decodes a [`MSG_DELETE`] payload.
@@ -452,10 +649,13 @@ pub fn parse_delete(buf: &[u8]) -> Result<u32, ServeError> {
 /// rebuild from, and the path to persist the compacted snapshot to (empty =
 /// swap in memory only).
 pub fn compact_bytes(bundle: &str, out_path: Option<&str>) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_bytes(&mut out, bundle.as_bytes());
-    put_bytes(&mut out, out_path.unwrap_or("").as_bytes());
-    out
+    encoded(|out| put_compact(out, bundle, out_path))
+}
+
+/// Appends a [`compact_bytes`] payload to `out`.
+pub(crate) fn put_compact(out: &mut Vec<u8>, bundle: &str, out_path: Option<&str>) {
+    put_bytes(out, bundle.as_bytes());
+    put_bytes(out, out_path.unwrap_or("").as_bytes());
 }
 
 /// Decodes a [`MSG_COMPACT`] payload into `(bundle_dir, out_path)`.
@@ -470,6 +670,13 @@ pub fn parse_compact(buf: &[u8]) -> Result<(String, Option<String>), ServeError>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Length and FNV-1a of the frames
+    /// `a_frame_writer_sends_what_write_frame_sends_for_every_message_kind`
+    /// builds, recorded with `write_frame` and the `*_bytes` encoders before
+    /// connections wrote through a [`FrameWriter`].
+    const WIRE_DIGEST_LEN: usize = 501;
+    const WIRE_DIGEST: u64 = 0xdb01_e334_c1fb_6c9a;
 
     #[test]
     fn request_payloads_round_trip() {
@@ -633,44 +840,168 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, MSG_REQUEST, b"resumable payload").unwrap();
         write_frame(&mut wire, MSG_SHUTDOWN, b"").unwrap();
-        let first = FRAME_HEADER + b"resumable payload".len();
-        // Cuts inside the header, at its end, inside the payload, and
-        // inside the second frame's header.
-        for cuts in [vec![5], vec![FRAME_HEADER], vec![FRAME_HEADER + 3], vec![5, 16, first + 2]] {
-            let mut chunks = std::collections::VecDeque::new();
-            let mut rest = &wire[..];
-            let mut taken = 0;
-            for cut in cuts.iter().copied() {
-                let (chunk, tail) = rest.split_at(cut - taken);
-                chunks.push_back(chunk);
-                (rest, taken) = (tail, cut);
-            }
-            chunks.push_back(rest);
+        // Every cut of the two frames: inside either header, at either
+        // header's end, inside the payload, between the frames.
+        for cut in 1..wire.len() {
+            let chunks = [&wire[..cut], &wire[cut..]].into_iter().collect();
             let mut peer = Stuttering { chunks, timed_out: false };
             let mut frames = FrameReader::default();
             let mut read = Vec::new();
             let mut timeouts = 0;
             while read.len() < 2 {
                 match frames.read(&mut peer) {
-                    Ok(frame) => read.push(frame),
+                    Ok((kind, payload)) => read.push((kind, payload.to_vec())),
                     Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         timeouts += 1;
                     }
-                    Err(e) => panic!("cuts {cuts:?}: {e}"),
+                    Err(e) => panic!("cut at {cut}: {e}"),
                 }
             }
-            assert!(timeouts > cuts.len(), "cuts {cuts:?}: every chunk follows a timeout");
-            assert_eq!(read[0], (MSG_REQUEST, b"resumable payload".to_vec()), "cuts {cuts:?}");
-            assert_eq!(read[1], (MSG_SHUTDOWN, Vec::new()), "cuts {cuts:?}");
+            assert_eq!(timeouts, 2, "cut at {cut}: each chunk follows a timeout");
+            assert_eq!(read[0], (MSG_REQUEST, b"resumable payload".to_vec()), "cut at {cut}");
+            assert_eq!(read[1], (MSG_SHUTDOWN, Vec::new()), "cut at {cut}");
             // The stream ends between frames: a clean disconnect.
             let end = loop {
                 match frames.read(&mut peer) {
                     Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    other => break other,
+                    other => break other.map(|(kind, payload)| (kind, payload.to_vec())),
                 }
             };
-            assert!(matches!(end, Err(ServeError::Disconnected)), "cuts {cuts:?}: {end:?}");
+            assert!(matches!(end, Err(ServeError::Disconnected)), "cut at {cut}: {end:?}");
         }
+    }
+
+    /// A stream that counts the `read` calls made on it.
+    struct Counting {
+        wire: std::io::Cursor<Vec<u8>>,
+        calls: usize,
+    }
+
+    impl Counting {
+        fn new(frames: &[(u8, &[u8])]) -> Counting {
+            let mut wire = Vec::new();
+            for (kind, payload) in frames {
+                write_frame(&mut wire, *kind, payload).unwrap();
+            }
+            Counting { wire: std::io::Cursor::new(wire), calls: 0 }
+        }
+    }
+
+    impl Read for Counting {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.wire.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_frame_delivered_whole_costs_one_read() {
+        for len in [0, 83, 439, FRAME_BUFFER - FRAME_HEADER] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+            let mut peer = Counting::new(&[(MSG_REQUEST, &payload)]);
+            let mut frames = FrameReader::default();
+            assert_eq!(frames.read(&mut peer).unwrap(), (MSG_REQUEST, &payload[..]));
+            assert_eq!(peer.calls, 1, "{len}-byte payload");
+            assert!(matches!(frames.read(&mut peer), Err(ServeError::Disconnected)));
+            assert_eq!(peer.calls, 2, "{len}-byte payload");
+        }
+    }
+
+    #[test]
+    fn two_frames_delivered_in_one_read_come_out_in_order() {
+        let mut peer = Counting::new(&[(MSG_REQUEST, b"first"), (MSG_UPSERT, b"second")]);
+        let mut frames = FrameReader::default();
+        assert_eq!(frames.read(&mut peer).unwrap(), (MSG_REQUEST, &b"first"[..]));
+        assert_eq!(frames.read(&mut peer).unwrap(), (MSG_UPSERT, &b"second"[..]));
+        assert_eq!(peer.calls, 1);
+    }
+
+    #[test]
+    fn an_over_cap_header_is_rejected_before_the_buffer_grows() {
+        for len in [MAX_FRAME as u32 + 1, u32::MAX] {
+            let mut head = Vec::new();
+            put_u8(&mut head, MSG_REQUEST);
+            put_u32(&mut head, len);
+            put_u64(&mut head, 0);
+            let mut frames = FrameReader::default();
+            let mut peer = std::io::Cursor::new(head);
+            for _ in 0..2 {
+                // The header stays: the stream cannot be resynchronised.
+                assert!(matches!(frames.read(&mut peer), Err(ServeError::FrameTooLarge { .. })));
+                assert_eq!(frames.buf.capacity(), FRAME_BUFFER, "{len}-byte claim");
+            }
+        }
+    }
+
+    #[test]
+    fn buffers_return_to_their_base_capacity_after_a_large_frame() {
+        let large: Vec<u8> = (0..1024 * 1024).map(|i| (i * 31 + 7) as u8).collect();
+        let mut out = FrameWriter::default();
+        let mut wire = Vec::new();
+        for payload in [&b"small"[..], &large, b"small again"] {
+            out.send(&mut wire, MSG_RESPONSE, |b| b.extend_from_slice(payload)).unwrap();
+            assert_eq!(out.buf.capacity(), FRAME_BUFFER, "{}-byte payload", payload.len());
+        }
+        let mut frames = FrameReader::default();
+        let mut peer = std::io::Cursor::new(wire);
+        assert_eq!(frames.read(&mut peer).unwrap(), (MSG_RESPONSE, &b"small"[..]));
+        assert_eq!(frames.read(&mut peer).unwrap(), (MSG_RESPONSE, &large[..]));
+        assert!(frames.buf.capacity() > FRAME_BUFFER);
+        assert_eq!(frames.read(&mut peer).unwrap(), (MSG_RESPONSE, &b"small again"[..]));
+        assert_eq!(frames.buf.capacity(), FRAME_BUFFER);
+    }
+
+    #[test]
+    fn a_frame_writer_sends_what_write_frame_sends_for_every_message_kind() {
+        let profile = EntityProfile::new("probe/3").with("name", "jack miller").with("job", "x");
+        let entity = CandidateRequest::entity(EntityId(42)).with_retention(Retention::TopK(7));
+        let probe = CandidateRequest::probe(profile.clone(), true);
+        let batch = CandidateRequest::batch().with_threads(4).with_retention(Retention::AboveMean);
+        let response = CandidateResponse {
+            results: vec![Scored {
+                candidates: vec![Candidate { id: EntityId(3), weight: 2.5 }],
+                blocks_touched: 4,
+                edges_scored: 11,
+            }],
+            retention: Retention::TopK(5),
+            scheme: WeightingScheme::Ejs,
+            generation: 17,
+        };
+        let error = ServeError::UnknownMessage { kind: 42 }.to_string();
+        type Put<'a> = &'a dyn Fn(&mut Vec<u8>);
+        let kinds: [(u8, Vec<u8>, Put<'_>); 13] = [
+            (MSG_REQUEST, request_bytes(&entity), &|b| put_request(b, &entity)),
+            (MSG_REQUEST, request_bytes(&probe), &|b| put_request(b, &probe)),
+            (MSG_REQUEST, request_bytes(&batch), &|b| put_request(b, &batch)),
+            (MSG_RELOAD, text_bytes("next.mbsnap"), &|b| put_text(b, "next.mbsnap")),
+            (MSG_SHUTDOWN, Vec::new(), &|_| {}),
+            (MSG_UPSERT, upsert_bytes(9, &profile), &|b| put_upsert(b, 9, &profile)),
+            (MSG_UPSERT, upsert_bytes(crate::APPEND, &profile), &|b| {
+                put_upsert(b, crate::APPEND, &profile)
+            }),
+            (MSG_DELETE, delete_bytes(12), &|b| put_delete(b, 12)),
+            (MSG_COMPACT, compact_bytes("bundle", Some("out")), &|b| {
+                put_compact(b, "bundle", Some("out"))
+            }),
+            (MSG_RESPONSE, response_bytes(&response), &|b| put_response(b, &response)),
+            (MSG_OK, ok_bytes(17), &|b| put_ok(b, 17)),
+            (MSG_OK, upsert_ok_bytes(18, 41), &|b| put_upsert_ok(b, 18, 41)),
+            (MSG_ERROR, text_bytes(&error), &|b| put_text(b, &error)),
+        ];
+        let mut out = FrameWriter::default();
+        let mut all = Vec::new();
+        for (kind, payload, put) in kinds {
+            let mut expected = Vec::new();
+            write_frame(&mut expected, kind, &payload).unwrap();
+            let mut sent = Recording::default();
+            out.send(&mut sent, kind, put).unwrap();
+            assert_eq!(sent.calls, 1, "kind {kind}");
+            assert!(sent.bytes == expected, "kind {kind}: frame bytes differ");
+            all.extend_from_slice(&expected);
+        }
+        // The same frames, byte for byte, as every earlier version of the
+        // protocol sent them.
+        assert_eq!((all.len(), fnv1a(&all)), (WIRE_DIGEST_LEN, WIRE_DIGEST));
     }
 
     #[test]

@@ -37,11 +37,10 @@ use crate::engine::{batch_threads, host_threads, EngineScratch, QueryEngine};
 use crate::error::{ServeError, SnapshotError};
 use crate::generation::{AppliedDelta, GenerationCell};
 use crate::protocol::{
-    compact_bytes, delete_bytes, ok_bytes, parse_compact, parse_delete, parse_ok, parse_request,
-    parse_response, parse_text, parse_upsert, parse_upsert_ok, read_frame, read_hello,
-    request_bytes, response_bytes, text_bytes, upsert_bytes, upsert_ok_bytes, write_frame,
-    write_hello, FrameReader, MSG_COMPACT, MSG_DELETE, MSG_ERROR, MSG_OK, MSG_RELOAD, MSG_REQUEST,
-    MSG_RESPONSE, MSG_SHUTDOWN, MSG_UPSERT,
+    parse_compact, parse_delete, parse_ok, parse_request, parse_response, parse_text, parse_upsert,
+    parse_upsert_ok, put_compact, put_delete, put_ok, put_request, put_response, put_text,
+    put_upsert, put_upsert_ok, read_hello, write_hello, FrameReader, FrameWriter, MSG_COMPACT,
+    MSG_DELETE, MSG_ERROR, MSG_OK, MSG_RELOAD, MSG_REQUEST, MSG_RESPONSE, MSG_SHUTDOWN, MSG_UPSERT,
 };
 use crate::request::{CandidateRequest, CandidateResponse};
 use crate::snapshot::{write_atomic, Snapshot};
@@ -241,9 +240,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
     // A peer's thread count is a request, not an entitlement: every decoded
     // request is held to what this host can run at once.
     let thread_ceiling = host_threads();
-    // What outlives a generation on this connection: the frame in progress,
-    // the engine's buffers, and the report each request is measured into.
+    // What outlives a generation on this connection: the frames read and
+    // the one being written, the engine's buffers, and the report each
+    // request is measured into.
     let mut frames = FrameReader::default();
+    let mut out = FrameWriter::default();
     let mut scratch = EngineScratch::default();
     let mut local = RunReport::new("serve/connection");
     loop {
@@ -267,34 +268,35 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
                 {
                     // Idle past the read timeout: loop to re-check the stop
                     // flag and the serving generation. A frame the timeout
-                    // caught half-read stays in `frames`.
+                    // caught half-read stays in `frames`, and so does a
+                    // frame that arrived behind the last one.
                     continue;
                 }
                 Err(ServeError::Disconnected) => return Ok(()),
                 Err(e) => {
-                    let _ = write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()));
+                    let _ = out.error(&mut stream, &e);
                     return Err(e);
                 }
             };
             match kind {
                 MSG_REQUEST => {
-                    let outcome = parse_request(&payload).and_then(|request| {
+                    let outcome = parse_request(payload).and_then(|request| {
                         let threads = batch_threads(request.threads(), thread_ceiling);
                         engine.execute(&request.with_threads(threads), &mut local)
                     });
                     match outcome {
                         Ok(mut response) => {
                             response.generation = generation.ordinal();
-                            write_frame(&mut stream, MSG_RESPONSE, &response_bytes(&response))?;
+                            out.send(&mut stream, MSG_RESPONSE, |b| put_response(b, &response))?;
                         }
                         Err(e) => {
-                            write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()))?;
+                            out.error(&mut stream, &e)?;
                         }
                     }
                     shared.note_request(&mut local);
                 }
                 MSG_RELOAD => {
-                    let swapped = parse_text(&payload).and_then(|path| {
+                    let swapped = parse_text(payload).and_then(|path| {
                         SnapshotView::read_from(Path::new(&path), &mut local)
                             .and_then(|snapshot| shared.cell.swap(snapshot))
                             .map_err(|e| ServeError::Reload(Box::new(e)))
@@ -302,17 +304,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
                     match swapped {
                         Ok(ordinal) => {
                             shared.absorb(&mut local);
-                            write_frame(&mut stream, MSG_OK, &ok_bytes(ordinal))?;
+                            out.send(&mut stream, MSG_OK, |b| put_ok(b, ordinal))?;
                             break;
                         }
                         Err(e) => {
                             local.clear_stages();
-                            write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()))?;
+                            out.error(&mut stream, &e)?;
                         }
                     }
                 }
                 MSG_UPSERT => {
-                    let applied = parse_upsert(&payload).and_then(|(id, profile)| {
+                    let applied = parse_upsert(payload).and_then(|(id, profile)| {
                         shared
                             .cell
                             .apply(DeltaOp::Upsert { id, profile }, &mut local)
@@ -321,16 +323,16 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
                     shared.note_request(&mut local);
                     match applied {
                         Ok(AppliedDelta { ordinal, id }) => {
-                            write_frame(&mut stream, MSG_OK, &upsert_ok_bytes(ordinal, id))?;
+                            out.send(&mut stream, MSG_OK, |b| put_upsert_ok(b, ordinal, id))?;
                             break;
                         }
                         Err(e) => {
-                            write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()))?;
+                            out.error(&mut stream, &e)?;
                         }
                     }
                 }
                 MSG_DELETE => {
-                    let applied = parse_delete(&payload).and_then(|id| {
+                    let applied = parse_delete(payload).and_then(|id| {
                         shared
                             .cell
                             .apply(DeltaOp::Delete { id }, &mut local)
@@ -339,36 +341,36 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
                     shared.note_request(&mut local);
                     match applied {
                         Ok(AppliedDelta { ordinal, .. }) => {
-                            write_frame(&mut stream, MSG_OK, &ok_bytes(ordinal))?;
+                            out.send(&mut stream, MSG_OK, |b| put_ok(b, ordinal))?;
                             break;
                         }
                         Err(e) => {
-                            write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()))?;
+                            out.error(&mut stream, &e)?;
                         }
                     }
                 }
                 MSG_COMPACT => {
-                    let compacted = parse_compact(&payload)
-                        .and_then(|(bundle, out)| compact(shared, &bundle, out.as_deref()));
+                    let compacted = parse_compact(payload)
+                        .and_then(|(bundle, path)| compact(shared, &bundle, path.as_deref()));
                     shared.note_request(&mut local);
                     match compacted {
                         Ok(ordinal) => {
-                            write_frame(&mut stream, MSG_OK, &ok_bytes(ordinal))?;
+                            out.send(&mut stream, MSG_OK, |b| put_ok(b, ordinal))?;
                             break;
                         }
                         Err(e) => {
-                            write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()))?;
+                            out.error(&mut stream, &e)?;
                         }
                     }
                 }
                 MSG_SHUTDOWN => {
                     shared.stop.store(true, Ordering::SeqCst);
-                    let _ = write_frame(&mut stream, MSG_OK, &ok_bytes(generation.ordinal()));
+                    let _ = out.send(&mut stream, MSG_OK, |b| put_ok(b, generation.ordinal()));
                     return Ok(());
                 }
                 other => {
                     let e = ServeError::UnknownMessage { kind: other };
-                    let _ = write_frame(&mut stream, MSG_ERROR, &text_bytes(&e.to_string()));
+                    let _ = out.error(&mut stream, &e);
                     return Err(e);
                 }
             }
@@ -469,10 +471,15 @@ impl Drop for ServerHandle {
 
 /// A blocking client for the wire protocol — the same typed
 /// [`CandidateRequest`] / [`CandidateResponse`] pair the in-process API
-/// uses, serialized per [`crate::protocol`].
+/// uses, serialized per [`crate::protocol`]. Like a server connection it
+/// reads through one `FrameReader` and writes through one `FrameWriter`:
+/// a round trip is one `send` and, for a reply that arrives whole, one
+/// `recv`.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
+    frames: FrameReader,
+    out: FrameWriter,
     generation: u64,
 }
 
@@ -484,8 +491,15 @@ impl Client {
         // Request frames are small; Nagle would serialize every round trip
         // behind the peer's delayed ACK.
         stream.set_nodelay(true)?;
+        // The server sends nothing past its hello until it is asked, so
+        // the hello's exact read leaves no frame bytes behind.
         let generation = read_hello(&mut stream)?;
-        Ok(Client { stream, generation })
+        Ok(Client {
+            stream,
+            frames: FrameReader::default(),
+            out: FrameWriter::default(),
+            generation,
+        })
     }
 
     /// The generation the server announced at connect time (responses carry
@@ -494,51 +508,48 @@ impl Client {
         self.generation
     }
 
+    /// Sends one frame of `kind` (its payload appended by `put`) and returns
+    /// the payload of the reply, which must be of kind `answer`. A
+    /// [`MSG_ERROR`] reply is [`ServeError::Remote`].
+    fn call(
+        &mut self,
+        kind: u8,
+        put: impl FnOnce(&mut Vec<u8>),
+        answer: u8,
+    ) -> Result<&[u8], ServeError> {
+        self.out.send(&mut self.stream, kind, put)?;
+        match self.frames.read(&mut self.stream)? {
+            (kind, payload) if kind == answer => Ok(payload),
+            (MSG_ERROR, payload) => Err(ServeError::Remote(parse_text(payload)?)),
+            (kind, _) => Err(ServeError::UnknownMessage { kind }),
+        }
+    }
+
     /// Executes `request` on the server and returns its typed response.
     ///
     /// Server-side failures (malformed request, entity out of range, …)
     /// come back as [`ServeError::Remote`].
     pub fn execute(&mut self, request: &CandidateRequest) -> Result<CandidateResponse, ServeError> {
-        write_frame(&mut self.stream, MSG_REQUEST, &request_bytes(request))?;
-        match read_frame(&mut self.stream)? {
-            (MSG_RESPONSE, payload) => parse_response(&payload),
-            (MSG_ERROR, payload) => Err(ServeError::Remote(parse_text(&payload)?)),
-            (kind, _) => Err(ServeError::UnknownMessage { kind }),
-        }
+        parse_response(self.call(MSG_REQUEST, |b| put_request(b, request), MSG_RESPONSE)?)
     }
 
     /// Asks the server to load the snapshot at `path` (a path on the
     /// *server's* filesystem) and swap it in; returns the new generation.
     pub fn reload(&mut self, path: &str) -> Result<u64, ServeError> {
-        write_frame(&mut self.stream, MSG_RELOAD, &text_bytes(path))?;
-        match read_frame(&mut self.stream)? {
-            (MSG_OK, payload) => parse_ok(&payload),
-            (MSG_ERROR, payload) => Err(ServeError::Remote(parse_text(&payload)?)),
-            (kind, _) => Err(ServeError::UnknownMessage { kind }),
-        }
+        parse_ok(self.call(MSG_RELOAD, |b| put_text(b, path), MSG_OK)?)
     }
 
     /// Applies one upsert delta on the server's live generation; `id` may
     /// be [`crate::APPEND`] to let the server assign the next free id.
     /// Returns the new generation's ordinal and the resolved entity id.
     pub fn upsert(&mut self, id: u32, profile: &EntityProfile) -> Result<(u64, u32), ServeError> {
-        write_frame(&mut self.stream, MSG_UPSERT, &upsert_bytes(id, profile))?;
-        match read_frame(&mut self.stream)? {
-            (MSG_OK, payload) => parse_upsert_ok(&payload),
-            (MSG_ERROR, payload) => Err(ServeError::Remote(parse_text(&payload)?)),
-            (kind, _) => Err(ServeError::UnknownMessage { kind }),
-        }
+        parse_upsert_ok(self.call(MSG_UPSERT, |b| put_upsert(b, id, profile), MSG_OK)?)
     }
 
     /// Tombstones entity `id` on the server's live generation; returns the
     /// new generation's ordinal.
     pub fn delete(&mut self, id: u32) -> Result<u64, ServeError> {
-        write_frame(&mut self.stream, MSG_DELETE, &delete_bytes(id))?;
-        match read_frame(&mut self.stream)? {
-            (MSG_OK, payload) => parse_ok(&payload),
-            (MSG_ERROR, payload) => Err(ServeError::Remote(parse_text(&payload)?)),
-            (kind, _) => Err(ServeError::UnknownMessage { kind }),
-        }
+        parse_ok(self.call(MSG_DELETE, |b| put_delete(b, id), MSG_OK)?)
     }
 
     /// Asks the server to fold its applied deltas back into a clean arena,
@@ -546,21 +557,11 @@ impl Client {
     /// *server's* filesystem) and optionally persisting the compacted
     /// snapshot to `out`; returns the new generation's ordinal.
     pub fn compact(&mut self, bundle: &str, out: Option<&str>) -> Result<u64, ServeError> {
-        write_frame(&mut self.stream, MSG_COMPACT, &compact_bytes(bundle, out))?;
-        match read_frame(&mut self.stream)? {
-            (MSG_OK, payload) => parse_ok(&payload),
-            (MSG_ERROR, payload) => Err(ServeError::Remote(parse_text(&payload)?)),
-            (kind, _) => Err(ServeError::UnknownMessage { kind }),
-        }
+        parse_ok(self.call(MSG_COMPACT, |b| put_compact(b, bundle, out), MSG_OK)?)
     }
 
     /// Asks the server to drain and stop; returns the final generation.
     pub fn shutdown(mut self) -> Result<u64, ServeError> {
-        write_frame(&mut self.stream, MSG_SHUTDOWN, &[])?;
-        match read_frame(&mut self.stream)? {
-            (MSG_OK, payload) => parse_ok(&payload),
-            (MSG_ERROR, payload) => Err(ServeError::Remote(parse_text(&payload)?)),
-            (kind, _) => Err(ServeError::UnknownMessage { kind }),
-        }
+        parse_ok(self.call(MSG_SHUTDOWN, |_| {}, MSG_OK)?)
     }
 }

@@ -6,12 +6,16 @@
 //! serving), never a panic.
 
 use er_model::{EntityCollection, EntityId, EntityProfile};
-use mb_core::{PipelineConfig, Retention};
+use mb_core::{Noop, PipelineConfig, Retention};
 use mb_serve::protocol::{
-    parse_response, read_frame, read_hello, request_bytes, write_frame, MSG_ERROR, MSG_REQUEST,
-    MSG_RESPONSE, WIRE_MAGIC, WIRE_VERSION,
+    parse_response, parse_upsert_ok, read_frame, read_hello, request_bytes, response_bytes,
+    upsert_bytes, write_frame, MSG_ERROR, MSG_OK, MSG_REQUEST, MSG_RESPONSE, MSG_UPSERT,
+    WIRE_MAGIC, WIRE_VERSION,
 };
-use mb_serve::{CandidateRequest, Client, ServeError, Server, ServerConfig, Snapshot};
+use mb_serve::{
+    CandidateRequest, Client, DeltaOp, GenerationCell, QueryEngine, ServeError, Server,
+    ServerConfig, Snapshot, APPEND,
+};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
@@ -339,6 +343,80 @@ fn a_read_timeout_inside_a_frame_does_not_desynchronise_the_connection() {
     drop(client);
     let report = handle.shutdown();
     assert_eq!(report.meta("requests"), Some("4"));
+}
+
+/// The frames of `requests`, sent in one `write` on a raw connection. A
+/// server that lost one of them fails the test's read by this timeout
+/// instead of hanging it.
+fn pipelined(raw: &mut TcpStream, requests: &[(u8, Vec<u8>)]) {
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut wire = Vec::new();
+    for (kind, payload) in requests {
+        write_frame(&mut wire, *kind, payload).unwrap();
+    }
+    raw.write_all(&wire).unwrap();
+}
+
+/// Two requests in one segment: the server parses the second out of its
+/// buffer after answering the first, and the answers come back in order,
+/// each the bytes the in-process engine's response encodes to.
+#[test]
+fn requests_pipelined_in_one_write_are_answered_in_order() {
+    let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();
+    let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
+    assert_eq!(read_hello(&mut raw).unwrap(), 1);
+    let entity = CandidateRequest::entity(EntityId(0)).with_retention(Retention::TopK(2));
+    let probe = CandidateRequest::probe(EntityProfile::new("probe").with("name", "jack"), false);
+    pipelined(
+        &mut raw,
+        &[(MSG_REQUEST, request_bytes(&entity)), (MSG_REQUEST, request_bytes(&probe))],
+    );
+
+    let cell = GenerationCell::new(variant_snapshot(0)).unwrap();
+    let generation = cell.load();
+    let mut engine = QueryEngine::from_generation(&generation);
+    for request in [&entity, &probe] {
+        let mut expected = engine.execute(request, &mut Noop).unwrap();
+        expected.generation = 1;
+        let (kind, payload) = read_frame(&mut raw).unwrap();
+        assert_eq!(kind, MSG_RESPONSE, "{}", String::from_utf8_lossy(&payload));
+        assert!(payload == response_bytes(&expected), "{request:?}: response bytes differ");
+    }
+    drop(raw);
+    assert_eq!(handle.shutdown().meta("requests"), Some("2"));
+}
+
+/// An upsert and a read of the entity it appends, in one segment: the
+/// handler re-pins after the upsert before it parses the read out of its
+/// buffer, so the read is answered on the new generation.
+#[test]
+fn a_read_pipelined_behind_an_upsert_sees_the_new_generation() {
+    let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();
+    let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
+    read_hello(&mut raw).unwrap();
+    let newcomer = EntityProfile::new("p3").with("name", "jack miller");
+    // Entity 4 is the append: out of range on generation 1.
+    let read = CandidateRequest::entity(EntityId(4)).with_retention(Retention::TopK(usize::MAX));
+    pipelined(
+        &mut raw,
+        &[(MSG_UPSERT, upsert_bytes(APPEND, &newcomer)), (MSG_REQUEST, request_bytes(&read))],
+    );
+
+    let (kind, payload) = read_frame(&mut raw).unwrap();
+    assert_eq!(kind, MSG_OK, "{}", String::from_utf8_lossy(&payload));
+    assert_eq!(parse_upsert_ok(&payload).unwrap(), (2, 4));
+
+    let cell = GenerationCell::new(variant_snapshot(0)).unwrap();
+    cell.apply(DeltaOp::Upsert { id: APPEND, profile: newcomer }, &mut Noop).unwrap();
+    let generation = cell.load();
+    let mut expected = QueryEngine::from_generation(&generation).execute(&read, &mut Noop).unwrap();
+    expected.generation = 2;
+    let (kind, payload) = read_frame(&mut raw).unwrap();
+    assert_eq!(kind, MSG_RESPONSE, "{}", String::from_utf8_lossy(&payload));
+    assert!(payload == response_bytes(&expected), "response bytes differ");
+    let ids: Vec<u32> = expected.first().unwrap().candidates.iter().map(|c| c.id.0).collect();
+    assert_eq!(ids.len(), 2, "the newcomer pairs with both jack millers: {ids:?}");
+    handle.shutdown();
 }
 
 #[test]

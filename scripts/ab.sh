@@ -35,6 +35,12 @@
 # `small_sort_network` instance — and one line, `kernel codegen: same` or
 # `DIFFERS`. The list covers the whole binary, so a change that adds a sort
 # of its own also reads DIFFERS: compare the lines to see which symbol moved.
+# The line after it, `kernel code: same` or `DIFFERS`, settles it: it
+# compares the machine code (`objdump -d`) of the two kernels' call trees —
+# `calibrate::slowdown` and `calibrate::Kernel::slowdown` and what they
+# call, three calls deep — with addresses masked, and on DIFFERS names the
+# functions whose code changed. A fingerprint that differs in a sort
+# instance the kernels never call reads `kernel code: same`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,6 +100,47 @@ fingerprint() {
       print line
     }'
 }
+# kernel_code SIDE: the calibration kernels' call trees, three calls deep,
+# one "function<TAB>instruction" line per instruction. Addresses, GOT and
+# data offsets and the hashes in compiler-generated names are masked, so
+# two builds compare equal exactly when the instructions are.
+kernel_code() {
+  objdump -d --no-show-raw-insn -C "$work/$1/benchmark/target/release/erbench" | awk -v depth=3 '
+    /^[0-9a-f]+ <.*>:$/ {
+      at = $1; sub(/^0+/, "", at)
+      name = $0; sub(/^[0-9a-f]+ </, "", name); sub(/>:$/, "", name); names[at] = name
+      if (name == "erbench::calibrate::slowdown" || name == "erbench::calibrate::Kernel::slowdown") roots[++nroots] = at
+      next
+    }
+    /^ +[0-9a-f]+:\t/ && at != "" { body[at] = body[at] $0 "\n" }
+    END {
+      n = 0
+      for (i = 1; i <= nroots; i++) { queue[++n] = roots[i]; level[roots[i]] = 0 }
+      for (q = 1; q <= n; q++) {
+        f = queue[q]; k = split(body[f], lines, "\n")
+        for (j = 1; j < k; j++) {
+          line = lines[j]
+          # A direct call or tail jump to another function: walk it next.
+          if (level[f] < depth && line ~ /\t(call|jmp) +[0-9a-f]+ </) {
+            t = line; sub(/^.*\t(call|jmp) +/, "", t); sub(/ .*/, "", t)
+            if ((t in names) && !(t in level)) { level[t] = level[f] + 1; queue[++n] = t }
+          }
+          sub(/^ +[0-9a-f]+:\t/, "", line)
+          gsub(/0x[0-9a-f]+\(%rip\)/, "X(%rip)", line)
+          c = index(line, "# ")
+          if (c > 0) {
+            comment = substr(line, c); line = substr(line, 1, c - 1)
+            gsub(/[0-9a-f]+ </, "<", comment); gsub(/\+0x[0-9a-f]+>/, ">", comment)
+            line = line comment
+          }
+          gsub(/[0-9a-f]+ </, "<", line)
+          gsub(/anon\.[0-9a-f]+\.[0-9]+/, "anon", line); gsub(/\.llvm\.[0-9]+/, "", line)
+          gsub(/[ \t]+/, " ", line)
+          print names[f] "\t" line
+        }
+      }
+    }'
+}
 prints="$work/fingerprints"
 if command -v nm >/dev/null 2>&1; then
   for side in parent change; do fingerprint "$side" >"$work/$side.fingerprint"; done
@@ -109,6 +156,17 @@ if command -v nm >/dev/null 2>&1; then
   } >"$prints"
 else
   echo "kernel codegen: not compared (no nm on this host)" >"$prints"
+fi
+if command -v objdump >/dev/null 2>&1; then
+  for side in parent change; do kernel_code "$side" >"$work/$side.code"; done
+  if cmp -s "$work/parent.code" "$work/change.code"; then
+    echo "kernel code: same" >>"$prints"
+  else
+    echo "kernel code: DIFFERS in $(diff "$work/parent.code" "$work/change.code" \
+      | sed -n 's/^[<>] \([^\t]*\)\t.*/\1/p' | sort -u | paste -sd ';' - | sed 's/;/; /g')" >>"$prints"
+  fi
+else
+  echo "kernel code: not compared (no objdump on this host)" >>"$prints"
 fi
 
 # run SIDE WORKLOAD PAIR: one measured run; appends "workload side pair name value" rows.

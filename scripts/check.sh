@@ -103,6 +103,15 @@ if grep -nE 'pub (name|value): String|Vec<Attribute' crates/er-model/src/profile
   echo "profile.rs stores owned per-pair fields again (keep one buffer plus u32 ends)" >&2; exit 1
 fi
 
+echo "==> one recv per frame (structural guard on crates/serve/src/server.rs)"
+# A connection — the server's handler and `Client` alike — reads through its
+# `FrameReader` and writes through its `FrameWriter`: `read_frame` is two
+# `recv`s and a payload allocation per frame, `write_frame` an allocation per
+# frame, and neither may come back on the serving path.
+if grep -nE 'read_frame\(|write_frame\(' crates/serve/src/server.rs; then
+  echo "server.rs frames through read_frame/write_frame again (use FrameReader/FrameWriter)" >&2; exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
