@@ -260,7 +260,7 @@ fn fill(r: &mut impl Read, buf: &mut [u8], filled: &mut usize) -> Result<(), Ser
 /// The stream is a `dyn Read` so that there is one body, compiled here for
 /// the server and the client alike, and nothing for a crate downstream to
 /// instantiate (DESIGN.md §9's generic-body caveat).
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct FrameReader {
     /// Initialised throughout, so a read goes straight into `buf[end..]`;
     /// `buf[start..end]` is read and not yet handed out.
@@ -353,9 +353,27 @@ impl FrameReader {
 /// their own. A frame larger than [`FRAME_BUFFER`] is sent and its memory
 /// handed back. The stream is a `dyn Write` for the reason
 /// [`FrameReader`]'s is a `dyn Read`.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct FrameWriter {
     buf: Vec<u8>,
+}
+
+// The buffers' bytes are left out: a connection's `Debug` would otherwise
+// print kilobytes of them.
+impl std::fmt::Debug for FrameReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameReader")
+            .field("start", &self.start)
+            .field("end", &self.end)
+            .field("capacity", &self.buf.len())
+            .finish()
+    }
+}
+
+impl std::fmt::Debug for FrameWriter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameWriter").field("capacity", &self.buf.capacity()).finish()
+    }
 }
 
 impl FrameWriter {
@@ -835,39 +853,63 @@ mod tests {
         }
     }
 
+    /// Reads the two frames of `wire` through a peer that times out before
+    /// each of the chunks `cuts` splits it into; returns the timeouts seen.
+    fn read_two_frames_cut_at(wire: &[u8], cuts: &[usize]) -> usize {
+        let mut chunks = std::collections::VecDeque::new();
+        let mut taken = 0;
+        for &cut in cuts.iter().chain([&wire.len()]) {
+            chunks.push_back(&wire[taken..cut]);
+            taken = cut;
+        }
+        let mut peer = Stuttering { chunks, timed_out: false };
+        let mut frames = FrameReader::default();
+        let mut read = Vec::new();
+        let mut timeouts = 0;
+        while read.len() < 2 {
+            match frames.read(&mut peer) {
+                Ok((kind, payload)) => read.push((kind, payload.to_vec())),
+                Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    timeouts += 1;
+                }
+                Err(e) => panic!("cuts {cuts:?}: {e}"),
+            }
+        }
+        assert_eq!(read[0], (MSG_REQUEST, b"resumable payload".to_vec()), "cuts {cuts:?}");
+        assert_eq!(read[1], (MSG_SHUTDOWN, Vec::new()), "cuts {cuts:?}");
+        // The stream ends between frames: a clean disconnect.
+        let end = loop {
+            match frames.read(&mut peer) {
+                Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                other => break other.map(|(kind, payload)| (kind, payload.to_vec())),
+            }
+        };
+        assert!(matches!(end, Err(ServeError::Disconnected)), "cuts {cuts:?}: {end:?}");
+        timeouts
+    }
+
     #[test]
     fn frame_reader_resumes_after_a_timeout_anywhere_in_the_frame() {
         let mut wire = Vec::new();
         write_frame(&mut wire, MSG_REQUEST, b"resumable payload").unwrap();
         write_frame(&mut wire, MSG_SHUTDOWN, b"").unwrap();
-        // Every cut of the two frames: inside either header, at either
-        // header's end, inside the payload, between the frames.
-        for cut in 1..wire.len() {
-            let chunks = [&wire[..cut], &wire[cut..]].into_iter().collect();
-            let mut peer = Stuttering { chunks, timed_out: false };
-            let mut frames = FrameReader::default();
-            let mut read = Vec::new();
-            let mut timeouts = 0;
-            while read.len() < 2 {
-                match frames.read(&mut peer) {
-                    Ok((kind, payload)) => read.push((kind, payload.to_vec())),
-                    Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        timeouts += 1;
-                    }
-                    Err(e) => panic!("cut at {cut}: {e}"),
-                }
-            }
-            assert_eq!(timeouts, 2, "cut at {cut}: each chunk follows a timeout");
-            assert_eq!(read[0], (MSG_REQUEST, b"resumable payload".to_vec()), "cut at {cut}");
-            assert_eq!(read[1], (MSG_SHUTDOWN, Vec::new()), "cut at {cut}");
-            // The stream ends between frames: a clean disconnect.
-            let end = loop {
-                match frames.read(&mut peer) {
-                    Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    other => break other.map(|(kind, payload)| (kind, payload.to_vec())),
-                }
-            };
-            assert!(matches!(end, Err(ServeError::Disconnected)), "cut at {cut}: {end:?}");
+        // Every cut and every pair of cuts of the two frames: inside
+        // either header, at either header's end, inside the payload,
+        // between the frames, and twice within one frame. Then one cut in
+        // each of the first header, the first payload and the second
+        // header, and every byte its own chunk. Each chunk follows exactly
+        // one timeout.
+        let offsets = 1..wire.len();
+        let mut cut_sets: Vec<Vec<usize>> = offsets.clone().map(|cut| vec![cut]).collect();
+        for first in offsets.clone() {
+            cut_sets.extend((first + 1..wire.len()).map(|second| vec![first, second]));
+        }
+        let second_frame = FRAME_HEADER + b"resumable payload".len();
+        cut_sets.push(vec![5, 16, second_frame + 2]);
+        cut_sets.push(offsets.collect());
+        for cuts in &cut_sets {
+            let timeouts = read_two_frames_cut_at(&wire, cuts);
+            assert_eq!(timeouts, cuts.len() + 1, "cuts {cuts:?}: each chunk follows a timeout");
         }
     }
 
@@ -949,6 +991,10 @@ mod tests {
         assert!(frames.buf.capacity() > FRAME_BUFFER);
         assert_eq!(frames.read(&mut peer).unwrap(), (MSG_RESPONSE, &b"small again"[..]));
         assert_eq!(frames.buf.capacity(), FRAME_BUFFER);
+        // `Debug` names the buffers' sizes, never their bytes.
+        let shown = format!("{frames:?} {out:?}");
+        assert!(shown.len() < 120, "{shown}");
+        assert!(shown.contains(&format!("capacity: {FRAME_BUFFER}")), "{shown}");
     }
 
     #[test]

@@ -230,8 +230,9 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeError> {
     // Accepted sockets inherit the listener's non-blocking mode; handlers
     // want blocking reads bounded by the configured timeout. Frames are
-    // small and the protocol is strictly request/response, so Nagle's
-    // algorithm only adds delayed-ACK stalls — disable it.
+    // answered in order, one reply each, and a peer may pipeline; every
+    // reply is small, so Nagle's algorithm only adds delayed-ACK stalls —
+    // disable it.
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(shared.config.read_timeout))?;
     stream.set_nodelay(true)?;

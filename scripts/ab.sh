@@ -28,19 +28,17 @@
 # throughput and p50 before that scaling: a metric that moved while its
 # as-measured row did not is the kernel's shift, not the program's.
 #
-# Under the slowdown rows comes each side's calibration-kernel fingerprint:
-# the sizes (`nm -S -C` on the two `erbench` binaries) of the functions the
-# kernel runs — SipHash's `write` (or "inlined"), `StepBy::spec_fold`, the
-# `calibrate` functions themselves, and every unstable `quicksort` /
-# `small_sort_network` instance — and one line, `kernel codegen: same` or
-# `DIFFERS`. The list covers the whole binary, so a change that adds a sort
-# of its own also reads DIFFERS: compare the lines to see which symbol moved.
-# The line after it, `kernel code: same` or `DIFFERS`, settles it: it
-# compares the machine code (`objdump -d`) of the two kernels' call trees —
-# `calibrate::slowdown` and `calibrate::Kernel::slowdown` and what they
-# call, three calls deep — with addresses masked, and on DIFFERS names the
-# functions whose code changed. A fingerprint that differs in a sort
-# instance the kernels never call reads `kernel code: same`.
+# Under the slowdown rows comes one verdict, `kernel code: same` or
+# `DIFFERS in …`: it compares the machine code (`objdump -d`) of the two
+# calibration kernels' call trees — `calibrate::slowdown` and
+# `calibrate::Kernel::slowdown` and what they call, three calls deep — with
+# addresses masked, and on DIFFERS names the functions whose code changed.
+# Above it, as a diagnostic only, each side's size listing (`nm -S -C` on the
+# two `erbench` binaries) of the functions the kernel may run — SipHash's
+# `write` (or "inlined"), `StepBy::spec_fold`, the `calibrate` functions
+# themselves, and every unstable `quicksort` / `small_sort_network`
+# instance. The listing covers the whole binary, so it also moves when a
+# change touches a sort instance the kernels never call.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -142,20 +140,11 @@ kernel_code() {
     }'
 }
 prints="$work/fingerprints"
+: >"$prints"
 if command -v nm >/dev/null 2>&1; then
-  for side in parent change; do fingerprint "$side" >"$work/$side.fingerprint"; done
-  {
-    for side in parent change; do
-      sed "s/^/kernel fingerprint, $side: /" "$work/$side.fingerprint"
-    done
-    if cmp -s "$work/parent.fingerprint" "$work/change.fingerprint"; then
-      echo "kernel codegen: same"
-    else
-      echo "kernel codegen: DIFFERS"
-    fi
-  } >"$prints"
-else
-  echo "kernel codegen: not compared (no nm on this host)" >"$prints"
+  for side in parent change; do
+    fingerprint "$side" | sed "s/^/kernel fingerprint, $side: /" >>"$prints"
+  done
 fi
 if command -v objdump >/dev/null 2>&1; then
   for side in parent change; do kernel_code "$side" >"$work/$side.code"; done
