@@ -800,14 +800,14 @@ mod tests {
         // Plain inspect is the header-only fast path: version, file size
         // and the section table, nothing decoded.
         let info = snapshot(&argv(&["snapshot", "inspect", "--snapshot", snap_s])).unwrap();
-        assert!(info.contains("format version:     4"), "{info}");
+        assert!(info.contains("format version:     5"), "{info}");
         assert!(info.contains("file size:"), "{info}");
         assert!(info.contains("tokblob"), "{info}");
         assert!(!info.contains("CNP threshold"), "{info}");
 
         let full =
             snapshot(&argv(&["snapshot", "inspect", "--snapshot", snap_s, "--full"])).unwrap();
-        assert!(full.contains("format version:     4"), "{full}");
+        assert!(full.contains("format version:     5"), "{full}");
         assert!(full.contains("CleanClean ER"), "{full}");
         assert!(full.contains("CNP threshold"), "{full}");
         assert!(full.contains("\"weighting\":\"cbs\""), "{full}");

@@ -371,7 +371,7 @@ impl BlockCollection {
     /// The raw CSR arena: `(members, offsets, splits)` — block `k`'s members
     /// are `members[offsets[k]..offsets[k + 1]]` with the left/right boundary
     /// at `splits[k]`. This is the serialization view; the snapshot codec
-    /// persists exactly these three arrays.
+    /// persists the first two, and its loader derives the splits.
     pub fn raw_parts(&self) -> (&[EntityId], &[u32], &[u32]) {
         (&self.members, &self.offsets, &self.splits)
     }

@@ -26,7 +26,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Four-lane word-wise FNV-1a 64 — the section checksum of the aligned
-/// `MBSNAP04` layout.
+/// `MBSNAP05` layout.
 ///
 /// Sections are zero-padded to 8-byte multiples, so the checksum hashes
 /// `u64` words instead of bytes; interleaving the words round-robin over

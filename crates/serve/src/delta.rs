@@ -33,7 +33,7 @@
 //!
 //! # Persistence
 //!
-//! Ops persist as `delta` sections (id 10) appended after the nine canonical
+//! Ops persist as `delta` sections (id 7) appended after the six canonical
 //! sections — see the [`crate::snapshot`] module docs. [`encode_delta_run`]
 //! / [`decode_delta_run`] speak the section payload, and
 //! [`append_delta_run`] re-frames a loaded snapshot with one more run under
@@ -470,9 +470,8 @@ impl DeltaOverlay {
             // A base entity touched for the first time: its blocks are the
             // arena's, and it waits nowhere.
             None if (id as usize) < self.base_entities => {
-                let lo = view.idx_offsets().get(id as usize) as usize;
-                let hi = view.idx_offsets().get(id as usize + 1) as usize;
-                EntityEntry { blocks: view.lists().slice(lo, hi).to_vec(), waiting: Vec::new() }
+                let blocks = view.index().block_list(EntityId(id)).to_vec();
+                EntityEntry { blocks, waiting: Vec::new() }
             }
             None => EntityEntry::default(),
         };

@@ -3,9 +3,10 @@
 //! A [`QueryEngine`] is constructed once per loaded [`SnapshotView`] (or
 //! per pinned [`Generation`] over one) and then answers any number of
 //! queries without touching the blocking front-end again: indexed
-//! entities are scored straight off the persisted index, and unseen *probe*
-//! profiles are tokenized against the snapshot's frozen vocabulary and
-//! mapped through the per-block key provenance onto the surviving blocks.
+//! entities are scored straight off the entity index load derived, and
+//! unseen *probe* profiles are tokenized against the snapshot's frozen
+//! vocabulary and mapped through the per-block key provenance onto the
+//! surviving blocks.
 //!
 //! Candidate scoring, retention, and ordering are shared with the batch
 //! pipeline (`mb_core::NeighborhoodScorer`, generic over the storage), so an

@@ -1,17 +1,19 @@
 //! The versioned snapshot format and its one builder, [`Snapshot::build`].
 //!
-//! A snapshot freezes everything the online query path needs — the filtered
-//! block collection, the entity index over it, the blocking vocabulary with
-//! per-block key provenance, and the pipeline configuration plus derived
-//! thresholds — so a serving process reconstructs the query state without
-//! re-running blocking, filtering, or index construction. The build runs
+//! A snapshot freezes what the online query path cannot derive — the
+//! filtered block collection, the blocking vocabulary with per-block key
+//! provenance, and the pipeline configuration plus derived thresholds — so
+//! a serving process reconstructs the query state without re-running
+//! blocking or filtering. What the blocks determine is not stored: the
+//! loader derives each block's side split and inverts the blocks into the
+//! entity index in one linear pass (the paper's Algorithm 3). The build runs
 //! the batch front end in memory: Token Blocking's postings, grouped by
 //! counting (`er_blocking::KeyBlockBuilder`), then Block Filtering.
 //!
-//! # Layout (format version 4)
+//! # Layout (format version 5)
 //!
 //! ```text
-//! header:  magic "MBSNAP04" | version u32 = 4 | section_count u32
+//! header:  magic "MBSNAP05" | version u32 = 5 | section_count u32
 //! table:   section_count entries, 32 bytes each:
 //!          id u32 | reserved u32 = 0 | offset u64 | len u64 | checksum u64
 //! payloads: contiguous, in table order, each starting on an 8-byte file
@@ -19,7 +21,7 @@
 //! ```
 //!
 //! `offset` is absolute, `len` is the unpadded payload length, and
-//! `checksum` is word-wise FNV-1a 64 over the *padded* region. The nine
+//! `checksum` is word-wise FNV-1a 64 over the *padded* region. The six
 //! canonical sections are required, unique, and appear in exactly this
 //! canonical order:
 //!
@@ -28,19 +30,21 @@
 //! | 1  | meta        | kind u32, reserved u32, |E| u64, split u64, CNP k u64, CEP K u64, ‖B‖ u64, Σ|b| u64, config JSON |
 //! | 2  | members     | CSR arena member pool (`u32` vector)                |
 //! | 3  | offsets     | CSR arena block offsets (`u32` vector)              |
-//! | 4  | splits      | CSR arena split offsets (`u32` vector)              |
-//! | 5  | indexlists  | flat entity-index block ids (`u32` vector)          |
-//! | 6  | indexoffs   | flat entity-index offsets (`u32` vector)            |
-//! | 7  | tokoffsets  | V+1 byte offsets into `tokblob` (`u32` vector)      |
-//! | 8  | tokblob     | UTF-8 token bytes concatenated in id order          |
-//! | 9  | blockkeys   | one interned token id per block, in block order     |
+//! | 4  | tokoffsets  | V+1 byte offsets into `tokblob` (`u32` vector)      |
+//! | 5  | tokblob     | UTF-8 token bytes concatenated in id order          |
+//! | 6  | blockkeys   | one interned token id per block, in block order     |
 //!
-//! Nothing about token *lookup* is persisted: the loader seats the
-//! vocabulary of sections 7–8 into a hash table of its own
+//! Every block's run of `members` is strictly ascending. A Clean-Clean
+//! block's run is its E₁ members, all below the collection split, then its
+//! E₂ members, so its side boundary is the run's partition point at
+//! `meta.split`; a Dirty block is all one side.
+//!
+//! Nothing about token *lookup* is persisted either: the loader seats the
+//! vocabulary of sections 4–5 into a hash table of its own
 //! ([`crate::view::SnapshotView::find_token`]), so the format pins no hash
 //! function and the encoder sorts nothing.
 //!
-//! After the canonical nine, any number of **delta run** sections (id 10,
+//! After the canonical six, any number of **delta run** sections (id 7,
 //! name `delta`) may follow — the write-ahead log of
 //! [`crate::delta::DeltaOp`] mutations applied since the canonical arena
 //! was built. Delta runs obey the same table discipline (contiguous,
@@ -53,54 +57,50 @@
 //! loader ([`crate::view::SnapshotView`]) relies on: it verifies the table,
 //! the checksums and every structural and cross-section invariant, then
 //! *borrows* the big arrays straight out of the loaded buffer instead of
-//! decoding them. This module only builds and encodes; `SnapshotView` is
-//! the one way bytes become a queryable index.
+//! decoding them, and derives the splits and the entity index from them.
+//! This module only builds and encodes; `SnapshotView` is the one way
+//! bytes become a queryable index.
 //!
-//! Earlier-version files (magic `MBSNAP01`–`MBSNAP03`; version 3 carried a
-//! persisted byte-order permutation of the vocabulary as its section 9) are
-//! rejected with a typed [`SnapshotError::UnsupportedVersion`]: readers
-//! accept exactly the version they know and never guess at another layout.
+//! Earlier-version files (magic `MBSNAP01`–`MBSNAP04`; version 4 carried
+//! the block splits and the entity index as sections of their own, version
+//! 3 also a byte-order permutation of the vocabulary) are rejected with a
+//! typed [`SnapshotError::UnsupportedVersion`]: readers accept exactly the
+//! version they know and never guess at another layout.
 
 use crate::codec::{fnv1a_wide, padded_len, put_bytes, put_u32, put_u32_slice, put_u64, Reader};
 use crate::error::SnapshotError;
 use er_blocking::TokenBlocking;
 use er_model::tokenize::KeyArena;
-use er_model::{BlockCollection, EntityCollection, EntityIndex, ErKind};
+use er_model::{BlockCollection, EntityCollection, ErKind};
 use mb_core::filter::block_filtering_traced;
 use mb_core::prune::{cep_threshold_from_counts, cnp_threshold_from_counts};
 use mb_core::PipelineConfig;
 use std::path::Path;
 
 /// The snapshot file magic.
-pub const MAGIC: [u8; 8] = *b"MBSNAP04";
+pub const MAGIC: [u8; 8] = *b"MBSNAP05";
 
 /// The one format version this build reads and writes.
 ///
 /// Policy: bump on any layout change, including compatible additions — a
 /// reader never guesses at bytes laid out by a version it does not know.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 pub(crate) const SECTION_META: u32 = 1;
 pub(crate) const SECTION_MEMBERS: u32 = 2;
 pub(crate) const SECTION_OFFSETS: u32 = 3;
-pub(crate) const SECTION_SPLITS: u32 = 4;
-pub(crate) const SECTION_INDEX_LISTS: u32 = 5;
-pub(crate) const SECTION_INDEX_OFFSETS: u32 = 6;
-pub(crate) const SECTION_TOK_OFFSETS: u32 = 7;
-pub(crate) const SECTION_TOK_BLOB: u32 = 8;
-pub(crate) const SECTION_BLOCKKEYS: u32 = 9;
+pub(crate) const SECTION_TOK_OFFSETS: u32 = 4;
+pub(crate) const SECTION_TOK_BLOB: u32 = 5;
+pub(crate) const SECTION_BLOCKKEYS: u32 = 6;
 /// The repeatable write-ahead delta-run section (any count, always last).
-pub(crate) const SECTION_DELTA: u32 = 10;
+pub(crate) const SECTION_DELTA: u32 = 7;
 
 /// All section ids with their display names, in canonical (and mandatory)
 /// file order.
-pub(crate) const SECTIONS: [(u32, &str); 9] = [
+pub(crate) const SECTIONS: [(u32, &str); 6] = [
     (SECTION_META, "meta"),
     (SECTION_MEMBERS, "members"),
     (SECTION_OFFSETS, "offsets"),
-    (SECTION_SPLITS, "splits"),
-    (SECTION_INDEX_LISTS, "indexlists"),
-    (SECTION_INDEX_OFFSETS, "indexoffs"),
     (SECTION_TOK_OFFSETS, "tokoffsets"),
     (SECTION_TOK_BLOB, "tokblob"),
     (SECTION_BLOCKKEYS, "blockkeys"),
@@ -156,7 +156,7 @@ fn classify_magic(magic: &[u8]) -> SnapshotError {
 ///
 /// `head` must hold at least the header and table bytes (it may be the whole
 /// file); `file_len` is the total file length the table is checked against.
-/// On success the first nine entries are canonical — ids in order, offsets
+/// On success the first six entries are canonical — ids in order, offsets
 /// contiguous and 8-aligned starting right after the table — and every
 /// entry past them is a [`SECTION_DELTA`] run, with the padded payloads
 /// ending exactly at `file_len`. Checksums are *not* verified here — see
@@ -210,7 +210,7 @@ pub(crate) fn parse_table(
                     None => SnapshotError::UnknownSection { id: got },
                 });
             }
-            // Everything past the canonical nine must be a delta run.
+            // Everything past the canonical six must be a delta run.
             None if got == SECTION_DELTA => "delta",
             None => {
                 return Err(match section_name(got) {
@@ -441,7 +441,6 @@ impl SnapshotHeader {
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     blocks: BlockCollection,
-    index: EntityIndex,
     split: usize,
     /// The blocking vocabulary, indexed by interned token id: the
     /// interner's own arena, which is the `tokoffsets` + `tokblob` sections.
@@ -460,8 +459,8 @@ impl Snapshot {
     /// when `config.filter_ratio` is set) over `collection` and freezes the
     /// result.
     ///
-    /// The block collection, index, thresholds and provenance are exactly
-    /// what the batch pipeline would compute for the same configuration.
+    /// The block collection, thresholds and provenance are exactly what the
+    /// batch pipeline would compute for the same configuration.
     pub fn build(
         collection: &EntityCollection,
         config: PipelineConfig,
@@ -479,7 +478,6 @@ impl Snapshot {
         // lint:allow(panic-reachability) in range: the filter trace indexes
         // the pre-filter blocks, and keys has one entry per pre-filter block.
         let block_keys: Vec<u32> = trace.iter().map(|&k| keys[k as usize]).collect();
-        let index = EntityIndex::build_parallel(&blocks, config.effective_threads());
         let (total_comparisons, total_assignments) =
             (blocks.total_comparisons(), blocks.total_assignments());
         // The same mb-core formulas batch pruning uses.
@@ -487,7 +485,6 @@ impl Snapshot {
         let cep = cep_threshold_from_counts(total_assignments);
         Ok(Snapshot {
             blocks,
-            index,
             split: collection.split(),
             tokens,
             block_keys,
@@ -502,11 +499,6 @@ impl Snapshot {
     /// The filtered block collection.
     pub fn blocks(&self) -> &BlockCollection {
         &self.blocks
-    }
-
-    /// The persisted entity index over [`Snapshot::blocks`].
-    pub fn index(&self) -> &EntityIndex {
-        &self.index
     }
 
     /// The ER task kind.
@@ -560,7 +552,7 @@ impl Snapshot {
         self.total_assignments
     }
 
-    /// Encodes the snapshot into the versioned binary format: the nine
+    /// Encodes the snapshot into the versioned binary format: the six
     /// canonical sections, no delta runs.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payloads: Vec<(u32, Vec<u8>)> =
@@ -597,18 +589,6 @@ impl Snapshot {
             }
             SECTION_OFFSETS => {
                 let (_, offsets, _) = self.blocks.raw_parts();
-                put_u32_slice(&mut p, offsets);
-            }
-            SECTION_SPLITS => {
-                let (_, _, splits) = self.blocks.raw_parts();
-                put_u32_slice(&mut p, splits);
-            }
-            SECTION_INDEX_LISTS => {
-                let (lists, _) = self.index.raw_parts();
-                put_u32_slice(&mut p, lists);
-            }
-            SECTION_INDEX_OFFSETS => {
-                let (_, offsets) = self.index.raw_parts();
                 put_u32_slice(&mut p, offsets);
             }
             SECTION_TOK_OFFSETS => {
@@ -673,7 +653,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// Frames finished section payloads into the canonical byte layout:
 /// header, table, then payloads contiguously, each 8-aligned and
 /// zero-padded, with wide-FNV checksums over the padded regions. Callers
-/// pass the nine canonical sections in order, optionally followed by any
+/// pass the six canonical sections in order, optionally followed by any
 /// number of [`SECTION_DELTA`] runs.
 pub(crate) fn frame_sections(payloads: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let table_end = HEADER_LEN + payloads.len() * TABLE_ENTRY_LEN;
@@ -712,10 +692,12 @@ mod tests {
 
     #[test]
     fn older_magics_report_unsupported_version() {
-        for (magic, version) in [(b"MBSNAP01", 1), (b"MBSNAP02", 2), (b"MBSNAP03", 3)] {
+        for (magic, version) in
+            [(b"MBSNAP01", 1), (b"MBSNAP02", 2), (b"MBSNAP03", 3), (b"MBSNAP04", 4)]
+        {
             let err = classify_magic(magic);
             assert!(
-                matches!(err, SnapshotError::UnsupportedVersion { found, supported: 4 }
+                matches!(err, SnapshotError::UnsupportedVersion { found, supported: 5 }
                     if found == version),
                 "{err:?}"
             );

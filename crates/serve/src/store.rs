@@ -1,14 +1,14 @@
 //! The storage adapter between a loaded snapshot and the scoring core.
 //!
 //! [`EngineStore`] is a flat, `Copy` [`CandidateStore`] over a
-//! [`SnapshotView`]: five borrowed array views plus three scalars. The
-//! scoring core (`mb_core::NeighborhoodScorer`) is generic over
-//! [`CandidateStore`], so the serve path runs the exact scan loops the batch
-//! pipeline does and returns bit-identical candidates.
+//! [`SnapshotView`]: three array views and the view's entity index, plus
+//! three scalars. The scoring core (`mb_core::NeighborhoodScorer`) is
+//! generic over [`CandidateStore`], so the serve path runs the exact scan
+//! loops the batch pipeline does and returns bit-identical candidates.
 
 use crate::delta::DeltaOverlay;
 use crate::view::SnapshotView;
-use er_model::{EntityId, ErKind, U32s};
+use er_model::{EntityId, EntityIndex, ErKind, U32s};
 use mb_core::CandidateStore;
 
 /// A flat candidate store over borrowed snapshot arrays, optionally
@@ -33,10 +33,8 @@ pub(crate) struct EngineStore<'s> {
     offsets: U32s<'s>,
     /// Absolute split offsets (one per block; `== hi` for Dirty).
     splits: U32s<'s>,
-    /// Flat entity-index postings.
-    lists: U32s<'s>,
-    /// Entity-index offsets (base `|E| + 1`).
-    idx_offsets: U32s<'s>,
+    /// The base entity index, inverted from the arena at load.
+    index: &'s EntityIndex,
     /// The generation's delta side-table, when any ops are applied.
     overlay: Option<&'s DeltaOverlay>,
 }
@@ -50,8 +48,7 @@ impl<'s> EngineStore<'s> {
             members: v.members(),
             offsets: v.offsets(),
             splits: v.splits(),
-            lists: v.lists(),
-            idx_offsets: v.idx_offsets(),
+            index: v.index(),
             overlay: None,
         }
     }
@@ -73,7 +70,7 @@ impl<'s> EngineStore<'s> {
 
     /// Base (arena) collection size, regardless of overlay appends.
     fn base_entities(&self) -> usize {
-        self.idx_offsets.len().saturating_sub(1)
+        self.index.num_entities()
     }
 
     /// The block's `(lo, split, hi)` member-pool bracket.
@@ -116,9 +113,7 @@ impl CandidateStore for EngineStore<'_> {
                 return U32s::EMPTY;
             }
         }
-        let lo = self.idx_offsets.get(id.0 as usize) as usize;
-        let hi = self.idx_offsets.get(id.0 as usize + 1) as usize;
-        self.lists.slice(lo, hi)
+        U32s::Native(self.index.block_list(id))
     }
 
     fn members_of(&self, block: usize, scan_right: bool) -> U32s<'_> {
@@ -176,7 +171,7 @@ mod tests {
         let snapshot = fixture();
         let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
         let store = EngineStore::from_view(&view);
-        let (blocks, index) = (snapshot.blocks(), snapshot.index());
+        let (blocks, index) = (snapshot.blocks(), EntityIndex::build(snapshot.blocks()));
         assert_eq!(store.kind(), snapshot.kind());
         assert_eq!(store.num_entities(), snapshot.num_entities());
         assert_eq!(store.num_blocks(), blocks.size());

@@ -95,6 +95,14 @@ if grep -rnE 'SpillSort|fn build_out_of_core|fn stream_postings' crates/serve/sr
   echo "a second snapshot build path is back (Snapshot::build is the one build)" >&2; exit 1
 fi
 
+echo "==> a snapshot stores only what load cannot derive (structural guard on crates/serve/src)"
+# The block splits and the entity index are derived at load, the index by
+# `EntityIndex::from_arena` (the routine `EntityIndex::build` runs): a
+# persisted split or index section must not come back.
+if grep -rnE 'indexlists|indexoffs|SECTION_SPLITS|SECTION_INDEX' crates/serve/src; then
+  echo "a snapshot persists what load derives again (splits and index come from the arena)" >&2; exit 1
+fi
+
 echo "==> a profile is one buffer (structural guard on crates/er-model/src/profile.rs)"
 # `EntityProfile` keeps its uri, names and values back to back in one
 # `String` behind `u32` end offsets: an owned per-pair field would bring two
@@ -126,23 +134,23 @@ cargo run -q --release -p er-cli -- snapshot build --dataset "$SMOKE_DIR" \
   --out "$SMOKE_DIR/index.mbsnap" --scheme cbs --pruning cnp --filter 0.8
 cargo run -q --release -p er-cli -- snapshot inspect --snapshot "$SMOKE_DIR/index.mbsnap" \
   | tee "$SMOKE_DIR/inspect.txt"
-grep -Eq '^format version: +4$' "$SMOKE_DIR/inspect.txt" \
-  && grep -Eq '^sections: +9$' "$SMOKE_DIR/inspect.txt" \
-  || { echo "inspect did not report format version 4 with 9 sections" >&2; exit 1; }
+grep -Eq '^format version: +5$' "$SMOKE_DIR/inspect.txt" \
+  && grep -Eq '^sections: +6$' "$SMOKE_DIR/inspect.txt" \
+  || { echo "inspect did not report format version 5 with 6 sections" >&2; exit 1; }
 cargo run -q --release -p er-cli -- snapshot inspect --snapshot "$SMOKE_DIR/index.mbsnap" --full
 cargo run -q --release -p er-cli -- query --snapshot "$SMOKE_DIR/index.mbsnap" \
   --entity 0 --top 5
-# A file of the previous format (the magic's last digit patched to 3) is
+# A file of the previous format (the magic's last digit patched to 4) is
 # refused by name, by the header-only reader and by the full loader alike.
-cp "$SMOKE_DIR/index.mbsnap" "$SMOKE_DIR/v3.mbsnap"
-printf '3' | dd of="$SMOKE_DIR/v3.mbsnap" bs=1 seek=7 conv=notrunc status=none
-for refused in "snapshot inspect --snapshot $SMOKE_DIR/v3.mbsnap" \
-               "query --snapshot $SMOKE_DIR/v3.mbsnap --entity 0 --top 5"; do
+cp "$SMOKE_DIR/index.mbsnap" "$SMOKE_DIR/v4.mbsnap"
+printf '4' | dd of="$SMOKE_DIR/v4.mbsnap" bs=1 seek=7 conv=notrunc status=none
+for refused in "snapshot inspect --snapshot $SMOKE_DIR/v4.mbsnap" \
+               "query --snapshot $SMOKE_DIR/v4.mbsnap --entity 0 --top 5"; do
   # shellcheck disable=SC2086
   if cargo run -q --release -p er-cli -- $refused > "$SMOKE_DIR/refused.txt" 2>&1; then
-    echo "er $refused accepted an MBSNAP03 file" >&2; exit 1
+    echo "er $refused accepted an MBSNAP04 file" >&2; exit 1
   fi
-  grep -q "snapshot format version 3 unsupported" "$SMOKE_DIR/refused.txt" \
+  grep -q "snapshot format version 4 unsupported" "$SMOKE_DIR/refused.txt" \
     && ! grep -q "panicked" "$SMOKE_DIR/refused.txt" \
     || { echo "er $refused: wrong refusal:" >&2; cat "$SMOKE_DIR/refused.txt" >&2; exit 1; }
 done
