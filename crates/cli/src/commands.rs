@@ -322,8 +322,8 @@ fn snapshot_inspect(args: &Args) -> Result<String, String> {
     let _ = writeln!(out, "sections:           {}", header.sections.len());
     let _ = writeln!(
         out,
-        "  {:>2} {:<12} {:>12} {:>12} {:>12}  {}",
-        "id", "name", "offset", "bytes", "padded", "checksum"
+        "  {:>2} {:<12} {:>12} {:>12} {:>12}  checksum",
+        "id", "name", "offset", "bytes", "padded"
     );
     for s in &header.sections {
         let _ = writeln!(

@@ -329,14 +329,14 @@ mod tests {
             let (traced, trace) = block_filtering_traced(&blocks, r).unwrap();
             assert_eq!(traced.size(), plain.size());
             assert_eq!(trace.len(), traced.size());
-            for k in 0..traced.size() {
+            for (k, &from) in trace.iter().enumerate() {
                 let got = traced.block(k);
                 assert_eq!(got.left(), plain.block(k).left());
                 // Every member of the output block came from its source
                 // block — the trace points at a superset.
-                let src = blocks.block(trace[k] as usize);
+                let src = blocks.block(from as usize);
                 for e in got.left() {
-                    assert!(src.left().contains(e), "r={r}: block {k} not from {}", trace[k]);
+                    assert!(src.left().contains(e), "r={r}: block {k} not from {from}");
                 }
             }
         }

@@ -574,9 +574,10 @@ mod tests {
         let mut scorer =
             NeighborhoodScorer::new(&blocks, blocks.num_entities(), WeightingScheme::Ecbs);
         let batch = scorer.batch(Retention::AboveMean, 4);
-        for i in 0..blocks.num_entities() {
+        assert_eq!(batch.len(), blocks.num_entities());
+        for (i, scored) in batch.iter().enumerate() {
             let single = scorer.query(EntityId(i as u32), Retention::AboveMean);
-            assert_eq!(batch[i], single, "pivot {i}");
+            assert_eq!(*scored, single, "pivot {i}");
         }
     }
 }

@@ -14,6 +14,7 @@
 
 use crate::items::Model;
 use crate::lexer::TokenKind;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A function node: file index + fn index within that file's model.
@@ -80,8 +81,8 @@ impl CallGraph {
                     // Only first discovery records provenance — overwriting
                     // an existing entry could create a provenance cycle and
                     // break path reconstruction.
-                    if !seen.contains_key(&c) {
-                        seen.insert(c, Some(node));
+                    if let Entry::Vacant(e) = seen.entry(c) {
+                        e.insert(Some(node));
                         queue.push(c);
                     }
                 }

@@ -50,38 +50,34 @@ pub(crate) fn run(ctx: &mut Ctx<'_>) {
         }
         let t = toks[k];
         let line = t.line;
-        match t.kind {
-            TokenKind::Ident => {
-                let w = text(k);
-                let bang = toks.get(k + 1).is_some_and(|n| n.is_punct('!'));
-                // no-panic: aborting macros and .unwrap()/.expect(.
-                if bang && PANIC_MACROS.contains(&w) {
-                    hits.insert(("no-panic", line));
-                }
-                if matches!(w, "unwrap" | "expect")
-                    && k > 0
-                    && toks[k - 1].is_punct('.')
-                    && toks.get(k + 1).is_some_and(|n| n.is_punct('('))
-                {
-                    hits.insert(("no-panic", line));
-                }
-                // adhoc-logging: terminal writes belong to mb-observe sinks.
-                if !logging_exempt && bang && LOGGING_MACROS.contains(&w) {
-                    hits.insert(("adhoc-logging", line));
-                }
-                // default-hasher: naming the std hash containers through
-                // their `std::collections::` path in a hot-path crate.
-                if hot_path && w == "std" && path_has_hash_container(&toks, src, k) {
-                    hits.insert(("default-hasher", line));
-                }
-                // snapshot-unversioned-read: raw little-endian decoding in
-                // the serving crate outside the codec Reader (budgeted).
-                if serve && w == "from_le_bytes" && toks.get(k + 1).is_some_and(|n| n.is_punct('('))
-                {
-                    hits.insert(("snapshot-unversioned-read", line));
-                }
+        if t.kind == TokenKind::Ident {
+            let w = text(k);
+            let bang = toks.get(k + 1).is_some_and(|n| n.is_punct('!'));
+            // no-panic: aborting macros and .unwrap()/.expect(.
+            if bang && PANIC_MACROS.contains(&w) {
+                hits.insert(("no-panic", line));
             }
-            _ => {}
+            if matches!(w, "unwrap" | "expect")
+                && k > 0
+                && toks[k - 1].is_punct('.')
+                && toks.get(k + 1).is_some_and(|n| n.is_punct('('))
+            {
+                hits.insert(("no-panic", line));
+            }
+            // adhoc-logging: terminal writes belong to mb-observe sinks.
+            if !logging_exempt && bang && LOGGING_MACROS.contains(&w) {
+                hits.insert(("adhoc-logging", line));
+            }
+            // default-hasher: naming the std hash containers through
+            // their `std::collections::` path in a hot-path crate.
+            if hot_path && w == "std" && path_has_hash_container(&toks, src, k) {
+                hits.insert(("default-hasher", line));
+            }
+            // snapshot-unversioned-read: raw little-endian decoding in
+            // the serving crate outside the codec Reader (budgeted).
+            if serve && w == "from_le_bytes" && toks.get(k + 1).is_some_and(|n| n.is_punct('(')) {
+                hits.insert(("snapshot-unversioned-read", line));
+            }
         }
     }
 

@@ -135,7 +135,7 @@ fn scan_body(
             TokenKind::Ident => {
                 let w = t.text(src);
                 let bang = toks.get(k + 1).is_some_and(|n| n.is_punct('!'));
-                if bang && w.starts_with("assert") || bang && w.starts_with("debug_assert") {
+                if bang && (w.starts_with("assert") || w.starts_with("debug_assert")) {
                     guard_at.get_or_insert(k);
                 }
                 if bang && matches!(w, "panic" | "todo" | "unimplemented") {
@@ -160,7 +160,7 @@ fn scan_body(
                     };
                 if is_index
                     && !all_literal_subscript(toks, src, k)
-                    && !guard_at.is_some_and(|g| g < k)
+                    && guard_at.is_none_or(|g| g >= k)
                 {
                     hits.insert((t.line, "unguarded index"));
                 }

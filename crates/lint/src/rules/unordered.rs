@@ -147,7 +147,7 @@ fn collect_hash_names(ctx: &Ctx<'_>, toks: &[Token]) -> BTreeSet<String> {
             && k > 0
             && toks[k - 1].kind == TokenKind::Ident
             && !toks[k - 1].is_ident(src, "self")
-            && toks.get(k + 1).map_or(true, |t| !t.is_punct(':'))
+            && toks.get(k + 1).is_none_or(|t| !t.is_punct(':'))
             && (k < 2 || !toks[k - 2].is_punct(':'))
         {
             let mut j = k + 1;
@@ -268,10 +268,12 @@ fn receiver_iterates_hash(recv: &[Token], src: &str, hash_names: &BTreeSet<Strin
             (None, _) => return true,
             // `map.iter()…` — only iteration methods count; `map.len()`
             // does not iterate.
-            (Some(dot), Some(m)) if dot.is_punct('.') && m.kind == TokenKind::Ident => {
-                if ITER_METHODS.contains(&m.text(src)) {
-                    return true;
-                }
+            (Some(dot), Some(m))
+                if dot.is_punct('.')
+                    && m.kind == TokenKind::Ident
+                    && ITER_METHODS.contains(&m.text(src)) =>
+            {
+                return true;
             }
             _ => {}
         }

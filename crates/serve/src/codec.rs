@@ -12,57 +12,57 @@
 use crate::error::SnapshotError;
 use er_model::{EntityProfile, U32s};
 
-/// FNV-1a 64-bit — the section checksum.
-///
-/// Not cryptographic; it exists to catch bit rot and torn writes, and the
-/// property tests flip bytes to prove it does.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a 64 step over a whole word: xor it in, multiply by the prime.
+pub(crate) fn fnv1a_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
 }
 
-/// Four-lane word-wise FNV-1a 64 — the section checksum of the aligned
-/// `MBSNAP05` layout.
+/// Four-lane word-wise FNV-1a 64 — the crate's one checksum kernel, behind
+/// every snapshot section and (through `protocol`'s frame checksum) every
+/// wire frame.
 ///
-/// Sections are zero-padded to 8-byte multiples, so the checksum hashes
-/// `u64` words instead of bytes; interleaving the words round-robin over
-/// four independent FNV-1a lanes breaks the serial xor-multiply dependency
-/// chain (the lanes run in instruction-level parallel), and the final
-/// digest folds the lane states together in lane order — so both a flipped
-/// bit and a swapped word still change the result. `bytes.len()` must be a
-/// multiple of 8 (the padded section length by construction).
+/// The kernel hashes little-endian `u64` words instead of bytes; a tail
+/// shorter than a word is zero-padded into one last word. Interleaving the
+/// words round-robin over four independent FNV-1a lanes breaks the serial
+/// xor-multiply dependency chain (the lanes run in instruction-level
+/// parallel), and the final digest folds the lane states together in lane
+/// order — so both a flipped bit and a swapped word still change the
+/// result. Every step is a bijection of its lane, so any one changed word
+/// always changes the digest. On a multiple of 8 bytes (a padded snapshot
+/// section) the value is the one every `MBSNAP05` file was written with;
+/// the zero padding means `abc` and `abc\0` hash alike, which is why a
+/// frame folds its length in after.
+///
+/// Not cryptographic; it exists to catch bit rot and torn writes, and the
+/// property tests flip bits to prove it does.
 pub(crate) fn fnv1a_wide(bytes: &[u8]) -> u64 {
-    debug_assert_eq!(bytes.len() % 8, 0, "wide FNV input must be 8-padded");
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
     #[inline]
     fn word(c: &[u8]) -> u64 {
         let mut w = [0u8; 8];
         w.copy_from_slice(c);
-        // lint:allow(snapshot-unversioned-read) word-wise checksum over the
-        // already-framed, length-checked padded section region.
+        // lint:allow(snapshot-unversioned-read) word-wise checksum over an
+        // already-framed, length-checked region.
         u64::from_le_bytes(w)
     }
-    let mut lanes = [OFFSET; 4];
+    let mut lanes = [FNV_OFFSET; 4];
     let mut groups = bytes.chunks_exact(32);
     for g in &mut groups {
-        lanes[0] = (lanes[0] ^ word(&g[0..8])).wrapping_mul(PRIME);
-        lanes[1] = (lanes[1] ^ word(&g[8..16])).wrapping_mul(PRIME);
-        lanes[2] = (lanes[2] ^ word(&g[16..24])).wrapping_mul(PRIME);
-        lanes[3] = (lanes[3] ^ word(&g[24..32])).wrapping_mul(PRIME);
+        lanes[0] = fnv1a_step(lanes[0], word(&g[0..8]));
+        lanes[1] = fnv1a_step(lanes[1], word(&g[8..16]));
+        lanes[2] = fnv1a_step(lanes[2], word(&g[16..24]));
+        lanes[3] = fnv1a_step(lanes[3], word(&g[24..32]));
     }
-    for (i, c) in groups.remainder().chunks_exact(8).enumerate() {
-        lanes[i] = (lanes[i] ^ word(c)).wrapping_mul(PRIME);
+    // Under 32 bytes are left: at most three whole words and a short
+    // tail, zero-padded, one lane each.
+    for (l, c) in lanes.iter_mut().zip(groups.remainder().chunks(8)) {
+        let mut w = [0u8; 8];
+        w.iter_mut().zip(c).for_each(|(w, &b)| *w = b);
+        *l = fnv1a_step(*l, word(&w));
     }
-    let mut h = OFFSET;
-    for lane in lanes {
-        h = (h ^ lane).wrapping_mul(PRIME);
-    }
-    h
+    lanes.into_iter().fold(FNV_OFFSET, fnv1a_step)
 }
 
 /// `len` rounded up to the next multiple of 8 — the padded on-disk size of
@@ -188,8 +188,10 @@ impl<'a> Reader<'a> {
 
     /// Reads a profile written by [`put_profile`]. The declared attribute
     /// count is held against the bytes remaining before anything is built
-    /// from it, and every pair is read and checked once before the profile
-    /// is sized from their length prefixes and filled: two allocations.
+    /// from it. A sizing pass then walks the pairs' length prefixes alone,
+    /// bounds-checking each string without looking at its bytes, and the
+    /// fill pass validates each string's UTF-8 once as it copies it in: two
+    /// allocations and one UTF-8 check per string.
     pub(crate) fn profile(&mut self) -> Result<EntityProfile, SnapshotError> {
         let uri = self.str()?;
         let attrs = self.u32()? as usize;
@@ -198,7 +200,7 @@ impl<'a> Reader<'a> {
         let pairs_at = self.pos;
         let mut text = 0usize;
         for _ in 0..attrs {
-            text += self.str()?.len() + self.str()?.len();
+            text += self.bytes()?.len() + self.bytes()?.len();
         }
         let mut profile = EntityProfile::sized(uri, attrs, text).map_err(|overflow| {
             SnapshotError::Inconsistent(format!("{}: {overflow}", self.section))
@@ -227,12 +229,41 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    /// A fixed buffer whose every prefix the kernel tests hash.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
     #[test]
-    fn fnv1a_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    fn the_kernel_keeps_its_values_on_whole_words() {
+        // Recorded with the kernel that took only multiples of 8: every
+        // snapshot section checksum stays what it was.
+        let pinned: [(usize, u64); 10] = [
+            (0, 0xf797_3b6e_20c9_7451),
+            (8, 0x6356_06dd_bd56_e652),
+            (16, 0xfae4_2302_9583_88cf),
+            (24, 0x7577_982d_b653_f174),
+            (32, 0x8fd7_5dc6_b7dd_ecc5),
+            (40, 0xe002_ebc1_bbf8_dbf8),
+            (56, 0x4cfc_c02c_c1a6_055a),
+            (64, 0xe032_ef8c_743d_3799),
+            (72, 0xcb44_bb75_7c16_d486),
+            (256, 0xa0eb_4396_6efa_d311),
+        ];
+        let buf = pattern(256);
+        for (len, sum) in pinned {
+            assert_eq!(fnv1a_wide(&buf[..len]), sum, "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn a_short_tail_hashes_as_its_zero_padded_word() {
+        let buf = pattern(80);
+        for len in 0..=72 {
+            let mut padded = buf[..len].to_vec();
+            padded.resize(padded_len(len), 0);
+            assert_eq!(fnv1a_wide(&buf[..len]), fnv1a_wide(&padded), "{len} bytes");
+        }
     }
 
     #[test]
@@ -295,10 +326,13 @@ mod tests {
         let count_at = 7;
         let mut inflated = good.clone();
         inflated[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut not_utf8 = good.clone();
-        *not_utf8.last_mut().unwrap() = 0xff;
+        // uri (4 + 3), count (4), name (4 + 4), value (4 + 5).
         let mut bad_uri = good.clone();
         bad_uri[4] = 0xff;
+        let mut bad_name = good.clone();
+        bad_name[15] = 0xff;
+        let mut bad_value = good.clone();
+        *bad_value.last_mut().unwrap() = 0xff;
 
         for section in ["request", "upsert", "delta"] {
             for cut in 0..good.len() {
@@ -320,7 +354,9 @@ mod tests {
                 ),
                 "{section}: {err:?}"
             );
-            for bytes in [&not_utf8, &bad_uri] {
+            // The sizing pass reads past a pair's bytes; the fill pass
+            // still refuses them.
+            for bytes in [&bad_uri, &bad_name, &bad_value] {
                 let err = Reader::new(bytes, section).profile().unwrap_err();
                 assert!(
                     matches!(err, SnapshotError::Utf8 { section: s } if s == section),

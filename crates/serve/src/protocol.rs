@@ -1,8 +1,8 @@
 //! The length-prefixed binary wire protocol of `er serve`.
 //!
 //! Built on the snapshot codec's primitives (bounds-checked reader,
-//! little-endian writers, FNV-1a checksums) with the same hostile-input
-//! contract: any sequence of bytes a peer sends produces a typed
+//! little-endian writers, the four-lane FNV-1a kernel) with the same
+//! hostile-input contract: any sequence of bytes a peer sends produces a typed
 //! [`ServeError`], never a panic and never an unbounded allocation.
 //!
 //! # Connection layout
@@ -18,12 +18,16 @@
 //! versions they know). After the hello, both directions exchange frames:
 //!
 //! ```text
-//! frame := kind u8 | payload_len u32 | fnv1a64(payload) u64 | payload
+//! frame    := kind u8 | payload_len u32 | checksum u64 | payload
+//! checksum := fnv1a_step(fnv1a_wide(payload), payload_len)
 //! ```
 //!
-//! The declared payload length is capped ([`MAX_FRAME`]) *before* any
-//! allocation, so a corrupt length prefix errors out instead of reserving
-//! gigabytes; the checksum catches torn or bit-flipped frames.
+//! `fnv1a_wide` is the snapshot sections' four-lane word-wise FNV-1a 64,
+//! its short tail zero-padded into one last word; folding the length in
+//! after it tells a payload from the same payload with zero bytes
+//! appended. The declared payload length is capped ([`MAX_FRAME`]) *before*
+//! any allocation, so a corrupt length prefix errors out instead of
+//! reserving gigabytes; the checksum catches torn or bit-flipped frames.
 //!
 //! Both ends of a connection frame through one `FrameReader` and one
 //! `FrameWriter`, each over a buffer the connection keeps. A frame is
@@ -51,7 +55,9 @@
 //! [`CandidateRequest`] / [`CandidateResponse`] types the in-process API
 //! executes — there is no wire-only mirror struct to drift.
 
-use crate::codec::{fnv1a, put_bytes, put_profile, put_u32, put_u64, put_u8, Reader};
+use crate::codec::{
+    fnv1a_step, fnv1a_wide, put_bytes, put_profile, put_u32, put_u64, put_u8, Reader,
+};
 use crate::error::{ServeError, SnapshotError};
 use crate::request::{CandidateRequest, CandidateResponse, CandidateTarget};
 use er_model::{EntityId, EntityProfile};
@@ -62,8 +68,11 @@ use std::io::{Read, Write};
 pub const WIRE_MAGIC: [u8; 8] = *b"MBWIRE01";
 
 /// The only wire-protocol version this build speaks (reader policy as for
-/// snapshots: no guessing at future layouts).
-pub const WIRE_VERSION: u32 = 1;
+/// snapshots: no guessing at future layouts). Version 2 checksums a frame
+/// with the four-lane word kernel and its length; version 1 hashed the
+/// payload byte by byte, so a v1 peer is refused at the hello rather than
+/// at its first frame.
+pub const WIRE_VERSION: u32 = 2;
 
 /// Upper bound on a frame payload. Checked against the declared length
 /// before allocating — the wire analogue of the snapshot codec's
@@ -128,8 +137,16 @@ pub fn read_hello(r: &mut impl Read) -> Result<u64, ServeError> {
     Ok(rd.u64()?)
 }
 
-/// Bytes of a frame header: `kind u8 | payload_len u32 | fnv1a64 u64`.
+/// Bytes of a frame header: `kind u8 | payload_len u32 | checksum u64`.
 const FRAME_HEADER: usize = 13;
+
+/// The checksum a frame header carries for `payload`: the four-lane kernel
+/// over the payload, then the payload length folded in, so a payload and
+/// the same payload with zero bytes appended differ. Every frame written
+/// or verified goes through here.
+fn frame_checksum(payload: &[u8]) -> u64 {
+    fnv1a_step(fnv1a_wide(payload), payload.len() as u64)
+}
 
 /// What a connection's [`FrameReader`] and [`FrameWriter`] each keep between
 /// frames — std's `BufReader` default. Probe and entity frames fit many
@@ -152,7 +169,7 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), S
     let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
     put_u8(&mut frame, kind);
     put_u32(&mut frame, payload.len() as u32);
-    put_u64(&mut frame, fnv1a(payload));
+    put_u64(&mut frame, frame_checksum(payload));
     frame.extend_from_slice(payload);
     w.write_all(&frame)?;
     w.flush()?;
@@ -191,7 +208,7 @@ impl FrameHeader {
 
     /// Whether `payload` matches the header's checksum.
     fn verify(&self, payload: &[u8]) -> Result<(), ServeError> {
-        if fnv1a(payload) != self.checksum {
+        if frame_checksum(payload) != self.checksum {
             return Err(ServeError::FrameChecksum);
         }
         Ok(())
@@ -208,11 +225,14 @@ impl FrameHeader {
 /// the declared length once it has passed the cap.
 ///
 /// `read_frame` makes a fresh one per frame, so its progress fields never
-/// outlive a call. The shape stays because a crate downstream instantiates
-/// `read_frame`, and through it this reader and [`fill`], and a shorter
-/// body there moved that crate's code partitioning: in the repository
-/// benchmark it inlined `HashMap::insert` into the CPU calibration kernel
-/// (DESIGN.md §9's generic-body caveat, §11).
+/// outlive a call. The shape was kept because a crate downstream
+/// instantiates `read_frame`, and through it this reader and [`fill`], and
+/// a shorter body there moved that crate's code partitioning: in the
+/// repository benchmark it inlined `HashMap::insert` into the CPU
+/// calibration kernel (DESIGN.md §9's generic-body caveat, §11). The
+/// word-wise frame checksum moves it the same way with this shape too, so
+/// the shape now buys nothing and goes when the benchmark's kernel stops
+/// sharing code with the program.
 #[derive(Debug, Default)]
 struct ExactFrame {
     head: [u8; FRAME_HEADER],
@@ -393,7 +413,7 @@ impl FrameWriter {
         let sent = if len > MAX_FRAME {
             Err(ServeError::FrameTooLarge { len, max: MAX_FRAME })
         } else {
-            let checksum = fnv1a(&self.buf[FRAME_HEADER..]);
+            let checksum = frame_checksum(&self.buf[FRAME_HEADER..]);
             self.buf[0] = kind;
             self.buf[1..5].copy_from_slice(&(len as u32).to_le_bytes());
             self.buf[5..FRAME_HEADER].copy_from_slice(&checksum.to_le_bytes());
@@ -689,12 +709,13 @@ pub fn parse_compact(buf: &[u8]) -> Result<(String, Option<String>), ServeError>
 mod tests {
     use super::*;
 
-    /// Length and FNV-1a of the frames
+    /// Length and kernel digest of the frames
     /// `a_frame_writer_sends_what_write_frame_sends_for_every_message_kind`
-    /// builds, recorded with `write_frame` and the `*_bytes` encoders before
-    /// connections wrote through a [`FrameWriter`].
+    /// builds, recorded with `write_frame` and the `*_bytes` encoders for
+    /// wire version 2. A change here is a format change: it bumps
+    /// [`WIRE_VERSION`].
     const WIRE_DIGEST_LEN: usize = 501;
-    const WIRE_DIGEST: u64 = 0xdb01_e334_c1fb_6c9a;
+    const WIRE_DIGEST: u64 = 0x058e_1561_e55d_fb60;
 
     #[test]
     fn request_payloads_round_trip() {
@@ -819,10 +840,10 @@ mod tests {
             let mut wire = Recording::default();
             write_frame(&mut wire, MSG_RESPONSE, &payload).unwrap();
             assert_eq!(wire.calls, 1, "{len}-byte payload");
-            // kind u8 | len u32 | fnv1a64 u64 | payload
+            // kind u8 | len u32 | checksum u64 | payload
             let mut expected = vec![MSG_RESPONSE];
             expected.extend_from_slice(&(len as u32).to_le_bytes());
-            expected.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            expected.extend_from_slice(&frame_checksum(&payload).to_le_bytes());
             expected.extend_from_slice(&payload);
             assert!(wire.bytes == expected, "{len}-byte payload: frame bytes differ");
             let mut cursor = std::io::Cursor::new(&wire.bytes);
@@ -1045,9 +1066,9 @@ mod tests {
             assert!(sent.bytes == expected, "kind {kind}: frame bytes differ");
             all.extend_from_slice(&expected);
         }
-        // The same frames, byte for byte, as every earlier version of the
-        // protocol sent them.
-        assert_eq!((all.len(), fnv1a(&all)), (WIRE_DIGEST_LEN, WIRE_DIGEST));
+        // The same frames, byte for byte, as wire version 2 has always sent
+        // them.
+        assert_eq!((all.len(), fnv1a_wide(&all)), (WIRE_DIGEST_LEN, WIRE_DIGEST));
     }
 
     #[test]
@@ -1063,15 +1084,20 @@ mod tests {
             Err(ServeError::BadHello)
         ));
 
-        let mut future = Vec::new();
-        future.extend_from_slice(&WIRE_MAGIC);
-        put_u32(&mut future, WIRE_VERSION + 1);
-        put_u64(&mut future, 1);
-        assert!(matches!(
-            read_hello(&mut std::io::Cursor::new(&future)),
-            Err(ServeError::Handshake { found, supported })
-                if found == WIRE_VERSION + 1 && supported == WIRE_VERSION
-        ));
+        // A v1 peer (byte-wise frame checksums) and a future one are both
+        // refused at the hello.
+        for (version, found, supported) in [(1, 1, 2), (WIRE_VERSION + 1, 3, 2)] {
+            let mut hello = Vec::new();
+            hello.extend_from_slice(&WIRE_MAGIC);
+            put_u32(&mut hello, version);
+            put_u64(&mut hello, 1);
+            let err = read_hello(&mut std::io::Cursor::new(&hello)).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Handshake { found: f, supported: s }
+                    if f == found && s == supported),
+                "v{version}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1085,6 +1111,84 @@ mod tests {
             read_frame(&mut std::io::Cursor::new(&head)),
             Err(ServeError::FrameTooLarge { .. })
         ));
+    }
+
+    /// `write_frame`'s bytes for a `len`-byte patterned payload.
+    fn patterned_frame(len: usize) -> Vec<u8> {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, MSG_REQUEST, &payload).unwrap();
+        wire
+    }
+
+    fn refused(wire: &[u8]) -> bool {
+        matches!(read_frame(&mut std::io::Cursor::new(wire)), Err(ServeError::FrameChecksum))
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_payload_is_refused() {
+        for len in 0..=72 {
+            let wire = patterned_frame(len);
+            let sum = frame_checksum(&wire[FRAME_HEADER..]);
+            for bit in FRAME_HEADER * 8..wire.len() * 8 {
+                let mut bad = wire.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(frame_checksum(&bad[FRAME_HEADER..]), sum, "{len} bytes, bit {bit}");
+                assert!(refused(&bad), "{len} bytes, bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_trailing_zero_byte_is_refused() {
+        for len in 0..=72 {
+            let mut longer = patterned_frame(len);
+            longer.push(0);
+            longer[1..5].copy_from_slice(&(len as u32 + 1).to_le_bytes());
+            // Off a word boundary the kernel alone cannot tell the zero from
+            // its padding; the folded-in length does.
+            let payload = &longer[FRAME_HEADER..];
+            if len % 8 != 0 {
+                assert_eq!(fnv1a_wide(payload), fnv1a_wide(&payload[..len]), "{len} bytes");
+            }
+            assert!(refused(&longer), "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn words_swapped_across_lanes_are_refused() {
+        let wire = patterned_frame(72);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (0, 8)] {
+            let (a, b) = (FRAME_HEADER + a * 8, FRAME_HEADER + b * 8);
+            let mut swapped = wire.clone();
+            swapped[a..a + 8].copy_from_slice(&wire[b..b + 8]);
+            swapped[b..b + 8].copy_from_slice(&wire[a..a + 8]);
+            assert!(refused(&swapped), "words at {a} and {b}");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_probe_or_upsert_profile_is_a_typed_error() {
+        let profile = EntityProfile::new("uri").with("name", "value");
+        let probe = request_bytes(&CandidateRequest::probe(profile.clone(), false));
+        let upsert = upsert_bytes(3, &profile);
+        // The profile follows 2 bytes of target in a probe and a 4-byte id
+        // in an upsert: uri (4 + 3), count (4), name (4 + 4), value (4 + 5).
+        for (bytes, at, section) in [(&probe, 2, "request"), (&upsert, 4, "upsert")] {
+            for (field, byte) in [("uri", at + 4), ("name", at + 15), ("value", at + 23)] {
+                let mut bad = bytes.clone();
+                bad[byte] = 0xff;
+                let err = if section == "request" {
+                    parse_request(&bad).map(drop).unwrap_err()
+                } else {
+                    parse_upsert(&bad).map(drop).unwrap_err()
+                };
+                assert!(
+                    matches!(err, ServeError::Frame(SnapshotError::Utf8 { section: s }) if s == section),
+                    "{section} {field}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

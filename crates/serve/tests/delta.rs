@@ -266,7 +266,7 @@ fn persisted_delta_runs_reload_to_the_same_answers() {
 #[test]
 fn compaction_is_bit_identical_to_a_fresh_build() {
     let config = PipelineConfig::default();
-    let ops = vec![
+    let ops = [
         DeltaOp::Upsert {
             id: APPEND,
             profile: EntityProfile::new("p5").with("name", "jack stone"),

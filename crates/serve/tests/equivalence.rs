@@ -89,14 +89,15 @@ fn assert_engine_matches_batch(snapshot: &Snapshot, label: &str) {
             cnp(&Sweep::new(ctx, weigher, WeightingImpl::Optimized, 1), &mut Noop, sink)
         });
         let top_k = Retention::TopK(snapshot.cnp_threshold());
-        for pivot in 0..snapshot.num_entities() {
+        assert_eq!(by_cnp.len(), snapshot.num_entities(), "{label}/{scheme:?}");
+        for (pivot, expected) in by_cnp.iter().enumerate() {
             let scored = run_one(
                 &mut engine,
                 CandidateRequest::entity(EntityId(pivot as u32)).with_retention(top_k),
             );
             assert_eq!(
-                sorted_ids(&scored),
-                by_cnp[pivot],
+                &sorted_ids(&scored),
+                expected,
                 "{label}/{scheme:?}: CNP mismatch at entity {pivot}"
             );
         }
@@ -104,15 +105,16 @@ fn assert_engine_matches_batch(snapshot: &Snapshot, label: &str) {
         let by_wnp = batch_retained(snapshot, scheme, |ctx, weigher, sink| {
             wnp(&Sweep::new(ctx, weigher, WeightingImpl::Optimized, 1), &mut Noop, sink)
         });
-        for pivot in 0..snapshot.num_entities() {
+        assert_eq!(by_wnp.len(), snapshot.num_entities(), "{label}/{scheme:?}");
+        for (pivot, expected) in by_wnp.iter().enumerate() {
             let scored = run_one(
                 &mut engine,
                 CandidateRequest::entity(EntityId(pivot as u32))
                     .with_retention(Retention::AboveMean),
             );
             assert_eq!(
-                sorted_ids(&scored),
-                by_wnp[pivot],
+                &sorted_ids(&scored),
+                expected,
                 "{label}/{scheme:?}: WNP mismatch at entity {pivot}"
             );
         }

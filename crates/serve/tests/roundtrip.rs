@@ -998,6 +998,26 @@ fn hostile_delta_runs_are_typed_errors() {
         "unknown delta op tag",
     );
 
+    // Invalid UTF-8 in an upserted profile's name or value: the one UTF-8
+    // check per string still runs.
+    for (name, value) in [(&b"na\xffme"[..], &b"jack"[..]), (b"name", b"ja\xffck")] {
+        let mut run = Vec::new();
+        run.extend_from_slice(&1u32.to_le_bytes());
+        run.push(OP_UPSERT);
+        run.extend_from_slice(&4u32.to_le_bytes());
+        put_str(&mut run, "p5");
+        run.extend_from_slice(&1u32.to_le_bytes());
+        for bytes in [name, value] {
+            run.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            run.extend_from_slice(bytes);
+        }
+        reject_delta(
+            with_delta_payloads(&[run]),
+            |e| matches!(e, SnapshotError::Utf8 { section: "delta" }),
+            "invalid UTF-8 in a delta upsert",
+        );
+    }
+
     // Trailing garbage after the last op.
     let mut run = valid_delta_run();
     run.push(0xff);

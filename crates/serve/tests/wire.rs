@@ -125,39 +125,41 @@ fn trigger_file_reload_swaps_without_a_client() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn wrong_version_hello_is_a_typed_handshake_error() {
-    // A "server" speaking a future protocol version: the client must refuse
-    // with the typed handshake error, mirroring the snapshot loader's
-    // versioning policy.
+/// What `Client::connect` makes of a "server" that greets with `hello`.
+fn connect_to_a_peer_greeting_with(hello: Vec<u8>) -> ServeError {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let fake = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
-        let mut hello = Vec::new();
-        hello.extend_from_slice(&WIRE_MAGIC);
-        hello.extend_from_slice(&(WIRE_VERSION + 9).to_le_bytes());
-        hello.extend_from_slice(&1u64.to_le_bytes());
         stream.write_all(&hello).unwrap();
     });
     let err = Client::connect(addr).unwrap_err();
-    assert!(
-        matches!(err, ServeError::Handshake { found, supported }
-            if found == WIRE_VERSION + 9 && supported == WIRE_VERSION),
-        "{err}"
-    );
     fake.join().unwrap();
+    err
+}
+
+#[test]
+fn wrong_version_hello_is_a_typed_handshake_error() {
+    // A "server" speaking another protocol version — v1, whose frames carry
+    // byte-wise checksums, or a future one: the client must refuse with the
+    // typed handshake error, mirroring the snapshot loader's versioning
+    // policy.
+    assert_eq!(WIRE_VERSION, 2);
+    for version in [1, WIRE_VERSION + 9] {
+        let mut hello = Vec::new();
+        hello.extend_from_slice(&WIRE_MAGIC);
+        hello.extend_from_slice(&version.to_le_bytes());
+        hello.extend_from_slice(&1u64.to_le_bytes());
+        let err = connect_to_a_peer_greeting_with(hello);
+        assert!(
+            matches!(err, ServeError::Handshake { found, supported: 2 } if found == version),
+            "v{version}: {err}"
+        );
+    }
 
     // And a peer that is not mb-serve at all (bad magic) is BadHello.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let fake = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        stream.write_all(b"HTTP/1.1 200 OK\r\n\r\nmore").unwrap();
-    });
-    let err = Client::connect(addr).unwrap_err();
+    let err = connect_to_a_peer_greeting_with(b"HTTP/1.1 200 OK\r\n\r\nmore".to_vec());
     assert!(matches!(err, ServeError::BadHello), "{err}");
-    fake.join().unwrap();
 }
 
 #[test]
@@ -183,37 +185,85 @@ fn oversized_length_prefix_gets_an_error_frame_not_an_allocation() {
     handle.shutdown();
 }
 
+/// Sends `frame` on a fresh connection and returns the server's answer.
+fn answer_to(addr: std::net::SocketAddr, frame: &[u8]) -> (u8, String) {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    read_hello(&mut raw).unwrap();
+    raw.write_all(frame).unwrap();
+    let (kind, payload) = read_frame(&mut raw).unwrap();
+    (kind, String::from_utf8_lossy(&payload).into_owned())
+}
+
+fn frame_of(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, kind, payload).unwrap();
+    frame
+}
+
 #[test]
 fn corrupt_and_unknown_frames_get_typed_errors() {
     let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();
+    let addr = handle.local_addr();
 
-    // Bit-flipped payload: checksum mismatch.
-    let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
-    read_hello(&mut raw).unwrap();
-    let mut frame = Vec::new();
-    write_frame(&mut frame, MSG_REQUEST, b"payload").unwrap();
-    let last = frame.len() - 1;
-    frame[last] ^= 0x01;
-    raw.write_all(&frame).unwrap();
-    let (kind, payload) = read_frame(&mut raw).unwrap();
-    assert_eq!(kind, MSG_ERROR);
-    assert!(String::from_utf8_lossy(&payload).contains("checksum"));
+    // A probe whose payload ends off a word boundary, answered as sent.
+    let probe = EntityProfile::new("probe").with("name", "jack miller").with("job", "carpenter");
+    let payload = request_bytes(&CandidateRequest::probe(probe, false));
+    assert!(payload.len() > 32 && payload.len() % 8 != 0, "{} bytes", payload.len());
+    let frame = frame_of(MSG_REQUEST, &payload);
+    assert_eq!(answer_to(addr, &frame).0, MSG_RESPONSE);
+    let at = frame.len() - payload.len();
 
-    // Unknown message kind.
-    let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
-    read_hello(&mut raw).unwrap();
-    write_frame(&mut raw, 42, b"").unwrap();
-    let (kind, payload) = read_frame(&mut raw).unwrap();
-    assert_eq!(kind, MSG_ERROR);
-    assert!(String::from_utf8_lossy(&payload).contains("unknown message kind"));
+    let mut flipped = frame.clone();
+    *flipped.last_mut().unwrap() ^= 0x01;
+    // One zero byte appended, the length patched and the checksum kept: the
+    // zero lands in the padding of the kernel's last word.
+    let mut longer = frame.clone();
+    longer.push(0);
+    longer[1..5].copy_from_slice(&(payload.len() as u32 + 1).to_le_bytes());
+    // Two payload words swapped between neighbouring lanes.
+    let mut swapped = frame.clone();
+    swapped[at..at + 8].copy_from_slice(&frame[at + 8..at + 16]);
+    swapped[at + 8..at + 16].copy_from_slice(&frame[at..at + 8]);
+    for (what, bad, says) in [
+        ("bit-flipped payload", flipped, "checksum"),
+        ("trailing zero", longer, "checksum"),
+        ("swapped words", swapped, "checksum"),
+        ("unknown message kind", frame_of(42, b""), "unknown message kind"),
+        // Garbage *inside* a well-formed frame: decode fails, typed error back.
+        ("garbage payload", frame_of(MSG_REQUEST, &[0xff, 0xff, 0xff]), ""),
+    ] {
+        let (kind, text) = answer_to(addr, &bad);
+        assert_eq!(kind, MSG_ERROR, "{what}");
+        assert!(text.contains(says), "{what}: {text}");
+    }
+    handle.shutdown();
+}
 
-    // Garbage *inside* a well-formed frame: decode fails, typed error back.
-    let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
-    read_hello(&mut raw).unwrap();
-    write_frame(&mut raw, MSG_REQUEST, &[0xff, 0xff, 0xff]).unwrap();
-    let (kind, _) = read_frame(&mut raw).unwrap();
-    assert_eq!(kind, MSG_ERROR);
-
+#[test]
+fn invalid_utf8_in_a_probe_or_an_upsert_gets_a_typed_error() {
+    let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();
+    let profile = EntityProfile::new("uri").with("name", "value");
+    // The profile follows 2 bytes of target in a probe and a 4-byte id in an
+    // upsert; its name starts 15 bytes in, its value 23.
+    let probe = request_bytes(&CandidateRequest::probe(profile.clone(), false));
+    let upsert = upsert_bytes(APPEND, &profile);
+    for (kind, payload, at, section) in
+        [(MSG_REQUEST, probe, 2, "request"), (MSG_UPSERT, upsert, 4, "upsert")]
+    {
+        for field in [15, 23] {
+            let mut bad = payload.clone();
+            bad[at + field] = 0xff;
+            let (answer, text) = answer_to(handle.local_addr(), &frame_of(kind, &bad));
+            assert_eq!(answer, MSG_ERROR, "{section} byte {field}");
+            assert!(
+                text.contains(&format!("invalid UTF-8 in section '{section}'")),
+                "{section} byte {field}: {text}"
+            );
+        }
+    }
+    // The live generation is untouched: no upsert got through.
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    assert_eq!(top1(&mut client), (1, 1));
     handle.shutdown();
 }
 

@@ -33,6 +33,10 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo clippy --workspace --all-targets -D warnings"
+# The MSRV-gated lints follow the workspace `rust-version`.
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "==> er-lint --workspace --format json (results/lint.json)"
 mkdir -p results
 cargo run -q -p er-lint -- --workspace --format json > results/lint.json
@@ -101,6 +105,15 @@ echo "==> a snapshot stores only what load cannot derive (structural guard on cr
 # persisted split or index section must not come back.
 if grep -rnE 'indexlists|indexoffs|SECTION_SPLITS|SECTION_INDEX' crates/serve/src; then
   echo "a snapshot persists what load derives again (splits and index come from the arena)" >&2; exit 1
+fi
+
+echo "==> one checksum kernel (structural guard on crates/serve/src)"
+# Snapshot sections and wire frames are both checksummed by
+# `codec::fnv1a_wide`, four word lanes at a time: a byte-wise FNV-1a (a
+# `fnv1a` function, or a loop that xors in one byte widened to u64) must not
+# come back beside it.
+if grep -rnE 'fn fnv1a\b|\^=? *\(?\*?[a-z_]+ as u64|\^=? *u64::from\(\*?[a-z_]+\)' crates/serve/src; then
+  echo "a byte-wise FNV-1a is back (checksum through codec::fnv1a_wide)" >&2; exit 1
 fi
 
 echo "==> a profile is one buffer (structural guard on crates/er-model/src/profile.rs)"
