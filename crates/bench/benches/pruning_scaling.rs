@@ -121,7 +121,7 @@ fn run_workload(
         let mut row = record(name, "edge_weighting", "JS", threads, cores, &m);
         // Who swept what: load follows the work when the shares are even.
         // The visitor sees each pivot's edges once and keeps none of them.
-        let swept = sweep.edges(|_out, _pivot, _neighbors, _weights| {}, |()| {});
+        let swept = sweep.edges(|_out, _top, _pivot, _neighbors, _weights| {}, |()| {});
         edges = swept.edges();
         let shares = swept.worker_edges.iter().map(|&e| Json::Num(e as f64 / edges.max(1) as f64));
         row.push("worker_edge_shares", Json::Arr(shares.collect()));

@@ -7,8 +7,10 @@
 //! every pruning scheme, graph-free Comparison Propagation and the scorer's
 //! batch ([`crate::NeighborhoodScorer::batch`]) run on one driver.
 //!
-//! * **Windows.** The pivot range `0..|E|` is cut into windows of
-//!   [`WINDOW_PIVOTS`] consecutive ids. The cut depends on `|E|` alone —
+//! * **Windows.** A sweep's pivot range — `0..|E|`, or the second
+//!   Clean-Clean side for phase 1 of a two-phase scheme
+//!   ([`Sweep::whole_groups`]) — is cut into windows of [`WINDOW_PIVOTS`]
+//!   consecutive ids from its start. The cut depends on the range alone —
 //!   not on the thread count, not on scheduling.
 //! * **Shared load.** Threads claim the next unclaimed window from one
 //!   counter, so a thread that drew light windows simply draws more of
@@ -43,7 +45,7 @@ use crate::prune::TopK;
 use crate::scanner::{NeighborhoodScanner, ScanScope};
 use crate::weighting::{optimized, original, WeightingImpl};
 use crate::weights::EdgeWeigher;
-use er_model::EntityId;
+use er_model::{EntityId, ErKind};
 use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -114,6 +116,10 @@ impl Swept {
 /// sweep's tallies.
 pub(crate) struct Worker {
     pub(crate) scanner: NeighborhoodScanner,
+    /// Rescans each whole group an edge sweep delivers ([`Sweep::whole_groups`])
+    /// as the neighborhood it stands for.
+    #[cfg(feature = "sanitize")]
+    rescan: NeighborhoodScanner,
     pub(crate) weights: Vec<f64>,
     pub(crate) top: TopK,
     neighborhoods: u64,
@@ -122,23 +128,27 @@ pub(crate) struct Worker {
     emitted: usize,
 }
 
-/// Runs `window(worker, pivots, out)` over every window of `0..num_entities`
-/// on up to `threads` workers, delivering what the windows emit to `sink` in
-/// window order (module docs). `threads` is a resolved count, not `0`.
+/// Runs `window(worker, pivots, out)` over every window of `pivots` — ids of
+/// a graph over `num_entities` profiles — on up to `threads` workers,
+/// delivering what the windows emit to `sink` in window order (module docs).
+/// `threads` is a resolved count, not `0`.
 pub(crate) fn sweep_windows<I: Send, S: FnMut(I)>(
     num_entities: usize,
+    pivots: Range<u32>,
     threads: usize,
     window: impl Fn(&mut Worker, Range<u32>, &mut Out<'_, I, S>) + Sync,
     mut sink: S,
 ) -> Swept {
-    let n = num_entities as u32;
-    let windows = n.div_ceil(WINDOW_PIVOTS) as usize;
+    let Range { start, end } = pivots;
+    let windows = end.saturating_sub(start).div_ceil(WINDOW_PIVOTS) as usize;
     let pivots = |i: usize| {
-        let start = i as u32 * WINDOW_PIVOTS;
-        start..n.min(start.saturating_add(WINDOW_PIVOTS))
+        let first = start + i as u32 * WINDOW_PIVOTS;
+        first..end.min(first.saturating_add(WINDOW_PIVOTS))
     };
     let worker = || Worker {
         scanner: NeighborhoodScanner::new(num_entities),
+        #[cfg(feature = "sanitize")]
+        rescan: NeighborhoodScanner::new(num_entities),
         weights: Vec::new(),
         top: TopK::new(),
         neighborhoods: 0,
@@ -206,52 +216,68 @@ impl<'a, 'b> Sweep<'a, 'b> {
         self.ctx
     }
 
-    /// Calls `visit(out, pivot, neighbors, weights)` once per pivot with
+    /// The pivots whose group in [`Sweep::edges`] is their whole
+    /// neighborhood — the ids, order and weight bits [`Sweep::neighborhoods`]
+    /// hands them. Under [`WeightingImpl::Optimized`] on Clean-Clean ER that
+    /// is the first side, `0..split`: every neighbor of a first-side pivot is
+    /// on the second side, above it, so its edge-sweep scan
+    /// ([`ScanScope::GreaterOnly`]) is its [`ScanScope::All`] scan. Otherwise
+    /// it is none: a Dirty group lacks the pivot's smaller neighbors, and an
+    /// Original group is one edge.
+    pub fn whole_groups(&self) -> Range<u32> {
+        match (self.imp, self.ctx.kind()) {
+            (WeightingImpl::Optimized, ErKind::CleanClean) => 0..self.ctx.split() as u32,
+            _ => 0..0,
+        }
+    }
+
+    /// Calls `visit(out, top, pivot, neighbors, weights)` once per pivot with
     /// the distinct edges charged to it — every neighbor `j > pivot`, in
     /// first-co-occurrence order, `neighbors[k]` of weight `weights[k]` — and
     /// `sink` with whatever the visits emit, in the sequential sweep's order.
     /// Flattened, the groups are the stream `for_each_edge` yields, and their
-    /// shape is the one [`Sweep::neighborhoods`] passes.
+    /// shape is the one [`Sweep::neighborhoods`] passes; a pivot in
+    /// [`Sweep::whole_groups`] gets exactly its neighborhood. `top` is the
+    /// sweeping thread's own [`TopK`], as [`Sweep::top_k`] selects in.
     ///
     /// Under [`WeightingImpl::Original`] the edges come in Algorithm 2's
     /// block order, each as a group of its own under its smaller endpoint.
     pub fn edges<I: Send, S: FnMut(I)>(
         &self,
-        visit: impl Fn(&mut Out<'_, I, S>, EntityId, &[u32], &[f64]) + Sync,
+        visit: impl Fn(&mut Out<'_, I, S>, &mut TopK, EntityId, &[u32], &[f64]) + Sync,
         mut sink: S,
     ) -> Swept {
         match self.imp {
             WeightingImpl::Original => {
                 let mut out = Out(Dest::Sink(&mut sink));
+                let mut top = TopK::new();
                 let mut edges = 0u64;
                 original::for_each_edge(self.ctx, self.weigher, |a, b, w| {
                     edges += 1;
-                    visit(&mut out, a, &[b.0], &[w]);
+                    visit(&mut out, &mut top, a, &[b.0], &[w]);
                 });
                 Swept { neighborhoods: 0, worker_edges: vec![edges] }
             }
             WeightingImpl::Optimized => Swept {
                 neighborhoods: 0,
-                ..self.pivot_windows(
-                    ScanScope::GreaterOnly,
-                    |out, _, pivot, ids, weights| visit(out, pivot, ids, weights),
-                    sink,
-                )
+                ..self.pivot_windows(self.all(), ScanScope::GreaterOnly, visit, sink)
             },
         }
     }
 
-    /// Calls `visit(out, pivot, neighbors, weights)` for every node with a
-    /// non-empty neighborhood, and `sink` with whatever the visits emit, in
-    /// the sequential sweep's order.
+    /// Calls `visit(out, pivot, neighbors, weights)` for every node in
+    /// `pivots` with a non-empty neighborhood, and `sink` with whatever the
+    /// visits emit, in the sequential sweep's order.
     pub fn neighborhoods<I: Send, S: FnMut(I)>(
         &self,
+        pivots: Range<u32>,
         visit: impl Fn(&mut Out<'_, I, S>, EntityId, &[u32], &[f64]) + Sync,
         sink: S,
     ) -> Swept {
         match self.imp {
-            WeightingImpl::Original => self.original_neighborhoods(visit, sink),
+            WeightingImpl::Original => self.original_neighborhoods(pivots, visit, sink),
             WeightingImpl::Optimized => self.pivot_windows(
+                pivots,
                 ScanScope::All,
                 |out, _, pivot, ids, weights| visit(out, pivot, ids, weights),
                 sink,
@@ -260,7 +286,7 @@ impl<'a, 'b> Sweep<'a, 'b> {
     }
 
     /// [`Sweep::neighborhoods`] through a top-`k` selection: calls
-    /// `visit(out, pivot, kept)` for every node with a non-empty
+    /// `visit(out, pivot, kept)` for every node in `pivots` with a non-empty
     /// neighborhood, `kept` its `k` best neighbors ascending by id
     /// ([`TopK::select_ascending`]), and `sink` with whatever the visits
     /// emit, in the sequential sweep's order. The selection runs in the
@@ -269,6 +295,7 @@ impl<'a, 'b> Sweep<'a, 'b> {
     pub fn top_k<I: Send, S: FnMut(I)>(
         &self,
         k: usize,
+        pivots: Range<u32>,
         visit: impl Fn(&mut Out<'_, I, S>, EntityId, &[u32]) + Sync,
         sink: S,
     ) -> Swept {
@@ -276,6 +303,7 @@ impl<'a, 'b> Sweep<'a, 'b> {
             WeightingImpl::Original => {
                 let mut top = TopK::new();
                 self.original_neighborhoods(
+                    pivots,
                     |out, pivot, ids, weights| {
                         visit(out, pivot, top.select_ascending(pivot, ids, weights, k))
                     },
@@ -283,6 +311,7 @@ impl<'a, 'b> Sweep<'a, 'b> {
                 )
             }
             WeightingImpl::Optimized => self.pivot_windows(
+                pivots,
                 ScanScope::All,
                 |out, top, pivot, ids, weights| {
                     visit(out, pivot, top.select_ascending(pivot, ids, weights, k))
@@ -292,15 +321,21 @@ impl<'a, 'b> Sweep<'a, 'b> {
         }
     }
 
-    /// Algorithm 2's neighborhoods, inline as one window.
+    /// Every pivot of the graph, `0..|E|`.
+    pub(crate) fn all(&self) -> Range<u32> {
+        0..self.ctx.num_entities() as u32
+    }
+
+    /// Algorithm 2's neighborhoods of `pivots`, inline as one window.
     fn original_neighborhoods<I, S: FnMut(I)>(
         &self,
+        pivots: Range<u32>,
         mut visit: impl FnMut(&mut Out<'_, I, S>, EntityId, &[u32], &[f64]),
         mut sink: S,
     ) -> Swept {
         let mut out = Out(Dest::Sink(&mut sink));
         let (mut neighborhoods, mut edges) = (0u64, 0u64);
-        original::for_each_neighborhood(self.ctx, self.weigher, |pivot, ids, weights| {
+        original::for_each_neighborhood(self.ctx, self.weigher, pivots, |pivot, ids, weights| {
             neighborhoods += 1;
             edges += ids.len() as u64;
             visit(&mut out, pivot, ids, weights);
@@ -308,19 +343,26 @@ impl<'a, 'b> Sweep<'a, 'b> {
         Swept { neighborhoods, worker_edges: vec![edges] }
     }
 
-    /// The pivot loop over the windows, `visit` on every group it delivers
-    /// under `scope` ([`optimized::groups_in`]), with the worker's [`TopK`].
+    /// The pivot loop over the windows of `pivots`, `visit` on every group it
+    /// delivers under `scope` ([`optimized::groups_in`]), with the worker's
+    /// [`TopK`].
     fn pivot_windows<I: Send, S: FnMut(I)>(
         &self,
+        pivots: Range<u32>,
         scope: ScanScope,
         visit: impl Fn(&mut Out<'_, I, S>, &mut TopK, EntityId, &[u32], &[f64]) + Sync,
         sink: S,
     ) -> Swept {
         let (ctx, weigher) = (self.ctx, self.weigher);
+        #[cfg(feature = "sanitize")]
+        let whole = self.whole_groups();
         sweep_windows(
             ctx.num_entities(),
+            pivots,
             self.threads,
             |worker, pivots, out| {
+                #[cfg(feature = "sanitize")]
+                let rescan = &mut worker.rescan;
                 let Worker { scanner, weights, top, .. } = worker;
                 let (hoods, edges) = optimized::groups_in(
                     ctx,
@@ -329,7 +371,13 @@ impl<'a, 'b> Sweep<'a, 'b> {
                     weights,
                     pivots,
                     scope,
-                    |p, ids, ws| visit(out, top, p, ids, ws),
+                    |p, ids, ws| {
+                        #[cfg(feature = "sanitize")]
+                        if scope == ScanScope::GreaterOnly && whole.contains(&p.0) {
+                            crate::sanitize::check_whole_group(ctx, weigher, rescan, p, ids, ws);
+                        }
+                        visit(out, top, p, ids, ws)
+                    },
                 );
                 worker.neighborhoods += hoods;
                 worker.edges += edges;
@@ -361,6 +409,7 @@ impl<'a, 'b> Sweep<'a, 'b> {
             WeightingImpl::Optimized => {
                 sweep_windows(
                     ctx.num_entities(),
+                    self.all(),
                     self.threads,
                     |worker, pivots, out| {
                         let mut window_sum = 0.0f64;
@@ -591,7 +640,7 @@ mod tests {
     use crate::pipeline::PruningScheme;
     use crate::weights::WeightingScheme;
     use er_model::{Block, BlockCollection, ErKind};
-    use mb_observe::{Counter, RunReport};
+    use mb_observe::{Counter, RunReport, Stage};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
@@ -639,7 +688,13 @@ mod tests {
         for n in [0usize, 1, 127, 128, 129, 1000, 128 * 40] {
             for threads in [1, 2, 3, 8, 100] {
                 let mut seen: Vec<Range<u32>> = Vec::new();
-                sweep_windows(n, threads, |_, pivots, out| out.emit(pivots), |r| seen.push(r));
+                sweep_windows(
+                    n,
+                    0..n as u32,
+                    threads,
+                    |_, pivots, out| out.emit(pivots),
+                    |r| seen.push(r),
+                );
                 assert_eq!(seen.len(), n.div_ceil(WINDOW_PIVOTS as usize), "n={n} t={threads}");
                 let mut next = 0;
                 for r in seen {
@@ -652,6 +707,68 @@ mod tests {
         }
     }
 
+    /// The windows tile `start..n` in order for every start around a window
+    /// boundary, at one to four threads.
+    #[test]
+    fn windows_tile_a_pivot_range_from_its_start() {
+        let n = WINDOW_PIVOTS * 5 + 9;
+        for start in [0, 1, 63, 64, 65, 200, n - 1] {
+            for threads in 1..=4 {
+                let mut seen: Vec<Range<u32>> = Vec::new();
+                sweep_windows(
+                    n as usize,
+                    start..n,
+                    threads,
+                    |_, pivots, out| out.emit(pivots),
+                    |r| seen.push(r),
+                );
+                assert_eq!(
+                    seen.len() as u32,
+                    (n - start).div_ceil(WINDOW_PIVOTS),
+                    "{start} x{threads}"
+                );
+                let mut next = start;
+                for r in seen {
+                    assert_eq!(r.start, next, "{start} x{threads}");
+                    assert!(r.end > r.start && r.end - r.start <= WINDOW_PIVOTS);
+                    next = r.end;
+                }
+                assert_eq!(next, n, "{start} x{threads}");
+            }
+        }
+    }
+
+    /// A range that starts at `|E|` is swept by the caller's one state alone,
+    /// with no window visited, and a sweep over it finds no neighborhood.
+    #[test]
+    fn a_range_starting_at_the_end_spawns_nothing_and_visits_nothing() {
+        let n = WINDOW_PIVOTS as usize * 4;
+        for threads in [1, 2, 4, 16] {
+            let visits = AtomicUsize::new(0);
+            let swept = sweep_windows(
+                n,
+                n as u32..n as u32,
+                threads,
+                |_, _, out| {
+                    visits.fetch_add(1, SeqCst);
+                    out.emit(())
+                },
+                |()| panic!("nothing was visited, so nothing is drained"),
+            );
+            assert_eq!(visits.load(SeqCst), 0, "x{threads}");
+            assert_eq!(swept, Swept { neighborhoods: 0, worker_edges: vec![0] }, "x{threads}");
+        }
+        let blocks = large_fixture();
+        let ctx = GraphContext::new_dirty(&blocks);
+        let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
+        let end = ctx.num_entities() as u32;
+        for imp in [WeightingImpl::Optimized, WeightingImpl::Original] {
+            let sweep = Sweep::new(&ctx, &weigher, imp, 4);
+            let swept = sweep.neighborhoods(end..end, |_, _, _, _| panic!("visited"), |()| {});
+            assert_eq!(swept.neighborhoods + swept.edges(), 0, "{imp}");
+        }
+    }
+
     /// A 2-entity collection on a 16-thread config is one window: it runs on
     /// the calling thread, with one scanner.
     #[test]
@@ -659,6 +776,7 @@ mod tests {
         let caller = std::thread::current().id();
         let swept = sweep_windows(
             2,
+            0..2,
             16,
             |_, _, out| out.emit(std::thread::current().id()),
             |id| assert_eq!(id, caller),
@@ -707,7 +825,7 @@ mod tests {
                             format!("{:?} {} {imp} x{threads}", blocks.kind(), scheme.name());
                         let mut groups = Vec::new();
                         let swept = Sweep::new(&ctx, &weigher, imp, threads).edges(
-                            |out, pivot, ids, weights| {
+                            |out, _, pivot, ids, weights| {
                                 let edges = ids.iter().zip(weights);
                                 out.emit((pivot.0, edges.map(|(&j, w)| (j, w.to_bits())).collect()))
                             },
@@ -734,6 +852,113 @@ mod tests {
                             WeightingImpl::Original => {
                                 assert!(groups.iter().all(|(_, edges)| edges.len() == 1), "{what}");
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The edge sweep's group of a pivot in [`Sweep::whole_groups`] is the
+    /// pivot's neighborhood — ids, order and weight bits — under every
+    /// weighting scheme at every thread count. The whole groups are the first
+    /// Clean-Clean side under Optimized weighting and none elsewhere.
+    #[test]
+    fn a_whole_group_is_its_pivots_neighborhood() {
+        type Group = (u32, Vec<(u32, u64)>);
+        let group = |pivot: EntityId, ids: &[u32], weights: &[f64]| -> Group {
+            (pivot.0, ids.iter().zip(weights).map(|(&j, w)| (j, w.to_bits())).collect())
+        };
+        let dirty = large_fixture();
+        let (clean, split) = large_clean_fixture();
+        for (blocks, split) in [(&dirty, dirty.num_entities()), (&clean, split)] {
+            let ctx = GraphContext::new(blocks, split);
+            let clean = blocks.kind() == ErKind::CleanClean;
+            for scheme in WeightingScheme::ALL {
+                let weigher = EdgeWeigher::new(scheme, &ctx);
+                let original = Sweep::new(&ctx, &weigher, WeightingImpl::Original, 1);
+                assert!(original.whole_groups().is_empty());
+                let mut hoods = Vec::new();
+                let one = Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, 1);
+                one.neighborhoods(
+                    one.all(),
+                    |out, p, ids, ws| out.emit(group(p, ids, ws)),
+                    |g| hoods.push(g),
+                );
+                let whole = one.whole_groups();
+                assert_eq!(whole, 0..if clean { split as u32 } else { 0 }, "{}", scheme.name());
+                let want: Vec<Group> =
+                    hoods.into_iter().filter(|(p, _)| whole.contains(p)).collect();
+                assert_eq!(!want.is_empty(), clean);
+                for threads in [1, 2, 4] {
+                    let sweep = Sweep::new(&ctx, &weigher, WeightingImpl::Optimized, threads);
+                    let mut got = Vec::new();
+                    sweep.edges(
+                        |out, _, p, ids, ws| {
+                            if whole.contains(&p.0) {
+                                out.emit(group(p, ids, ws))
+                            }
+                        },
+                        |g| got.push(g),
+                    );
+                    assert_eq!(got, want, "{:?} {} x{threads}", blocks.kind(), scheme.name());
+                }
+            }
+        }
+    }
+
+    /// What the two-phase schemes weigh, at every thread count. On
+    /// Clean-Clean ER under Optimized weighting phase 1 scans the second side
+    /// alone — each edge once — and the edge sweep weighs each edge once
+    /// more: twice in all. On Dirty ER, and under Original weighting, phase 1
+    /// scans every neighborhood and meets each edge from both ends: three
+    /// times in all.
+    #[test]
+    fn a_two_phase_scheme_sweeps_the_first_clean_clean_side_once() {
+        let two_phase = [
+            PruningScheme::RedefinedCnp,
+            PruningScheme::ReciprocalCnp,
+            PruningScheme::RedefinedWnp,
+            PruningScheme::ReciprocalWnp,
+        ];
+        let dirty = large_fixture();
+        let (clean, split) = large_clean_fixture();
+        for (blocks, split) in [(&dirty, dirty.num_entities()), (&clean, split)] {
+            let ctx = GraphContext::new(blocks, split);
+            for scheme in WeightingScheme::ALL {
+                let weigher = EdgeWeigher::new(scheme, &ctx);
+                let mut edges = 0u64;
+                optimized::for_each_edge(&ctx, &weigher, |_, _, _| edges += 1);
+                for imp in [WeightingImpl::Optimized, WeightingImpl::Original] {
+                    let once =
+                        blocks.kind() == ErKind::CleanClean && imp == WeightingImpl::Optimized;
+                    // The non-empty neighborhoods phase 1 has to scan.
+                    let mut scanned = 0u64;
+                    optimized::for_each_neighborhood(&ctx, &weigher, |p, _, _| {
+                        scanned += u64::from(!(once && ctx.is_first(p)))
+                    });
+                    let phase1 = if once { edges } else { 2 * edges };
+                    for pruning in two_phase {
+                        for threads in [1, 2, 4] {
+                            let sweep = Sweep::new(&ctx, &weigher, imp, threads);
+                            let (report, _) = run_scheme(pruning, &sweep);
+                            let what = format!(
+                                "{:?} {} {imp} {pruning} x{threads}",
+                                blocks.kind(),
+                                scheme.name()
+                            );
+                            let weighting = &report.stage(Stage::EdgeWeighting).unwrap().counters;
+                            assert_eq!(
+                                weighting.get(Counter::NeighborhoodsScanned),
+                                scanned,
+                                "{what}"
+                            );
+                            assert_eq!(weighting.get(Counter::EdgesWeighed), phase1, "{what}");
+                            assert_eq!(
+                                report.counter_total(Counter::EdgesWeighed),
+                                phase1 + edges,
+                                "{what}"
+                            );
                         }
                     }
                 }
@@ -897,7 +1122,7 @@ mod tests {
             let mut seen = 0u64;
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 sweep.edges(
-                    |out, pivot, ids, _| {
+                    |out, _, pivot, ids, _| {
                         assert!(pivot != poisoned, "visitor refused pivot {pivot}");
                         ids.iter().for_each(|&j| out.emit((pivot, j)));
                     },

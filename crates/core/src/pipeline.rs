@@ -536,6 +536,19 @@ mod tests {
         )
     }
 
+    /// Blocks crossing a split at 3: left {0,1,2}, right {3,4,5}.
+    fn clean_fixture() -> BlockCollection {
+        BlockCollection::new(
+            ErKind::CleanClean,
+            6,
+            vec![
+                Block::clean_clean(ids(&[0, 1]), ids(&[3, 4])),
+                Block::clean_clean(ids(&[0]), ids(&[3])),
+                Block::clean_clean(ids(&[2]), ids(&[5])),
+            ],
+        )
+    }
+
     #[test]
     fn scheme_metadata() {
         assert_eq!(PruningScheme::Cep.name(), "CEP");
@@ -611,16 +624,7 @@ mod tests {
     /// output as the sequential pipeline (threads = 1), for both ER kinds.
     #[test]
     fn parallel_pipeline_matches_sequential_for_every_scheme() {
-        let dirty = fixture();
-        let clean = BlockCollection::new(
-            ErKind::CleanClean,
-            6,
-            vec![
-                Block::clean_clean(ids(&[0, 1]), ids(&[3, 4])),
-                Block::clean_clean(ids(&[0]), ids(&[3])),
-                Block::clean_clean(ids(&[2]), ids(&[5])),
-            ],
-        );
+        let (dirty, clean) = (fixture(), clean_fixture());
         for (blocks, split) in [(&dirty, 4usize), (&clean, 3usize)] {
             for pruning in PruningScheme::ALL {
                 let seq = MetaBlocking::new(WeightingScheme::Js, pruning)
@@ -653,26 +657,50 @@ mod tests {
         }
     }
 
+    /// Both weighting implementations retain the same comparisons, on Dirty
+    /// and on Clean-Clean ER. A two-phase scheme emits them in its edge
+    /// sweep's order — block order under Original, pivot order under
+    /// Optimized — so its sequence is checked too: each implementation emits
+    /// its own edge stream filtered to the other's retained set.
     #[test]
     fn original_and_optimized_impls_agree() {
-        let blocks = fixture();
-        for scheme in WeightingScheme::ALL {
-            for pruning in PruningScheme::ALL {
-                let a = MetaBlocking::new(scheme, pruning)
-                    .with_weighting_impl(WeightingImpl::Original)
-                    .run_collect(&blocks, 4)
-                    .unwrap();
-                let b = MetaBlocking::new(scheme, pruning)
-                    .with_weighting_impl(WeightingImpl::Optimized)
-                    .run_collect(&blocks, 4)
-                    .unwrap();
-                let norm = |v: &[(EntityId, EntityId)]| {
-                    let mut v: Vec<(u32, u32)> =
-                        v.iter().map(|&(x, y)| (x.0.min(y.0), x.0.max(y.0))).collect();
-                    v.sort_unstable();
-                    v
-                };
-                assert_eq!(norm(&a), norm(&b), "{} + {}", scheme.name(), pruning.name());
+        let (dirty, clean) = (fixture(), clean_fixture());
+        for (blocks, split) in [(&dirty, 4usize), (&clean, 3usize)] {
+            let ctx = GraphContext::new(blocks, split);
+            for scheme in WeightingScheme::ALL {
+                let weigher = EdgeWeigher::new(scheme, &ctx);
+                for pruning in PruningScheme::ALL {
+                    let what =
+                        format!("{:?} {} + {}", blocks.kind(), scheme.name(), pruning.name());
+                    let run = |imp| {
+                        MetaBlocking::new(scheme, pruning)
+                            .with_weighting_impl(imp)
+                            .run_collect(blocks, split)
+                            .unwrap()
+                    };
+                    let (a, b) = (run(WeightingImpl::Original), run(WeightingImpl::Optimized));
+                    let norm = |v: &[(EntityId, EntityId)]| {
+                        let mut v: Vec<(u32, u32)> =
+                            v.iter().map(|&(x, y)| (x.0.min(y.0), x.0.max(y.0))).collect();
+                        v.sort_unstable();
+                        v
+                    };
+                    assert_eq!(norm(&a), norm(&b), "{what}");
+                    if !pruning.is_node_centric() || pruning.emits_redundant_comparisons() {
+                        continue;
+                    }
+                    for (imp, got, other) in
+                        [(WeightingImpl::Original, &a, &b), (WeightingImpl::Optimized, &b, &a)]
+                    {
+                        let mut want = Vec::new();
+                        crate::weighting::for_each_edge(imp, &ctx, &weigher, |x, y, _| {
+                            if other.contains(&(x, y)) {
+                                want.push((x, y));
+                            }
+                        });
+                        assert_eq!(got, &want, "{what} under {imp}");
+                    }
+                }
             }
         }
     }
@@ -727,16 +755,7 @@ mod tests {
 
     #[test]
     fn clean_clean_pipeline_respects_the_split() {
-        // Blocks crossing a split at 3: left {0,1,2}, right {3,4,5}.
-        let blocks = BlockCollection::new(
-            ErKind::CleanClean,
-            6,
-            vec![
-                Block::clean_clean(ids(&[0, 1]), ids(&[3, 4])),
-                Block::clean_clean(ids(&[0]), ids(&[3])),
-                Block::clean_clean(ids(&[2]), ids(&[5])),
-            ],
-        );
+        let blocks = clean_fixture();
         for scheme in WeightingScheme::ALL {
             for pruning in PruningScheme::ALL {
                 let out = MetaBlocking::new(scheme, pruning).run_collect(&blocks, 3).unwrap();

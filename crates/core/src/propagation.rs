@@ -44,6 +44,7 @@ pub fn comparison_propagation_threads(
 ) {
     sweep_windows(
         ctx.num_entities(),
+        0..ctx.num_entities() as u32,
         threads,
         |worker, pivots, out| {
             for raw in pivots {

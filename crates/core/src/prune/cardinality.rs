@@ -125,7 +125,7 @@ pub fn cep(
     // stale read merely lets a few hopeless edges travel.
     let floor = AtomicU64::new(0f64.to_bits());
     let swept = sweep.edges(
-        |out, pivot, ids, weights| {
+        |out, _, pivot, ids, weights| {
             // Read once per pivot: within its edges the floor is at most a
             // few pushes stale.
             let floor = f64::from_bits(floor.load(Relaxed));
@@ -391,6 +391,7 @@ pub fn cnp(
     let mut retained = 0u64;
     let swept = sweep.top_k(
         k,
+        sweep.all(),
         |out, pivot, kept| kept.iter().for_each(|&j| out.emit((pivot, EntityId(j)))),
         counted(&mut retained, &mut sink),
     );
@@ -400,6 +401,14 @@ pub fn cnp(
     scope.finish();
 }
 
+/// Stage accounting: phase 1 reports as [`Stage::EdgeWeighting`], phase 2
+/// as [`Stage::Pruning`]. Phase 1 scans only the nodes whose edge-sweep group
+/// is not their whole neighborhood ([`Sweep::whole_groups`]); a node whose
+/// group is whole has its stack selected in phase 2, from the group, in the
+/// sweeping thread's [`TopK`]. On Clean-Clean ER under Optimized Edge
+/// Weighting phase 1 therefore scans the second side alone and weighs each
+/// edge once, so `edges_weighed` totals twice the distinct edges; elsewhere
+/// phase 1 visits every edge from both ends, and the total is three times.
 fn two_phase_cnp(
     sweep: &Sweep<'_, '_>,
     combine: Combine,
@@ -407,35 +416,41 @@ fn two_phase_cnp(
     mut sink: impl FnMut(EntityId, EntityId),
 ) {
     let k = cnp_threshold(sweep.ctx());
-    // Phase 1 is the weighting work of Algorithm 4: every node's sorted
-    // top-`k` neighbor list ("Sorted Stacks"), back to back in one pool —
-    // node `i`'s stack is `pool[offsets[i]..offsets[i + 1]]`. A stack holds
-    // at most `k` ids, and `k = 1` or `k < Σ|b| / |E|`, so the pool — sized
-    // once for `|E| · k` — holds at most `max(|E|, Σ|b|)`, a count the block
-    // arena's `u32` offsets bound.
+    // Phase 1 is the weighting work of Algorithm 4: the sorted top-`k`
+    // neighbor list ("Sorted Stacks") of every node from `start` on — the
+    // nodes outside the whole groups — back to back in one pool: node `i`'s
+    // stack is `pool[offsets[i - start]..offsets[i - start + 1]]`. Phase 2
+    // reads no stack below `start`: it selects a whole group's own, and on
+    // Clean-Clean ER every neighbor is on the second side. A stack holds at
+    // most `k` ids, and `k = 1` or `k < Σ|b| / |E|`, so the pool — sized once
+    // for `(|E| − start) · k` — holds at most `max(|E|, Σ|b|)`, a count the
+    // block arena's `u32` offsets bound.
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
     let n = sweep.ctx().num_entities();
-    let mut offsets: Vec<u32> = vec![0; n + 1];
-    let mut pool: Vec<u32> = Vec::with_capacity(n.saturating_mul(k));
+    let whole = sweep.whole_groups();
+    let start = whole.end as usize;
+    let mut offsets: Vec<u32> = vec![0; n - start + 1];
+    let mut pool: Vec<u32> = Vec::with_capacity((n - start).saturating_mul(k));
     let swept = sweep.top_k(
         k,
+        whole.end..n as u32,
         |out, pivot, kept| kept.iter().for_each(|&j| out.emit((pivot, j))),
         |(pivot, j): (EntityId, u32)| {
-            offsets[pivot.idx() + 1] += 1;
+            offsets[pivot.idx() - start + 1] += 1;
             pool.push(j);
         },
     );
-    for i in 0..n {
+    for i in 0..n - start {
         offsets[i + 1] += offsets[i];
     }
     scope.add(Counter::NeighborhoodsScanned, swept.neighborhoods);
     scope.add(Counter::EdgesWeighed, swept.edges());
     scope.finish();
-    let stack = |i: usize| &pool[offsets[i] as usize..offsets[i + 1] as usize];
+    let stack = |i: usize| &pool[offsets[i - start] as usize..offsets[i - start + 1] as usize];
     // The binary searches below require sorted stacks within the per-node
     // budget — phase 1's contract.
     #[cfg(feature = "sanitize")]
-    for i in 0..n {
+    for i in start..n {
         let s = stack(i);
         assert!(
             s.len() <= k,
@@ -451,8 +466,14 @@ fn two_phase_cnp(
     let mut scope = StageScope::enter(obs, Stage::Pruning);
     let mut retained = 0u64;
     let swept = sweep.edges(
-        |out, pivot, ids, _| {
-            let own = stack(pivot.idx());
+        |out, top, pivot, ids, weights| {
+            // A whole group's selection is the stack phase 1 would have
+            // pooled: the same edges, in the same order, through one kernel.
+            let own = if whole.contains(&pivot.0) {
+                top.select_ascending(pivot, ids, weights, k)
+            } else {
+                stack(pivot.idx())
+            };
             for &j in ids {
                 let in_own = own.binary_search(&j).is_ok();
                 let in_theirs = stack(j as usize).binary_search(&pivot.0).is_ok();

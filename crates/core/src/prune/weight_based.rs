@@ -38,7 +38,7 @@ pub fn wep(
     let mut scope = StageScope::enter(obs, Stage::Pruning);
     let mut retained = 0u64;
     let swept = sweep.edges(
-        |out, pivot, ids, weights| {
+        |out, _, pivot, ids, weights| {
             reaching(ids, weights, mean, |kept, _| emit_kept(out, pivot, kept))
         },
         counted(&mut retained, &mut sink),
@@ -82,6 +82,7 @@ pub fn wnp(
     let mut scope = StageScope::enter(obs, Stage::Pruning);
     let mut retained = 0u64;
     let swept = sweep.neighborhoods(
+        sweep.all(),
         |out, pivot, ids, weights| {
             let mean = neighborhood_mean(weights);
             reaching(ids, weights, mean, |kept, _| emit_kept(out, pivot, kept))
@@ -94,18 +95,31 @@ pub fn wnp(
     scope.finish();
 }
 
+/// Stage accounting: phase 1 reports as [`Stage::EdgeWeighting`], phase 2
+/// as [`Stage::Pruning`]. Phase 1 scans only the nodes whose edge-sweep group
+/// is not their whole neighborhood ([`Sweep::whole_groups`]); a node whose
+/// group is whole gets its threshold in phase 2, from the group. On
+/// Clean-Clean ER under Optimized Edge Weighting phase 1 therefore scans the
+/// second side alone and weighs each edge once, so `edges_weighed` totals
+/// twice the distinct edges; elsewhere phase 1 visits every edge from both
+/// ends, and the total is three times.
 fn two_phase_wnp(
     sweep: &Sweep<'_, '_>,
     combine: Combine,
     obs: &mut dyn Observer,
     mut sink: impl FnMut(EntityId, EntityId),
 ) {
-    // Phase 1 (Algorithm 5, lines 2–4) is the weighting work: every node's
-    // local mean threshold. Nodes with no neighborhood keep +∞ — they have
-    // no edge to retain.
+    // Phase 1 (Algorithm 5, lines 2–4) is the weighting work: the local mean
+    // threshold of every node outside the whole groups. Nodes with no
+    // neighborhood keep +∞ — they have no edge to retain — and so do the
+    // whole-group nodes, whose slot phase 2 never reads: on Clean-Clean ER
+    // every neighbor is on the other side.
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let mut thresholds = vec![f64::INFINITY; sweep.ctx().num_entities()];
+    let n = sweep.ctx().num_entities();
+    let whole = sweep.whole_groups();
+    let mut thresholds = vec![f64::INFINITY; n];
     let swept = sweep.neighborhoods(
+        whole.end..n as u32,
         |out, pivot, _ids, weights| out.emit((pivot, neighborhood_mean(weights))),
         |(pivot, mean): (EntityId, f64)| thresholds[pivot.idx()] = mean,
     );
@@ -117,13 +131,19 @@ fn two_phase_wnp(
     for (i, &t) in thresholds.iter().enumerate() {
         assert!(!t.is_nan(), "mb-sanitize: WNP threshold of entity {i} is NaN");
     }
-    // Phase 2 is the pruning sweep over the distinct edges.
+    // Phase 2 is the pruning sweep over the distinct edges. A whole group's
+    // mean is the one phase 1 would have taken: the same weights, summed in
+    // the same order.
     let mut scope = StageScope::enter(obs, Stage::Pruning);
     let thresholds = &thresholds;
     let mut retained = 0u64;
     let swept = sweep.edges(
-        |out, pivot, ids, weights| {
-            let own = thresholds[pivot.idx()];
+        |out, _, pivot, ids, weights| {
+            let own = if whole.contains(&pivot.0) {
+                neighborhood_mean(weights)
+            } else {
+                thresholds[pivot.idx()]
+            };
             reaching_pair(ids, weights, own, thresholds, combine, |kept, _| {
                 emit_kept(out, pivot, kept)
             })

@@ -12,7 +12,9 @@
 
 use crate::context::GraphContext;
 use crate::parallel::Sweep;
-use crate::scanner::ScanScope;
+use crate::scanner::{NeighborhoodScanner, Pivot, ScanScope};
+use crate::weighting::optimized;
+use crate::weights::EdgeWeigher;
 use er_model::{BlockCollection, ComparisonSet, EntityId, ErKind};
 
 /// Checks one weighted edge of the implicit blocking graph: the weight is
@@ -69,6 +71,38 @@ pub(crate) fn check_swept_edge(
     assert!(
         scope == ScanScope::All || other > pivot,
         "mb-sanitize: edge sweep delivered {pivot}-{other} under {pivot}"
+    );
+}
+
+/// Checks a group an edge sweep delivers as `pivot`'s whole neighborhood
+/// ([`Sweep::whole_groups`]), which two-phase pruning takes the pivot's
+/// criterion from: rescanned with `scanner` under [`ScanScope::All`], the
+/// neighborhood has the group's ids in the group's order and its weights bit
+/// for bit.
+pub(crate) fn check_whole_group(
+    ctx: &GraphContext<'_>,
+    weigher: &EdgeWeigher<'_, '_>,
+    scanner: &mut NeighborhoodScanner,
+    pivot: EntityId,
+    ids: &[u32],
+    weights: &[f64],
+) {
+    let mut all = Vec::with_capacity(weights.len());
+    let hood = optimized::weigh_neighborhood(
+        weigher.scheme(),
+        ctx,
+        weigher.degrees(),
+        scanner,
+        Pivot::indexed(ctx, pivot),
+        ScanScope::All,
+        |_, w| all.push(w.to_bits()),
+    );
+    assert!(
+        hood == ids && all.iter().copied().eq(weights.iter().map(|w| w.to_bits())),
+        "mb-sanitize: the edge-sweep group of {pivot} ({} edges) is not its whole \
+         neighborhood ({} edges)",
+        ids.len(),
+        hood.len()
     );
 }
 

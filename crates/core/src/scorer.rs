@@ -205,6 +205,7 @@ impl<S: CandidateStore + Sync> NeighborhoodScorer<S> {
         let mut scored = Vec::with_capacity(store.num_entities());
         sweep_windows(
             store.num_entities(),
+            0..store.num_entities() as u32,
             threads,
             |worker, pivots, out| {
                 let Worker { scanner, weights, top, .. } = worker;

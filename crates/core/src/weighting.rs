@@ -333,10 +333,12 @@ pub mod original {
     /// for every node, its distinct neighbors are gathered from its blocks
     /// and each incident edge is weighted by a full block-list intersection
     /// (`O(2·BPE)` per edge, twice per edge over the whole pass) — how the
-    /// original CNP/WNP implementations operated before Algorithm 3.
+    /// original CNP/WNP implementations operated before Algorithm 3. Only
+    /// the nodes in `pivots` are visited.
     pub fn for_each_neighborhood(
         ctx: &GraphContext<'_>,
         weigher: &EdgeWeigher<'_, '_>,
+        pivots: std::ops::Range<u32>,
         mut sink: impl FnMut(EntityId, &[u32], &[f64]),
     ) {
         let arcs =
@@ -344,8 +346,7 @@ pub mod original {
         let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
         let mut ids: Vec<u32> = Vec::new();
         let mut weights: Vec<f64> = Vec::new();
-        let n = ctx.num_entities() as u32;
-        for raw in 0..n {
+        for raw in pivots {
             let pivot = EntityId(raw);
             // Gather distinct neighbors (the scan is used purely as a
             // deduplicating set here; the scores are discarded).
