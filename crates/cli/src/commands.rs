@@ -14,8 +14,8 @@ use mb_core::{
 use mb_observe::{Progress, RunReport, Tee};
 use mb_serve::{
     append_delta_run, write_atomic, CandidateRequest, CandidateResponse, Client, DeltaOp,
-    GenerationCell, QueryEngine, Server, ServerConfig, Snapshot, SnapshotHeader, SnapshotView,
-    APPEND,
+    GenerationCell, QueryEngine, Server, ServerConfig, Snapshot, SnapshotError, SnapshotHeader,
+    SnapshotView, APPEND,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -362,8 +362,11 @@ fn snapshot_inspect(args: &Args) -> Result<String, String> {
 fn snapshot_apply(args: &Args) -> Result<String, String> {
     check_options(args, &["snapshot", "out", "delete", "text", "uri", "entity"])?;
     let path = args.require("snapshot")?;
-    let base = SnapshotView::read_from(Path::new(path), &mut Noop)
-        .map_err(|e| format!("loading {path}: {e}"))?;
+    let loading = |e: SnapshotError| format!("loading {path}: {e}");
+    // The base file's bytes are re-framed below, so they are read once and
+    // kept beside the view loaded from them.
+    let file = std::fs::read(path).map_err(|e| loading(e.into()))?;
+    let base = SnapshotView::from_bytes(file.clone()).map_err(loading)?;
     let op = match (args.get("delete"), args.get("text")) {
         (Some(v), None) => {
             if args.get("entity").is_some() || args.get("uri").is_some() {
@@ -396,14 +399,16 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
         _ => return Err("exactly one of --delete or --text is required".into()),
     };
     let out = args.get("out").unwrap_or(path);
-    let patched = append_delta_run(&base, std::slice::from_ref(&op))
+    let patched = append_delta_run(&file, std::slice::from_ref(&op))
         .map_err(|e| format!("applying to {path}: {e}"))?;
     // Only bytes that passed the loader are written.
-    let patched = SnapshotView::from_bytes(patched).map_err(|e| format!("verifying {out}: {e}"))?;
-    let runs = patched.delta_runs().len();
+    let runs = SnapshotView::from_bytes(patched.clone())
+        .map_err(|e| format!("verifying {out}: {e}"))?
+        .delta_runs()
+        .len();
     // Replaced by rename: `--out` defaults to the base file itself, and a
     // torn write there would lose the base and the staged op together.
-    write_atomic(Path::new(out), patched.as_bytes()).map_err(|e| format!("writing {out}: {e}"))?;
+    write_atomic(Path::new(out), &patched).map_err(|e| format!("writing {out}: {e}"))?;
     let (verb, id) = match &op {
         DeltaOp::Upsert { id, .. } => ("upserted entity", *id),
         DeltaOp::Delete { id } => ("tombstoned entity", *id),

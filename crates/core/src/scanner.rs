@@ -19,7 +19,7 @@
 //! whole-block walk with both tests.
 
 use crate::store::CandidateStore;
-use er_model::{EntityId, ErKind, U32s};
+use er_model::{EntityId, ErKind};
 
 /// What the scanner accumulates per co-occurring profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,37 +160,37 @@ impl NeighborhoodScanner {
                     // neighborhood walks both parts, in block order, and
                     // tests no member.
                     Some(slots) => {
-                        let mut i = 0;
-                        pivot.blocks.for_each(|k| {
+                        for (&k, &slot) in pivot.blocks.iter().zip(slots) {
                             let members = store.members_of(k as usize, false);
-                            let slot = slots[i] as usize;
-                            i += 1;
+                            let slot = slot as usize;
                             #[cfg(feature = "sanitize")]
                             assert!(
-                                slot < members.len() && members.get(slot) == pivot.id,
+                                slot < members.len() && members[slot].0 == pivot.id,
                                 "mb-sanitize: slot {slot} of entity {} in block {k} of {} members",
                                 pivot.id,
                                 members.len()
                             );
                             if scope == ScanScope::All {
-                                members.slice(0, slot).for_each(&mut count);
+                                members[..slot].iter().for_each(|j| count(j.0));
                             }
-                            members.slice(slot + 1, members.len()).for_each(&mut count);
-                        });
+                            members[slot + 1..].iter().for_each(|j| count(j.0));
+                        }
                     }
-                    None => pivot.blocks.for_each(|k| {
-                        store.members_of(k as usize, pivot.scan_right).for_each(|j| {
-                            // Neither test can hold for a probe: no member
-                            // has id `|E|`.
-                            if j == pivot.id {
-                                return;
+                    None => {
+                        for &k in pivot.blocks {
+                            for &EntityId(j) in store.members_of(k as usize, pivot.scan_right) {
+                                // Neither test can hold for a probe: no
+                                // member has id `|E|`.
+                                if j == pivot.id {
+                                    continue;
+                                }
+                                if scope == ScanScope::GreaterOnly && j < pivot.id {
+                                    continue;
+                                }
+                                count(j);
                             }
-                            if scope == ScanScope::GreaterOnly && j < pivot.id {
-                                return;
-                            }
-                            count(j);
-                        });
-                    }),
+                        }
+                    }
                 }
                 Scores::Counts(&self.counts)
             }
@@ -211,14 +211,14 @@ impl NeighborhoodScanner {
                 let tick = self.tick;
                 let (flags, score, neighbors) =
                     (&mut self.flags, &mut self.score, &mut self.neighbors);
-                pivot.blocks.for_each(|k| {
+                for &k in pivot.blocks {
                     let increment = store.recip_cardinality_of(k as usize);
-                    store.members_of(k as usize, pivot.scan_right).for_each(|j| {
+                    for &EntityId(j) in store.members_of(k as usize, pivot.scan_right) {
                         if j == pivot.id {
-                            return;
+                            continue;
                         }
                         if scope == ScanScope::GreaterOnly && j < pivot.id {
-                            return;
+                            continue;
                         }
                         let idx = j as usize;
                         if flags[idx] != tick {
@@ -227,8 +227,8 @@ impl NeighborhoodScanner {
                             neighbors.push(j);
                         }
                         score[idx] += increment;
-                    });
-                });
+                    }
+                }
                 Scores::Sums(&self.score)
             }
         };
@@ -244,7 +244,7 @@ impl NeighborhoodScanner {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pivot<'a> {
     /// `B_i`: the blocks the pivot is (or would be) placed in, ascending.
-    pub(crate) blocks: U32s<'a>,
+    pub(crate) blocks: &'a [u32],
     /// Whether the scan compares against right-side members: only a
     /// Clean-Clean pivot of the first collection does (Dirty blocks keep
     /// every member on the left).
@@ -280,7 +280,7 @@ impl<'a> Pivot<'a> {
         is_first: bool,
     ) -> Self {
         Pivot {
-            blocks: U32s::Native(block_ids),
+            blocks: block_ids,
             scan_right: store.kind() != ErKind::Dirty && is_first,
             // Entity ids are dense u32s, so |E| itself always fits.
             id: store.num_entities() as u32,
@@ -490,10 +490,10 @@ mod tests {
         fn num_blocks(&self) -> usize {
             CandidateStore::num_blocks(self.0)
         }
-        fn block_list(&self, id: EntityId) -> U32s<'_> {
+        fn block_list(&self, id: EntityId) -> &[u32] {
             CandidateStore::block_list(self.0, id)
         }
-        fn members_of(&self, block: usize, scan_right: bool) -> U32s<'_> {
+        fn members_of(&self, block: usize, scan_right: bool) -> &[EntityId] {
             CandidateStore::members_of(self.0, block, scan_right)
         }
         fn recip_cardinality_of(&self, block: usize) -> f64 {

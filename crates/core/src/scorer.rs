@@ -126,7 +126,7 @@ impl<'b> NeighborhoodScorer<GraphContext<'b>> {
 
 impl<S: CandidateStore> NeighborhoodScorer<S> {
     /// Builds a scorer over any [`CandidateStore`] — the generic entry the
-    /// zero-copy serving stores use. Queries are bit-identical across store
+    /// serving store uses. Queries are bit-identical across store
     /// implementations presenting the same graph.
     pub fn from_store(store: S, scheme: WeightingScheme) -> Self {
         Self::with_scratch(store, scheme, ScorerScratch::default())

@@ -1,20 +1,19 @@
 //! Storage abstraction for implicit blocking-graph traversals.
 //!
-//! [`GraphContext`] walks an owned, fully-decoded block arena. The
-//! zero-copy serving path walks the same CSR structures while they are
-//! still little-endian bytes inside one loaded snapshot buffer.
-//! [`CandidateStore`] is the seam between them: everything the
-//! neighborhood scanner, the degree pre-pass and the edge-weight formulas
-//! read from a graph goes through this trait, and every accessor hands back
-//! an [`er_model::U32s`] view so the storage variant is resolved once per
-//! run, not once per element.
+//! [`GraphContext`] walks the block arena a pipeline run built. The
+//! serving path walks the same CSR structures as a loaded snapshot decoded
+//! them, patched by a generation's delta overlay. [`CandidateStore`] is the
+//! seam between them: everything the neighborhood scanner, the degree
+//! pre-pass and the edge-weight formulas read from a graph goes through
+//! this trait, and every accessor hands back a native slice — a block list
+//! as `&[u32]`, a member run as `&[EntityId]`, the arena's own element type.
 //!
 //! The contract mirrors the owned structures exactly — same member order,
 //! same side selection, same pre-inverted ARCS reciprocals — so a scorer
 //! over any store is bit-identical to one over the owned arena.
 
 use crate::context::GraphContext;
-use er_model::{EntityId, ErKind, U32s};
+use er_model::{EntityId, ErKind};
 
 /// Read access to one blocking graph: the block arena, the entity index and
 /// the per-block statistics the traversals consume.
@@ -38,13 +37,13 @@ pub trait CandidateStore {
     fn num_blocks(&self) -> usize;
 
     /// `B_i`: ids of the blocks containing `id`, ascending.
-    fn block_list(&self, id: EntityId) -> U32s<'_>;
+    fn block_list(&self, id: EntityId) -> &[u32];
 
     /// The members of `block` a scan from the given direction compares
     /// against: the right (second-collection) side when `scan_right`, the
     /// left side otherwise. Dirty blocks keep every member on the left, so
     /// Dirty scans always pass `scan_right = false`.
-    fn members_of(&self, block: usize, scan_right: bool) -> U32s<'_>;
+    fn members_of(&self, block: usize, scan_right: bool) -> &[EntityId];
 
     /// `1 / ‖b‖` for `block` — the pre-inverted ARCS denominator, stored as
     /// the exact IEEE result of `1.0 / cardinality` so accumulating it is
@@ -100,14 +99,18 @@ impl CandidateStore for GraphContext<'_> {
     }
 
     #[inline]
-    fn block_list(&self, id: EntityId) -> U32s<'_> {
-        U32s::Native(self.index().block_list(id))
+    fn block_list(&self, id: EntityId) -> &[u32] {
+        self.index().block_list(id)
     }
 
     #[inline]
-    fn members_of(&self, block: usize, scan_right: bool) -> U32s<'_> {
+    fn members_of(&self, block: usize, scan_right: bool) -> &[EntityId] {
         let b = self.blocks().block(block);
-        U32s::Ids(if scan_right { b.right() } else { b.left() })
+        if scan_right {
+            b.right()
+        } else {
+            b.left()
+        }
     }
 
     #[inline]
@@ -156,10 +159,10 @@ mod tests {
         assert_eq!(store.split(), 3);
         assert_eq!(store.num_entities(), 5);
         assert_eq!(store.num_blocks(), 2);
-        assert_eq!(store.block_list(EntityId(3)).to_vec(), vec![0, 1]);
+        assert_eq!(store.block_list(EntityId(3)), [0, 1]);
         assert_eq!(store.num_blocks_of(EntityId(3)), 2);
-        assert_eq!(store.members_of(0, false).to_vec(), vec![0, 1]);
-        assert_eq!(store.members_of(0, true).to_vec(), vec![3, 4]);
+        assert_eq!(store.members_of(0, false), ids(&[0, 1]));
+        assert_eq!(store.members_of(0, true), ids(&[3, 4]));
         assert_eq!(store.recip_cardinality_of(0), 1.0 / 4.0);
         assert!(store.is_first(EntityId(2)));
         assert!(!store.is_first(EntityId(3)));
@@ -172,6 +175,6 @@ mod tests {
         let blocks = BlockCollection::new(ErKind::Dirty, 3, vec![Block::dirty(ids(&[0, 1, 2]))]);
         let ctx = GraphContext::new_dirty(&blocks);
         assert!(!CandidateStore::scan_right(&ctx, EntityId(0)));
-        assert_eq!(CandidateStore::members_of(&ctx, 0, false).to_vec(), vec![0, 1, 2]);
+        assert_eq!(CandidateStore::members_of(&ctx, 0, false), ids(&[0, 1, 2]));
     }
 }

@@ -11,7 +11,6 @@
 use crate::block::BlockCollection;
 use crate::chunk::chunk_ranges;
 use crate::ids::{BlockId, EntityId};
-use crate::view::U32s;
 use std::collections::TryReserveError;
 use std::ops::Range;
 
@@ -50,46 +49,56 @@ fn accumulate_offsets(counts: &[u32], mut offsets: Vec<u32>) -> Vec<u32> {
 /// block ids. The whole range is the index itself
 /// ([`EntityIndex::from_arena`]).
 ///
-/// The caller hands in the two `n`-sized tables — `counts` is `n` zeros,
-/// `index_offsets` an empty vector with room for `n + 1` — so a loader can
-/// allocate them fallibly.
+/// The caller hands in the index's offset table as `n + 2` zeros, so a
+/// loader can allocate it fallibly. It is the only table beside the lists:
+/// entity `e`'s count goes to slot `e + 2`, so the prefix sums leave slot
+/// `e + 1` at the start of `e`'s list, the cursor the fill advances to the
+/// list's end — slot `e + 1`'s final value. Slot `n + 1` is then dropped.
+/// Holding no count or cursor table beside the index keeps a loader's peak
+/// at the index it keeps.
 fn invert(
-    mut counts: Vec<u32>,
-    index_offsets: Vec<u32>,
-    members: U32s<'_>,
-    offsets: U32s<'_>,
+    mut index_offsets: Vec<u32>,
+    members: &[EntityId],
+    offsets: &[u32],
     range: Range<usize>,
 ) -> EntityIndex {
-    let n = counts.len();
-    let mut lo = offsets.get(range.start) as usize;
-    // First pass: count assignments per entity.
-    members.slice(lo, offsets.get(range.end) as usize).for_each(|e| counts[e as usize] += 1);
-    // Prefix sums -> offsets (checked: >4B assignments fail loudly).
-    let index_offsets = accumulate_offsets(&counts, index_offsets);
-    let total = *index_offsets.last().unwrap_or(&0) as usize;
-    // Second pass: fill, with the counts reused as per-entity cursors.
+    let mut lo = offsets[range.start] as usize;
+    let assigned = &members[lo..offsets[range.end] as usize];
+    // Every prefix sum is at most the total, so one check covers them all:
+    // past 4B assignments the offsets would wrap and alias earlier lists.
+    assert!(
+        u32::try_from(assigned.len()).is_ok(),
+        "entity index exceeds the u32 offset space (more than {} assignments)",
+        u32::MAX
+    );
+    for e in assigned {
+        index_offsets[e.idx() + 2] += 1;
+    }
+    let mut sum = 0;
+    for slot in &mut index_offsets {
+        sum += *slot;
+        *slot = sum;
+    }
     // Blocks are visited in ascending id order, so each entity's slice ends
     // up sorted without an explicit sort.
-    let mut cursor = counts;
-    cursor.copy_from_slice(&index_offsets[..n]);
-    let mut lists = vec![0u32; total];
+    let mut lists = vec![0u32; assigned.len()];
     for k in range {
-        let hi = offsets.get(k + 1) as usize;
-        members.slice(lo, hi).for_each(|e| {
-            let c = &mut cursor[e as usize];
+        let hi = offsets[k + 1] as usize;
+        for e in &members[lo..hi] {
+            let c = &mut index_offsets[e.idx() + 1];
             lists[*c as usize] = k as u32;
             *c += 1;
-        });
+        }
         lo = hi;
     }
+    index_offsets.pop();
     EntityIndex { lists, offsets: index_offsets }
 }
 
 /// [`invert`] over one block range of a collection's arena.
 fn build_shard(blocks: &BlockCollection, range: Range<usize>) -> EntityIndex {
     let (members, offsets, _) = blocks.raw_parts();
-    let n = blocks.num_entities();
-    invert(vec![0u32; n], Vec::with_capacity(n + 1), members.into(), offsets.into(), range)
+    invert(vec![0u32; blocks.num_entities() + 2], members, offsets, range)
 }
 
 /// Inverted index from entity id to the ascending list of containing block
@@ -119,10 +128,11 @@ impl EntityIndex {
     /// Inverts a CSR block arena given as its raw parts — block `k`'s
     /// members are `members[offsets[k]..offsets[k + 1]]` — with the routine
     /// [`EntityIndex::build`] runs, for an arena that is not a
-    /// [`BlockCollection`]: a loaded snapshot's borrowed sections.
+    /// [`BlockCollection`]: the member pool and block offsets a snapshot
+    /// loader decoded from their sections.
     ///
     /// # Errors
-    /// If the allocator refuses the two `num_entities`-sized tables. A
+    /// If the allocator refuses the `num_entities`-sized offset table. A
     /// loaded snapshot declares `num_entities`, and nothing else in the file
     /// bounds it, so a loader refuses a population it cannot index instead
     /// of aborting.
@@ -133,15 +143,14 @@ impl EntityIndex {
     /// all four first.
     pub fn from_arena(
         num_entities: usize,
-        members: U32s<'_>,
-        offsets: U32s<'_>,
+        members: &[EntityId],
+        offsets: &[u32],
     ) -> Result<Self, TryReserveError> {
-        let (mut counts, mut index_offsets) = (Vec::new(), Vec::new());
-        counts.try_reserve_exact(num_entities)?;
-        index_offsets.try_reserve_exact(num_entities.saturating_add(1))?;
-        counts.resize(num_entities, 0);
+        let mut index_offsets = Vec::new();
+        index_offsets.try_reserve_exact(num_entities.saturating_add(2))?;
+        index_offsets.resize(num_entities + 2, 0);
         let blocks = 0..offsets.len().saturating_sub(1);
-        Ok(invert(counts, index_offsets, members, offsets, blocks))
+        Ok(invert(index_offsets, members, offsets, blocks))
     }
 
     /// Builds the index with up to `threads` workers, bit-identical to

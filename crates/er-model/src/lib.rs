@@ -48,7 +48,6 @@ pub mod measures;
 pub mod profile;
 pub mod sanitize;
 pub mod tokenize;
-pub mod view;
 
 pub use block::{Block, BlockCollection, BlockCollectionBuilder, BlockRef};
 pub use chunk::chunk_ranges;
@@ -60,4 +59,3 @@ pub use ids::{BlockId, EntityId};
 pub use index::EntityIndex;
 pub use profile::EntityProfile;
 pub use sanitize::Violation;
-pub use view::U32s;

@@ -10,7 +10,7 @@
 //! rule keeps it that way.
 
 use crate::error::SnapshotError;
-use er_model::{EntityProfile, U32s};
+use er_model::EntityProfile;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -111,6 +111,13 @@ pub(crate) fn put_profile(out: &mut Vec<u8>, profile: &EntityProfile) {
     }
 }
 
+/// The little-endian `u32` in the first four bytes of `b`, which the
+/// caller took at exactly that length.
+#[inline]
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
 /// A bounds-checked cursor over one section's payload.
 ///
 /// Every accessor returns [`SnapshotError::Truncated`] (tagged with the
@@ -158,8 +165,7 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(le_u32(self.take(4)?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
@@ -167,11 +173,15 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    /// Reads a `u32`-length-prefixed vector of `u32` values, borrowed in
-    /// place as packed little-endian bytes — nothing is decoded or copied.
-    pub(crate) fn u32s(&mut self) -> Result<U32s<'a>, SnapshotError> {
+    /// Reads a `u32`-length-prefixed vector of `u32` values into an owned
+    /// vector, each word passed through `word` (`EntityId` for a member
+    /// pool): the one word decoder behind every array section. The
+    /// declared length is held against the bytes remaining before the
+    /// vector is allocated.
+    pub(crate) fn u32s<T>(&mut self, word: impl Fn(u32) -> T) -> Result<Vec<T>, SnapshotError> {
         let len = self.u32()? as usize;
-        Ok(U32s::Le(self.take(len.saturating_mul(4))?))
+        let packed = self.take(len.saturating_mul(4))?;
+        Ok(packed.chunks_exact(4).map(|c| word(le_u32(c))).collect())
     }
 
     /// Reads a `u32`-length-prefixed byte string.
@@ -278,7 +288,7 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.u32s().unwrap().to_vec(), vec![1, u32::MAX, 0]);
+        assert_eq!(r.u32s(|w| w).unwrap(), [1, u32::MAX, 0]);
         assert_eq!(r.bytes().unwrap(), b"tok");
         r.finish().unwrap();
     }
@@ -297,7 +307,7 @@ mod tests {
         put_u32(&mut buf, u32::MAX);
         put_u32(&mut buf, 42);
         let mut r = Reader::new(&buf, "huge");
-        assert!(matches!(r.u32s(), Err(SnapshotError::Truncated { .. })));
+        assert!(matches!(r.u32s(|w| w), Err(SnapshotError::Truncated { .. })));
     }
 
     #[test]

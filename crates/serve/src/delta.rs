@@ -36,16 +36,20 @@
 //! Ops persist as `delta` sections (id 7) appended after the six canonical
 //! sections — see the [`crate::snapshot`] module docs. [`encode_delta_run`]
 //! / [`decode_delta_run`] speak the section payload, and
-//! [`append_delta_run`] re-frames a loaded snapshot with one more run under
+//! [`append_delta_run`] re-frames a snapshot file with one more run under
 //! the same checksum discipline.
 
 use crate::codec::{put_profile, put_u32, put_u8, Reader};
 use crate::error::SnapshotError;
 use crate::idmap::{IdMap, IdSet};
-use crate::snapshot::{frame_sections, parse_table, section_slice, SECTION_DELTA};
+use crate::snapshot::{
+    decode_meta, frame_sections, parse_table, section_slice, SECTION_DELTA, SECTION_META,
+};
+use crate::store::EngineStore;
 use crate::view::{distinct_by_bytes, token_hash, SnapshotView, TokenScratch};
 use er_model::fxhash::FxHashSet;
-use er_model::{EntityCollection, EntityId, EntityProfile, ErKind, U32s};
+use er_model::{EntityCollection, EntityId, EntityProfile, ErKind};
+use mb_core::CandidateStore;
 use std::sync::Arc;
 
 /// The append sentinel: an upsert targeting this id resolves to the
@@ -180,20 +184,26 @@ pub(crate) fn validate_delta_runs(
     Ok(())
 }
 
-/// Re-frames a loaded snapshot with one more delta run appended.
+/// Re-frames a snapshot file with one more delta run appended.
 ///
-/// `base` passed the loader, and the combined op sequence (its runs plus
-/// `ops`) is replay-validated against the base collection size, so the
-/// output is guaranteed loadable.
-pub fn append_delta_run(base: &SnapshotView, ops: &[DeltaOp]) -> Result<Vec<u8>, SnapshotError> {
-    let mut runs = base.delta_runs().to_vec();
+/// Every section of `file` is copied byte for byte, and the combined op
+/// sequence (its runs plus `ops`) is replay-validated against its
+/// collection size, so the output loads whenever `file` does.
+pub fn append_delta_run(file: &[u8], ops: &[DeltaOp]) -> Result<Vec<u8>, SnapshotError> {
+    let table = parse_table(file, file.len())?;
+    let mut payloads: Vec<(u32, Vec<u8>)> =
+        table.iter().map(|e| (e.id, section_slice(file, e).to_vec())).collect();
+    let mut runs = Vec::new();
+    let mut num_entities = 0;
+    for (id, payload) in &payloads {
+        match *id {
+            SECTION_META => num_entities = decode_meta(payload)?.num_entities,
+            SECTION_DELTA => runs.push(decode_delta_run(payload)?),
+            _ => {}
+        }
+    }
     runs.push(ops.to_vec());
-    validate_delta_runs(base.num_entities(), &runs)?;
-    let bytes = base.as_bytes();
-    let mut payloads: Vec<(u32, Vec<u8>)> = parse_table(bytes, bytes.len())?
-        .iter()
-        .map(|e| (e.id, section_slice(bytes, e).to_vec()))
-        .collect();
+    validate_delta_runs(num_entities, &runs)?;
     payloads.push((SECTION_DELTA, encode_delta_run(ops)));
     Ok(frame_sections(&payloads))
 }
@@ -202,12 +212,12 @@ pub fn append_delta_run(base: &SnapshotView, ops: &[DeltaOp]) -> Result<Vec<u8>,
 /// left/right convention as the base arena (Dirty keeps everything left).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OverlayBlock {
-    left: Vec<u32>,
-    right: Vec<u32>,
+    left: Vec<EntityId>,
+    right: Vec<EntityId>,
 }
 
 impl OverlayBlock {
-    fn side_mut(&mut self, right: bool) -> &mut Vec<u32> {
+    fn side_mut(&mut self, right: bool) -> &mut Vec<EntityId> {
         if right {
             &mut self.right
         } else {
@@ -217,20 +227,25 @@ impl OverlayBlock {
 
     fn insert(&mut self, id: u32, right: bool) {
         let side = self.side_mut(right);
-        if let Err(at) = side.binary_search(&id) {
-            side.insert(at, id);
+        if let Err(at) = side.binary_search(&EntityId(id)) {
+            side.insert(at, EntityId(id));
         }
     }
 
     fn remove(&mut self, id: u32, right: bool) {
         let side = self.side_mut(right);
-        if let Ok(at) = side.binary_search(&id) {
+        if let Ok(at) = side.binary_search(&EntityId(id)) {
             side.remove(at);
         }
     }
 
-    fn members(&self, scan_right: bool) -> U32s<'_> {
-        U32s::Native(if scan_right { &self.right } else { &self.left })
+    /// The members a scan from the given direction compares against.
+    pub(crate) fn members(&self, scan_right: bool) -> &[EntityId] {
+        if scan_right {
+            &self.right
+        } else {
+            &self.left
+        }
     }
 
     fn len(&self) -> usize {
@@ -399,11 +414,6 @@ impl DeltaOverlay {
         self.blocks.get(u32::try_from(block).ok()?).map(Arc::as_ref)
     }
 
-    pub(crate) fn members_of<'a>(&self, block: &'a OverlayBlock, scan_right: bool) -> U32s<'a> {
-        let _ = self;
-        block.members(scan_right)
-    }
-
     pub(crate) fn recip_cardinality(&self, block: &OverlayBlock) -> f64 {
         let c = block.cardinality(self.kind);
         if c == 0 {
@@ -437,16 +447,12 @@ impl DeltaOverlay {
     /// just that block.
     fn patch_block(&mut self, b: u32, view: &SnapshotView, edit: impl FnOnce(&mut OverlayBlock)) {
         let block = self.blocks.get_or_insert_with(b, || {
-            let (lo, hi) = (
-                view.offsets().get(b as usize) as usize,
-                view.offsets().get(b as usize + 1) as usize,
-            );
-            let sp = view.splits().get(b as usize) as usize;
-            // Dirty blocks have sp == hi: whole block left, right empty —
-            // the arena convention.
+            // Dirty blocks keep every member left, right empty — the arena
+            // convention.
+            let base = EngineStore::from_view(view);
             Arc::new(OverlayBlock {
-                left: view.members().slice(lo, sp).to_vec(),
-                right: view.members().slice(sp, hi).to_vec(),
+                left: base.members_of(b as usize, false).to_vec(),
+                right: base.members_of(b as usize, true).to_vec(),
             })
         });
         if let Some(block) = block {
@@ -624,7 +630,7 @@ impl DeltaOverlay {
             // indexing it is what put it there) gain the new block and stop
             // waiting; the entity being indexed collects it with the rest of
             // its list below.
-            for &m in posting.left.iter().chain(posting.right.iter()) {
+            for &EntityId(m) in posting.left.iter().chain(posting.right.iter()) {
                 if m == id {
                     continue;
                 }

@@ -58,7 +58,7 @@ pub enum SnapshotError {
         section: &'static str,
     },
     /// A section's recorded file offset breaks the format's 8-byte
-    /// alignment guarantee — the property the loader borrows arrays on.
+    /// alignment guarantee.
     Misaligned {
         /// The misaligned section.
         section: &'static str,

@@ -13,10 +13,10 @@
 //!   the batch pipeline does.
 //! - [`SnapshotView`] is the one loader: it validates every structural and
 //!   cross-section invariant, never panics on malformed input (see
-//!   [`SnapshotError`]), and — the fixed-width sections being 8-byte-aligned
-//!   in the file — borrows every array straight out of the loaded buffer,
-//!   with no per-section decode and no second allocation. [`SnapshotHeader`]
-//!   reads just the section table for O(1) inspection.
+//!   [`SnapshotError`]), decodes every array into an owned vector, and
+//!   frees the file before it derives the entity index and the token
+//!   tables from them. [`SnapshotHeader`] reads just the section table for
+//!   O(1) inspection.
 //! - [`QueryEngine`] is built over a loaded view once and answers typed
 //!   [`CandidateRequest`]s — for indexed entities or unseen
 //!   probe profiles — with the same weighting schemes, retention rules, and

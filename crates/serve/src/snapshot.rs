@@ -55,9 +55,9 @@
 //! All integers little-endian; `u32` vectors carry a `u32` length prefix.
 //! The front-loaded table plus fixed-width, 8-aligned payloads are what the
 //! loader ([`crate::view::SnapshotView`]) relies on: it verifies the table,
-//! the checksums and every structural and cross-section invariant, then
-//! *borrows* the big arrays straight out of the loaded buffer instead of
-//! decoding them, and derives the splits and the entity index from them.
+//! the checksums and every structural and cross-section invariant, decodes
+//! the arrays into owned vectors, frees the file, and derives the splits
+//! and the entity index from the vectors.
 //! This module only builds and encodes; `SnapshotView` is the one way
 //! bytes become a queryable index.
 //!

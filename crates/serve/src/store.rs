@@ -1,17 +1,17 @@
 //! The storage adapter between a loaded snapshot and the scoring core.
 //!
 //! [`EngineStore`] is a flat, `Copy` [`CandidateStore`] over a
-//! [`SnapshotView`]: three array views and the view's entity index, plus
+//! [`SnapshotView`]: three of the view's arrays and its entity index, plus
 //! three scalars. The scoring core (`mb_core::NeighborhoodScorer`) is
 //! generic over [`CandidateStore`], so the serve path runs the exact scan
 //! loops the batch pipeline does and returns bit-identical candidates.
 
 use crate::delta::DeltaOverlay;
 use crate::view::SnapshotView;
-use er_model::{EntityId, EntityIndex, ErKind, U32s};
+use er_model::{EntityId, EntityIndex, ErKind};
 use mb_core::CandidateStore;
 
-/// A flat candidate store over borrowed snapshot arrays, optionally
+/// A flat candidate store over a loaded snapshot's arrays, optionally
 /// patched by a generation's delta overlay.
 ///
 /// `Copy`, so scorers take it by value and batch fan-out shares it across
@@ -28,11 +28,11 @@ pub(crate) struct EngineStore<'s> {
     /// Effective `|E|` (overlay-adjusted when attached).
     num_entities: usize,
     /// CSR member pool.
-    members: U32s<'s>,
+    members: &'s [EntityId],
     /// Block start offsets (`num_blocks + 1`).
-    offsets: U32s<'s>,
+    offsets: &'s [u32],
     /// Absolute split offsets (one per block; `== hi` for Dirty).
-    splits: U32s<'s>,
+    splits: &'s [u32],
     /// The base entity index, inverted from the arena at load.
     index: &'s EntityIndex,
     /// The generation's delta side-table, when any ops are applied.
@@ -73,14 +73,12 @@ impl<'s> EngineStore<'s> {
         self.index.num_entities()
     }
 
-    /// The block's `(lo, split, hi)` member-pool bracket.
+    /// The block's `(lo, split, hi)` member-pool bracket; an empty one at
+    /// 0 for an id past the arena, which no block list holds.
     #[inline]
     fn bounds(&self, block: usize) -> (usize, usize, usize) {
-        (
-            self.offsets.get(block) as usize,
-            self.splits.get(block) as usize,
-            self.offsets.get(block + 1) as usize,
-        )
+        let at = |table: &[u32], i: usize| table.get(i).map_or(0, |&x| x as usize);
+        (at(self.offsets, block), at(self.splits, block), at(self.offsets, block + 1))
     }
 }
 
@@ -101,35 +99,31 @@ impl CandidateStore for EngineStore<'_> {
         self.splits.len() + self.overlay.map_or(0, |o| o.num_new_blocks())
     }
 
-    fn block_list(&self, id: EntityId) -> U32s<'_> {
+    fn block_list(&self, id: EntityId) -> &[u32] {
         if let Some(o) = self.overlay {
             if let Some(list) = o.block_list_override(id.0) {
-                return U32s::Native(list);
+                return list;
             }
             if id.0 as usize >= self.base_entities() {
                 // An appended entity always has an override; anything else
                 // past the arena is out of range — report empty rather
                 // than walking off the offset table.
-                return U32s::EMPTY;
+                return &[];
             }
         }
-        U32s::Native(self.index.block_list(id))
+        self.index.block_list(id)
     }
 
-    fn members_of(&self, block: usize, scan_right: bool) -> U32s<'_> {
+    fn members_of(&self, block: usize, scan_right: bool) -> &[EntityId] {
         if let Some(o) = self.overlay {
             if let Some(b) = o.block(block) {
-                return o.members_of(b, scan_right);
+                return b.members(scan_right);
             }
         }
         let (lo, sp, hi) = self.bounds(block);
         // Dirty blocks have sp == hi, so the "left" side is the whole
         // block — same convention as `Block::left()`.
-        if scan_right {
-            self.members.slice(sp, hi)
-        } else {
-            self.members.slice(lo, sp)
-        }
+        self.members.get(if scan_right { sp..hi } else { lo..sp }).unwrap_or_default()
     }
 
     fn recip_cardinality_of(&self, block: usize) -> f64 {
@@ -176,14 +170,14 @@ mod tests {
         assert_eq!(store.num_entities(), snapshot.num_entities());
         assert_eq!(store.num_blocks(), blocks.size());
         for k in 0..store.num_blocks() {
-            let left: Vec<u32> = blocks.block(k).left().iter().map(|e| e.0).collect();
-            assert_eq!(store.members_of(k, false).to_vec(), left, "block {k} left members");
+            let left = blocks.block(k).left();
+            assert_eq!(store.members_of(k, false), left, "block {k} left members");
             let recip = 1.0 / blocks.block(k).cardinality() as f64;
             assert_eq!(store.recip_cardinality_of(k).to_bits(), recip.to_bits());
         }
         for i in 0..store.num_entities() as u32 {
             assert_eq!(
-                store.block_list(EntityId(i)).to_vec(),
+                store.block_list(EntityId(i)),
                 index.block_list(EntityId(i)),
                 "entity {i} block list"
             );

@@ -1,26 +1,28 @@
 //! The snapshot loader: the one way bytes become a queryable index.
 //!
-//! [`SnapshotView`] holds one loaded byte buffer and *borrows* every
-//! persisted array — the CSR member pool and block offsets, the token
-//! offset table and blob, the block keys — straight out of it as
-//! [`er_model::U32s::Le`] views. Nothing persisted is re-encoded into
-//! `Vec`s: load cost is the file read, the section-table parse, one
-//! checksum sweep, the linear structural passes below, and the few tables
-//! load derives (see "What load derives"). A freshly built
-//! [`crate::Snapshot`] takes the same route (`SnapshotView::try_from`
-//! encodes it once and loads the bytes), so a served index has exactly one
-//! in-memory representation and one set of checks behind it.
+//! [`SnapshotView`] decodes every persisted array — the CSR member pool and
+//! block offsets, the token offset table and blob, the block keys — into
+//! owned native vectors, checks them, derives from them what the format
+//! does not store (see "What load derives"), and keeps no copy of the file.
+//! A freshly built [`crate::Snapshot`] takes the same route
+//! (`SnapshotView::try_from` encodes it once and loads the bytes), so a
+//! served index has exactly one in-memory representation and one set of
+//! checks behind it.
 //!
-//! Validation is staged for speed: the `meta` checksum is verified first
-//! (it gates every downstream decision), then the remaining checksums and
-//! two structural walks — blocks, tokens — run as three mutually
-//! independent passes, on scoped threads for large buffers on multi-core
-//! hosts ([`PARALLEL_LOAD_BYTES`]) and serially otherwise. Every pass is
-//! panic-free on arbitrary bytes, so none needs another's verdict; the view
-//! just isn't constructed unless all of them accept. The member pool is
-//! checked by a two-count reconciliation (see [`descents_and_max`])
-//! instead of a run-by-run compare chain, which keeps the hot loop
-//! vectorizable.
+//! Load runs in two stages. The first reads the file: the `meta` checksum
+//! (it gates every downstream decision), then the remaining checksums, the
+//! block sections' decode and the token sections' decode as three mutually
+//! independent passes. The file is then dropped, and the second stage walks
+//! the decoded vectors — blocks, tokens — as two independent passes that
+//! check them and derive the tables. Each stage's passes run on scoped
+//! threads for large files on multi-core hosts ([`PARALLEL_LOAD_BYTES`]) and
+//! serially otherwise. The decoded vectors are about the file's size, so
+//! freeing the file before the derived tables are built holds the load's
+//! peak at the file plus those tables. Every pass is panic-free on
+//! arbitrary bytes, so none needs another's verdict; the view just isn't
+//! constructed unless all of them accept. The member pool is checked by a
+//! two-count reconciliation (see [`descents_and_max`]) instead of a
+//! run-by-run compare chain, which keeps the hot loop vectorizable.
 //!
 //! # What load validates
 //!
@@ -54,19 +56,19 @@
 //! - the entity index: the arena inverted by
 //!   [`er_model::EntityIndex::from_arena`], the routine
 //!   [`er_model::EntityIndex::build`] runs, so a loaded index is the built
-//!   one by construction and there is nothing to cross-check. Its two
-//!   `|E|`-sized tables are the one allocation sized by a declared number
-//!   that no section bounds, so they are reserved fallibly: a population the
-//!   process cannot index is a typed error, not an abort;
+//!   one by construction and there is nothing to cross-check. Its
+//!   `|E|`-sized offset table is the one allocation sized by a declared
+//!   number that no section bounds, so it is reserved fallibly: a
+//!   population the process cannot index is a typed error, not an abort;
 //! - the token → id lookup table and the token → block routes, below.
 //!
 //! # Token lookup
 //!
-//! Two things load *builds* rather than borrows, both for the probe path
-//! and both while proving the section they are built from duplicate-free:
-//! the token-id → surviving-block routes (the `blockkeys` section inverted,
-//! 4 B per token; every engine and every delta apply over this view reads
-//! that one table) and the token → id table
+//! Two things load *builds* for the probe path, both while proving the
+//! section they are built from duplicate-free: the token-id →
+//! surviving-block routes (the `blockkeys` section inverted, 4 B per token;
+//! every engine and every delta apply over this view reads that one table)
+//! and the token → id table
 //! behind [`SnapshotView::find_token`]: a flat open-addressing array of
 //! `u64` slots, `0` vacant and otherwise `tag << 32 | id + 1`, where `tag`
 //! is the top half of the token's hash — the slot format of
@@ -102,37 +104,21 @@ use crate::snapshot::{
 };
 use er_model::fxhash::FxHasher;
 use er_model::tokenize::KeyScratch;
-use er_model::{EntityIndex, ErKind, U32s};
+use er_model::{EntityId, EntityIndex, ErKind};
 use mb_core::prune::{cep_threshold_from_counts, cnp_threshold_from_counts};
 use mb_core::PipelineConfig;
 use mb_observe::{Observer, Stage, StageScope};
 use std::hash::Hasher;
 use std::path::Path;
 
-/// A borrowed `u32` array inside the loaded buffer: absolute byte start of
-/// the packed values (past the count prefix) plus the element count.
-#[derive(Debug, Clone, Copy)]
-struct U32Range {
-    start: usize,
-    count: usize,
-}
-
-/// A borrowed byte string inside the loaded buffer.
-#[derive(Debug, Clone, Copy)]
-struct ByteRange {
-    start: usize,
-    len: usize,
-}
-
-/// A loaded, fully validated snapshot: one owned byte buffer, borrowed
-/// arrays, and the tables load derives from them.
+/// A loaded, fully validated snapshot: the persisted arrays decoded into
+/// owned vectors, and the tables load derives from them.
 ///
 /// Constructed by [`SnapshotView::from_bytes`] / [`SnapshotView::read_from`]
 /// (or `SnapshotView::try_from` a built [`Snapshot`]); see the module docs
 /// for what a successful load guarantees.
 #[derive(Debug)]
 pub struct SnapshotView {
-    buf: Vec<u8>,
     kind: ErKind,
     num_entities: usize,
     split: usize,
@@ -143,75 +129,69 @@ pub struct SnapshotView {
     cep_threshold: usize,
     total_comparisons: u64,
     total_assignments: u64,
-    members: U32Range,
-    offsets: U32Range,
+    /// Size of the loaded file in bytes.
+    file_len: usize,
+    /// The CSR member pool: block `k`'s members are
+    /// `members[offsets[k]..offsets[k + 1]]`, ascending.
+    members: Vec<EntityId>,
+    offsets: Vec<u32>,
     /// Each block's absolute side split, derived at load (`== hi` for
     /// Dirty).
     splits: Vec<u32>,
     /// The arena inverted at load.
     index: EntityIndex,
-    tok_offsets: U32Range,
-    tok_blob: ByteRange,
+    /// Token `t`'s bytes are `tok_blob[tok_offsets[t]..tok_offsets[t + 1]]`.
+    tok_offsets: Vec<u32>,
+    /// The concatenated token bytes, in id order; valid UTF-8.
+    tok_blob: Vec<u8>,
     /// The token → id lookup table, built at load ([`seat_tokens`]).
     tok_table: Vec<u64>,
     /// Token id → the surviving block keyed by it, `u32::MAX` when that
     /// block was filtered away (or never emitted): `block_keys` inverted,
     /// once, at load.
     tok_block: Vec<u32>,
-    block_keys: U32Range,
-    /// Write-ahead delta runs decoded (owned — they are small) from the
-    /// trailing `delta` sections; empty for clean snapshots.
+    block_keys: Vec<u32>,
+    /// Write-ahead delta runs decoded from the trailing `delta` sections;
+    /// empty for clean snapshots.
     delta_runs: Vec<Vec<DeltaOp>>,
 }
 
-/// Buffers at least this large run the checksum sweep and the structural
-/// walks on scoped threads (they are mutually independent) when the host
-/// has more than one core; below it the passes run serially, keeping
-/// thread-spawn overhead away from small snapshots.
+/// Files at least this large run each load stage's passes on scoped
+/// threads (they are mutually independent) when the host has more than
+/// one core; below it the passes run serially, keeping thread-spawn
+/// overhead away from small snapshots.
 const PARALLEL_LOAD_BYTES: usize = 1 << 18;
 
 fn bad(msg: String) -> SnapshotError {
     SnapshotError::Inconsistent(msg)
 }
 
-/// The little-endian `u32` elements of a packed section payload, in order.
-///
-/// The hot validation loops below iterate raw byte slices through this
-/// instead of per-element [`U32s::get`] so the walks carry no per-element
-/// bounds checks — `chunks_exact` proves the access pattern up front.
-#[inline]
-fn le_words(b: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    b.chunks_exact(4).map(le4)
-}
-
-/// One little-endian `u32` from a 4-byte `chunks_exact` chunk.
-#[inline]
-fn le4(c: &[u8]) -> u32 {
-    // lint:allow(snapshot-unversioned-read) decoding a checksum-verified,
-    // length-validated section payload below the framing layer.
-    u32::from_le_bytes([c[0], c[1], c[2], c[3]])
-}
-
-/// Number of leading words of the packed run `b` below `bound`, by binary
-/// search: the partition point if the run ascends, some count in
-/// `0..=len` otherwise.
-fn partition_below(b: &[u8], bound: u32) -> usize {
-    let (mut lo, mut hi) = (0, b.len() / 4);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        match b.get(mid * 4..mid * 4 + 4) {
-            Some(w) if le4(w) < bound => lo = mid + 1,
-            _ => hi = mid,
-        }
+/// Runs `a` and `b` and returns both results: `a` on a scoped thread when
+/// `parallel`, both in turn on this thread otherwise.
+fn fork_join<A: Send, B>(
+    parallel: bool,
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B,
+) -> (A, B) {
+    if !parallel {
+        return (a(), b());
     }
-    lo
+    std::thread::scope(|s| {
+        let a = s.spawn(a);
+        let b = b();
+        // lint:allow(panic-reachability) join only fails if a pass
+        // panicked, and every load pass is panic-free on arbitrary bytes
+        // lint:allow(no-panic) — the unwrap can only re-raise such a
+        // panic, never originate one.
+        (a.join().unwrap(), b)
+    })
 }
 
 /// Number of descending adjacent pairs (`v[p] <= v[p-1]`) and the maximum
-/// value over a packed `u32` pool, in one flat pass.
+/// id over a member pool, in one flat pass.
 ///
 /// This is the vectorizable half of the CSR run validation: iterating the
-/// pool and a 4-byte-shifted copy of itself in lockstep leaves no
+/// pool and a one-element-shifted copy of itself in lockstep leaves no
 /// loop-carried scalar dependency, so the compiler turns the descent count
 /// and the max into SIMD reductions — an order of magnitude faster than
 /// walking the pool run by run with an early-exit compare chain. The caller
@@ -220,19 +200,14 @@ fn partition_below(b: &[u8], bound: u32) -> usize {
 /// descents can then only sit at run starts, which makes every run interior
 /// strictly ascending. An empty pool reports `(0, 0)`.
 #[inline]
-fn descents_and_max(b: &[u8]) -> (u32, u32) {
-    if b.len() < 8 {
-        return (0, if b.len() >= 4 { le4(&b[..4]) } else { 0 });
-    }
+fn descents_and_max(pool: &[EntityId]) -> (u32, u32) {
     let mut d = 0u32;
-    let mut max = 0u32;
-    // lint:allow(panic-reachability) in range: b.len() >= 8 checked above.
-    for (a, c) in b[..b.len() - 4].chunks_exact(4).zip(b[4..].chunks_exact(4)) {
-        let v = le4(c);
-        d += (v <= le4(a)) as u32;
-        max = max.max(v);
+    let mut max = pool.first().map_or(0, |e| e.0);
+    for (a, b) in pool.iter().zip(pool.get(1..).unwrap_or_default()) {
+        d += (b.0 <= a.0) as u32;
+        max = max.max(b.0);
     }
-    (d, max.max(le4(&b[..4])))
+    (d, max)
 }
 
 /// Probe steps the token-table build may spend per token before it gives
@@ -285,10 +260,10 @@ fn same_tag(slot: u64, hash: u64) -> bool {
 /// two equal tokens are an [`SnapshotError::Inconsistent`] here. The table
 /// size, the step budget and the hash are arguments so a test can drive the
 /// failure paths directly; the loader passes [`token_table_slots`],
-/// [`PROBE_STEPS_PER_TOKEN`] per token and [`token_hash`]. `offsets_le`
-/// must be ascending and end at `blob.len()`, and `slots` must exceed the
-/// token count — [`SnapshotView::from_bytes`] proves the first and computes
-/// the second.
+/// [`PROBE_STEPS_PER_TOKEN`] per token and [`token_hash`]. `offsets` must
+/// be ascending and end at `blob.len()`, and `slots` must exceed the token
+/// count — [`SnapshotView::from_bytes`] proves the first and computes the
+/// second.
 ///
 /// Tokens go in chunks of [`SEAT_CHUNK`]: a chunk is hashed, then a loop
 /// that does nothing else loads each token's home slot and, on a tag hit,
@@ -296,7 +271,7 @@ fn same_tag(slot: u64, hash: u64) -> bool {
 /// take one dependent miss at a time — and then the chunk is seated in id
 /// order.
 fn seat_tokens(
-    offsets_le: &[u8],
+    offsets: &[u32],
     blob: &[u8],
     slots: usize,
     budget: u64,
@@ -304,7 +279,7 @@ fn seat_tokens(
 ) -> Result<(Vec<u64>, u64), SnapshotError> {
     let mut table = vec![0u64; slots];
     let mut steps = 0u64;
-    let mut bounds = le_words(offsets_le).map(|at| at as usize);
+    let mut bounds = offsets.iter().map(|&at| at as usize);
     let mut lo = bounds.next().unwrap_or(0);
     // Each token of the chunk in hand, with its hash.
     let mut chunk: [(&[u8], u64); SEAT_CHUNK] = [(&[], 0); SEAT_CHUNK];
@@ -322,14 +297,14 @@ fn seat_tokens(
         if len == 0 {
             break;
         }
-        let mut touched = 0u8;
+        let mut touched = 0u32;
         for &(_, h) in chunk.iter().take(len) {
             if let Some(&resident) =
                 table.get(table_home(h, slots)).filter(|&&r| r != 0 && same_tag(r, h))
             {
                 // A resident's low half is `id + 1`, the index of its token's
                 // end offset.
-                touched ^= offsets_le.get(resident as u32 as usize * 4).copied().unwrap_or(0);
+                touched ^= offsets.get(resident as u32 as usize).copied().unwrap_or(0);
             }
         }
         // The loads above are the point; keep them from being optimised out.
@@ -351,20 +326,13 @@ fn seat_tokens(
                         id + 1
                     )));
                 }
-                if same_tag(resident, h) {
-                    let r = (resident as u32 - 1) as usize * 4;
-                    // lint:allow(panic-reachability) in range: a resident is an
-                    // id seated earlier, so its two offsets exist and bracket a
-                    // token.
-                    let (ra, rb) = (le4(&offsets_le[r..r + 4]), le4(&offsets_le[r + 4..r + 8]));
-                    // lint:allow(panic-reachability) in range: as above.
-                    if blob[ra as usize..rb as usize] == *token {
-                        return Err(bad(format!(
-                            "tokens {} and {id} are the same string: the vocabulary must be \
-                             duplicate-free",
-                            resident as u32 - 1
-                        )));
-                    }
+                // A resident is an id seated earlier, so it has a token.
+                if same_tag(resident, h) && token_at(offsets, blob, resident as u32 - 1) == token {
+                    return Err(bad(format!(
+                        "tokens {} and {id} are the same string: the vocabulary must be \
+                         duplicate-free",
+                        resident as u32 - 1
+                    )));
                 }
                 at += 1;
                 if at == slots {
@@ -379,6 +347,16 @@ fn seat_tokens(
     Ok((table, steps))
 }
 
+/// The bytes of token `id` under an offset table that is ascending, ends
+/// at `blob.len()` and has an entry past `id`.
+#[inline]
+fn token_at<'b>(offsets: &[u32], blob: &'b [u8], id: u32) -> &'b [u8] {
+    let at = id as usize;
+    // lint:allow(panic-reachability) in range: the caller's id has two
+    // offsets, ascending and bounded by the blob length.
+    &blob[offsets[at] as usize..offsets[at + 1] as usize]
+}
+
 /// Tokens [`seat_tokens`] hashes, homes and touches together before seating
 /// any of them: enough loads in flight to overlap their misses, few enough
 /// to keep on the stack.
@@ -388,21 +366,15 @@ const SEAT_CHUNK: usize = 64;
 struct TokenTable<'a> {
     /// `0` vacant, else [`slot_of`]; never full.
     slots: &'a [u64],
-    /// The `tokoffsets` payload without its count prefix: ascending, ending
-    /// at `blob.len()`.
-    offsets_le: &'a [u8],
+    /// Token byte offsets: ascending, ending at `blob.len()`.
+    offsets: &'a [u32],
     blob: &'a [u8],
 }
 
 impl TokenTable<'_> {
     /// The bytes of a seated token id.
     fn token(&self, id: u32) -> &[u8] {
-        let at = id as usize * 4;
-        // lint:allow(panic-reachability) in range: a seated id has two
-        // offsets, ascending and bounded by the blob length.
-        let (a, b) = (le4(&self.offsets_le[at..at + 4]), le4(&self.offsets_le[at + 4..at + 8]));
-        // lint:allow(panic-reachability) in range: as above.
-        &self.blob[a as usize..b as usize]
+        token_at(self.offsets, self.blob, id)
     }
 
     /// The one lookup routine: a linear probe from `hash`'s home that reads
@@ -456,7 +428,7 @@ impl TokenTable<'_> {
             if slot != 0 && same_tag(slot, h) {
                 // The low half is `id + 1`, the index of the token's end offset.
                 let end = slot as u32 as usize;
-                touched ^= u32::from(self.offsets_le.get(end * 4).copied().unwrap_or(0));
+                touched ^= self.offsets.get(end).copied().unwrap_or(0);
                 touched ^= routes.get(end - 1).copied().unwrap_or(0);
             }
         }
@@ -512,12 +484,14 @@ impl TryFrom<Snapshot> for SnapshotView {
 }
 
 impl SnapshotView {
-    /// Loads a snapshot from an owned buffer, borrowing its arrays in place.
+    /// Loads a snapshot from an owned buffer: decodes its arrays, frees the
+    /// buffer, and derives the tables the format does not store.
     ///
     /// Never panics on malformed input; every failure is a typed
     /// [`SnapshotError`].
     pub fn from_bytes(buf: Vec<u8>) -> Result<SnapshotView, SnapshotError> {
-        let table = parse_table(&buf, buf.len())?;
+        let file_len = buf.len();
+        let table = parse_table(&buf, file_len)?;
         let entry = |id: u32| -> &SectionEntry {
             // lint:allow(panic-reachability) in range: parse_table returned
             // the complete canonical table, where section id n sits at n-1.
@@ -526,8 +500,8 @@ impl SnapshotView {
 
         // The meta section gates everything downstream, so its checksum is
         // verified up front; the remaining section checksums are verified
-        // alongside the structural walks below (all of which are panic-free
-        // on arbitrary bytes — no walk *depends* on its section's checksum,
+        // alongside the decodes below (all of which are panic-free on
+        // arbitrary bytes — no decode *depends* on its section's checksum,
         // the view just isn't constructed unless every digest matches).
         verify_checksums(&buf, &table[..1])?;
         let meta = decode_meta(section_slice(&buf, entry(SECTION_META)))?;
@@ -548,85 +522,95 @@ impl SnapshotView {
             _ => {}
         }
 
-        // Each array section is a u32 count (or byte length) prefix followed
-        // by exactly that many packed values: the reader checks the declared
-        // size against the payload, and only the in-buffer range is kept.
+        // Stage 1, over the file. Each array section is a u32 count (or
+        // byte length) prefix followed by exactly that many packed values:
+        // the reader checks the declared size against the payload and
+        // decodes the values into an owned vector.
         let get = |id: u32| section_slice(&buf, entry(id));
-        let u32_range = |id: u32, values: U32s<'_>| U32Range {
-            start: entry(id).offset + 4,
-            count: values.len(),
+        let decode_blocks = || -> Result<_, SnapshotError> {
+            let mut r = Reader::new(get(SECTION_MEMBERS), label(SECTION_MEMBERS));
+            let members = r.u32s(EntityId)?;
+            r.finish()?;
+            let mut r = Reader::new(get(SECTION_OFFSETS), label(SECTION_OFFSETS));
+            let offsets = r.u32s(|w| w)?;
+            r.finish()?;
+            Ok((members, offsets))
         };
-        let mut r = Reader::new(get(SECTION_MEMBERS), label(SECTION_MEMBERS));
-        let members = u32_range(SECTION_MEMBERS, r.u32s()?);
-        r.finish()?;
-        let mut r = Reader::new(get(SECTION_OFFSETS), label(SECTION_OFFSETS));
-        let offsets = u32_range(SECTION_OFFSETS, r.u32s()?);
-        r.finish()?;
-        let mut r = Reader::new(get(SECTION_TOK_OFFSETS), label(SECTION_TOK_OFFSETS));
-        let tok_offsets = u32_range(SECTION_TOK_OFFSETS, r.u32s()?);
-        r.finish()?;
-        let mut r = Reader::new(get(SECTION_TOK_BLOB), label(SECTION_TOK_BLOB));
-        let tok_blob =
-            ByteRange { start: entry(SECTION_TOK_BLOB).offset + 4, len: r.bytes()?.len() };
-        r.finish()?;
-        let mut r = Reader::new(get(SECTION_BLOCKKEYS), label(SECTION_BLOCKKEYS));
-        let block_keys = u32_range(SECTION_BLOCKKEYS, r.u32s()?);
-        r.finish()?;
-
-        let raw = |r: U32Range| -> &[u8] {
-            // lint:allow(panic-reachability) in range: the section reader
-            // proved start + 4*count lies within the section payload.
-            &buf[r.start..r.start + r.count * 4]
+        let decode_tokens = || -> Result<_, SnapshotError> {
+            let mut r = Reader::new(get(SECTION_TOK_OFFSETS), label(SECTION_TOK_OFFSETS));
+            let tok_offsets = r.u32s(|w| w)?;
+            r.finish()?;
+            let mut r = Reader::new(get(SECTION_TOK_BLOB), label(SECTION_TOK_BLOB));
+            let tok_blob = r.bytes()?.to_vec();
+            r.finish()?;
+            let mut r = Reader::new(get(SECTION_BLOCKKEYS), label(SECTION_BLOCKKEYS));
+            let block_keys = r.u32s(|w| w)?;
+            r.finish()?;
+            Ok((tok_offsets, tok_blob, block_keys))
         };
-        let view = |r: U32Range| -> U32s<'_> { U32s::Le(raw(r)) };
-
-        // Blocks: bracketed, monotone, every run strictly ascending, and the
-        // recomputed aggregate statistics matching the persisted ones — and
-        // the two things load derives from them: each block's side split
-        // and the entity index.
-        let Some(num_blocks) = offsets.count.checked_sub(1) else {
+        // The three passes are independent; the `?`s below report any
+        // failures in the serial order (section decodes in file order, then
+        // checksums), so a corrupt file surfaces the same error either way.
+        let parallel = file_len >= PARALLEL_LOAD_BYTES
+            && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+        let (sums, (blocks, tokens)) = fork_join(
+            parallel,
+            || verify_checksums(&buf, &table[1..]),
+            || fork_join(parallel, decode_blocks, decode_tokens),
+        );
+        let (members, offsets) = blocks?;
+        let (tok_offsets, tok_blob, block_keys) = tokens?;
+        let Some(num_blocks) = offsets.len().checked_sub(1) else {
             return Err(bad("block offsets section is empty".into()));
         };
+        sums?;
+        // Trailing delta runs, decoded owned (they are small) while the
+        // file is still here; their ids are replay-validated below.
+        // lint:allow(panic-reachability) in range: parse_table rejects
+        // tables with fewer than the canonical SECTIONS entries.
+        let delta_sections = &table[SECTIONS.len()..];
+        let delta_runs: Result<Vec<Vec<DeltaOp>>, SnapshotError> =
+            delta_sections.iter().map(|e| decode_delta_run(section_slice(&buf, e))).collect();
+        // Everything the view keeps of the file is decoded: free it before
+        // the derived tables are allocated.
+        drop(buf);
+
+        // Stage 2, over the decoded vectors. Blocks: bracketed, monotone,
+        // every run strictly ascending, and the recomputed aggregate
+        // statistics matching the persisted ones — and the two things load
+        // derives from them: each block's side split and the entity index.
         let check_blocks = || -> Result<(Vec<u32>, EntityIndex), SnapshotError> {
-            let offs = view(offsets);
-            if offs.get(0) != 0 {
+            if offsets.first() != Some(&0) {
                 return Err(bad("block offsets must start at 0".into()));
             }
-            if offs.last().unwrap_or(0) as usize != members.count {
+            let end = offsets.last().copied().unwrap_or(0);
+            if end as usize != members.len() {
                 return Err(bad(format!(
-                    "block offsets end at {}, member pool holds {} ids",
-                    offs.last().unwrap_or(0),
-                    members.count
+                    "block offsets end at {end}, member pool holds {} ids",
+                    members.len()
                 )));
             }
-            let split_u32 = meta.split as u32;
-            let n_u32 = n as u32;
-            let mcount = members.count;
-            // The walk reads `offs[1..]` over raw bytes, bounds-checking
-            // each bracket as it goes, and counts the run starts whose
-            // adjacent member pair descends. The pool itself is validated
-            // afterwards by one vectorized [`descents_and_max`] pass: every
-            // run is strictly ascending iff the pool's total descent count
-            // equals the count tallied here.
-            let (offs_b, mems_b) = (raw(offsets), raw(members));
+            let split = meta.split as u32;
+            // The walk bounds-checks each bracket as it goes and counts the
+            // run starts whose adjacent member pair descends. The pool
+            // itself is validated afterwards by one vectorized
+            // [`descents_and_max`] pass: every run is strictly ascending iff
+            // the pool's total descent count equals the count tallied here.
             let mut splits = Vec::with_capacity(num_blocks);
             let mut comparisons: u64 = 0;
             let mut expected = 0u32;
             let mut lo = 0u32;
-            for (k, hi) in le_words(&offs_b[4..]).enumerate() {
-                if hi < lo || hi as usize > mcount {
+            for (k, &hi) in offsets.iter().skip(1).enumerate() {
+                let Some(run) = members.get(lo as usize..hi as usize) else {
                     return Err(bad(format!("block {k} bounds corrupt: lo {lo}, hi {hi}")));
-                }
-                let (l, h) = (lo as usize, hi as usize);
-                if h > l && l != 0 {
-                    // lint:allow(panic-reachability) in range: 0 < lo < hi
-                    // <= members.count, proved by the bracket check above.
-                    let w = &mems_b[(l - 1) * 4..(l + 1) * 4];
-                    expected += (le4(&w[4..]) <= le4(&w[..4])) as u32;
+                };
+                let before = lo.checked_sub(1).and_then(|p| members.get(p as usize));
+                if let (Some(first), Some(before)) = (run.first(), before) {
+                    expected += (first <= before) as u32;
                 }
                 let sp = match meta.kind {
                     ErKind::Dirty => {
-                        let m = (hi - lo) as u64;
+                        let m = run.len() as u64;
                         comparisons += m * m.saturating_sub(1) / 2;
                         hi
                     }
@@ -635,8 +619,7 @@ impl SnapshotView {
                         // are exactly its prefix, found by binary search. A
                         // run that is not ascending gets some split here and
                         // fails the descent count below.
-                        let run = mems_b.get(l * 4..h * 4).unwrap_or_default();
-                        let sp = lo + partition_below(run, split_u32) as u32;
+                        let sp = lo + run.partition_point(|e| e.0 < split) as u32;
                         comparisons += (sp - lo) as u64 * (hi - sp) as u64;
                         sp
                     }
@@ -644,8 +627,8 @@ impl SnapshotView {
                 splits.push(sp);
                 lo = hi;
             }
-            let (desc, max) = descents_and_max(mems_b);
-            if desc != expected || (mcount > 0 && max >= n_u32) {
+            let (desc, max) = descents_and_max(&members);
+            if desc != expected || (!members.is_empty() && max >= n as u32) {
                 return Err(bad(
                     "block members are out of range or not strictly ascending per block".into(),
                 ));
@@ -656,17 +639,18 @@ impl SnapshotView {
                     meta.comparisons
                 )));
             }
-            if members.count as u64 != meta.assignments {
+            if members.len() as u64 != meta.assignments {
                 return Err(bad(format!(
                     "persisted Σ|b| {} disagrees with the member pool ({})",
-                    meta.assignments, members.count
+                    meta.assignments,
+                    members.len()
                 )));
             }
             // Every member is below |E| and the offsets bracket the pool,
-            // which is all the inversion asks of its input. Its two
-            // |E|-sized tables are allocated fallibly: nothing in the file
-            // bounds the |E| that meta declares.
-            let index = EntityIndex::from_arena(n, view(members), offs).map_err(|_| {
+            // which is all the inversion asks of its input. Its |E|-sized
+            // offset table is allocated fallibly: nothing in the file bounds
+            // the |E| that meta declares.
+            let index = EntityIndex::from_arena(n, &members, &offsets).map_err(|_| {
                 bad(format!("|E| = {n} is more entities than this process can index"))
             })?;
             Ok((splits, index))
@@ -678,96 +662,57 @@ impl SnapshotView {
         // the vocabulary seated for lookup, which proves it duplicate-free,
         // and the block keys inverted into token → block routes.
         let check_tokens = || -> Result<(Vec<u64>, Vec<u32>), SnapshotError> {
-            if tok_offsets.count == 0 {
+            let Some(num_tokens) = tok_offsets.len().checked_sub(1) else {
                 return Err(bad("token offsets section is empty".into()));
-            }
-            let num_tokens = tok_offsets.count - 1;
-            let to = view(tok_offsets);
-            if to.get(0) != 0 {
+            };
+            if tok_offsets.first() != Some(&0) {
                 return Err(bad("token offsets must start at 0".into()));
             }
-            if to.last().unwrap_or(0) as usize != tok_blob.len {
+            let end = tok_offsets.last().copied().unwrap_or(0);
+            if end as usize != tok_blob.len() {
                 return Err(bad(format!(
-                    "token offsets end at {}, blob holds {} bytes",
-                    to.last().unwrap_or(0),
-                    tok_blob.len
+                    "token offsets end at {end}, blob holds {} bytes",
+                    tok_blob.len()
                 )));
             }
             // The first offset is 0 (checked above), so strict ascension over
             // the whole table is the only remaining order constraint.
-            if !to.is_strict_run(0, u32::MAX) {
+            let next = tok_offsets.get(1..).unwrap_or_default();
+            if tok_offsets.iter().zip(next).any(|(a, b)| b <= a) {
                 return Err(bad("token offsets must be strictly ascending".into()));
             }
-            let blob = {
-                // lint:allow(panic-reachability) in range: the section reader
-                // proved start + len lies within the section payload.
-                &buf[tok_blob.start..tok_blob.start + tok_blob.len]
-            };
-            let to_b = raw(tok_offsets);
             let utf8 = || SnapshotError::Utf8 { section: "tokblob" };
-            let text = std::str::from_utf8(blob).map_err(|_| utf8())?;
-            if !le_words(to_b).all(|at| text.is_char_boundary(at as usize)) {
+            let text = std::str::from_utf8(&tok_blob).map_err(|_| utf8())?;
+            if !tok_offsets.iter().all(|&at| text.is_char_boundary(at as usize)) {
                 return Err(utf8());
             }
             let slots = token_table_slots(num_tokens);
             let budget = PROBE_STEPS_PER_TOKEN * num_tokens as u64;
-            let (tok_table, _) = seat_tokens(to_b, blob, slots, budget, token_hash)?;
-            if block_keys.count != num_blocks {
+            let (tok_table, _) = seat_tokens(&tok_offsets, &tok_blob, slots, budget, token_hash)?;
+            if block_keys.len() != num_blocks {
                 return Err(bad(format!(
                     "{} block keys for {num_blocks} blocks",
-                    block_keys.count
+                    block_keys.len()
                 )));
             }
             let mut tok_block = vec![u32::MAX; num_tokens];
-            let (mut block, mut ok) = (0u32, true);
-            view(block_keys).for_each(|t| {
+            for (block, &t) in (0u32..).zip(&block_keys) {
                 match tok_block.get_mut(t as usize) {
                     Some(route) if *route == u32::MAX => *route = block,
                     // Out of the vocabulary, or a token keying two blocks.
-                    _ => ok = false,
+                    _ => {
+                        return Err(bad(
+                            "block keys are out of range or reference a token twice".into()
+                        ))
+                    }
                 }
-                block += 1;
-            });
-            if !ok {
-                return Err(bad("block keys are out of range or reference a token twice".into()));
             }
             Ok((tok_table, tok_block))
         };
-
-        // Run the three independent passes — remaining checksums plus the
-        // two structural walks. On buffers past the parallel threshold
-        // each runs on its own scoped thread; the `?`s below report any
-        // failures in the serial order (checksums first), so a corrupt file
-        // surfaces the same error either way.
-        let parallel = buf.len() >= PARALLEL_LOAD_BYTES
-            && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-        let (sums, blocks, tokens) = if parallel {
-            std::thread::scope(|s| {
-                let sums = s.spawn(|| verify_checksums(&buf, &table[1..]));
-                let blocks = s.spawn(check_blocks);
-                let tokens = check_tokens();
-                // lint:allow(panic-reachability) join only fails if a walk
-                // panicked, and every walk is panic-free on arbitrary bytes
-                // lint:allow(no-panic) — the unwraps can only re-raise such
-                // a panic, never originate one.
-                (sums.join().unwrap(), blocks.join().unwrap(), tokens)
-            })
-        } else {
-            (verify_checksums(&buf, &table[1..]), check_blocks(), check_tokens())
-        };
-        sums?;
+        let (blocks, tokens) = fork_join(parallel, check_blocks, check_tokens);
         let (splits, index) = blocks?;
         let (tok_table, tok_block) = tokens?;
-        let num_tokens = tok_offsets.count - 1;
-
-        // Trailing delta runs: checksums were covered by the sweep above;
-        // decode them owned (they are small) and replay-validate the ids.
-        let mut delta_runs = Vec::new();
-        // lint:allow(panic-reachability) in range: parse_table rejects
-        // tables with fewer than the canonical SECTIONS entries.
-        for e in &table[SECTIONS.len()..] {
-            delta_runs.push(decode_delta_run(section_slice(&buf, e))?);
-        }
+        let delta_runs = delta_runs?;
         validate_delta_runs(n, &delta_runs)?;
 
         // Thresholds: re-derive from the now-verified aggregates with the
@@ -787,12 +732,13 @@ impl SnapshotView {
             num_entities: n,
             split: meta.split,
             num_blocks,
-            num_tokens,
+            num_tokens: tok_offsets.len() - 1,
             config: meta.config,
             cnp_threshold: cnp,
             cep_threshold: cep,
             total_comparisons: meta.comparisons,
             total_assignments: meta.assignments,
+            file_len,
             members,
             offsets,
             splits,
@@ -803,7 +749,6 @@ impl SnapshotView {
             tok_block,
             block_keys,
             delta_runs,
-            buf,
         })
     }
 
@@ -815,16 +760,6 @@ impl SnapshotView {
         let view = SnapshotView::from_bytes(bytes)?;
         scope.finish();
         Ok(view)
-    }
-
-    fn raw(&self, r: U32Range) -> &[u8] {
-        // lint:allow(panic-reachability) in range: the constructor proved
-        // start + 4*count lies within the buffer for every stored range.
-        &self.buf[r.start..r.start + r.count * 4]
-    }
-
-    fn u32s(&self, r: U32Range) -> U32s<'_> {
-        U32s::Le(self.raw(r))
     }
 
     /// The ER task kind.
@@ -877,14 +812,9 @@ impl SnapshotView {
         self.total_assignments
     }
 
-    /// Total size of the loaded snapshot in bytes.
+    /// Total size of the loaded snapshot file in bytes.
     pub fn file_len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The loaded snapshot file, byte for byte.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
+        self.file_len
     }
 
     /// Write-ahead delta runs riding on the snapshot, in apply order.
@@ -892,19 +822,19 @@ impl SnapshotView {
         &self.delta_runs
     }
 
-    /// The CSR member pool, borrowed from the buffer.
-    pub fn members(&self) -> U32s<'_> {
-        self.u32s(self.members)
+    /// The CSR member pool.
+    pub fn members(&self) -> &[EntityId] {
+        &self.members
     }
 
-    /// Block start offsets (`num_blocks + 1` entries), borrowed.
-    pub fn offsets(&self) -> U32s<'_> {
-        self.u32s(self.offsets)
+    /// Block start offsets (`num_blocks + 1` entries).
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
     }
 
     /// Absolute block split offsets (one per block), derived at load.
-    pub fn splits(&self) -> U32s<'_> {
-        U32s::Native(&self.splits)
+    pub fn splits(&self) -> &[u32] {
+        &self.splits
     }
 
     /// The entity index over the persisted blocks, inverted at load.
@@ -912,31 +842,28 @@ impl SnapshotView {
         &self.index
     }
 
-    /// Token byte offsets into [`SnapshotView::tok_blob`], borrowed.
-    pub fn tok_offsets(&self) -> U32s<'_> {
-        self.u32s(self.tok_offsets)
+    /// Token byte offsets into [`SnapshotView::tok_blob`].
+    pub fn tok_offsets(&self) -> &[u32] {
+        &self.tok_offsets
     }
 
     /// The concatenated token bytes, in id order.
     pub fn tok_blob(&self) -> &[u8] {
-        // lint:allow(panic-reachability) in range: the constructor proved
-        // start + len lies within the buffer.
-        &self.buf[self.tok_blob.start..self.tok_blob.start + self.tok_blob.len]
+        &self.tok_blob
     }
 
-    /// Per-block token provenance, borrowed.
-    pub fn block_keys(&self) -> U32s<'_> {
-        self.u32s(self.block_keys)
+    /// Per-block token provenance.
+    pub fn block_keys(&self) -> &[u32] {
+        &self.block_keys
     }
 
     /// The bytes of token `id`.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not below [`SnapshotView::num_tokens`].
     pub fn token_bytes(&self, id: u32) -> &[u8] {
-        let to = self.u32s(self.tok_offsets);
-        let (a, b) = (to.get(id as usize) as usize, to.get(id as usize + 1) as usize);
-        let blob = self.tok_blob();
-        // lint:allow(panic-reachability) in range: token offsets were
-        // validated ascending and bounded by the blob length.
-        &blob[a..b]
+        token_at(&self.tok_offsets, &self.tok_blob, id)
     }
 
     /// The surviving block keyed by token `id`, if there is one.
@@ -945,11 +872,7 @@ impl SnapshotView {
     }
 
     fn token_table(&self) -> TokenTable<'_> {
-        TokenTable {
-            slots: &self.tok_table,
-            offsets_le: self.raw(self.tok_offsets),
-            blob: self.tok_blob(),
-        }
+        TokenTable { slots: &self.tok_table, offsets: &self.tok_offsets, blob: &self.tok_blob }
     }
 
     /// Looks a normalized token up by bytes: one hash, a short linear probe
@@ -980,13 +903,13 @@ mod tests {
     use mb_core::PipelineConfig;
     use std::cell::Cell;
 
-    /// The `tokoffsets` payload (without its count prefix) and `tokblob`
-    /// bytes of a vocabulary, as [`seat_tokens`] reads them.
-    fn sections_of<'a>(tokens: impl IntoIterator<Item = &'a str>) -> (Vec<u8>, Vec<u8>) {
-        let (mut offsets, mut blob) = (0u32.to_le_bytes().to_vec(), Vec::new());
+    /// The token offsets and the token blob of a vocabulary, as
+    /// [`seat_tokens`] reads them.
+    fn sections_of<'a>(tokens: impl IntoIterator<Item = &'a str>) -> (Vec<u32>, Vec<u8>) {
+        let (mut offsets, mut blob) = (vec![0u32], Vec::new());
         for token in tokens {
             blob.extend_from_slice(token.as_bytes());
-            offsets.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+            offsets.push(blob.len() as u32);
         }
         (offsets, blob)
     }
@@ -1119,7 +1042,7 @@ mod tests {
         let (offsets, blob) = sections_of(vocabulary.iter().copied());
         let slots = token_table_slots(vocabulary.len());
         let (table, _) = seat_tokens(&offsets, &blob, slots, u64::MAX, &hash).unwrap();
-        let table = TokenTable { slots: &table, offsets_le: &offsets, blob: &blob };
+        let table = TokenTable { slots: &table, offsets: &offsets, blob: &blob };
         let oracle: std::collections::HashMap<&[u8], u32> =
             (0..).zip(vocabulary).map(|(id, token)| (token.as_bytes(), id)).collect();
         // Any route table serves: the batch only touches it.

@@ -14,7 +14,7 @@ use mb_core::{Noop, PipelineConfig, PruningScheme, Retention, WeightingScheme};
 use mb_serve::protocol::response_bytes;
 use mb_serve::{
     append_delta_run, merge_ops, CandidateRequest, DeltaOp, Generation, GenerationCell,
-    QueryEngine, Snapshot, SnapshotView, APPEND,
+    QueryEngine, SectionInfo, Snapshot, SnapshotHeader, SnapshotView, APPEND,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -217,11 +217,24 @@ fn delta_answers_match_a_from_scratch_rebuild() {
     }
 }
 
+/// `after` holds every section payload of `before`, byte for byte and in
+/// order, plus exactly one more: a `delta` section.
+fn assert_reframed(before: &[u8], after: &[u8]) {
+    let payloads = |file: &[u8]| -> Vec<(u32, Vec<u8>)> {
+        let header = SnapshotHeader::from_bytes(file).unwrap();
+        let range = |s: &SectionInfo| s.offset as usize..(s.offset + s.len) as usize;
+        header.sections.iter().map(|s| (s.id, file[range(s)].to_vec())).collect()
+    };
+    let (before, mut after) = (payloads(before), payloads(after));
+    let (id, _) = after.pop().unwrap();
+    assert_eq!(id, 7, "the appended section is a delta run");
+    assert_eq!(after, before, "the re-framed file changed a section it copied");
+}
+
 #[test]
 fn persisted_delta_runs_reload_to_the_same_answers() {
-    let base = SnapshotView::try_from(base_snapshot(WeightingScheme::Cbs)).unwrap();
-    let base_bytes = base.as_bytes().to_vec();
-    let cell = GenerationCell::new(base).unwrap();
+    let base_bytes = base_snapshot(WeightingScheme::Cbs).to_bytes();
+    let cell = GenerationCell::new(SnapshotView::from_bytes(base_bytes.clone()).unwrap()).unwrap();
     cell.apply(
         DeltaOp::Upsert {
             id: APPEND,
@@ -235,8 +248,8 @@ fn persisted_delta_runs_reload_to_the_same_answers() {
     let ops = live.overlay().unwrap().ops();
 
     // Write-ahead the same ops as a delta run and reload.
-    let base = SnapshotView::from_bytes(base_bytes).unwrap();
-    let with_deltas = append_delta_run(&base, &ops).unwrap();
+    let with_deltas = append_delta_run(&base_bytes, &ops).unwrap();
+    assert_reframed(&base_bytes, &with_deltas);
     let reloaded = SnapshotView::from_bytes(with_deltas.clone()).unwrap();
     assert_eq!(reloaded.delta_runs().len(), 1);
     let reloaded_cell = GenerationCell::new(reloaded).unwrap();
@@ -255,8 +268,8 @@ fn persisted_delta_runs_reload_to_the_same_answers() {
 
     // A second run appended over the first composes, too.
     let more = [DeltaOp::Delete { id: 3 }];
-    let with_deltas = SnapshotView::from_bytes(with_deltas).unwrap();
     let two_runs = append_delta_run(&with_deltas, &more).unwrap();
+    assert_reframed(&with_deltas, &two_runs);
     let reloaded = SnapshotView::from_bytes(two_runs).unwrap();
     assert_eq!(reloaded.delta_runs().len(), 2);
     let cell2 = GenerationCell::new(reloaded).unwrap();
@@ -448,9 +461,8 @@ fn a_pinned_generation_keeps_its_answers_and_the_live_one_equals_a_replay() {
             filter_ratio: Some(0.8),
             ..PipelineConfig::default()
         };
-        let base = SnapshotView::try_from(Snapshot::build(&collection, config).unwrap()).unwrap();
-        let cell = GenerationCell::new(SnapshotView::from_bytes(base.as_bytes().to_vec()).unwrap())
-            .unwrap();
+        let base = Snapshot::build(&collection, config).unwrap().to_bytes();
+        let cell = GenerationCell::new(SnapshotView::from_bytes(base.clone()).unwrap()).unwrap();
         let mut rng = SmallRng::seed_from_u64(51);
 
         apply_program(&cell, &mut rng, &collection, 500);

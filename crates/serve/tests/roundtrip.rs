@@ -224,11 +224,11 @@ fn roundtrip_is_bit_identical_across_kinds_and_configs() {
             assert_eq!(view.token_bytes(id as u32), token.as_bytes());
             assert_eq!(view.find_token(token.as_bytes()), Some(id as u32));
         }
-        assert_eq!(view.block_keys().to_vec(), snapshot.block_keys());
+        assert_eq!(view.block_keys(), snapshot.block_keys());
         let (members, offsets, splits) = snapshot.blocks().raw_parts();
-        assert_eq!(view.members().to_vec(), members.iter().map(|e| e.0).collect::<Vec<_>>());
-        assert_eq!(view.offsets().to_vec(), offsets);
-        assert_eq!(view.splits().to_vec(), splits);
+        assert_eq!(view.members(), members);
+        assert_eq!(view.offsets(), offsets);
+        assert_eq!(view.splits(), splits);
         assert_eq!(view.index().raw_parts(), EntityIndex::build(snapshot.blocks()).raw_parts());
     }
 }
@@ -740,9 +740,9 @@ fn wild_mid_table_offsets_and_swapped_run_interiors_are_typed_errors() {
     // reconciliation must distinguish from a legal descent between runs.
     let offs = view.offsets();
     let k = (0..view.num_blocks())
-        .find(|&k| offs.get(k + 1) - offs.get(k) >= 2)
+        .find(|&k| offs[k + 1] - offs[k] >= 2)
         .expect("fixture has a block with two members");
-    let at = 4 + offs.get(k) as usize * 4;
+    let at = 4 + offs[k] as usize * 4;
     let swap_pair = move |p: &mut Vec<u8>| {
         let (a, b) = (u32_at(p, at), u32_at(p, at + 4));
         p[at..at + 4].copy_from_slice(&b.to_le_bytes());

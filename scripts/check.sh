@@ -116,6 +116,16 @@ if grep -rnE 'fn fnv1a\b|\^=? *\(?\*?[a-z_]+ as u64|\^=? *u64::from\(\*?[a-z_]+\
   echo "a byte-wise FNV-1a is back (checksum through codec::fnv1a_wide)" >&2; exit 1
 fi
 
+echo "==> a member run is a native slice (structural guard on crates/*/src)"
+# A member run is `&[EntityId]` and a block list `&[u32]` on every path: the
+# snapshot loader decodes its sections into owned vectors, so nothing reads
+# little-endian bytes in place. A borrowed multi-storage view (`U32s`, or the
+# loader's `U32Range` into the file) must not come back: it put a three-way
+# match in every accessor and a copy of every scan loop per storage.
+if grep -rnwE 'U32s|U32Range' crates/*/src; then
+  echo "a borrowed u32 view is back (members_of and block_list return native slices)" >&2; exit 1
+fi
+
 echo "==> a profile is one buffer (structural guard on crates/er-model/src/profile.rs)"
 # `EntityProfile` keeps its uri, names and values back to back in one
 # `String` behind `u32` end offsets: an owned per-pair field would bring two
