@@ -75,7 +75,7 @@ fn main() {
             let start = Instant::now();
             let v = SnapshotView::read_from(&path, &mut Noop)
                 .unwrap_or_else(|e| panic!("loading snapshot: {e}"));
-            black_box(v.num_entities());
+            black_box(v.snapshot().num_entities());
             start.elapsed()
         })
         .collect();

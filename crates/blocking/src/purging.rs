@@ -13,12 +13,12 @@
 use er_model::BlockCollection;
 use mb_observe::{Counter, Observer, Stage, StageScope};
 
-/// Runs a purging pass under one [`Stage::Purging`] observer scope,
-/// reporting the before/after block and comparison counts.
-fn observed(
+/// [`purge_by_size`], reporting the pass to `obs` as a [`Stage::Purging`]
+/// scope (blocks/comparisons/assignments before and after).
+pub fn purge_by_size_observed(
     blocks: &mut BlockCollection,
+    max_size_ratio: f64,
     obs: &mut dyn Observer,
-    purge: impl FnOnce(&mut BlockCollection) -> usize,
 ) -> usize {
     let mut scope = StageScope::enter(obs, Stage::Purging);
     let (blocks_in, comparisons_in, assignments_in) = if scope.enabled() {
@@ -26,7 +26,7 @@ fn observed(
     } else {
         (0, 0, 0)
     };
-    let purged = purge(blocks);
+    let purged = purge_by_size(blocks, max_size_ratio);
     if scope.enabled() {
         scope.add(Counter::BlocksIn, blocks_in);
         scope.add(Counter::BlocksOut, blocks.size() as u64);
@@ -38,26 +38,6 @@ fn observed(
     }
     scope.finish();
     purged
-}
-
-/// [`purge_by_size`], reporting the pass to `obs` as a [`Stage::Purging`]
-/// scope (blocks/comparisons/assignments before and after).
-pub fn purge_by_size_observed(
-    blocks: &mut BlockCollection,
-    max_size_ratio: f64,
-    obs: &mut dyn Observer,
-) -> usize {
-    observed(blocks, obs, |b| purge_by_size(b, max_size_ratio))
-}
-
-/// [`purge_by_comparisons`], reporting the pass to `obs` as a
-/// [`Stage::Purging`] scope (blocks/comparisons/assignments before and
-/// after).
-pub fn purge_by_comparisons_observed(
-    blocks: &mut BlockCollection,
-    obs: &mut dyn Observer,
-) -> usize {
-    observed(blocks, obs, purge_by_comparisons)
 }
 
 /// Discards blocks whose *size* (number of profiles) exceeds

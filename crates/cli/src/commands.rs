@@ -335,20 +335,21 @@ fn snapshot_inspect(args: &Args) -> Result<String, String> {
     if !args.flag("full") {
         return Ok(out);
     }
-    let snapshot = SnapshotView::read_from(Path::new(path), &mut Noop)
+    let view = SnapshotView::read_from(Path::new(path), &mut Noop)
         .map_err(|e| format!("loading {path}: {e}"))?;
+    let snapshot = view.snapshot();
     let _ = writeln!(out, "kind:               {:?} ER", snapshot.kind());
     let _ = writeln!(out, "entities:           {}", snapshot.num_entities());
     let _ = writeln!(out, "split:              {}", snapshot.split());
-    let _ = writeln!(out, "blocks:             {}", snapshot.num_blocks());
+    let _ = writeln!(out, "blocks:             {}", snapshot.blocks().size());
     let _ = writeln!(out, "comparisons ||B||:  {}", snapshot.total_comparisons());
     let _ = writeln!(out, "assignments:        {}", snapshot.total_assignments());
-    let _ = writeln!(out, "tokens:             {}", snapshot.num_tokens());
+    let _ = writeln!(out, "tokens:             {}", snapshot.tokens().len());
     let _ = writeln!(out, "CNP threshold k:    {}", snapshot.cnp_threshold());
     let _ = writeln!(out, "CEP threshold K:    {}", snapshot.cep_threshold());
-    if !snapshot.delta_runs().is_empty() {
-        let ops: usize = snapshot.delta_runs().iter().map(Vec::len).sum();
-        let _ = writeln!(out, "delta runs:         {} ({ops} ops)", snapshot.delta_runs().len());
+    if !view.delta_runs().is_empty() {
+        let ops: usize = view.delta_runs().iter().map(Vec::len).sum();
+        let _ = writeln!(out, "delta runs:         {} ({ops} ops)", view.delta_runs().len());
     }
     let _ = writeln!(out, "config:             {}", snapshot.config().to_json_string());
     Ok(out)
@@ -383,7 +384,7 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
                 None => {
                     // Resolve the append sentinel offline: replay the
                     // persisted runs to find the effective collection size.
-                    let mut next = base.num_entities() as u32;
+                    let mut next = base.snapshot().num_entities() as u32;
                     for run in base.delta_runs() {
                         for op in run {
                             if matches!(op, DeltaOp::Upsert { id, .. } if *id == next) {
@@ -494,7 +495,7 @@ pub fn query(args: &Args) -> Result<String, String> {
         .map_err(|e| format!("loading {path}: {e}"))?;
     let scheme: WeightingScheme = match args.get("scheme") {
         Some(s) => s.parse()?,
-        None => view.config().weighting,
+        None => view.snapshot().config().weighting,
     };
     let generation = GenerationCell::new(view).map_err(|e| format!("loading {path}: {e}"))?.load();
     let mut engine = QueryEngine::generation_with_scheme(&generation, scheme);
@@ -1018,7 +1019,7 @@ mod tests {
         let snap_s = snap.to_str().unwrap();
         snapshot(&argv(&["snapshot", "build", "--dataset", dir_s, "--out", snap_s])).unwrap();
         let view = SnapshotView::read_from(&snap, &mut Noop).unwrap();
-        let base_entities = view.num_entities() as u32;
+        let base_entities = view.snapshot().num_entities() as u32;
         drop(view);
 
         // Stage an append offline; the op resolves to the next free id.
@@ -1093,7 +1094,7 @@ mod tests {
         let snap_s = snap.to_str().unwrap().to_owned();
         snapshot(&argv(&["snapshot", "build", "--dataset", dir_s, "--out", &snap_s])).unwrap();
         let view = SnapshotView::read_from(&snap, &mut Noop).unwrap();
-        let base_entities = view.num_entities() as u32;
+        let base_entities = view.snapshot().num_entities() as u32;
         drop(view);
 
         let port_file = dir.join("port");

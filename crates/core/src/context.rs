@@ -4,8 +4,8 @@
 //! million nodes and billion edges. Instead, it is implemented implicitly"
 //! (§4.2): every non-redundant comparison in the block collection *is* an
 //! edge. [`GraphContext`] bundles the state every graph traversal needs —
-//! the entity index, the per-block cardinalities and the task kind — without
-//! ever storing an edge list.
+//! the entity index, the per-block reciprocal cardinalities and the task
+//! kind — without ever storing an edge list.
 
 use er_model::{BlockCollection, EntityId, EntityIndex, ErKind};
 
@@ -14,14 +14,11 @@ use er_model::{BlockCollection, EntityId, EntityIndex, ErKind};
 pub struct GraphContext<'b> {
     blocks: &'b BlockCollection,
     index: EntityIndex,
-    /// `‖b‖` per block, pre-computed because ARCS divides by it for every
-    /// common block of every edge.
-    cardinalities: Vec<f64>,
-    /// `1 / ‖b‖` per block: the ARCS hot loop multiplies by this instead of
-    /// dividing, which is several times cheaper per common block. Stored as
-    /// the exact IEEE result of `1.0 / cardinalities[k]`, so summing the
-    /// reciprocals is bit-identical to dividing inline.
-    recip_cardinalities: Vec<f64>,
+    /// `1 / ‖b‖` per block: ARCS adds this for every common block of every
+    /// edge, so it is divided once here rather than once per edge. Stored as
+    /// the exact IEEE result of `1.0 / ‖b‖`, so summing the reciprocals is
+    /// bit-identical to dividing inline.
+    reciprocals: Vec<f64>,
     /// Dirty ER only (empty for Clean-Clean): parallel to the entity index's
     /// flat block lists, each assignment's position in its block's member
     /// list, so an edge sweep can start a block's walk right past its pivot
@@ -31,8 +28,8 @@ pub struct GraphContext<'b> {
 }
 
 impl<'b> GraphContext<'b> {
-    /// Builds the context (entity index + block cardinalities) for a block
-    /// collection.
+    /// Builds the context (entity index + reciprocal block cardinalities)
+    /// for a block collection.
     ///
     /// `split` is the id boundary between the two collections for
     /// Clean-Clean ER (see [`er_model::EntityCollection::split`]); pass the
@@ -51,29 +48,9 @@ impl<'b> GraphContext<'b> {
     }
 
     fn with_index(blocks: &'b BlockCollection, index: EntityIndex, split: usize) -> Self {
-        let cardinalities: Vec<f64> = blocks.iter().map(|b| b.cardinality() as f64).collect();
-        let recip_cardinalities = cardinalities.iter().map(|&c| 1.0 / c).collect();
+        let reciprocals = blocks.iter().map(|b| 1.0 / b.cardinality() as f64).collect();
         let slots = if blocks.kind() == ErKind::Dirty { slots(blocks, &index) } else { Vec::new() };
-        GraphContext { blocks, index, cardinalities, recip_cardinalities, slots, split }
-    }
-
-    /// Builds the context around an index that already exists — the snapshot
-    /// load path, where the persisted [`EntityIndex`] must be reused instead
-    /// of being re-derived from the blocks.
-    ///
-    /// The caller is responsible for `index` actually indexing `blocks`
-    /// ([`EntityIndex::validate`] checks that); under the `sanitize` feature
-    /// the correspondence is verified here.
-    pub fn from_index(blocks: &'b BlockCollection, index: EntityIndex, split: usize) -> Self {
-        #[cfg(feature = "sanitize")]
-        er_model::sanitize::assert_valid(&index.validate(blocks), "GraphContext::from_index");
-        Self::with_index(blocks, index, split)
-    }
-
-    /// Decomposes the context, handing back ownership of its entity index
-    /// (the inverse of [`GraphContext::from_index`]).
-    pub fn into_index(self) -> EntityIndex {
-        self.index
+        GraphContext { blocks, index, reciprocals, slots, split }
     }
 
     /// Context for a Dirty-ER block collection.
@@ -103,16 +80,10 @@ impl<'b> GraphContext<'b> {
         self.blocks.num_entities()
     }
 
-    /// `‖b_k‖` as `f64`, for the ARCS denominator.
-    #[inline]
-    pub fn cardinality_of(&self, block: usize) -> f64 {
-        self.cardinalities[block]
-    }
-
     /// `1 / ‖b_k‖`, the pre-inverted ARCS denominator.
     #[inline]
     pub fn recip_cardinality_of(&self, block: usize) -> f64 {
-        self.recip_cardinalities[block]
+        self.reciprocals[block]
     }
 
     /// Whether two profiles may be compared under the task kind: always (if
@@ -199,8 +170,6 @@ mod tests {
         );
         let ctx = GraphContext::new_dirty(&blocks);
         assert_eq!(ctx.num_entities(), 4);
-        assert_eq!(ctx.cardinality_of(0), 3.0);
-        assert_eq!(ctx.cardinality_of(1), 1.0);
         assert_eq!(ctx.recip_cardinality_of(0), 1.0 / 3.0);
         assert_eq!(ctx.recip_cardinality_of(1), 1.0);
         assert!(ctx.comparable(EntityId(0), EntityId(3)));

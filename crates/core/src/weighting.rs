@@ -378,7 +378,7 @@ pub mod original {
                 std::cmp::Ordering::Less => x = &x[1..],
                 std::cmp::Ordering::Greater => y = &y[1..],
                 std::cmp::Ordering::Equal => {
-                    score += if arcs { 1.0 / ctx.cardinality_of(m as usize) } else { 1.0 };
+                    score += if arcs { ctx.recip_cardinality_of(m as usize) } else { 1.0 };
                     x = &x[1..];
                     y = &y[1..];
                 }
@@ -412,7 +412,7 @@ pub mod original {
                         }
                         first = false;
                     }
-                    score += if arcs { 1.0 / ctx.cardinality_of(m as usize) } else { 1.0 };
+                    score += if arcs { ctx.recip_cardinality_of(m as usize) } else { 1.0 };
                     x = &x[1..];
                     y = &y[1..];
                 }

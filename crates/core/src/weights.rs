@@ -162,15 +162,6 @@ impl<'c, 'b> EdgeWeigher<'c, 'b> {
         EdgeWeigher { scheme, ctx, degrees }
     }
 
-    /// Prepares a weigher reusing pre-computed degrees (EJS only).
-    pub fn with_degrees(
-        scheme: WeightingScheme,
-        ctx: &'c GraphContext<'b>,
-        degrees: Degrees,
-    ) -> Self {
-        EdgeWeigher { scheme, ctx, degrees: Some(degrees) }
-    }
-
     /// The scheme being evaluated.
     pub fn scheme(&self) -> WeightingScheme {
         self.scheme

@@ -375,6 +375,22 @@ impl BlockCollection {
     pub fn raw_parts(&self) -> (&[EntityId], &[u32], &[u32]) {
         (&self.members, &self.offsets, &self.splits)
     }
+
+    /// Reassembles a collection from the `(members, offsets, splits)` arena
+    /// that [`BlockCollection::raw_parts`] reads, without copying it.
+    ///
+    /// Checks nothing: the caller has proved the arena — `offsets` starting
+    /// at 0, non-decreasing and ending at `members.len()`, one split per
+    /// block inside its bracket, every member below `num_entities`. The
+    /// snapshot loader proves exactly that before it calls this. An arena
+    /// that breaks it reads as wrong blocks or panics on access.
+    pub fn from_raw_parts(
+        kind: ErKind,
+        num_entities: usize,
+        (members, offsets, splits): (Vec<EntityId>, Vec<u32>, Vec<u32>),
+    ) -> Self {
+        BlockCollection { kind, num_entities, members, offsets, splits }
+    }
 }
 
 /// Streaming constructor for a [`BlockCollection`] arena: blocks are

@@ -9,7 +9,6 @@
 //! materializing them.
 
 use crate::block::BlockCollection;
-use crate::chunk::chunk_ranges;
 use crate::ids::{BlockId, EntityId};
 use std::collections::TryReserveError;
 use std::ops::Range;
@@ -21,6 +20,22 @@ const MIN_BLOCKS_PER_SHARD: usize = 256;
 
 /// Minimum entities per merge worker (same rationale).
 const MIN_ENTITIES_PER_MERGE: usize = 1024;
+
+/// Splits `0..n` into at most `threads` contiguous chunks of near-equal
+/// size, none smaller than `floor` (except the only chunk of a small input).
+///
+/// The chunks are non-empty, adjacent and cover `0..n` exactly, and they
+/// are a pure function of `(n, threads, floor)`, never of the machine — the
+/// parallel build's shards, and so its output, depend on nothing else.
+fn chunk_ranges(n: usize, threads: usize, floor: usize) -> Vec<Range<usize>> {
+    let max_useful = n.div_ceil(floor.max(1)).max(1);
+    let threads = threads.max(1).min(max_useful);
+    let per = n.div_ceil(threads).max(1);
+    (0..threads)
+        .map(|t| (t * per).min(n)..((t + 1) * per).min(n))
+        .filter(|r| !r.is_empty())
+        .collect()
+}
 
 /// Prefix-sums per-entity assignment counts into the flat `offsets` array,
 /// an empty vector with room for `counts.len() + 1` entries, failing loudly
@@ -503,5 +518,34 @@ mod tests {
         let idx = EntityIndex::build(&blocks);
         assert_eq!(idx.block_list(EntityId(1)), &[] as &[u32]);
         assert_eq!(idx.common_blocks(EntityId(0), EntityId(2)), 0);
+    }
+
+    #[test]
+    fn chunks_cover_the_range_contiguously() {
+        for n in [0usize, 1, 255, 256, 257, 10_000] {
+            for t in [1usize, 2, 8, 64] {
+                for floor in [1usize, 256, 1024] {
+                    let cs = chunk_ranges(n, t, floor);
+                    let total: usize = cs.iter().map(|r| r.end - r.start).sum();
+                    assert_eq!(total, n, "n={n} t={t} floor={floor}");
+                    for w in cs.windows(2) {
+                        assert_eq!(w[0].end, w[1].start);
+                    }
+                    assert!(cs.iter().all(|r| !r.is_empty()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_respect_the_floor_and_the_thread_cap() {
+        assert_eq!(chunk_ranges(256, 16, 256).len(), 1);
+        assert_eq!(chunk_ranges(512, 16, 256).len(), 2);
+        assert_eq!(chunk_ranges(2, 16, 256), vec![0..2]);
+        assert_eq!(chunk_ranges(257, 100, 256).len(), 2);
+        assert_eq!(chunk_ranges(8_000, 8, 1).len(), 8);
+        assert_eq!(chunk_ranges(256 * 8, 8, 256).len(), 8);
+        assert_eq!(chunk_ranges(10, 3, 1).len(), 3);
+        assert!(chunk_ranges(0, 4, 256).is_empty());
     }
 }

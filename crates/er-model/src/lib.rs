@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod chunk;
 pub mod collection;
 pub mod comparisons;
 pub mod error;
@@ -50,7 +49,6 @@ pub mod sanitize;
 pub mod tokenize;
 
 pub use block::{Block, BlockCollection, BlockCollectionBuilder, BlockRef};
-pub use chunk::chunk_ranges;
 pub use collection::{EntityCollection, ErKind};
 pub use comparisons::{Comparison, ComparisonSet};
 pub use error::{Error, Result};

@@ -119,11 +119,6 @@ impl JaccardMatcher {
         JaccardMatcher { sets: TokenSets::build(collection), threshold }
     }
 
-    /// Builds the matcher from pre-computed token sets.
-    pub fn from_sets(sets: TokenSets, threshold: f64) -> Self {
-        JaccardMatcher { sets, threshold }
-    }
-
     /// The underlying token sets.
     pub fn sets(&self) -> &TokenSets {
         &self.sets

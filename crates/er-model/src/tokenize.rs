@@ -115,6 +115,16 @@ fn arena_slot(keys: usize, text_len: usize, key_len: usize) -> Result<(u32, u32)
 }
 
 impl KeyArena {
+    /// An arena over `offsets` and `text`, without copying them.
+    ///
+    /// Checks nothing: the caller has proved the invariant above (the
+    /// snapshot loader does before it calls this; `String` itself proved
+    /// the text UTF-8). An arena that breaks it reads as wrong keys or
+    /// panics on access.
+    pub fn from_parts(offsets: Vec<u32>, text: String) -> Self {
+        KeyArena { offsets, text }
+    }
+
     /// Number of keys.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1

@@ -27,7 +27,7 @@ const BASELINE: [(&str, usize, &str); 12] = [
     ("crates/er-model/src/block.rs", 26, "owned-id-vec-field"),
     ("crates/er-model/src/block.rs", 27, "owned-id-vec-field"),
     ("crates/er-model/src/block.rs", 201, "owned-id-vec-field"),
-    ("crates/er-model/src/block.rs", 388, "owned-id-vec-field"),
+    ("crates/er-model/src/block.rs", 404, "owned-id-vec-field"),
     ("crates/er-model/src/comparisons.rs", 39, "id-narrowing-cast"),
     ("crates/er-model/src/fxhash.rs", 12, "default-hasher"),
     ("crates/er-model/src/sanitize.rs", 73, "no-panic"),

@@ -2,15 +2,18 @@
 //! snapshot, plus the compaction merge that folds them away.
 //!
 //! A snapshot is an immutable batch artifact; a [`DeltaOp`] mutates the
-//! *serving state* built over it without touching the CSR arena. The
-//! [`DeltaOverlay`] is a small copy-on-write side-table: blocks an op
-//! touches are copied out of the arena and patched, appended entities get
-//! overlay-resident block lists, unseen tokens grow a vocabulary extension,
-//! and deleted entities are tombstoned (their memberships are removed from
-//! the patched blocks, so candidate generation skips them without the base
-//! member pool ever being rewritten). Everything the scoring core reads
-//! goes through [`mb_core::CandidateStore`], so the overlay plugs in at the
-//! same seam the loaded view serves the scoring core through.
+//! *serving state* built over it without touching the loaded snapshot's
+//! block collection. The [`DeltaOverlay`] is a small copy-on-write
+//! side-table: blocks an op touches are copied out of that collection and
+//! patched, appended entities get overlay-resident block lists, unseen
+//! tokens grow a vocabulary extension, and deleted entities are tombstoned
+//! (their memberships are removed from the patched blocks, so candidate
+//! generation skips them without the base member pool ever being
+//! rewritten). A patched block is read as the same `er_model::BlockRef` a
+//! base block is — its sides, and `‖b‖` from the one formula. Everything
+//! the scoring core reads goes through [`mb_core::CandidateStore`], so the
+//! overlay plugs in at the same seam the loaded view serves the scoring
+//! core through.
 //!
 //! # Semantics and the recall gap
 //!
@@ -45,11 +48,9 @@ use crate::idmap::{IdMap, IdSet};
 use crate::snapshot::{
     decode_meta, frame_sections, parse_table, section_slice, SECTION_DELTA, SECTION_META,
 };
-use crate::store::EngineStore;
 use crate::view::{distinct_by_bytes, token_hash, SnapshotView, TokenScratch};
 use er_model::fxhash::FxHashSet;
-use er_model::{EntityCollection, EntityId, EntityProfile, ErKind};
-use mb_core::CandidateStore;
+use er_model::{BlockRef, EntityCollection, EntityId, EntityProfile, ErKind};
 use std::sync::Arc;
 
 /// The append sentinel: an upsert targeting this id resolves to the
@@ -209,7 +210,8 @@ pub fn append_delta_run(file: &[u8], ops: &[DeltaOp]) -> Result<Vec<u8>, Snapsho
 }
 
 /// One copy-on-write block: members of each side, ascending — the same
-/// left/right convention as the base arena (Dirty keeps everything left).
+/// left/right convention as the base collection (Dirty keeps everything
+/// left). Read through [`OverlayBlock::as_ref`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OverlayBlock {
     left: Vec<EntityId>,
@@ -239,27 +241,10 @@ impl OverlayBlock {
         }
     }
 
-    /// The members a scan from the given direction compares against.
-    pub(crate) fn members(&self, scan_right: bool) -> &[EntityId] {
-        if scan_right {
-            &self.right
-        } else {
-            &self.left
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.left.len() + self.right.len()
-    }
-
-    fn cardinality(&self, kind: ErKind) -> u64 {
-        match kind {
-            ErKind::Dirty => {
-                let m = self.left.len() as u64;
-                m * m.saturating_sub(1) / 2
-            }
-            ErKind::CleanClean => self.left.len() as u64 * self.right.len() as u64,
-        }
+    /// The block as the collection's view type: its two sides, `|b|` and
+    /// `‖b‖`.
+    pub(crate) fn as_ref(&self) -> BlockRef<'_> {
+        BlockRef::from_slices(&self.left, &self.right)
     }
 }
 
@@ -331,13 +316,14 @@ pub struct DeltaOverlay {
 impl DeltaOverlay {
     /// An empty overlay over `view`.
     pub(crate) fn new(view: &SnapshotView) -> DeltaOverlay {
+        let base = view.snapshot();
         DeltaOverlay {
-            kind: view.kind(),
-            base_entities: view.num_entities(),
-            base_blocks: view.num_blocks(),
-            base_tokens: view.num_tokens(),
-            num_entities: view.num_entities(),
-            split: view.split(),
+            kind: base.kind(),
+            base_entities: base.num_entities(),
+            base_blocks: base.blocks().size(),
+            base_tokens: base.tokens().len(),
+            num_entities: base.num_entities(),
+            split: base.split(),
             ops: IdMap::default(),
             tombstones: IdMap::default(),
             blocks: IdMap::default(),
@@ -414,8 +400,18 @@ impl DeltaOverlay {
         self.blocks.get(u32::try_from(block).ok()?).map(Arc::as_ref)
     }
 
+    /// `1 / ‖b‖` of an overlay block, and `0` for one that deletes have
+    /// left without a comparison: a probe still scans such a block's members
+    /// (a Dirty one left with one member, a Clean-Clean one with one side
+    /// emptied), and they gain nothing from it.
     pub(crate) fn recip_cardinality(&self, block: &OverlayBlock) -> f64 {
-        let c = block.cardinality(self.kind);
+        let b = block.as_ref();
+        // `BlockRef` reads a block with no right side as a Dirty one; in a
+        // Clean-Clean overlay that is a block whose E₂ side was emptied.
+        let c = match self.kind {
+            ErKind::CleanClean if b.right().is_empty() => 0,
+            _ => b.cardinality(),
+        };
         if c == 0 {
             0.0
         } else {
@@ -449,11 +445,8 @@ impl DeltaOverlay {
         let block = self.blocks.get_or_insert_with(b, || {
             // Dirty blocks keep every member left, right empty — the arena
             // convention.
-            let base = EngineStore::from_view(view);
-            Arc::new(OverlayBlock {
-                left: base.members_of(b as usize, false).to_vec(),
-                right: base.members_of(b as usize, true).to_vec(),
-            })
+            let base = view.snapshot().blocks().block(b as usize);
+            Arc::new(OverlayBlock { left: base.left().to_vec(), right: base.right().to_vec() })
         });
         if let Some(block) = block {
             edit(Arc::make_mut(block));
@@ -488,7 +481,7 @@ impl DeltaOverlay {
             let emptied = self.pending.get_mut(token).is_some_and(|posting| {
                 let posting = Arc::make_mut(posting);
                 posting.remove(id, right);
-                posting.len() == 0
+                posting.as_ref().size() == 0
             });
             if emptied {
                 self.pending.remove(token);
@@ -818,7 +811,8 @@ mod tests {
         }
         // Extension tokens take ids, and promoted postings take blocks, in
         // the byte order of their tokens.
-        let (vocabulary, blocks) = (view.num_tokens() as u32, view.num_blocks() as u32);
+        let base = view.snapshot();
+        let (vocabulary, blocks) = (base.tokens().len() as u32, base.blocks().size() as u32);
         let (alpha, zeta) = (overlay.new_token_id("alpha"), overlay.new_token_id("zeta"));
         assert_eq!((alpha, zeta), (Some(vocabulary), Some(vocabulary + 1)));
         let routes: Vec<Option<u32>> =

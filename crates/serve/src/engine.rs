@@ -80,7 +80,7 @@ impl<'s> QueryEngine<'s> {
     /// Builds an engine over a loaded view using the snapshot's configured
     /// weighting scheme. Every array stays borrowed from the view.
     pub fn from_view(view: &'s SnapshotView) -> Self {
-        Self::assemble(view, view.config().weighting, None, EngineScratch::default())
+        Self::assemble(view, view.snapshot().config().weighting, None, EngineScratch::default())
     }
 
     /// Builds an engine over a pinned serving generation — the server's
@@ -104,7 +104,7 @@ impl<'s> QueryEngine<'s> {
     /// (12 B under ARCS).
     pub fn with_scratch(generation: &'s Generation, scratch: EngineScratch) -> Self {
         let view = generation.view();
-        Self::assemble(view, view.config().weighting, generation.overlay(), scratch)
+        Self::assemble(view, view.snapshot().config().weighting, generation.overlay(), scratch)
     }
 
     /// Builds an engine over a pinned serving generation, scoring with an
@@ -154,11 +154,12 @@ impl<'s> QueryEngine<'s> {
     /// weight-based schemes keep neighbors at or above the neighborhood
     /// mean.
     pub fn default_retention(&self) -> Retention {
-        match self.view.config().pruning {
+        let snapshot = self.view.snapshot();
+        match snapshot.config().pruning {
             PruningScheme::Cep
             | PruningScheme::Cnp
             | PruningScheme::RedefinedCnp
-            | PruningScheme::ReciprocalCnp => Retention::TopK(self.view.cnp_threshold()),
+            | PruningScheme::ReciprocalCnp => Retention::TopK(snapshot.cnp_threshold()),
             PruningScheme::Wep
             | PruningScheme::Wnp
             | PruningScheme::RedefinedWnp

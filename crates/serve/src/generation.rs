@@ -70,7 +70,7 @@ impl Generation {
     pub fn num_entities(&self) -> usize {
         match &self.overlay {
             Some(o) => o.num_entities(),
-            None => self.view.num_entities(),
+            None => self.view.snapshot().num_entities(),
         }
     }
 
@@ -267,15 +267,15 @@ mod tests {
         assert_eq!(cell.ordinal(), 1);
         let pinned = cell.load();
         assert_eq!(pinned.ordinal(), 1);
-        let tokens_before = pinned.view().num_tokens();
+        let tokens_before = pinned.view().snapshot().tokens().len();
 
         let next = tiny_snapshot("brand new token");
         assert_eq!(cell.swap(next).unwrap(), 2);
         assert_eq!(cell.ordinal(), 2);
         // The pinned generation still serves its own snapshot…
-        assert_eq!(pinned.view().num_tokens(), tokens_before);
+        assert_eq!(pinned.view().snapshot().tokens().len(), tokens_before);
         // …while fresh loads see the new one.
-        assert!(cell.load().view().num_tokens() > tokens_before);
+        assert!(cell.load().view().snapshot().tokens().len() > tokens_before);
     }
 
     #[test]
@@ -296,13 +296,13 @@ mod tests {
     fn built_snapshots_and_loaded_views_publish_the_same_generation() {
         let built = tiny_snapshot("a");
         let loaded = SnapshotView::from_bytes(built.to_bytes()).unwrap();
-        let tokens = loaded.num_tokens();
+        let tokens = loaded.snapshot().tokens().len();
         let cell = GenerationCell::new(built).unwrap();
         let first = cell.load();
         assert_eq!(cell.swap(loaded).unwrap(), 2);
         let second = cell.load();
-        assert_eq!(first.view().num_tokens(), tokens);
-        assert_eq!(second.view().num_tokens(), tokens);
+        assert_eq!(first.view().snapshot().tokens().len(), tokens);
+        assert_eq!(second.view().snapshot().tokens().len(), tokens);
         for token in 0..tokens as u32 {
             assert_eq!(first.view().token_block(token), second.view().token_block(token));
         }

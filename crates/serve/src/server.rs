@@ -395,8 +395,9 @@ fn compact(shared: &Shared, bundle: &str, out: Option<&str>) -> Result<u64, Serv
     let mut collection = loaded.collection;
     merge_ops(&mut collection, &ops).map_err(|e| ServeError::Reload(Box::new(e)))?;
     let reload = |e: SnapshotError| ServeError::Reload(Box::new(e));
-    let bytes =
-        Snapshot::build(&collection, *generation.view().config()).map_err(reload)?.to_bytes();
+    let bytes = Snapshot::build(&collection, *generation.view().snapshot().config())
+        .map_err(reload)?
+        .to_bytes();
     if let Some(path) = out {
         write_atomic(Path::new(path), &bytes).map_err(|e| reload(e.into()))?;
     }

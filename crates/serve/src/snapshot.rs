@@ -56,10 +56,10 @@
 //! The front-loaded table plus fixed-width, 8-aligned payloads are what the
 //! loader ([`crate::view::SnapshotView`]) relies on: it verifies the table,
 //! the checksums and every structural and cross-section invariant, decodes
-//! the arrays into owned vectors, frees the file, and derives the splits
-//! and the entity index from the vectors.
-//! This module only builds and encodes; `SnapshotView` is the one way
-//! bytes become a queryable index.
+//! the arrays into owned vectors, frees the file, derives the splits and
+//! the entity index from the vectors, and moves them into the [`Snapshot`]
+//! they encode. This module builds and encodes; `SnapshotView` is the one
+//! way bytes become a queryable index.
 //!
 //! Earlier-version files (magic `MBSNAP01`–`MBSNAP04`; version 4 carried
 //! the block splits and the entity index as sections of their own, version
@@ -431,27 +431,30 @@ impl SnapshotHeader {
     }
 }
 
-/// A freshly built serving index, ready to encode.
+/// What a snapshot file persists: the filtered block collection, the
+/// blocking vocabulary with per-block key provenance, and the pipeline
+/// configuration with its derived thresholds.
 ///
-/// Construction goes through [`Snapshot::build`] (run the blocking
-/// front-end now); the result is written with [`Snapshot::to_bytes`] /
-/// [`Snapshot::write_to`] and becomes queryable by loading those bytes
-/// through [`crate::view::SnapshotView`] (`SnapshotView::try_from(snapshot)`
-/// does both in one step).
+/// [`Snapshot::build`] makes one by running the blocking front end, and
+/// [`Snapshot::to_bytes`] / [`Snapshot::write_to`] encode it. Loading those
+/// bytes ([`crate::view::SnapshotView::from_bytes`]) decodes the same
+/// `Snapshot` back — [`crate::view::SnapshotView::snapshot`] — beside the
+/// tables load derives from it; `SnapshotView::try_from(snapshot)` encodes
+/// and loads in one step.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    blocks: BlockCollection,
-    split: usize,
+    pub(crate) blocks: BlockCollection,
+    pub(crate) split: usize,
     /// The blocking vocabulary, indexed by interned token id: the
     /// interner's own arena, which is the `tokoffsets` + `tokblob` sections.
-    tokens: KeyArena,
+    pub(crate) tokens: KeyArena,
     /// `block_keys[k]` is the token id whose block became block `k`.
-    block_keys: Vec<u32>,
-    config: PipelineConfig,
-    cnp_threshold: usize,
-    cep_threshold: usize,
-    total_comparisons: u64,
-    total_assignments: u64,
+    pub(crate) block_keys: Vec<u32>,
+    pub(crate) config: PipelineConfig,
+    pub(crate) cnp_threshold: usize,
+    pub(crate) cep_threshold: usize,
+    pub(crate) total_comparisons: u64,
+    pub(crate) total_assignments: u64,
 }
 
 impl Snapshot {

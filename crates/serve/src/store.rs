@@ -1,24 +1,25 @@
 //! The storage adapter between a loaded snapshot and the scoring core.
 //!
 //! [`EngineStore`] is a flat, `Copy` [`CandidateStore`] over a
-//! [`SnapshotView`]: three of the view's arrays and its entity index, plus
-//! three scalars. The scoring core (`mb_core::NeighborhoodScorer`) is
-//! generic over [`CandidateStore`], so the serve path runs the exact scan
-//! loops the batch pipeline does and returns bit-identical candidates.
+//! [`SnapshotView`]: the snapshot's block collection and the entity index
+//! load derived, plus three scalars. The scoring core
+//! (`mb_core::NeighborhoodScorer`) is generic over [`CandidateStore`], so
+//! the serve path runs the exact scan loops the batch pipeline does and
+//! returns bit-identical candidates.
 
 use crate::delta::DeltaOverlay;
 use crate::view::SnapshotView;
-use er_model::{EntityId, EntityIndex, ErKind};
+use er_model::{BlockCollection, BlockRef, EntityId, EntityIndex, ErKind};
 use mb_core::CandidateStore;
 
-/// A flat candidate store over a loaded snapshot's arrays, optionally
-/// patched by a generation's delta overlay.
+/// A flat candidate store over a loaded snapshot, optionally patched by a
+/// generation's delta overlay.
 ///
 /// `Copy`, so scorers take it by value and batch fan-out shares it across
 /// threads without reference-counting. With an overlay attached, reads
 /// dispatch per block / per entity: overlay-owned state (patched blocks,
 /// overlay-born blocks, overridden block lists) comes from the side-table,
-/// everything else straight from the arena — so the scoring core stays
+/// everything else straight from the snapshot — so the scoring core stays
 /// oblivious to deltas.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EngineStore<'s> {
@@ -27,13 +28,9 @@ pub(crate) struct EngineStore<'s> {
     split: usize,
     /// Effective `|E|` (overlay-adjusted when attached).
     num_entities: usize,
-    /// CSR member pool.
-    members: &'s [EntityId],
-    /// Block start offsets (`num_blocks + 1`).
-    offsets: &'s [u32],
-    /// Absolute split offsets (one per block; `== hi` for Dirty).
-    splits: &'s [u32],
-    /// The base entity index, inverted from the arena at load.
+    /// The snapshot's block collection.
+    blocks: &'s BlockCollection,
+    /// The base entity index, inverted from the blocks at load.
     index: &'s EntityIndex,
     /// The generation's delta side-table, when any ops are applied.
     overlay: Option<&'s DeltaOverlay>,
@@ -41,13 +38,12 @@ pub(crate) struct EngineStore<'s> {
 
 impl<'s> EngineStore<'s> {
     pub(crate) fn from_view(v: &'s SnapshotView) -> EngineStore<'s> {
+        let snapshot = v.snapshot();
         EngineStore {
-            kind: v.kind(),
-            split: v.split(),
-            num_entities: v.num_entities(),
-            members: v.members(),
-            offsets: v.offsets(),
-            splits: v.splits(),
+            kind: snapshot.kind(),
+            split: snapshot.split(),
+            num_entities: snapshot.num_entities(),
+            blocks: snapshot.blocks(),
             index: v.index(),
             overlay: None,
         }
@@ -72,14 +68,6 @@ impl<'s> EngineStore<'s> {
     fn base_entities(&self) -> usize {
         self.index.num_entities()
     }
-
-    /// The block's `(lo, split, hi)` member-pool bracket; an empty one at
-    /// 0 for an id past the arena, which no block list holds.
-    #[inline]
-    fn bounds(&self, block: usize) -> (usize, usize, usize) {
-        let at = |table: &[u32], i: usize| table.get(i).map_or(0, |&x| x as usize);
-        (at(self.offsets, block), at(self.splits, block), at(self.offsets, block + 1))
-    }
 }
 
 impl CandidateStore for EngineStore<'_> {
@@ -96,7 +84,7 @@ impl CandidateStore for EngineStore<'_> {
     }
 
     fn num_blocks(&self) -> usize {
-        self.splits.len() + self.overlay.map_or(0, |o| o.num_new_blocks())
+        self.blocks.size() + self.overlay.map_or(0, |o| o.num_new_blocks())
     }
 
     fn block_list(&self, id: EntityId) -> &[u32] {
@@ -115,15 +103,18 @@ impl CandidateStore for EngineStore<'_> {
     }
 
     fn members_of(&self, block: usize, scan_right: bool) -> &[EntityId] {
-        if let Some(o) = self.overlay {
-            if let Some(b) = o.block(block) {
-                return b.members(scan_right);
-            }
+        // A block id comes from a block list or a token route, so it names
+        // an overlay block or a block of the collection.
+        let b: BlockRef<'_> = match self.overlay.and_then(|o| o.block(block)) {
+            Some(b) => b.as_ref(),
+            None => self.blocks.block(block),
+        };
+        // Dirty blocks keep every member left — `BlockRef::left()`.
+        if scan_right {
+            b.right()
+        } else {
+            b.left()
         }
-        let (lo, sp, hi) = self.bounds(block);
-        // Dirty blocks have sp == hi, so the "left" side is the whole
-        // block — same convention as `Block::left()`.
-        self.members.get(if scan_right { sp..hi } else { lo..sp }).unwrap_or_default()
     }
 
     fn recip_cardinality_of(&self, block: usize) -> f64 {
@@ -132,15 +123,7 @@ impl CandidateStore for EngineStore<'_> {
                 return o.recip_cardinality(b);
             }
         }
-        let (lo, sp, hi) = self.bounds(block);
-        let c = match self.kind {
-            ErKind::Dirty => {
-                let m = (hi - lo) as u64;
-                m * m.saturating_sub(1) / 2
-            }
-            ErKind::CleanClean => (sp - lo) as u64 * (hi - sp) as u64,
-        };
-        1.0 / c as f64
+        1.0 / self.blocks.block(block).cardinality() as f64
     }
 }
 
@@ -181,6 +164,37 @@ mod tests {
                 index.block_list(EntityId(i)),
                 "entity {i} block list"
             );
+        }
+    }
+
+    #[test]
+    fn a_block_left_without_a_comparison_weighs_nothing() {
+        use crate::delta::{DeltaOp, DeltaOverlay};
+        use crate::view::TokenScratch;
+        let p = |uri: &str, text: &str| EntityProfile::new(uri).with("v", text);
+        // A probe scans a block's members whatever its other side holds, so
+        // it reads the reciprocal of a block that deletes have left without a
+        // comparison: that is 0 — not `1 / 0` for a Dirty block of one, and
+        // not the Dirty `‖b‖` that `BlockRef` reads off the E₁ side of a
+        // Clean-Clean block whose E₂ side was emptied.
+        let dirty = EntityCollection::dirty(vec![p("p0", "jack"), p("p1", "jack"), p("p2", "x")]);
+        let clean = EntityCollection::clean_clean(
+            vec![p("a0", "jack"), p("a1", "jack")],
+            vec![p("b0", "jack"), p("b1", "x")],
+        );
+        for (collection, deleted, left) in [(dirty, 1, &[0][..]), (clean, 2, &[0, 1])] {
+            let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
+            let view = SnapshotView::try_from(snapshot).unwrap();
+            let block = view.find_token(b"jack").and_then(|t| view.token_block(t)).unwrap();
+            let mut overlay = DeltaOverlay::new(&view);
+            let op = DeltaOp::Delete { id: deleted };
+            overlay.apply(op, &view, &mut TokenScratch::default()).unwrap();
+            let store = EngineStore::from_view(&view).with_overlay(&overlay);
+            let members: Vec<u32> =
+                store.members_of(block as usize, false).iter().map(|e| e.0).collect();
+            assert_eq!(members, left);
+            assert!(store.members_of(block as usize, true).is_empty());
+            assert_eq!(store.recip_cardinality_of(block as usize), 0.0);
         }
     }
 }

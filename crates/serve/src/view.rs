@@ -1,13 +1,18 @@
 //! The snapshot loader: the one way bytes become a queryable index.
 //!
-//! [`SnapshotView`] decodes every persisted array — the CSR member pool and
-//! block offsets, the token offset table and blob, the block keys — into
-//! owned native vectors, checks them, derives from them what the format
-//! does not store (see "What load derives"), and keeps no copy of the file.
-//! A freshly built [`crate::Snapshot`] takes the same route
-//! (`SnapshotView::try_from` encodes it once and loads the bytes), so a
-//! served index has exactly one in-memory representation and one set of
-//! checks behind it.
+//! A [`SnapshotView`] is a [`Snapshot`] plus the tables load derives from
+//! it. [`SnapshotView::from_bytes`] decodes every persisted array — the CSR
+//! member pool and block offsets, the token offset table and blob, the block
+//! keys — into owned native vectors, checks them, and moves them into the
+//! types [`Snapshot::build`] keeps them in: an [`er_model::BlockCollection`]
+//! (with the splits load derives) and a [`KeyArena`]. Beside that snapshot
+//! ([`SnapshotView::snapshot`]) the view holds only the entity index, the
+//! token lookup table and the token → block routes it derives (see "What
+//! load derives"), the decoded delta runs and the file's length; it keeps no
+//! copy of the file. A freshly
+//! built [`Snapshot`] takes the same route (`SnapshotView::try_from` encodes
+//! it once and loads the bytes), so a served index has exactly one in-memory
+//! representation and one set of checks behind it.
 //!
 //! Load runs in two stages. The first reads the file: the `meta` checksum
 //! (it gates every downstream decision), then the remaining checksums, the
@@ -22,7 +27,10 @@
 //! arbitrary bytes, so none needs another's verdict; the view just isn't
 //! constructed unless all of them accept. The member pool is checked by a
 //! two-count reconciliation (see [`descents_and_max`]) instead of a
-//! run-by-run compare chain, which keeps the hot loop vectorizable.
+//! run-by-run compare chain, which keeps the hot loop vectorizable. Only
+//! once every check has passed are the vectors moved into the snapshot:
+//! `BlockCollection::from_raw_parts` and `KeyArena::from_parts` copy nothing
+//! and check nothing, since each rule is proved here, once.
 //!
 //! # What load validates
 //!
@@ -103,54 +111,34 @@ use crate::snapshot::{
     SECTION_TOK_OFFSETS,
 };
 use er_model::fxhash::FxHasher;
-use er_model::tokenize::KeyScratch;
-use er_model::{EntityId, EntityIndex, ErKind};
+use er_model::tokenize::{KeyArena, KeyScratch};
+use er_model::{BlockCollection, EntityId, EntityIndex, ErKind};
 use mb_core::prune::{cep_threshold_from_counts, cnp_threshold_from_counts};
-use mb_core::PipelineConfig;
 use mb_observe::{Observer, Stage, StageScope};
 use std::hash::Hasher;
 use std::path::Path;
 
-/// A loaded, fully validated snapshot: the persisted arrays decoded into
-/// owned vectors, and the tables load derives from them.
+/// A loaded, fully validated snapshot: the [`Snapshot`] the file encodes,
+/// and the tables load derives from it.
 ///
 /// Constructed by [`SnapshotView::from_bytes`] / [`SnapshotView::read_from`]
 /// (or `SnapshotView::try_from` a built [`Snapshot`]); see the module docs
 /// for what a successful load guarantees.
 #[derive(Debug)]
 pub struct SnapshotView {
-    kind: ErKind,
-    num_entities: usize,
-    split: usize,
-    num_blocks: usize,
-    num_tokens: usize,
-    config: PipelineConfig,
-    cnp_threshold: usize,
-    cep_threshold: usize,
-    total_comparisons: u64,
-    total_assignments: u64,
+    /// The decoded snapshot: the block collection and the vocabulary own
+    /// the decoded section vectors, the splits derived at load beside them.
+    snapshot: Snapshot,
     /// Size of the loaded file in bytes.
     file_len: usize,
-    /// The CSR member pool: block `k`'s members are
-    /// `members[offsets[k]..offsets[k + 1]]`, ascending.
-    members: Vec<EntityId>,
-    offsets: Vec<u32>,
-    /// Each block's absolute side split, derived at load (`== hi` for
-    /// Dirty).
-    splits: Vec<u32>,
     /// The arena inverted at load.
     index: EntityIndex,
-    /// Token `t`'s bytes are `tok_blob[tok_offsets[t]..tok_offsets[t + 1]]`.
-    tok_offsets: Vec<u32>,
-    /// The concatenated token bytes, in id order; valid UTF-8.
-    tok_blob: Vec<u8>,
     /// The token → id lookup table, built at load ([`seat_tokens`]).
     tok_table: Vec<u64>,
     /// Token id → the surviving block keyed by it, `u32::MAX` when that
-    /// block was filtered away (or never emitted): `block_keys` inverted,
+    /// block was filtered away (or never emitted): the block keys inverted,
     /// once, at load.
     tok_block: Vec<u32>,
-    block_keys: Vec<u32>,
     /// Write-ahead delta runs decoded from the trailing `delta` sections;
     /// empty for clean snapshots.
     delta_runs: Vec<Vec<DeltaOp>>,
@@ -251,7 +239,7 @@ fn same_tag(slot: u64, hash: u64) -> bool {
     slot >> 32 == hash >> 32
 }
 
-/// Seats every token of a validated offset table + blob into a fresh
+/// Seats every token of a validated vocabulary into a fresh
 /// open-addressing table of `slots` entries (`0` vacant, else
 /// [`slot_of`]; linear probing from [`table_home`]) and returns it with the
 /// number of occupied slots the build stepped over.
@@ -260,10 +248,8 @@ fn same_tag(slot: u64, hash: u64) -> bool {
 /// two equal tokens are an [`SnapshotError::Inconsistent`] here. The table
 /// size, the step budget and the hash are arguments so a test can drive the
 /// failure paths directly; the loader passes [`token_table_slots`],
-/// [`PROBE_STEPS_PER_TOKEN`] per token and [`token_hash`]. `offsets` must
-/// be ascending and end at `blob.len()`, and `slots` must exceed the token
-/// count — [`SnapshotView::from_bytes`] proves the first and computes the
-/// second.
+/// [`PROBE_STEPS_PER_TOKEN`] per token and [`token_hash`]. `slots` must
+/// exceed the token count — [`SnapshotView::from_bytes`] computes it so.
 ///
 /// Tokens go in chunks of [`SEAT_CHUNK`]: a chunk is hashed, then a loop
 /// that does nothing else loads each token's home slot and, on a tag hit,
@@ -271,27 +257,21 @@ fn same_tag(slot: u64, hash: u64) -> bool {
 /// take one dependent miss at a time — and then the chunk is seated in id
 /// order.
 fn seat_tokens(
-    offsets: &[u32],
-    blob: &[u8],
+    tokens: &KeyArena,
     slots: usize,
     budget: u64,
     hash: impl Fn(&[u8]) -> u64,
 ) -> Result<(Vec<u64>, u64), SnapshotError> {
     let mut table = vec![0u64; slots];
     let mut steps = 0u64;
-    let mut bounds = offsets.iter().map(|&at| at as usize);
-    let mut lo = bounds.next().unwrap_or(0);
+    let mut keys = tokens.iter();
     // Each token of the chunk in hand, with its hash.
     let mut chunk: [(&[u8], u64); SEAT_CHUNK] = [(&[], 0); SEAT_CHUNK];
     let mut first_id = 0usize;
     loop {
         let mut len = 0usize;
-        for (entry, hi) in chunk.iter_mut().zip(bounds.by_ref()) {
-            // lint:allow(panic-reachability) in range: the caller proved the
-            // offsets ascending and bounded by the blob length.
-            let token = &blob[lo..hi];
-            *entry = (token, hash(token));
-            lo = hi;
+        for (entry, token) in chunk.iter_mut().zip(keys.by_ref()) {
+            *entry = (token.as_bytes(), hash(token.as_bytes()));
             len += 1;
         }
         if len == 0 {
@@ -304,7 +284,7 @@ fn seat_tokens(
             {
                 // A resident's low half is `id + 1`, the index of its token's
                 // end offset.
-                touched ^= offsets.get(resident as u32 as usize).copied().unwrap_or(0);
+                touched ^= tokens.offsets().get(resident as u32 as usize).copied().unwrap_or(0);
             }
         }
         // The loads above are the point; keep them from being optimised out.
@@ -327,7 +307,7 @@ fn seat_tokens(
                     )));
                 }
                 // A resident is an id seated earlier, so it has a token.
-                if same_tag(resident, h) && token_at(offsets, blob, resident as u32 - 1) == token {
+                if same_tag(resident, h) && tokens.bytes(resident as u32 - 1) == token {
                     return Err(bad(format!(
                         "tokens {} and {id} are the same string: the vocabulary must be \
                          duplicate-free",
@@ -347,36 +327,19 @@ fn seat_tokens(
     Ok((table, steps))
 }
 
-/// The bytes of token `id` under an offset table that is ascending, ends
-/// at `blob.len()` and has an entry past `id`.
-#[inline]
-fn token_at<'b>(offsets: &[u32], blob: &'b [u8], id: u32) -> &'b [u8] {
-    let at = id as usize;
-    // lint:allow(panic-reachability) in range: the caller's id has two
-    // offsets, ascending and bounded by the blob length.
-    &blob[offsets[at] as usize..offsets[at + 1] as usize]
-}
-
 /// Tokens [`seat_tokens`] hashes, homes and touches together before seating
 /// any of them: enough loads in flight to overlap their misses, few enough
 /// to keep on the stack.
 const SEAT_CHUNK: usize = 64;
 
-/// The token → id table built at load, over the two sections it indexes.
+/// The token → id table built at load, over the vocabulary it indexes.
 struct TokenTable<'a> {
     /// `0` vacant, else [`slot_of`]; never full.
     slots: &'a [u64],
-    /// Token byte offsets: ascending, ending at `blob.len()`.
-    offsets: &'a [u32],
-    blob: &'a [u8],
+    tokens: &'a KeyArena,
 }
 
 impl TokenTable<'_> {
-    /// The bytes of a seated token id.
-    fn token(&self, id: u32) -> &[u8] {
-        token_at(self.offsets, self.blob, id)
-    }
-
     /// The one lookup routine: a linear probe from `hash`'s home that reads
     /// a token's bytes only where its slot carries `hash`'s tag.
     #[inline]
@@ -395,7 +358,7 @@ impl TokenTable<'_> {
             }
             if same_tag(slot, hash) {
                 let id = slot as u32 - 1;
-                if self.token(id) == token {
+                if self.tokens.bytes(id) == token {
                     return Some(id);
                 }
             }
@@ -428,7 +391,7 @@ impl TokenTable<'_> {
             if slot != 0 && same_tag(slot, h) {
                 // The low half is `id + 1`, the index of the token's end offset.
                 let end = slot as u32 as usize;
-                touched ^= self.offsets.get(end).copied().unwrap_or(0);
+                touched ^= self.tokens.offsets().get(end).copied().unwrap_or(0);
                 touched ^= routes.get(end - 1).copied().unwrap_or(0);
             }
         }
@@ -485,7 +448,8 @@ impl TryFrom<Snapshot> for SnapshotView {
 
 impl SnapshotView {
     /// Loads a snapshot from an owned buffer: decodes its arrays, frees the
-    /// buffer, and derives the tables the format does not store.
+    /// buffer, checks them and derives the tables the format does not
+    /// store, then moves the arrays into the [`Snapshot`] they encode.
     ///
     /// Never panics on malformed input; every failure is a typed
     /// [`SnapshotError`].
@@ -658,10 +622,11 @@ impl SnapshotView {
 
         // Token layout: strictly ascending offsets spanning the blob, the
         // blob UTF-8 with every token on character boundaries, block keys
-        // in range and duplicate-free — and the two tables it hands back:
-        // the vocabulary seated for lookup, which proves it duplicate-free,
-        // and the block keys inverted into token → block routes.
-        let check_tokens = || -> Result<(Vec<u64>, Vec<u32>), SnapshotError> {
+        // in range and duplicate-free — and what it hands back: the
+        // vocabulary as a `KeyArena` over the two decoded vectors, seated
+        // for lookup (which proves it duplicate-free), and the block keys
+        // inverted into token → block routes.
+        let check_tokens = || -> Result<(KeyArena, Vec<u64>, Vec<u32>), SnapshotError> {
             let Some(num_tokens) = tok_offsets.len().checked_sub(1) else {
                 return Err(bad("token offsets section is empty".into()));
             };
@@ -682,13 +647,14 @@ impl SnapshotView {
                 return Err(bad("token offsets must be strictly ascending".into()));
             }
             let utf8 = || SnapshotError::Utf8 { section: "tokblob" };
-            let text = std::str::from_utf8(&tok_blob).map_err(|_| utf8())?;
+            let text = String::from_utf8(tok_blob).map_err(|_| utf8())?;
             if !tok_offsets.iter().all(|&at| text.is_char_boundary(at as usize)) {
                 return Err(utf8());
             }
+            let tokens = KeyArena::from_parts(tok_offsets, text);
             let slots = token_table_slots(num_tokens);
             let budget = PROBE_STEPS_PER_TOKEN * num_tokens as u64;
-            let (tok_table, _) = seat_tokens(&tok_offsets, &tok_blob, slots, budget, token_hash)?;
+            let (tok_table, _) = seat_tokens(&tokens, slots, budget, token_hash)?;
             if block_keys.len() != num_blocks {
                 return Err(bad(format!(
                     "{} block keys for {num_blocks} blocks",
@@ -707,11 +673,11 @@ impl SnapshotView {
                     }
                 }
             }
-            Ok((tok_table, tok_block))
+            Ok((tokens, tok_table, tok_block))
         };
         let (blocks, tokens) = fork_join(parallel, check_blocks, check_tokens);
         let (splits, index) = blocks?;
-        let (tok_table, tok_block) = tokens?;
+        let (tokens, tok_table, tok_block) = tokens?;
         let delta_runs = delta_runs?;
         validate_delta_runs(n, &delta_runs)?;
 
@@ -727,29 +693,20 @@ impl SnapshotView {
             )));
         }
 
-        Ok(SnapshotView {
-            kind: meta.kind,
-            num_entities: n,
+        // Every check passed: the decoded vectors become the snapshot they
+        // encode, moved, not copied.
+        let snapshot = Snapshot {
+            blocks: BlockCollection::from_raw_parts(meta.kind, n, (members, offsets, splits)),
             split: meta.split,
-            num_blocks,
-            num_tokens: tok_offsets.len() - 1,
+            tokens,
+            block_keys,
             config: meta.config,
             cnp_threshold: cnp,
             cep_threshold: cep,
             total_comparisons: meta.comparisons,
             total_assignments: meta.assignments,
-            file_len,
-            members,
-            offsets,
-            splits,
-            index,
-            tok_offsets,
-            tok_blob,
-            tok_table,
-            tok_block,
-            block_keys,
-            delta_runs,
-        })
+        };
+        Ok(SnapshotView { snapshot, file_len, index, tok_table, tok_block, delta_runs })
     }
 
     /// Reads and loads a snapshot file, reporting the load as a
@@ -762,54 +719,10 @@ impl SnapshotView {
         Ok(view)
     }
 
-    /// The ER task kind.
-    pub fn kind(&self) -> ErKind {
-        self.kind
-    }
-
-    /// `|E|`: the input collection size.
-    pub fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    /// The Clean-Clean id boundary (collection size for Dirty ER).
-    pub fn split(&self) -> usize {
-        self.split
-    }
-
-    /// Number of blocks in the persisted collection.
-    pub fn num_blocks(&self) -> usize {
-        self.num_blocks
-    }
-
-    /// Number of tokens in the persisted vocabulary.
-    pub fn num_tokens(&self) -> usize {
-        self.num_tokens
-    }
-
-    /// The pipeline configuration the snapshot was built under.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    /// The persisted CNP per-node cardinality threshold.
-    pub fn cnp_threshold(&self) -> usize {
-        self.cnp_threshold
-    }
-
-    /// The persisted CEP global cardinality threshold.
-    pub fn cep_threshold(&self) -> usize {
-        self.cep_threshold
-    }
-
-    /// `‖B‖`: total comparisons in the persisted collection.
-    pub fn total_comparisons(&self) -> u64 {
-        self.total_comparisons
-    }
-
-    /// `Σ|b|`: total block assignments in the persisted collection.
-    pub fn total_assignments(&self) -> u64 {
-        self.total_assignments
+    /// The loaded snapshot: the block collection, the vocabulary, the
+    /// block keys, the configuration and the persisted statistics.
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.snapshot
     }
 
     /// Total size of the loaded snapshot file in bytes.
@@ -822,48 +735,9 @@ impl SnapshotView {
         &self.delta_runs
     }
 
-    /// The CSR member pool.
-    pub fn members(&self) -> &[EntityId] {
-        &self.members
-    }
-
-    /// Block start offsets (`num_blocks + 1` entries).
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// Absolute block split offsets (one per block), derived at load.
-    pub fn splits(&self) -> &[u32] {
-        &self.splits
-    }
-
     /// The entity index over the persisted blocks, inverted at load.
     pub fn index(&self) -> &EntityIndex {
         &self.index
-    }
-
-    /// Token byte offsets into [`SnapshotView::tok_blob`].
-    pub fn tok_offsets(&self) -> &[u32] {
-        &self.tok_offsets
-    }
-
-    /// The concatenated token bytes, in id order.
-    pub fn tok_blob(&self) -> &[u8] {
-        &self.tok_blob
-    }
-
-    /// Per-block token provenance.
-    pub fn block_keys(&self) -> &[u32] {
-        &self.block_keys
-    }
-
-    /// The bytes of token `id`.
-    ///
-    /// # Panics
-    ///
-    /// If `id` is not below [`SnapshotView::num_tokens`].
-    pub fn token_bytes(&self, id: u32) -> &[u8] {
-        token_at(&self.tok_offsets, &self.tok_blob, id)
     }
 
     /// The surviving block keyed by token `id`, if there is one.
@@ -872,7 +746,7 @@ impl SnapshotView {
     }
 
     fn token_table(&self) -> TokenTable<'_> {
-        TokenTable { slots: &self.tok_table, offsets: &self.tok_offsets, blob: &self.tok_blob }
+        TokenTable { slots: &self.tok_table, tokens: self.snapshot.tokens() }
     }
 
     /// Looks a normalized token up by bytes: one hash, a short linear probe
@@ -903,15 +777,14 @@ mod tests {
     use mb_core::PipelineConfig;
     use std::cell::Cell;
 
-    /// The token offsets and the token blob of a vocabulary, as
-    /// [`seat_tokens`] reads them.
-    fn sections_of<'a>(tokens: impl IntoIterator<Item = &'a str>) -> (Vec<u32>, Vec<u8>) {
-        let (mut offsets, mut blob) = (vec![0u32], Vec::new());
+    /// A vocabulary as [`seat_tokens`] reads it.
+    fn arena_of<'a>(tokens: impl IntoIterator<Item = &'a str>) -> KeyArena {
+        let (mut offsets, mut text) = (vec![0u32], String::new());
         for token in tokens {
-            blob.extend_from_slice(token.as_bytes());
-            offsets.push(blob.len() as u32);
+            text.push_str(token);
+            offsets.push(text.len() as u32);
         }
-        (offsets, blob)
+        KeyArena::from_parts(offsets, text)
     }
 
     #[test]
@@ -920,11 +793,11 @@ mod tests {
         // seating the k-th walks over the k - 1 before it, 200 million steps
         // for the lot. The budget stops it once the steps pass 16 per token.
         let names: Vec<String> = (0..20_000).map(|i| format!("t{i}")).collect();
-        let (offsets, blob) = sections_of(names.iter().map(String::as_str));
+        let tokens = arena_of(names.iter().map(String::as_str));
         let (slots, budget) =
             (token_table_slots(names.len()), PROBE_STEPS_PER_TOKEN * names.len() as u64);
         let hashed = Cell::new(0u64);
-        let err = seat_tokens(&offsets, &blob, slots, budget, |_| {
+        let err = seat_tokens(&tokens, slots, budget, |_| {
             hashed.set(hashed.get() + 1);
             0
         })
@@ -939,20 +812,19 @@ mod tests {
         // Under the budget a colliding vocabulary is merely slow to seat:
         // accepted, every token found, the work counted.
         let few = ["ab", "cd", "ef", "gh", "ij", "kl", "mn", "op"];
-        let (offsets, blob) = sections_of(few);
-        let (table, steps) =
-            seat_tokens(&offsets, &blob, token_table_slots(8), 128, |_| 0).unwrap();
+        let tokens = arena_of(few);
+        let (table, steps) = seat_tokens(&tokens, token_table_slots(8), 128, |_| 0).unwrap();
         assert_eq!(steps, 28);
         assert_eq!(table[..8], [1, 2, 3, 4, 5, 6, 7, 8]);
         // One step short of what it needs, the same vocabulary is refused.
-        assert!(seat_tokens(&offsets, &blob, token_table_slots(8), 27, |_| 0).is_err());
+        assert!(seat_tokens(&tokens, token_table_slots(8), 27, |_| 0).is_err());
     }
 
     #[test]
     fn equal_tokens_are_caught_while_seating() {
-        let (offsets, blob) = sections_of(["jack", "miller", "lloyd", "miller"]);
+        let tokens = arena_of(["jack", "miller", "lloyd", "miller"]);
         for hash in [token_hash as fn(&[u8]) -> u64, |_| 7] {
-            let err = seat_tokens(&offsets, &blob, token_table_slots(4), 64, hash).unwrap_err();
+            let err = seat_tokens(&tokens, token_table_slots(4), 64, hash).unwrap_err();
             assert!(
                 matches!(&err, SnapshotError::Inconsistent(msg) if msg.contains("tokens 1 and 3")),
                 "{err:?}"
@@ -977,10 +849,9 @@ mod tests {
             let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
             let tokens = snapshot.tokens();
             assert!(tokens.len() > 5_000, "{name}: {} tokens", tokens.len());
-            let (offsets, blob) = sections_of(tokens.iter());
             let slots = token_table_slots(tokens.len());
             let budget = PROBE_STEPS_PER_TOKEN * tokens.len() as u64;
-            let (table, steps) = seat_tokens(&offsets, &blob, slots, budget, token_hash).unwrap();
+            let (table, steps) = seat_tokens(tokens, slots, budget, token_hash).unwrap();
             assert_eq!(table.iter().filter(|&&slot| slot != 0).count(), tokens.len());
             assert!(table.len() * 3 >= tokens.len() * 4, "{name}: more than ¾ full");
             // Linear probing at ¾ load steps over ~1.3 residents per token
@@ -1039,10 +910,10 @@ mod tests {
         keys: &KeyScratch,
         hash: impl Fn(&[u8]) -> u64,
     ) -> (usize, usize) {
-        let (offsets, blob) = sections_of(vocabulary.iter().copied());
+        let tokens = arena_of(vocabulary.iter().copied());
         let slots = token_table_slots(vocabulary.len());
-        let (table, _) = seat_tokens(&offsets, &blob, slots, u64::MAX, &hash).unwrap();
-        let table = TokenTable { slots: &table, offsets: &offsets, blob: &blob };
+        let (table, _) = seat_tokens(&tokens, slots, u64::MAX, &hash).unwrap();
+        let table = TokenTable { slots: &table, tokens: &tokens };
         let oracle: std::collections::HashMap<&[u8], u32> =
             (0..).zip(vocabulary).map(|(id, token)| (token.as_bytes(), id)).collect();
         // Any route table serves: the batch only touches it.

@@ -205,30 +205,16 @@ fn roundtrip_is_bit_identical_across_kinds_and_configs() {
         let rebuilt = Snapshot::build(&collection, cfg).unwrap();
         assert_eq!(rebuilt.to_bytes(), bytes, "build + encode must be deterministic");
 
-        // The loader accepts the bytes and reads back every scalar and
-        // every array exactly as built, and derives the splits and the
-        // entity index the build would.
+        // The loader accepts the bytes and decodes the snapshot they
+        // encode: re-encoding it gives the file back byte for byte, which
+        // pins every persisted field. It derives the entity index the build
+        // would, and finds every token under its id.
         let view = SnapshotView::from_bytes(bytes.clone()).unwrap();
         assert_eq!(view.file_len(), bytes.len());
-        assert_eq!(view.kind(), snapshot.kind());
-        assert_eq!(view.num_entities(), snapshot.num_entities());
-        assert_eq!(view.split(), snapshot.split());
-        assert_eq!(view.num_blocks(), snapshot.blocks().size());
-        assert_eq!(view.num_tokens(), snapshot.tokens().len());
-        assert_eq!(view.cnp_threshold(), snapshot.cnp_threshold());
-        assert_eq!(view.cep_threshold(), snapshot.cep_threshold());
-        assert_eq!(view.total_comparisons(), snapshot.total_comparisons());
-        assert_eq!(view.total_assignments(), snapshot.total_assignments());
-        assert_eq!(view.config(), snapshot.config());
+        assert!(view.snapshot().to_bytes() == bytes, "the loaded snapshot re-encodes differently");
         for (id, token) in snapshot.tokens().iter().enumerate() {
-            assert_eq!(view.token_bytes(id as u32), token.as_bytes());
             assert_eq!(view.find_token(token.as_bytes()), Some(id as u32));
         }
-        assert_eq!(view.block_keys(), snapshot.block_keys());
-        let (members, offsets, splits) = snapshot.blocks().raw_parts();
-        assert_eq!(view.members(), members);
-        assert_eq!(view.offsets(), offsets);
-        assert_eq!(view.splits(), splits);
         assert_eq!(view.index().raw_parts(), EntityIndex::build(snapshot.blocks()).raw_parts());
     }
 }
@@ -250,7 +236,7 @@ fn empty_and_one_sided_collections_roundtrip() {
         let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
         assert_eq!(snapshot.blocks().size(), 0);
         let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
-        assert_eq!(view.num_blocks(), 0);
+        assert_eq!(view.snapshot().blocks().size(), 0);
     }
 }
 
@@ -269,7 +255,7 @@ fn find_token_returns_exactly_the_vocabulary() {
     let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
     let ids: std::collections::HashMap<&str, u32> =
         snapshot.tokens().iter().enumerate().map(|(id, token)| (token, id as u32)).collect();
-    assert_eq!(ids.len(), view.num_tokens(), "fixture vocabulary is duplicate-free");
+    assert_eq!(ids.len(), view.snapshot().tokens().len(), "fixture vocabulary is duplicate-free");
     assert!(ids.len() > 1_000);
     let expect = |s: &[u8]| std::str::from_utf8(s).ok().and_then(|s| ids.get(s).copied());
 
@@ -315,7 +301,8 @@ fn a_snapshot_without_tokens_loads_and_finds_nothing() {
     {
         let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
         let view = SnapshotView::try_from(snapshot).unwrap();
-        assert_eq!((view.num_tokens(), view.num_blocks()), (0, 0));
+        let loaded = view.snapshot();
+        assert_eq!((loaded.tokens().len(), loaded.blocks().size()), (0, 0));
         for probe in [&b""[..], b"a", b"jack", &[0u8; 64]] {
             assert_eq!(view.find_token(probe), None);
         }
@@ -710,9 +697,9 @@ fn a_zero_member_block_never_panics() {
         }
     });
     if let Ok(view) = loaded {
-        assert_eq!(view.num_blocks(), snapshot.blocks().size() + 1);
+        assert_eq!(view.snapshot().blocks().size(), snapshot.blocks().size() + 1);
         let mut engine = QueryEngine::from_view(&view);
-        for id in 0..view.num_entities() as u32 {
+        for id in 0..view.snapshot().num_entities() as u32 {
             engine.execute(&CandidateRequest::entity(EntityId(id)), &mut Noop).unwrap();
         }
         let probe = EntityProfile::new("probe").with("n", snapshot.tokens().get(fresh));
@@ -724,13 +711,13 @@ fn a_zero_member_block_never_panics() {
 #[test]
 fn wild_mid_table_offsets_and_swapped_run_interiors_are_typed_errors() {
     let snapshot = small_snapshot();
-    let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
+    let (members, offs, _) = snapshot.blocks().raw_parts();
 
     // A mid-table offset vaulting far past its pool. Monotonicity alone
     // only notices one bracket later — the walk must bounds-check the high
     // end *before* touching the pool, or a hostile table turns into an
     // out-of-bounds slice instead of an error.
-    let wild = (view.members().len() as u32 + 1000).to_le_bytes();
+    let wild = (members.len() as u32 + 1000).to_le_bytes();
     let vault = |p: &mut Vec<u8>| p[8..12].copy_from_slice(&wild);
     let err = view_with(&snapshot, OFFSETS, vault).unwrap_err();
     assert!(matches!(err, SnapshotError::Inconsistent(_)), "wild offset: {err:?}");
@@ -738,8 +725,7 @@ fn wild_mid_table_offsets_and_swapped_run_interiors_are_typed_errors() {
     // Swapping two members inside one block run breaks strict ascension in
     // the run's *interior* — exactly the case the boundary-descent
     // reconciliation must distinguish from a legal descent between runs.
-    let offs = view.offsets();
-    let k = (0..view.num_blocks())
+    let k = (0..snapshot.blocks().size())
         .find(|&k| offs[k + 1] - offs[k] >= 2)
         .expect("fixture has a block with two members");
     let at = 4 + offs[k] as usize * 4;

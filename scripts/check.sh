@@ -126,6 +126,18 @@ if grep -rnwE 'U32s|U32Range' crates/*/src; then
   echo "a borrowed u32 view is back (members_of and block_list return native slices)" >&2; exit 1
 fi
 
+echo "==> a loaded snapshot is a Snapshot (structural guard on crates/serve/src)"
+# `SnapshotView` keeps the build's `BlockCollection` and `KeyArena` and adds
+# only what load derives, and a block's ‖b‖ is `BlockRef::cardinality`. A
+# second representation of the same arrays in mb-serve — a token slicer, a
+# CSR bracket helper, a decoded token blob or member pool held beside the
+# snapshot, or an overlay block's own ‖b‖ — must not come back: it mirrored
+# every accessor of `Snapshot` and wrote each formula out again.
+if grep -rnE 'fn token_at\b|fn bounds\b|tok_blob: Vec<u8>|members: Vec<EntityId>|fn cardinality\b' \
+  crates/serve/src; then
+  echo "mb-serve holds a second arena representation again (read view.snapshot())" >&2; exit 1
+fi
+
 echo "==> a profile is one buffer (structural guard on crates/er-model/src/profile.rs)"
 # `EntityProfile` keeps its uri, names and values back to back in one
 # `String` behind `u32` end offsets: an owned per-pair field would bring two
