@@ -363,11 +363,6 @@ fn snapshot_inspect(args: &Args) -> Result<String, String> {
 fn snapshot_apply(args: &Args) -> Result<String, String> {
     check_options(args, &["snapshot", "out", "delete", "text", "uri", "entity"])?;
     let path = args.require("snapshot")?;
-    let loading = |e: SnapshotError| format!("loading {path}: {e}");
-    // The base file's bytes are re-framed below, so they are read once and
-    // kept beside the view loaded from them.
-    let file = std::fs::read(path).map_err(|e| loading(e.into()))?;
-    let base = SnapshotView::from_bytes(file.clone()).map_err(loading)?;
     let op = match (args.get("delete"), args.get("text")) {
         (Some(v), None) => {
             if args.get("entity").is_some() || args.get("uri").is_some() {
@@ -379,29 +374,22 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
         (None, Some(text)) => {
             let profile =
                 EntityProfile::new(args.get("uri").unwrap_or("upsert")).with("text", text);
+            // Without `--entity` the upsert appends: `append_delta_run`
+            // resolves the id against the runs the file already carries.
             let id: u32 = match args.get("entity") {
                 Some(v) => v.parse().map_err(|_| format!("invalid value for --entity: `{v}`"))?,
-                None => {
-                    // Resolve the append sentinel offline: replay the
-                    // persisted runs to find the effective collection size.
-                    let mut next = base.snapshot().num_entities() as u32;
-                    for run in base.delta_runs() {
-                        for op in run {
-                            if matches!(op, DeltaOp::Upsert { id, .. } if *id == next) {
-                                next += 1;
-                            }
-                        }
-                    }
-                    next
-                }
+                None => APPEND,
             };
             DeltaOp::Upsert { id, profile }
         }
         _ => return Err("exactly one of --delete or --text is required".into()),
     };
     let out = args.get("out").unwrap_or(path);
-    let patched = append_delta_run(&file, std::slice::from_ref(&op))
+    let file =
+        std::fs::read(path).map_err(|e| format!("loading {path}: {}", SnapshotError::Io(e)))?;
+    let (patched, ids) = append_delta_run(&file, std::slice::from_ref(&op))
         .map_err(|e| format!("applying to {path}: {e}"))?;
+    drop(file);
     // Only bytes that passed the loader are written.
     let runs = SnapshotView::from_bytes(patched.clone())
         .map_err(|e| format!("verifying {out}: {e}"))?
@@ -410,10 +398,11 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
     // Replaced by rename: `--out` defaults to the base file itself, and a
     // torn write there would lose the base and the staged op together.
     write_atomic(Path::new(out), &patched).map_err(|e| format!("writing {out}: {e}"))?;
-    let (verb, id) = match &op {
-        DeltaOp::Upsert { id, .. } => ("upserted entity", *id),
-        DeltaOp::Delete { id } => ("tombstoned entity", *id),
+    let verb = match &op {
+        DeltaOp::Upsert { .. } => "upserted entity",
+        DeltaOp::Delete { .. } => "tombstoned entity",
     };
+    let id = ids.first().copied().unwrap_or(op.id());
     Ok(format!("wrote {out}: {verb} {id} ({runs} delta runs)\n"))
 }
 

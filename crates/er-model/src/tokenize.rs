@@ -14,9 +14,13 @@
 //! lowercase tokens through the same two functions.
 //!
 //! Tokens are interned to dense `u32` ids by [`TokenInterner`] — keys back
-//! to back in a [`KeyArena`], one flat table of `u64` slots, lookups batched
+//! to back in a [`KeyArena`], found through a [`KeyTable`], lookups batched
 //! per profile — and every downstream structure (blocks, token sets for
 //! Jaccard matching) works on ids, never on strings.
+//!
+//! [`KeyTable`] is the one key → id table: the interner grows one, and a
+//! loaded serving snapshot seats its vocabulary into one
+//! ([`KeyTable::seat`]), so served tokens are found as they were numbered.
 
 use crate::fxhash::FxHasher;
 use crate::profile::EntityProfile;
@@ -184,41 +188,267 @@ impl KeyArena {
     }
 }
 
-/// Hash of a key's bytes; the slot table indexes by its top bits and keeps
-/// its top half as the tag.
-fn hash_key(key: &str) -> u64 {
+/// FxHash over a key's bytes, the one hash of every [`KeyTable`]. Its last
+/// step is a multiply, so the top half — the tag, and so the home — depends
+/// on every byte.
+#[inline]
+pub fn key_hash(key: &[u8]) -> u64 {
     let mut h = FxHasher::default();
-    h.write(key.as_bytes());
+    h.write(key);
     h.finish()
 }
 
-/// Fewest slots a non-empty table has.
+/// Fewest slots a growing table has.
 const MIN_SLOTS: u64 = 64;
 
-/// Most slots a table can have: the stored 32-bit tag must still determine
-/// a slot's home. Ids stop at `u32::MAX - 1`, so a slot always stays vacant.
+/// Most slots a table has: a 32-bit tag homes onto at most `2^32`. Ids stop
+/// at `u32::MAX - 1`, so a slot always stays vacant.
 const MAX_SLOTS: u64 = 1 << 32;
 
+/// Probe steps [`KeyTable::seat`] may spend per key. A well-spread
+/// vocabulary at ¾ load spends about 1.3 (the tests measure both benchmark
+/// shapes); keys that all share one home spend `keys / 2` each.
+const STEPS_PER_KEY: u64 = 16;
+
+/// Keys [`KeyTable::seat`] hashes and touches together before seating any.
+const SEAT_CHUNK: u32 = 64;
+
+/// Slots for `keys` keys at no more than ¾ load: never full.
+fn slots_for(keys: u64) -> u64 {
+    keys.saturating_add(keys / 3 + 1)
+}
+
+/// Key `id`'s slot: `hash`'s top half as a tag over `id + 1`, never `0`.
+fn slot_of(id: u32, hash: u64) -> u64 {
+    hash >> 32 << 32 | (u64::from(id) + 1)
+}
+
+/// Why [`KeyTable::seat`] refused an arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeatError {
+    /// Keys `.0` and `.1` are the same string.
+    Duplicate(u32, u32),
+    /// Seating the first `.0` keys took more than `.1` probe steps.
+    Collisions(u64, u64),
+}
+
+impl std::fmt::Display for SeatError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SeatError::Duplicate(first, second) => {
+                write!(f, "keys {first} and {second} are the same string: keys must be distinct")
+            }
+            SeatError::Collisions(seated, budget) => {
+                write!(f, "keys collide: seating {seated} took more than {budget} probe steps")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SeatError {}
+
+/// The key → id table over a [`KeyArena`], which it does not own: every
+/// lookup is handed the arena whose ids it seats. One flat open-addressing
+/// array of `u64` slots, at most ¾ full: `0` vacant, else `tag << 32 | id +
+/// 1` with `tag` the top half of the key's [`key_hash`].
+///
+/// A key's home is `(tag · slots) >> 32` — on a table `2^b` long, the
+/// hash's top `b` bits — so any length works and growth re-seats slots
+/// without reading a key. Probing is linear and compares a slot's tag
+/// before it reads a key byte: one cache miss for the slot and, on a tag
+/// hit, one for the key. [`TokenInterner`] grows one as it numbers keys;
+/// [`KeyTable::seat`] builds one over an arena from outside.
+#[derive(Debug, Clone, Default)]
+pub struct KeyTable {
+    slots: Vec<u64>,
+}
+
+impl KeyTable {
+    /// Seats every key of an arena from outside, a loaded vocabulary, in
+    /// `V + V/3 + 1` slots for `V` keys (≈ 10.7 B a key). Equal keys meet in
+    /// a probe: [`SeatError::Duplicate`]. FxHash is not collision-resistant,
+    /// so probe steps are counted against 16 per key, and keys crafted to
+    /// share a home are [`SeatError::Collisions`] after linear work. Keys go
+    /// in chunks of 64, each hashed and touched as [`KeyTable::find_all`]
+    /// does a batch, then seated in id order.
+    pub fn seat(keys: &KeyArena) -> Result<KeyTable, SeatError> {
+        let budget = STEPS_PER_KEY.saturating_mul(keys.len() as u64);
+        KeyTable::seat_with(keys, budget, key_hash).map(|(table, _)| table)
+    }
+
+    /// [`KeyTable::seat`] under any budget and hash, counting its steps.
+    fn seat_with(
+        keys: &KeyArena,
+        budget: u64,
+        hash: impl Fn(&[u8]) -> u64,
+    ) -> Result<(KeyTable, u64), SeatError> {
+        // A length past the address space fails in the allocation.
+        let len = usize::try_from(slots_for(keys.len() as u64).min(MAX_SLOTS));
+        let mut table = KeyTable { slots: vec![0; len.unwrap_or(usize::MAX)] };
+        let (mut steps, all) = (0u64, keys.ids());
+        // Each key of the chunk in hand, with its hash.
+        let mut chunk: [(&[u8], u64); SEAT_CHUNK as usize] = [(&[], 0); SEAT_CHUNK as usize];
+        for first in all.clone().step_by(SEAT_CHUNK as usize) {
+            let ids = first..first.saturating_add(SEAT_CHUNK).min(all.end);
+            let chunk = &mut chunk[..ids.len()];
+            for (entry, id) in chunk.iter_mut().zip(ids.clone()) {
+                let key = keys.bytes(id);
+                *entry = (key, hash(key));
+            }
+            table.touch(keys, chunk.iter().map(|&(_, h)| h));
+            for (id, &(key, h)) in ids.zip(chunk.iter()) {
+                let at = match table.probe(keys, key, h) {
+                    Ok(first) => return Err(SeatError::Duplicate(first, id)),
+                    Err(at) => at,
+                };
+                let home = table.home(h);
+                steps +=
+                    (if at >= home { at - home } else { at + table.slots.len() - home }) as u64;
+                if steps > budget {
+                    return Err(SeatError::Collisions(u64::from(id) + 1, budget));
+                }
+                table.slots[at] = slot_of(id, h);
+            }
+        }
+        Ok((table, steps))
+    }
+
+    /// The id of `key` in `keys`, the arena this table seats, if it has one.
+    pub fn find(&self, keys: &KeyArena, key: &[u8]) -> Option<u32> {
+        self.probe(keys, key, key_hash(key)).ok()
+    }
+
+    /// Looks every key of `batch` up, in commit order, repeats included,
+    /// into `ids` (cleared first): its id in `keys`, or `None`. `hashes` is
+    /// scratch. One key at a time, each lookup is a chain of dependent misses
+    /// (slot, offsets, key bytes); here the batch is hashed first, then a
+    /// loop that does nothing else loads every home slot and, on a tag hit,
+    /// the key's last byte — independent loads whose misses overlap — and
+    /// the probes that follow find their lines in cache.
+    pub fn find_all(
+        &self,
+        keys: &KeyArena,
+        batch: &KeyScratch,
+        hashes: &mut Vec<u64>,
+        ids: &mut Vec<Option<u32>>,
+    ) {
+        self.find_all_with(keys, batch, key_hash, hashes, ids);
+    }
+
+    /// [`KeyTable::find_all`] under any hash.
+    fn find_all_with(
+        &self,
+        keys: &KeyArena,
+        batch: &KeyScratch,
+        hash: impl Fn(&[u8]) -> u64,
+        hashes: &mut Vec<u64>,
+        ids: &mut Vec<Option<u32>>,
+    ) {
+        self.hash_and_touch(keys, batch, hash, hashes);
+        ids.clear();
+        ids.extend(
+            batch
+                .iter()
+                .zip(hashes.iter())
+                .map(|(key, &h)| self.probe(keys, key.as_bytes(), h).ok()),
+        );
+    }
+
+    /// The batch lookup's first two passes: every key of `batch` hashed into
+    /// `hashes`, then every home touched.
+    #[inline]
+    fn hash_and_touch(
+        &self,
+        keys: &KeyArena,
+        batch: &KeyScratch,
+        hash: impl Fn(&[u8]) -> u64,
+        hashes: &mut Vec<u64>,
+    ) {
+        hashes.clear();
+        hashes.extend(batch.iter().map(|key| hash(key.as_bytes())));
+        self.touch(keys, hashes.iter().copied());
+    }
+
+    /// Loads each hash's home slot and, on a tag hit, the resident key's
+    /// last byte; the loads are the point.
+    fn touch(&self, keys: &KeyArena, hashes: impl IntoIterator<Item = u64>) {
+        let mut touched = 0u8;
+        for hash in hashes {
+            let Some(&slot) = self.slots.get(self.home(hash)) else { continue };
+            if slot != 0 && slot >> 32 == hash >> 32 {
+                // The low half is `id + 1`, the index of the key's end.
+                let end = keys.offsets.get(slot as u32 as usize).map_or(0, |&end| end as usize);
+                touched ^= keys.text.as_bytes().get(end.wrapping_sub(1)).map_or(0, |&b| b);
+            }
+        }
+        std::hint::black_box(touched);
+    }
+
+    /// Where a hash's probe starts: `(tag · slots) >> 32`.
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        (((hash >> 32) * self.slots.len() as u64) >> 32) as usize
+    }
+
+    /// The one probe: `Ok(id)` if `key`, hashed to `hash`, is key `id` of
+    /// `keys`, else `Err` with the vacant slot it ended on. A table always
+    /// has one, so the probe ends.
+    #[inline]
+    fn probe(&self, keys: &KeyArena, key: &[u8], hash: u64) -> Result<u32, usize> {
+        let mut at = self.home(hash);
+        // Only an empty table has no slot at the home: it misses at once.
+        while let Some(&slot) = self.slots.get(at) {
+            if slot == 0 {
+                return Err(at);
+            }
+            if slot >> 32 == hash >> 32 && keys.bytes(slot as u32 - 1) == key {
+                return Ok(slot as u32 - 1);
+            }
+            at = if at + 1 == self.slots.len() { 0 } else { at + 1 };
+        }
+        Err(at)
+    }
+
+    /// Makes room for `keys` keys at ¾ load, growing to a power of two at
+    /// most once; says whether the slots moved.
+    fn reserve(&mut self, keys: u64) -> bool {
+        if keys.saturating_mul(4) <= (self.slots.len() as u64).saturating_mul(3) {
+            return false;
+        }
+        let len = slots_for(keys)
+            .checked_next_power_of_two()
+            .map_or(MAX_SLOTS, |len| len.clamp(MIN_SLOTS, MAX_SLOTS));
+        // A length past the address space fails in the allocation below.
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        if len == self.slots.len() {
+            return false;
+        }
+        let old = std::mem::replace(&mut self.slots, vec![0; len]);
+        for slot in old.into_iter().filter(|&slot| slot != 0) {
+            self.put(slot, self.home(slot));
+        }
+        true
+    }
+
+    /// Writes `slot` into the first vacant slot from `from` on — for a key
+    /// the table lacks, `from` is its home or a slot of its probe run.
+    fn put(&mut self, slot: u64, mut from: usize) {
+        while self.slots[from] != 0 {
+            from = if from + 1 == self.slots.len() { 0 } else { from + 1 };
+        }
+        self.slots[from] = slot;
+    }
+}
+
 /// A key interner specialised for the blocking front-end: key → dense `u32`
-/// in first-seen order.
-///
-/// Keys live in a [`KeyArena`]; the lookup structure is one flat
-/// open-addressing table of `u64` slots, `0` for vacant and otherwise
-/// `tag << 32 | id + 1`, where `tag` is the top half of the key's hash. A
-/// slot's home index is the top bits of the hash — and so of the slot
-/// itself — which lets the table grow by re-seating slots without reading a
-/// single key byte. Probing is linear. A lookup therefore costs one cache
-/// miss for the slot and, on a tag hit, one for the key bytes; a new key
-/// costs an append, never an allocation of its own, and there is nothing to
-/// drop per key.
-///
-/// Ids cannot be narrowed silently: growing past what a `u32` addresses is
-/// an [`ArenaOverflow`].
+/// in first-seen order. Keys live in a [`KeyArena`], found through a
+/// [`KeyTable`] that grows with them: a new key is an append, never an
+/// allocation of its own. Growing past what a `u32` addresses is an
+/// [`ArenaOverflow`], never a narrowed id.
 #[derive(Debug, Clone, Default)]
 pub struct TokenInterner {
     keys: KeyArena,
-    /// Empty or a power of two long, at most three quarters full.
-    slots: Vec<u64>,
+    table: KeyTable,
     /// [`TokenInterner::intern_all`]'s per-batch hashes, kept for reuse.
     hashes: Vec<u64>,
     /// Per key id, the last [`TokenInterner::intern_all`] batch that wrote
@@ -243,8 +473,9 @@ impl TokenInterner {
 
     /// Returns the id for `key`, allocating one if unseen.
     pub fn intern(&mut self, key: &str) -> Result<u32, ArenaOverflow> {
-        self.reserve_slots(1);
-        self.resolve(key, hash_key(key))
+        self.table.reserve((self.keys.len() as u64).saturating_add(1));
+        let hash = key_hash(key.as_bytes());
+        self.table.probe(&self.keys, key.as_bytes(), hash).or_else(|at| self.insert(key, hash, at))
     }
 
     /// Interns the keys of `keys` — in any order, repeats allowed — and
@@ -255,19 +486,12 @@ impl TokenInterner {
     /// one [`TokenInterner::intern`] call per key of the batch sorted and
     /// deduplicated would give.
     ///
-    /// A lookup is a chain of dependent cache misses (slot, then offsets,
-    /// then key bytes), and looked up one key at a time the chains run back
-    /// to back. Here the whole batch is hashed first, then a loop that does
-    /// nothing else loads every key's home slot and, where the tag matches,
-    /// the last byte of the stored key. Those loads are independent of each
-    /// other, so the processor overlaps their misses; the read-only lookup
-    /// pass that follows finds its lines in cache. A found key is written
-    /// unless its id already carries this batch's stamp; a missing one is
-    /// set aside. Only the misses are then sorted by bytes and deduplicated,
-    /// table room is reserved for them alone — after the lookups, so the
-    /// slots cannot move between the touch and the lookups — and they are
-    /// inserted in that order, each from the vacant slot its lookup ended
-    /// on unless the reservation moved the table.
+    /// The batch is looked up as [`KeyTable::find_all`] looks one up; a
+    /// found id is written unless it carries this batch's stamp already.
+    /// Only the misses are sorted by bytes and deduplicated, and room is
+    /// reserved for them after the lookups, so no slot moves in between;
+    /// each goes in from the slot its lookup ended on, or from its home if
+    /// the table moved.
     pub fn intern_all(
         &mut self,
         keys: &KeyScratch,
@@ -278,47 +502,27 @@ impl TokenInterner {
             return Ok(());
         }
         let mut hashes = std::mem::take(&mut self.hashes);
-        hashes.clear();
-        hashes.extend(keys.iter().map(hash_key));
         let mut misses = std::mem::take(&mut self.misses);
         misses.clear();
-
-        if self.slots.is_empty() {
-            // Every key is new; the reservation below creates the table, so
-            // the slot half goes unused.
-            misses.extend((0..keys.len()).map(|index| (index, 0)));
-        } else {
-            let shift = self.home_shift();
-            let mut touched = 0u8;
-            for &hash in &hashes {
-                let slot = self.slots[(hash >> shift) as usize];
-                if slot != 0 && slot >> 32 == hash >> 32 {
-                    // The slot's low half is `id + 1`, the index of the key's end.
-                    let end = self.keys.offsets[slot as u32 as usize] as usize;
-                    if let Some(&last) = self.keys.text.as_bytes().get(end.wrapping_sub(1)) {
-                        touched ^= last;
-                    }
-                }
-            }
-            // The loads above are the point; keep them from being optimised out.
-            std::hint::black_box(touched);
-
+        // An empty table misses every key, and reads no stamp.
+        if !self.table.slots.is_empty() {
             self.stamps.resize(self.keys.len(), 0);
             self.batch = self.batch.checked_add(1).unwrap_or_else(|| {
                 self.stamps.fill(0);
                 1
             });
-            for (index, (key, &hash)) in keys.iter().zip(&hashes).enumerate() {
-                match self.probe(key.as_bytes(), hash) {
-                    Ok(id) => {
-                        let stamp = &mut self.stamps[id as usize];
-                        if *stamp != self.batch {
-                            *stamp = self.batch;
-                            ids.push(id);
-                        }
+        }
+        self.table.hash_and_touch(&self.keys, keys, key_hash, &mut hashes);
+        for (index, (key, &hash)) in keys.iter().zip(&hashes).enumerate() {
+            match self.table.probe(&self.keys, key.as_bytes(), hash) {
+                Ok(id) => {
+                    let stamp = &mut self.stamps[id as usize];
+                    if *stamp != self.batch {
+                        *stamp = self.batch;
+                        ids.push(id);
                     }
-                    Err(vacant) => misses.push((index, vacant)),
                 }
+                Err(vacant) => misses.push((index, vacant)),
             }
         }
 
@@ -328,8 +532,8 @@ impl TokenInterner {
         };
         misses.sort_unstable_by(|&(a, _), &(b, _)| bytes(a).cmp(bytes(b)));
         misses.dedup_by(|a, b| bytes(a.0) == bytes(b.0));
-        let moved = self.reserve_slots(misses.len());
-        let shift = self.home_shift();
+        let moved =
+            self.table.reserve((self.keys.len() as u64).saturating_add(misses.len() as u64));
         let key = |index: usize| -> &str {
             let (start, end) = keys.spans[index];
             &keys.buf[start..end]
@@ -341,7 +545,7 @@ impl TokenInterner {
             // first vacant slot from where its lookup ended, or from its
             // home if the reservation moved the table.
             let hash = hashes[index];
-            let from = if moved { (hash >> shift) as usize } else { vacant };
+            let from = if moved { self.table.home(hash) } else { vacant };
             ids.push(self.insert(key(index), hash, from)?);
             Ok(())
         });
@@ -396,81 +600,11 @@ impl TokenInterner {
         self.keys
     }
 
-    /// How far to shift a hash (or a slot) right to get its home index.
-    /// Only meaningful on a non-empty table.
-    fn home_shift(&self) -> u32 {
-        64 - self.slots.len().trailing_zeros()
-    }
-
-    /// Makes room for `extra` more keys at no more than three quarters
-    /// load, growing the table at most once; says whether it did.
-    fn reserve_slots(&mut self, extra: usize) -> bool {
-        let keys = (self.keys.len() as u64).saturating_add(extra as u64);
-        if keys.saturating_mul(4) <= (self.slots.len() as u64).saturating_mul(3) {
-            return false;
-        }
-        let len = keys
-            .saturating_add(keys / 3 + 1)
-            .checked_next_power_of_two()
-            .map_or(MAX_SLOTS, |len| len.clamp(MIN_SLOTS, MAX_SLOTS));
-        // A length past the address space fails in the allocation below,
-        // like any other oversized `Vec`.
-        let len = usize::try_from(len).unwrap_or(usize::MAX);
-        if len == self.slots.len() {
-            return false;
-        }
-        let old = std::mem::replace(&mut self.slots, vec![0; len]);
-        let (shift, mask) = (self.home_shift(), len - 1);
-        for slot in old {
-            if slot != 0 {
-                let mut i = (slot >> shift) as usize;
-                while self.slots[i] != 0 {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = slot;
-            }
-        }
-        true
-    }
-
-    /// The one lookup routine: `Ok(id)` if `key` is interned, else
-    /// `Err(slot)`, the vacant slot its probe ended on. The table must not
-    /// be empty.
-    fn probe(&self, key: &[u8], hash: u64) -> Result<u32, usize> {
-        let mask = self.slots.len() - 1;
-        let tag = hash >> 32;
-        let mut i = (hash >> self.home_shift()) as usize;
-        loop {
-            let slot = self.slots[i];
-            if slot == 0 {
-                return Err(i);
-            }
-            if slot >> 32 == tag {
-                let id = slot as u32 - 1;
-                if self.keys.bytes(id) == key {
-                    return Ok(id);
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// The one lookup-or-insert routine. The caller has reserved a slot.
-    fn resolve(&mut self, key: &str, hash: u64) -> Result<u32, ArenaOverflow> {
-        self.probe(key.as_bytes(), hash).or_else(|vacant| self.insert(key, hash, vacant))
-    }
-
-    /// Appends `key`, which the table lacks, and seats it in the first
-    /// vacant slot from `from` on — a slot of its probe run with only
-    /// occupied slots between it and the key's home. The caller has
-    /// reserved a slot.
-    fn insert(&mut self, key: &str, hash: u64, mut from: usize) -> Result<u32, ArenaOverflow> {
-        let mask = self.slots.len() - 1;
-        while self.slots[from] != 0 {
-            from = (from + 1) & mask;
-        }
-        let (id, tag) = (self.keys.push(key)?, hash >> 32);
-        self.slots[from] = tag << 32 | (u64::from(id) + 1);
+    /// Appends `key`, which the table lacks, seated from `from` on. The
+    /// caller has reserved a slot.
+    fn insert(&mut self, key: &str, hash: u64, from: usize) -> Result<u32, ArenaOverflow> {
+        let id = self.keys.push(key)?;
+        self.table.put(slot_of(id, hash), from);
         Ok(id)
     }
 }
@@ -894,7 +1028,7 @@ mod tests {
         for n in 0..40 {
             i.intern(&format!("seed{n}")).unwrap();
         }
-        let small = i.slots.len();
+        let small = i.table.slots.len();
         let mut scratch = KeyScratch::new();
         for n in 0..5000 {
             let start = scratch.begin();
@@ -903,7 +1037,7 @@ mod tests {
         }
         let mut ids = Vec::new();
         i.intern_all(&scratch, &mut ids).unwrap();
-        assert!(i.slots.len() > small * 16);
+        assert!(i.table.slots.len() > small * 16);
         assert_eq!(ids, (40..5030).collect::<Vec<u32>>());
         // Every key is still found after the re-seat, one at a time, the new
         // ones numbered in byte order.
@@ -915,8 +1049,210 @@ mod tests {
         for (id, key) in (40..).zip(&sorted) {
             assert_eq!(i.intern(key), Ok(id));
         }
-        assert!(i.slots.iter().filter(|&&s| s != 0).count() == i.len());
-        assert!(i.len() * 4 <= i.slots.len() * 3);
+        assert!(i.table.slots.iter().filter(|&&s| s != 0).count() == i.len());
+        assert!(i.len() * 4 <= i.table.slots.len() * 3);
+    }
+
+    /// An arena over `keys`, in order, as a loaded vocabulary arrives.
+    fn arena_of<'a>(keys: impl IntoIterator<Item = &'a str>) -> KeyArena {
+        let mut arena = KeyArena::default();
+        for key in keys {
+            arena.push(key).unwrap();
+        }
+        arena
+    }
+
+    #[test]
+    fn keys_sharing_one_home_are_refused_after_linear_work() {
+        // 20 000 distinct keys under a hash that sends them all to slot 0:
+        // seating the k-th walks over the k - 1 before it, 200 million steps
+        // for the lot. The budget stops it once the steps pass 16 per key.
+        let names: Vec<String> = (0..20_000).map(|i| format!("t{i}")).collect();
+        let keys = arena_of(names.iter().map(String::as_str));
+        let hashed = std::cell::Cell::new(0u64);
+        let err = KeyTable::seat_with(&keys, STEPS_PER_KEY * names.len() as u64, |_| {
+            hashed.set(hashed.get() + 1);
+            0
+        })
+        .unwrap_err();
+        assert!(matches!(err, SeatError::Collisions(..)), "{err:?}");
+        assert!(err.to_string().contains("probe steps"), "{err}");
+        // k keys cost k(k - 1)/2 steps, so it gave up near √(2 · budget).
+        assert!(hashed.get() < 1_000, "gave up only after {} keys", hashed.get());
+
+        // Under the budget a colliding vocabulary is merely slow to seat:
+        // accepted, every key found, the work counted.
+        let keys = arena_of(["ab", "cd", "ef", "gh", "ij", "kl", "mn", "op"]);
+        let (table, steps) = KeyTable::seat_with(&keys, 128, |_| 0).unwrap();
+        assert_eq!(steps, 28);
+        assert_eq!(table.slots[..8], [1, 2, 3, 4, 5, 6, 7, 8]);
+        for id in keys.ids() {
+            assert_eq!(table.probe(&keys, keys.bytes(id), 0), Ok(id));
+        }
+        // One step short of what it needs, the same vocabulary is refused.
+        let err = KeyTable::seat_with(&keys, 27, |_| 0).unwrap_err();
+        assert_eq!(err, SeatError::Collisions(8, 27));
+    }
+
+    #[test]
+    fn equal_keys_are_caught_while_seating_under_any_hash() {
+        let keys = arena_of(["jack", "miller", "lloyd", "miller"]);
+        for hash in [key_hash as fn(&[u8]) -> u64, |_| 7] {
+            let err = KeyTable::seat_with(&keys, 64, hash).unwrap_err();
+            assert_eq!(err, SeatError::Duplicate(1, 3));
+        }
+        let err = KeyTable::seat(&keys).unwrap_err();
+        assert!(err.to_string().contains("keys 1 and 3 are the same string"), "{err}");
+    }
+
+    /// The vocabulary Token Blocking numbers for a generated collection
+    /// shrunk `shrink`-fold, profile by profile as the build numbers it.
+    fn generated_vocabulary(mut config: er_datagen::DatasetConfig, shrink: usize) -> KeyArena {
+        config.matched_pairs /= shrink;
+        config.side1.size /= shrink;
+        config.side2.size /= shrink;
+        config.object.vocab_size /= shrink;
+        let collection = er_datagen::presets::build(&config).unwrap().collection;
+        let (mut interner, mut scratch, mut ids) =
+            (TokenInterner::new(), KeyScratch::new(), vec![]);
+        for generated in collection.profiles() {
+            // The generator's profiles are another build's type: rebuild
+            // each one from its strings.
+            let profile =
+                generated.values().fold(EntityProfile::new("p"), |profile, v| profile.with("v", v));
+            scratch.fill_tokens(&profile);
+            interner.intern_all(&scratch, &mut ids).unwrap();
+        }
+        interner.into_keys()
+    }
+
+    #[test]
+    fn benchmark_shaped_vocabularies_stay_far_from_the_budget() {
+        // The two served collections of the repository benchmark, a
+        // twentieth of their size: same token shapes and length mix.
+        use er_datagen::presets;
+        for (name, config) in [("d1c", presets::d1c(13)), ("d2c", presets::d2c(13))] {
+            let keys = generated_vocabulary(config, 20);
+            assert!(keys.len() > 5_000, "{name}: {} keys", keys.len());
+            let budget = STEPS_PER_KEY * keys.len() as u64;
+            let (table, steps) = KeyTable::seat_with(&keys, budget, key_hash).unwrap();
+            assert_eq!(table.slots.iter().filter(|&&slot| slot != 0).count(), keys.len());
+            assert!(table.slots.len() * 3 >= keys.len() * 4, "{name}: more than ¾ full");
+            // Linear probing at ¾ load steps over ~1.3 residents per key
+            // seated when the hash spreads them; a quarter of the budget is
+            // already far outside that.
+            assert!(
+                steps * 4 < budget,
+                "{name}: {steps} probe steps seating {} keys (budget {budget})",
+                keys.len()
+            );
+        }
+    }
+
+    /// Lookup keys over `vocabulary`: its keys, unseen neighbours of them
+    /// (one byte more or one char fewer, so their probes run over the keys'
+    /// own slots), unseen non-ASCII keys, and a second copy of a prefix of
+    /// the lot.
+    fn keys_over(vocabulary: &KeyArena, seed: u64) -> KeyScratch {
+        let mut next = rng(seed);
+        let mut keys: Vec<String> = Vec::new();
+        for _ in 0..3 * vocabulary.len() {
+            let key = vocabulary.get((next() % vocabulary.len() as u64) as u32);
+            keys.push(match next() % 4 {
+                0 => format!("{key}q"),
+                1 => key.chars().skip(1).collect(),
+                _ => key.to_owned(),
+            });
+        }
+        keys.extend(["straße", "σοφός", "i\u{307}stanbul", "müller", "é"].map(String::from));
+        let repeats = keys[..keys.len() / 4].to_vec();
+        keys.extend(repeats);
+        batch_of(keys.iter().map(String::as_str))
+    }
+
+    /// Seats `vocabulary` under `hash` and looks `batch` up with it as one
+    /// batch: every answer must be the per-key probe's and a hash map's.
+    /// Returns the hits and the misses.
+    fn batch_agrees(
+        vocabulary: &KeyArena,
+        batch: &KeyScratch,
+        hash: impl Fn(&[u8]) -> u64,
+    ) -> (usize, usize) {
+        let (table, _) = KeyTable::seat_with(vocabulary, u64::MAX, &hash).unwrap();
+        let oracle: FxHashMap<&str, u32> =
+            vocabulary.ids().map(|id| (vocabulary.get(id), id)).collect();
+        let (mut hashes, mut found) = (Vec::new(), Vec::new());
+        table.find_all_with(vocabulary, batch, &hash, &mut hashes, &mut found);
+        assert_eq!(found.len(), batch.len());
+        for (key, &id) in batch.iter().zip(&found) {
+            assert_eq!(id, table.probe(vocabulary, key.as_bytes(), hash(key.as_bytes())).ok());
+            assert_eq!(id, oracle.get(key).copied(), "{key:?}");
+        }
+        assert_eq!(table.probe(vocabulary, b"", hash(b"")).ok(), None);
+        let hits = found.iter().flatten().count();
+        (hits, found.len() - hits)
+    }
+
+    #[test]
+    fn the_batch_lookup_is_the_per_key_probe_under_any_hash() {
+        // A d2c-shaped vocabulary: the served Clean-Clean collection at a
+        // fortieth of its size.
+        let vocabulary = generated_vocabulary(er_datagen::presets::d2c(29), 40);
+        assert!(vocabulary.len() > 2_000, "{} keys", vocabulary.len());
+        let keys = keys_over(&vocabulary, 0xBA7C);
+        let (hits, misses) = batch_agrees(&vocabulary, &keys, key_hash);
+        assert!(hits > keys.len() / 2 && misses > keys.len() / 8, "{hits} hits, {misses} misses");
+
+        // Under a hash with one value every slot carries the one tag and
+        // every key the one home, so the table is a single probe run that
+        // only the byte compares can resolve. A smaller vocabulary keeps
+        // the quadratic walk short.
+        let few = arena_of(vocabulary.iter().take(600));
+        let keys = keys_over(&few, 0xC0115);
+        let (hits, misses) = batch_agrees(&few, &keys, |_| 0x9E37_79B9_7F4A_7C15);
+        assert!(hits > 0 && misses > 0);
+    }
+
+    #[test]
+    fn a_seated_arena_answers_as_the_interner_that_numbered_it() {
+        // A vocabulary numbered batch by batch, as a build numbers one, then
+        // seated as a load seats it: a table of another length (`V + V/3 +
+        // 1`, not a power of two) and so another slot layout.
+        let mut next = rng(0x5EA7);
+        let (mut interner, mut batch, mut ids) = (TokenInterner::new(), KeyScratch::new(), vec![]);
+        for _ in 0..3_000 {
+            batch.clear();
+            for _ in 0..=next() % 32 {
+                let start = batch.begin();
+                batch.push_str(&zipf_key(&mut next, 30_000));
+                batch.commit(start);
+            }
+            interner.intern_all(&batch, &mut ids).unwrap();
+        }
+        let keys = interner.keys().clone();
+        let seated = KeyTable::seat(&keys).unwrap();
+        assert_ne!(seated.slots.len(), interner.table.slots.len());
+
+        // Every key, and near misses of them, looked up as a batch and one
+        // at a time: the two tables give the same answers.
+        let near = keys_over(&keys, 0x5EA8);
+        let (mut hashes, mut by_seated, mut by_interner) = (vec![], vec![], vec![]);
+        seated.find_all(&keys, &near, &mut hashes, &mut by_seated);
+        interner.table.find_all(interner.keys(), &near, &mut hashes, &mut by_interner);
+        assert_eq!(by_seated, by_interner);
+        let (hits, mut grown) = (by_seated.iter().flatten().count(), keys.len() as u32);
+        assert!(hits > near.len() / 3 && hits < near.len(), "{hits} of {}", near.len());
+        // Interning them answers the same: a hit keeps its id, a miss is new.
+        for (key, &id) in near.iter().zip(&by_seated) {
+            assert_eq!(id, seated.find(&keys, key.as_bytes()), "{key:?}");
+            let interned = interner.intern(key).unwrap();
+            match id {
+                Some(id) => assert_eq!(interned, id, "{key:?}"),
+                None if interned == grown => grown += 1,
+                // A miss repeated in the batch, interned at its first occurrence.
+                None => assert!((keys.len() as u32..grown).contains(&interned), "{key:?}"),
+            }
+        }
     }
 
     /// A value of 0..6 words — mixed-case ASCII, digits, `İ`, final sigma,

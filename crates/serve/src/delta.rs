@@ -48,8 +48,9 @@ use crate::idmap::{IdMap, IdSet};
 use crate::snapshot::{
     decode_meta, frame_sections, parse_table, section_slice, SECTION_DELTA, SECTION_META,
 };
-use crate::view::{distinct_by_bytes, token_hash, SnapshotView, TokenScratch};
+use crate::view::{distinct_by_bytes, SnapshotView, TokenScratch};
 use er_model::fxhash::FxHashSet;
+use er_model::tokenize::key_hash;
 use er_model::{BlockRef, EntityCollection, EntityId, EntityProfile, ErKind};
 use std::sync::Arc;
 
@@ -148,21 +149,26 @@ pub(crate) fn decode_delta_run(payload: &[u8]) -> Result<Vec<DeltaOp>, SnapshotE
 
 /// Validates that `runs` replay cleanly over a base collection of
 /// `base_entities` profiles: upserts stay dense (append at the current
-/// size, never beyond), deletes name live, not-yet-tombstoned entities.
+/// size, never beyond), deletes name live, not-yet-tombstoned entities. An
+/// upsert at [`APPEND`] is resolved in place to the size reached there.
 ///
 /// Pure id arithmetic — no token or block state — so the loader runs it at
 /// load time and the overlay replay can't fail later on ids.
 pub(crate) fn validate_delta_runs(
     base_entities: usize,
-    runs: &[Vec<DeltaOp>],
+    runs: &mut [Vec<DeltaOp>],
 ) -> Result<(), SnapshotError> {
     let mut n = base_entities as u64;
     let mut tombstones: FxHashSet<u32> = FxHashSet::default();
-    for (run, ops) in runs.iter().enumerate() {
+    for (run, ops) in runs.iter_mut().enumerate() {
         for op in ops {
             match op {
                 DeltaOp::Upsert { id, .. } => {
-                    if u64::from(*id) > n {
+                    if *id == APPEND {
+                        *id = u32::try_from(n).unwrap_or(APPEND);
+                    }
+                    // `APPEND` itself is no entity's id: the id space is spent.
+                    if *id == APPEND || u64::from(*id) > n {
                         return Err(SnapshotError::Inconsistent(format!(
                             "delta run {run} upserts entity {id} into a collection of {n}"
                         )));
@@ -185,12 +191,17 @@ pub(crate) fn validate_delta_runs(
     Ok(())
 }
 
-/// Re-frames a snapshot file with one more delta run appended.
+/// Re-frames a snapshot file with one more delta run, `ops`, appended, and
+/// returns it with the id each op of `ops` targets.
 ///
 /// Every section of `file` is copied byte for byte, and the combined op
-/// sequence (its runs plus `ops`) is replay-validated against its
-/// collection size, so the output loads whenever `file` does.
-pub fn append_delta_run(file: &[u8], ops: &[DeltaOp]) -> Result<Vec<u8>, SnapshotError> {
+/// sequence (its runs plus `ops`) is replayed against its collection size:
+/// an upsert at [`APPEND`] is persisted at the id the replay resolves it
+/// to, and the output loads whenever `file` does.
+pub fn append_delta_run(
+    file: &[u8],
+    ops: &[DeltaOp],
+) -> Result<(Vec<u8>, Vec<u32>), SnapshotError> {
     let table = parse_table(file, file.len())?;
     let mut payloads: Vec<(u32, Vec<u8>)> =
         table.iter().map(|e| (e.id, section_slice(file, e).to_vec())).collect();
@@ -204,9 +215,10 @@ pub fn append_delta_run(file: &[u8], ops: &[DeltaOp]) -> Result<Vec<u8>, Snapsho
         }
     }
     runs.push(ops.to_vec());
-    validate_delta_runs(num_entities, &runs)?;
-    payloads.push((SECTION_DELTA, encode_delta_run(ops)));
-    Ok(frame_sections(&payloads))
+    validate_delta_runs(num_entities, &mut runs)?;
+    let staged = runs.pop().unwrap_or_default();
+    payloads.push((SECTION_DELTA, encode_delta_run(&staged)));
+    Ok((frame_sections(&payloads), staged.iter().map(DeltaOp::id).collect()))
 }
 
 /// One copy-on-write block: members of each side, ascending — the same
@@ -264,7 +276,7 @@ type TokenBucket = Vec<(Box<str>, u32)>;
 
 /// The key a vocabulary-extension token is filed under.
 fn token_key(token: &str) -> u32 {
-    (token_hash(token.as_bytes()) >> 32) as u32
+    (key_hash(token.as_bytes()) >> 32) as u32
 }
 
 /// The mutable side-table one serving generation layers over its immutable
@@ -574,9 +586,9 @@ impl DeltaOverlay {
         tokens: &mut TokenScratch,
     ) {
         let right = self.is_right(id);
-        let TokenScratch { keys, lookup, aside: rest } = tokens;
+        let TokenScratch { keys, hashes, ids: found, aside: rest } = tokens;
         keys.fill_tokens(profile);
-        let found = view.find_tokens(keys, lookup);
+        view.find_tokens(keys, hashes, found);
         let mut entry = EntityEntry::default();
         rest.clear();
         for (index, &tid) in found.iter().enumerate() {
@@ -731,22 +743,29 @@ mod tests {
     fn replay_validation_tracks_the_id_space() {
         let up = |id| DeltaOp::Upsert { id, profile: profile("p", "x") };
         // Appends stay dense.
-        assert!(validate_delta_runs(2, &[vec![up(2), up(3)]]).is_ok());
-        assert!(validate_delta_runs(2, &[vec![up(4)]]).is_err());
+        assert!(validate_delta_runs(2, &mut [vec![up(2), up(3)]]).is_ok());
+        assert!(validate_delta_runs(2, &mut [vec![up(4)]]).is_err());
         // Deleting twice (even across runs) is invalid; revive-then-delete
         // is fine.
         assert!(validate_delta_runs(
             2,
-            &[vec![DeltaOp::Delete { id: 1 }], vec![DeltaOp::Delete { id: 1 },]]
+            &mut [vec![DeltaOp::Delete { id: 1 }], vec![DeltaOp::Delete { id: 1 },]]
         )
         .is_err());
         assert!(validate_delta_runs(
             2,
-            &[vec![DeltaOp::Delete { id: 1 }], vec![up(1), DeltaOp::Delete { id: 1 }],]
+            &mut [vec![DeltaOp::Delete { id: 1 }], vec![up(1), DeltaOp::Delete { id: 1 }],]
         )
         .is_ok());
         // Deleting an unknown entity is invalid.
-        assert!(validate_delta_runs(2, &[vec![DeltaOp::Delete { id: 2 }]]).is_err());
+        assert!(validate_delta_runs(2, &mut [vec![DeltaOp::Delete { id: 2 }]]).is_err());
+        // An append resolves to the size the replay has reached, in place.
+        let mut runs = [vec![up(2)], vec![up(APPEND), DeltaOp::Delete { id: 0 }, up(APPEND)]];
+        assert!(validate_delta_runs(2, &mut runs).is_ok());
+        assert_eq!(runs[1].iter().map(DeltaOp::id).collect::<Vec<_>>(), [3, 0, 4]);
+        // …unless the id space is spent: `APPEND` is no entity's id.
+        let err = validate_delta_runs(u32::MAX as usize, &mut [vec![up(APPEND)]]).unwrap_err();
+        assert!(matches!(err, SnapshotError::Inconsistent(_)), "{err:?}");
     }
 
     #[test]

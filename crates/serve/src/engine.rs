@@ -224,9 +224,9 @@ impl<'s> QueryEngine<'s> {
         scope: &mut StageScope<'_>,
     ) -> Scored {
         let overlay = self.scorer.store().overlay();
-        let TokenScratch { keys, lookup, aside: misses } = &mut self.tokens;
+        let TokenScratch { keys, hashes, ids: found, aside: misses } = &mut self.tokens;
         keys.fill_tokens(profile);
-        let found = self.view.find_tokens(keys, lookup);
+        self.view.find_tokens(keys, hashes, found);
         self.probe_ids.clear();
         misses.clear();
         for (index, &id) in found.iter().enumerate() {

@@ -40,8 +40,9 @@
 //! `meta.split`; a Dirty block is all one side.
 //!
 //! Nothing about token *lookup* is persisted either: the loader seats the
-//! vocabulary of sections 4–5 into a hash table of its own
-//! ([`crate::view::SnapshotView::find_token`]), so the format pins no hash
+//! vocabulary of sections 4–5 into the build's own key table
+//! (`er_model::tokenize::KeyTable`, behind
+//! [`crate::view::SnapshotView::find_token`]), so the format pins no hash
 //! function and the encoder sorts nothing.
 //!
 //! After the canonical six, any number of **delta run** sections (id 7,

@@ -72,35 +72,17 @@
 //!
 //! # Token lookup
 //!
-//! Two things load *builds* for the probe path, both while proving the
-//! section they are built from duplicate-free: the token-id →
-//! surviving-block routes (the `blockkeys` section inverted, 4 B per token;
-//! every engine and every delta apply over this view reads that one table)
-//! and the token → id table
-//! behind [`SnapshotView::find_token`]: a flat open-addressing array of
-//! `u64` slots, `0` vacant and otherwise `tag << 32 | id + 1`, where `tag`
-//! is the top half of the token's hash — the slot format of
-//! `er_model::tokenize::TokenInterner`. It is at most ¾ full, sized from the
-//! token count ([`token_table_slots`], ≈ 10.7 B per token) with a
-//! multiply-shift home, so no power-of-two rounding. A lookup is one hash
-//! and a short linear probe; an occupied slot costs a tag compare, and only
-//! a tag hit reads the token's offsets and bytes. Nothing about the table
-//! is persisted, so the format pins no hash function. Seating a token walks
-//! its probe run, comparing bytes where the tags agree, which is where a
-//! repeated token is caught; and because the hash (FxHash) is not
-//! collision-resistant, the build counts its probe steps against a budget
-//! proportional to the token count ([`PROBE_STEPS_PER_TOKEN`]): a
-//! vocabulary crafted to collide is a typed error after linear work, never
-//! a quadratic load or a slow lookup.
-//!
-//! A probe or an upsert looks its profile's keys up as one batch
-//! ([`SnapshotView::find_tokens`]), in three passes: hash every key; in a
-//! loop that does nothing else, load each home slot and, on a tag hit, that
-//! id's end offset and route — loads independent of each other, so their
-//! misses overlap; then resolve each key in order through the probe
-//! [`SnapshotView::find_token`] runs, which finds its lines in cache. The
-//! keys go in as the tokenizer committed them, repeats included: neither
-//! caller byte-sorts a profile's keys, only the few it has to order.
+//! Load builds two tables for the probe path, each while proving its
+//! section duplicate-free: the token-id → surviving-block routes (the
+//! `blockkeys` section inverted, 4 B per token), and the token → id table
+//! behind [`SnapshotView::find_token`] and [`SnapshotView::find_tokens`] —
+//! the build's own [`KeyTable`], seated from the vocabulary
+//! ([`KeyTable::seat`], ≈ 10.7 B per token), so a probe or an upsert finds
+//! a token under the id the build gave it by the same hash, home and probe.
+//! A repeated token, or a vocabulary crafted to collide, is refused as
+//! [`SnapshotError::Inconsistent`]. Nothing of the table is persisted, so
+//! the format pins no hash. Neither caller byte-sorts a profile's keys, only
+//! the few it has to order.
 
 use crate::codec::Reader;
 use crate::delta::{decode_delta_run, validate_delta_runs, DeltaOp};
@@ -110,12 +92,10 @@ use crate::snapshot::{
     SECTIONS, SECTION_BLOCKKEYS, SECTION_MEMBERS, SECTION_META, SECTION_OFFSETS, SECTION_TOK_BLOB,
     SECTION_TOK_OFFSETS,
 };
-use er_model::fxhash::FxHasher;
-use er_model::tokenize::{KeyArena, KeyScratch};
+use er_model::tokenize::{KeyArena, KeyScratch, KeyTable};
 use er_model::{BlockCollection, EntityId, EntityIndex, ErKind};
 use mb_core::prune::{cep_threshold_from_counts, cnp_threshold_from_counts};
 use mb_observe::{Observer, Stage, StageScope};
-use std::hash::Hasher;
 use std::path::Path;
 
 /// A loaded, fully validated snapshot: the [`Snapshot`] the file encodes,
@@ -133,8 +113,8 @@ pub struct SnapshotView {
     file_len: usize,
     /// The arena inverted at load.
     index: EntityIndex,
-    /// The token → id lookup table, built at load ([`seat_tokens`]).
-    tok_table: Vec<u64>,
+    /// The vocabulary seated for lookup at load ([`KeyTable::seat`]).
+    tok_table: KeyTable,
     /// Token id → the surviving block keyed by it, `u32::MAX` when that
     /// block was filtered away (or never emitted): the block keys inverted,
     /// once, at load.
@@ -198,219 +178,6 @@ fn descents_and_max(pool: &[EntityId]) -> (u32, u32) {
     (d, max)
 }
 
-/// Probe steps the token-table build may spend per token before it gives
-/// up. A well-spread vocabulary at the table's ¾ ceiling spends about 1.3
-/// (the unit test measures it on generated vocabularies of both benchmark
-/// shapes); tokens that all share one home spend `tokens / 2` each.
-const PROBE_STEPS_PER_TOKEN: u64 = 16;
-
-/// Slot count of the lookup table for `tokens` tokens: at most ¾ full, and
-/// never full — there is always a vacant slot to end a probe on.
-fn token_table_slots(tokens: usize) -> usize {
-    tokens + tokens / 3 + 1
-}
-
-/// FxHash over the token bytes. Its last step is a multiply, so the high
-/// bits — the ones [`table_home`] reads — depend on every input byte.
-#[inline]
-pub(crate) fn token_hash(token: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(token);
-    h.finish()
-}
-
-/// The slot a hash starts probing at: multiply-shift onto `0..slots`, which
-/// needs no power-of-two table. `slots` must be nonzero.
-#[inline]
-fn table_home(hash: u64, slots: usize) -> usize {
-    ((u128::from(hash) * slots as u128) >> 64) as usize
-}
-
-/// The table slot of token `id` under `hash`: the hash's top half as a tag
-/// over `id + 1`, so no occupied slot is `0`.
-#[inline]
-fn slot_of(id: u32, hash: u64) -> u64 {
-    hash >> 32 << 32 | (u64::from(id) + 1)
-}
-
-/// Whether an occupied `slot` carries the tag of `hash`.
-#[inline]
-fn same_tag(slot: u64, hash: u64) -> bool {
-    slot >> 32 == hash >> 32
-}
-
-/// Seats every token of a validated vocabulary into a fresh
-/// open-addressing table of `slots` entries (`0` vacant, else
-/// [`slot_of`]; linear probing from [`table_home`]) and returns it with the
-/// number of occupied slots the build stepped over.
-///
-/// Each step over a resident with the same tag compares the two tokens, so
-/// two equal tokens are an [`SnapshotError::Inconsistent`] here. The table
-/// size, the step budget and the hash are arguments so a test can drive the
-/// failure paths directly; the loader passes [`token_table_slots`],
-/// [`PROBE_STEPS_PER_TOKEN`] per token and [`token_hash`]. `slots` must
-/// exceed the token count — [`SnapshotView::from_bytes`] computes it so.
-///
-/// Tokens go in chunks of [`SEAT_CHUNK`]: a chunk is hashed, then a loop
-/// that does nothing else loads each token's home slot and, on a tag hit,
-/// the resident's end offset — the loads the seating probe would otherwise
-/// take one dependent miss at a time — and then the chunk is seated in id
-/// order.
-fn seat_tokens(
-    tokens: &KeyArena,
-    slots: usize,
-    budget: u64,
-    hash: impl Fn(&[u8]) -> u64,
-) -> Result<(Vec<u64>, u64), SnapshotError> {
-    let mut table = vec![0u64; slots];
-    let mut steps = 0u64;
-    let mut keys = tokens.iter();
-    // Each token of the chunk in hand, with its hash.
-    let mut chunk: [(&[u8], u64); SEAT_CHUNK] = [(&[], 0); SEAT_CHUNK];
-    let mut first_id = 0usize;
-    loop {
-        let mut len = 0usize;
-        for (entry, token) in chunk.iter_mut().zip(keys.by_ref()) {
-            *entry = (token.as_bytes(), hash(token.as_bytes()));
-            len += 1;
-        }
-        if len == 0 {
-            break;
-        }
-        let mut touched = 0u32;
-        for &(_, h) in chunk.iter().take(len) {
-            if let Some(&resident) =
-                table.get(table_home(h, slots)).filter(|&&r| r != 0 && same_tag(r, h))
-            {
-                // A resident's low half is `id + 1`, the index of its token's
-                // end offset.
-                touched ^= tokens.offsets().get(resident as u32 as usize).copied().unwrap_or(0);
-            }
-        }
-        // The loads above are the point; keep them from being optimised out.
-        std::hint::black_box(touched);
-        for (id, &(token, h)) in (first_id..).zip(chunk.iter().take(len)) {
-            let mut at = table_home(h, slots);
-            loop {
-                // lint:allow(panic-reachability) in range: `table_home` returns
-                // a slot below `slots`, and the step below wraps there.
-                let resident = table[at];
-                if resident == 0 {
-                    break;
-                }
-                steps += 1;
-                if steps > budget {
-                    return Err(bad(format!(
-                        "the vocabulary's tokens collide: seating {} of them took more than \
-                         {budget} probe steps",
-                        id + 1
-                    )));
-                }
-                // A resident is an id seated earlier, so it has a token.
-                if same_tag(resident, h) && tokens.bytes(resident as u32 - 1) == token {
-                    return Err(bad(format!(
-                        "tokens {} and {id} are the same string: the vocabulary must be \
-                         duplicate-free",
-                        resident as u32 - 1
-                    )));
-                }
-                at += 1;
-                if at == slots {
-                    at = 0;
-                }
-            }
-            // lint:allow(panic-reachability) in range: see the probe above.
-            table[at] = slot_of(id as u32, h);
-        }
-        first_id += len;
-    }
-    Ok((table, steps))
-}
-
-/// Tokens [`seat_tokens`] hashes, homes and touches together before seating
-/// any of them: enough loads in flight to overlap their misses, few enough
-/// to keep on the stack.
-const SEAT_CHUNK: usize = 64;
-
-/// The token → id table built at load, over the vocabulary it indexes.
-struct TokenTable<'a> {
-    /// `0` vacant, else [`slot_of`]; never full.
-    slots: &'a [u64],
-    tokens: &'a KeyArena,
-}
-
-impl TokenTable<'_> {
-    /// The one lookup routine: a linear probe from `hash`'s home that reads
-    /// a token's bytes only where its slot carries `hash`'s tag.
-    #[inline]
-    fn probe(&self, token: &[u8], hash: u64) -> Option<u32> {
-        let slots = self.slots;
-        let mut at = table_home(hash, slots.len());
-        // The table is never full (`token_table_slots`), so the probe ends
-        // at a vacant slot; a table with no vacant slot — unreachable —
-        // would end it at `None` after one lap rather than spin.
-        for _ in 0..slots.len() {
-            // lint:allow(panic-reachability) in range: `table_home` returns
-            // a slot below `slots.len()`, and the step below wraps there.
-            let slot = slots[at];
-            if slot == 0 {
-                return None;
-            }
-            if same_tag(slot, hash) {
-                let id = slot as u32 - 1;
-                if self.tokens.bytes(id) == token {
-                    return Some(id);
-                }
-            }
-            at += 1;
-            if at == slots.len() {
-                at = 0;
-            }
-        }
-        None
-    }
-
-    /// Looks every key of `keys` up, in commit order, into `lookup`, and
-    /// returns what each resolved to. `routes` is the view's token → block
-    /// table, touched beside the offsets.
-    fn find_all<'b>(
-        &self,
-        keys: &KeyScratch,
-        routes: &[u32],
-        hash: impl Fn(&[u8]) -> u64,
-        lookup: &'b mut TokenLookup,
-    ) -> &'b [Option<u32>] {
-        let TokenLookup { hashes, ids } = lookup;
-        hashes.clear();
-        hashes.extend(keys.iter().map(|key| hash(key.as_bytes())));
-        let mut touched = 0u32;
-        for &h in hashes.iter() {
-            // lint:allow(panic-reachability) in range: `table_home` returns
-            // a slot below `slots.len()`.
-            let slot = self.slots[table_home(h, self.slots.len())];
-            if slot != 0 && same_tag(slot, h) {
-                // The low half is `id + 1`, the index of the token's end offset.
-                let end = slot as u32 as usize;
-                touched ^= self.tokens.offsets().get(end).copied().unwrap_or(0);
-                touched ^= routes.get(end - 1).copied().unwrap_or(0);
-            }
-        }
-        // The loads above are the point; keep them from being optimised out.
-        std::hint::black_box(touched);
-        ids.clear();
-        ids.extend(keys.iter().zip(hashes.iter()).map(|(key, &h)| self.probe(key.as_bytes(), h)));
-        ids
-    }
-}
-
-/// The buffers [`SnapshotView::find_tokens`] works in — each key's hash,
-/// then what it resolved to — kept from one profile to the next.
-#[derive(Debug, Default)]
-pub(crate) struct TokenLookup {
-    hashes: Vec<u64>,
-    ids: Vec<Option<u32>>,
-}
-
 /// A profile's keys and every buffer looking them up takes: what a probe
 /// and an upsert fill, look up and sort the leftovers of, reused from one
 /// profile to the next.
@@ -418,8 +185,10 @@ pub(crate) struct TokenLookup {
 pub(crate) struct TokenScratch {
     /// The profile's keys, as [`KeyScratch::fill_tokens`] commits them.
     pub(crate) keys: KeyScratch,
-    /// [`SnapshotView::find_tokens`]' buffers.
-    pub(crate) lookup: TokenLookup,
+    /// [`SnapshotView::find_tokens`]' hash scratch.
+    pub(crate) hashes: Vec<u64>,
+    /// What each key resolved to.
+    pub(crate) ids: Vec<Option<u32>>,
     /// Indices into `keys` the caller sets aside for [`distinct_by_bytes`].
     pub(crate) aside: Vec<usize>,
 }
@@ -626,7 +395,7 @@ impl SnapshotView {
         // vocabulary as a `KeyArena` over the two decoded vectors, seated
         // for lookup (which proves it duplicate-free), and the block keys
         // inverted into token → block routes.
-        let check_tokens = || -> Result<(KeyArena, Vec<u64>, Vec<u32>), SnapshotError> {
+        let check_tokens = || -> Result<(KeyArena, KeyTable, Vec<u32>), SnapshotError> {
             let Some(num_tokens) = tok_offsets.len().checked_sub(1) else {
                 return Err(bad("token offsets section is empty".into()));
             };
@@ -652,9 +421,7 @@ impl SnapshotView {
                 return Err(utf8());
             }
             let tokens = KeyArena::from_parts(tok_offsets, text);
-            let slots = token_table_slots(num_tokens);
-            let budget = PROBE_STEPS_PER_TOKEN * num_tokens as u64;
-            let (tok_table, _) = seat_tokens(&tokens, slots, budget, token_hash)?;
+            let tok_table = KeyTable::seat(&tokens).map_err(|e| bad(e.to_string()))?;
             if block_keys.len() != num_blocks {
                 return Err(bad(format!(
                     "{} block keys for {num_blocks} blocks",
@@ -678,8 +445,8 @@ impl SnapshotView {
         let (blocks, tokens) = fork_join(parallel, check_blocks, check_tokens);
         let (splits, index) = blocks?;
         let (tokens, tok_table, tok_block) = tokens?;
-        let delta_runs = delta_runs?;
-        validate_delta_runs(n, &delta_runs)?;
+        let mut delta_runs = delta_runs?;
+        validate_delta_runs(n, &mut delta_runs)?;
 
         // Thresholds: re-derive from the now-verified aggregates with the
         // same mb-core formulas that produced them.
@@ -745,229 +512,22 @@ impl SnapshotView {
         self.tok_block.get(id as usize).copied().filter(|&block| block != u32::MAX)
     }
 
-    fn token_table(&self) -> TokenTable<'_> {
-        TokenTable { slots: &self.tok_table, tokens: self.snapshot.tokens() }
-    }
-
-    /// Looks a normalized token up by bytes: one hash, a short linear probe
-    /// of the table built at load comparing tags, one byte compare — no
+    /// Looks a normalized token up by bytes ([`KeyTable::find`]): one hash,
+    /// a short linear probe comparing tags, one byte compare — no
     /// allocation.
     pub fn find_token(&self, token: &[u8]) -> Option<u32> {
-        self.token_table().probe(token, token_hash(token))
+        self.tok_table.find(self.snapshot.tokens(), token)
     }
 
     /// Looks every key of `keys` up at once, in commit order, repeats
-    /// included, and returns each one's id (`None` where the vocabulary
-    /// lacks it) from `lookup`'s buffers: [`SnapshotView::find_token`] per
-    /// key, with every key's home slot, and on a tag hit its offsets and
-    /// route, loaded first in a loop of their own.
-    pub(crate) fn find_tokens<'b>(
+    /// included, into `ids`: each one's id, `None` where the vocabulary
+    /// lacks it ([`KeyTable::find_all`]; `hashes` is scratch).
+    pub(crate) fn find_tokens(
         &self,
         keys: &KeyScratch,
-        lookup: &'b mut TokenLookup,
-    ) -> &'b [Option<u32>] {
-        self.token_table().find_all(keys, &self.tok_block, token_hash, lookup)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use er_datagen::presets;
-    use mb_core::PipelineConfig;
-    use std::cell::Cell;
-
-    /// A vocabulary as [`seat_tokens`] reads it.
-    fn arena_of<'a>(tokens: impl IntoIterator<Item = &'a str>) -> KeyArena {
-        let (mut offsets, mut text) = (vec![0u32], String::new());
-        for token in tokens {
-            text.push_str(token);
-            offsets.push(text.len() as u32);
-        }
-        KeyArena::from_parts(offsets, text)
-    }
-
-    #[test]
-    fn tokens_sharing_one_home_are_a_typed_error_after_linear_work() {
-        // 20 000 distinct tokens under a hash that sends them all to slot 0:
-        // seating the k-th walks over the k - 1 before it, 200 million steps
-        // for the lot. The budget stops it once the steps pass 16 per token.
-        let names: Vec<String> = (0..20_000).map(|i| format!("t{i}")).collect();
-        let tokens = arena_of(names.iter().map(String::as_str));
-        let (slots, budget) =
-            (token_table_slots(names.len()), PROBE_STEPS_PER_TOKEN * names.len() as u64);
-        let hashed = Cell::new(0u64);
-        let err = seat_tokens(&tokens, slots, budget, |_| {
-            hashed.set(hashed.get() + 1);
-            0
-        })
-        .unwrap_err();
-        assert!(
-            matches!(&err, SnapshotError::Inconsistent(msg) if msg.contains("probe steps")),
-            "{err:?}"
-        );
-        // k tokens cost k(k - 1)/2 steps, so it gave up near √(2 · budget).
-        assert!(hashed.get() < 1_000, "gave up only after {} tokens", hashed.get());
-
-        // Under the budget a colliding vocabulary is merely slow to seat:
-        // accepted, every token found, the work counted.
-        let few = ["ab", "cd", "ef", "gh", "ij", "kl", "mn", "op"];
-        let tokens = arena_of(few);
-        let (table, steps) = seat_tokens(&tokens, token_table_slots(8), 128, |_| 0).unwrap();
-        assert_eq!(steps, 28);
-        assert_eq!(table[..8], [1, 2, 3, 4, 5, 6, 7, 8]);
-        // One step short of what it needs, the same vocabulary is refused.
-        assert!(seat_tokens(&tokens, token_table_slots(8), 27, |_| 0).is_err());
-    }
-
-    #[test]
-    fn equal_tokens_are_caught_while_seating() {
-        let tokens = arena_of(["jack", "miller", "lloyd", "miller"]);
-        for hash in [token_hash as fn(&[u8]) -> u64, |_| 7] {
-            let err = seat_tokens(&tokens, token_table_slots(4), 64, hash).unwrap_err();
-            assert!(
-                matches!(&err, SnapshotError::Inconsistent(msg) if msg.contains("tokens 1 and 3")),
-                "{err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn benchmark_shaped_vocabularies_stay_far_from_the_budget() {
-        // The two served collections of BENCHMARK.json, a twentieth of their
-        // size: same token shapes and length mix, ~10–35k tokens.
-        let shrink = |mut config: er_datagen::DatasetConfig| {
-            config.matched_pairs /= 20;
-            config.side1.size /= 20;
-            config.side2.size /= 20;
-            config.object.vocab_size /= 20;
-            config
-        };
-        for (name, config) in [("d1c", shrink(presets::d1c(13))), ("d2c", shrink(presets::d2c(13)))]
-        {
-            let collection = presets::build(&config).unwrap().collection;
-            let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
-            let tokens = snapshot.tokens();
-            assert!(tokens.len() > 5_000, "{name}: {} tokens", tokens.len());
-            let slots = token_table_slots(tokens.len());
-            let budget = PROBE_STEPS_PER_TOKEN * tokens.len() as u64;
-            let (table, steps) = seat_tokens(tokens, slots, budget, token_hash).unwrap();
-            assert_eq!(table.iter().filter(|&&slot| slot != 0).count(), tokens.len());
-            assert!(table.len() * 3 >= tokens.len() * 4, "{name}: more than ¾ full");
-            // Linear probing at ¾ load steps over ~1.3 residents per token
-            // seated when the hash spreads them; a quarter of the budget is
-            // already far outside that.
-            assert!(
-                steps * 4 < budget,
-                "{name}: {steps} probe steps seating {} tokens (budget {budget})",
-                tokens.len()
-            );
-        }
-    }
-
-    /// A scratch holding `keys` in order.
-    fn scratch_of<'a>(keys: impl IntoIterator<Item = &'a str>) -> KeyScratch {
-        let mut scratch = KeyScratch::new();
-        for key in keys {
-            let start = scratch.begin();
-            scratch.push_str(key);
-            scratch.commit(start);
-        }
-        scratch
-    }
-
-    /// Lookup keys over `vocabulary`: its tokens, unseen neighbours of them
-    /// (one byte more or one fewer, so their probes run over the tokens'
-    /// own slots), unseen non-ASCII keys, and a second copy of a prefix of
-    /// the lot. An empty key cannot be committed, and the attempt is part
-    /// of the batch.
-    fn keys_over(vocabulary: &[&str], seed: u64) -> KeyScratch {
-        let mut rng = er_datagen::rng::SmallRng::seed_from_u64(seed);
-        let mut keys: Vec<String> = Vec::new();
-        for _ in 0..3 * vocabulary.len() {
-            let token = vocabulary[rng.gen_below(vocabulary.len() as u64) as usize];
-            keys.push(match rng.gen_below(4) {
-                0 => format!("{token}q"),
-                1 => token.chars().skip(1).collect(),
-                _ => token.to_owned(),
-            });
-        }
-        keys.extend(["straße", "σοφός", "i\u{307}stanbul", "müller", "é"].map(String::from));
-        let repeats = keys[..keys.len() / 4].to_vec();
-        keys.extend(repeats);
-        let mut scratch = scratch_of(keys.iter().map(String::as_str));
-        let start = scratch.begin();
-        scratch.commit(start);
-        assert_eq!(scratch.len(), keys.len(), "an empty key is never committed");
-        scratch
-    }
-
-    /// Seats `vocabulary` under `hash` and looks `keys` up as one batch:
-    /// each answer must be the per-key probe's and a hash map's. Returns
-    /// the hits and the misses.
-    fn batch_agrees(
-        vocabulary: &[&str],
-        keys: &KeyScratch,
-        hash: impl Fn(&[u8]) -> u64,
-    ) -> (usize, usize) {
-        let tokens = arena_of(vocabulary.iter().copied());
-        let slots = token_table_slots(vocabulary.len());
-        let (table, _) = seat_tokens(&tokens, slots, u64::MAX, &hash).unwrap();
-        let table = TokenTable { slots: &table, tokens: &tokens };
-        let oracle: std::collections::HashMap<&[u8], u32> =
-            (0..).zip(vocabulary).map(|(id, token)| (token.as_bytes(), id)).collect();
-        // Any route table serves: the batch only touches it.
-        let routes: Vec<u32> = (0..vocabulary.len() as u32).rev().collect();
-        let mut lookup = TokenLookup::default();
-        let found = table.find_all(keys, &routes, &hash, &mut lookup);
-        assert_eq!(found.len(), keys.len());
-        for (key, &id) in keys.iter().zip(found) {
-            let key = key.as_bytes();
-            assert_eq!(id, table.probe(key, hash(key)), "{:?}", String::from_utf8_lossy(key));
-            assert_eq!(id, oracle.get(key).copied(), "{:?}", String::from_utf8_lossy(key));
-        }
-        assert_eq!(table.probe(b"", hash(b"")), None);
-        let hits = found.iter().flatten().count();
-        (hits, found.len() - hits)
-    }
-
-    #[test]
-    fn the_batch_lookup_is_find_token_per_key_under_any_hash() {
-        // A d2c-shaped vocabulary: the served Clean-Clean collection at a
-        // fortieth of its size.
-        let mut config = presets::d2c(29);
-        config.matched_pairs /= 40;
-        config.side1.size /= 40;
-        config.side2.size /= 40;
-        config.object.vocab_size /= 40;
-        let collection = presets::build(&config).unwrap().collection;
-        let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
-        let vocabulary: Vec<&str> = snapshot.tokens().iter().collect();
-        assert!(vocabulary.len() > 2_000, "{} tokens", vocabulary.len());
-        let keys = keys_over(&vocabulary, 0xBA7C);
-        let (hits, misses) = batch_agrees(&vocabulary, &keys, token_hash);
-        assert!(hits > keys.len() / 2 && misses > keys.len() / 8, "{hits} hits, {misses} misses");
-
-        // Under a hash with one value every slot carries the one tag and
-        // every token the one home, so the table is a single probe run that
-        // only the byte compares can resolve. A smaller vocabulary keeps
-        // the quadratic walk short.
-        let few = &vocabulary[..600];
-        let keys = keys_over(few, 0xC0115);
-        let (hits, misses) = batch_agrees(few, &keys, |_| 0x9E37_79B9_7F4A_7C15);
-        assert!(hits > 0 && misses > 0);
-
-        // Equal top halves are equal tags, while the low halves still move
-        // the home: with `top` just below a home boundary, about half the
-        // tokens home one slot further along.
-        let slots = token_table_slots(few.len()) as u64;
-        let k = (slots / 2..slots).find(|k| (k << 32) % slots * 4 / slots == 2).unwrap();
-        let top = (k << 32) / slots;
-        let same_top = |t: &[u8]| top << 32 | (token_hash(t) & 0xFFFF_FFFF);
-        let homes: std::collections::BTreeSet<usize> =
-            few.iter().map(|t| table_home(same_top(t.as_bytes()), slots as usize)).collect();
-        assert_eq!(homes.len(), 2, "{homes:?}");
-        let (hits, misses) = batch_agrees(few, &keys, same_top);
-        assert!(hits > 0 && misses > 0);
+        hashes: &mut Vec<u64>,
+        ids: &mut Vec<Option<u32>>,
+    ) {
+        self.tok_table.find_all(self.snapshot.tokens(), keys, hashes, ids);
     }
 }

@@ -248,7 +248,7 @@ fn persisted_delta_runs_reload_to_the_same_answers() {
     let ops = live.overlay().unwrap().ops();
 
     // Write-ahead the same ops as a delta run and reload.
-    let with_deltas = append_delta_run(&base_bytes, &ops).unwrap();
+    let (with_deltas, _) = append_delta_run(&base_bytes, &ops).unwrap();
     assert_reframed(&base_bytes, &with_deltas);
     let reloaded = SnapshotView::from_bytes(with_deltas.clone()).unwrap();
     assert_eq!(reloaded.delta_runs().len(), 1);
@@ -268,12 +268,42 @@ fn persisted_delta_runs_reload_to_the_same_answers() {
 
     // A second run appended over the first composes, too.
     let more = [DeltaOp::Delete { id: 3 }];
-    let two_runs = append_delta_run(&with_deltas, &more).unwrap();
+    let (two_runs, _) = append_delta_run(&with_deltas, &more).unwrap();
     assert_reframed(&with_deltas, &two_runs);
     let reloaded = SnapshotView::from_bytes(two_runs).unwrap();
     assert_eq!(reloaded.delta_runs().len(), 2);
     let cell2 = GenerationCell::new(reloaded).unwrap();
     assert!(cell2.load().overlay().unwrap().is_tombstoned(3));
+}
+
+#[test]
+fn staged_appends_read_like_the_same_ops_with_explicit_ids() {
+    let base = base_snapshot(WeightingScheme::Cbs).to_bytes();
+    let n = SnapshotView::from_bytes(base.clone()).unwrap().snapshot().num_entities() as u32;
+    let upsert = |id, uri: &str| DeltaOp::Upsert {
+        id,
+        profile: EntityProfile::new(uri).with("name", "jack stone"),
+    };
+    // A first run: one append, one tombstone.
+    let (first, ids) =
+        append_delta_run(&base, &[upsert(APPEND, "a0"), DeltaOp::Delete { id: 0 }]).unwrap();
+    assert_eq!(ids, [n, 0]);
+    let (spelled, _) =
+        append_delta_run(&base, &[upsert(n, "a0"), DeltaOp::Delete { id: 0 }]).unwrap();
+    assert!(first == spelled, "a resolved append is persisted as its id");
+
+    // Several appends after it, an in-place upsert among them: each takes
+    // the next id the replay of every earlier run and op reaches.
+    let staged =
+        [upsert(APPEND, "a1"), upsert(1, "r1"), upsert(APPEND, "a2"), upsert(APPEND, "a3")];
+    let explicit = [upsert(n + 1, "a1"), upsert(1, "r1"), upsert(n + 2, "a2"), upsert(n + 3, "a3")];
+    let (appended, ids) = append_delta_run(&first, &staged).unwrap();
+    let (spelled, explicit_ids) = append_delta_run(&first, &explicit).unwrap();
+    assert_eq!(ids, [n + 1, 1, n + 2, n + 3]);
+    assert_eq!(ids, explicit_ids);
+    assert!(appended == spelled, "the staged run differs from the same ops with explicit ids");
+    let view = SnapshotView::from_bytes(appended).unwrap();
+    assert_eq!(view.delta_runs()[1], explicit);
 }
 
 #[test]
@@ -483,7 +513,7 @@ fn a_pinned_generation_keeps_its_answers_and_the_live_one_equals_a_replay() {
         let ops = live.overlay().unwrap().ops();
         assert_eq!(ops.len(), 2_500);
         let replayed = GenerationCell::new(
-            SnapshotView::from_bytes(append_delta_run(&base, &ops).unwrap()).unwrap(),
+            SnapshotView::from_bytes(append_delta_run(&base, &ops).unwrap().0).unwrap(),
         )
         .unwrap()
         .load();

@@ -81,14 +81,24 @@ if grep -rnE 'fn top_k_neighbors|Vec<Vec<u32>>' crates/core/src/prune; then
 fi
 
 echo "==> one tokenizer (structural guard on crates/*/src)"
-# `KeyScratch::fill_tokens` states which tokens a profile has and
-# `TokenInterner` numbers them, for blocking, serving and Jaccard matching
-# alike: a `String` tokenizer, a two-table interner or a q-gram / suffix
-# helper beside them must not come back. The second pattern is narrower on
-# purpose: `Snapshot::tokens()` in mb-serve is a different thing.
+# `KeyScratch::fill_tokens` states which tokens a profile has, for
+# blocking, serving and Jaccard matching alike; `TokenInterner` numbers them
+# at build time through a `KeyTable`, and a loaded snapshot finds them
+# through the same `KeyTable`, seated at load. A `String` tokenizer, a
+# two-table interner or a q-gram / suffix helper beside them must not come
+# back. The second pattern is narrower on purpose: `Snapshot::tokens()` in
+# mb-serve is a different thing.
 if grep -rnE 'pub struct Interner\b|fn token_id_set\b|pub fn (qgrams|suffixes)\b' crates/*/src \
   || grep -rnE 'pub fn tokens\b' crates/er-model/src; then
   echo "a second tokenizer is back (use KeyScratch::fill_tokens + TokenInterner)" >&2; exit 1
+fi
+
+echo "==> one key table (structural guard on crates/serve/src)"
+# `er_model::tokenize::KeyTable` owns how a key is hashed, homed, probed and
+# seated, for the interner and the loaded view alike: a second
+# open-addressing token table in mb-serve must not come back beside it.
+if grep -rnE 'fn seat_tokens|struct TokenTable|fn table_home|fn token_hash' crates/serve/src; then
+  echo "mb-serve has its own token table again (seat and look up through KeyTable)" >&2; exit 1
 fi
 
 echo "==> one snapshot build (structural guard on crates/serve/src and crates/blocking/src)"
@@ -155,11 +165,11 @@ if grep -nE 'read_frame\(|write_frame\(' crates/serve/src/server.rs; then
   echo "server.rs frames through read_frame/write_frame again (use FrameReader/FrameWriter)" >&2; exit 1
 fi
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
-echo "==> cargo test -q --features sanitize"
-cargo test -q --features sanitize
+echo "==> cargo test --workspace --features sanitize -q"
+cargo test --workspace --features sanitize -q
 
 echo "==> snapshot round-trip smoke (er snapshot build/inspect + er query)"
 SMOKE_DIR="$(mktemp -d)"
