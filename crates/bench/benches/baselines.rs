@@ -9,8 +9,9 @@ use er_bench::clean_workload;
 use er_bench::harness::Criterion;
 use er_bench::{criterion_group, criterion_main};
 use er_model::matching::OracleMatcher;
+use mb_core::graphfree::graph_free_meta_blocking;
 use mb_core::propagation::{comparison_propagation, comparison_propagation_lecobi};
-use mb_core::{pipeline, GraphContext, MetaBlocking, PruningScheme, WeightingScheme};
+use mb_core::{GraphContext, MetaBlocking, Noop, PruningScheme, WeightingScheme};
 use std::hint::black_box;
 
 fn bench_baselines(c: &mut Criterion) {
@@ -23,20 +24,16 @@ fn bench_baselines(c: &mut Criterion) {
     group.bench_function("graph_free/r=0.25", |b| {
         b.iter(|| {
             let mut n = 0u64;
-            pipeline::run_graph_free(&workload.blocks, split, 0.25, &mut mb_core::Noop, |_, _| {
-                n += 1
-            })
-            .unwrap();
+            graph_free_meta_blocking(&workload.blocks, split, 0.25, 1, &mut Noop, |_, _| n += 1)
+                .unwrap();
             black_box(n)
         })
     });
     group.bench_function("graph_free/r=0.55", |b| {
         b.iter(|| {
             let mut n = 0u64;
-            pipeline::run_graph_free(&workload.blocks, split, 0.55, &mut mb_core::Noop, |_, _| {
-                n += 1
-            })
-            .unwrap();
+            graph_free_meta_blocking(&workload.blocks, split, 0.55, 1, &mut Noop, |_, _| n += 1)
+                .unwrap();
             black_box(n)
         })
     });
@@ -63,7 +60,7 @@ fn bench_baselines(c: &mut Criterion) {
     group.bench_function("comparison_propagation/scan", |b| {
         b.iter(|| {
             let mut n = 0u64;
-            comparison_propagation(&ctx, |_, _| n += 1);
+            comparison_propagation(&ctx, 1, |_, _| n += 1);
             black_box(n)
         })
     });

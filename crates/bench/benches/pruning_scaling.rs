@@ -19,7 +19,7 @@
 
 use er_bench::{clean_workload, dense_workload, Workload};
 use mb_core::filter::block_filtering;
-use mb_core::parallel::Sweep;
+use mb_core::parallel::{host_threads, Sweep};
 use mb_core::weights::EdgeWeigher;
 use mb_core::{GraphContext, MetaBlocking, PruningScheme, WeightingImpl, WeightingScheme};
 use mb_observe::alloc_track::{self, TrackingAllocator};
@@ -152,7 +152,7 @@ fn run_workload(
 
 fn main() {
     let samples = sample_count();
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = host_threads();
     println!("pruning-scaling: {cores} detected cores, {samples} samples per cell");
 
     let mut rows: Vec<Json> = Vec::new();

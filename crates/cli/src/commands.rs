@@ -8,7 +8,7 @@ use er_model::measures::{self, EffectivenessAccumulator};
 use er_model::{BlockCollection, EntityId, EntityProfile};
 use mb_core::filter::block_filtering;
 use mb_core::{
-    pipeline, MetaBlocking, Noop, Observer, PipelineConfig, PruningScheme, Retention,
+    graphfree, MetaBlocking, Noop, Observer, PipelineConfig, PruningScheme, Retention,
     WeightingScheme,
 };
 use mb_observe::{Progress, RunReport, Tee};
@@ -201,8 +201,8 @@ pub fn run(args: &Args) -> Result<String, String> {
             format!("{} + {}", scheme.name(), p.name())
         }
         None => {
-            let r = filter.unwrap_or(mb_core::graphfree::EFFECTIVENESS_RATIO);
-            pipeline::run_graph_free_threads(&blocks, split, r, threads, obs, &mut sink)
+            let r = filter.unwrap_or(graphfree::EFFECTIVENESS_RATIO);
+            graphfree::graph_free_meta_blocking(&blocks, split, r, threads, obs, &mut sink)
                 .map_err(|e| e.to_string())?;
             format!("Graph-free Meta-blocking (r = {r})")
         }
@@ -282,7 +282,7 @@ pub fn snapshot(args: &Args) -> Result<String, String> {
 /// `er snapshot build`: freeze Token Blocking (+ optional Block Filtering)
 /// over a bundle into a versioned snapshot file.
 fn snapshot_build(args: &Args) -> Result<String, String> {
-    check_options(args, &["dataset", "out", "scheme", "pruning", "filter", "threads"])?;
+    check_options(args, &["dataset", "out", "scheme", "pruning", "filter"])?;
     let bundle = load_bundle(args)?;
     let out = args.require("out")?;
     let weighting: WeightingScheme = args.get("scheme").unwrap_or("js").parse()?;
@@ -291,9 +291,7 @@ fn snapshot_build(args: &Args) -> Result<String, String> {
         None => None,
         Some(v) => Some(v.parse().map_err(|_| format!("invalid value for --filter: `{v}`"))?),
     };
-    let threads: usize = args.get_parsed("threads", 1)?;
-    let config =
-        PipelineConfig { weighting, pruning, filter_ratio, threads, ..PipelineConfig::default() };
+    let config = PipelineConfig { weighting, pruning, filter_ratio, ..PipelineConfig::default() };
     let snapshot = Snapshot::build(&bundle.collection, config).map_err(|e| e.to_string())?;
     snapshot.write_to(Path::new(out)).map_err(|e| format!("writing {out}: {e}"))?;
     Ok(format!(
@@ -387,14 +385,19 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
     let out = args.get("out").unwrap_or(path);
     let file =
         std::fs::read(path).map_err(|e| format!("loading {path}: {}", SnapshotError::Io(e)))?;
-    let (patched, ids) = append_delta_run(&file, std::slice::from_ref(&op))
-        .map_err(|e| format!("applying to {path}: {e}"))?;
-    drop(file);
-    // Only bytes that passed the loader are written.
-    let runs = SnapshotView::from_bytes(patched.clone())
+    let stage = || {
+        append_delta_run(&file, std::slice::from_ref(&op))
+            .map_err(|e| format!("applying to {path}: {e}"))
+    };
+    let (patched, ids) = stage()?;
+    // Only bytes that passed the loader are written. The loader takes the
+    // patched file by value and drops it once decoded; the bytes written are
+    // framed again from the base file, a pure function of it and the op.
+    let runs = SnapshotView::from_bytes(patched)
         .map_err(|e| format!("verifying {out}: {e}"))?
         .delta_runs()
         .len();
+    let (patched, _) = stage()?;
     // Replaced by rename: `--out` defaults to the base file itself, and a
     // torn write there would lose the base and the staged op together.
     write_atomic(Path::new(out), &patched).map_err(|e| format!("writing {out}: {e}"))?;
@@ -1193,9 +1196,14 @@ mod tests {
         assert_eq!(err, "unknown option(s): --shards");
         let err = serve(&argv(&["serve", "--snapshot", "x", "--shard-threads", "2"])).unwrap_err();
         assert_eq!(err, "unknown option(s): --shard-threads");
-        // So are the removed out-of-core build flags.
-        for removed in [&["--out-of-core"][..], &["--spill-budget-mb", "64"], &["--spill-dir", "d"]]
-        {
+        // So are the removed out-of-core build flags and the build's thread
+        // count, which the build never read.
+        for removed in [
+            &["--out-of-core"][..],
+            &["--spill-budget-mb", "64"],
+            &["--spill-dir", "d"],
+            &["--threads", "2"],
+        ] {
             let mut tokens = vec!["snapshot", "build", "--dataset", "x", "--out", "y"];
             tokens.extend_from_slice(removed);
             let err = snapshot(&argv(&tokens)).unwrap_err();

@@ -32,7 +32,7 @@ USAGE:
          [--progress] [--report <report.json>]
   er sweep-filter --dataset <dir> [--step F]
   er snapshot build --dataset <dir> --out <file> [--scheme S] [--pruning P]
-         [--filter R] [--threads N]
+         [--filter R]
   er snapshot inspect --snapshot <file>
   er snapshot apply --snapshot <file> [--out <file>]
          (--delete N | --text \"...\" [--uri U] [--entity N])
@@ -49,8 +49,10 @@ USAGE:
   er client reload --addr <host:port> --snapshot <path>
   er client shutdown --addr <host:port>
 
-`--threads N` runs the pruning sweeps on N workers (default 1; 0 =
-auto-detect the available parallelism); output is bit-identical to the
+`er run --threads N` runs the graph sweeps — pruning, or the graph-free
+workflow's Comparison Propagation — on N workers (default 1; 0 =
+auto-detect the available parallelism); Block Filtering and the entity
+index are built on the calling thread, and output is bit-identical to the
 sequential run. `--progress` prints per-stage progress lines to stderr as
 the pipeline runs; `--report` writes a JSON breakdown of every stage
 (wall/CPU time, block, comparison and edge counters) to the given path.

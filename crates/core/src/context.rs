@@ -36,18 +36,6 @@ impl<'b> GraphContext<'b> {
     /// collection size (or use [`GraphContext::new_dirty`]) for Dirty ER.
     pub fn new(blocks: &'b BlockCollection, split: usize) -> Self {
         let index = EntityIndex::build(blocks);
-        Self::with_index(blocks, index, split)
-    }
-
-    /// Like [`GraphContext::new`], but builds the entity index with up to
-    /// `threads` workers ([`EntityIndex::build_parallel`]). The resulting
-    /// context is bit-identical to the sequential one for any thread count.
-    pub fn new_parallel(blocks: &'b BlockCollection, split: usize, threads: usize) -> Self {
-        let index = EntityIndex::build_parallel(blocks, threads);
-        Self::with_index(blocks, index, split)
-    }
-
-    fn with_index(blocks: &'b BlockCollection, index: EntityIndex, split: usize) -> Self {
         let reciprocals = blocks.iter().map(|b| 1.0 / b.cardinality() as f64).collect();
         let slots = if blocks.kind() == ErKind::Dirty { slots(blocks, &index) } else { Vec::new() };
         GraphContext { blocks, index, reciprocals, slots, split }
@@ -193,10 +181,6 @@ mod tests {
         assert_eq!(ctx.slots_of(EntityId(2)), Some(&[1, 0][..]));
         assert_eq!(ctx.slots_of(EntityId(0)), Some(&[0][..]));
         assert_eq!(ctx.slots_of(EntityId(1)), Some(&[0][..]));
-        let parallel = GraphContext::new_parallel(&blocks, 5, 4);
-        for e in (0..5).map(EntityId) {
-            assert_eq!(parallel.slots_of(e), ctx.slots_of(e));
-        }
         let clean = BlockCollection::new(
             ErKind::CleanClean,
             2,

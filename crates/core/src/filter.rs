@@ -65,17 +65,7 @@ pub fn block_filtering_with_order(
     r: f64,
     order_by: BlockOrder,
 ) -> Result<BlockCollection> {
-    if !(r > 0.0 && r <= 1.0) {
-        return Err(Error::InvalidRatio { param: "r", value: r });
-    }
-    // Per-profile limits: round(r · |B_i|), at least 1 so no profile
-    // disappears from the blocks entirely.
-    let counts = blocks.assignments_per_entity();
-    let limits: Vec<u32> = counts
-        .iter()
-        .map(|&c| if c == 0 { 0 } else { ((r * c as f64).round() as u32).max(1) })
-        .collect();
-    Ok(filter_with_limits(blocks, order_by, &limits))
+    Ok(filter_with_limits(blocks, order_by, &ratio_limits(blocks, r)?, None))
 }
 
 /// Like [`block_filtering`], but also reports provenance: `trace[k]` is the
@@ -88,22 +78,24 @@ pub fn block_filtering_traced(
     blocks: &BlockCollection,
     r: f64,
 ) -> Result<(BlockCollection, Vec<u32>)> {
+    let limits = ratio_limits(blocks, r)?;
+    let mut trace = Vec::new();
+    let out =
+        filter_with_limits(blocks, BlockOrder::AscendingCardinality, &limits, Some(&mut trace));
+    Ok((out, trace))
+}
+
+/// The per-profile limits of ratio `r ∈ (0, 1]`: `round(r · |B_i|)`, at
+/// least 1 so no profile disappears from the blocks entirely.
+fn ratio_limits(blocks: &BlockCollection, r: f64) -> Result<Vec<u32>> {
     if !(r > 0.0 && r <= 1.0) {
         return Err(Error::InvalidRatio { param: "r", value: r });
     }
-    let counts = blocks.assignments_per_entity();
-    let limits: Vec<u32> = counts
+    Ok(blocks
+        .assignments_per_entity()
         .iter()
         .map(|&c| if c == 0 { 0 } else { ((r * c as f64).round() as u32).max(1) })
-        .collect();
-    let mut trace = Vec::new();
-    let out = filter_with_limits_traced(
-        blocks,
-        BlockOrder::AscendingCardinality,
-        &limits,
-        Some(&mut trace),
-    );
-    Ok((out, trace))
+        .collect())
 }
 
 /// The global-threshold ablation of §4.1: every profile keeps its first
@@ -117,24 +109,14 @@ pub fn block_filtering_global(blocks: &BlockCollection, limit: u32) -> Result<Bl
         return Err(Error::ZeroParameter("limit"));
     }
     let limits = vec![limit; blocks.num_entities()];
-    Ok(filter_with_limits(blocks, BlockOrder::AscendingCardinality, &limits))
+    Ok(filter_with_limits(blocks, BlockOrder::AscendingCardinality, &limits, None))
 }
 
 /// The shared streaming core: process blocks in the given importance order,
 /// keeping each profile while its per-profile limit allows, and retain
-/// blocks that still entail a comparison.
+/// blocks that still entail a comparison. When `trace` is given, the
+/// original index of every committed block is appended in output order.
 fn filter_with_limits(
-    blocks: &BlockCollection,
-    order_by: BlockOrder,
-    limits: &[u32],
-) -> BlockCollection {
-    filter_with_limits_traced(blocks, order_by, limits, None)
-}
-
-/// [`filter_with_limits`] with an optional provenance trace: when `trace` is
-/// given, the original index of every committed block is appended in output
-/// order.
-fn filter_with_limits_traced(
     blocks: &BlockCollection,
     order_by: BlockOrder,
     limits: &[u32],

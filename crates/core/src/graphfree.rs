@@ -2,9 +2,9 @@
 //! Comparison Propagation — no blocking graph, no edge weights.
 
 use crate::context::GraphContext;
-use crate::filter::block_filtering;
-use crate::propagation::comparison_propagation_threads;
-use er_model::{EntityId, Result};
+use crate::pipeline::prologue;
+use crate::propagation::comparison_propagation;
+use er_model::{BlockCollection, EntityId, Result};
 use mb_observe::{Counter, Observer, Stage, StageScope};
 
 /// The aggressive filtering ratio the paper tunes for efficiency-intensive
@@ -24,56 +24,28 @@ pub const EFFECTIVENESS_RATIO: f64 = 0.55;
 /// it runs within minutes where graph-based schemes need hours, at the cost
 /// of coarser pruning (lower precision than the reciprocal schemes).
 ///
-/// `split` is the Clean-Clean id boundary (pass the collection size for
-/// Dirty ER, or use the [`crate::pipeline::MetaBlocking`] builder which
-/// handles this).
+/// `split` is the Clean-Clean id boundary
+/// ([`er_model::EntityCollection::split`]); on Dirty ER it is ignored. The
+/// propagation sweep runs on up to `threads` workers (`0` = auto-detect, as
+/// in [`crate::PipelineConfig`]) and streams to `sink` in the same order for
+/// any count (see `DESIGN.md` §8).
 ///
 /// The two stages report to `obs` as [`Stage::BlockFiltering`] and
 /// [`Stage::ComparisonPropagation`]; pass [`mb_observe::Noop`] when no
 /// telemetry is wanted.
 pub fn graph_free_meta_blocking(
-    blocks: &er_model::BlockCollection,
-    split: usize,
-    r: f64,
-    obs: &mut dyn Observer,
-    sink: impl FnMut(EntityId, EntityId),
-) -> Result<()> {
-    graph_free_meta_blocking_threads(blocks, split, r, 1, obs, sink)
-}
-
-/// [`graph_free_meta_blocking`] on up to `threads` workers (`0` =
-/// auto-detect): a sharded entity-index build and a windowed propagation
-/// sweep that streams to `sink` as it goes, with output and counters
-/// bit-identical to the sequential run (see `DESIGN.md` §8).
-pub fn graph_free_meta_blocking_threads(
-    blocks: &er_model::BlockCollection,
+    blocks: &BlockCollection,
     split: usize,
     r: f64,
     threads: usize,
     obs: &mut dyn Observer,
     mut sink: impl FnMut(EntityId, EntityId),
 ) -> Result<()> {
-    let mut scope = StageScope::enter(obs, Stage::BlockFiltering);
-    let filtered = block_filtering(blocks, r)?;
-    if scope.enabled() {
-        scope.add(Counter::BlocksIn, blocks.size() as u64);
-        scope.add(Counter::BlocksOut, filtered.size() as u64);
-        scope.add(Counter::ComparisonsIn, blocks.total_comparisons());
-        scope.add(Counter::ComparisonsOut, filtered.total_comparisons());
-        scope.add(Counter::AssignmentsIn, blocks.total_assignments());
-        scope.add(Counter::AssignmentsOut, filtered.total_assignments());
-        scope.add(Counter::Entities, blocks.num_entities() as u64);
-    }
-    scope.finish();
-    let threads = crate::pipeline::resolve_threads(threads);
+    let (filtered, split) = prologue(blocks, split, Some(r), obs)?;
     let mut scope = StageScope::enter(obs, Stage::ComparisonPropagation);
-    let ctx = if threads > 1 {
-        GraphContext::new_parallel(&filtered, split, threads)
-    } else {
-        GraphContext::new(&filtered, split)
-    };
+    let ctx = GraphContext::new(&filtered, split);
     let mut retained = 0u64;
-    comparison_propagation_threads(&ctx, threads, |a, b| {
+    comparison_propagation(&ctx, threads, |a, b| {
         retained += 1;
         sink(a, b);
     });
@@ -85,7 +57,7 @@ pub fn graph_free_meta_blocking_threads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_model::{Block, BlockCollection, ErKind};
+    use er_model::{Block, ErKind};
 
     fn ids(v: &[u32]) -> Vec<EntityId> {
         v.iter().copied().map(EntityId).collect()
@@ -93,8 +65,8 @@ mod tests {
 
     #[test]
     fn filters_then_dedupes() {
-        // Entity 0 sits in three blocks of growing size; r=0.34 keeps it in
-        // the smallest only. Pair (1,2) stays distinct despite repeating.
+        // Entity 0 sits in three blocks of growing size; r = 0.34 keeps it
+        // in the smallest only, and the repeated pair (0, 1) is emitted once.
         let blocks = BlockCollection::new(
             ErKind::Dirty,
             5,
@@ -105,15 +77,14 @@ mod tests {
             ],
         );
         let mut got: Vec<(u32, u32)> = Vec::new();
-        graph_free_meta_blocking(&blocks, 5, 0.34, &mut mb_observe::Noop, |a, b| {
+        graph_free_meta_blocking(&blocks, 5, 0.34, 1, &mut mb_observe::Noop, |a, b| {
             got.push((a.0, b.0))
         })
         .unwrap();
         got.sort_unstable();
-        // 0 kept only in b0; 1 kept in b0,b1 (|B_1|=3 -> limit 1? round(0.34*3)=1)
-        // Actually |B_1| = 3 -> limit max(1, round(1.02)) = 1 -> 1 kept in b0 only.
-        // |B_2| = 2 -> limit 1 -> kept in b1. |B_3|,|B_4| = 1 -> kept in b2.
-        // Surviving blocks: b0={0,1}, b1={2}, b2={3,4} -> b1 dropped.
+        // Limits max(1, round(0.34 · |B_i|)): 1 for every entity (|B_0| =
+        // |B_1| = 3, |B_2| = 2, |B_3| = |B_4| = 1). Smallest blocks first:
+        // b0 takes 0 and 1, b1 keeps only 2 and is dropped, b2 keeps 3 and 4.
         assert_eq!(got, vec![(0, 1), (3, 4)]);
     }
 
@@ -127,23 +98,50 @@ mod tests {
         }
         raw.push(Block::dirty(ids(&[0, n / 2, n - 1])));
         let blocks = BlockCollection::new(ErKind::Dirty, n as usize, raw);
-        let mut seq = Vec::new();
-        graph_free_meta_blocking(&blocks, n as usize, 0.8, &mut mb_observe::Noop, |a, b| {
-            seq.push((a, b))
-        })
-        .unwrap();
-        for threads in [0, 2, 4, 8] {
-            let mut par = Vec::new();
-            graph_free_meta_blocking_threads(
+        let run = |threads| {
+            let mut out = Vec::new();
+            graph_free_meta_blocking(
                 &blocks,
                 n as usize,
                 0.8,
                 threads,
                 &mut mb_observe::Noop,
-                |a, b| par.push((a, b)),
+                |a, b| out.push((a, b)),
             )
             .unwrap();
-            assert_eq!(par, seq, "graph-free output differs at {threads} threads");
+            out
+        };
+        let seq = run(1);
+        for threads in [0, 2, 4, 8] {
+            assert_eq!(run(threads), seq, "graph-free output differs at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn dirty_output_does_not_depend_on_the_split() {
+        // On Dirty ER every profile is a pivot: a split below |E| must not
+        // hide the edges charged to the profiles above it.
+        let blocks = BlockCollection::new(
+            ErKind::Dirty,
+            5,
+            vec![
+                Block::dirty(ids(&[0, 1, 2])),
+                Block::dirty(ids(&[2, 3, 4])),
+                Block::dirty(ids(&[1, 3])),
+            ],
+        );
+        let run = |split| {
+            let mut out = Vec::new();
+            graph_free_meta_blocking(&blocks, split, 1.0, 1, &mut mb_observe::Noop, |a, b| {
+                out.push((a.0, b.0))
+            })
+            .unwrap();
+            out
+        };
+        let whole = run(5);
+        assert!(whole.contains(&(3, 4)), "{whole:?}");
+        for split in [0, 2, 4, 1000] {
+            assert_eq!(run(split), whole, "split {split}");
         }
     }
 
@@ -151,7 +149,7 @@ mod tests {
     fn invalid_ratio_is_rejected() {
         let blocks = BlockCollection::new(ErKind::Dirty, 2, vec![]);
         assert!(
-            graph_free_meta_blocking(&blocks, 2, 0.0, &mut mb_observe::Noop, |_, _| {}).is_err()
+            graph_free_meta_blocking(&blocks, 2, 0.0, 1, &mut mb_observe::Noop, |_, _| {}).is_err()
         );
     }
 

@@ -70,6 +70,22 @@ pub const WINDOW_PIVOTS: u32 = 64;
 /// same.
 pub const RUN_AHEAD: usize = 2;
 
+/// Threads this host runs at once ([`std::thread::available_parallelism`];
+/// 1 when it cannot tell). Every thread count that means "as many as the
+/// host has" is read here.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Resolves a configured worker-thread count: `0` is [`host_threads`], any
+/// other value is taken as-is.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    match threads {
+        0 => host_threads(),
+        n => n,
+    }
+}
+
 /// Where a window's visitor sends what it keeps: the caller's sink itself
 /// when the sweep runs inline, the window's buffer when it runs on a worker.
 /// Either way the caller's sink receives the items in sequential order.
@@ -208,7 +224,7 @@ impl<'a, 'b> Sweep<'a, 'b> {
         imp: WeightingImpl,
         threads: usize,
     ) -> Self {
-        Sweep { ctx, weigher, imp, threads: crate::pipeline::resolve_threads(threads) }
+        Sweep { ctx, weigher, imp, threads: resolve_threads(threads) }
     }
 
     /// The graph being swept.

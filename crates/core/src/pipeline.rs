@@ -12,13 +12,13 @@
 
 use crate::context::GraphContext;
 use crate::filter::block_filtering;
-use crate::graphfree::graph_free_meta_blocking_threads;
-use crate::parallel::Sweep;
+use crate::parallel::{resolve_threads, Sweep};
 use crate::prune;
 use crate::weights::{EdgeWeigher, WeightingScheme};
 use er_model::{BlockCollection, EntityId, ErKind, Result};
 use mb_observe::json::Json;
 use mb_observe::{Counter, Noop, Observer, Stage, StageScope};
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -175,17 +175,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Resolves a raw worker-thread count: `0` means auto-detect via
-/// [`std::thread::available_parallelism`] (falling back to 1 when it cannot
-/// be determined); any other value is taken as-is.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
 impl PipelineConfig {
     /// Checks the invariants a run relies on: filter ratio in `(0, 1]`.
     /// `threads == 0` is valid and means auto-detect
@@ -200,9 +189,7 @@ impl PipelineConfig {
     }
 
     /// The worker-thread count a run actually uses: `threads` itself, or —
-    /// when it is 0 — the machine's available parallelism
-    /// ([`std::thread::available_parallelism`], falling back to 1 when it
-    /// cannot be determined).
+    /// when it is 0 — the host's ([`crate::parallel::host_threads`]).
     pub fn effective_threads(&self) -> usize {
         resolve_threads(self.threads)
     }
@@ -390,37 +377,12 @@ impl MetaBlocking {
         obs: &mut dyn Observer,
         sink: impl FnMut(EntityId, EntityId),
     ) -> Result<()> {
-        let filtered;
-        let input = match self.config.filter_ratio {
-            Some(r) => {
-                let mut scope = StageScope::enter(obs, Stage::BlockFiltering);
-                filtered = block_filtering(blocks, r)?;
-                if scope.enabled() {
-                    scope.add(Counter::BlocksIn, blocks.size() as u64);
-                    scope.add(Counter::BlocksOut, filtered.size() as u64);
-                    scope.add(Counter::ComparisonsIn, blocks.total_comparisons());
-                    scope.add(Counter::ComparisonsOut, filtered.total_comparisons());
-                    scope.add(Counter::AssignmentsIn, blocks.total_assignments());
-                    scope.add(Counter::AssignmentsOut, filtered.total_assignments());
-                    scope.add(Counter::Entities, blocks.num_entities() as u64);
-                }
-                scope.finish();
-                &filtered
-            }
-            None => blocks,
-        };
-        let split = if blocks.kind() == ErKind::Dirty { blocks.num_entities() } else { split };
-        let threads = self.config.effective_threads();
+        let (input, split) = prologue(blocks, split, self.config.filter_ratio, obs)?;
         // Building the graph context (entity index) and the weigher's
         // per-scheme statistics is the fixed cost of every graph-based
-        // scheme; it reports as the first EdgeWeighting record. The index
-        // build itself is sharded across the workers.
+        // scheme; it reports as the first EdgeWeighting record.
         let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-        let ctx = if threads > 1 {
-            GraphContext::new_parallel(input, split, threads)
-        } else {
-            GraphContext::new(input, split)
-        };
+        let ctx = GraphContext::new(&input, split);
         let weigher = EdgeWeigher::new(self.config.weighting, &ctx);
         if scope.enabled() {
             scope.add(Counter::Entities, ctx.num_entities() as u64);
@@ -430,7 +392,7 @@ impl MetaBlocking {
         scope.finish();
         // Every scheme runs on one ordered, windowed sweep for any thread
         // count; Original weighting has no pivot windows and runs inline.
-        let sweep = Sweep::new(&ctx, &weigher, self.config.weighting_impl, threads);
+        let sweep = Sweep::new(&ctx, &weigher, self.config.weighting_impl, self.config.threads);
         // Sanitize mode: validate the pruning input up front, pre-compute
         // the redefined retained-set a reciprocal scheme must stay inside,
         // and check every retained comparison as it streams out.
@@ -487,31 +449,33 @@ impl MetaBlocking {
     }
 }
 
-/// Convenience wrapper for the graph-free workflow, mirroring
-/// [`MetaBlocking::run`].
-pub fn run_graph_free(
-    blocks: &BlockCollection,
+/// The prologue of both Figure 7 workflows: Block Filtering with ratio `r`
+/// when one is given, reported as [`Stage::BlockFiltering`], and the split
+/// the graph is built over — `split` on Clean-Clean ER, the collection size
+/// on Dirty ER whatever the caller passed.
+pub(crate) fn prologue<'a>(
+    blocks: &'a BlockCollection,
     split: usize,
-    r: f64,
+    r: Option<f64>,
     obs: &mut dyn Observer,
-    sink: impl FnMut(EntityId, EntityId),
-) -> Result<()> {
-    run_graph_free_threads(blocks, split, r, 1, obs, sink)
-}
-
-/// [`run_graph_free`] on up to `threads` workers (`0` = auto-detect):
-/// parallel entity-index build and propagation sweep, output and counters
-/// bit-identical to the sequential run.
-pub fn run_graph_free_threads(
-    blocks: &BlockCollection,
-    split: usize,
-    r: f64,
-    threads: usize,
-    obs: &mut dyn Observer,
-    sink: impl FnMut(EntityId, EntityId),
-) -> Result<()> {
+) -> Result<(Cow<'a, BlockCollection>, usize)> {
     let split = if blocks.kind() == ErKind::Dirty { blocks.num_entities() } else { split };
-    graph_free_meta_blocking_threads(blocks, split, r, threads, obs, sink)
+    let Some(r) = r else {
+        return Ok((Cow::Borrowed(blocks), split));
+    };
+    let mut scope = StageScope::enter(obs, Stage::BlockFiltering);
+    let filtered = block_filtering(blocks, r)?;
+    if scope.enabled() {
+        scope.add(Counter::BlocksIn, blocks.size() as u64);
+        scope.add(Counter::BlocksOut, filtered.size() as u64);
+        scope.add(Counter::ComparisonsIn, blocks.total_comparisons());
+        scope.add(Counter::ComparisonsOut, filtered.total_comparisons());
+        scope.add(Counter::AssignmentsIn, blocks.total_assignments());
+        scope.add(Counter::AssignmentsOut, filtered.total_assignments());
+        scope.add(Counter::Entities, blocks.num_entities() as u64);
+    }
+    scope.finish();
+    Ok((Cow::Owned(filtered), split))
 }
 
 #[cfg(test)]
@@ -749,7 +713,8 @@ mod tests {
     fn graph_free_runs() {
         let blocks = fixture();
         let mut n = 0;
-        run_graph_free(&blocks, 4, 0.5, &mut Noop, |_, _| n += 1).unwrap();
+        crate::graphfree::graph_free_meta_blocking(&blocks, 4, 0.5, 1, &mut Noop, |_, _| n += 1)
+            .unwrap();
         assert!(n > 0);
     }
 

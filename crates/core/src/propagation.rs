@@ -7,7 +7,7 @@
 //! Meta-blocking (§4.1, Figure 7b).
 
 use crate::context::GraphContext;
-use crate::parallel::sweep_windows;
+use crate::parallel::{resolve_threads, sweep_windows};
 use crate::scanner::{Accumulate, ScanScope};
 use er_model::EntityId;
 
@@ -20,7 +20,7 @@ use er_model::EntityId;
 /// let blocks = TokenBlocking.build(&fixtures::figure1_collection());
 /// let ctx = GraphContext::new_dirty(&blocks);
 /// let mut distinct = 0;
-/// propagation::comparison_propagation(&ctx, |_, _| distinct += 1);
+/// propagation::comparison_propagation(&ctx, 1, |_, _| distinct += 1);
 /// // 13 blocked comparisons, 3 of them redundant (§1).
 /// assert_eq!(distinct, 10);
 /// ```
@@ -29,15 +29,13 @@ use er_model::EntityId;
 /// checks: both yield the identical distinct-comparison set, but the sweep
 /// costs `O(‖B‖)` instead of `O(2·BPE·‖B‖)` — the same optimization that
 /// Algorithm 3 brings to edge weighting, applied to plain deduplication.
-pub fn comparison_propagation(ctx: &GraphContext<'_>, sink: impl FnMut(EntityId, EntityId)) {
-    comparison_propagation_threads(ctx, 1, sink);
-}
-
-/// [`comparison_propagation`] on up to `threads` workers (a resolved count):
-/// the weight-free client of the ordered, windowed sweep driver
-/// ([`crate::parallel`]), so the comparisons reach `sink` in the same
-/// pivot-ascending order and none is buffered beyond its window.
-pub fn comparison_propagation_threads(
+///
+/// The sweep runs on up to `threads` workers (`0` = auto-detect, as in
+/// [`crate::PipelineConfig`]): it is the weight-free client of the ordered,
+/// windowed sweep driver ([`crate::parallel`]), so the comparisons reach
+/// `sink` in the same pivot-ascending order for any count and none is
+/// buffered beyond its window.
+pub fn comparison_propagation(
     ctx: &GraphContext<'_>,
     threads: usize,
     mut sink: impl FnMut(EntityId, EntityId),
@@ -45,7 +43,7 @@ pub fn comparison_propagation_threads(
     sweep_windows(
         ctx.num_entities(),
         0..ctx.num_entities() as u32,
-        threads,
+        resolve_threads(threads),
         |worker, pivots, out| {
             for raw in pivots {
                 let pivot = EntityId(raw);
@@ -108,7 +106,7 @@ mod tests {
             vec![Block::dirty(ids(&[0, 1])), Block::dirty(ids(&[0, 1, 2]))],
         );
         let ctx = GraphContext::new_dirty(&blocks);
-        let mut got = collect(|s| comparison_propagation(&ctx, s));
+        let mut got = collect(|s| comparison_propagation(&ctx, 1, s));
         got.sort_unstable();
         assert_eq!(got, vec![(0, 1), (0, 2), (1, 2)]);
         assert_eq!(blocks.total_comparisons(), 4); // one redundant removed
@@ -127,7 +125,7 @@ mod tests {
             ],
         );
         let ctx = GraphContext::new_dirty(&blocks);
-        let mut fast = collect(|s| comparison_propagation(&ctx, s));
+        let mut fast = collect(|s| comparison_propagation(&ctx, 1, s));
         let mut slow = collect(|s| comparison_propagation_lecobi(&ctx, s));
         fast.sort_unstable();
         slow.sort_unstable();
@@ -145,7 +143,7 @@ mod tests {
             ],
         );
         let ctx = GraphContext::new(&blocks, 2);
-        let mut got = collect(|s| comparison_propagation(&ctx, s));
+        let mut got = collect(|s| comparison_propagation(&ctx, 1, s));
         got.sort_unstable();
         assert_eq!(got, vec![(0, 2), (0, 3), (1, 2)]);
     }

@@ -11,58 +11,9 @@
 use crate::block::BlockCollection;
 use crate::ids::{BlockId, EntityId};
 use std::collections::TryReserveError;
-use std::ops::Range;
 
-/// Minimum blocks per construction shard: below this, spawning a worker
-/// costs more than counting its assignments, so small collections build
-/// sequentially no matter how many threads are configured.
-const MIN_BLOCKS_PER_SHARD: usize = 256;
-
-/// Minimum entities per merge worker (same rationale).
-const MIN_ENTITIES_PER_MERGE: usize = 1024;
-
-/// Splits `0..n` into at most `threads` contiguous chunks of near-equal
-/// size, none smaller than `floor` (except the only chunk of a small input).
-///
-/// The chunks are non-empty, adjacent and cover `0..n` exactly, and they
-/// are a pure function of `(n, threads, floor)`, never of the machine — the
-/// parallel build's shards, and so its output, depend on nothing else.
-fn chunk_ranges(n: usize, threads: usize, floor: usize) -> Vec<Range<usize>> {
-    let max_useful = n.div_ceil(floor.max(1)).max(1);
-    let threads = threads.max(1).min(max_useful);
-    let per = n.div_ceil(threads).max(1);
-    (0..threads)
-        .map(|t| (t * per).min(n)..((t + 1) * per).min(n))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
-/// Prefix-sums per-entity assignment counts into the flat `offsets` array,
-/// an empty vector with room for `counts.len() + 1` entries, failing loudly
-/// if the total overflows the u32 offset space (a collection beyond 4B
-/// assignments would otherwise wrap and silently alias earlier entities'
-/// lists).
-fn accumulate_offsets(counts: &[u32], mut offsets: Vec<u32>) -> Vec<u32> {
-    let mut acc = 0u32;
-    offsets.push(0);
-    for &c in counts {
-        let next = acc.checked_add(c);
-        assert!(
-            next.is_some(),
-            "entity index exceeds the u32 offset space (more than {} assignments)",
-            u32::MAX
-        );
-        acc = next.unwrap_or(acc);
-        offsets.push(acc);
-    }
-    offsets
-}
-
-/// The one inversion: builds the inverted-index shard of the blocks in
-/// `range` of a CSR arena — block `k`'s members are
-/// `members[offsets[k]..offsets[k + 1]]`, each below `n` — storing global
-/// block ids. The whole range is the index itself
-/// ([`EntityIndex::from_arena`]).
+/// The one inversion: builds the inverted index of a CSR arena — block
+/// `k`'s members are `members[offsets[k]..offsets[k + 1]]`, each below `n`.
 ///
 /// The caller hands in the index's offset table as `n + 2` zeros, so a
 /// loader can allocate it fallibly. It is the only table beside the lists:
@@ -71,14 +22,9 @@ fn accumulate_offsets(counts: &[u32], mut offsets: Vec<u32>) -> Vec<u32> {
 /// list's end — slot `e + 1`'s final value. Slot `n + 1` is then dropped.
 /// Holding no count or cursor table beside the index keeps a loader's peak
 /// at the index it keeps.
-fn invert(
-    mut index_offsets: Vec<u32>,
-    members: &[EntityId],
-    offsets: &[u32],
-    range: Range<usize>,
-) -> EntityIndex {
-    let mut lo = offsets[range.start] as usize;
-    let assigned = &members[lo..offsets[range.end] as usize];
+fn invert(mut index_offsets: Vec<u32>, members: &[EntityId], offsets: &[u32]) -> EntityIndex {
+    let mut lo = offsets[0] as usize;
+    let assigned = &members[lo..offsets[offsets.len() - 1] as usize];
     // Every prefix sum is at most the total, so one check covers them all:
     // past 4B assignments the offsets would wrap and alias earlier lists.
     assert!(
@@ -97,8 +43,8 @@ fn invert(
     // Blocks are visited in ascending id order, so each entity's slice ends
     // up sorted without an explicit sort.
     let mut lists = vec![0u32; assigned.len()];
-    for k in range {
-        let hi = offsets[k + 1] as usize;
+    for (k, &hi) in offsets[1..].iter().enumerate() {
+        let hi = hi as usize;
         for e in &members[lo..hi] {
             let c = &mut index_offsets[e.idx() + 1];
             lists[*c as usize] = k as u32;
@@ -108,12 +54,6 @@ fn invert(
     }
     index_offsets.pop();
     EntityIndex { lists, offsets: index_offsets }
-}
-
-/// [`invert`] over one block range of a collection's arena.
-fn build_shard(blocks: &BlockCollection, range: Range<usize>) -> EntityIndex {
-    let (members, offsets, _) = blocks.raw_parts();
-    invert(vec![0u32; blocks.num_entities() + 2], members, offsets, range)
 }
 
 /// Inverted index from entity id to the ascending list of containing block
@@ -134,7 +74,8 @@ impl EntityIndex {
     /// Builds the index for a block collection. Block ids are positions in
     /// the collection's processing order.
     pub fn build(blocks: &BlockCollection) -> Self {
-        let index = build_shard(blocks, 0..blocks.size());
+        let (members, offsets, _) = blocks.raw_parts();
+        let index = invert(vec![0u32; blocks.num_entities() + 2], members, offsets);
         #[cfg(feature = "sanitize")]
         crate::sanitize::assert_valid(&index.validate(blocks), "EntityIndex::build");
         index
@@ -164,76 +105,7 @@ impl EntityIndex {
         let mut index_offsets = Vec::new();
         index_offsets.try_reserve_exact(num_entities.saturating_add(2))?;
         index_offsets.resize(num_entities + 2, 0);
-        let blocks = 0..offsets.len().saturating_sub(1);
-        Ok(invert(index_offsets, members, offsets, blocks))
-    }
-
-    /// Builds the index with up to `threads` workers, bit-identical to
-    /// [`EntityIndex::build`].
-    ///
-    /// The block range is split into contiguous chunks; every worker builds
-    /// a private inverted-index shard over its chunk (global block ids, so
-    /// each entity's shard sub-list is ascending). The shards are then
-    /// merged by concatenating, per entity, its sub-lists in chunk order —
-    /// chunk order is ascending block-id order, so the merged list equals
-    /// the sequential build's. The merge itself is also parallel: each
-    /// worker owns a contiguous entity range, whose assignments form a
-    /// contiguous slice of the flat `lists` buffer.
-    pub fn build_parallel(blocks: &BlockCollection, threads: usize) -> Self {
-        let num_blocks = blocks.size();
-        let ranges = chunk_ranges(num_blocks, threads, MIN_BLOCKS_PER_SHARD);
-        if ranges.len() <= 1 {
-            return Self::build(blocks);
-        }
-        let shards: Vec<EntityIndex> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .map(|range| scope.spawn(move || build_shard(blocks, range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        let n = blocks.num_entities();
-        let mut counts = vec![0u32; n];
-        for (e, c) in counts.iter_mut().enumerate() {
-            for s in &shards {
-                *c += s.offsets[e + 1] - s.offsets[e];
-            }
-        }
-        let offsets = accumulate_offsets(&counts, Vec::with_capacity(n + 1));
-        let total = *offsets.last().unwrap_or(&0) as usize;
-        let mut lists = vec![0u32; total];
-        let entity_ranges = chunk_ranges(n, threads, MIN_ENTITIES_PER_MERGE);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [u32] = &mut lists;
-            let mut handles = Vec::new();
-            for range in entity_ranges {
-                let len = (offsets[range.end] - offsets[range.start]) as usize;
-                let (mine, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let shards = &shards;
-                handles.push(scope.spawn(move || {
-                    let mut out = 0usize;
-                    for e in range {
-                        for s in shards {
-                            let sub = &s.lists[s.offsets[e] as usize..s.offsets[e + 1] as usize];
-                            mine[out..out + sub.len()].copy_from_slice(sub);
-                            out += sub.len();
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            }
-        });
-        let index = EntityIndex { lists, offsets };
-        #[cfg(feature = "sanitize")]
-        crate::sanitize::assert_valid(&index.validate(blocks), "EntityIndex::build_parallel");
-        index
+        Ok(invert(index_offsets, members, offsets))
     }
 
     /// Assembles an index from its raw parts: the flattened block lists and
@@ -453,99 +325,11 @@ mod tests {
         assert!(v.iter().any(|v| v.invariant == "missing-assignment"));
     }
 
-    /// Enough blocks to exceed the shard floor several times over, so the
-    /// parallel path is actually exercised (small inputs fall back to the
-    /// sequential build).
-    fn many_blocks() -> BlockCollection {
-        let n = 600u32;
-        let mut blocks = Vec::new();
-        for i in 0..MIN_BLOCKS_PER_SHARD as u32 * 4 {
-            let a = i % n;
-            let b = (i * 7 + 3) % n;
-            let c = (i * 13 + 1) % n;
-            let mut members = vec![a, b, c];
-            members.sort_unstable();
-            members.dedup();
-            blocks.push(Block::dirty(ids(&members)));
-        }
-        BlockCollection::new(ErKind::Dirty, n as usize, blocks)
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical() {
-        let blocks = many_blocks();
-        let seq = EntityIndex::build(&blocks);
-        for threads in [1, 2, 3, 4, 8, 16] {
-            let par = EntityIndex::build_parallel(&blocks, threads);
-            let (pl, po) = par.into_raw_parts();
-            let (sl, so) = seq.clone().into_raw_parts();
-            assert_eq!(po, so, "offsets differ at {threads} threads");
-            assert_eq!(pl, sl, "lists differ at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn parallel_build_falls_back_on_small_inputs() {
-        // A handful of blocks must not fan out; the result is still correct.
-        let blocks = sample();
-        let par = EntityIndex::build_parallel(&blocks, 16);
-        assert_eq!(par.block_list(EntityId(1)), &[0, 1, 2]);
-        assert!(par.validate(&blocks).is_empty());
-    }
-
-    #[test]
-    fn offset_accumulation_is_exact() {
-        assert_eq!(accumulate_offsets(&[2, 0, 3], Vec::new()), vec![0, 2, 2, 5]);
-        assert_eq!(accumulate_offsets(&[], Vec::new()), vec![0]);
-        // The boundary total is still representable.
-        assert_eq!(
-            accumulate_offsets(&[u32::MAX - 1, 1], Vec::new()),
-            vec![0, u32::MAX - 1, u32::MAX]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "u32 offset space")]
-    fn offset_accumulation_overflow_fails_loudly() {
-        // >4B total assignments must abort instead of wrapping and aliasing
-        // earlier entities' block lists.
-        accumulate_offsets(&[u32::MAX, 1], Vec::new());
-    }
-
     #[test]
     fn empty_index() {
         let blocks = BlockCollection::new(ErKind::Dirty, 3, vec![]);
         let idx = EntityIndex::build(&blocks);
         assert_eq!(idx.block_list(EntityId(1)), &[] as &[u32]);
         assert_eq!(idx.common_blocks(EntityId(0), EntityId(2)), 0);
-    }
-
-    #[test]
-    fn chunks_cover_the_range_contiguously() {
-        for n in [0usize, 1, 255, 256, 257, 10_000] {
-            for t in [1usize, 2, 8, 64] {
-                for floor in [1usize, 256, 1024] {
-                    let cs = chunk_ranges(n, t, floor);
-                    let total: usize = cs.iter().map(|r| r.end - r.start).sum();
-                    assert_eq!(total, n, "n={n} t={t} floor={floor}");
-                    for w in cs.windows(2) {
-                        assert_eq!(w[0].end, w[1].start);
-                    }
-                    assert!(cs.iter().all(|r| !r.is_empty()));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunks_respect_the_floor_and_the_thread_cap() {
-        assert_eq!(chunk_ranges(256, 16, 256).len(), 1);
-        assert_eq!(chunk_ranges(512, 16, 256).len(), 2);
-        assert_eq!(chunk_ranges(2, 16, 256), vec![0..2]);
-        assert_eq!(chunk_ranges(257, 100, 256).len(), 2);
-        assert_eq!(chunk_ranges(8_000, 8, 1).len(), 8);
-        assert_eq!(chunk_ranges(256 * 8, 8, 256).len(), 8);
-        assert_eq!(chunk_ranges(10, 3, 1).len(), 3);
-        assert!(chunk_ranges(0, 4, 256).is_empty());
     }
 }

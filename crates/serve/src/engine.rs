@@ -20,6 +20,7 @@ use crate::request::{CandidateRequest, CandidateResponse, CandidateTarget};
 use crate::store::EngineStore;
 use crate::view::{distinct_by_bytes, SnapshotView, TokenScratch};
 use er_model::{EntityId, EntityProfile, ErKind};
+use mb_core::parallel::host_threads;
 use mb_core::{
     CandidateStore, NeighborhoodScorer, PruningScheme, Retention, Scored, ScorerScratch,
     WeightingScheme,
@@ -60,11 +61,6 @@ pub struct EngineScratch {
     tokens: TokenScratch,
     probe_ids: Vec<u32>,
     probe_blocks: Vec<u32>,
-}
-
-/// Worker threads this host runs at once (1 when it cannot tell).
-pub(crate) fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The worker-thread count a batch sweep runs on: `0` (auto) resolves to

@@ -33,7 +33,7 @@
 //! counters the request path bumps.
 
 use crate::delta::{merge_ops, DeltaOp};
-use crate::engine::{batch_threads, host_threads, EngineScratch, QueryEngine};
+use crate::engine::{batch_threads, EngineScratch, QueryEngine};
 use crate::error::{ServeError, SnapshotError};
 use crate::generation::{AppliedDelta, GenerationCell};
 use crate::protocol::{
@@ -46,6 +46,7 @@ use crate::request::{CandidateRequest, CandidateResponse};
 use crate::snapshot::{write_atomic, Snapshot};
 use crate::view::SnapshotView;
 use er_model::EntityProfile;
+use mb_core::parallel::host_threads;
 use mb_observe::RunReport;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

@@ -284,8 +284,7 @@ impl SnapshotView {
         // The three passes are independent; the `?`s below report any
         // failures in the serial order (section decodes in file order, then
         // checksums), so a corrupt file surfaces the same error either way.
-        let parallel = file_len >= PARALLEL_LOAD_BYTES
-            && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+        let parallel = file_len >= PARALLEL_LOAD_BYTES && mb_core::parallel::host_threads() > 1;
         let (sums, (blocks, tokens)) = fork_join(
             parallel,
             || verify_checksums(&buf, &table[1..]),

@@ -45,13 +45,25 @@ cargo run -q -p er-lint -- --workspace --format json > results/lint.json
 cargo run -q -p er-bench --bin validate_bench_json -- results/lint.json \
   BENCH_pipeline.json BENCH_query.json BENCH_delta.json BENCH_pruning.json
 
-echo "==> one fan-out, one formula table, one pivot loop (structural guard on crates/core/src)"
-# mb-core's sweeps run on `parallel::sweep_windows` and its weights come
-# from `weights::edge_weight`: a second chunked fan-out or a second copy of
-# the formulas must not come back unnoticed. (`! grep` would be exempt from
-# `set -e`, hence the explicit exit.)
-if grep -rn 'chunk_ranges' crates/core/src; then
-  echo "mb-core chunks a sweep on its own again (use parallel::sweep_windows)" >&2; exit 1
+echo "==> one fan-out per run, one formula table, one pivot loop (structural guard on crates/*/src)"
+# A run reaches threads through `mb_core::parallel::sweep_windows` alone,
+# each Figure 7 workflow has one entry point for any thread count, and
+# mb-core's weights come from `weights::edge_weight`: a sharded build, a
+# `*_threads` twin of an entry point or a second copy of the formulas must
+# not come back unnoticed. (`! grep` would be exempt from `set -e`, hence
+# the explicit exit.)
+if grep -rnE 'fn (build_parallel|new_parallel|chunk_ranges|run_graph_free\w*|graph_free_meta_blocking_threads|comparison_propagation_threads)\b' crates/*/src; then
+  echo "a second fan-out or a *_threads entry point is back (use parallel::sweep_windows)" >&2; exit 1
+fi
+# Non-test code (what precedes a file's `#[cfg(test)] mod`) opens a thread
+# scope only in the sweep driver and in the snapshot loader's `fork_join`.
+scopes=$(grep -rl 'thread::scope' crates/*/src | while read -r f; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { t = 1; next } t && /^mod / { exit } { t = 0 }
+    /thread::scope/ { print f ":" FNR ": " $0 }' "$f"
+done | grep -vE '^crates/(core/src/parallel|serve/src/view)\.rs:' || true)
+if [ -n "$scopes" ]; then
+  echo "$scopes"
+  echo "a thread scope outside parallel.rs and view.rs (use parallel::sweep_windows)" >&2; exit 1
 fi
 if grep -nE 'fn probe_weight|probe_flags' crates/core/src/scorer.rs; then
   echo "scorer.rs carries its own probe scan or weight formulas again" >&2; exit 1

@@ -49,9 +49,7 @@ fn a_parallel_sweep_holds_windows_not_the_retained_set() {
     let schemes: [(&str, Scheme<'_>); 3] = [
         ("JS + WEP", &|threads, sink| prune::wep(&sweep(threads), &mut Noop, sink)),
         ("JS + CNP", &|threads, sink| prune::cnp(&sweep(threads), &mut Noop, sink)),
-        ("graph-free", &|threads, sink| {
-            propagation::comparison_propagation_threads(&ctx, threads, sink)
-        }),
+        ("graph-free", &|threads, sink| propagation::comparison_propagation(&ctx, threads, sink)),
     ];
     let mut most_retained = 0u64;
     for (name, scheme) in schemes {

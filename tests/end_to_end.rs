@@ -6,7 +6,7 @@ use er_datagen::presets;
 use er_model::matching::{JaccardMatcher, OracleMatcher};
 use er_model::measures::EffectivenessAccumulator;
 use er_model::ErKind;
-use mb_core::{pipeline, MetaBlocking, PruningScheme, WeightingScheme};
+use mb_core::{graphfree, MetaBlocking, PruningScheme, WeightingScheme};
 
 fn tiny() -> er_datagen::GeneratedDataset {
     presets::build(&presets::tiny(11)).unwrap()
@@ -112,8 +112,10 @@ fn graph_free_workflow_on_generated_data() {
     let blocks = blocks_of(&d);
     let split = d.collection.split();
     let mut acc = EffectivenessAccumulator::new(&d.ground_truth);
-    pipeline::run_graph_free(&blocks, split, 0.55, &mut mb_core::Noop, |a, b| acc.add(a, b))
-        .unwrap();
+    graphfree::graph_free_meta_blocking(&blocks, split, 0.55, 1, &mut mb_core::Noop, |a, b| {
+        acc.add(a, b)
+    })
+    .unwrap();
     assert!(acc.pc() > 0.8);
     assert!(acc.total_comparisons() < blocks.total_comparisons());
 }

@@ -180,7 +180,7 @@ fn graph_free_is_thread_count_invariant() {
     let run = |threads: usize| {
         let mut report = RunReport::new("graph-free");
         let mut out = Vec::new();
-        mb_core::pipeline::run_graph_free_threads(
+        mb_core::graphfree::graph_free_meta_blocking(
             &blocks,
             n,
             0.55,
@@ -262,7 +262,7 @@ fn collection_sizes_around_a_window_boundary_are_thread_count_invariant() {
         }
         let graph_free = |threads| {
             let mut out = Vec::new();
-            mb_core::pipeline::run_graph_free_threads(
+            mb_core::graphfree::graph_free_meta_blocking(
                 &blocks,
                 n,
                 0.8,

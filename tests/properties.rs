@@ -263,7 +263,7 @@ fn comparison_propagation_yields_each_edge_once() {
         let ctx = GraphContext::new_dirty(&blocks);
         let mut seen = ComparisonSet::new();
         let mut count = 0usize;
-        mb_core::propagation::comparison_propagation(&ctx, |a, b| {
+        mb_core::propagation::comparison_propagation(&ctx, 1, |a, b| {
             count += 1;
             assert!(seen.insert(a, b), "seed {seed}: duplicate pair");
         });
