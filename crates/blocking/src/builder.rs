@@ -8,8 +8,9 @@
 //! deduplication that all of them need.
 //!
 //! Internally the builder is allocation-lean: keys are interned to dense
-//! `u32` ids through [`TokenInterner`] and every assignment is one
-//! `(key_id, entity)` posting in a single flat vector. `finish` groups the
+//! `u32` ids through [`TokenInterner`] and every assignment is one 4-byte
+//! key id in a single flat vector, beside the runs of consecutive
+//! assignments that share an entity ([`Postings`]). `finish` groups the
 //! postings by key id with a counting sort — key ids are dense, so grouping
 //! needs no comparison — and copies each surviving group, a slice of the
 //! grouped entities, straight into the CSR arena of [`BlockCollection`]; no
@@ -17,6 +18,49 @@
 
 use er_model::tokenize::{ArenaOverflow, KeyArena, KeyScratch, TokenInterner};
 use er_model::{BlockCollection, BlockCollectionBuilder, EntityCollection, EntityId, ErKind};
+
+/// Every `(key_id, entity)` assignment, in arrival order, stored as its key
+/// id alone plus the runs of consecutive assignments of one entity: run `r`
+/// is `(entity, first)`, and assigns `entity` to the key ids from `first` up
+/// to the next run's `first` (or the end). A builder that walks a
+/// collection profile by profile opens one run per profile, so the postings
+/// cost 4 bytes each where `(key, entity)` pairs cost 8.
+#[derive(Debug, Default)]
+struct Postings {
+    keys: Vec<u32>,
+    runs: Vec<(EntityId, u32)>,
+}
+
+impl Postings {
+    /// Appends the assignment of `entity` to each key of `keys`.
+    fn extend(&mut self, keys: &[u32], entity: EntityId) {
+        if keys.is_empty() {
+            return;
+        }
+        if self.runs.last().map(|&(last, _)| last) != Some(entity) {
+            // Past `u32::MAX` postings the saturated start is never read:
+            // grouping refuses so many first.
+            let first = u32::try_from(self.keys.len()).unwrap_or(u32::MAX);
+            self.runs.push((entity, first));
+        }
+        self.keys.extend_from_slice(keys);
+    }
+
+    /// Each run's entity and its key ids, in arrival order.
+    fn runs(&self) -> impl Iterator<Item = (EntityId, &[u32])> + '_ {
+        let ends = self.runs.iter().skip(1).map(|&(_, first)| first as usize);
+        self.runs
+            .iter()
+            .zip(ends.chain([self.keys.len()]))
+            .map(|(&(entity, first), end)| (entity, &self.keys[first as usize..end]))
+    }
+
+    /// The postings as `(key_id, entity)` pairs, in arrival order.
+    #[cfg(any(test, feature = "sanitize"))]
+    fn pairs(&self) -> Vec<(u32, EntityId)> {
+        self.runs().flat_map(|(entity, keys)| keys.iter().map(move |&key| (key, entity))).collect()
+    }
+}
 
 /// Accumulates `(key, entity)` assignments and finalizes them into a
 /// [`BlockCollection`].
@@ -26,8 +70,8 @@ use er_model::{BlockCollection, BlockCollectionBuilder, EntityCollection, Entity
 #[derive(Debug)]
 pub struct KeyBlockBuilder {
     interner: TokenInterner,
-    /// One `(key_id, entity)` pair per assignment, in arrival order.
-    postings: Vec<(u32, EntityId)>,
+    /// Every assignment, in arrival order.
+    postings: Postings,
     /// [`KeyBlockBuilder::assign_all`]'s per-batch key ids, kept for reuse.
     ids: Vec<u32>,
     /// The first refusal of the interner to grow; reported when finishing.
@@ -42,7 +86,7 @@ impl KeyBlockBuilder {
     pub fn new(collection: &EntityCollection) -> Self {
         KeyBlockBuilder {
             interner: TokenInterner::new(),
-            postings: Vec::new(),
+            postings: Postings::default(),
             ids: Vec::new(),
             overflow: None,
             kind: collection.kind(),
@@ -64,7 +108,7 @@ impl KeyBlockBuilder {
     /// finishing, not here.
     pub fn assign(&mut self, key: &str, entity: EntityId) {
         match self.interner.intern(key) {
-            Ok(key_id) => self.postings.push((key_id, entity)),
+            Ok(key_id) => self.postings.extend(&[key_id], entity),
             Err(overflow) => self.overflow = self.overflow.or(Some(overflow)),
         }
     }
@@ -78,7 +122,7 @@ impl KeyBlockBuilder {
         if let Err(overflow) = self.interner.intern_all(keys, &mut self.ids) {
             self.overflow = self.overflow.or(Some(overflow));
         }
-        self.postings.extend(self.ids.iter().map(|&key_id| (key_id, entity)));
+        self.postings.extend(&self.ids, entity);
     }
 
     /// Number of distinct keys seen so far.
@@ -126,7 +170,7 @@ impl KeyBlockBuilder {
         let grouped = GroupedPostings::new(&self.postings, num_keys);
         #[cfg(feature = "sanitize")]
         assert!(
-            grouped.postings().eq(sorted_dedup_oracle(&self.postings)),
+            grouped.postings().eq(sorted_dedup_oracle(&self.postings.pairs())),
             "mb-sanitize: counting-sort grouping diverged from sort + dedup"
         );
         drop(self.postings);
@@ -193,24 +237,21 @@ struct GroupedPostings {
 impl GroupedPostings {
     /// Groups `postings` (any order, repeats allowed) over key ids
     /// `0..num_keys` without comparing keys: count per key, prefix-sum,
-    /// stable scatter. A key's members then sit in arrival order, which for
-    /// a builder that walks the collection once is already strictly
-    /// ascending; a group that is not is sorted and deduplicated in place,
-    /// and the groups after it close the gap.
+    /// stable scatter, one run of entity at a time. A key's members then
+    /// sit in arrival order, which for a builder that walks the collection
+    /// once is already strictly ascending; a group that is not is sorted
+    /// and deduplicated in place, and the groups after it close the gap.
     ///
     /// # Panics
     /// If there are 2³² postings or more.
-    fn new(postings: &[(u32, EntityId)], num_keys: usize) -> GroupedPostings {
-        assert!(
-            u32::try_from(postings.len()).is_ok(),
-            "{} postings do not fit u32 offsets",
-            postings.len()
-        );
+    fn new(postings: &Postings, num_keys: usize) -> GroupedPostings {
+        let total = postings.keys.len();
+        assert!(u32::try_from(total).is_ok(), "{total} postings do not fit u32 offsets");
         // `starts[k + 1]` is key k's write cursor: it begins at k's start
         // and the scatter advances it to k's end, which is k + 1's start —
         // so the cursors finish as the offset table, with `starts[0] = 0`.
         let mut starts = vec![0u32; num_keys + 1];
-        for &(key, _) in postings {
+        for &key in &postings.keys {
             starts[key as usize + 1] += 1;
         }
         let mut sum = 0u32;
@@ -219,11 +260,13 @@ impl GroupedPostings {
             *cursor = sum;
             sum += count;
         }
-        let mut entities = vec![EntityId(0); postings.len()];
-        for &(key, entity) in postings {
-            let cursor = &mut starts[key as usize + 1];
-            entities[*cursor as usize] = entity;
-            *cursor += 1;
+        let mut entities = vec![EntityId(0); total];
+        for (entity, keys) in postings.runs() {
+            for &key in keys {
+                let cursor = &mut starts[key as usize + 1];
+                entities[*cursor as usize] = entity;
+                *cursor += 1;
+            }
         }
 
         // `read..end` is group k as scattered, `write` where it belongs once
@@ -406,8 +449,18 @@ mod tests {
         }
     }
 
+    /// `pairs` as the builder stores them.
+    fn postings_of(pairs: &[(u32, EntityId)]) -> Postings {
+        let mut postings = Postings::default();
+        for &(key, entity) in pairs {
+            postings.extend(&[key], entity);
+        }
+        assert_eq!(postings.pairs(), pairs);
+        postings
+    }
+
     fn assert_groups_like_the_oracle(postings: &[(u32, EntityId)], num_keys: usize, case: &str) {
-        let grouped = GroupedPostings::new(postings, num_keys);
+        let grouped = GroupedPostings::new(&postings_of(postings), num_keys);
         assert_eq!(grouped.starts.len(), num_keys + 1, "{case}");
         assert!(grouped.postings().eq(sorted_dedup_oracle(postings)), "{case}");
     }
@@ -539,6 +592,40 @@ mod tests {
             assert_eq!(keys, expected_keys, "{case}");
             assert!(vocabulary.iter().eq(oracle_keys));
         }
+    }
+
+    #[test]
+    fn an_entity_may_arrive_in_several_runs_and_out_of_order() {
+        // Entity 2, then 0, then 2 again, then 1: four runs, the first and
+        // third of one entity, so "z" and "x" see 2 after 0 and grouping
+        // must sort them.
+        let c = dirty(3);
+        let mut b = KeyBlockBuilder::new(&c);
+        let mut scratch = KeyScratch::new();
+        let arrivals = [(2u32, "x y"), (0, "y z"), (2, "z w y"), (1, "x z")];
+        for (entity, text) in arrivals {
+            scratch.clear();
+            for t in text.split(' ') {
+                let start = scratch.begin();
+                scratch.push_str(t);
+                scratch.commit(start);
+            }
+            b.assign_all(&scratch, EntityId(entity));
+        }
+        // Back to back assignments of one entity extend its run.
+        b.assign("w", EntityId(1));
+        let runs: Vec<EntityId> = b.postings.runs().map(|(entity, _)| entity).collect();
+        assert_eq!(runs, [2, 0, 2, 1].map(EntityId));
+        let pairs = b.postings.pairs();
+        assert_eq!(pairs.len(), 2 + 2 + 3 + 3);
+        let (blocks, keys, vocabulary) = b.finish_keyed().unwrap();
+        let (expected, expected_keys) = blocks_by_hand(&c, &sorted_dedup_oracle(&pairs));
+        assert_eq!(blocks.raw_parts(), expected.raw_parts());
+        assert_eq!(keys, expected_keys);
+        // Keys new to a batch are numbered by bytes: x, y, then z, then w.
+        assert!(vocabulary.iter().eq(["x", "y", "z", "w"]));
+        assert_eq!(blocks.size(), 4);
+        assert_eq!(blocks.block(2).left(), [0, 1, 2].map(EntityId), "z: 0, 2, 1 sorted");
     }
 
     #[test]

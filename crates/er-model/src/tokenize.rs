@@ -16,13 +16,17 @@
 //! Tokens are interned to dense `u32` ids by [`TokenInterner`] — keys back
 //! to back in a [`KeyArena`], found through a [`KeyTable`], lookups batched
 //! per profile — and every downstream structure (blocks, token sets for
-//! Jaccard matching) works on ids, never on strings.
+//! Jaccard matching) works on ids, never on strings. A key committed to a
+//! [`KeyScratch`] carries its [`key_hash`], computed where the key is cut;
+//! the batch lookups read it instead of hashing the key again. The blocking
+//! builder then posts each assignment as its 4-byte key id, beside one
+//! `(entity, first posting)` run per profile.
 //!
 //! [`KeyTable`] is the one key → id table: the interner grows one, and a
 //! loaded serving snapshot seats its vocabulary into one
 //! ([`KeyTable::seat`]), so served tokens are found as they were numbered.
 
-use crate::fxhash::FxHasher;
+use crate::fxhash::{short_word, word, FxHasher};
 use crate::profile::EntityProfile;
 use std::hash::Hasher;
 
@@ -190,12 +194,34 @@ impl KeyArena {
 
 /// FxHash over a key's bytes, the one hash of every [`KeyTable`]. Its last
 /// step is a multiply, so the top half — the tag, and so the home — depends
-/// on every byte.
+/// on every byte. [`KeyScratch`] computes it once per key, where the key is
+/// cut, and every batch lookup reads that value.
 #[inline]
 pub fn key_hash(key: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(key);
     h.finish()
+}
+
+/// Whether two keys are the same bytes. Keys of up to 16 bytes — every key
+/// of the three benchmark collections, which run 3 to 9 bytes — are
+/// compared as at most two words, loaded as [`key_hash`] loads its tail;
+/// longer keys go through `==`.
+#[inline]
+fn same_key(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    if a.len() > 16 {
+        return a == b;
+    }
+    match (a.first_chunk::<8>(), b.first_chunk::<8>()) {
+        // 8..=16 bytes: the first word and the last, which may overlap it.
+        (Some(a_first), Some(b_first)) => {
+            a_first == b_first && a.last_chunk::<8>() == b.last_chunk::<8>()
+        }
+        _ => short_word(a) == short_word(b),
+    }
 }
 
 /// Fewest slots a growing table has.
@@ -319,54 +345,25 @@ impl KeyTable {
     }
 
     /// Looks every key of `batch` up, in commit order, repeats included,
-    /// into `ids` (cleared first): its id in `keys`, or `None`. `hashes` is
-    /// scratch. One key at a time, each lookup is a chain of dependent misses
-    /// (slot, offsets, key bytes); here the batch is hashed first, then a
-    /// loop that does nothing else loads every home slot and, on a tag hit,
-    /// the key's last byte — independent loads whose misses overlap — and
-    /// the probes that follow find their lines in cache.
-    pub fn find_all(
-        &self,
-        keys: &KeyArena,
-        batch: &KeyScratch,
-        hashes: &mut Vec<u64>,
-        ids: &mut Vec<Option<u32>>,
-    ) {
-        self.find_all_with(keys, batch, key_hash, hashes, ids);
+    /// into `ids` (cleared first): its id in `keys`, or `None`. One key at a
+    /// time, each lookup is a chain of dependent misses (slot, offsets, key
+    /// bytes); here a loop that does nothing else first loads every home
+    /// slot and, on a tag hit, the key's last byte — independent loads whose
+    /// misses overlap — and the probes that follow find their lines in
+    /// cache. Nothing is hashed: each key carries the hash it was cut with.
+    pub fn find_all(&self, keys: &KeyArena, batch: &KeyScratch, ids: &mut Vec<Option<u32>>) {
+        #[cfg(feature = "sanitize")]
+        batch.sanitize_hashes("find_all");
+        self.lookup_all(keys, batch, ids);
     }
 
-    /// [`KeyTable::find_all`] under any hash.
-    fn find_all_with(
-        &self,
-        keys: &KeyArena,
-        batch: &KeyScratch,
-        hash: impl Fn(&[u8]) -> u64,
-        hashes: &mut Vec<u64>,
-        ids: &mut Vec<Option<u32>>,
-    ) {
-        self.hash_and_touch(keys, batch, hash, hashes);
+    /// [`KeyTable::find_all`] under whatever hashes `batch` carries.
+    fn lookup_all(&self, keys: &KeyArena, batch: &KeyScratch, ids: &mut Vec<Option<u32>>) {
+        self.touch(keys, batch.hashes.iter().copied());
         ids.clear();
-        ids.extend(
-            batch
-                .iter()
-                .zip(hashes.iter())
-                .map(|(key, &h)| self.probe(keys, key.as_bytes(), h).ok()),
-        );
-    }
-
-    /// The batch lookup's first two passes: every key of `batch` hashed into
-    /// `hashes`, then every home touched.
-    #[inline]
-    fn hash_and_touch(
-        &self,
-        keys: &KeyArena,
-        batch: &KeyScratch,
-        hash: impl Fn(&[u8]) -> u64,
-        hashes: &mut Vec<u64>,
-    ) {
-        hashes.clear();
-        hashes.extend(batch.iter().map(|key| hash(key.as_bytes())));
-        self.touch(keys, hashes.iter().copied());
+        ids.extend(batch.spans.iter().zip(&batch.hashes).map(|(&(start, end), &hash)| {
+            self.probe(keys, &batch.buf.as_bytes()[start..end], hash).ok()
+        }));
     }
 
     /// Loads each hash's home slot and, on a tag hit, the resident key's
@@ -401,7 +398,7 @@ impl KeyTable {
             if slot == 0 {
                 return Err(at);
             }
-            if slot >> 32 == hash >> 32 && keys.bytes(slot as u32 - 1) == key {
+            if slot >> 32 == hash >> 32 && same_key(keys.bytes(slot as u32 - 1), key) {
                 return Ok(slot as u32 - 1);
             }
             at = if at + 1 == self.slots.len() { 0 } else { at + 1 };
@@ -449,8 +446,6 @@ impl KeyTable {
 pub struct TokenInterner {
     keys: KeyArena,
     table: KeyTable,
-    /// [`TokenInterner::intern_all`]'s per-batch hashes, kept for reuse.
-    hashes: Vec<u64>,
     /// Per key id, the last [`TokenInterner::intern_all`] batch that wrote
     /// it; `0` for none. Grown to the key count at the start of a batch.
     /// Two bytes a key, not four: with `u32` stamps the heap the rest of a
@@ -486,8 +481,9 @@ impl TokenInterner {
     /// one [`TokenInterner::intern`] call per key of the batch sorted and
     /// deduplicated would give.
     ///
-    /// The batch is looked up as [`KeyTable::find_all`] looks one up; a
-    /// found id is written unless it carries this batch's stamp already.
+    /// The batch is looked up as [`KeyTable::find_all`] looks one up, by
+    /// the hashes its keys carry; a found id is written unless it carries
+    /// this batch's stamp already.
     /// Only the misses are sorted by bytes and deduplicated, and room is
     /// reserved for them after the lookups, so no slot moves in between;
     /// each goes in from the slot its lookup ended on, or from its home if
@@ -501,7 +497,8 @@ impl TokenInterner {
         if keys.is_empty() {
             return Ok(());
         }
-        let mut hashes = std::mem::take(&mut self.hashes);
+        #[cfg(feature = "sanitize")]
+        keys.sanitize_hashes("intern_all");
         let mut misses = std::mem::take(&mut self.misses);
         misses.clear();
         // An empty table misses every key, and reads no stamp.
@@ -512,9 +509,10 @@ impl TokenInterner {
                 1
             });
         }
-        self.table.hash_and_touch(&self.keys, keys, key_hash, &mut hashes);
-        for (index, (key, &hash)) in keys.iter().zip(&hashes).enumerate() {
-            match self.table.probe(&self.keys, key.as_bytes(), hash) {
+        let hashes = &keys.hashes;
+        self.table.touch(&self.keys, hashes.iter().copied());
+        for (index, (&(start, end), &hash)) in keys.spans.iter().zip(hashes).enumerate() {
+            match self.table.probe(&self.keys, &keys.buf.as_bytes()[start..end], hash) {
                 Ok(id) => {
                     let stamp = &mut self.stamps[id as usize];
                     if *stamp != self.batch {
@@ -553,7 +551,6 @@ impl TokenInterner {
         if result.is_ok() {
             self.sanitize_batch(ids, found, first_new);
         }
-        self.hashes = hashes;
         self.misses = misses;
         result
     }
@@ -619,10 +616,41 @@ impl TokenInterner {
 /// the order they were committed, repeats included:
 /// [`TokenInterner::intern_all`] and the serving layer's batch token lookup
 /// take them that way, and each byte-sorts only the keys it has to number.
+///
+/// Every committed key carries its [`key_hash`], computed where the key is
+/// cut, while its bytes are still in cache; the batch lookups read it and
+/// hash nothing.
 #[derive(Debug, Default)]
 pub struct KeyScratch {
     buf: String,
     spans: Vec<(usize, usize)>,
+    /// `key_hash` of each span's bytes, one per span.
+    hashes: Vec<u64>,
+}
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = 0x0101_0101_0101_0101;
+
+/// The high bit of every byte of a word.
+const HIGH: u64 = ONES << 7;
+
+/// The high bit of every byte of `word` that lies in `lo..=hi`, for a
+/// `word` of ASCII bytes (high bits clear) and `hi < 0x80`: `byte + 0x80 -
+/// lo` reaches `0x80` exactly when `byte >= lo`, `byte + 0x7f - hi` exactly
+/// when `byte > hi`, and neither sum carries into the next byte (Hacker's
+/// Delight §6-1).
+#[inline]
+fn bytes_in(word: u64, lo: u8, hi: u8) -> u64 {
+    let at_least_lo = word + ONES * u64::from(0x80 - lo);
+    let above_hi = word + ONES * u64::from(0x7f - hi);
+    at_least_lo & !above_hi & HIGH
+}
+
+/// The high bit of every byte of `word` — lowercased ASCII — that is not
+/// an ASCII digit or lowercase letter: the bytes a value's keys are cut at.
+#[inline]
+fn separators(word: u64) -> u64 {
+    !(bytes_in(word, b'0', b'9') | bytes_in(word, b'a', b'z')) & HIGH
 }
 
 impl KeyScratch {
@@ -635,6 +663,7 @@ impl KeyScratch {
     pub fn clear(&mut self) {
         self.buf.clear();
         self.spans.clear();
+        self.hashes.clear();
     }
 
     /// Replaces the contents with `profile`'s Token Blocking keys: the
@@ -649,8 +678,9 @@ impl KeyScratch {
     /// An all-ASCII value is copied once and lowercased in place; its keys
     /// are the spans of its ASCII-alphanumeric runs, which for ASCII text
     /// are exactly the runs [`raw_tokens`] splits out, and the separators
-    /// stay behind in the buffer. Any other value goes token by token
-    /// through [`push_lowercase`].
+    /// stay behind in the buffer. The separators are found a word at a time
+    /// ([`separators`]), and each key is hashed as it is cut. Any other
+    /// value goes token by token through [`push_lowercase`].
     // `#[inline]` gives each calling crate its own copy, placed beside the
     // per-profile loop that calls it — where the copies it replaces lived.
     // As one copy in this crate, `TokenBlocking::build` on a verbose
@@ -670,18 +700,43 @@ impl KeyScratch {
             let base = self.buf.len();
             self.buf.push_str(value);
             self.buf[base..].make_ascii_lowercase();
-            let mut run = base;
-            for (at, byte) in (base..).zip(value.bytes()) {
-                if !byte.is_ascii_alphanumeric() {
-                    if at > run {
-                        self.spans.push((run, at));
-                    }
-                    run = at + 1;
+            self.cut_ascii(base);
+        }
+    }
+
+    /// Commits the alphanumeric runs of the lowercased ASCII text from
+    /// `base` to the end of the buffer as keys, each with its hash. The
+    /// text is read 8 bytes at a time and only the separators are visited;
+    /// the last, partial word is read zero-extended and its padding masked
+    /// off.
+    #[inline]
+    fn cut_ascii(&mut self, base: usize) {
+        let KeyScratch { buf, spans, hashes } = self;
+        let text = &buf.as_bytes()[base..];
+        let mut cut = |start: usize, end: usize| {
+            spans.push((base + start, base + end));
+            hashes.push(key_hash(&text[start..end]));
+        };
+        let chunks = text.chunks_exact(8);
+        let tail = chunks.remainder();
+        let words = chunks
+            .map(|chunk| (word(chunk), HIGH))
+            .chain([(short_word(tail), HIGH & ((1u64 << (8 * tail.len())) - 1))]);
+        // One past the last separator: where the run in hand began.
+        let mut run = 0;
+        for (first, (word, valid)) in (0..).step_by(8).zip(words) {
+            let mut seps = separators(word) & valid;
+            while seps != 0 {
+                let at = first + (seps.trailing_zeros() / 8) as usize;
+                if at > run {
+                    cut(run, at);
                 }
+                run = at + 1;
+                seps &= seps - 1;
             }
-            if self.buf.len() > run {
-                self.spans.push((run, self.buf.len()));
-            }
+        }
+        if text.len() > run {
+            cut(run, text.len());
         }
     }
 
@@ -707,19 +762,21 @@ impl KeyScratch {
         let _ = write!(self.buf, "{v}");
     }
 
-    /// Commits the key begun at `start`. Keys that received no text are
-    /// dropped, mirroring the `filter(|k| !k.is_empty())` of the old path.
+    /// Commits the key begun at `start`, hashing it. Keys that received no
+    /// text are dropped, mirroring the `filter(|k| !k.is_empty())` of the
+    /// old path.
     pub fn commit(&mut self, start: usize) {
         if self.buf.len() > start {
-            self.spans.push((start, self.buf.len()));
+            self.push_range(start, self.buf.len());
         }
     }
 
-    /// Records `[start, end)` of the backing buffer as an additional key.
-    /// Q-gram windows use this to share their token's bytes.
+    /// Records `[start, end)` of the backing buffer as an additional key,
+    /// hashing it. Q-gram windows use this to share their token's bytes.
     pub fn push_range(&mut self, start: usize, end: usize) {
         debug_assert!(start < end && end <= self.buf.len());
         self.spans.push((start, end));
+        self.hashes.push(key_hash(&self.buf.as_bytes()[start..end]));
     }
 
     /// The current end of the backing buffer (for char-boundary scans).
@@ -751,6 +808,24 @@ impl KeyScratch {
     /// Whether no key has been committed.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
+    }
+
+    /// That every committed key carries the [`key_hash`] of its bytes, the
+    /// hash the batch lookup named `caller` reads instead of computing.
+    #[cfg(feature = "sanitize")]
+    fn sanitize_hashes(&self, caller: &str) {
+        assert_eq!(
+            self.hashes.len(),
+            self.spans.len(),
+            "mb-sanitize: {caller}: a key without a hash"
+        );
+        for (index, &hash) in self.hashes.iter().enumerate() {
+            assert_eq!(
+                hash,
+                key_hash(self.get(index).as_bytes()),
+                "mb-sanitize: {caller}: key {index} carries a hash that is not its key_hash"
+            );
+        }
     }
 }
 
@@ -1170,19 +1245,20 @@ mod tests {
         batch_of(keys.iter().map(String::as_str))
     }
 
-    /// Seats `vocabulary` under `hash` and looks `batch` up with it as one
-    /// batch: every answer must be the per-key probe's and a hash map's.
-    /// Returns the hits and the misses.
+    /// Seats `vocabulary` under `hash` and looks `batch`, its keys carrying
+    /// that hash, up as one batch: every answer must be the per-key probe's
+    /// and a hash map's. Returns the hits and the misses.
     fn batch_agrees(
         vocabulary: &KeyArena,
-        batch: &KeyScratch,
+        mut batch: KeyScratch,
         hash: impl Fn(&[u8]) -> u64,
     ) -> (usize, usize) {
         let (table, _) = KeyTable::seat_with(vocabulary, u64::MAX, &hash).unwrap();
         let oracle: FxHashMap<&str, u32> =
             vocabulary.ids().map(|id| (vocabulary.get(id), id)).collect();
-        let (mut hashes, mut found) = (Vec::new(), Vec::new());
-        table.find_all_with(vocabulary, batch, &hash, &mut hashes, &mut found);
+        batch.hashes = batch.iter().map(|key| hash(key.as_bytes())).collect();
+        let mut found = Vec::new();
+        table.lookup_all(vocabulary, &batch, &mut found);
         assert_eq!(found.len(), batch.len());
         for (key, &id) in batch.iter().zip(&found) {
             assert_eq!(id, table.probe(vocabulary, key.as_bytes(), hash(key.as_bytes())).ok());
@@ -1200,8 +1276,9 @@ mod tests {
         let vocabulary = generated_vocabulary(er_datagen::presets::d2c(29), 40);
         assert!(vocabulary.len() > 2_000, "{} keys", vocabulary.len());
         let keys = keys_over(&vocabulary, 0xBA7C);
-        let (hits, misses) = batch_agrees(&vocabulary, &keys, key_hash);
-        assert!(hits > keys.len() / 2 && misses > keys.len() / 8, "{hits} hits, {misses} misses");
+        let n = keys.len();
+        let (hits, misses) = batch_agrees(&vocabulary, keys, key_hash);
+        assert!(hits > n / 2 && misses > n / 8, "{hits} hits, {misses} misses");
 
         // Under a hash with one value every slot carries the one tag and
         // every key the one home, so the table is a single probe run that
@@ -1209,7 +1286,7 @@ mod tests {
         // the quadratic walk short.
         let few = arena_of(vocabulary.iter().take(600));
         let keys = keys_over(&few, 0xC0115);
-        let (hits, misses) = batch_agrees(&few, &keys, |_| 0x9E37_79B9_7F4A_7C15);
+        let (hits, misses) = batch_agrees(&few, keys, |_| 0x9E37_79B9_7F4A_7C15);
         assert!(hits > 0 && misses > 0);
     }
 
@@ -1236,9 +1313,9 @@ mod tests {
         // Every key, and near misses of them, looked up as a batch and one
         // at a time: the two tables give the same answers.
         let near = keys_over(&keys, 0x5EA8);
-        let (mut hashes, mut by_seated, mut by_interner) = (vec![], vec![], vec![]);
-        seated.find_all(&keys, &near, &mut hashes, &mut by_seated);
-        interner.table.find_all(interner.keys(), &near, &mut hashes, &mut by_interner);
+        let (mut by_seated, mut by_interner) = (vec![], vec![]);
+        seated.find_all(&keys, &near, &mut by_seated);
+        interner.table.find_all(interner.keys(), &near, &mut by_interner);
         assert_eq!(by_seated, by_interner);
         let (hits, mut grown) = (by_seated.iter().flatten().count(), keys.len() as u32);
         assert!(hits > near.len() / 3 && hits < near.len(), "{hits} of {}", near.len());
@@ -1330,6 +1407,99 @@ mod tests {
         assert!(scratch.iter().any(|t| t == "i\u{307}stanbul"), "multi-char lowercase kept");
         assert!(scratch.iter().any(|t| t == "σοφός"), "final sigma as to_lowercase has it");
         assert_eq!(scratch.iter().filter(|&t| t == "istanbul").count(), 2, "repeats kept");
+    }
+
+    #[test]
+    fn key_hash_values_are_pinned() {
+        // Any change to these changes every table's homes, and so the
+        // interner's probe order; the vocabulary order it numbers does not
+        // depend on them, but a served snapshot's token routes would.
+        for (key, hash) in [
+            ("", 0x0000_0000_0000_0000),
+            ("a", 0xe045_6665_d3e6_0275),
+            ("jack", 0x7a3d_f840_78b9_d6b2),
+            ("miller", 0x747d_ffa4_f2b1_9e71),
+            ("seller42", 0xaaa7_ad53_5553_89ef),
+            ("straße", 0xec7e_f0ac_2c70_44ef),
+            ("car-vendor-seller", 0xf357_6ba1_897c_9736),
+            ("0123456789abcdefghij", 0xccfe_9080_f04f_5e7e),
+        ] {
+            assert_eq!(key_hash(key.as_bytes()), hash, "{key:?}");
+        }
+    }
+
+    #[test]
+    fn key_hash_is_the_byte_copy_hash_over_a_generated_vocabulary() {
+        use crate::fxhash::tests::byte_copy_hash;
+        let vocabulary = generated_vocabulary(er_datagen::presets::d2c(29), 40);
+        assert!(vocabulary.len() > 2_000, "{} keys", vocabulary.len());
+        let mut lengths = std::collections::BTreeSet::new();
+        for key in vocabulary.iter() {
+            assert_eq!(key_hash(key.as_bytes()), byte_copy_hash(key.as_bytes()), "{key:?}");
+            lengths.insert(key.len());
+        }
+        // The generator's tokens are 3 to 9 bytes; the seeded bytes of the
+        // hasher's own test cover every length to 40.
+        assert!(lengths.len() >= 5, "lengths {lengths:?}");
+    }
+
+    #[test]
+    fn the_word_compare_is_byte_equality() {
+        let base: Vec<u8> = (0..48u8).map(|b| b.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=40 {
+            let a = &base[..len];
+            let copy = a.to_vec();
+            assert!(same_key(a, &copy), "len {len}");
+            // One byte flipped at each position in turn, every bit of it.
+            for at in 0..len {
+                for bit in 0..8 {
+                    let mut b = a.to_vec();
+                    b[at] ^= 1 << bit;
+                    assert_eq!(same_key(a, &b), a == b.as_slice(), "len {len} at {at} bit {bit}");
+                }
+            }
+            // A prefix or an extension is another key, zero bytes included.
+            let mut longer = a.to_vec();
+            longer.push(0);
+            assert!(!same_key(a, &longer) && !same_key(&longer, a), "len {len}");
+        }
+    }
+
+    #[test]
+    fn fill_tokens_cuts_at_every_offset_of_a_word_with_any_ascii_separator() {
+        // Two runs of mixed case and digits, each 1..=17 bytes, led by 0..8
+        // separators, so runs start and end at every offset of an 8-byte
+        // word and straddle its boundaries; every ASCII byte takes the
+        // separator's place, including those that are alphanumeric and so
+        // join the runs.
+        const RUN: &[u8] = b"aB3xYz09QwErTy7Uk";
+        let mut scratch = KeyScratch::new();
+        let mut checked = 0;
+        for sep in 0u8..=0x7f {
+            let sep = char::from(sep);
+            for lead in 0..8 {
+                for len in 1..=RUN.len() {
+                    let run = std::str::from_utf8(&RUN[..len]).unwrap();
+                    let second = std::str::from_utf8(&RUN[RUN.len() - len..]).unwrap();
+                    let gap = 1 + (lead + len) % 3;
+                    let pad = |n: usize| sep.to_string().repeat(n);
+                    let value = format!("{}{run}{}{second}{}", pad(lead), pad(gap), pad(lead % 2));
+                    let profile = EntityProfile::new("p").with("v", &value);
+                    scratch.fill_tokens(&profile);
+                    let expected: Vec<String> = tokens(&value).collect();
+                    assert!(
+                        scratch.iter().eq(expected.iter().map(String::as_str)),
+                        "sep {sep:?} value {value:?}: {:?}",
+                        scratch.iter().collect::<Vec<_>>()
+                    );
+                    for (index, key) in scratch.iter().enumerate() {
+                        assert_eq!(scratch.hashes[index], key_hash(key.as_bytes()), "{key:?}");
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 128 * 8 * RUN.len());
     }
 
     #[test]

@@ -194,7 +194,8 @@ pub(crate) fn validate_delta_runs(
 /// Re-frames a snapshot file with one more delta run, `ops`, appended, and
 /// returns it with the id each op of `ops` targets.
 ///
-/// Every section of `file` is copied byte for byte, and the combined op
+/// Every section of `file` is framed again byte for byte, borrowed from
+/// `file` rather than copied out of it first, and the combined op
 /// sequence (its runs plus `ops`) is replayed against its collection size:
 /// an upsert at [`APPEND`] is persisted at the id the replay resolves it
 /// to, and the output loads whenever `file` does.
@@ -203,12 +204,12 @@ pub fn append_delta_run(
     ops: &[DeltaOp],
 ) -> Result<(Vec<u8>, Vec<u32>), SnapshotError> {
     let table = parse_table(file, file.len())?;
-    let mut payloads: Vec<(u32, Vec<u8>)> =
-        table.iter().map(|e| (e.id, section_slice(file, e).to_vec())).collect();
+    let mut sections: Vec<(u32, &[u8])> =
+        table.iter().map(|e| (e.id, section_slice(file, e))).collect();
     let mut runs = Vec::new();
     let mut num_entities = 0;
-    for (id, payload) in &payloads {
-        match *id {
+    for &(id, payload) in &sections {
+        match id {
             SECTION_META => num_entities = decode_meta(payload)?.num_entities,
             SECTION_DELTA => runs.push(decode_delta_run(payload)?),
             _ => {}
@@ -217,8 +218,9 @@ pub fn append_delta_run(
     runs.push(ops.to_vec());
     validate_delta_runs(num_entities, &mut runs)?;
     let staged = runs.pop().unwrap_or_default();
-    payloads.push((SECTION_DELTA, encode_delta_run(&staged)));
-    Ok((frame_sections(&payloads), staged.iter().map(DeltaOp::id).collect()))
+    let run = encode_delta_run(&staged);
+    sections.push((SECTION_DELTA, &run));
+    Ok((frame_sections(&sections), staged.iter().map(DeltaOp::id).collect()))
 }
 
 /// One copy-on-write block: members of each side, ascending — the same
@@ -586,9 +588,9 @@ impl DeltaOverlay {
         tokens: &mut TokenScratch,
     ) {
         let right = self.is_right(id);
-        let TokenScratch { keys, hashes, ids: found, aside: rest } = tokens;
+        let TokenScratch { keys, ids: found, aside: rest } = tokens;
         keys.fill_tokens(profile);
-        view.find_tokens(keys, hashes, found);
+        view.find_tokens(keys, found);
         let mut entry = EntityEntry::default();
         rest.clear();
         for (index, &tid) in found.iter().enumerate() {

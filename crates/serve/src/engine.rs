@@ -220,9 +220,9 @@ impl<'s> QueryEngine<'s> {
         scope: &mut StageScope<'_>,
     ) -> Scored {
         let overlay = self.scorer.store().overlay();
-        let TokenScratch { keys, hashes, ids: found, aside: misses } = &mut self.tokens;
+        let TokenScratch { keys, ids: found, aside: misses } = &mut self.tokens;
         keys.fill_tokens(profile);
-        self.view.find_tokens(keys, hashes, found);
+        self.view.find_tokens(keys, found);
         self.probe_ids.clear();
         misses.clear();
         for (index, &id) in found.iter().enumerate() {

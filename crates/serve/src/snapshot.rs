@@ -561,7 +561,8 @@ impl Snapshot {
     pub fn to_bytes(&self) -> Vec<u8> {
         let payloads: Vec<(u32, Vec<u8>)> =
             SECTIONS.iter().map(|&(id, _)| (id, self.encode_section(id))).collect();
-        frame_sections(&payloads)
+        let sections: Vec<(u32, &[u8])> = payloads.iter().map(|(id, p)| (*id, &p[..])).collect();
+        frame_sections(&sections)
     }
 
     fn encode_section(&self, id: u32) -> Vec<u8> {
@@ -658,8 +659,8 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// header, table, then payloads contiguously, each 8-aligned and
 /// zero-padded, with wide-FNV checksums over the padded regions. Callers
 /// pass the six canonical sections in order, optionally followed by any
-/// number of [`SECTION_DELTA`] runs.
-pub(crate) fn frame_sections(payloads: &[(u32, Vec<u8>)]) -> Vec<u8> {
+/// number of [`SECTION_DELTA`] runs, each borrowed from wherever it lives.
+pub(crate) fn frame_sections(payloads: &[(u32, &[u8])]) -> Vec<u8> {
     let table_end = HEADER_LEN + payloads.len() * TABLE_ENTRY_LEN;
     let total: usize = table_end + payloads.iter().map(|(_, p)| padded_len(p.len())).sum::<usize>();
     let mut out = Vec::with_capacity(total);
@@ -667,24 +668,28 @@ pub(crate) fn frame_sections(payloads: &[(u32, Vec<u8>)]) -> Vec<u8> {
     put_u32(&mut out, FORMAT_VERSION);
     put_u32(&mut out, payloads.len() as u32);
     // Table pass: offsets are derivable up front because payloads are
-    // contiguous in canonical order.
+    // contiguous in canonical order. Checksums are written in the payload
+    // pass.
     let mut offset = table_end;
-    for (id, p) in payloads {
-        let padded = padded_len(p.len());
-        let mut region = Vec::with_capacity(padded);
-        region.extend_from_slice(p);
-        region.resize(padded, 0);
-        put_u32(&mut out, *id);
+    for &(id, p) in payloads {
+        put_u32(&mut out, id);
         put_u32(&mut out, 0); // reserved
         put_u64(&mut out, offset as u64);
         put_u64(&mut out, p.len() as u64);
-        put_u64(&mut out, fnv1a_wide(&region));
-        offset += padded;
+        put_u64(&mut out, 0); // checksum
+        offset += padded_len(p.len());
     }
-    // Payload pass.
-    for (_, p) in payloads {
+    // Payload pass: each section is padded where it lands in `out` and
+    // checksummed there, into the last field of its table entry.
+    for (entry, &(_, p)) in payloads.iter().enumerate() {
+        let start = out.len();
         out.extend_from_slice(p);
-        out.resize(out.len() + padded_len(p.len()) - p.len(), 0);
+        out.resize(start + padded_len(p.len()), 0);
+        let checksum = out.get(start..).map_or(0, fnv1a_wide);
+        let field = HEADER_LEN + (entry + 1) * TABLE_ENTRY_LEN - 8;
+        if let Some(field) = out.get_mut(field..field + 8) {
+            field.copy_from_slice(&checksum.to_le_bytes());
+        }
     }
     debug_assert_eq!(out.len(), total);
     out
@@ -716,7 +721,7 @@ mod tests {
 
     #[test]
     fn frame_sections_aligns_and_pads() {
-        let payloads = vec![(1u32, vec![0xAB; 3]), (2u32, vec![0xCD; 8]), (3u32, vec![])];
+        let payloads: [(u32, &[u8]); 3] = [(1, &[0xAB; 3]), (2, &[0xCD; 8]), (3, &[])];
         let buf = frame_sections(&payloads);
         // Header + 3 table entries, then 8 + 8 + 0 payload bytes.
         let table_end = HEADER_LEN + 3 * TABLE_ENTRY_LEN;
@@ -724,6 +729,12 @@ mod tests {
         // First payload starts right after the table, padded with zeros.
         assert_eq!(&buf[table_end..table_end + 3], &[0xAB; 3]);
         assert_eq!(&buf[table_end + 3..table_end + 8], &[0u8; 5]);
+        // Each table entry ends in the checksum of its padded region.
+        let regions: [&[u8]; 3] = [&[0xAB, 0xAB, 0xAB, 0, 0, 0, 0, 0], &[0xCD; 8], &[]];
+        for (entry, region) in regions.iter().enumerate() {
+            let field = HEADER_LEN + (entry + 1) * TABLE_ENTRY_LEN - 8;
+            assert_eq!(buf[field..field + 8], fnv1a_wide(region).to_le_bytes(), "entry {entry}");
+        }
     }
 
     use er_model::EntityProfile;

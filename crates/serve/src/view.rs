@@ -185,8 +185,6 @@ fn descents_and_max(pool: &[EntityId]) -> (u32, u32) {
 pub(crate) struct TokenScratch {
     /// The profile's keys, as [`KeyScratch::fill_tokens`] commits them.
     pub(crate) keys: KeyScratch,
-    /// [`SnapshotView::find_tokens`]' hash scratch.
-    pub(crate) hashes: Vec<u64>,
     /// What each key resolved to.
     pub(crate) ids: Vec<Option<u32>>,
     /// Indices into `keys` the caller sets aside for [`distinct_by_bytes`].
@@ -520,13 +518,8 @@ impl SnapshotView {
 
     /// Looks every key of `keys` up at once, in commit order, repeats
     /// included, into `ids`: each one's id, `None` where the vocabulary
-    /// lacks it ([`KeyTable::find_all`]; `hashes` is scratch).
-    pub(crate) fn find_tokens(
-        &self,
-        keys: &KeyScratch,
-        hashes: &mut Vec<u64>,
-        ids: &mut Vec<Option<u32>>,
-    ) {
-        self.tok_table.find_all(self.snapshot.tokens(), keys, hashes, ids);
+    /// lacks it ([`KeyTable::find_all`]).
+    pub(crate) fn find_tokens(&self, keys: &KeyScratch, ids: &mut Vec<Option<u32>>) {
+        self.tok_table.find_all(self.snapshot.tokens(), keys, ids);
     }
 }

@@ -4,6 +4,7 @@
 # it), tests,
 # then a serving-layer smoke: generate a tiny bundle, freeze it into a
 # snapshot, re-load it (full checksum + invariant validation) and query it,
+# and compare two builds' bytes against committed digests,
 # then an online-serving smoke: `er serve` on an ephemeral port, query it
 # over the wire, hot-reload a second snapshot with zero downtime, re-query,
 # and drain it with `er client shutdown`, then the streaming example (every
@@ -113,6 +114,15 @@ if grep -rnE 'fn seat_tokens|struct TokenTable|fn table_home|fn token_hash' crat
   echo "mb-serve has its own token table again (seat and look up through KeyTable)" >&2; exit 1
 fi
 
+echo "==> a key is hashed where it is cut (structural guard on crates/er-model/src)"
+# `KeyScratch` computes each committed key's `key_hash` once, as the key is
+# cut, and `intern_all` and `find_all` read it: a batch lookup that hashes
+# its keys again, or takes a hash function beside the carried hashes, must
+# not come back.
+if grep -rnE 'fn (hash_and_touch|find_all_with)\b' crates/er-model/src; then
+  echo "a batch lookup hashes its keys again (read the hashes KeyScratch carries)" >&2; exit 1
+fi
+
 echo "==> one snapshot build (structural guard on crates/serve/src and crates/blocking/src)"
 # `Snapshot::build` is the only way a snapshot is made, and the blocking
 # front end has one block emission: a second, disk-backed build path must
@@ -195,6 +205,17 @@ grep -Eq '^format version: +5$' "$SMOKE_DIR/inspect.txt" \
   && grep -Eq '^sections: +6$' "$SMOKE_DIR/inspect.txt" \
   || { echo "inspect did not report format version 5 with 6 sections" >&2; exit 1; }
 cargo run -q --release -p er-cli -- snapshot inspect --snapshot "$SMOKE_DIR/index.mbsnap" --full
+# The bytes of two builds of the same bundle are pinned: Token Blocking's
+# vocabulary and block order, the pipeline's output and the framing all
+# reach them, so any drift fails here. A change that means to move them
+# records the new digests in scripts/snapshot-digests.sha256 and says why.
+cargo run -q --release -p er-cli -- snapshot build --dataset "$SMOKE_DIR" \
+  --out "$SMOKE_DIR/tiny-js-cnp-0.8.mbsnap" --scheme js --pruning cnp --filter 0.8
+cargo run -q --release -p er-cli -- snapshot build --dataset "$SMOKE_DIR" \
+  --out "$SMOKE_DIR/tiny-arcs-reciprocal-wnp.mbsnap" --scheme arcs --pruning reciprocal-wnp
+DIGESTS="$PWD/scripts/snapshot-digests.sha256"
+(cd "$SMOKE_DIR" && sha256sum --check --strict "$DIGESTS") \
+  || { echo "snapshot bytes drifted from scripts/snapshot-digests.sha256" >&2; exit 1; }
 cargo run -q --release -p er-cli -- query --snapshot "$SMOKE_DIR/index.mbsnap" \
   --entity 0 --top 5
 # A file of the previous format (the magic's last digit patched to 4) is
